@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CurvedKeplerError
-from .geometry import SphericalPoint, flat_limit_coords, spherical_to_parabolic
+from .geometry import flat_limit_coords, spherical_to_parabolic
 from .kepler import (
     QuantumNumbers,
     assemble_state,
@@ -228,16 +228,6 @@ def cmd_state(cfg: RunConfig) -> tuple[str, int]:
 # eval
 
 
-def _grid_chart(space: SpaceTag, chi, theta):
-    t1 = np.empty(chi.shape, dtype=complex)
-    t2 = np.empty(chi.shape, dtype=complex)
-    for i in range(chi.size):
-        q = spherical_to_parabolic(space, SphericalPoint(chi[i], theta[i], 0.0))
-        t1[i] = q.t1
-        t2[i] = q.t2
-    return t1, t2
-
-
 def cmd_eval(cfg: RunConfig) -> tuple[str, int]:
     state = assemble_state(cfg.space, cfg.e, QuantumNumbers(cfg.n1, cfg.n2, cfg.m))
     if cfg.space.model is Model.S3 and np.any(cfg.grid_chi > math.pi):
@@ -246,7 +236,8 @@ def cmd_eval(cfg: RunConfig) -> tuple[str, int]:
         raise UsageError("chi grid must lie in [0, 350]")
     cc, tt, pp = np.meshgrid(cfg.grid_chi, cfg.grid_theta, cfg.grid_phi, indexing="ij")
     cc, tt, pp = cc.ravel(), tt.ravel(), pp.ravel()
-    t1, t2 = _grid_chart(cfg.space, cc, tt)
+    chart = spherical_to_parabolic(cfg.space, (cc, tt, 0.0))
+    t1, t2 = chart.t1, chart.t2
     skip = (t1 == 1.0) | (t2 == 1.0)
     re = np.zeros_like(cc)
     im = np.zeros_like(cc)

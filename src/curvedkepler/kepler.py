@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError
-from .geometry import ParabolicPoint, SphericalPoint, spherical_to_parabolic
+from .geometry import ParabolicPoint, spherical_to_parabolic
 from .spaces import Model, SpaceTag, space_from_name
 from .specfun import Hyp2F1Params, hyp2f1, pow_arr
 
@@ -94,11 +94,6 @@ class StateParams:
     gamma2: complex
     k1: complex
     k2: complex
-
-    @property
-    def n2_le_n1(self) -> bool:
-        """Diagnostic: state would violate the stricter ordering n2 > n1."""
-        return self.qn.n2 <= self.qn.n1
 
     def to_json_dict(self) -> dict[str, Any]:
         def c(z: complex) -> list[float]:
@@ -428,18 +423,12 @@ def perturbed(state: StateParams, **deltas: complex) -> StateParams:
 def _density_on_grid(state: StateParams, chi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """|Psi|^2 * (metric radial weight) on an outer-product grid."""
     cc, tt = np.meshgrid(chi, theta, indexing="ij")
-    c = np.cos(tt)
+    pts = spherical_to_parabolic(state.space, (cc, tt, 0.0))
     if state.space.model is Model.H3:
-        sh = np.sinh(cc)
-        t1 = (1.0 + c) * sh * np.exp(-cc)
-        t2 = -(1.0 - c) * sh * np.exp(cc)
-        weight = sh * sh
+        weight = np.sinh(cc) ** 2
     else:
-        w = np.sin(cc) * np.exp(1j * (math.pi / 2.0 - cc))
-        t1 = (1.0 + c) * w
-        t2 = (1.0 - c) * np.conj(w)
         weight = np.sin(cc) ** 2
-    psi = wavefunction_values(state, t1, t2, np.zeros_like(cc, dtype=float))
+    psi = wavefunction_values(state, pts.t1, pts.t2, pts.phi)
     return (psi.real**2 + psi.imag**2) * weight
 
 

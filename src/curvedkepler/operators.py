@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .geometry import ParabolicPoint, ambient_to_quasi, parabolic_to_ambient
+from .geometry import ParabolicPoint, ParabolicPoints, parabolic_to_ambient
 from .kepler import SeparatedFactor, StateParams, factor, wavefunction_values
 from .report import ResidualReport, build_report
 from .spaces import Model, SpaceTag
@@ -134,32 +134,25 @@ def ode_residual(
     lhs = (1.0 - t) * ((1.0 - 2.0 * t) * f1 + t * (1.0 - t) * f2) + (
         c * t - m2 / (4.0 * t) + kconst
     ) * f
-    points = [(z.real, z.imag) for z in t]
-    return build_report(lhs, kconst * f, tolerance, points=points)
+    return build_report(lhs, kconst * f, tolerance, points=np.column_stack([t.real, t.imag]))
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian and B-operator applications (exact derivatives)
 
 
-def _point_arrays(points: Sequence[ParabolicPoint]):
-    t1 = np.array([p.t1 for p in points], dtype=complex)
-    t2 = np.array([p.t2 for p in points], dtype=complex)
-    phi = np.array([p.phi for p in points], dtype=float)
-    return t1, t2, phi
+def _regular_points(sample: ParabolicPoints | Sequence[ParabolicPoint]):
+    """(t1, t2, phi, skipped): the sample's points clear of the singular loci."""
+    pts = ParabolicPoints.of(sample)
+    keep = pts.clearance() >= SINGULAR_SKIP
+    if not keep.any():
+        raise DomainError("every sample point sits on a singular chart locus")
+    return pts.t1[keep], pts.t2[keep], pts.phi[keep], int(np.count_nonzero(~keep))
 
 
-def _nonsingular_mask(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    d = np.minimum.reduce(
-        [
-            np.abs(t1),
-            np.abs(1.0 - t1),
-            np.abs(t2),
-            np.abs(1.0 - t2),
-            np.abs(t1 - t2),
-        ]
-    )
-    return d >= SINGULAR_SKIP
+def _point_rows(t1: np.ndarray, t2: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Report rows (Re t1, Im t1, Re t2, Im t2, phi), one per point."""
+    return np.column_stack([t1.real, t1.imag, t2.real, t2.imag, phi])
 
 
 def _separated_derivatives(state: StateParams, t1, t2):
@@ -228,7 +221,7 @@ def apply_b_operator(state: StateParams, t1, t2, phi) -> np.ndarray:
 
 def hamiltonian_residual(
     state: StateParams,
-    sample: Sequence[ParabolicPoint],
+    sample: ParabolicPoints | Sequence[ParabolicPoint],
     tolerance: float = HAMILTONIAN_TOL,
     operator_space: SpaceTag | None = None,
 ) -> ResidualReport:
@@ -239,21 +232,19 @@ def hamiltonian_residual(
     e^2 = k^2 (k^2 - 1)); |eps Psi| alone would then degenerate to an
     absolute comparison against unnormalized Psi.
     """
-    t1, t2, phi = _point_arrays(sample)
-    keep = _nonsingular_mask(t1, t2)
-    skipped = int(np.count_nonzero(~keep))
-    if not keep.any():
-        raise DomainError("every sample point sits on a singular chart locus")
-    t1, t2, phi = t1[keep], t2[keep], phi[keep]
+    t1, t2, phi, skipped = _regular_points(sample)
     hpsi = apply_hamiltonian(state, t1, t2, phi, operator_space=operator_space)
     psi = wavefunction_values(state, t1, t2, phi)
     scale = (1.0 + abs(state.epsilon)) * np.abs(psi)
-    points = [(a.real, a.imag, b.real, b.imag, p) for a, b, p in zip(t1, t2, phi)]
     note = f"skipped {skipped} singular point(s)" if skipped else ""
-    return build_report(hpsi - state.epsilon * psi, scale, tolerance, points=points, note=note)
+    return build_report(
+        hpsi - state.epsilon * psi, scale, tolerance, points=_point_rows(t1, t2, phi), note=note
+    )
 
 
-def coupling_identity_residual(space: SpaceTag, points: Sequence[ParabolicPoint]) -> float:
+def coupling_identity_residual(
+    space: SpaceTag, points: ParabolicPoints | Sequence[ParabolicPoint]
+) -> float:
     """max |(t1+t2-2 t1 t2)/(t1-t2) - cos(theta)| via the ambient chart.
 
     The left side is the scalar coefficient of the B operator; the right
@@ -264,20 +255,22 @@ def coupling_identity_residual(space: SpaceTag, points: Sequence[ParabolicPoint]
     q3/q; on the far S3 hemisphere q = y/y0 swaps antipodes and q3/q
     flips sign, so only the ambient form applies there.
     """
-    worst = 0.0
-    for p in points:
-        c = (p.t1 + p.t2 - 2.0 * p.t1 * p.t2) / (p.t1 - p.t2)
-        amb = parabolic_to_ambient(space, p)
-        worst = max(worst, abs(c - amb.c3 / amb.radius()))
-        if amb.c0 > 0:
-            quasi = ambient_to_quasi(space, amb)
-            worst = max(worst, abs(c - quasi.q3 / quasi.q))
-    return worst
+    pts = ParabolicPoints.of(points)
+    t1, t2 = pts.t1, pts.t2
+    c = (t1 + t2 - 2.0 * t1 * t2) / (t1 - t2)
+    amb = parabolic_to_ambient(space, pts)
+    ambient_cos = amb[3] / np.sqrt(amb[1] * amb[1] + amb[2] * amb[2] + amb[3] * amb[3])
+    near = amb[0] > 0
+    q = amb[1:, near] / amb[0, near]
+    quasi_cos = q[2] / np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2])
+    return float(
+        max(np.abs(c - ambient_cos).max(initial=0.0), np.abs(c[near] - quasi_cos).max(initial=0.0))
+    )
 
 
 def b_operator_residual(
     state: StateParams,
-    sample: Sequence[ParabolicPoint],
+    sample: ParabolicPoints | Sequence[ParabolicPoint],
     tolerance: float = B_OPERATOR_TOL,
 ) -> ResidualReport:
     """(B Psi - (k1+k2) Psi) over chart points, plus the cos(theta) identity.
@@ -286,24 +279,23 @@ def b_operator_residual(
     the eigenvalue alone cannot set the scale because k1 + k2 = 0 for
     every ground state on S3.
     """
-    t1, t2, phi = _point_arrays(sample)
-    keep = _nonsingular_mask(t1, t2)
-    skipped = int(np.count_nonzero(~keep))
-    if not keep.any():
-        raise DomainError("every sample point sits on a singular chart locus")
-    kept_points = [p for p, ok in zip(sample, keep) if ok]
-    t1, t2, phi = t1[keep], t2[keep], phi[keep]
+    t1, t2, phi, skipped = _regular_points(sample)
     bpsi = apply_b_operator(state, t1, t2, phi)
     eigenvalue = state.k1 + state.k2
     psi = wavefunction_values(state, t1, t2, phi)
     scale = (1.0 + abs(eigenvalue)) * np.abs(psi)
-    points = [(a.real, a.imag, b.real, b.imag, p) for a, b, p in zip(t1, t2, phi)]
-    identity = coupling_identity_residual(state.space, kept_points)
+    identity = coupling_identity_residual(state.space, ParabolicPoints(t1, t2, phi))
     parts = []
     if skipped:
         parts.append(f"skipped {skipped} singular point(s)")
     parts.append(f"coupling/cos(theta) identity max |diff| = {identity:.3e}")
-    report = build_report(bpsi - eigenvalue * psi, scale, tolerance, points=points, note="; ".join(parts))
+    report = build_report(
+        bpsi - eigenvalue * psi,
+        scale,
+        tolerance,
+        points=_point_rows(t1, t2, phi),
+        note="; ".join(parts),
+    )
     if identity > COUPLING_IDENTITY_TOL:
         report = replace(report, passed=False)
     return report
@@ -313,30 +305,20 @@ def b_operator_residual(
 # Runge-Lenz / angular-momentum identity via finite differences
 
 
-def _quasi_evaluator(state: StateParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Psi as a function of stacked quasi-Cartesian coordinates (3, n)."""
-    if state.space.model is Model.H3:
-
-        def fn(Q: np.ndarray) -> np.ndarray:
-            q = np.sqrt((Q * Q).sum(axis=0))
-            t1 = (Q[2] + q) / (1.0 + q)
-            t2 = (Q[2] - q) / (1.0 - q)
-            phi = np.arctan2(Q[1], Q[0])
-            return wavefunction_values(state, t1.astype(complex), t2.astype(complex), phi)
-
+def _quasi_to_chart(space: SpaceTag, Q: np.ndarray):
+    """(t1, t2, phi) arrays of stacked quasi-Cartesian coordinates (3, n)."""
+    q = np.sqrt((Q * Q).sum(axis=0))
+    phi = np.arctan2(Q[1], Q[0])
+    if space.model is Model.H3:
+        t1 = ((Q[2] + q) / (1.0 + q)).astype(complex)
+        t2 = ((Q[2] - q) / (1.0 - q)).astype(complex)
     else:
-
-        def fn(Q: np.ndarray) -> np.ndarray:
-            q = np.sqrt((Q * Q).sum(axis=0))
-            y0 = 1.0 / np.sqrt(1.0 + q * q)
-            y = q * y0
-            y3 = Q[2] * y0
-            t1 = (y + y3) * (y + 1j * y0)
-            t2 = (y - y3) * (y - 1j * y0)
-            phi = np.arctan2(Q[1], Q[0])
-            return wavefunction_values(state, t1, t2, phi)
-
-    return fn
+        y0 = 1.0 / np.sqrt(1.0 + q * q)
+        y = q * y0
+        y3 = Q[2] * y0
+        t1 = (y + y3) * (y + 1j * y0)
+        t2 = (y - y3) * (y - 1j * y0)
+    return t1, t2, phi
 
 
 def _shifted(Q: np.ndarray, axis: int, delta: np.ndarray) -> np.ndarray:
@@ -377,7 +359,10 @@ def _angular_op(fn, axis: int, h: np.ndarray):
 
 def _a3_and_l2(state: StateParams, Q: np.ndarray, h: np.ndarray):
     """(A3 Psi, L^2 Psi) by nested central differences at columns of Q."""
-    psi = _quasi_evaluator(state)
+
+    def psi(Q: np.ndarray) -> np.ndarray:
+        return wavefunction_values(state, *_quasi_to_chart(state.space, Q))
+
     sigma = state.space.sigma
     p1 = _momentum_op(psi, sigma, 0, h)
     p2 = _momentum_op(psi, sigma, 1, h)
@@ -395,21 +380,6 @@ def _a3_and_l2(state: StateParams, Q: np.ndarray, h: np.ndarray):
         _angular_op(_angular_op(psi, a, h), a, h)(Q) for a in range(3)
     )
     return a3, lsq
-
-
-def _quasi_to_chart(space: SpaceTag, Q: np.ndarray):
-    q = np.sqrt((Q * Q).sum(axis=0))
-    phi = np.arctan2(Q[1], Q[0])
-    if space.model is Model.H3:
-        t1 = ((Q[2] + q) / (1.0 + q)).astype(complex)
-        t2 = ((Q[2] - q) / (1.0 - q)).astype(complex)
-    else:
-        y0 = 1.0 / np.sqrt(1.0 + q * q)
-        y = q * y0
-        y3 = Q[2] * y0
-        t1 = (y + y3) * (y + 1j * y0)
-        t2 = (y - y3) * (y - 1j * y0)
-    return t1, t2, phi
 
 
 def runge_lenz_check(
@@ -463,8 +433,7 @@ def runge_lenz_check(
     parts = [f"median FD convergence order {order:.2f} over (h, h/2), h={h:g}"]
     if skipped:
         parts.append(f"skipped {skipped} point(s) near chart boundaries")
-    points = [tuple(col) for col in Q.T]
-    return build_report(rich - want, want, tolerance, points=points, note="; ".join(parts))
+    return build_report(rich - want, want, tolerance, points=Q.T, note="; ".join(parts))
 
 
 # ---------------------------------------------------------------------------

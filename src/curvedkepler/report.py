@@ -63,13 +63,15 @@ def build_report(
     residual: np.ndarray,
     reference: np.ndarray,
     tolerance: float,
-    points: Sequence[tuple] | None = None,
+    points: np.ndarray | Sequence[tuple] | None = None,
     note: str = "",
 ) -> ResidualReport:
     """Aggregate pointwise |residual| against 1 + |reference|.
 
-    ``points`` supplies the coordinates recorded for the worst offender;
-    when omitted the worst point is left unset.
+    ``points`` holds one row of coordinates per residual, as an (n, k)
+    array or a sequence of tuples; the worst offender's row is recorded
+    as the report's worst point.  When omitted the worst point is left
+    unset.
     """
     res = np.abs(np.asarray(residual)).ravel()
     ref = np.abs(np.asarray(reference)).ravel()

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import ParabolicPoint
+from .geometry import ParabolicPoints, spherical_to_parabolic
 from .spaces import Model, SpaceTag
 
 GUARD = 1e-3
@@ -52,8 +52,8 @@ def factor_samples(
     while len(out) < want_physical:
         chi = rng.uniform(0.1, math.pi - 0.1, 2 * n)
         theta = rng.uniform(0.1, math.pi - 0.1, 2 * n)
-        w = np.sin(chi) * np.exp(1j * (math.pi / 2.0 - chi))
-        t = (1.0 + np.cos(theta)) * w if which == 1 else (1.0 - np.cos(theta)) * np.conj(w)
+        pts = spherical_to_parabolic(space, (chi, theta, 0.0))
+        t = pts.t1 if which == 1 else pts.t2
         good = t[(np.abs(t) >= GUARD) & (np.abs(1.0 - t) >= GUARD)]
         out.extend(good[: want_physical - len(out)])
     while len(out) < n:
@@ -67,37 +67,27 @@ def factor_samples(
 
 def chart_points(
     space: SpaceTag, rng: np.random.Generator, n: int = 200
-) -> list[ParabolicPoint]:
-    """Random non-singular parabolic chart points from (chi, theta, phi)."""
+) -> ParabolicPoints:
+    """A batch of n random non-singular chart points from (chi, theta, phi)."""
     chi_hi = 2.5 if space.model is Model.H3 else math.pi - 0.15
-    points: list[ParabolicPoint] = []
-    while len(points) < n:
-        chi = rng.uniform(0.15, chi_hi, 2 * n)
-        theta = rng.uniform(0.15, math.pi - 0.15, 2 * n)
-        phi = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
-        cos = np.cos(theta)
-        if space.model is Model.H3:
-            sh = np.sinh(chi)
-            t1 = ((1.0 + cos) * sh * np.exp(-chi)).astype(complex)
-            t2 = (-(1.0 - cos) * sh * np.exp(chi)).astype(complex)
-        else:
-            w = np.sin(chi) * np.exp(1j * (math.pi / 2.0 - chi))
-            t1 = (1.0 + cos) * w
-            t2 = (1.0 - cos) * np.conj(w)
-        clearance = np.minimum.reduce(
-            [
-                np.abs(t1),
-                np.abs(1.0 - t1),
-                np.abs(t2),
-                np.abs(1.0 - t2),
-                np.abs(t1 - t2),
-            ]
+    t1, t2, phi = [], [], []
+    count = 0
+    while True:
+        pts = spherical_to_parabolic(
+            space,
+            (
+                rng.uniform(0.15, chi_hi, 2 * n),
+                rng.uniform(0.15, math.pi - 0.15, 2 * n),
+                rng.uniform(0.0, 2.0 * math.pi, 2 * n),
+            ),
         )
-        for a, b, p in zip(t1[clearance >= GUARD], t2[clearance >= GUARD], phi[clearance >= GUARD]):
-            if len(points) >= n:
-                break
-            points.append(ParabolicPoint(complex(a), complex(b), float(p)))
-    return points
+        take = np.flatnonzero(pts.clearance() >= GUARD)[: n - count]
+        t1.append(pts.t1[take])
+        t2.append(pts.t2[take])
+        phi.append(pts.phi[take])
+        count += take.size
+        if count >= n:
+            return ParabolicPoints(np.concatenate(t1), np.concatenate(t2), np.concatenate(phi))
 
 
 def quasi_points(

@@ -8,9 +8,6 @@ small frozen tag carries those signs instead of duplicating code:
 
 * ``sigma`` is the sign in the momentum operator
   P_i = -i (delta_ij - sigma q_i q_j) d/dq_j: +1 on H3, -1 on S3.
-* ``coupling_rot`` is the complex unit the coupling picks up under the
-  formal transition from H3 formulas to S3 ones (e -> i e), i.e. 1 on
-  H3 and i on S3.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ class Model(Enum):
 class SpaceTag:
     model: Model
     sigma: int
-    coupling_rot: complex
 
     def __post_init__(self) -> None:
         # sigma = +1 iff the model is H3; the pair is redundant on purpose.
@@ -47,8 +43,8 @@ class SpaceTag:
         return f"SpaceTag({self.model.value})"
 
 
-H3 = SpaceTag(Model.H3, +1, 1 + 0j)
-S3 = SpaceTag(Model.S3, -1, 1j)
+H3 = SpaceTag(Model.H3, +1)
+S3 = SpaceTag(Model.S3, -1)
 
 _BY_NAME = {"h3": H3, "s3": S3}
 

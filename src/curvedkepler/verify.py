@@ -163,9 +163,7 @@ def run_suite(
             merged = merge_reports([constraint_check(p, **kw) for p in pts])
             label = f"s3 conjugation constraint ({len(pts)} points)"
         else:
-            imag = np.array(
-                [max(abs(p.t1.imag), abs(p.t2.imag)) for p in pts], dtype=float
-            )
+            imag = np.maximum(np.abs(pts.t1.imag), np.abs(pts.t2.imag))
             merged = build_report(
                 imag,
                 np.zeros_like(imag),

@@ -20,6 +20,7 @@ from curvedkepler import (
     H3,
     IndeterminateCoordinateWarning,
     ParabolicPoint,
+    ParabolicPoints,
     QuasiCartesian,
     S3,
     SingularLocusError,
@@ -248,6 +249,41 @@ def test_spherical_range_validation():
         spherical_to_parabolic(S3, SphericalPoint(math.pi + 0.2, 1.0, 0.0))
     with pytest.raises(DomainError):
         spherical_to_parabolic(H3, SphericalPoint(400.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("space, seed", [(H3, 115), (S3, 116)])
+def test_batched_chart_maps_match_the_per_point_wrapper(space, seed):
+    pts = chart_points(space, make_rng(seed), n=300)
+    amb = parabolic_to_ambient(space, pts)
+    assert amb.shape == (4, 300)
+    spherical = [parabolic_to_spherical(space, p) for p in pts]
+    chi = np.array([s.chi for s in spherical])
+    theta = np.array([s.theta for s in spherical])
+    phi = np.array([s.phi for s in spherical])
+    back = spherical_to_parabolic(space, (chi, theta, phi))
+    assert isinstance(back, ParabolicPoints) and len(back) == 300
+    for i, (p, q, s) in enumerate(zip(pts, back, spherical)):
+        one = parabolic_to_ambient(space, p)
+        assert (one.c0, one.c1, one.c2, one.c3) == tuple(amb[:, i])
+        assert spherical_to_parabolic(space, s) == q
+
+
+@pytest.mark.parametrize(
+    "space, bad, error",
+    [
+        (S3, ParabolicPoint(S3_EXACT_T1, S3_EXACT_T2 + 0.01, 0.0), ConstraintError),
+        (H3, ParabolicPoint(1.0, -0.5, 0.0), SingularLocusError),
+        (H3, ParabolicPoint(0.25 + 0.1j, -0.5, 0.0), DomainError),
+    ],
+)
+def test_batch_with_one_bad_point_raises_the_scalar_error(space, bad, error):
+    with pytest.raises(error) as scalar:
+        parabolic_to_ambient(space, bad)
+    pts = list(chart_points(space, make_rng(117), n=20))
+    with pytest.raises(error) as batched:
+        parabolic_to_ambient(space, ParabolicPoints.of(pts[:7] + [bad] + pts[7:]))
+    assert type(batched.value) is type(scalar.value)
+    assert str(batched.value) == str(scalar.value)
 
 
 def test_chart_point_sampler_respects_guards():

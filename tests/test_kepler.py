@@ -36,6 +36,7 @@ from curvedkepler import (
     normalize,
     perturbed,
     radial_spherical,
+    spherical_to_parabolic,
     wavefunction,
     wavefunction_values,
 )
@@ -265,6 +266,22 @@ def test_wavefunction_values_matches_scalar():
     for i, p in enumerate(pts):
         s = wavefunction(st, p)
         assert abs(vec[i] - s) < 1e-12 * max(1.0, abs(s))
+
+
+def test_h3_batches_have_no_negative_zero_imaginary_parts():
+    """A -0.0 in Im t2 would flip t2^(|m|/2) to the other side of the cut."""
+    pts = chart_points(H3, make_rng(213), n=200)
+    grid = spherical_to_parabolic(
+        H3, (np.linspace(0.0, 3.0, 40), np.linspace(0.0, math.pi, 40)[:, None], 0.0)
+    )
+    for batch in (pts, grid):
+        assert not np.signbit(batch.t1.imag).any()
+        assert not np.signbit(batch.t2.imag).any()
+    st = assemble_state(H3, 10.0, QuantumNumbers(0, 1, 1))
+    vec = wavefunction_values(st, pts.t1, pts.t2, pts.phi)
+    for v, p in zip(vec, pts):
+        s = wavefunction(st, p)
+        assert abs(v - s) < 1e-12 * max(1.0, abs(s))
 
 
 def test_h3_factor_far_tail_consistency():

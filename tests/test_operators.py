@@ -150,13 +150,13 @@ def test_hamiltonian_detects_energy_perturbation():
 def test_hamiltonian_skips_singular_points():
     st = _state(S3, 2.0, QuantumNumbers(0, 0, 1))
     pts = chart_points(S3, make_rng(308), n=30)
-    report = hamiltonian_residual(st, pts + [ParabolicPoint(0.3j, 0.3j, 0.1)])
+    report = hamiltonian_residual(st, list(pts) + [ParabolicPoint(0.3j, 0.3j, 0.1)])
     assert report.n_points == 30
     assert "skipped 1" in report.note
     # H3 flavour: |t2| below the guard
     st_h = _state(H3, 5.0, QuantumNumbers(0, 1, 0))
     pts_h = chart_points(H3, make_rng(309), n=30)
-    report_h = hamiltonian_residual(st_h, pts_h + [ParabolicPoint(0.3, 0.0, 0.1)])
+    report_h = hamiltonian_residual(st_h, list(pts_h) + [ParabolicPoint(0.3, 0.0, 0.1)])
     assert report_h.n_points == 30
     assert "skipped 1" in report_h.note
 
