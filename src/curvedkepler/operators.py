@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Sequence
+from types import MappingProxyType
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -327,58 +328,109 @@ def _shifted(Q: np.ndarray, axis: int, delta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gradient(fn, Q: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _canonical(path: tuple) -> tuple:
+    """Key of the node reached by a path of (axis, sign) shifts.
+
+    Shifts along different axes commute bit for bit; two shifts along one
+    axis do not ((x + h) - h need not equal (x - h) + h), so they keep
+    their order.
+    """
+    return tuple(sorted(path)) if len({axis for axis, _ in path}) == len(path) else path
+
+
+_UNIT_SHIFTS = tuple((axis, sign) for axis in range(3) for sign in (1.0, -1.0))
+_TWO_SHIFTS = tuple((u, v) for u in _UNIT_SHIFTS for v in _UNIT_SHIFTS)
+# the nodes Psi is read at: the centre and every distinct two-shift node
+_READ_PATHS = ((),) + tuple(sorted({_canonical(p) for p in _TWO_SHIFTS}))
+
+
+class _Stencil(NamedTuple):
+    """Nested central differences at one step h.
+
+    ``nodes`` maps the centre, each one-shift path and each canonical
+    two-shift path of (axis, sign) shifts to the points it reaches,
+    composed in the nesting order of the differences; ``psi`` maps the
+    centre and every two-shift path to Psi there.
+    """
+
+    h: np.ndarray
+    nodes: dict
+    psi: dict
+
+
+def _stencils(state: StateParams, Q: np.ndarray, steps) -> list[_Stencil]:
+    """One stencil per step, with Psi from a single ``wavefunction_values`` call."""
+    node_tables = []
+    for h in steps:
+        nodes = {(): Q}
+        for u in _UNIT_SHIFTS:
+            nodes[(u,)] = _shifted(Q, u[0], u[1] * h)
+        for u, v in _READ_PATHS[1:]:
+            nodes[(u, v)] = _shifted(nodes[(u,)], v[0], v[1] * h)
+        node_tables.append(nodes)
+    batch = np.concatenate([nodes[p] for nodes in node_tables for p in _READ_PATHS], axis=1)
+    psi = wavefunction_values(state, *_quasi_to_chart(state.space, batch))
+    blocks = iter(np.split(psi, len(node_tables) * len(_READ_PATHS)))
+    out = []
+    for h, nodes in zip(steps, node_tables):
+        read = {p: next(blocks) for p in _READ_PATHS}
+        out.append(_Stencil(h, nodes, {p: read[_canonical(p)] for p in ((),) + _TWO_SHIFTS}))
+    return out
+
+
+def _gradient(fn, st: _Stencil, path: tuple) -> np.ndarray:
     rows = [
-        (fn(_shifted(Q, a, h)) - fn(_shifted(Q, a, -h))) / (2.0 * h) for a in range(3)
+        (fn(path + ((a, 1.0),)) - fn(path + ((a, -1.0),))) / (2.0 * st.h) for a in range(3)
     ]
     return np.stack(rows)
 
 
-def _momentum_op(fn, sigma: int, axis: int, h: np.ndarray):
-    """P_a = -i (d_a - sigma q_a q_j d_j), as a closure over an evaluator."""
+def _momentum_op(fn, st: _Stencil, sigma: int, axis: int):
+    """P_a = -i (d_a - sigma q_a q_j d_j), as a closure over an evaluator.
 
-    def apply(Q: np.ndarray) -> np.ndarray:
-        g = _gradient(fn, Q, h)
+    Operators and evaluators take the shift path of the node they act at.
+    """
+
+    def apply(path: tuple = ()) -> np.ndarray:
+        Q = st.nodes[path]
+        g = _gradient(fn, st, path)
         radial = (Q * g).sum(axis=0)
         return -1j * (g[axis] - sigma * Q[axis] * radial)
 
     return apply
 
 
-def _angular_op(fn, axis: int, h: np.ndarray):
+def _angular_op(fn, st: _Stencil, axis: int):
     """L_a = -i (q_b d_c - q_c d_b) with (a, b, c) cyclic."""
     b = (axis + 1) % 3
     c = (axis + 2) % 3
 
-    def apply(Q: np.ndarray) -> np.ndarray:
-        g = _gradient(fn, Q, h)
+    def apply(path: tuple = ()) -> np.ndarray:
+        Q = st.nodes[path]
+        g = _gradient(fn, st, path)
         return -1j * (Q[b] * g[c] - Q[c] * g[b])
 
     return apply
 
 
-def _a3_and_l2(state: StateParams, Q: np.ndarray, h: np.ndarray):
-    """(A3 Psi, L^2 Psi) by nested central differences at columns of Q."""
-
-    def psi(Q: np.ndarray) -> np.ndarray:
-        return wavefunction_values(state, *_quasi_to_chart(state.space, Q))
-
+def _a3_and_l2(state: StateParams, st: _Stencil):
+    """(A3 Psi, L^2 Psi) by nested central differences at the stencil centre."""
+    psi = st.psi.__getitem__
     sigma = state.space.sigma
-    p1 = _momentum_op(psi, sigma, 0, h)
-    p2 = _momentum_op(psi, sigma, 1, h)
-    l1 = _angular_op(psi, 0, h)
-    l2 = _angular_op(psi, 1, h)
+    p1 = _momentum_op(psi, st, sigma, 0)
+    p2 = _momentum_op(psi, st, sigma, 1)
+    l1 = _angular_op(psi, st, 0)
+    l2 = _angular_op(psi, st, 1)
 
-    l1p2 = _angular_op(p2, 0, h)(Q)
-    l2p1 = _angular_op(p1, 1, h)(Q)
-    p1l2 = _momentum_op(l2, sigma, 0, h)(Q)
-    p2l1 = _momentum_op(l1, sigma, 1, h)(Q)
+    l1p2 = _angular_op(p2, st, 0)()
+    l2p1 = _angular_op(p1, st, 1)()
+    p1l2 = _momentum_op(l2, st, sigma, 0)()
+    p2l1 = _momentum_op(l1, st, sigma, 1)()
 
+    Q = st.nodes[()]
     q = np.sqrt((Q * Q).sum(axis=0))
-    a3 = state.e * Q[2] / q * psi(Q) + 0.5 * (l1p2 - l2p1 - p1l2 + p2l1)
-    lsq = sum(
-        _angular_op(_angular_op(psi, a, h), a, h)(Q) for a in range(3)
-    )
+    a3 = state.e * Q[2] / q * psi(()) + 0.5 * (l1p2 - l2p1 - p1l2 + p2l1)
+    lsq = sum(_angular_op(_angular_op(psi, st, a), st, a)() for a in range(3))
     return a3, lsq
 
 
@@ -420,8 +472,9 @@ def runge_lenz_check(
         unit = 1j
     want = unit * b_exact
 
-    a3_h, l2_h = _a3_and_l2(state, Q, h_eff)
-    a3_h2, l2_h2 = _a3_and_l2(state, Q, h_eff / 2.0)
+    st_h, st_h2 = _stencils(state, Q, (h_eff, h_eff / 2.0))
+    a3_h, l2_h = _a3_and_l2(state, st_h)
+    a3_h2, l2_h2 = _a3_and_l2(state, st_h2)
     fd_h = a3_h + unit * l2_h
     fd_h2 = a3_h2 + unit * l2_h2
     rich = (4.0 * fd_h2 - fd_h) / 3.0
@@ -440,21 +493,38 @@ def runge_lenz_check(
 # polynomial algebra for the commutation relations
 
 
-class QPolynomial:
-    """Sparse complex polynomial in (q1, q2, q3).
+# per axis, the index of every layer of a cube but the top one, and but the bottom one
+_LOWER = tuple((slice(None),) * axis + (slice(None, -1),) for axis in range(3))
+_UPPER = tuple((slice(None),) * axis + (slice(1, None),) for axis in range(3))
 
-    Coefficients live in a dict keyed by exponent triples; exact zeros
-    are dropped on construction so equality-to-zero is just emptiness.
-    Products are capped at total degree 12 — the commutator checks never
-    legitimately exceed degree(p) + 2.
+
+class QPolynomial:
+    """Complex polynomial in (q1, q2, q3) as a dense coefficient cube.
+
+    ``_cube[i, j, k]`` is the coefficient of q1^i q2^j q3^k; ``_bound`` is
+    an upper bound on the total degree, so the cap check needs the exact
+    degree only near the cap.  Multiplying by q_i is a slice shift and
+    d/dq_i a multiply by the exponent plus a shift.  ``coeffs`` is a
+    read-only view of the non-zero terms, so equality-to-zero is just
+    emptiness.  Products are capped at total degree 12 — the commutator
+    checks never legitimately exceed degree(p) + 2.  Magnitudes are taken
+    as ``hypot(re, im)``, the same rounding as CPython's ``abs``.
     """
 
     MAX_DEGREE = 12
+    _SIZE = MAX_DEGREE + 1
+    _TOTAL = np.indices((_SIZE,) * 3).sum(axis=0)
+    # exponents 1..12 shaped to broadcast along axis 0, 1 and 2
+    _EXPONENTS = (
+        np.arange(1.0, _SIZE, dtype=complex)[:, None, None],
+        np.arange(1.0, _SIZE, dtype=complex)[:, None],
+        np.arange(1.0, _SIZE, dtype=complex),
+    )
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_cube", "_bound")
 
     def __init__(self, coeffs=None):
-        self.coeffs: dict[tuple[int, int, int], complex] = {}
+        terms: dict[tuple[int, int, int], complex] = {}
         if coeffs:
             for key, val in coeffs.items():
                 k = tuple(int(x) for x in key)
@@ -462,11 +532,23 @@ class QPolynomial:
                     raise ParameterError(f"bad monomial key {key!r}")
                 c = complex(val)
                 if c != 0:
-                    self.coeffs[k] = c
-        if self.degree() > self.MAX_DEGREE:
-            raise ParameterError(
-                f"polynomial degree {self.degree()} exceeds cap {self.MAX_DEGREE}"
-            )
+                    terms[k] = c
+        self._bound = self._capped(max((sum(k) for k in terms), default=0))
+        self._cube = np.zeros((self._SIZE,) * 3, dtype=complex)
+        for k, c in terms.items():
+            self._cube[k] = c
+
+    @classmethod
+    def _of(cls, cube: np.ndarray, bound: int) -> "QPolynomial":
+        out = cls.__new__(cls)
+        out._cube, out._bound = cube, bound
+        return out
+
+    @classmethod
+    def _capped(cls, degree: int) -> int:
+        if degree > cls.MAX_DEGREE:
+            raise ParameterError(f"polynomial degree {degree} exceeds cap {cls.MAX_DEGREE}")
+        return degree
 
     @staticmethod
     def _check_axis(axis: int) -> int:
@@ -490,44 +572,59 @@ class QPolynomial:
             coeffs[key] = complex(rng.standard_normal(), rng.standard_normal())
         return cls(coeffs)
 
+    @property
+    def coeffs(self) -> MappingProxyType:
+        return MappingProxyType(
+            {
+                tuple(int(i) for i in key): complex(self._cube[tuple(key)])
+                for key in np.argwhere(self._cube != 0)
+            }
+        )
+
     def degree(self) -> int:
-        return max((sum(k) for k in self.coeffs), default=0)
+        return int(self._TOTAL[self._cube != 0].max(initial=0))
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return float(np.hypot(self._cube.real, self._cube.imag).max())
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0j) + c
-        return QPolynomial(out)
+        return self._of(self._cube + other._cube, max(self._bound, other._bound))
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + (-1.0) * other
+        return self._of(self._cube - other._cube, max(self._bound, other._bound))
 
     def __mul__(self, other):
-        if isinstance(other, QPolynomial):
-            out: dict[tuple[int, int, int], complex] = {}
-            for k1, c1 in self.coeffs.items():
-                for k2, c2 in other.coeffs.items():
-                    k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                    out[k] = out.get(k, 0j) + c1 * c2
-            return QPolynomial(out)
-        scalar = complex(other)
-        return QPolynomial({k: scalar * c for k, c in self.coeffs.items()})
+        if not isinstance(other, QPolynomial):
+            return self._of(complex(other) * self._cube, self._bound)
+        bound = self._bound + other._bound
+        if bound > self.MAX_DEGREE:
+            nonzero = self._cube.any() and other._cube.any()
+            bound = self._capped(self.degree() + other.degree() if nonzero else 0)
+        # with the total degree capped, no product term leaves the cube
+        n = self._SIZE
+        out = np.zeros_like(self._cube)
+        for i, j, k in np.argwhere(self._cube != 0):
+            out[i:, j:, k:] += self._cube[i, j, k] * other._cube[: n - i, : n - j, : n - k]
+        return self._of(out, bound)
 
     __rmul__ = __mul__
 
+    def times_variable(self, axis: int) -> "QPolynomial":
+        """q_axis times self: the cube shifted one place along ``axis``."""
+        self._check_axis(axis)
+        bound = self._bound + 1
+        if bound > self.MAX_DEGREE:
+            # the exact degree stays below the cap, so the top slab is empty
+            bound = self._capped(self.degree() + 1)
+        out = np.zeros_like(self._cube)
+        out[_UPPER[axis]] = self._cube[_LOWER[axis]]
+        return self._of(out, bound)
+
     def diff(self, axis: int) -> "QPolynomial":
         self._check_axis(axis)
-        out: dict[tuple[int, int, int], complex] = {}
-        for k, c in self.coeffs.items():
-            if k[axis] == 0:
-                continue
-            nk = list(k)
-            nk[axis] -= 1
-            out[tuple(nk)] = out.get(tuple(nk), 0j) + c * k[axis]
-        return QPolynomial(out)
+        out = np.zeros_like(self._cube)
+        np.multiply(self._cube[_UPPER[axis]], self._EXPONENTS[axis], out=out[_LOWER[axis]])
+        return self._of(out, max(self._bound - 1, 0))
 
     def __call__(self, q1: complex, q2: complex, q3: complex) -> complex:
         total = 0j
@@ -549,8 +646,8 @@ def momentum_polynomial(space: SpaceTag, axis: int, p: QPolynomial) -> QPolynomi
     grads = [p.diff(j) for j in range(3)]
     radial = QPolynomial()
     for j in range(3):
-        radial = radial + QPolynomial.variable(j) * grads[j]
-    return (-1j) * (grads[axis] - space.sigma * (QPolynomial.variable(axis) * radial))
+        radial = radial + grads[j].times_variable(j)
+    return (-1j) * (grads[axis] - space.sigma * radial.times_variable(axis))
 
 
 def angular_polynomial(axis: int, p: QPolynomial) -> QPolynomial:
@@ -558,9 +655,7 @@ def angular_polynomial(axis: int, p: QPolynomial) -> QPolynomial:
     QPolynomial._check_axis(axis)
     b = (axis + 1) % 3
     c = (axis + 2) % 3
-    return (-1j) * (
-        QPolynomial.variable(b) * p.diff(c) - QPolynomial.variable(c) * p.diff(b)
-    )
+    return (-1j) * (p.diff(c).times_variable(b) - p.diff(b).times_variable(c))
 
 
 def momentum_commutators(
@@ -585,16 +680,18 @@ def momentum_commutators(
         return angular_polynomial(a, poly)
 
     pp_sign = -1j * space.sigma  # -i on H3, +i on S3
+    lp = [L(a, p) for a in range(3)]
+    pp = [P(a, p) for a in range(3)]
     residuals = []
     labels = []
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        r = L(a, L(b, p)) - L(b, L(a, p)) - 1j * L(c, p)
+        r = L(a, lp[b]) - L(b, lp[a]) - 1j * lp[c]
         residuals.append(r.max_abs_coeff())
         labels.append(f"[L{a+1},L{b+1}] - iL{c+1}")
-        r = L(a, P(b, p)) - P(b, L(a, p)) - 1j * P(c, p)
+        r = L(a, pp[b]) - P(b, lp[a]) - 1j * pp[c]
         residuals.append(r.max_abs_coeff())
         labels.append(f"[L{a+1},P{b+1}] - iP{c+1}")
-        r = P(a, P(b, p)) - P(b, P(a, p)) - pp_sign * L(c, p)
+        r = P(a, pp[b]) - P(b, pp[a]) - pp_sign * lp[c]
         residuals.append(r.max_abs_coeff())
         rhs = "+ iL" if space.model is Model.H3 else "- iL"
         labels.append(f"[P{a+1},P{b+1}] {rhs}{c+1}")

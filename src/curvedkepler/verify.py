@@ -9,11 +9,10 @@ points used by, say, ``ode`` do not depend on which other suites run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-import math
 
 from .errors import DomainError, ParameterError, SingularLocusError
 from .geometry import SphericalPoint, constraint_check, metric_pullback_check
@@ -35,16 +34,6 @@ from .operators import (
 from .report import ResidualReport, build_report, merge_reports
 from .sampling import chart_points, factor_samples, quasi_points
 from .spaces import Model, SpaceTag
-
-SUITES = (
-    "ode",
-    "hamiltonian",
-    "boperator",
-    "rungelenz",
-    "metric",
-    "constraint",
-    "commutators",
-)
 
 ODE_POINTS = 100
 CHART_POINTS = 200
@@ -90,6 +79,102 @@ def _state_label(state: StateParams) -> str:
     )
 
 
+def _ode(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
+    results = []
+    for state in bound_states(space, e, max_k):
+        probe = perturbed(state, epsilon=perturb_eps) if perturb_eps else state
+        for which in (1, 2):
+            pts = factor_samples(space, rng, which, ODE_POINTS)
+            report = ode_residual(probe, which, pts, **kw)
+            results.append(SuiteResult("ode", f"{_state_label(state)} factor {which}", report))
+    return results
+
+
+def _hamiltonian(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
+    results = []
+    for state in bound_states(space, e, max_k):
+        probe = perturbed(state, epsilon=perturb_eps) if perturb_eps else state
+        pts = chart_points(space, rng, CHART_POINTS)
+        report = hamiltonian_residual(probe, pts, **kw)
+        results.append(SuiteResult("hamiltonian", _state_label(state), report))
+    return results
+
+
+def _boperator(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
+    results = []
+    for state in bound_states(space, e, max_k):
+        pts = chart_points(space, rng, CHART_POINTS)
+        report = b_operator_residual(state, pts, **kw)
+        results.append(SuiteResult("boperator", _state_label(state), report))
+    return results
+
+
+def _rungelenz(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
+    results = []
+    for state in bound_states(space, e, max_k)[:RUNGE_LENZ_STATES]:
+        pts = quasi_points(space, rng, RUNGE_LENZ_POINTS)
+        report = runge_lenz_check(state, pts, **kw)
+        results.append(SuiteResult("rungelenz", _state_label(state), report))
+    return results
+
+
+def _metric(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
+    chi_hi = 2.5 if space.model is Model.H3 else math.pi - 0.15
+    reports = []
+    while len(reports) < METRIC_POINTS:
+        p = SphericalPoint(
+            rng.uniform(0.15, chi_hi),
+            rng.uniform(0.15, math.pi - 0.15),
+            rng.uniform(0.0, 2.0 * math.pi),
+        )
+        try:
+            reports.append(metric_pullback_check(space, p, **kw))
+        except (DomainError, SingularLocusError):
+            continue
+    label = f"{space.model.value} metric pullback ({METRIC_POINTS} points)"
+    return [SuiteResult("metric", label, merge_reports(reports))]
+
+
+def _constraint(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
+    pts = chart_points(space, rng, CHART_POINTS)
+    if space.model is Model.S3:
+        merged = merge_reports([constraint_check(p, **kw) for p in pts])
+        label = f"s3 conjugation constraint ({len(pts)} points)"
+    else:
+        imag = np.maximum(np.abs(pts.t1.imag), np.abs(pts.t2.imag))
+        merged = build_report(
+            imag,
+            np.zeros_like(imag),
+            kw.get("tolerance", 1e-12),
+            note="H3 chart reality: max(|Im t1|, |Im t2|) over generated points",
+        )
+        label = f"h3 chart reality ({len(pts)} points)"
+    return [SuiteResult("constraint", label, merged)]
+
+
+def _commutators(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
+    reports = [
+        momentum_commutators(space, QPolynomial.random(rng, degree=6), **kw)
+        for _ in range(COMMUTATOR_POLYS)
+    ]
+    label = f"{space.model.value} algebra relations ({COMMUTATOR_POLYS} random polynomials)"
+    return [SuiteResult("commutators", label, merge_reports(reports))]
+
+
+# suite name -> runner(space, e, max_k, rng, perturb_eps, tolerance kwargs); the
+# order fixes each suite's PRNG stream and the order of the reports
+_RUNNERS = {
+    "ode": _ode,
+    "hamiltonian": _hamiltonian,
+    "boperator": _boperator,
+    "rungelenz": _rungelenz,
+    "metric": _metric,
+    "constraint": _constraint,
+    "commutators": _commutators,
+}
+SUITES = tuple(_RUNNERS)
+
+
 def run_suite(
     suite: str,
     space: SpaceTag,
@@ -102,92 +187,8 @@ def run_suite(
     """Run one named suite and return its labelled reports."""
     if suite not in SUITES:
         raise ParameterError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    rng = _suite_rng(seed, suite)
     kw = {} if tolerance is None else {"tolerance": tolerance}
-    results: list[SuiteResult] = []
-
-    if suite == "ode":
-        for state in bound_states(space, e, max_k):
-            probe = perturbed(state, epsilon=perturb_eps) if perturb_eps else state
-            for which in (1, 2):
-                pts = factor_samples(space, rng, which, ODE_POINTS)
-                report = ode_residual(probe, which, pts, **kw)
-                results.append(
-                    SuiteResult(suite, f"{_state_label(state)} factor {which}", report)
-                )
-
-    elif suite == "hamiltonian":
-        for state in bound_states(space, e, max_k):
-            probe = perturbed(state, epsilon=perturb_eps) if perturb_eps else state
-            pts = chart_points(space, rng, CHART_POINTS)
-            report = hamiltonian_residual(probe, pts, **kw)
-            results.append(SuiteResult(suite, _state_label(state), report))
-
-    elif suite == "boperator":
-        for state in bound_states(space, e, max_k):
-            pts = chart_points(space, rng, CHART_POINTS)
-            report = b_operator_residual(state, pts, **kw)
-            results.append(SuiteResult(suite, _state_label(state), report))
-
-    elif suite == "rungelenz":
-        for state in bound_states(space, e, max_k)[:RUNGE_LENZ_STATES]:
-            pts = quasi_points(space, rng, RUNGE_LENZ_POINTS)
-            report = runge_lenz_check(state, pts, **kw)
-            results.append(SuiteResult(suite, _state_label(state), report))
-
-    elif suite == "metric":
-        chi_hi = 2.5 if space.model is Model.H3 else math.pi - 0.15
-        reports = []
-        while len(reports) < METRIC_POINTS:
-            p = SphericalPoint(
-                rng.uniform(0.15, chi_hi),
-                rng.uniform(0.15, math.pi - 0.15),
-                rng.uniform(0.0, 2.0 * math.pi),
-            )
-            try:
-                reports.append(metric_pullback_check(space, p, **kw))
-            except (DomainError, SingularLocusError):
-                continue
-        merged = merge_reports(reports)
-        results.append(
-            SuiteResult(
-                suite,
-                f"{space.model.value} metric pullback ({METRIC_POINTS} points)",
-                merged,
-            )
-        )
-
-    elif suite == "constraint":
-        pts = chart_points(space, rng, CHART_POINTS)
-        if space.model is Model.S3:
-            merged = merge_reports([constraint_check(p, **kw) for p in pts])
-            label = f"s3 conjugation constraint ({len(pts)} points)"
-        else:
-            imag = np.maximum(np.abs(pts.t1.imag), np.abs(pts.t2.imag))
-            merged = build_report(
-                imag,
-                np.zeros_like(imag),
-                kw.get("tolerance", 1e-12),
-                note="H3 chart reality: max(|Im t1|, |Im t2|) over generated points",
-            )
-            label = f"h3 chart reality ({len(pts)} points)"
-        results.append(SuiteResult(suite, label, merged))
-
-    elif suite == "commutators":
-        reports = []
-        for _ in range(COMMUTATOR_POLYS):
-            poly = QPolynomial.random(rng, degree=6)
-            reports.append(momentum_commutators(space, poly, **kw))
-        merged = merge_reports(reports)
-        results.append(
-            SuiteResult(
-                suite,
-                f"{space.model.value} algebra relations ({COMMUTATOR_POLYS} random polynomials)",
-                merged,
-            )
-        )
-
-    return results
+    return _RUNNERS[suite](space, e, max_k, _suite_rng(seed, suite), perturb_eps, kw)
 
 
 def run_suites(

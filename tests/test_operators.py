@@ -8,11 +8,14 @@ satisfy, and perturbed controls confirm the residuals are sensitive
 enough to reject wrong parameters.
 """
 
+import json
 import re
 
 import numpy as np
 import pytest
 
+from curvedkepler import operators
+from curvedkepler.kepler import wavefunction_values
 from curvedkepler import (
     H3,
     ParabolicPoint,
@@ -327,3 +330,113 @@ def test_qpolynomial_multiplication_degree_cap():
     a = QPolynomial({(4, 3, 0): 1.0})
     with pytest.raises(ParameterError):
         _ = a * a
+
+
+def _per_evaluation_a3_and_l2(state, st):
+    """Oracle for the stencil: the nested differences with Psi evaluated
+    afresh at the coordinates of every nested call, no table."""
+    Q, h, sigma = st.nodes[()], st.h, state.space.sigma
+
+    def psi(X):
+        return wavefunction_values(state, *operators._quasi_to_chart(state.space, X))
+
+    def shifted(X, axis, delta):
+        out = X.copy()
+        out[axis] = out[axis] + delta
+        return out
+
+    def gradient(fn, X):
+        return np.stack(
+            [(fn(shifted(X, a, h)) - fn(shifted(X, a, -h))) / (2.0 * h) for a in range(3)]
+        )
+
+    def momentum(fn, axis):
+        def apply(X):
+            g = gradient(fn, X)
+            return -1j * (g[axis] - sigma * X[axis] * (X * g).sum(axis=0))
+
+        return apply
+
+    def angular(fn, axis):
+        b, c = (axis + 1) % 3, (axis + 2) % 3
+
+        def apply(X):
+            g = gradient(fn, X)
+            return -1j * (X[b] * g[c] - X[c] * g[b])
+
+        return apply
+
+    l1p2 = angular(momentum(psi, 1), 0)(Q)
+    l2p1 = angular(momentum(psi, 0), 1)(Q)
+    p1l2 = momentum(angular(psi, 1), 0)(Q)
+    p2l1 = momentum(angular(psi, 0), 1)(Q)
+    q = np.sqrt((Q * Q).sum(axis=0))
+    a3 = state.e * Q[2] / q * psi(Q) + 0.5 * (l1p2 - l2p1 - p1l2 + p2l1)
+    lsq = sum(angular(angular(psi, a), a)(Q) for a in range(3))
+    return a3, lsq
+
+
+@pytest.mark.parametrize(
+    "space, e, qn, seed",
+    [(S3, 2.0, QuantumNumbers(1, 0, 1), 327), (H3, 10.0, QuantumNumbers(0, 1, -1), 324)],
+)
+def test_runge_lenz_stencil_is_one_batch_with_per_evaluation_bits(monkeypatch, space, e, qn, seed):
+    st = _state(space, e, qn)
+    Q = quasi_points(space, make_rng(seed), n=200)
+    h = 5e-4 * np.maximum(1.0, np.sqrt((Q * Q).sum(axis=0)))
+    # the sample holds coordinates where two shifts along one axis do not commute
+    assert np.any((Q + h) - h != (Q - h) + h) and np.any((Q + h) - h != Q)
+    for stencil in operators._stencils(st, Q, (h, h / 2.0)):
+        table = operators._a3_and_l2(st, stencil)
+        oracle = _per_evaluation_a3_and_l2(st, stencil)
+        assert [x.tobytes() for x in table] == [x.tobytes() for x in oracle]
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return wavefunction_values(*args)
+
+    monkeypatch.setattr(operators, "wavefunction_values", counted)
+    got = runge_lenz_check(st, Q).to_json_dict()
+    assert len(calls) == 1
+    monkeypatch.setattr(operators, "_a3_and_l2", _per_evaluation_a3_and_l2)
+    want = runge_lenz_check(st, Q).to_json_dict()
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_max_abs_coeff_rounds_like_python_abs():
+    rng = make_rng(326)
+    for _ in range(20):
+        p = QPolynomial.random(rng, degree=5, terms=8) * QPolynomial.random(rng, degree=5, terms=8)
+        assert p.max_abs_coeff() == max(abs(c) for c in p.coeffs.values())
+
+
+def test_shift_and_diff_match_the_coefficient_rules():
+    rng = make_rng(327)
+    p = QPolynomial.random(rng, degree=6, terms=10)
+    for axis in range(3):
+        assert p.times_variable(axis).coeffs == (QPolynomial.variable(axis) * p).coeffs
+        want = {}
+        for key, c in p.coeffs.items():
+            if key[axis]:
+                lower = tuple(k - (i == axis) for i, k in enumerate(key))
+                want[lower] = c * key[axis]
+        assert p.diff(axis).coeffs == want
+
+
+def test_shift_never_drops_the_top_slab():
+    top = QPolynomial({(0, 0, 12): 1.0})
+    with pytest.raises(ParameterError):
+        momentum_polynomial(H3, 0, top)
+    with pytest.raises(ParameterError):
+        top.times_variable(2)
+    with pytest.raises(ParameterError):
+        top.times_variable(0)
+
+
+def test_coeffs_is_a_read_only_view():
+    p = QPolynomial.variable(1)
+    with pytest.raises(TypeError):
+        p.coeffs[(0, 0, 0)] = 1.0
+    assert p.coeffs == {(0, 1, 0): 1.0}
