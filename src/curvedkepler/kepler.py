@@ -23,8 +23,9 @@ the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 import numpy as np
@@ -96,55 +97,39 @@ class StateParams:
     k2: complex
 
     def to_json_dict(self) -> dict[str, Any]:
-        def c(z: complex) -> list[float]:
-            z = complex(z)
-            return [z.real, z.imag]
+        """JSON-ready fields in declaration order.
 
-        return {
-            "space": self.space.name,
-            "e": self.e,
-            "n1": self.qn.n1,
-            "n2": self.qn.n2,
-            "m": self.qn.m,
-            "k": self.qn.k,
-            "epsilon": self.epsilon,
-            "a1": self.a1,
-            "a2": self.a2,
-            "b1": c(self.b1),
-            "b2": c(self.b2),
-            "alpha1": c(self.alpha1),
-            "beta1": c(self.beta1),
-            "gamma1": c(self.gamma1),
-            "alpha2": c(self.alpha2),
-            "beta2": c(self.beta2),
-            "gamma2": c(self.gamma2),
-            "k1": c(self.k1),
-            "k2": c(self.k2),
-        }
+        ``qn`` expands to n1, n2, m and k; complex fields become
+        ``[re, im]``; float fields stay floats (the CSV output of
+        ``cli state`` dispatches on that type).
+        """
+        out: dict[str, Any] = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name == "space":
+                out["space"] = v.name
+            elif f.name == "qn":
+                out.update(n1=v.n1, n2=v.n2, m=v.m, k=v.k)
+            elif f.type == "complex":
+                z = complex(v)
+                out[f.name] = [z.real, z.imag]
+            else:
+                out[f.name] = v
+        return out
 
     @classmethod
     def from_json_dict(cls, d: dict[str, Any]) -> "StateParams":
-        def c(v: list[float]) -> complex:
-            return complex(v[0], v[1])
-
-        return cls(
-            space=space_from_name(d["space"]),
-            e=float(d["e"]),
-            qn=QuantumNumbers(int(d["n1"]), int(d["n2"]), int(d["m"])),
-            epsilon=float(d["epsilon"]),
-            a1=float(d["a1"]),
-            a2=float(d["a2"]),
-            b1=c(d["b1"]),
-            b2=c(d["b2"]),
-            alpha1=c(d["alpha1"]),
-            beta1=c(d["beta1"]),
-            gamma1=c(d["gamma1"]),
-            alpha2=c(d["alpha2"]),
-            beta2=c(d["beta2"]),
-            gamma2=c(d["gamma2"]),
-            k1=c(d["k1"]),
-            k2=c(d["k2"]),
-        )
+        kw: dict[str, Any] = {}
+        for f in fields(cls):
+            if f.name == "space":
+                kw["space"] = space_from_name(d["space"])
+            elif f.name == "qn":
+                kw["qn"] = QuantumNumbers(int(d["n1"]), int(d["n2"]), int(d["m"]))
+            elif f.type == "complex":
+                kw[f.name] = complex(d[f.name][0], d[f.name][1])
+            else:
+                kw[f.name] = float(d[f.name])
+        return cls(**kw)
 
 
 @dataclass(frozen=True)
@@ -457,9 +442,22 @@ def _h3_chi_cutoff(state: StateParams) -> float:
     return float(chis[peak_idx + below[0]] + 1.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order.
+
+    Each rule costs an eigen-solve; the arrays are read-only because
+    every caller shares them.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _quad_norm(state: StateParams, chi_max: float, n_chi: int, n_theta: int) -> float:
-    x, wx = np.polynomial.legendre.leggauss(n_chi)
-    y, wy = np.polynomial.legendre.leggauss(n_theta)
+    x, wx = _gauss_legendre(n_chi)
+    y, wy = _gauss_legendre(n_theta)
     chi = 0.5 * chi_max * (x + 1.0)
     wchi = 0.5 * chi_max * wx
     theta = 0.5 * math.pi * (y + 1.0)
@@ -474,8 +472,13 @@ def normalize(state: StateParams, n_chi: int = 128, n_theta: int = 64) -> Normal
     Tensor-product Gauss-Legendre quadrature in the spherical chart; the
     H3 radial integral is truncated where the density drops below 1e-14
     of its peak.  The error estimate is the relative shift of c under
-    doubling both quadrature orders.
+    doubling both quadrature orders.  Each Gauss-Legendre rule is built
+    once per order and process, so the first call pays for the
+    eigen-solves and later calls reuse the nodes.
     """
+    for name, n in (("n_chi", n_chi), ("n_theta", n_theta)):
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise ParameterError(f"{name} must be an integer >= 1, got {n!r}")
     if state.space.model is Model.H3:
         chi_max: float | None = _h3_chi_cutoff(state)
         top = chi_max

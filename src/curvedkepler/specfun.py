@@ -11,7 +11,6 @@ throughout the package (log cut on the negative real axis, arg in
 from __future__ import annotations
 
 import cmath
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -178,32 +177,3 @@ def spectral_root(space: SpaceTag, e: float, k: int, branch: int) -> complex:
     if root.real == 0.0:
         warnings.warn("spectral root has Re = 0 (bound-regime boundary)", BoundaryRootWarning)
     return root
-
-
-# Lanczos approximation (g = 7, 9 coefficients); private oracle used by
-# the tests to spot-check hypergeometric summation against Gamma ratios.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _gamma_lanczos(z: complex) -> complex:
-    z = complex(z)
-    if z.real < 0.5:
-        # Reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z).
-        return math.pi / (cmath.sin(math.pi * z) * _gamma_lanczos(1.0 - z))
-    z -= 1.0
-    x = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        x += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from curvedkepler import kepler
 from curvedkepler import (
     BoundStateError,
     DomainError,
@@ -369,6 +370,91 @@ def test_normalize_rejects_non_normalizable():
     st = assemble_state(H3, 5.0, QuantumNumbers(0, 1, 0))
     with pytest.raises(IntegrabilityError):
         normalize(perturbed(st, b2=5.0))
+
+
+@pytest.mark.parametrize("name", ["n_chi", "n_theta"])
+@pytest.mark.parametrize("order", [0, -1, 128.0, True])
+def test_normalize_rejects_bad_quadrature_orders(name, order):
+    st = assemble_state(S3, 2.0, QuantumNumbers(0, 0, 0))
+    with pytest.raises(ParameterError):
+        normalize(st, **{name: order})
+
+
+def _normalize_oracle(state, n_chi, n_theta):
+    """normalize() with every Gauss-Legendre rule built afresh by numpy."""
+
+    def quad(top, nc, nt):
+        x, wx = np.polynomial.legendre.leggauss(nc)
+        y, wy = np.polynomial.legendre.leggauss(nt)
+        chi = 0.5 * top * (x + 1.0)
+        theta = 0.5 * math.pi * (y + 1.0)
+        dens = kepler._density_on_grid(state, chi, theta)
+        wtheta = 0.5 * math.pi * wy * np.sin(theta)
+        return 2.0 * math.pi * float((0.5 * top * wx) @ dens @ wtheta)
+
+    chi_max = kepler._h3_chi_cutoff(state) if state.space is H3 else None
+    top = math.pi if chi_max is None else chi_max
+    i1 = quad(top, n_chi, n_theta)
+    i2 = quad(top, 2 * n_chi, 2 * n_theta)
+    c = 1.0 / math.sqrt(i2)
+    return c, abs(1.0 / math.sqrt(i1) - c) / c, chi_max
+
+
+@pytest.mark.parametrize("orders", [(128, 64), (192, 96)])
+@pytest.mark.parametrize(
+    "space, e, qn", [(S3, 2.0, (1, 1, 0)), (S3, 2.0, (0, 2, -2)), (H3, 100.0, (0, 0, 0)), (H3, 100.0, (2, 1, 1))]
+)
+def test_normalize_with_cached_rules_is_bit_identical(space, e, qn, orders):
+    st = assemble_state(space, e, QuantumNumbers(*qn))
+    for _ in range(2):  # the second call reads the cached rules
+        res = normalize(st, *orders)
+        assert (res.constant, res.error_estimate, res.chi_max) == _normalize_oracle(st, *orders)
+        assert (res.n_chi, res.n_theta) == orders
+
+
+def test_normalize_builds_each_rule_once(monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        built.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    kepler._gauss_legendre.cache_clear()
+    for _ in range(3):
+        for qn in [(0, 0, 0), (1, 1, 0)]:
+            normalize(assemble_state(S3, 2.0, QuantumNumbers(*qn)))
+            normalize(assemble_state(H3, 100.0, QuantumNumbers(*qn)))
+    assert sorted(built) == [64, 128, 256]
+    normalize(assemble_state(S3, 2.0, QuantumNumbers(0, 0, 0)), n_chi=96, n_theta=64)
+    assert sorted(built) == [64, 96, 128, 192, 256]
+
+
+def test_cached_rules_are_read_only():
+    x, w = kepler._gauss_legendre(16)
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="S3 states jump across the equator chi = pi/2 (principal branch of "
+    "(1-t)^b), so the quadrature converges only algebraically",
+)
+@pytest.mark.parametrize("qn", [(0, 0, 0), (1, 1, 0)])
+def test_normalize_s3_converges_spectrally(qn):
+    res = normalize(assemble_state(S3, 2.0, QuantumNumbers(*qn)))
+    assert res.error_estimate <= 1e-12
+
+
+@pytest.mark.parametrize("qn", [(0, 0, 0), (1, 1, 0)])
+def test_normalize_h3_converges_spectrally(qn):
+    res = normalize(assemble_state(H3, 100.0, QuantumNumbers(*qn)))
+    assert res.error_estimate <= 1e-12
 
 
 def test_perturbed_changes_only_named_fields():
