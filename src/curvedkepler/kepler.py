@@ -110,7 +110,7 @@ class StateParams:
                 out["space"] = v.name
             elif f.name == "qn":
                 out.update(n1=v.n1, n2=v.n2, m=v.m, k=v.k)
-            elif f.type == "complex":
+            elif f.type in (complex, "complex"):
                 z = complex(v)
                 out[f.name] = [z.real, z.imag]
             else:
@@ -125,7 +125,7 @@ class StateParams:
                 kw["space"] = space_from_name(d["space"])
             elif f.name == "qn":
                 kw["qn"] = QuantumNumbers(int(d["n1"]), int(d["n2"]), int(d["m"]))
-            elif f.type == "complex":
+            elif f.type in (complex, "complex"):
                 kw[f.name] = complex(d[f.name][0], d[f.name][1])
             else:
                 kw[f.name] = float(d[f.name])
@@ -455,6 +455,15 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+# normalize() at its default orders uses these rules and their doublings.
+# They are built on import, so no normalize() call at the defaults makes an
+# eigen-solve and every such call costs the same, the first one included.
+_N_CHI, _N_THETA = 128, 64
+for _n in sorted({_N_THETA, _N_CHI, 2 * _N_THETA, 2 * _N_CHI}):
+    _gauss_legendre(_n)
+del _n
+
+
 def _quad_norm(state: StateParams, chi_max: float, n_chi: int, n_theta: int) -> float:
     x, wx = _gauss_legendre(n_chi)
     y, wy = _gauss_legendre(n_theta)
@@ -466,15 +475,15 @@ def _quad_norm(state: StateParams, chi_max: float, n_chi: int, n_theta: int) -> 
     return 2.0 * math.pi * float(wchi @ dens @ wtheta)
 
 
-def normalize(state: StateParams, n_chi: int = 128, n_theta: int = 64) -> NormalizationResult:
+def normalize(state: StateParams, n_chi: int = _N_CHI, n_theta: int = _N_THETA) -> NormalizationResult:
     """Normalization constant c with integral(|c Psi|^2 dV) = 1.
 
     Tensor-product Gauss-Legendre quadrature in the spherical chart; the
     H3 radial integral is truncated where the density drops below 1e-14
     of its peak.  The error estimate is the relative shift of c under
     doubling both quadrature orders.  Each Gauss-Legendre rule is built
-    once per order and process, so the first call pays for the
-    eigen-solves and later calls reuse the nodes.
+    once per order and process; the rules of the default orders are
+    built when the module is imported, those of other orders on first use.
     """
     for name, n in (("n_chi", n_chi), ("n_theta", n_theta)):
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:

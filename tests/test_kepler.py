@@ -9,6 +9,10 @@ satisfy for every admissible state.
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,6 +433,29 @@ def test_normalize_builds_each_rule_once(monkeypatch):
     assert sorted(built) == [64, 128, 256]
     normalize(assemble_state(S3, 2.0, QuantumNumbers(0, 0, 0)), n_chi=96, n_theta=64)
     assert sorted(built) == [64, 96, 128, 192, 256]
+
+
+_FRESH_PROCESS = """
+import numpy as np
+leggauss = np.polynomial.legendre.leggauss
+built = []
+np.polynomial.legendre.leggauss = lambda n: built.append(n) or leggauss(n)
+from curvedkepler import H3, S3, QuantumNumbers, assemble_state, normalize
+on_import = list(built)
+normalize(assemble_state(S3, 2.0, QuantumNumbers(0, 0, 0)))
+normalize(assemble_state(H3, 100.0, QuantumNumbers(1, 1, 0)))
+print(on_import, built)
+"""
+
+
+def test_import_builds_the_default_rules():
+    """In a fresh process the default rules exist before the first normalize()."""
+    src = str(Path(kepler.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split("\n")[0] == "[64, 128, 256] [64, 128, 256]"
 
 
 def test_cached_rules_are_read_only():
