@@ -4,7 +4,8 @@ Subcommands
 -----------
 spectrum   closed-form energy levels with degeneracies
 state      assemble one bound state and print its parameter bundle
-eval       evaluate a wavefunction on a (chi, theta, phi) grid as CSV
+eval       evaluate a wavefunction on a (chi, theta, phi) grid as CSV, JSON
+           or a human-readable table
 verify     run residual-verification suites, exit 0 iff everything passes
 limit      flat-space limit study (coordinates plus spectrum split)
 
@@ -89,6 +90,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise UsageError(f"grid spec {text!r} is not lo:hi:count") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"grid spec {text!r} needs finite bounds")
     if n < 1:
         raise UsageError("grid count must be >= 1")
     return np.linspace(lo, hi, n)
@@ -247,7 +250,10 @@ def cmd_eval(cfg: RunConfig) -> tuple[str, int]:
         re[good] = psi.real
         im[good] = psi.imag
     rows = np.column_stack([cc, tt, pp, re, im, re * re + im * im, skip.astype(float)])
-
+    # One repeated row template per format, filled from the flat value array
+    # in a single `%`: the same text as formatting each value on its own.  The
+    # value lists stay unnamed temporaries: bound to names, they raised the
+    # process's peak RSS.
     if cfg.fmt == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -258,19 +264,20 @@ def cmd_eval(cfg: RunConfig) -> tuple[str, int]:
             "n2": cfg.n2,
             "m": cfg.m,
             "columns": list(EVAL_COLUMNS),
-            "rows": [list(r) for r in rows],
+            "rows": None,
         }
-        return _json_text(payload), 0
+        # The C encoder's float text (repr, NaN, Infinity) in the indent=2
+        # layout; the comma after the last row is cut.
+        row = "\n    [\n" + ",\n".join(["      %s"] * len(EVAL_COLUMNS)) + "\n    ],"
+        block = (row * len(rows))[:-1] % tuple(json.dumps(rows.ravel().tolist())[1:-1].split(", "))
+        return _json_text(payload).replace('"rows": null', f'"rows": [{block}\n  ]', 1), 0
     if cfg.fmt == "human":
-        lines = ["  ".join(f"{c:>12s}" for c in EVAL_COLUMNS)]
-        for r in rows:
-            lines.append("  ".join(f"{_h(v):>12s}" for v in r))
-        return "\n".join(lines) + "\n", 0
-    lines = [",".join(EVAL_COLUMNS)]
-    for r in rows:
-        vals = [_m(v) for v in r[:6]] + [str(int(r[6]))]
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n", 0
+        head = "  ".join(f"{c:>12s}" for c in EVAL_COLUMNS)
+        row = "  ".join(["%12.6g"] * len(EVAL_COLUMNS))
+    else:
+        head = ",".join(EVAL_COLUMNS)
+        row = ",".join([MACHINE_FMT] * (len(EVAL_COLUMNS) - 1) + ["%d"])
+    return head + "\n" + (row + "\n") * len(rows) % tuple(rows.ravel().tolist()), 0
 
 
 # ---------------------------------------------------------------------------

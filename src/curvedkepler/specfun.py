@@ -10,7 +10,6 @@ throughout the package (log cut on the negative real axis, arg in
 
 from __future__ import annotations
 
-import cmath
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ __all__ = [
     "Hyp2F1Params",
     "hyp2f1",
     "hyp2f1_derivative",
-    "complex_pow",
     "spectral_root",
 ]
 
@@ -127,26 +125,12 @@ def hyp2f1_derivative(params: Hyp2F1Params, t, order: int = 1):
     raise ParameterError(f"derivative order must be 1 or 2, got {order}")
 
 
-def complex_pow(base: complex, exponent: complex) -> complex:
-    """Principal-branch power base**exponent.
-
-    Zero base returns zero for Re(exponent) > 0 and is a domain error
-    otherwise (including 0**0).  Negative real bases take arg = +pi.
-    """
-    base = complex(base)
-    exponent = complex(exponent)
-    if base == 0:
-        if exponent.real > 0:
-            return 0j
-        raise DomainError("0 cannot be raised to an exponent with Re <= 0")
-    return cmath.exp(exponent * cmath.log(base))
-
-
 def pow_arr(base: np.ndarray, exponent: complex) -> np.ndarray:
-    """Principal-branch power, elementwise; same conventions as complex_pow.
+    """Principal-branch power base**exponent, elementwise.
 
     Real dtype input is promoted to complex first so negative reals land
-    on the arg = +pi side of the cut.
+    on the arg = +pi side of the cut.  A zero base gives zero for
+    Re(exponent) > 0 and is a domain error otherwise (including 0**0).
     """
     zb = np.asarray(base, dtype=complex)
     zero = zb == 0

@@ -9,7 +9,9 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from curvedkepler import (
@@ -17,10 +19,19 @@ from curvedkepler import (
     S3,
     SphericalPoint,
     assemble_state,
+    space_from_name,
     spherical_to_parabolic,
     wavefunction_values,
 )
-from curvedkepler.cli import EVAL_COLUMNS, MACHINE_FMT, OUT_DIR_ENV, SCHEMA_VERSION, main
+from curvedkepler import cli
+from curvedkepler.cli import (
+    EVAL_COLUMNS,
+    HUMAN_FMT,
+    MACHINE_FMT,
+    OUT_DIR_ENV,
+    SCHEMA_VERSION,
+    main,
+)
 
 
 def run_cli(argv):
@@ -159,6 +170,130 @@ def test_eval_grid_validation():
     assert rc == 2
     rc, _, err = run_cli(base + ["--grid-chi", f"0.5:{math.pi + 0.5}:3"])
     assert rc == 2 and "chi" in err
+
+
+@pytest.mark.parametrize("axis", ["chi", "theta", "phi"])
+@pytest.mark.parametrize("spec", ["0.5:nan:2", "nan:1:2", "0.5:inf:2", "-inf:1:2"])
+def test_eval_grid_rejects_non_finite_bounds(axis, spec):
+    base = ["eval", "--space", "s3", "--e", "2", "--n1", "0", "--n2", "0", "--m", "0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(base + [f"--grid-{axis}={spec}"])
+    assert rc == 2 and out == ""
+    assert repr(spec) in err and "finite" in err
+    assert "RuntimeWarning" not in err
+
+
+# Byte-identity oracle: rows computed as `eval` computes them and printed by
+# the per-value emitters that `eval` used before it formatted whole grids.
+EVAL_CASES = [
+    ("s3", 2.0, (1, 1, 1), ("0.2:1.2:3", "0.4:2.7:3", "0:5.5:2")),
+    ("h3", 5.0, (0, 1, 0), ("0.2:1.2:3", "0.4:2.7:3", "0:5.5:2")),
+    ("s3", 2.0, (0, 1, 0), ("0.1:3.0:9", "0:3.14:7", "-1:6:4")),
+    ("h3", 5.0, (0, 1, 0), ("0.1:40:9", "0:3.14:7", "0:6:4")),
+    ("s3", 2.0, (0, 0, 1), ("0.7:0.7:1", "1.1:1.1:1", "0.4:0.4:1")),
+    # chi = 175, theta = 0 lands on t1 == 1 and is skipped
+    ("h3", 5.0, (0, 0, 0), ("175:175:1", "0:1:3", "0:1:2")),
+]
+
+
+def _eval_argv(space, e, qn, grids, fmt):
+    return [
+        "eval", "--space", space, "--e", repr(e), "--n1", str(qn[0]), "--n2", str(qn[1]),
+        "--m", str(qn[2]), f"--grid-chi={grids[0]}", f"--grid-theta={grids[1]}",
+        f"--grid-phi={grids[2]}", "--format", fmt,
+    ]
+
+
+def _legacy_eval_text(space, e, qn, grids, fmt):
+    axes = []
+    for spec in grids:
+        lo, hi, n = spec.split(":")
+        axes.append(np.linspace(float(lo), float(hi), int(n)))
+    cc, tt, pp = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+    tag = space_from_name(space)
+    chart = spherical_to_parabolic(tag, (cc, tt, 0.0))
+    skip = (chart.t1 == 1.0) | (chart.t2 == 1.0)
+    re, im = np.zeros_like(cc), np.zeros_like(cc)
+    if not skip.all():
+        state = assemble_state(tag, e, QuantumNumbers(*qn))
+        psi = cli.wavefunction_values(state, chart.t1[~skip], chart.t2[~skip], pp[~skip])
+        re[~skip], im[~skip] = psi.real, psi.imag
+    rows = np.column_stack([cc, tt, pp, re, im, re * re + im * im, skip.astype(float)])
+    if fmt == "json":
+        payload = {
+            "schema_version": SCHEMA_VERSION, "command": "eval", "space": space, "e": e,
+            "n1": qn[0], "n2": qn[1], "m": qn[2], "columns": list(EVAL_COLUMNS),
+            "rows": [list(r) for r in rows],
+        }
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if fmt == "human":
+        lines = ["  ".join(f"{c:>12s}" for c in EVAL_COLUMNS)]
+        lines += ["  ".join(f"{HUMAN_FMT % v:>12s}" for v in r) for r in rows]
+    else:
+        lines = [",".join(EVAL_COLUMNS)]
+        lines += [",".join([MACHINE_FMT % v for v in r[:6]] + [str(int(r[6]))]) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "human"])
+@pytest.mark.parametrize("case", range(len(EVAL_CASES)))
+def test_eval_output_matches_per_value_emitters(case, fmt, tmp_path):
+    space, e, qn, grids = EVAL_CASES[case]
+    argv = _eval_argv(space, e, qn, grids, fmt)
+    rc, out, _ = run_cli(argv)
+    assert rc == 0
+    assert out == _legacy_eval_text(space, e, qn, grids, fmt)
+    target = tmp_path / f"eval.{fmt}"
+    rc, empty, _ = run_cli(argv + ["--out", str(target)])
+    assert rc == 0 and empty == ""
+    assert target.read_bytes() == out.encode()
+
+
+SPECIAL_PSI = np.array(
+    [
+        complex(math.nan, 1.0),
+        complex(math.inf, -math.inf),
+        complex(-0.0, 0.0),
+        complex(0.0, -0.0),
+        complex(-math.inf, math.nan),
+        complex(1e-300, -1e150),
+        complex(-2.5, 5e-324),
+    ]
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "human"])
+def test_eval_prints_non_finite_and_signed_zero_like_per_value_emitters(fmt, monkeypatch):
+    def special(state, t1, t2, phi):
+        return np.resize(SPECIAL_PSI, t1.shape)
+
+    monkeypatch.setattr(cli, "wavefunction_values", special)
+    case = ("s3", 2.0, (0, 1, 0), ("0.3:2.9:3", "0.2:2.8:3", "0:1:2"))
+    rc, out, _ = run_cli(_eval_argv(*case, fmt))
+    assert rc == 0
+    assert out == _legacy_eval_text(*case, fmt)
+    tokens = ("NaN", "Infinity", "-Infinity", "-0.0") if fmt == "json" else ("nan", "inf", "-inf")
+    assert all(t in out for t in tokens)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "human"])
+def test_eval_formats_the_grid_without_per_value_calls(fmt, monkeypatch):
+    def per_value(x):
+        raise AssertionError("eval formatted a value on its own")
+
+    monkeypatch.setattr(cli, "_m", per_value)
+    monkeypatch.setattr(cli, "_h", per_value)
+    rc, out, _ = run_cli(
+        ["eval", "--space", "h3", "--e", "5", "--n1", "0", "--n2", "1", "--m", "0",
+         "--grid-chi", "0.1:3:20", "--grid-theta", "0.1:3:20", "--grid-phi", "0:6:5",
+         "--format", fmt]
+    )
+    assert rc == 0
+    if fmt == "json":
+        assert len(json.loads(out)["rows"]) == 2000
+    else:
+        assert len(out.splitlines()) == 2001
 
 
 def test_missing_required_options_exit_2():
