@@ -41,10 +41,6 @@ class IntegrabilityError(ConvergenceError):
     """Normalization integral does not decay within the probed range."""
 
 
-class BoundaryRootWarning(UserWarning):
-    """A spectral root landed on Re = 0 (edge of the bound regime)."""
-
-
 class IndeterminateCoordinateWarning(UserWarning):
     """A returned angle is indeterminate at a degenerate locus.
 

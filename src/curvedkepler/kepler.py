@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError
 from .geometry import ParabolicPoint, spherical_to_parabolic
 from .spaces import Model, SpaceTag, space_from_name
-from .specfun import Hyp2F1Params, hyp2f1, pow_arr
+from .specfun import Hyp2F1Params, hyp2f1, power_product
 
 __all__ = [
     "QuantumNumbers",
@@ -162,12 +162,7 @@ class SeparatedFactor:
         return complex(out[0]) if scalar else out.reshape(np.shape(t))
 
     def _plain(self, tt: np.ndarray) -> np.ndarray:
-        out = hyp2f1(self.params, tt)
-        if self.a != 0.0:
-            out = out * pow_arr(tt, self.a)
-        if self.b != 0:
-            out = out * pow_arr(1.0 - tt, self.b)
-        return out
+        return hyp2f1(self.params, tt) * power_product(tt, self.a, self.b)
 
     def _far_tail(self, t: np.ndarray) -> np.ndarray:
         # t real < -1e2: write t^{a+j}(1-t)^b = e^{i pi(a+j)} |t|^{a+b+j}
@@ -407,13 +402,14 @@ def perturbed(state: StateParams, **deltas: complex) -> StateParams:
 
 def _density_on_grid(state: StateParams, chi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """|Psi|^2 * (metric radial weight) on an outer-product grid."""
-    cc, tt = np.meshgrid(chi, theta, indexing="ij")
-    pts = spherical_to_parabolic(state.space, (cc, tt, 0.0))
+    cc = chi[:, None]
+    pts = spherical_to_parabolic(state.space, (cc, theta[None, :], 0.0))
     if state.space.model is Model.H3:
         weight = np.sinh(cc) ** 2
     else:
         weight = np.sin(cc) ** 2
-    psi = wavefunction_values(state, pts.t1, pts.t2, pts.phi)
+    # |Psi|^2 does not depend on phi, so the phase factor is taken at phi = 0
+    psi = wavefunction_values(state, pts.t1, pts.t2, 0.0)
     return (psi.real**2 + psi.imag**2) * weight
 
 

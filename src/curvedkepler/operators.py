@@ -32,7 +32,7 @@ from .geometry import ParabolicPoint, ParabolicPoints, parabolic_to_ambient
 from .kepler import SeparatedFactor, StateParams, factor, wavefunction_values
 from .report import ResidualReport, build_report
 from .spaces import Model, SpaceTag
-from .specfun import hyp2f1, hyp2f1_derivative, pow_arr
+from .specfun import hyp2f1, hyp2f1_derivative, power_product
 
 ODE_TOL = 1e-10
 HAMILTONIAN_TOL = 1e-9
@@ -56,13 +56,16 @@ def factor_derivatives(fac: SeparatedFactor, t) -> tuple:
     """(f, f', f'') of f(t) = t^a (1-t)^b F(alpha, beta; gamma; t).
 
     Product rule with exact hypergeometric derivatives throughout; no
-    finite differences.  Scalar in, scalars out; array in, arrays out.
+    finite differences.  The powers share one exponential
+    P = t^(a-2) (1-t)^(b-2) (a zero exponent drops its power), so t = 0
+    needs a > 2, where f, f' and f'' all vanish.  Scalar in, scalars
+    out; array in, arrays out.
     """
     scalar = np.isscalar(t) or isinstance(t, complex)
     tt = np.atleast_1d(np.asarray(t, dtype=complex))
     a, b = fac.a, fac.b
-    if a < 2.0 and np.any(tt == 0):
-        raise DomainError("derivatives need t != 0 when the t^a power is active")
+    if a <= 2.0 and np.any(tt == 0):
+        raise DomainError("derivatives at t = 0 need the t^a power to have a > 2")
     if b != 0 and np.any(tt == 1):
         raise DomainError("derivatives need t != 1 when the (1-t)^b power is active")
 
@@ -70,26 +73,16 @@ def factor_derivatives(fac: SeparatedFactor, t) -> tuple:
     F1 = hyp2f1_derivative(fac.params, tt, 1)
     F2 = hyp2f1_derivative(fac.params, tt, 2)
 
-    one = np.ones_like(tt)
-    zero = np.zeros_like(tt)
-    if a == 0.0:
-        u, u1, u2 = one, zero, zero
-    else:
-        p2 = pow_arr(tt, a - 2.0)
-        u = p2 * tt * tt
-        u1 = a * p2 * tt
-        u2 = a * (a - 1.0) * p2
-    if b == 0:
-        v, v1, v2 = one, zero, zero
-    else:
-        q2 = pow_arr(1.0 - tt, b - 2.0)
-        v = q2 * (1.0 - tt) * (1.0 - tt)
-        v1 = -b * q2 * (1.0 - tt)
-        v2 = b * (b - 1.0) * q2
+    # t^a = P_a u, (t^a)' = P_a u1, (t^a)'' = P_a u2 with P_a = t^(a-2);
+    # likewise v, v1, v2 for (1-t)^b, and P = P_a P_b
+    s = 1.0 - tt
+    ea, u, u1, u2 = (a - 2.0, tt * tt, a * tt, a * (a - 1.0)) if a else (0.0, 1.0, 0.0, 0.0)
+    eb, v, v1, v2 = (b - 2.0, s * s, -b * s, b * (b - 1.0)) if b else (0.0, 1.0, 0.0, 0.0)
+    p = power_product(tt, ea, eb)
 
-    f = u * v * F
-    f1 = u1 * v * F + u * v1 * F + u * v * F1
-    f2 = (
+    f = p * (u * v * F)
+    f1 = p * (u1 * v * F + u * v1 * F + u * v * F1)
+    f2 = p * (
         u2 * v * F
         + u * v2 * F
         + u * v * F2

@@ -1,28 +1,32 @@
-"""Gauss hypergeometric evaluation and complex-parameter helpers.
+"""Gauss hypergeometric evaluation and the principal-branch power kernel.
 
 The separated bound-state factors are built from 2F1(alpha, beta; gamma; t)
 with beta a nonpositive integer, so the generic case here is a terminating
 series of small degree; the full series is kept for cross-checks inside
-the unit disc.  Powers with complex exponents use the principal branch
-throughout the package (log cut on the negative real axis, arg in
-(-pi, pi]), which fixes the phase of the wave functions once and for all.
+the unit disc.
+
+The powers t^a (1-t)^b in front of each series come from one kernel,
+:func:`power_product`: one exponential of a log t + b log(1-t), with each
+logarithm taken as the real pair (log|z|, arg z) and the exponential as
+exp(Re)(cos Im + i sin Im), so no complex log or exp runs.  The branch is
+the principal one throughout the package: log cut on the negative real
+axis, arg in (-pi, pi], and a negative real base has arg = +pi whatever
+the sign of its zero imaginary part.  That fixes the phase of the wave
+functions once and for all.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryRootWarning, ConvergenceError, DomainError, ParameterError
-from .spaces import Model, SpaceTag
+from .errors import ConvergenceError, DomainError, ParameterError
 
 __all__ = [
     "Hyp2F1Params",
     "hyp2f1",
     "hyp2f1_derivative",
-    "spectral_root",
 ]
 
 # Series parameters: termination test and hard cap.
@@ -125,39 +129,45 @@ def hyp2f1_derivative(params: Hyp2F1Params, t, order: int = 1):
     raise ParameterError(f"derivative order must be 1 or 2, got {order}")
 
 
-def pow_arr(base: np.ndarray, exponent: complex) -> np.ndarray:
+def power_product(t, a: complex, b: complex = 0.0) -> np.ndarray:
+    """t^a (1-t)^b on principal branches, elementwise, as one exponential.
+
+    A zero exponent drops its factor (exactly 1, at a zero base too); a
+    zero base gives 0 when the exponent has Re > 0 and is a domain error
+    otherwise.  The module docstring has the arithmetic and the branch.
+    """
+    t = np.asarray(t, dtype=complex)
+    re, im = np.zeros(t.shape), np.zeros(t.shape)
+    zero = np.zeros(t.shape, dtype=bool)
+    for w, z in ((complex(a), t), (complex(b), 1.0 - t if b != 0 else None)):
+        if w == 0:
+            continue
+        hit = z == 0
+        if hit.any():
+            if w.real <= 0:
+                raise DomainError("0 cannot be raised to an exponent with Re <= 0")
+            zero |= hit
+            z = np.where(hit, 1.0, z)
+        log_abs = np.log(np.abs(z))
+        arg = np.arctan2(z.imag + 0.0, z.real)
+        re += w.real * log_abs - w.imag * arg
+        im += w.real * arg + w.imag * log_abs
+    # in place: keeps the peak memory of a 32768-point normalize grid
+    # below that of the complex log and exp this replaces
+    mag = np.exp(re, out=re)
+    out = np.empty(t.shape, dtype=complex)
+    np.multiply(mag, np.cos(im), out=out.real)
+    np.multiply(mag, np.sin(im, out=im), out=out.imag)
+    out[zero] = 0.0
+    return out[()]
+
+
+def pow_arr(base, exponent: complex) -> np.ndarray:
     """Principal-branch power base**exponent, elementwise.
 
-    Real dtype input is promoted to complex first so negative reals land
-    on the arg = +pi side of the cut.  A zero base gives zero for
-    Re(exponent) > 0 and is a domain error otherwise (including 0**0).
+    The one-factor case of :func:`power_product`, with the same rules;
+    0**0 is a domain error here as well.
     """
-    zb = np.asarray(base, dtype=complex)
-    zero = zb == 0
-    if np.any(zero):
-        if complex(exponent).real <= 0:
-            raise DomainError("0 cannot be raised to an exponent with Re <= 0")
-        out = np.zeros_like(zb)
-        nz = ~zero
-        out[nz] = np.exp(exponent * np.log(zb[nz]))
-        return out
-    return np.exp(exponent * np.log(zb))
-
-
-def spectral_root(space: SpaceTag, e: float, k: int, branch: int) -> complex:
-    """Closed-form value of the quantization square roots.
-
-    For principal number k the two roots entering the factor exponents
-    evaluate to (k + branch*e/k)/2 on H3 and (k + branch*i*e/k)/2 on S3,
-    with branch in {+1, -1}.  The returned value squares to
-    1/4 + (e - eps)/2 resp. 1/4 + (eps - i e)/2 and its analogues.
-    """
-    if branch not in (1, -1):
-        raise ParameterError("branch must be +1 or -1")
-    if k < 1:
-        raise DomainError("principal number k must be >= 1")
-    unit = 1j if space.model is Model.S3 else 1.0
-    root = complex((k + branch * unit * e / k) / 2.0)
-    if root.real == 0.0:
-        warnings.warn("spectral root has Re = 0 (bound-regime boundary)", BoundaryRootWarning)
-    return root
+    if exponent == 0 and np.any(np.asarray(base) == 0):
+        raise DomainError("0 cannot be raised to an exponent with Re <= 0")
+    return power_product(base, exponent)

@@ -289,6 +289,19 @@ def test_h3_batches_have_no_negative_zero_imaginary_parts():
         assert abs(v - s) < 1e-12 * max(1.0, abs(s))
 
 
+def test_h3_negative_zero_imaginary_part_keeps_the_sign_of_psi():
+    """A hand-built t2 = -3 - 0j takes arg = +pi like t2 = -3 + 0j."""
+    st = assemble_state(H3, 10.0, QuantumNumbers(0, 1, 1))
+    plus = wavefunction_values(st, [0.4], [complex(-3.0, 0.0)], [0.0])[0]
+    minus = wavefunction_values(st, [0.4], [complex(-3.0, -0.0)], [0.0])[0]
+    assert minus == plus
+    # t2^(1/2) on the upper side of the cut is +i sqrt(3)
+    f1 = factor(st, 1).value(0.4)
+    series = 1.0 + st.alpha2 * st.beta2 / st.gamma2 * -3.0  # n2 = 1: degree one
+    want = f1 * 1j * math.sqrt(3.0) * 4.0**st.b2 * series
+    assert abs(plus - want) < 1e-13 * abs(want)
+
+
 def test_h3_factor_far_tail_consistency():
     """The far-tail evaluation (|t| > 1e2) must continue the plain product
     smoothly; compare both routes near the switchover via log-extrapolation

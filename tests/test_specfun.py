@@ -1,5 +1,5 @@
-"""Tests for the special-function layer: hypergeometric series, complex
-powers, and the spectral square roots.
+"""Tests for the special-function layer: hypergeometric series and the
+principal-branch power kernel.
 
 Terminating hypergeometric values are cross-checked against an
 independent Horner evaluation of the explicit polynomial coefficients,
@@ -16,16 +16,12 @@ import numpy as np
 import pytest
 
 from curvedkepler import (
-    BoundaryRootWarning,
     DomainError,
-    H3,
     Hyp2F1Params,
     ParameterError,
-    S3,
     hyp2f1,
     hyp2f1_derivative,
     pow_arr,
-    spectral_root,
 )
 
 HORNER_RTOL = 5e-15
@@ -193,31 +189,6 @@ def test_derivative_of_log_series():
     assert abs(got - want) < 1e-12
 
 
-@pytest.mark.parametrize("space, e, k", [(H3, 5.0, 2), (H3, 10.0, 3), (S3, 2.0, 1), (S3, 7.0, 4)])
-def test_spectral_root_identities(space, e, k):
-    plus = spectral_root(space, e, k, 1)
-    minus = spectral_root(space, e, k, -1)
-    assert abs(plus + minus - k) < 1e-14
-    unit = 1j if space is S3 else 1.0
-    assert abs(plus - minus - unit * e / k) < 1e-14
-    want_product = (k * k - (unit * e / k) ** 2) / 4.0
-    assert abs(plus * minus - want_product) < 1e-13
-
-
-def test_spectral_root_boundary_warning():
-    # H3 with e = k^2 sits exactly on the bound-regime boundary
-    with pytest.warns(BoundaryRootWarning):
-        root = spectral_root(H3, 4.0, 2, -1)
-    assert root == 0.0
-
-
-def test_spectral_root_validation():
-    with pytest.raises(ParameterError):
-        spectral_root(H3, 5.0, 2, 0)
-    with pytest.raises(DomainError):
-        spectral_root(S3, 5.0, 0, 1)
-
-
 def test_pow_arr_principal_branch():
     assert abs(pow_arr(-1.0, 0.5) - 1j) < 1e-15
     got = pow_arr(-8.0, 1.0 / 3.0)
@@ -227,6 +198,13 @@ def test_pow_arr_principal_branch():
         ref = cmath.exp(w * complex(math.log(2.0), math.pi))
         for z in (pow_arr(-2.0, w), pow_arr(np.array([-2.0]), w)[0]):
             assert abs(z - ref) <= 1e-15 * max(1.0, abs(ref)), w
+
+
+def test_pow_arr_negative_zero_imaginary_part_takes_arg_plus_pi():
+    want = 1j * math.sqrt(2.0)
+    for z in (pow_arr(complex(-2.0, -0.0), 0.5), pow_arr(np.array([complex(-2.0, -0.0)]), 0.5)[0]):
+        assert abs(z - want) <= 1e-15 * abs(want)
+    assert pow_arr(complex(-2.0, -0.0), 0.5) == pow_arr(complex(-2.0, 0.0), 0.5)
 
 
 def test_pow_arr_zero_base_rules():
