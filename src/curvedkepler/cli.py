@@ -97,11 +97,21 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _parse_numbers(option: str, text: str) -> tuple:
+    try:
+        values = tuple(float(x) for x in text.split(","))
+    except ValueError as exc:
+        raise UsageError(f"{option} {text!r} is not a comma-separated list of numbers") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{option} {text!r} needs finite values")
+    return values
+
+
 def _parse_triple(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 3:
+    point = _parse_numbers("--point", text)
+    if len(point) != 3:
         raise UsageError(f"point {text!r} is not x,y,z")
-    return tuple(float(p) for p in parts)
+    return point
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -488,7 +498,7 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
             cfg.max_k = 3
     if ns.command == "limit":
         if ns.rho is not None:
-            cfg.rho = tuple(float(x) for x in ns.rho.split(","))
+            cfg.rho = _parse_numbers("--rho", ns.rho)
         cfg.point = _parse_triple(ns.point)
     if ns.command in ("spectrum", "state", "eval", "limit") and cfg.e is not None and cfg.e < 0:
         raise UsageError("--e must be >= 0")

@@ -1,10 +1,9 @@
 """Coordinate charts and metrics on H3 and S3.
 
-Four charts are connected here:
+Three charts are connected here:
 
 * ambient quadric coordinates (x0..x3 on H3, y0..y3 on S3),
 * geodesic spherical coordinates (chi, theta, phi),
-* quasi-Cartesian ratios q_l = c_l/c0,
 * generalized parabolic coordinates (t1, t2, phi).
 
 On H3 the parabolic pair is real with 0 <= t1 < 1 and t2 <= 0,
@@ -13,8 +12,8 @@ On H3 the parabolic pair is real with 0 <= t1 < 1 and t2 <= 0,
 
 while on S3 it is genuinely complex,
 
-    t1 = (1 + cos th) phi(chi),   t2 = (1 - cos th) conj(phi(chi)),
-    phi(chi) = sin(chi) e^{i(pi/2 - chi)},
+    t1 = (1 + cos th) w(chi),   t2 = (1 - cos th) conj(w(chi)),
+    w(chi) = sin(chi) e^{i(pi/2 - chi)} = (1 - e^{-2i chi})/2,
 
 tied to the real sphere by the conjugation constraint
 t1* = -t1 (1 - t2)/(1 - t1) (equivalently t2* = -t2 (1 - t1)/(1 - t2),
@@ -23,8 +22,9 @@ and t1 t2 real).  The closed-form parabolic metrics are diagonal,
     H3:  diag( (t1-t2)/(4 t1 (1-t1)^2),  (t2-t1)/(4 t2 (1-t2)^2),  -t1 t2 ),
     S3:  the negated first two entries and +t1 t2,
 
-where the global sign of the S3 line element is a formal convention;
-pullback comparisons treat it as such.  All maps are pure functions of
+and each pulls back, through the closed-form chart Jacobian, to the
+space's own spherical metric diag(1, f^2, f^2 sin^2 th) with
+f = sinh(chi) (H3) or sin(chi) (S3).  All maps are pure functions of
 double-precision values; singular loci raise typed errors instead of
 producing NaNs.
 
@@ -56,21 +56,16 @@ __all__ = [
     "SphericalPoint",
     "ParabolicPoint",
     "ParabolicPoints",
-    "QuasiCartesian",
-    "PolarFactors",
     "FlatLimitTable",
     "spherical_to_parabolic",
     "parabolic_to_spherical",
     "parabolic_to_ambient",
     "ambient_to_parabolic",
-    "ambient_to_quasi",
-    "quasi_to_ambient",
     "antipodal",
     "metric_parabolic",
     "metric_pullback_check",
     "constraint_check",
     "flat_limit_coords",
-    "polar_decompose",
 ]
 
 # Minimum distance kept from chart singular loci when validating inputs.
@@ -256,32 +251,6 @@ class ParabolicPoints:
         )
 
 
-@dataclass(frozen=True)
-class QuasiCartesian:
-    """Ratios q_l = c_l / c0 of the ambient coordinates."""
-
-    q1: float
-    q2: float
-    q3: float
-
-    @property
-    def q(self) -> float:
-        return math.sqrt(self.q1 * self.q1 + self.q2 * self.q2 + self.q3 * self.q3)
-
-    def validate_for(self, space: SpaceTag) -> None:
-        if space.model is Model.H3 and self.q >= 1.0:
-            raise DomainError("H3 quasi-Cartesian radius must satisfy q < 1")
-
-
-@dataclass(frozen=True)
-class PolarFactors:
-    """S3 polar split t1 = a e^{i alpha}, t2 = b e^{-i alpha}."""
-
-    a: float
-    b: float
-    alpha: float
-
-
 # ---------------------------------------------------------------------------
 # chart maps
 
@@ -446,25 +415,6 @@ def ambient_to_parabolic(space: SpaceTag, p: AmbientPoint) -> ParabolicPoint:
     return ParabolicPoint(t1, t2, phi)
 
 
-def ambient_to_quasi(space: SpaceTag, p: AmbientPoint) -> QuasiCartesian:
-    """Project to q_l = c_l/c0; requires c0 != 0 (S3 equator excluded)."""
-    p.validate_for(space)
-    if p.c0 == 0.0:
-        raise SingularLocusError("quasi-Cartesian chart undefined at c0 = 0")
-    return QuasiCartesian(p.c1 / p.c0, p.c2 / p.c0, p.c3 / p.c0)
-
-
-def quasi_to_ambient(space: SpaceTag, q: QuasiCartesian) -> AmbientPoint:
-    """Lift q back to the quadric, taking the c0 > 0 sheet/hemisphere."""
-    q.validate_for(space)
-    s = q.q1 * q.q1 + q.q2 * q.q2 + q.q3 * q.q3
-    if space.model is Model.H3:
-        c0 = 1.0 / math.sqrt(1.0 - s)
-    else:
-        c0 = 1.0 / math.sqrt(1.0 + s)
-    return AmbientPoint(c0, q.q1 * c0, q.q2 * c0, q.q3 * c0)
-
-
 def antipodal(p: AmbientPoint) -> AmbientPoint:
     """The S3 antipodal map (y0, y_k) -> (-y0, -y_k)."""
     return AmbientPoint(-p.c0, -p.c1, -p.c2, -p.c3)
@@ -492,31 +442,36 @@ def _spherical_metric(space: SpaceTag, p: SphericalPoint) -> np.ndarray:
     return np.diag([1.0, f * f, f * f * math.sin(p.theta) ** 2]).astype(complex)
 
 
-def _chart_jacobian(space: SpaceTag, p: SphericalPoint, h: float) -> np.ndarray:
-    """Central-difference Jacobian of (chi,theta,phi) -> (t1,t2,phi)."""
-    jac = np.zeros((3, 3), dtype=complex)
-    for col, (dchi, dth) in enumerate(((h, 0.0), (0.0, h))):
-        plus = spherical_to_parabolic(
-            space, SphericalPoint(p.chi + dchi, p.theta + dth, p.phi)
-        )
-        minus = spherical_to_parabolic(
-            space, SphericalPoint(p.chi - dchi, p.theta - dth, p.phi)
-        )
-        jac[0, col] = (plus.t1 - minus.t1) / (2.0 * h)
-        jac[1, col] = (plus.t2 - minus.t2) / (2.0 * h)
-    jac[2, 2] = 1.0
-    return jac
+def _chart_jacobian(space: SpaceTag, p: SphericalPoint) -> np.ndarray:
+    """Closed-form Jacobian of (chi, theta, phi) -> (t1, t2, phi).
+
+    Both charts read t1 = (1 + cos th) u1(chi) and t2 = (1 - cos th) u2(chi),
+    with (u1, u2) = (sinh(chi) e^{-chi}, -sinh(chi) e^{chi}) on H3 and
+    (w, conj(w)) on S3, where dw/dchi = i e^{-2i chi}.
+    """
+    chi = p.chi
+    if space.model is Model.H3:
+        u1, u2 = math.sinh(chi) * math.exp(-chi), -math.sinh(chi) * math.exp(chi)
+        du1, du2 = math.exp(-2.0 * chi), -math.exp(2.0 * chi)
+    else:
+        u1 = math.sin(chi) * cmath.exp(1j * (math.pi / 2.0 - chi))
+        du1 = 1j * cmath.exp(-2j * chi)
+        u2, du2 = u1.conjugate(), du1.conjugate()
+    c, s = math.cos(p.theta), math.sin(p.theta)
+    return np.array(
+        [[(1.0 + c) * du1, -s * u1, 0.0], [(1.0 - c) * du2, s * u2, 0.0], [0.0, 0.0, 1.0]],
+        dtype=complex,
+    )
 
 
 def metric_pullback_check(
-    space: SpaceTag, p: SphericalPoint, h: float = 1e-5, tolerance: float = 1e-6
+    space: SpaceTag, p: SphericalPoint, tolerance: float = 1e-6
 ) -> ResidualReport:
-    """Compare the closed-form parabolic metric against a numerical pullback.
+    """Compare the closed-form parabolic metric against the spherical one.
 
-    The chart Jacobian is differentiated numerically with Richardson
-    extrapolation over (h, h/2); J^T G J must reproduce the spherical
-    metric.  For S3 the comparison ignores the overall sign of the line
-    element.  Entrywise residuals are measured against 1 + |reference|.
+    With the closed-form chart Jacobian J, J^T G J must reproduce the
+    space's spherical metric diag(1, f^2, f^2 sin^2 th), on S3 as on H3.
+    Entrywise residuals are measured against 1 + |reference|.
     """
     if p.chi <= 0.05 or not SINGULAR_GUARD < p.theta < math.pi - SINGULAR_GUARD:
         raise DomainError("pullback check needs chi > 0.05 and theta off the axis")
@@ -524,30 +479,14 @@ def metric_pullback_check(
     for t in (center.t1, center.t2):
         if min(abs(t), abs(1.0 - t)) < SINGULAR_GUARD:
             raise SingularLocusError("point too close to a parabolic boundary")
-    g = metric_parabolic(space, center)
+    jac = _chart_jacobian(space, p)
     ref = _spherical_metric(space, p)
-
-    def deviation(jac: np.ndarray) -> np.ndarray:
-        pull = jac.T @ g @ jac
-        if space.model is Model.S3:
-            d_plus = np.abs(pull - ref)
-            d_minus = np.abs(-pull - ref)
-            return d_minus if d_minus.max() < d_plus.max() else d_plus
-        return np.abs(pull - ref)
-
-    j_h = _chart_jacobian(space, p, h)
-    j_half = _chart_jacobian(space, p, h / 2.0)
-    dev_h = deviation(j_h)
-    dev_half = deviation(j_half)
-    dev_rich = deviation((4.0 * j_half - j_h) / 3.0)
-    note = ""
-    if dev_rich.max() > tolerance and dev_half.max() > 0.5 * dev_h.max():
-        note = "nonconvergent: halving h did not reduce the deviation"
-    return build_report(dev_rich.ravel(), np.abs(ref).ravel(), tolerance, note=note)
+    pull = jac.T @ metric_parabolic(space, center) @ jac
+    return build_report(np.abs(pull - ref).ravel(), np.abs(ref).ravel(), tolerance)
 
 
 # ---------------------------------------------------------------------------
-# constraint, flat limit, polar split
+# constraint, flat limit
 
 
 def _constraint_residuals(t1, t2):
@@ -628,28 +567,3 @@ def flat_limit_coords(
         e1.append(abs(unit * rho * q.t1 - xi))
         e2.append(abs(unit * rho * q.t2 - eta_neg))
     return FlatLimitTable(tuple(rhos), tuple(e1), tuple(e2), False)
-
-
-def polar_decompose(p: ParabolicPoint, tolerance: float = CONSTRAINT_TOL) -> PolarFactors:
-    """Split S3 parabolic coordinates as t1 = a e^{i alpha}, t2 = b e^{-i alpha}."""
-    if p.t1 == 0 and p.t2 == 0:
-        warnings.warn(
-            "alpha is indeterminate at the chart origin",
-            IndeterminateCoordinateWarning,
-        )
-        return PolarFactors(0.0, 0.0, 0.0)
-    a, b = abs(p.t1), abs(p.t2)
-    alpha = cmath.phase(p.t1) if p.t1 != 0 else -cmath.phase(p.t2)
-    if p.t1 != 0 and p.t2 != 0:
-        mismatch = abs(_wrap_angle(cmath.phase(p.t2) + alpha))
-        if mismatch > math.sqrt(tolerance):
-            raise ConstraintError(
-                f"arg t2 != -arg t1 (mismatch {mismatch:.2e}); not an S3 point"
-            )
-    if not -math.pi / 2.0 - 1e-12 <= alpha <= math.pi / 2.0 + 1e-12:
-        raise ConstraintError(f"alpha = {alpha} outside [-pi/2, pi/2]")
-    return PolarFactors(a, b, alpha)
-
-
-def _wrap_angle(a: float) -> float:
-    return math.remainder(a, _TWO_PI)

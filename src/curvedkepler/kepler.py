@@ -31,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError
-from .geometry import ParabolicPoint, spherical_to_parabolic
+from .geometry import spherical_to_parabolic
 from .spaces import Model, SpaceTag, space_from_name
 from .specfun import Hyp2F1Params, hyp2f1, power_product
 
@@ -46,7 +46,6 @@ __all__ = [
     "enumerate_states",
     "assemble_state",
     "factor",
-    "wavefunction",
     "wavefunction_values",
     "radial_spherical",
     "normalize",
@@ -323,14 +322,6 @@ def factor(state: StateParams, which: int) -> SeparatedFactor:
             state.a2, state.b2, Hyp2F1Params(state.alpha2, state.beta2, state.gamma2)
         )
     raise ParameterError(f"factor index must be 1 or 2, got {which}")
-
-
-def wavefunction(state: StateParams, p: ParabolicPoint) -> complex:
-    """Unnormalized Psi = f1(t1) f2(t2) e^{i m phi} at one chart point."""
-    p.validate_for(state.space)
-    f1 = factor(state, 1).value(p.t1)
-    f2 = factor(state, 2).value(p.t2)
-    return f1 * f2 * complex(math.cos(state.qn.m * p.phi), math.sin(state.qn.m * p.phi))
 
 
 def wavefunction_values(state: StateParams, t1, t2, phi) -> np.ndarray:

@@ -383,3 +383,22 @@ def test_limit_human_mentions_slope():
     rc, out, _ = run_cli(["limit", "--space", "s3", "--e", "2"])
     assert rc == 0
     assert "slope" in out
+
+
+@pytest.mark.parametrize(
+    "option, text",
+    [
+        ("--rho", "1000,,2000"),
+        ("--rho", "1e3,abc"),
+        ("--rho", "1000,inf"),
+        ("--rho", "nan,1000"),
+        ("--point", "a,0,0"),
+        ("--point", "nan,0,0"),
+        ("--point", "0,inf,0"),
+        ("--point", "0,0,-inf"),
+    ],
+)
+def test_limit_rejects_non_numeric_and_non_finite_values(option, text):
+    rc, out, err = run_cli(["limit", "--space", "h3", "--e", "5", f"{option}={text}"])
+    assert rc == 2 and out == ""
+    assert f"{option} {text!r}" in err

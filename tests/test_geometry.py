@@ -1,6 +1,7 @@
-"""Chart and embedding tests: parabolic / spherical / ambient / quasi
-coordinate maps, metric components, constraint closure, the antipodal
-map, the flat limit, and polar factorization of S3 chart points.
+"""Chart and embedding tests: parabolic / spherical / ambient coordinate
+maps, the quasi-Cartesian map of the Runge-Lenz stencil, metric
+components and their pullback, constraint closure, the antipodal map and
+the flat limit.
 
 Frozen oracle points were derived by hand from the defining chart
 relations (see the exact values noted next to each).
@@ -21,12 +22,10 @@ from curvedkepler import (
     IndeterminateCoordinateWarning,
     ParabolicPoint,
     ParabolicPoints,
-    QuasiCartesian,
     S3,
     SingularLocusError,
     SphericalPoint,
     ambient_to_parabolic,
-    ambient_to_quasi,
     antipodal,
     chart_points,
     constraint_check,
@@ -36,16 +35,18 @@ from curvedkepler import (
     metric_pullback_check,
     parabolic_to_ambient,
     parabolic_to_spherical,
-    polar_decompose,
     quasi_points,
-    quasi_to_ambient,
     spherical_to_parabolic,
 )
+from curvedkepler import geometry
+from curvedkepler.operators import _quasi_to_chart
 
 ROUNDTRIP_TOL = 1e-10
 CONSTRAINT_TOL = 1e-12
 METRIC_FORMULA_TOL = 1e-14
 PULLBACK_TOL = 1e-6
+PULLBACK_EXACT_TOL = 1e-12
+JACOBIAN_FD_TOL = 1e-8
 ANTIPODAL_TOL = 1e-12
 N_ROUNDTRIP = 2000
 
@@ -129,25 +130,14 @@ def test_parabolic_ambient_roundtrip(space, seed):
 
 @pytest.mark.parametrize("space, seed", [(H3, 105), (S3, 106)])
 def test_quasi_roundtrip(space, seed):
-    rng = make_rng(seed)
-    qs = quasi_points(space, rng, n=200)
-    assert qs.shape == (3, 200)
-    for i in range(qs.shape[1]):
-        q = QuasiCartesian(qs[0, i], qs[1, i], qs[2, i])
-        amb = quasi_to_ambient(space, q)
-        assert abs(amb.quadric(space) - 1.0) < CONSTRAINT_TOL
-        back = ambient_to_quasi(space, amb)
-        assert abs(back.q1 - q.q1) < ROUNDTRIP_TOL
-        assert abs(back.q2 - q.q2) < ROUNDTRIP_TOL
-        assert abs(back.q3 - q.q3) < ROUNDTRIP_TOL
-
-
-def test_quasi_h3_ball_bound():
-    with pytest.raises(DomainError):
-        quasi_to_ambient(H3, QuasiCartesian(1.2, 0.0, 0.0))
-    # S3 has no such bound
-    amb = quasi_to_ambient(S3, QuasiCartesian(0.9, 0.1, -1.2))
-    assert abs(amb.quadric(S3) - 1.0) < 1e-14
+    """The Runge-Lenz stencil's map Q -> (t1, t2, phi) lands on the quadric
+    point whose ratios c_l/c0 give Q back."""
+    Q = quasi_points(space, make_rng(seed), n=200)
+    assert Q.shape == (3, 200)
+    c = parabolic_to_ambient(space, ParabolicPoints(*_quasi_to_chart(space, Q)))
+    for i in range(Q.shape[1]):
+        assert abs(AmbientPoint(*c[:, i]).quadric(space) - 1.0) < CONSTRAINT_TOL
+    assert np.max(np.abs(c[1:] / c[0] - Q)) < ROUNDTRIP_TOL
 
 
 def test_h3_lower_sheet_rejected():
@@ -215,6 +205,83 @@ def test_metric_pullback_against_embedding(space, seed):
         report = metric_pullback_check(space, s)
         assert report.passed, report
         assert report.max_rel < PULLBACK_TOL
+
+
+def _pullback_points(space, seed, n):
+    """Random spherical points inside the metric suite's sampling box."""
+    rng = make_rng(seed)
+    chi_hi = 2.5 if space is H3 else math.pi - 0.15
+    return [
+        SphericalPoint(
+            float(rng.uniform(0.15, chi_hi)),
+            float(rng.uniform(0.15, math.pi - 0.15)),
+            float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        for _ in range(n)
+    ]
+
+
+def _fd_chart_jacobian(space, p, h):
+    """Central-difference Jacobian of (chi, theta, phi) -> (t1, t2, phi)."""
+    jac = np.zeros((3, 3), dtype=complex)
+    for col, (dchi, dth) in enumerate(((h, 0.0), (0.0, h))):
+        plus = spherical_to_parabolic(space, SphericalPoint(p.chi + dchi, p.theta + dth, p.phi))
+        minus = spherical_to_parabolic(space, SphericalPoint(p.chi - dchi, p.theta - dth, p.phi))
+        jac[0, col] = (plus.t1 - minus.t1) / (2.0 * h)
+        jac[1, col] = (plus.t2 - minus.t2) / (2.0 * h)
+    jac[2, 2] = 1.0
+    return jac
+
+
+@pytest.mark.parametrize("space, seed", [(H3, 118), (S3, 119)])
+def test_metric_pullback_is_exact(space, seed):
+    checked = 0
+    for s in _pullback_points(space, seed, 200):
+        try:
+            report = metric_pullback_check(space, s)
+        except (DomainError, SingularLocusError):
+            continue
+        checked += 1
+        assert report.passed, report
+        assert report.max_rel <= PULLBACK_EXACT_TOL, (s, report.max_rel)
+    assert checked > 150
+
+
+@pytest.mark.parametrize("space, seed", [(H3, 120), (S3, 121)])
+def test_chart_jacobian_matches_central_differences(space, seed):
+    h = 1e-5
+    for s in _pullback_points(space, seed, 50):
+        jac = geometry._chart_jacobian(space, s)
+        oracle = (4.0 * _fd_chart_jacobian(space, s, h / 2.0) - _fd_chart_jacobian(space, s, h)) / 3.0
+        assert np.max(np.abs(jac - oracle) / (1.0 + np.abs(oracle))) < JACOBIAN_FD_TOL, s
+
+
+@pytest.mark.parametrize("space", [H3, S3])
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda g: -g, lambda g: g * np.array([1.0 + 1e-4, 1.0, 1.0])],
+    ids=["negated", "perturbed"],
+)
+def test_metric_pullback_detects_a_wrong_metric(space, corrupt, monkeypatch):
+    exact = geometry.metric_parabolic
+    monkeypatch.setattr(geometry, "metric_parabolic", lambda sp, p: corrupt(exact(sp, p)))
+    for s in _pullback_points(space, 122, 10):
+        assert not metric_pullback_check(space, s).passed, s
+
+
+@pytest.mark.parametrize("space", [H3, S3])
+def test_metric_pullback_maps_each_point_once(space, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return spherical_to_parabolic(*args)
+
+    monkeypatch.setattr(geometry, "spherical_to_parabolic", counted)
+    points = _pullback_points(space, 123, 10)
+    for s in points:
+        metric_pullback_check(space, s)
+    assert len(calls) == len(points)
 
 
 def test_constraint_closure_on_s3_samples():
@@ -314,21 +381,3 @@ def test_flat_limit_validation():
         flat_limit_coords(H3, [1000.0, 100.0], (0.3, 0.2, 0.4))
     with pytest.raises(DomainError):
         flat_limit_coords(H3, [1.0, 10.0], (0.3, 0.2, 0.4))
-
-
-def test_polar_decompose_frozen_and_roundtrip():
-    pf = polar_decompose(ParabolicPoint(S3_EXACT_T1, S3_EXACT_T2, 0.0))
-    assert abs(pf.a - 0.75 * math.sqrt(2.0)) < 1e-15
-    assert abs(pf.b - 0.25 * math.sqrt(2.0)) < 1e-15
-    assert abs(pf.alpha - math.pi / 4.0) < 1e-15
-    rng = make_rng(114)
-    for p in chart_points(S3, rng, n=200):
-        pf = polar_decompose(p)
-        assert pf.a >= 0.0 and pf.b >= 0.0
-        assert abs(pf.a * cmath.exp(1j * pf.alpha) - p.t1) < 1e-12
-        assert abs(pf.b * cmath.exp(-1j * pf.alpha) - p.t2) < 1e-12
-
-
-def test_polar_decompose_rejects_non_s3_points():
-    with pytest.raises(ConstraintError):
-        polar_decompose(ParabolicPoint(0.5, -1.0, 0.3))

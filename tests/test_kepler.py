@@ -42,7 +42,6 @@ from curvedkepler import (
     perturbed,
     radial_spherical,
     spherical_to_parabolic,
-    wavefunction,
     wavefunction_values,
 )
 
@@ -246,31 +245,20 @@ def test_factor_value_frozen():
     assert abs(got - (0.6895855519843869 + 0.47378451483178363j)) < 5e-15
 
 
+def _psi_oracle(st, p):
+    """Psi at one chart point as the product of the per-point factor values."""
+    return factor(st, 1).value(p.t1) * factor(st, 2).value(p.t2) * cmath.exp(1j * st.qn.m * p.phi)
+
+
 def test_wavefunction_is_product_of_factors():
     rng = make_rng(211)
     for space in (H3, S3):
         st = assemble_state(space, 5.0, QuantumNumbers(0, 1, 0) if space is H3 else QuantumNumbers(1, 0, 2))
-        for p in chart_points(space, rng, n=50):
-            want = (
-                factor(st, 1).value(p.t1)
-                * factor(st, 2).value(p.t2)
-                * cmath.exp(1j * st.qn.m * p.phi)
-            )
-            got = wavefunction(st, p)
+        pts = chart_points(space, rng, n=50)
+        vec = wavefunction_values(st, pts.t1, pts.t2, pts.phi)
+        for got, p in zip(vec, pts):
+            want = _psi_oracle(st, p)
             assert abs(got - want) < 1e-13 * max(1.0, abs(want))
-
-
-def test_wavefunction_values_matches_scalar():
-    st = assemble_state(S3, 3.0, QuantumNumbers(1, 1, 1))
-    rng = make_rng(212)
-    pts = chart_points(S3, rng, n=100)
-    t1 = np.array([p.t1 for p in pts])
-    t2 = np.array([p.t2 for p in pts])
-    phi = np.array([p.phi for p in pts])
-    vec = wavefunction_values(st, t1, t2, phi)
-    for i, p in enumerate(pts):
-        s = wavefunction(st, p)
-        assert abs(vec[i] - s) < 1e-12 * max(1.0, abs(s))
 
 
 def test_h3_batches_have_no_negative_zero_imaginary_parts():
@@ -285,7 +273,7 @@ def test_h3_batches_have_no_negative_zero_imaginary_parts():
     st = assemble_state(H3, 10.0, QuantumNumbers(0, 1, 1))
     vec = wavefunction_values(st, pts.t1, pts.t2, pts.phi)
     for v, p in zip(vec, pts):
-        s = wavefunction(st, p)
+        s = _psi_oracle(st, p)
         assert abs(v - s) < 1e-12 * max(1.0, abs(s))
 
 
