@@ -204,9 +204,9 @@ class ParabolicPoints:
     """A batch of parabolic chart points: parallel t1, t2, phi arrays.
 
     The three arrays are broadcast to one shape; t1 and t2 are stored as
-    complex and phi is normalized into [0, 2 pi) exactly as
-    :class:`ParabolicPoint` normalizes it.  Iterating yields the points
-    one by one, in flat order.
+    complex, and phi is normalized into [0, 2 pi) exactly as
+    :class:`ParabolicPoint` normalizes it, before the broadcast.
+    Iterating yields the points one by one, in flat order.
     """
 
     t1: np.ndarray
@@ -217,11 +217,11 @@ class ParabolicPoints:
         t1, t2, phi = np.broadcast_arrays(
             np.asarray(self.t1, dtype=complex),
             np.asarray(self.t2, dtype=complex),
-            np.asarray(self.phi, dtype=float),
+            _norm_phi(np.asarray(self.phi, dtype=float)),
         )
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "t2", t2)
-        object.__setattr__(self, "phi", _norm_phi(phi))
+        object.__setattr__(self, "phi", phi)
 
     @classmethod
     def of(cls, points) -> "ParabolicPoints":
@@ -528,11 +528,11 @@ class FlatLimitTable:
     degenerate: bool
 
     def slope(self) -> float:
-        """Least-squares slope of log10(max error) against log10(rho)."""
+        """Least-squares slope of log10(max error) vs log10(rho); NaN below two non-zero errors."""
         errs = np.maximum(np.array(self.err_t1), np.array(self.err_t2))
         mask = errs > 0.0
         if mask.sum() < 2:
-            return 0.0
+            return math.nan
         x = np.log10(np.array(self.rho)[mask])
         y = np.log10(errs[mask])
         return float(np.polyfit(x, y, 1)[0])
@@ -550,6 +550,8 @@ def flat_limit_coords(
     x, y, z = euclidean_point
     r = math.sqrt(x * x + y * y + z * z)
     rhos = [float(v) for v in rho_list]
+    if not all(math.isfinite(v) and v > 0.0 for v in rhos):
+        raise DomainError("rho values must be positive and finite")
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise DomainError("rho values must be strictly increasing")
     if r == 0.0:

@@ -486,62 +486,87 @@ def runge_lenz_check(
 # polynomial algebra for the commutation relations
 
 
-# per axis, the index of every layer of a cube but the top one, and but the bottom one
-_LOWER = tuple((slice(None),) * axis + (slice(None, -1),) for axis in range(3))
-_UPPER = tuple((slice(None),) * axis + (slice(1, None),) for axis in range(3))
+# The packed layout of QPolynomial.  _SLOT maps exponents -13..13 to slots,
+# negatives by wrapping, and every triple off the table to the pad.  Per axis a,
+# _UP gathers q_a p and _DOWN gathers d/dq_a p before the multiply by _EXPONENT.
+_MAX_DEGREE = 12
+_N = _MAX_DEGREE + 1
+_KEYS = tuple((i, j, k) for i in range(_N) for j in range(_N - i) for k in range(_N - i - j))
+_PAD, _WIDTH = len(_KEYS), len(_KEYS) + 1
+_EXPS = np.array(_KEYS)
+_DEGREE = _EXPS.sum(axis=1)
+_TOP = np.flatnonzero(_DEGREE == _MAX_DEGREE)
+_SLOT = np.full((2 * _N,) * 3, _PAD)
+_SLOT[tuple(_EXPS.T)] = np.arange(_PAD)
+_UP, _DOWN = (
+    [np.append(_SLOT[tuple((_EXPS + step * np.eye(3, dtype=int)[a]).T)], _PAD) for a in range(3)]
+    for step in (-1, 1)
+)
+_EXPONENT = [np.append(_EXPS[:, a] + 1.0, 0.0).astype(complex) for a in range(3)]
+
+
+def _times(rows: np.ndarray, axis: int) -> np.ndarray:
+    """q_axis times each packed row; a non-zero degree-12 term is refused."""
+    if np.take(rows, _TOP, axis=-1).any():
+        raise ParameterError(f"polynomial degree {_N} exceeds cap {_MAX_DEGREE}")
+    return np.take(rows, _UP[axis], axis=-1)
+
+
+def _diff(rows: np.ndarray, axis: int) -> np.ndarray:
+    out = np.take(rows, _DOWN[axis], axis=-1)
+    out *= _EXPONENT[axis]
+    return out
+
+
+def _momentum(sigma: int, axis: int, rows: np.ndarray) -> np.ndarray:
+    grads = [_diff(rows, j) for j in range(3)]
+    radial = _times(grads[0], 0) + _times(grads[1], 1) + _times(grads[2], 2)
+    return -1j * (grads[axis] - sigma * _times(radial, axis))
+
+
+def _angular(axis: int, rows: np.ndarray) -> np.ndarray:
+    b, c = (axis + 1) % 3, (axis + 2) % 3
+    return -1j * (_times(_diff(rows, c), b) - _times(_diff(rows, b), c))
 
 
 class QPolynomial:
-    """Complex polynomial in (q1, q2, q3) as a dense coefficient cube.
+    """Complex polynomial in (q1, q2, q3) as a packed coefficient row.
 
-    ``_cube[i, j, k]`` is the coefficient of q1^i q2^j q3^k; ``_bound`` is
-    an upper bound on the total degree, so the cap check needs the exact
-    degree only near the cap.  Multiplying by q_i is a slice shift and
-    d/dq_i a multiply by the exponent plus a shift.  ``coeffs`` is a
-    read-only view of the non-zero terms, so equality-to-zero is just
-    emptiness.  Products are capped at total degree 12 — the commutator
-    checks never legitimately exceed degree(p) + 2.  Magnitudes are taken
-    as ``hypot(re, im)``, the same rounding as CPython's ``abs``.
+    ``_row`` holds the coefficients of the 455 monomials q1^i q2^j q3^k of
+    total degree <= 12 in lexicographic (i, j, k) order, then a zero pad
+    slot.  q_i and d/dq_i are gathers through tables built on import, by
+    array functions on the last axis, so a stack of rows runs as one.
+    Products and q_i shifts refuse to pass degree 12 — the commutator
+    checks never legitimately exceed degree(p) + 2.  ``coeffs`` is a
+    read-only view of the non-zero terms.  Magnitudes are taken as
+    ``hypot(re, im)``, the same rounding as CPython's ``abs``.
     """
 
-    MAX_DEGREE = 12
-    _SIZE = MAX_DEGREE + 1
-    _TOTAL = np.indices((_SIZE,) * 3).sum(axis=0)
-    # exponents 1..12 shaped to broadcast along axis 0, 1 and 2
-    _EXPONENTS = (
-        np.arange(1.0, _SIZE, dtype=complex)[:, None, None],
-        np.arange(1.0, _SIZE, dtype=complex)[:, None],
-        np.arange(1.0, _SIZE, dtype=complex),
-    )
+    MAX_DEGREE = _MAX_DEGREE
 
-    __slots__ = ("_cube", "_bound")
+    __slots__ = ("_row",)
 
     def __init__(self, coeffs=None):
-        terms: dict[tuple[int, int, int], complex] = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                k = tuple(int(x) for x in key)
-                if len(k) != 3 or min(k) < 0:
-                    raise ParameterError(f"bad monomial key {key!r}")
-                c = complex(val)
-                if c != 0:
-                    terms[k] = c
-        self._bound = self._capped(max((sum(k) for k in terms), default=0))
-        self._cube = np.zeros((self._SIZE,) * 3, dtype=complex)
-        for k, c in terms.items():
-            self._cube[k] = c
+        self._row = np.zeros(_WIDTH, dtype=complex)
+        for key, val in (coeffs or {}).items():
+            k = tuple(int(x) for x in key)
+            if len(k) != 3 or min(k) < 0:
+                raise ParameterError(f"bad monomial key {key!r}")
+            c = complex(val)
+            if c != 0:
+                self._capped(sum(k))
+                self._row[_SLOT[k]] = c
 
     @classmethod
-    def _of(cls, cube: np.ndarray, bound: int) -> "QPolynomial":
+    def _of(cls, row: np.ndarray) -> "QPolynomial":
         out = cls.__new__(cls)
-        out._cube, out._bound = cube, bound
+        out._row = row
         return out
 
     @classmethod
-    def _capped(cls, degree: int) -> int:
+    def _capped(cls, degree: int) -> None:
         if degree > cls.MAX_DEGREE:
             raise ParameterError(f"polynomial degree {degree} exceeds cap {cls.MAX_DEGREE}")
-        return degree
 
     @staticmethod
     def _check_axis(axis: int) -> int:
@@ -567,57 +592,39 @@ class QPolynomial:
 
     @property
     def coeffs(self) -> MappingProxyType:
-        return MappingProxyType(
-            {
-                tuple(int(i) for i in key): complex(self._cube[tuple(key)])
-                for key in np.argwhere(self._cube != 0)
-            }
-        )
+        row = self._row
+        return MappingProxyType({_KEYS[n]: complex(row[n]) for n in np.flatnonzero(row[:_PAD])})
 
     def degree(self) -> int:
-        return int(self._TOTAL[self._cube != 0].max(initial=0))
+        return int(_DEGREE[self._row[:_PAD] != 0].max(initial=0))
 
     def max_abs_coeff(self) -> float:
-        return float(np.hypot(self._cube.real, self._cube.imag).max())
+        return float(np.hypot(self._row.real, self._row.imag).max())
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        return self._of(self._cube + other._cube, max(self._bound, other._bound))
+        return self._of(self._row + other._row)
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self._of(self._cube - other._cube, max(self._bound, other._bound))
+        return self._of(self._row - other._row)
 
     def __mul__(self, other):
         if not isinstance(other, QPolynomial):
-            return self._of(complex(other) * self._cube, self._bound)
-        bound = self._bound + other._bound
-        if bound > self.MAX_DEGREE:
-            nonzero = self._cube.any() and other._cube.any()
-            bound = self._capped(self.degree() + other.degree() if nonzero else 0)
-        # with the total degree capped, no product term leaves the cube
-        n = self._SIZE
-        out = np.zeros_like(self._cube)
-        for i, j, k in np.argwhere(self._cube != 0):
-            out[i:, j:, k:] += self._cube[i, j, k] * other._cube[: n - i, : n - j, : n - k]
-        return self._of(out, bound)
+            return self._of(complex(other) * self._row)
+        # with the total degree capped, no product term falls off the table
+        self._capped(self.degree() + other.degree())
+        out = np.zeros_like(self._row)
+        for n in np.flatnonzero(self._row[:_PAD]):
+            src = np.append(_SLOT[tuple((_EXPS - _EXPS[n]).T)], _PAD)
+            out += self._row[n] * other._row[src]
+        return self._of(out)
 
     __rmul__ = __mul__
 
     def times_variable(self, axis: int) -> "QPolynomial":
-        """q_axis times self: the cube shifted one place along ``axis``."""
-        self._check_axis(axis)
-        bound = self._bound + 1
-        if bound > self.MAX_DEGREE:
-            # the exact degree stays below the cap, so the top slab is empty
-            bound = self._capped(self.degree() + 1)
-        out = np.zeros_like(self._cube)
-        out[_UPPER[axis]] = self._cube[_LOWER[axis]]
-        return self._of(out, bound)
+        return self._of(_times(self._row, self._check_axis(axis)))
 
     def diff(self, axis: int) -> "QPolynomial":
-        self._check_axis(axis)
-        out = np.zeros_like(self._cube)
-        np.multiply(self._cube[_UPPER[axis]], self._EXPONENTS[axis], out=out[_LOWER[axis]])
-        return self._of(out, max(self._bound - 1, 0))
+        return self._of(_diff(self._row, self._check_axis(axis)))
 
     def __call__(self, q1: complex, q2: complex, q3: complex) -> complex:
         total = 0j
@@ -635,61 +642,55 @@ def momentum_polynomial(space: SpaceTag, axis: int, p: QPolynomial) -> QPolynomi
 
     Axes are 0-indexed: axis 2 is the distinguished q3 direction.
     """
-    QPolynomial._check_axis(axis)
-    grads = [p.diff(j) for j in range(3)]
-    radial = QPolynomial()
-    for j in range(3):
-        radial = radial + grads[j].times_variable(j)
-    return (-1j) * (grads[axis] - space.sigma * radial.times_variable(axis))
+    return QPolynomial._of(_momentum(space.sigma, QPolynomial._check_axis(axis), p._row))
 
 
 def angular_polynomial(axis: int, p: QPolynomial) -> QPolynomial:
     """L_a p = -i (q_b d_c - q_c d_b) p with (a, b, c) cyclic, 0-indexed."""
-    QPolynomial._check_axis(axis)
-    b = (axis + 1) % 3
-    c = (axis + 2) % 3
-    return (-1j) * (p.diff(c).times_variable(b) - p.diff(b).times_variable(c))
+    return QPolynomial._of(_angular(QPolynomial._check_axis(axis), p._row))
+
+
+def _commutator_residuals(space: SpaceTag, rows: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """The nine identities' labels and their (n, 9) residuals on n packed rows."""
+    sigma = space.sigma
+    pp_sign = -1j * sigma  # -i on H3, +i on S3
+    rhs = "+ iL" if space.model is Model.H3 else "- iL"
+    lp = [_angular(a, rows) for a in range(3)]
+    pp = [_momentum(sigma, a, rows) for a in range(3)]
+    residuals, labels = [], []
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        residuals.append(_angular(a, lp[b]) - _angular(b, lp[a]) - 1j * lp[c])
+        labels.append(f"[L{a+1},L{b+1}] - iL{c+1}")
+        residuals.append(_angular(a, pp[b]) - _momentum(sigma, b, lp[a]) - 1j * pp[c])
+        labels.append(f"[L{a+1},P{b+1}] - iP{c+1}")
+        residuals.append(_momentum(sigma, a, pp[b]) - _momentum(sigma, b, pp[a]) - pp_sign * lp[c])
+        labels.append(f"[P{a+1},P{b+1}] {rhs}{c+1}")
+    return np.stack([np.hypot(r.real, r.imag).max(axis=-1) for r in residuals], axis=-1), labels
 
 
 def momentum_commutators(
     space: SpaceTag,
-    p: QPolynomial,
+    p: QPolynomial | Sequence[QPolynomial],
     tolerance: float = COMMUTATOR_TOL,
-) -> ResidualReport:
+) -> ResidualReport | list[ResidualReport]:
     """All nine so(3,1)/so(4) commutation identities applied to p.
 
     [L_a,L_b] = i eps_abc L_c and [L_a,P_b] = i eps_abc P_c in both
     models; [P_a,P_b] = -i eps_abc L_c on H3 and +i eps_abc L_c on S3.
     Residual per identity is the max coefficient magnitude of
-    (commutator - right side) applied to p.
+    (commutator - right side) applied to p.  A sequence of polynomials
+    runs as one stack and gives the reports separate calls would give.
     """
-    if p.degree() > 10:
+    polys = [p] if isinstance(p, QPolynomial) else list(p)
+    degrees = [q.degree() for q in polys]
+    if any(d > 10 for d in degrees):
         raise ParameterError("commutator check is limited to degree <= 10 inputs")
-
-    def P(a: int, poly: QPolynomial) -> QPolynomial:
-        return momentum_polynomial(space, a, poly)
-
-    def L(a: int, poly: QPolynomial) -> QPolynomial:
-        return angular_polynomial(a, poly)
-
-    pp_sign = -1j * space.sigma  # -i on H3, +i on S3
-    lp = [L(a, p) for a in range(3)]
-    pp = [P(a, p) for a in range(3)]
-    residuals = []
-    labels = []
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        r = L(a, lp[b]) - L(b, lp[a]) - 1j * lp[c]
-        residuals.append(r.max_abs_coeff())
-        labels.append(f"[L{a+1},L{b+1}] - iL{c+1}")
-        r = L(a, pp[b]) - P(b, lp[a]) - 1j * pp[c]
-        residuals.append(r.max_abs_coeff())
-        labels.append(f"[L{a+1},P{b+1}] - iP{c+1}")
-        r = P(a, pp[b]) - P(b, pp[a]) - pp_sign * lp[c]
-        residuals.append(r.max_abs_coeff())
-        rhs = "+ iL" if space.model is Model.H3 else "- iL"
-        labels.append(f"[P{a+1},P{b+1}] {rhs}{c+1}")
-    vals = np.asarray(residuals)
-    worst = labels[int(np.argmax(vals))]
+    rows = np.array([q._row for q in polys], dtype=complex).reshape(-1, _WIDTH)
+    residuals, labels = _commutator_residuals(space, rows)
     sign_word = "so(3,1)" if space.model is Model.H3 else "so(4)"
-    note = f"{sign_word} relations on degree-{p.degree()} input; worst identity: {worst}"
-    return build_report(vals, np.zeros_like(vals), tolerance, note=note)
+    reports = []
+    for vals, d in zip(residuals, degrees):
+        worst = labels[int(np.argmax(vals))]
+        note = f"{sign_word} relations on degree-{d} input; worst identity: {worst}"
+        reports.append(build_report(vals, np.zeros_like(vals), tolerance, note=note))
+    return reports[0] if isinstance(p, QPolynomial) else reports

@@ -86,8 +86,7 @@ def hyp2f1(params: Hyp2F1Params, t):
     a, b, g = params.alpha, params.beta, params.gamma
     degree = params.polynomial_degree
 
-    total = np.ones_like(tt)
-    term = np.ones_like(tt)
+    total = term = 1.0 + 0j  # the first term makes both arrays
     if degree is not None:
         for j in range(degree):
             term = term * ((a + j) * (b + j) / ((g + j) * (1 + j))) * tt
@@ -104,7 +103,7 @@ def hyp2f1(params: Hyp2F1Params, t):
                 break
         if not converged:
             raise ConvergenceError("hypergeometric series hit the term cap")
-    return complex(total[()]) if scalar else total
+    return complex(total) if scalar else (total if degree != 0 else np.full(tt.shape, total))
 
 
 def hyp2f1_derivative(params: Hyp2F1Params, t, order: int = 1):

@@ -153,10 +153,8 @@ def _constraint(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
 
 
 def _commutators(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
-    reports = [
-        momentum_commutators(space, QPolynomial.random(rng, degree=6), **kw)
-        for _ in range(COMMUTATOR_POLYS)
-    ]
+    polys = [QPolynomial.random(rng, degree=6) for _ in range(COMMUTATOR_POLYS)]
+    reports = momentum_commutators(space, polys, **kw)
     label = f"{space.model.value} algebra relations ({COMMUTATOR_POLYS} random polynomials)"
     return [SuiteResult("commutators", label, merge_reports(reports))]
 

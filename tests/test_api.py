@@ -1,7 +1,11 @@
 """Public API surface: every exported name resolves, removed names stay gone."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +43,19 @@ def test_removed_names_are_gone(module):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
         assert not hasattr(curvedkepler, name), name
         assert name not in curvedkepler.__all__
+
+
+def test_runtime_imports_load_no_test_only_dependency():
+    """The runtime depends on numpy alone: importing the package and its
+    CLI in a fresh interpreter loads none of the test-only libraries."""
+    code = (
+        "import sys, curvedkepler, curvedkepler.cli\n"
+        "banned = {'scipy', 'mpmath', 'hypothesis', 'pytest'}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in banned))\n"
+    )
+    src = str(Path(curvedkepler.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

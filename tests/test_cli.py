@@ -385,6 +385,23 @@ def test_limit_human_mentions_slope():
     assert "slope" in out
 
 
+def test_limit_rejects_non_positive_radii_at_the_origin():
+    argv = ["limit", "--space", "h3", "--e", "5", "--point", "0,0,0", "--rho=-5,0"]
+    rc, out, err = run_cli(argv)
+    assert rc == 2 and out == ""
+    assert "positive" in err
+
+
+@pytest.mark.parametrize(
+    "fmt, line",
+    [("json", '  "slope": NaN,'), ("csv", "# slope,nan"), ("human", "log-log slope: nan")],
+)
+def test_limit_slope_of_one_radius_is_nan(fmt, line):
+    rc, out, _ = run_cli(["limit", "--space", "h3", "--e", "5", "--rho", "1000", "--format", fmt])
+    assert rc == 0
+    assert line in out.splitlines()
+
+
 @pytest.mark.parametrize(
     "option, text",
     [

@@ -381,3 +381,30 @@ def test_flat_limit_validation():
         flat_limit_coords(H3, [1000.0, 100.0], (0.3, 0.2, 0.4))
     with pytest.raises(DomainError):
         flat_limit_coords(H3, [1.0, 10.0], (0.3, 0.2, 0.4))
+
+
+@pytest.mark.parametrize("phi", [0.0, -0.0, 7.5, -7.5, 2.0 * math.pi, -2.0 * math.pi, 1e17])
+def test_parabolic_points_reduce_a_scalar_phi_like_a_broadcast_one(phi):
+    t1 = np.full((4, 3), 0.3 + 0.1j)
+    pts = ParabolicPoints(t1, t1 - 1.0, phi)
+    want = geometry._norm_phi(np.broadcast_to(np.asarray(phi), t1.shape))
+    assert pts.phi.shape == t1.shape
+    assert np.ascontiguousarray(pts.phi).tobytes() == want.tobytes()
+    assert pts.phi[0, 0] == ParabolicPoint(0.3 + 0.1j, -0.7 + 0.1j, phi).phi
+
+
+@pytest.mark.parametrize("point", [(0.0, 0.0, 0.0), (0.3, 0.2, 0.4)])
+@pytest.mark.parametrize(
+    "rhos", [[-5.0, 0.0], [0.0, 100.0], [-1.0], [100.0, math.inf], [math.nan], [-math.inf, 1e3]]
+)
+def test_flat_limit_refuses_radii_that_are_not_positive_and_finite(point, rhos):
+    with pytest.raises(DomainError, match="positive and finite"):
+        flat_limit_coords(H3, rhos, point)
+
+
+@pytest.mark.parametrize(
+    "rhos, point", [([1000.0], (0.3, 0.2, 0.4)), ([100.0, 1000.0], (0.0, 0.0, 0.0))]
+)
+def test_flat_limit_slope_is_nan_without_two_nonzero_errors(rhos, point):
+    for space in (H3, S3):
+        assert math.isnan(flat_limit_coords(space, rhos, point).slope())

@@ -14,8 +14,9 @@ import re
 import numpy as np
 import pytest
 
-from curvedkepler import operators
+from curvedkepler import operators, verify
 from curvedkepler.kepler import wavefunction_values
+from curvedkepler.report import build_report
 from curvedkepler import (
     H3,
     ParabolicPoint,
@@ -440,3 +441,92 @@ def test_coeffs_is_a_read_only_view():
     with pytest.raises(TypeError):
         p.coeffs[(0, 0, 0)] = 1.0
     assert p.coeffs == {(0, 1, 0): 1.0}
+
+
+# Oracle for the packed rows: the dense (13, 13, 13) coefficient cube,
+# cube[i, j, k] the coefficient of q1^i q2^j q3^k.  q_a shifts the cube one
+# layer along axis a, d/dq_a multiplies by the exponent and shifts back.
+_LOWER = tuple((slice(None),) * axis + (slice(None, -1),) for axis in range(3))
+_UPPER = tuple((slice(None),) * axis + (slice(1, None),) for axis in range(3))
+_CUBE_EXPONENTS = (
+    np.arange(1.0, 13, dtype=complex)[:, None, None],
+    np.arange(1.0, 13, dtype=complex)[:, None],
+    np.arange(1.0, 13, dtype=complex),
+)
+
+
+def _cube_times(cube, axis):
+    out = np.zeros_like(cube)
+    out[_UPPER[axis]] = cube[_LOWER[axis]]
+    return out
+
+
+def _cube_diff(cube, axis):
+    out = np.zeros_like(cube)
+    np.multiply(cube[_UPPER[axis]], _CUBE_EXPONENTS[axis], out=out[_LOWER[axis]])
+    return out
+
+
+def _cube_max_abs(cube):
+    return float(np.hypot(cube.real, cube.imag).max())
+
+
+def _cube_commutators(space, p):
+    """The nine residuals and the report of one polynomial, computed on its cube."""
+    cube = np.zeros((13, 13, 13), dtype=complex)
+    for key, c in p.coeffs.items():
+        cube[key] = c
+
+    def P(a, x):
+        grads = [_cube_diff(x, j) for j in range(3)]
+        radial = np.zeros_like(x)
+        for j in range(3):
+            radial = radial + _cube_times(grads[j], j)
+        return -1j * (grads[a] - complex(space.sigma) * _cube_times(radial, a))
+
+    def L(a, x):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        return -1j * (_cube_times(_cube_diff(x, c), b) - _cube_times(_cube_diff(x, b), c))
+
+    lp = [L(a, cube) for a in range(3)]
+    pp = [P(a, cube) for a in range(3)]
+    rhs = "+ iL" if space is H3 else "- iL"
+    residuals, labels = [], []
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        residuals.append(_cube_max_abs(L(a, lp[b]) - L(b, lp[a]) - 1j * lp[c]))
+        labels.append(f"[L{a+1},L{b+1}] - iL{c+1}")
+        residuals.append(_cube_max_abs(L(a, pp[b]) - P(b, lp[a]) - 1j * pp[c]))
+        labels.append(f"[L{a+1},P{b+1}] - iP{c+1}")
+        residuals.append(_cube_max_abs(P(a, pp[b]) - P(b, pp[a]) - (-1j * space.sigma) * lp[c]))
+        labels.append(f"[P{a+1},P{b+1}] {rhs}{c+1}")
+    vals = np.asarray(residuals)
+    algebra = "so(3,1)" if space is H3 else "so(4)"
+    note = (
+        f"{algebra} relations on degree-{p.degree()} input; "
+        f"worst identity: {labels[int(np.argmax(vals))]}"
+    )
+    return vals, build_report(vals, np.zeros_like(vals), operators.COMMUTATOR_TOL, note=note)
+
+
+@pytest.mark.parametrize("space, e, seed", [(H3, 10.0, 328), (S3, 2.0, 329)])
+def test_commutator_stack_matches_the_dense_cube_oracle(monkeypatch, space, e, seed):
+    rng = make_rng(seed)
+    polys = [QPolynomial.random(rng, degree=6) for _ in range(20)]
+    rows, _ = operators._commutator_residuals(space, np.stack([p._row for p in polys]))
+    reports = momentum_commutators(space, polys)
+    assert rows.shape == (20, 9) and len(reports) == 20
+    for p, row, report in zip(polys, rows, reports):
+        vals, want = _cube_commutators(space, p)
+        assert row.tobytes() == vals.tobytes()
+        assert json.dumps(report.to_json_dict()) == json.dumps(want.to_json_dict())
+        assert momentum_commutators(space, p) == report
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return operators.momentum_commutators(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "momentum_commutators", counted)
+    verify.run_suite("commutators", space, e, 3, seed)
+    assert len(calls) == 1

@@ -15,6 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from curvedkepler.specfun import SERIES_MAX_TERMS, SERIES_RELATIVE_CUTOFF
 from curvedkepler import (
     DomainError,
     Hyp2F1Params,
@@ -147,6 +148,43 @@ def test_nonterminating_outside_disc_rejected():
         hyp2f1(params, 1.0)
     with pytest.raises(DomainError):
         hyp2f1(params, -1.2)
+
+
+def _hyp2f1_from_ones(params: Hyp2F1Params, t):
+    """Oracle: the series with both sums started from np.ones_like(t)."""
+    scalar = np.isscalar(t) or isinstance(t, complex)
+    tt = np.asarray(t, dtype=complex)
+    a, b, g = params.alpha, params.beta, params.gamma
+    degree = params.polynomial_degree
+    total = np.ones_like(tt)
+    term = np.ones_like(tt)
+    for j in range(degree if degree is not None else SERIES_MAX_TERMS):
+        term = term * ((a + j) * (b + j) / ((g + j) * (1 + j))) * tt
+        total = total + term
+        if degree is None and np.max(np.abs(term)) <= SERIES_RELATIVE_CUTOFF * np.max(
+            np.abs(total)
+        ):
+            break
+    return complex(total[()]) if scalar else total
+
+
+def test_hyp2f1_matches_the_ones_like_start_bit_for_bit():
+    rng = np.random.default_rng(4182)
+    for n in range(8):
+        params = Hyp2F1Params(
+            complex(-n), complex(rng.standard_normal(), 3.0 * rng.standard_normal()), 2.0
+        )
+        ts = (rng.standard_normal((40, 25)) + 1j * rng.standard_normal((40, 25))) * 10.0
+        got = hyp2f1(params, ts)
+        assert got.shape == ts.shape and got.flags.writeable
+        assert got.tobytes() == _hyp2f1_from_ones(params, ts).tobytes()
+        for t in (complex(ts[0, 0]), -1.5, np.asarray(0.25 - 2j)):
+            got, want = hyp2f1(params, t), _hyp2f1_from_ones(params, t)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    params = Hyp2F1Params(complex(0.5, 1.0), complex(-0.3), complex(2.5))
+    ts = rng.uniform(-0.9, 0.9, 300) + 1j * rng.uniform(-0.4, 0.4, 300)
+    assert hyp2f1(params, ts).tobytes() == _hyp2f1_from_ones(params, ts).tobytes()
 
 
 def test_hyp2f1_accepts_arrays():
