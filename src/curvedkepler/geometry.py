@@ -520,17 +520,27 @@ def constraint_check(p: ParabolicPoint, tolerance: float = 1e-12) -> ResidualRep
 
 @dataclass(frozen=True)
 class FlatLimitTable:
-    """Convergence table of the flat-limit coordinate identities."""
+    """Convergence table of the flat-limit coordinate identities.
+
+    ``limits`` holds the flat values z + r and z - r that the scaled
+    coordinates approach ((0, 0) at the base point 0,0,0).
+    """
 
     rho: tuple[float, ...]
     err_t1: tuple[float, ...]
     err_t2: tuple[float, ...]
     degenerate: bool
+    limits: tuple[float, float]
 
     def slope(self) -> float:
-        """Least-squares slope of log10(max error) vs log10(rho); NaN below two non-zero errors."""
+        """Least-squares slope of log10(max error) vs log10(rho).
+
+        NaN below two measurable errors.  An error at or below four ulps
+        of the larger of ``limits`` is rounding, not convergence, and
+        counts as not measurable.
+        """
         errs = np.maximum(np.array(self.err_t1), np.array(self.err_t2))
-        mask = errs > 0.0
+        mask = errs > 4.0 * np.spacing(max(abs(v) for v in self.limits))
         if mask.sum() < 2:
             return math.nan
         x = np.log10(np.array(self.rho)[mask])
@@ -555,7 +565,8 @@ def flat_limit_coords(
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise DomainError("rho values must be strictly increasing")
     if r == 0.0:
-        return FlatLimitTable(tuple(rhos), (0.0,) * len(rhos), (0.0,) * len(rhos), True)
+        zeros = (0.0,) * len(rhos)
+        return FlatLimitTable(tuple(rhos), zeros, zeros, True, (0.0, 0.0))
     if rhos[0] < 10.0 * r:
         raise DomainError("need rho >= 10 * |point| for the asymptotic regime")
     theta = math.acos(z / r)
@@ -568,4 +579,4 @@ def flat_limit_coords(
         q = spherical_to_parabolic(space, SphericalPoint(r / rho, theta, phi))
         e1.append(abs(unit * rho * q.t1 - xi))
         e2.append(abs(unit * rho * q.t2 - eta_neg))
-    return FlatLimitTable(tuple(rhos), tuple(e1), tuple(e2), False)
+    return FlatLimitTable(tuple(rhos), tuple(e1), tuple(e2), False, (xi, eta_neg))

@@ -155,6 +155,46 @@ def _separated_derivatives(state: StateParams, t1, t2):
     return (f1, d1, dd1), (f2, d2, dd2)
 
 
+def _hamiltonian_core(state: StateParams, space: SpaceTag, t1, t2, jets) -> np.ndarray:
+    """H Psi without the e^(i m phi) phase, from the two factor jets."""
+    (f1, d1, dd1), (f2, d2, dd2) = jets
+    m2 = float(state.qn.m * state.qn.m)
+    e = state.e
+    big1 = (1.0 - 2.0 * t1) * d1 + t1 * (1.0 - t1) * dd1
+    big2 = (1.0 - 2.0 * t2) * d2 + t2 * (1.0 - t2) * dd2
+    pair = f1 * f2
+    core = (
+        2.0 * (1.0 - t1) / (t1 - t2) * big1 * f2
+        + 2.0 * (1.0 - t2) / (t2 - t1) * f1 * big2
+        + m2 / (2.0 * t1 * t2) * pair
+    )
+    if space.model is Model.S3:
+        return core - 1j * e * (2.0 - t1 - t2) / (t1 - t2) * pair
+    return -core - e * (2.0 - t1 - t2) / (t1 - t2) * pair
+
+
+def _b_operator_core(state: StateParams, t1, t2, jets) -> np.ndarray:
+    """B Psi without the e^(i m phi) phase, from the two factor jets."""
+    (f1, d1, dd1), (f2, d2, dd2) = jets
+    m2 = float(state.qn.m * state.qn.m)
+    w = state.e if state.space.model is Model.H3 else -1j * state.e
+    diff = t1 - t2
+    pair = f1 * f2
+    c = (t1 + t2 - 2.0 * t1 * t2) / diff
+    return (
+        w * c * pair
+        + 2.0 * t2 * (1.0 - t1) * (1.0 - 2.0 * t1) / diff * d1 * f2
+        - 2.0 * t1 * (1.0 - t2) * (1.0 - 2.0 * t2) / diff * f1 * d2
+        + 2.0 * t1 * t2 * (1.0 - t1) ** 2 / diff * dd1 * f2
+        - 2.0 * t1 * t2 * (1.0 - t2) ** 2 / diff * f1 * dd2
+        + m2 * (t1 + t2) / (2.0 * t1 * t2) * pair
+    )
+
+
+def _phase(state: StateParams, phi) -> np.ndarray:
+    return np.exp(1j * state.qn.m * np.asarray(phi, dtype=float))
+
+
 def apply_hamiltonian(
     state: StateParams,
     t1,
@@ -170,22 +210,8 @@ def apply_hamiltonian(
     space = operator_space if operator_space is not None else state.space
     t1 = np.asarray(t1, dtype=complex)
     t2 = np.asarray(t2, dtype=complex)
-    (f1, d1, dd1), (f2, d2, dd2) = _separated_derivatives(state, t1, t2)
-    m2 = float(state.qn.m * state.qn.m)
-    e = state.e
-    big1 = (1.0 - 2.0 * t1) * d1 + t1 * (1.0 - t1) * dd1
-    big2 = (1.0 - 2.0 * t2) * d2 + t2 * (1.0 - t2) * dd2
-    pair = f1 * f2
-    core = (
-        2.0 * (1.0 - t1) / (t1 - t2) * big1 * f2
-        + 2.0 * (1.0 - t2) / (t2 - t1) * f1 * big2
-        + m2 / (2.0 * t1 * t2) * pair
-    )
-    if space.model is Model.S3:
-        out = core - 1j * e * (2.0 - t1 - t2) / (t1 - t2) * pair
-    else:
-        out = -core - e * (2.0 - t1 - t2) / (t1 - t2) * pair
-    return out * np.exp(1j * state.qn.m * np.asarray(phi, dtype=float))
+    jets = _separated_derivatives(state, t1, t2)
+    return _hamiltonian_core(state, space, t1, t2, jets) * _phase(state, phi)
 
 
 def apply_b_operator(state: StateParams, t1, t2, phi) -> np.ndarray:
@@ -196,21 +222,8 @@ def apply_b_operator(state: StateParams, t1, t2, phi) -> np.ndarray:
     """
     t1 = np.asarray(t1, dtype=complex)
     t2 = np.asarray(t2, dtype=complex)
-    (f1, d1, dd1), (f2, d2, dd2) = _separated_derivatives(state, t1, t2)
-    m2 = float(state.qn.m * state.qn.m)
-    w = state.e if state.space.model is Model.H3 else -1j * state.e
-    diff = t1 - t2
-    pair = f1 * f2
-    c = (t1 + t2 - 2.0 * t1 * t2) / diff
-    out = (
-        w * c * pair
-        + 2.0 * t2 * (1.0 - t1) * (1.0 - 2.0 * t1) / diff * d1 * f2
-        - 2.0 * t1 * (1.0 - t2) * (1.0 - 2.0 * t2) / diff * f1 * d2
-        + 2.0 * t1 * t2 * (1.0 - t1) ** 2 / diff * dd1 * f2
-        - 2.0 * t1 * t2 * (1.0 - t2) ** 2 / diff * f1 * dd2
-        + m2 * (t1 + t2) / (2.0 * t1 * t2) * pair
-    )
-    return out * np.exp(1j * state.qn.m * np.asarray(phi, dtype=float))
+    jets = _separated_derivatives(state, t1, t2)
+    return _b_operator_core(state, t1, t2, jets) * _phase(state, phi)
 
 
 def hamiltonian_residual(
@@ -221,14 +234,19 @@ def hamiltonian_residual(
 ) -> ResidualReport:
     """(H Psi - eps Psi) over chart points, relative to 1 + (1 + |eps|) |Psi|.
 
-    The scale keeps the measure relative to the local wavefunction
-    magnitude even when the eigenvalue is zero (possible on S3 when
-    e^2 = k^2 (k^2 - 1)); |eps Psi| alone would then degenerate to an
-    absolute comparison against unnormalized Psi.
+    H Psi and Psi = f1 f2 e^(i m phi) come from one exact-derivative jet
+    (f, f', f'') per factor, so each factor is evaluated once.  The scale
+    keeps the measure relative to the local wavefunction magnitude even
+    when the eigenvalue is zero (possible on S3 when e^2 = k^2 (k^2 - 1));
+    |eps Psi| alone would then degenerate to an absolute comparison
+    against unnormalized Psi.
     """
+    space = operator_space if operator_space is not None else state.space
     t1, t2, phi, skipped = _regular_points(sample)
-    hpsi = apply_hamiltonian(state, t1, t2, phi, operator_space=operator_space)
-    psi = wavefunction_values(state, t1, t2, phi)
+    jets = _separated_derivatives(state, t1, t2)
+    phase = _phase(state, phi)
+    hpsi = _hamiltonian_core(state, space, t1, t2, jets) * phase
+    psi = jets[0][0] * jets[1][0] * phase
     scale = (1.0 + abs(state.epsilon)) * np.abs(psi)
     note = f"skipped {skipped} singular point(s)" if skipped else ""
     return build_report(
@@ -269,14 +287,17 @@ def b_operator_residual(
 ) -> ResidualReport:
     """(B Psi - (k1+k2) Psi) over chart points, plus the cos(theta) identity.
 
-    Normalized like hamiltonian_residual, by 1 + (1 + |k1+k2|) |Psi|;
+    B Psi and Psi share one jet per factor, as in hamiltonian_residual,
+    and are normalized like it, by 1 + (1 + |k1+k2|) |Psi|;
     the eigenvalue alone cannot set the scale because k1 + k2 = 0 for
     every ground state on S3.
     """
     t1, t2, phi, skipped = _regular_points(sample)
-    bpsi = apply_b_operator(state, t1, t2, phi)
+    jets = _separated_derivatives(state, t1, t2)
+    phase = _phase(state, phi)
+    bpsi = _b_operator_core(state, t1, t2, jets) * phase
     eigenvalue = state.k1 + state.k2
-    psi = wavefunction_values(state, t1, t2, phi)
+    psi = jets[0][0] * jets[1][0] * phase
     scale = (1.0 + abs(eigenvalue)) * np.abs(psi)
     identity = coupling_identity_residual(state.space, ParabolicPoints(t1, t2, phi))
     parts = []
@@ -658,14 +679,20 @@ def _commutator_residuals(space: SpaceTag, rows: np.ndarray) -> tuple[np.ndarray
     lp = [_angular(a, rows) for a in range(3)]
     pp = [_momentum(sigma, a, rows) for a in range(3)]
     residuals, labels = [], []
+
+    def peak(r: np.ndarray) -> np.ndarray:
+        return np.hypot(r.real, r.imag).max(axis=-1)
+
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        residuals.append(_angular(a, lp[b]) - _angular(b, lp[a]) - 1j * lp[c])
+        residuals.append(peak(_angular(a, lp[b]) - _angular(b, lp[a]) - 1j * lp[c]))
         labels.append(f"[L{a+1},L{b+1}] - iL{c+1}")
-        residuals.append(_angular(a, pp[b]) - _momentum(sigma, b, lp[a]) - 1j * pp[c])
+        residuals.append(peak(_angular(a, pp[b]) - _momentum(sigma, b, lp[a]) - 1j * pp[c]))
         labels.append(f"[L{a+1},P{b+1}] - iP{c+1}")
-        residuals.append(_momentum(sigma, a, pp[b]) - _momentum(sigma, b, pp[a]) - pp_sign * lp[c])
+        residuals.append(
+            peak(_momentum(sigma, a, pp[b]) - _momentum(sigma, b, pp[a]) - pp_sign * lp[c])
+        )
         labels.append(f"[P{a+1},P{b+1}] {rhs}{c+1}")
-    return np.stack([np.hypot(r.real, r.imag).max(axis=-1) for r in residuals], axis=-1), labels
+    return np.stack(residuals, axis=-1), labels
 
 
 def momentum_commutators(

@@ -403,6 +403,33 @@ def test_limit_slope_of_one_radius_is_nan(fmt, line):
 
 
 @pytest.mark.parametrize(
+    "fmt, line",
+    [("json", '  "slope": NaN,'), ("csv", "# slope,nan"), ("human", "log-log slope: nan")],
+)
+def test_limit_slope_at_the_rounding_floor_is_nan(fmt, line):
+    # both errors sit at about one ulp of the flat limits z + r and z - r
+    argv = ["limit", "--space", "h3", "--e", "5", "--rho", "1e300,1e301", "--format", fmt]
+    rc, out, _ = run_cli(argv)
+    assert rc == 0
+    assert line in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "fmt, line",
+    [
+        ("json", '  "slope": -0.9999228283363433,'),
+        ("csv", "# slope,-0.99992282833634327"),
+        ("human", "log-log slope: -0.999923"),
+    ],
+)
+def test_limit_slope_of_measurable_errors_fits_every_radius(fmt, line):
+    argv = ["limit", "--space", "h3", "--e", "5", "--rho", "1000,10000,100000", "--format", fmt]
+    rc, out, _ = run_cli(argv)
+    assert rc == 0
+    assert line in out.splitlines()
+
+
+@pytest.mark.parametrize(
     "option, text",
     [
         ("--rho", "1000,,2000"),

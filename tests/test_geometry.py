@@ -408,3 +408,24 @@ def test_flat_limit_refuses_radii_that_are_not_positive_and_finite(point, rhos):
 def test_flat_limit_slope_is_nan_without_two_nonzero_errors(rhos, point):
     for space in (H3, S3):
         assert math.isnan(flat_limit_coords(space, rhos, point).slope())
+
+
+@pytest.mark.parametrize(
+    "point", [(0.3, 0.2, 0.4), (0.0, 0.0, 0.4), (1e-3, 0.0, 0.4), (5.0, 3.0, -2.0)]
+)
+@pytest.mark.parametrize("rhos", [[1e300, 1e301], [1e100, 1e101], [1e17, 1e18]])
+def test_flat_limit_slope_is_nan_at_the_rounding_floor(rhos, point):
+    for space in (H3, S3):
+        table = flat_limit_coords(space, rhos, point)
+        assert max(table.err_t1 + table.err_t2) < 1e-14
+        assert math.isnan(table.slope()), (space, table)
+
+
+@pytest.mark.parametrize("point", [(0.3, 0.2, 0.4), (0.0, 0.0, -0.4), (5.0, 3.0, -2.0)])
+def test_flat_limit_slope_fits_every_measurable_radius(point):
+    rhos = [1e2, 1e3, 1e4, 1e5]
+    for space in (H3, S3):
+        table = flat_limit_coords(space, rhos, point)
+        errs = np.maximum(table.err_t1, table.err_t2)
+        want = np.polyfit(np.log10(rhos), np.log10(errs), 1)[0]
+        assert table.slope() == want

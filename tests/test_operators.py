@@ -20,15 +20,19 @@ from curvedkepler.report import build_report
 from curvedkepler import (
     H3,
     ParabolicPoint,
+    ParabolicPoints,
     ParameterError,
     QPolynomial,
     QuantumNumbers,
     S3,
     angular_polynomial,
+    apply_b_operator,
+    apply_hamiltonian,
     assemble_state,
     b_operator_residual,
     chart_points,
     coupling_identity_residual,
+    enumerate_states,
     factor,
     factor_derivatives,
     factor_samples,
@@ -40,6 +44,7 @@ from curvedkepler import (
     perturbed,
     quasi_points,
     runge_lenz_check,
+    spherical_to_parabolic,
 )
 
 ODE_PASS_TOL = 1e-12
@@ -187,6 +192,145 @@ def test_b_operator_detects_separation_constant_shift():
 def test_coupling_identity(space, seed):
     pts = chart_points(space, make_rng(seed), n=200)
     assert coupling_identity_residual(space, pts) < COUPLING_TOL
+
+
+@pytest.mark.parametrize("residual", [hamiltonian_residual, b_operator_residual])
+@pytest.mark.parametrize("space, e, qn", [STATE_SET[2], STATE_SET[6]])
+def test_residuals_evaluate_each_factor_once(monkeypatch, residual, space, e, qn):
+    st = _state(space, e, qn)
+    pts = chart_points(space, make_rng(331), n=50)
+    calls = {"factor_derivatives": 0, "wavefunction_values": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        operators, "factor_derivatives", counted("factor_derivatives", factor_derivatives)
+    )
+    monkeypatch.setattr(
+        operators, "wavefunction_values", counted("wavefunction_values", wavefunction_values)
+    )
+    assert residual(st, pts).passed
+    assert calls == {"factor_derivatives": 2, "wavefunction_values": 0}
+
+
+def _spread_points(space, seed, chi_lo, chi_hi, n=300):
+    rng = make_rng(seed)
+    pts = spherical_to_parabolic(
+        space,
+        (
+            rng.uniform(chi_lo, chi_hi, n),
+            rng.uniform(0.15, np.pi - 0.15, n),
+            rng.uniform(0.0, 2.0 * np.pi, n),
+        ),
+    )
+    keep = pts.clearance() >= 1e-3
+    return pts.t1[keep], pts.t2[keep], pts.phi[keep]
+
+
+@pytest.mark.parametrize(
+    "space, e, ks, chi_lo, chi_hi",
+    [
+        # both S3 hemispheres: Im t1 < 0 past the equator
+        (S3, 2.0, (1, 3, 6), 0.15, np.pi - 0.15),
+        (S3, 5.0, (2, 4), 0.15, np.pi - 0.15),
+        # deep H3 tail, where SeparatedFactor.value sums the series termwise
+        (H3, 5.0, (1, 2), 2.5, 3.5),
+        (H3, 100.0, (1, 3, 6), 2.5, 3.5),
+    ],
+)
+def test_residual_psi_from_the_jets_matches_wavefunction_values(
+    monkeypatch, space, e, ks, chi_lo, chi_hi
+):
+    t1, t2, phi = _spread_points(space, 332, chi_lo, chi_hi)
+    if space is S3:
+        assert np.any(t1.imag < 0) and np.any(t1.imag > 0)
+    else:
+        assert np.count_nonzero(t2.real < -1e2) > 100
+    scales = []
+
+    def recorded(residual, scale, *args, **kwargs):
+        scales.append(scale)
+        return build_report(residual, scale, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "build_report", recorded)
+    for k in ks:
+        for qn in enumerate_states(k):
+            st = _state(space, e, qn)
+            (f1, _, _), (f2, _, _) = operators._separated_derivatives(st, t1, t2)
+            psi = f1 * f2 * operators._phase(st, phi)
+            want = wavefunction_values(st, t1, t2, phi)
+            assert np.all(want != 0), (k, qn)
+            assert np.max(np.abs(psi - want) / np.abs(want)) < 1e-12, (k, qn)
+            # the |Psi| each residual scales by is that same Psi
+            scales.clear()
+            hamiltonian_residual(st, ParabolicPoints(t1, t2, phi))
+            b_operator_residual(st, ParabolicPoints(t1, t2, phi))
+            ham_scale, b_scale = scales
+            assert ham_scale.tobytes() == ((1.0 + abs(st.epsilon)) * np.abs(psi)).tobytes()
+            assert b_scale.tobytes() == ((1.0 + abs(st.k1 + st.k2)) * np.abs(psi)).tobytes()
+
+
+def _parent_apply_hamiltonian(state, t1, t2, phi, operator_space=None):
+    """The Hamiltonian as written before the jets were shared, as an oracle."""
+    space = operator_space if operator_space is not None else state.space
+    t1 = np.asarray(t1, dtype=complex)
+    t2 = np.asarray(t2, dtype=complex)
+    f1, d1, dd1 = factor_derivatives(factor(state, 1), t1)
+    f2, d2, dd2 = factor_derivatives(factor(state, 2), t2)
+    m2 = float(state.qn.m * state.qn.m)
+    e = state.e
+    big1 = (1.0 - 2.0 * t1) * d1 + t1 * (1.0 - t1) * dd1
+    big2 = (1.0 - 2.0 * t2) * d2 + t2 * (1.0 - t2) * dd2
+    pair = f1 * f2
+    core = (
+        2.0 * (1.0 - t1) / (t1 - t2) * big1 * f2
+        + 2.0 * (1.0 - t2) / (t2 - t1) * f1 * big2
+        + m2 / (2.0 * t1 * t2) * pair
+    )
+    if space.model is S3.model:
+        out = core - 1j * e * (2.0 - t1 - t2) / (t1 - t2) * pair
+    else:
+        out = -core - e * (2.0 - t1 - t2) / (t1 - t2) * pair
+    return out * np.exp(1j * state.qn.m * np.asarray(phi, dtype=float))
+
+
+def _parent_apply_b_operator(state, t1, t2, phi):
+    t1 = np.asarray(t1, dtype=complex)
+    t2 = np.asarray(t2, dtype=complex)
+    f1, d1, dd1 = factor_derivatives(factor(state, 1), t1)
+    f2, d2, dd2 = factor_derivatives(factor(state, 2), t2)
+    m2 = float(state.qn.m * state.qn.m)
+    w = state.e if state.space.model is H3.model else -1j * state.e
+    diff = t1 - t2
+    pair = f1 * f2
+    c = (t1 + t2 - 2.0 * t1 * t2) / diff
+    out = (
+        w * c * pair
+        + 2.0 * t2 * (1.0 - t1) * (1.0 - 2.0 * t1) / diff * d1 * f2
+        - 2.0 * t1 * (1.0 - t2) * (1.0 - 2.0 * t2) / diff * f1 * d2
+        + 2.0 * t1 * t2 * (1.0 - t1) ** 2 / diff * dd1 * f2
+        - 2.0 * t1 * t2 * (1.0 - t2) ** 2 / diff * f1 * dd2
+        + m2 * (t1 + t2) / (2.0 * t1 * t2) * pair
+    )
+    return out * np.exp(1j * state.qn.m * np.asarray(phi, dtype=float))
+
+
+@pytest.mark.parametrize("space, e, qn", STATE_SET)
+def test_apply_operators_keep_their_bits(space, e, qn):
+    st = _state(space, e, qn)
+    pts = chart_points(space, make_rng(333), n=100)
+    other = H3 if space is S3 else S3
+    for op_space in (None, other):
+        got = apply_hamiltonian(st, pts.t1, pts.t2, pts.phi, operator_space=op_space)
+        want = _parent_apply_hamiltonian(st, pts.t1, pts.t2, pts.phi, operator_space=op_space)
+        assert got.tobytes() == want.tobytes(), op_space
+    got = apply_b_operator(st, pts.t1, pts.t2, pts.phi)
+    assert got.tobytes() == _parent_apply_b_operator(st, pts.t1, pts.t2, pts.phi).tobytes()
 
 
 @pytest.mark.parametrize(
