@@ -34,7 +34,6 @@ from .kepler import (
     bound_count_h3,
     bound_interval_h3,
     energy_split,
-    enumerate_states,
     is_admissible,
     wavefunction_values,
 )
@@ -163,7 +162,7 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[str, int]:
             {
                 "k": k,
                 "epsilon": ryd + curv,
-                "degeneracy": len(enumerate_states(k)),
+                "degeneracy": k * k,
                 "admissible": is_admissible(space, e, k),
             }
         )
@@ -535,6 +534,8 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
         cfg.perturb_eps = ns.perturb_eps
         if cfg.max_k is None:
             cfg.max_k = 3
+        if space.model is Model.H3 and bound_count_h3(cfg.e) == 0:
+            raise UsageError(f"--e {cfg.e!r} gives no bound H3 level (needs e > 1)")
     if ns.command == "limit":
         if ns.rho is not None:
             cfg.rho = _parse_numbers("--rho", ns.rho)

@@ -18,7 +18,8 @@ everything is real while on S3 the pair (b1, b2) and the separation
 constants pick up conjugate imaginary parts +-i e/(2k) style terms.
 Everything here is evaluated from those closed forms; the quantization
 equations themselves are only ever used as verification assertions in
-the test suite.
+the test suite.  Since b2 = -b1, Psi itself is evaluated in a closed
+form whose powers take no branch (:func:`psi_prefactor`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError
 from .geometry import spherical_to_parabolic
 from .spaces import Model, SpaceTag, space_from_name
-from .specfun import Hyp2F1Params, hyp2f1, power_product
+from .specfun import Hyp2F1Params, hyp2f1, scaled_series
 
 __all__ = [
     "QuantumNumbers",
@@ -139,46 +140,6 @@ class SeparatedFactor:
     b: complex
     params: Hyp2F1Params
 
-    def value(self, t):
-        """Evaluate f at scalar or array t (principal branches).
-
-        Far out on the negative real axis (deep H3 tail, |t| beyond
-        1e2) the plain product overflows in intermediates even though f
-        itself underflows, so terminating cases switch to a termwise
-        form with the powers of |t| combined before exponentiation.
-        """
-        scalar = np.isscalar(t) or isinstance(t, complex)
-        tt = np.atleast_1d(np.asarray(t, dtype=complex))
-        far = (tt.imag == 0.0) & (tt.real < -1e2)
-        if far.any() and self.params.polynomial_degree is not None:
-            out = np.empty_like(tt)
-            out[far] = self._far_tail(tt[far].real)
-            near = ~far
-            if near.any():
-                out[near] = self._plain(tt[near])
-        else:
-            out = self._plain(tt)
-        return complex(out[0]) if scalar else out.reshape(np.shape(t))
-
-    def _plain(self, tt: np.ndarray) -> np.ndarray:
-        return hyp2f1(self.params, tt) * power_product(tt, self.a, self.b)
-
-    def _far_tail(self, t: np.ndarray) -> np.ndarray:
-        # t real < -1e2: write t^{a+j}(1-t)^b = e^{i pi(a+j)} |t|^{a+b+j}
-        # (1 + 1/|t|)^b and sum the terminating series termwise; every
-        # exponent a+b+j stays <= a+b+n, so nothing overflows.
-        x = np.abs(t)
-        lx = np.log(x)
-        al, be, ga = self.params.alpha, self.params.beta, self.params.gamma
-        n = self.params.polynomial_degree
-        c = 1.0 + 0j
-        acc = np.zeros_like(x, dtype=complex)
-        for j in range(n + 1):
-            if j > 0:
-                c = c * (al + j - 1) * (be + j - 1) / ((ga + j - 1) * j)
-            acc += c * np.exp(1j * math.pi * (self.a + j) + (self.a + self.b + j) * lx)
-        return acc * np.exp(self.b * np.log1p(1.0 / x))
-
 
 @dataclass(frozen=True)
 class NormalizationResult:
@@ -233,12 +194,8 @@ def bound_count_h3(e: float) -> int:
     """Number of discrete H3 levels: integers k >= 1 with k < sqrt(e)."""
     if e < 0:
         raise DomainError("coupling e must be >= 0")
-    count = 0
-    k = 1
-    while k * k < e:
-        count += 1
-        k += 1
-    return count
+    # k^2 < e  <=>  k^2 <= ceil(e) - 1 for integer k
+    return math.isqrt(math.ceil(e) - 1) if e > 1 else 0
 
 
 def bound_interval_h3(e: float) -> tuple[float, float]:
@@ -325,10 +282,46 @@ def factor(state: StateParams, which: int) -> SeparatedFactor:
 
 
 def wavefunction_values(state: StateParams, t1, t2, phi) -> np.ndarray:
-    """Vectorized Psi over parallel arrays of chart coordinates."""
-    v1 = factor(state, 1).value(np.asarray(t1, dtype=complex))
-    v2 = factor(state, 2).value(np.asarray(t2, dtype=complex))
-    return v1 * v2 * np.exp(1j * state.qn.m * np.asarray(phi, dtype=float))
+    """Psi = F1(t1) F2(t2) (t1 t2)^{|m|/2} ((1-t1)/(1-t2))^{b1} e^{i m phi}.
+
+    That is f1 f2 e^{i m phi} with b2 = -b1, over parallel arrays of chart
+    coordinates; :func:`psi_prefactor` evaluates the powers with no branch.
+    """
+    t1 = np.asarray(t1, dtype=complex)
+    t2 = np.asarray(t2, dtype=complex)
+    (f1,), s1 = scaled_series(factor(state, 1).params, t1)
+    (f2,), s2 = scaled_series(factor(state, 2).params, t2)
+    return f1 * f2 * psi_prefactor(state, t1, t2, s1 + s2, phi)
+
+
+def psi_prefactor(state: StateParams, t1, t2, log_scale, phi) -> np.ndarray:
+    """(t1 t2)^{|m|/2} ((1-t1)/(1-t2))^{b1} e^{log_scale + i m phi}, one exponential per point.
+
+    1 - t1 = e^{-chi} D and 1 - t2 = e^{chi} D on H3 (chi -> i chi on S3),
+    so the ratio is e^{-2 chi} on H3 and e^{-2i chi} on S3, where
+    chi = atan2(Re(t1 + t2), Im(t1 - t2)) = atan2(2 sin^2 chi, sin 2 chi)
+    lies in [0, pi]; (t1 t2)^{|m|/2} is (i sin(theta) sinh(chi))^|m| on H3
+    and (sin(theta) sin(chi))^|m| on S3.  No power takes a branch, so S3
+    states are continuous across the equator, and the magnitudes meet in
+    one exponent, which stays finite where F2 and e^{-2 b1 chi} alone
+    would over- or underflow.  A perturbed state's b1 + b2 != 0 adds
+    (1-t2)^{b1+b2} on the principal branch.
+    """
+    am = abs(state.qn.m)
+    with np.errstate(divide="ignore"):
+        if state.space.model is Model.H3:
+            # by modulus: far out on theta = 0, t1 can round to just above 1
+            expo = state.b1.real * np.log(np.abs((1.0 - t1.real) / (1.0 - t2.real))) + 0j
+            unit = 1j**am
+        else:
+            expo = -2j * state.b1 * np.arctan2(t1.real + t2.real, t1.imag - t2.imag)
+            unit = 1.0
+        expo = expo + log_scale + 1j * state.qn.m * np.asarray(phi, dtype=float)
+        if am:
+            expo += 0.5 * am * np.log(np.abs(t1 * t2))
+        if state.b1 + state.b2:
+            expo += (state.b1 + state.b2) * np.log(1.0 - t2)
+    return unit * np.exp(expo)
 
 
 def radial_spherical(space: SpaceTag, e: float, n: int, l: int, chi: float) -> complex:

@@ -29,10 +29,10 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .geometry import ParabolicPoint, ParabolicPoints, parabolic_to_ambient
-from .kepler import SeparatedFactor, StateParams, factor, wavefunction_values
+from .kepler import SeparatedFactor, StateParams, factor, psi_prefactor, wavefunction_values
 from .report import ResidualReport, build_report
 from .spaces import Model, SpaceTag
-from .specfun import hyp2f1, hyp2f1_derivative, power_product
+from .specfun import pow_arr, scaled_series
 
 ODE_TOL = 1e-10
 HAMILTONIAN_TOL = 1e-9
@@ -52,14 +52,32 @@ _DEFAULT_FD_STEP = 5e-4
 # exact factor derivatives
 
 
+def _factor_jet(fac: SeparatedFactor, t: np.ndarray):
+    """Polynomial parts (q, q', q'') of one factor's jet, and its log scale s.
+
+    f^(j) = t^(a-2) (1-t)^(b-2) e^s q^(j) for j = 0, 1, 2: the product rule
+    on t^a = t^(a-2) u and (1-t)^b = (1-t)^(b-2) v with u = t^2 and
+    v = (1-t)^2, and F, F', F'' from :func:`scaled_series` with its scale.
+    """
+    (F, F1, F2), s = scaled_series(fac.params, t, 2)
+    a, b = fac.a, fac.b
+    w = 1.0 - t
+    u, u1, u2 = t * t, a * t, a * (a - 1.0)
+    v, v1, v2 = w * w, -b * w, b * (b - 1.0)
+    q = u * v * F
+    q1 = u1 * v * F + u * v1 * F + u * v * F1
+    q2 = u2 * v * F + u * v2 * F + u * v * F2 + 2.0 * (u1 * v1 * F + u1 * v * F1 + u * v1 * F1)
+    return (q, q1, q2), s
+
+
 def factor_derivatives(fac: SeparatedFactor, t) -> tuple:
     """(f, f', f'') of f(t) = t^a (1-t)^b F(alpha, beta; gamma; t).
 
     Product rule with exact hypergeometric derivatives throughout; no
-    finite differences.  The powers share one exponential
-    P = t^(a-2) (1-t)^(b-2) (a zero exponent drops its power), so t = 0
-    needs a > 2, where f, f' and f'' all vanish.  Scalar in, scalars
-    out; array in, arrays out.
+    finite differences.  The polynomial parts of :func:`_factor_jet` take
+    the power t^(a-2) (1-t)^(b-2) on principal branches, so t = 0 needs
+    a > 2, where f, f' and f'' all vanish.  Scalar in, scalars out; array
+    in, arrays out.
     """
     scalar = np.isscalar(t) or isinstance(t, complex)
     tt = np.atleast_1d(np.asarray(t, dtype=complex))
@@ -68,26 +86,9 @@ def factor_derivatives(fac: SeparatedFactor, t) -> tuple:
         raise DomainError("derivatives at t = 0 need the t^a power to have a > 2")
     if b != 0 and np.any(tt == 1):
         raise DomainError("derivatives need t != 1 when the (1-t)^b power is active")
-
-    F = hyp2f1(fac.params, tt)
-    F1 = hyp2f1_derivative(fac.params, tt, 1)
-    F2 = hyp2f1_derivative(fac.params, tt, 2)
-
-    # t^a = P_a u, (t^a)' = P_a u1, (t^a)'' = P_a u2 with P_a = t^(a-2);
-    # likewise v, v1, v2 for (1-t)^b, and P = P_a P_b
-    s = 1.0 - tt
-    ea, u, u1, u2 = (a - 2.0, tt * tt, a * tt, a * (a - 1.0)) if a else (0.0, 1.0, 0.0, 0.0)
-    eb, v, v1, v2 = (b - 2.0, s * s, -b * s, b * (b - 1.0)) if b else (0.0, 1.0, 0.0, 0.0)
-    p = power_product(tt, ea, eb)
-
-    f = p * (u * v * F)
-    f1 = p * (u1 * v * F + u * v1 * F + u * v * F1)
-    f2 = p * (
-        u2 * v * F
-        + u * v2 * F
-        + u * v * F2
-        + 2.0 * (u1 * v1 * F + u1 * v * F1 + u * v1 * F1)
-    )
+    q, s = _factor_jet(fac, tt)
+    p = pow_arr(tt, a - 2.0) * pow_arr(1.0 - tt, b - 2.0) * np.exp(s)
+    f, f1, f2 = (p * qj for qj in q)
     if scalar:
         return complex(f[0]), complex(f1[0]), complex(f2[0])
     shape = np.shape(t)
@@ -149,14 +150,21 @@ def _point_rows(t1: np.ndarray, t2: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.column_stack([t1.real, t1.imag, t2.real, t2.imag, phi])
 
 
-def _separated_derivatives(state: StateParams, t1, t2):
-    f1, d1, dd1 = factor_derivatives(factor(state, 1), t1)
-    f2, d2, dd2 = factor_derivatives(factor(state, 2), t2)
-    return (f1, d1, dd1), (f2, d2, dd2)
+def _jets(state: StateParams, t1, t2, phi):
+    """Both polynomial jets and the prefactor P1 P2 e^(i m phi) they share.
+
+    Every term of H Psi, B Psi and Psi is bilinear in the two jets, with
+    f_i^(j) = P_i q_i^(j) and P1 P2 = (t1 t2)^(|m|/2-2) ((1-t1)(1-t2))^-2
+    ((1-t1)/(1-t2))^b1 from :func:`~curvedkepler.kepler.psi_prefactor`.
+    """
+    q1, s1 = _factor_jet(factor(state, 1), t1)
+    q2, s2 = _factor_jet(factor(state, 2), t2)
+    p = psi_prefactor(state, t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
+    return (q1, q2), p
 
 
 def _hamiltonian_core(state: StateParams, space: SpaceTag, t1, t2, jets) -> np.ndarray:
-    """H Psi without the e^(i m phi) phase, from the two factor jets."""
+    """H Psi over P1 P2 e^(i m phi), from the two polynomial jets."""
     (f1, d1, dd1), (f2, d2, dd2) = jets
     m2 = float(state.qn.m * state.qn.m)
     e = state.e
@@ -174,7 +182,7 @@ def _hamiltonian_core(state: StateParams, space: SpaceTag, t1, t2, jets) -> np.n
 
 
 def _b_operator_core(state: StateParams, t1, t2, jets) -> np.ndarray:
-    """B Psi without the e^(i m phi) phase, from the two factor jets."""
+    """B Psi over P1 P2 e^(i m phi), from the two polynomial jets."""
     (f1, d1, dd1), (f2, d2, dd2) = jets
     m2 = float(state.qn.m * state.qn.m)
     w = state.e if state.space.model is Model.H3 else -1j * state.e
@@ -189,10 +197,6 @@ def _b_operator_core(state: StateParams, t1, t2, jets) -> np.ndarray:
         - 2.0 * t1 * t2 * (1.0 - t2) ** 2 / diff * f1 * dd2
         + m2 * (t1 + t2) / (2.0 * t1 * t2) * pair
     )
-
-
-def _phase(state: StateParams, phi) -> np.ndarray:
-    return np.exp(1j * state.qn.m * np.asarray(phi, dtype=float))
 
 
 def apply_hamiltonian(
@@ -210,8 +214,8 @@ def apply_hamiltonian(
     space = operator_space if operator_space is not None else state.space
     t1 = np.asarray(t1, dtype=complex)
     t2 = np.asarray(t2, dtype=complex)
-    jets = _separated_derivatives(state, t1, t2)
-    return _hamiltonian_core(state, space, t1, t2, jets) * _phase(state, phi)
+    jets, p = _jets(state, t1, t2, phi)
+    return _hamiltonian_core(state, space, t1, t2, jets) * p
 
 
 def apply_b_operator(state: StateParams, t1, t2, phi) -> np.ndarray:
@@ -222,8 +226,8 @@ def apply_b_operator(state: StateParams, t1, t2, phi) -> np.ndarray:
     """
     t1 = np.asarray(t1, dtype=complex)
     t2 = np.asarray(t2, dtype=complex)
-    jets = _separated_derivatives(state, t1, t2)
-    return _b_operator_core(state, t1, t2, jets) * _phase(state, phi)
+    jets, p = _jets(state, t1, t2, phi)
+    return _b_operator_core(state, t1, t2, jets) * p
 
 
 def hamiltonian_residual(
@@ -235,7 +239,8 @@ def hamiltonian_residual(
     """(H Psi - eps Psi) over chart points, relative to 1 + (1 + |eps|) |Psi|.
 
     H Psi and Psi = f1 f2 e^(i m phi) come from one exact-derivative jet
-    (f, f', f'') per factor, so each factor is evaluated once.  The scale
+    per factor and the prefactor the two share, so each factor is
+    evaluated once.  The scale
     keeps the measure relative to the local wavefunction magnitude even
     when the eigenvalue is zero (possible on S3 when e^2 = k^2 (k^2 - 1));
     |eps Psi| alone would then degenerate to an absolute comparison
@@ -243,10 +248,9 @@ def hamiltonian_residual(
     """
     space = operator_space if operator_space is not None else state.space
     t1, t2, phi, skipped = _regular_points(sample)
-    jets = _separated_derivatives(state, t1, t2)
-    phase = _phase(state, phi)
-    hpsi = _hamiltonian_core(state, space, t1, t2, jets) * phase
-    psi = jets[0][0] * jets[1][0] * phase
+    jets, p = _jets(state, t1, t2, phi)
+    hpsi = _hamiltonian_core(state, space, t1, t2, jets) * p
+    psi = jets[0][0] * jets[1][0] * p
     scale = (1.0 + abs(state.epsilon)) * np.abs(psi)
     note = f"skipped {skipped} singular point(s)" if skipped else ""
     return build_report(
@@ -293,11 +297,10 @@ def b_operator_residual(
     every ground state on S3.
     """
     t1, t2, phi, skipped = _regular_points(sample)
-    jets = _separated_derivatives(state, t1, t2)
-    phase = _phase(state, phi)
-    bpsi = _b_operator_core(state, t1, t2, jets) * phase
+    jets, p = _jets(state, t1, t2, phi)
+    bpsi = _b_operator_core(state, t1, t2, jets) * p
     eigenvalue = state.k1 + state.k2
-    psi = jets[0][0] * jets[1][0] * phase
+    psi = jets[0][0] * jets[1][0] * p
     scale = (1.0 + abs(eigenvalue)) * np.abs(psi)
     identity = coupling_identity_residual(state.space, ParabolicPoints(t1, t2, phi))
     parts = []

@@ -3,16 +3,18 @@
 The separated bound-state factors are built from 2F1(alpha, beta; gamma; t)
 with beta a nonpositive integer, so the generic case here is a terminating
 series of small degree; the full series is kept for cross-checks inside
-the unit disc.
+the unit disc.  :func:`scaled_series` sums the terminating series and its
+derivatives by Horner's rule with the growth |t|^n split off, which is
+how the wave functions evaluate it.
 
-The powers t^a (1-t)^b in front of each series come from one kernel,
-:func:`power_product`: one exponential of a log t + b log(1-t), with each
-logarithm taken as the real pair (log|z|, arg z) and the exponential as
-exp(Re)(cos Im + i sin Im), so no complex log or exp runs.  The branch is
-the principal one throughout the package: log cut on the negative real
-axis, arg in (-pi, pi], and a negative real base has arg = +pi whatever
-the sign of its zero imaginary part.  That fixes the phase of the wave
-functions once and for all.
+:func:`pow_arr` computes a power z^w as one exponential of w log z, with
+the logarithm taken as the real pair (log|z|, arg z) and the exponential
+as exp(Re)(cos Im + i sin Im), so no complex log or exp runs.  Its branch
+is the principal one: log cut on the negative real axis, arg in
+(-pi, pi], and a negative real base has arg = +pi whatever the sign of
+its zero imaginary part.  The wave functions do not use it; it serves
+the one-factor jets of the separated ODE check, where any fixed branch
+will do.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import ConvergenceError, DomainError, ParameterError
 __all__ = [
     "Hyp2F1Params",
     "hyp2f1",
-    "hyp2f1_derivative",
+    "scaled_series",
 ]
 
 # Series parameters: termination test and hard cap.
@@ -69,10 +71,6 @@ class Hyp2F1Params:
         candidates = [n for n in (na, nb) if n is not None]
         return min(candidates) if candidates else None
 
-    def shifted(self, by: int = 1) -> "Hyp2F1Params":
-        """Parameters of the contiguous derivative, all raised by ``by``."""
-        return Hyp2F1Params(self.alpha + by, self.beta + by, self.gamma + by)
-
 
 def hyp2f1(params: Hyp2F1Params, t):
     """Evaluate 2F1(alpha, beta; gamma; t), scalar or elementwise on arrays.
@@ -106,67 +104,61 @@ def hyp2f1(params: Hyp2F1Params, t):
     return complex(total) if scalar else (total if degree != 0 else np.full(tt.shape, total))
 
 
-def hyp2f1_derivative(params: Hyp2F1Params, t, order: int = 1):
-    """First or second t-derivative of 2F1 via the contiguous relation.
+def scaled_series(params: Hyp2F1Params, t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """A terminating 2F1 and its first ``order`` derivatives, finite at any t.
 
-    d/dt F(a,b;g;t) = (a b / g) F(a+1, b+1; g+1; t), applied once or
-    twice.  A vanishing prefactor short-circuits to exact zero without
-    touching the shifted series (whose parameters may fall outside the
-    terminating case).
+    Returns ``(rows, log_scale)`` with d^j F/dt^j = rows[j] exp(log_scale),
+    elementwise.  Where |t| <= 1 the series is summed by Horner in t and
+    log_scale is 0; where |t| > 1, by Horner in 1/t on the reversed
+    coefficients, with log_scale = n log|t| for the degree n.
     """
-    if order == 1:
-        c = params.alpha * params.beta / params.gamma
-        if c == 0:
-            return 0j if np.isscalar(t) else np.zeros(np.shape(t), dtype=complex)
-        return c * hyp2f1(params.shifted(1), t)
-    if order == 2:
-        a, b, g = params.alpha, params.beta, params.gamma
-        c = a * b * (a + 1) * (b + 1) / (g * (g + 1))
-        if c == 0:
-            return 0j if np.isscalar(t) else np.zeros(np.shape(t), dtype=complex)
-        return c * hyp2f1(params.shifted(2), t)
-    raise ParameterError(f"derivative order must be 1 or 2, got {order}")
-
-
-def power_product(t, a: complex, b: complex = 0.0) -> np.ndarray:
-    """t^a (1-t)^b on principal branches, elementwise, as one exponential.
-
-    A zero exponent drops its factor (exactly 1, at a zero base too); a
-    zero base gives 0 when the exponent has Re > 0 and is a domain error
-    otherwise.  The module docstring has the arithmetic and the branch.
-    """
-    t = np.asarray(t, dtype=complex)
-    re, im = np.zeros(t.shape), np.zeros(t.shape)
-    zero = np.zeros(t.shape, dtype=bool)
-    for w, z in ((complex(a), t), (complex(b), 1.0 - t if b != 0 else None)):
-        if w == 0:
-            continue
-        hit = z == 0
-        if hit.any():
-            if w.real <= 0:
-                raise DomainError("0 cannot be raised to an exponent with Re <= 0")
-            zero |= hit
-            z = np.where(hit, 1.0, z)
-        log_abs = np.log(np.abs(z))
-        arg = np.arctan2(z.imag + 0.0, z.real)
-        re += w.real * log_abs - w.imag * arg
-        im += w.real * arg + w.imag * log_abs
-    # in place: keeps the peak memory of a 32768-point normalize grid
-    # below that of the complex log and exp this replaces
-    mag = np.exp(re, out=re)
-    out = np.empty(t.shape, dtype=complex)
-    np.multiply(mag, np.cos(im), out=out.real)
-    np.multiply(mag, np.sin(im, out=im), out=out.imag)
-    out[zero] = 0.0
-    return out[()]
+    n = params.polynomial_degree
+    if n is None:
+        raise ParameterError("scaled_series needs a terminating series")
+    tt = np.asarray(t, dtype=complex)
+    a, b, g = params.alpha, params.beta, params.gamma
+    # row j: the coefficients of the j-th derivative, padded to degree n
+    table = np.zeros((order + 1, n + 1), dtype=complex)
+    table[0, 0] = 1.0
+    for j in range(n):
+        table[0, j + 1] = table[0, j] * ((a + j) * (b + j) / ((g + j) * (1 + j)))
+    for j in range(1, order + 1):
+        table[j, : n + 1 - j] = table[j - 1, 1 : n + 2 - j] * np.arange(1, n + 2 - j)
+    cols = table.T.reshape((n + 1, order + 1) + (1,) * tt.ndim)
+    size = np.maximum(np.abs(tt), 1.0)
+    big = size > 1.0
+    x = np.divide(1.0, tt, out=tt.copy(), where=big)
+    rows = np.where(big, cols[0], cols[n])
+    for p in range(1, n + 1):
+        rows *= x
+        rows += np.where(big, cols[p], cols[n - p])
+    if n:
+        # the phase (t/|t|)^n of the split-off t^n, an integer power: exactly
+        # (-1)^n on the negative real axis whatever the sign of a zero Im t
+        rows *= np.where(big, np.divide(tt, size, out=x), 1.0) ** n
+    return rows, n * np.log(size)
 
 
 def pow_arr(base, exponent: complex) -> np.ndarray:
-    """Principal-branch power base**exponent, elementwise.
+    """Principal-branch power base**exponent, elementwise, as one exponential.
 
-    The one-factor case of :func:`power_product`, with the same rules;
-    0**0 is a domain error here as well.
+    The module docstring has the arithmetic and the branch.  A zero base
+    gives 0 when the exponent has Re > 0 and is a domain error otherwise,
+    0**0 included.
     """
-    if exponent == 0 and np.any(np.asarray(base) == 0):
-        raise DomainError("0 cannot be raised to an exponent with Re <= 0")
-    return power_product(base, exponent)
+    z = np.asarray(base, dtype=complex)
+    w = complex(exponent)
+    zero = z == 0
+    if zero.any():
+        if w.real <= 0:
+            raise DomainError("0 cannot be raised to an exponent with Re <= 0")
+        z = np.where(zero, 1.0, z)
+    log_abs = np.log(np.abs(z))
+    arg = np.arctan2(z.imag + 0.0, z.real)
+    mag = np.exp(w.real * log_abs - w.imag * arg)
+    im = w.real * arg + w.imag * log_abs
+    out = np.empty(z.shape, dtype=complex)
+    np.multiply(mag, np.cos(im), out=out.real)
+    np.multiply(mag, np.sin(im), out=out.imag)
+    out[zero] = 0.0
+    return out[()]

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from curvedkepler import (
     S3,
     SphericalPoint,
     assemble_state,
+    enumerate_states,
     space_from_name,
     spherical_to_parabolic,
     wavefunction_values,
@@ -333,6 +335,29 @@ def test_max_k_below_one_exits_2(argv, max_k):
     rc, out, err = run_cli(argv + [f"--max-k={max_k}"])
     assert rc == 2 and out == ""
     assert "--max-k" in err
+
+
+@pytest.mark.parametrize("e", ["0.5", "1.0"])
+@pytest.mark.parametrize("suite", ["ode", "all"])
+def test_verify_h3_without_a_bound_level_exits_2(suite, e):
+    rc, out, err = run_cli(["verify", suite, "--space", "h3", "--e", e])
+    assert rc == 2 and out == ""
+    assert "--e" in err and "no bound H3 level" in err
+
+
+def test_spectrum_h3_counts_levels_and_degeneracies_in_closed_form():
+    """399 levels at e = 1.6e5: each degeneracy is the k^2 states of
+    enumerate_states, and the table takes no state enumeration."""
+    start = time.perf_counter()
+    rc, out, _ = run_cli(["spectrum", "--space", "h3", "--e", "1.6e5", "--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 0
+    d = json.loads(out)
+    assert d["bound_count"] == len(d["rows"]) == 399
+    assert [r["k"] for r in d["rows"]] == list(range(1, 400))
+    for r in d["rows"][:4] + d["rows"][-2:]:
+        assert r["degeneracy"] == len(enumerate_states(r["k"]))
+    assert all(r["degeneracy"] == r["k"] ** 2 and r["admissible"] for r in d["rows"])
 
 
 def test_missing_required_options_exit_2():

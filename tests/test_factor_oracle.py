@@ -8,8 +8,8 @@ through the logarithmic derivative g = a/t - b/(1-t) + F'/F:
 
 with F' and F'' from mpmath's numerical differentiation of the
 (polynomial) series.  That route shares no formula with the float64
-product rule, so it checks the one-exponential power kernel and the
-prefactors together.
+product rule, so it checks the one-exponential power kernel, the scaled
+Horner sums of the series and the prefactors together.
 """
 
 import cmath
@@ -90,12 +90,11 @@ def _cases():
 def test_factor_and_derivatives_match_mpmath(state, which, points):
     fac = factor(state, which)
     t = np.array(points, dtype=complex)
-    value = fac.value(t)
     derivs = factor_derivatives(fac, t)
     for i, ti in enumerate(points):
         want = _oracle(fac, complex(ti))
-        got = (value[i],) + tuple(d[i] for d in derivs)
-        for name, g, w in zip(("value", "f", "f'", "f''"), got, want[:1] + want):
+        got = tuple(d[i] for d in derivs)
+        for name, g, w in zip(("f", "f'", "f''"), got, want):
             rel = abs(g - w) / abs(w)
             assert rel <= ORACLE_RTOL, (name, ti, g, w, rel)
 

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -36,6 +37,7 @@ from curvedkepler import (
     energy_split,
     enumerate_states,
     factor,
+    factor_derivatives,
     is_admissible,
     make_rng,
     normalize,
@@ -111,6 +113,19 @@ def test_h3_bound_interval_and_counts():
         assert bound_count_h3(e) == want, e
         ks = [k for k in range(1, 40) if is_admissible(H3, e, k)]
         assert len(ks) == want and ks == list(range(1, want + 1))
+
+
+def _loop_bound_count_h3(e):
+    """The count as the k-by-k loop it replaced: integers k >= 1 with k^2 < e."""
+    count, k = 0, 1
+    while k * k < e:
+        count, k = count + 1, k + 1
+    return count
+
+
+@pytest.mark.parametrize("e", [0.0, 0.5, 1.0, 2.0, 4.0, 4.0000001, 9.0, 10.5, 1e4])
+def test_h3_bound_count_matches_the_loop(e):
+    assert bound_count_h3(e) == _loop_bound_count_h3(e)
 
 
 def test_h3_energies_lie_in_bound_interval():
@@ -234,20 +249,31 @@ def test_factor_value_closed_form_powers():
     is exactly t^a (1-t)^b; compare against cmath arithmetic."""
     st = assemble_state(S3, 2.0, QuantumNumbers(0, 0, 1))
     for t in (0.7, 0.3 + 0.4j, -0.2 + 0.1j):
-        got = factor(st, 1).value(t)
+        got = factor_derivatives(factor(st, 1), t)[0]
         want = cmath.exp(st.a1 * cmath.log(t)) * cmath.exp(st.b1 * cmath.log(1.0 - t))
         assert abs(got - want) < 1e-14 * max(1.0, abs(want)), t
 
 
 def test_factor_value_frozen():
     st = assemble_state(S3, 2.0, QuantumNumbers(0, 0, 1))
-    got = factor(st, 1).value(0.7)
+    got = factor_derivatives(factor(st, 1), 0.7)[0]
     assert abs(got - (0.6895855519843869 + 0.47378451483178363j)) < 5e-15
 
 
+def _equator_constant(st):
+    """Psi past the S3 equator over the product of principal-branch factors."""
+    return (-1) ** (st.qn.n2 - st.qn.n1) * math.exp(-math.pi * st.e / st.qn.k)
+
+
 def _psi_oracle(st, p):
-    """Psi at one chart point as the product of the per-point factor values."""
-    return factor(st, 1).value(p.t1) * factor(st, 2).value(p.t2) * cmath.exp(1j * st.qn.m * p.phi)
+    """Psi at one chart point from the per-point factor values on principal
+    branches, times the equator constant where Im t1 < 0 on S3."""
+    f1 = factor_derivatives(factor(st, 1), p.t1)[0]
+    f2 = factor_derivatives(factor(st, 2), p.t2)[0]
+    psi = f1 * f2 * cmath.exp(1j * st.qn.m * p.phi)
+    if st.space is S3 and p.t1.imag < 0:
+        psi *= _equator_constant(st)
+    return psi
 
 
 def test_wavefunction_is_product_of_factors():
@@ -284,27 +310,86 @@ def test_h3_negative_zero_imaginary_part_keeps_the_sign_of_psi():
     minus = wavefunction_values(st, [0.4], [complex(-3.0, -0.0)], [0.0])[0]
     assert minus == plus
     # t2^(1/2) on the upper side of the cut is +i sqrt(3)
-    f1 = factor(st, 1).value(0.4)
+    f1 = factor_derivatives(factor(st, 1), 0.4)[0]
     series = 1.0 + st.alpha2 * st.beta2 / st.gamma2 * -3.0  # n2 = 1: degree one
     want = f1 * 1j * math.sqrt(3.0) * 4.0**st.b2 * series
     assert abs(plus - want) < 1e-13 * abs(want)
 
 
-def test_h3_factor_far_tail_consistency():
-    """The far-tail evaluation (|t| > 1e2) must continue the plain product
-    smoothly; compare both routes near the switchover via log-extrapolation
-    of the decaying power law."""
-    st = assemble_state(H3, 5.0, QuantumNumbers(0, 1, 0))
-    fac = factor(st, 2)
-    # the closed form is t^a (1-t)^b P(t) with a+b+deg < 0: the ratio of
-    # values at -99 (plain) and -101 (far tail) must match the local
-    # power-law exponent to high accuracy
-    v_plain = fac.value(-99.0)
-    v_far = fac.value(-101.0)
-    exponent = st.a2 + st.b2 + (-st.beta2.real)
-    want_ratio = abs(complex(v_far / v_plain))
-    model_ratio = (101.0 / 99.0) ** exponent.real
-    assert abs(want_ratio / model_ratio - 1.0) < 1e-3
+@pytest.mark.parametrize("e", [2.0, 10.0])
+def test_s3_psi_is_continuous_across_the_equator(e):
+    """Psi(chi = pi/2 + d) / Psi(pi/2 - d) -> 1; principal branches of
+    (1-t)^b made it jump by (-1)^(n2-n1) e^(pi e/k) there."""
+    d = 1e-7
+    theta = np.array([0.3, 1.2, 2.5])
+    below = spherical_to_parabolic(S3, (math.pi / 2 - d, theta, 0.4))
+    above = spherical_to_parabolic(S3, (math.pi / 2 + d, theta, 0.4))
+    for k in (1, 2, 3):
+        for qn in enumerate_states(k):
+            st = assemble_state(S3, e, qn)
+            ratio = wavefunction_values(st, above.t1, above.t2, above.phi) / wavefunction_values(
+                st, below.t1, below.t2, below.phi
+            )
+            assert np.max(np.abs(ratio - 1.0)) < 1e-5, (qn, ratio)
+
+
+ORACLE_DPS = 40
+
+
+def _mp_psi(st, chi, theta, phi):
+    """Psi from principal-branch powers of the factor product f1 f2 e^(i m phi)
+    at ORACLE_DPS digits, times the equator constant past chi = pi/2 on S3."""
+    with mpmath.workdps(ORACLE_DPS):
+        chi, c = mpmath.mpf(chi), mpmath.cos(mpmath.mpf(theta))
+        if st.space is H3:
+            sh = mpmath.sinh(chi)
+            t1 = mpmath.mpc((1 + c) * sh * mpmath.exp(-chi))
+            t2 = mpmath.mpc(-(1 - c) * sh * mpmath.exp(chi))
+        else:
+            w = mpmath.sin(chi) * mpmath.expj(mpmath.pi / 2 - chi)
+            t1, t2 = (1 + c) * w, (1 - c) * mpmath.conj(w)
+        psi = mpmath.expj(st.qn.m * mpmath.mpf(phi))
+        for t, a, b, (al, be, ga) in (
+            (t1, st.a1, st.b1, (st.alpha1, st.beta1, st.gamma1)),
+            (t2, st.a2, st.b2, (st.alpha2, st.beta2, st.gamma2)),
+        ):
+            a, b = mpmath.mpf(a), mpmath.mpc(b)
+            psi *= t**a * (1 - t) ** b * mpmath.hyp2f1(mpmath.mpc(al), mpmath.mpc(be), mpmath.mpc(ga), t)
+        if st.space is S3 and chi > mpmath.pi / 2:
+            psi *= _equator_constant(st)
+        return complex(psi)
+
+
+@pytest.mark.parametrize(
+    "space, e, chis",
+    [
+        (S3, 2.0, (0.1, 0.9, 1.5, 1.65, 2.4, 3.0)),
+        (S3, 10.0, (0.1, 0.9, 1.5, 1.65, 2.4, 3.0)),
+        (H3, 20.0, (0.1, 0.7, 1.5, 2.5, 3.7, 5.0)),
+    ],
+)
+def test_wavefunction_values_match_mpmath(space, e, chis):
+    theta, phi = (0.3, 1.2, 2.5), 0.7
+    cc, tt = np.meshgrid(chis, theta, indexing="ij")
+    pts = spherical_to_parabolic(space, (cc.ravel(), tt.ravel(), phi))
+    for k in (1, 2, 3, 4):
+        for qn in enumerate_states(k):
+            st = assemble_state(space, e, qn)
+            got = wavefunction_values(st, pts.t1, pts.t2, pts.phi)
+            for g, chi, th in zip(got, cc.ravel(), tt.ravel()):
+                want = _mp_psi(st, chi, th, phi)
+                assert abs(g - want) <= 1e-10 * abs(want), (qn, chi, th, g, want)
+
+
+@pytest.mark.parametrize("qn", [(0, 2, 0), (1, 2, 0), (0, 3, 0), (0, 2, -1)])
+def test_h3_psi_stays_finite_to_chi_300(qn):
+    st = assemble_state(H3, 20.0, QuantumNumbers(*qn))
+    pts = spherical_to_parabolic(
+        H3, (np.linspace(0.0, 300.0, 601)[:, None], np.array([0.0, 0.3, 1.6, 3.0]), 0.5)
+    )
+    psi = wavefunction_values(st, pts.t1, pts.t2, pts.phi)
+    assert np.isfinite(psi).all()
+    assert np.count_nonzero(psi) > psi.size // 4
 
 
 @pytest.mark.parametrize("e, chi", [(3.0, 0.4), (3.0, 2.0), (1.5, 1.0)])
@@ -468,15 +553,18 @@ def test_cached_rules_are_read_only():
         w *= 2.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="S3 states jump across the equator chi = pi/2 (principal branch of "
-    "(1-t)^b), so the quadrature converges only algebraically",
-)
 @pytest.mark.parametrize("qn", [(0, 0, 0), (1, 1, 0)])
 def test_normalize_s3_converges_spectrally(qn):
     res = normalize(assemble_state(S3, 2.0, QuantumNumbers(*qn)))
     assert res.error_estimate <= 1e-12
+
+
+@pytest.mark.parametrize("e", [2.0, 10.0])
+def test_normalize_s3_converges_spectrally_over_levels(e):
+    for k in (1, 2, 3, 4):
+        for qn in enumerate_states(k):
+            res = normalize(assemble_state(S3, e, qn))
+            assert res.error_estimate <= 1e-12, qn
 
 
 @pytest.mark.parametrize("qn", [(0, 0, 0), (1, 1, 0)])

@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from curvedkepler import operators, verify
+from curvedkepler import kepler, operators, verify
 from curvedkepler.kepler import wavefunction_values
 from curvedkepler.report import build_report
 from curvedkepler import (
@@ -121,8 +121,8 @@ def test_factor_derivatives_match_finite_differences():
             fac = factor(st, which)
             ts = factor_samples(space, rng, which, n=20)
             f, d1, d2 = factor_derivatives(fac, ts)
-            up = fac.value(ts + h)
-            dn = fac.value(ts - h)
+            up = factor_derivatives(fac, ts + h)[0]
+            dn = factor_derivatives(fac, ts - h)[0]
             fd1 = (up - dn) / (2.0 * h)
             fd2 = (up - 2.0 * f + dn) / (h * h)
             scale1 = np.maximum(1.0, np.abs(fd1))
@@ -199,7 +199,7 @@ def test_coupling_identity(space, seed):
 def test_residuals_evaluate_each_factor_once(monkeypatch, residual, space, e, qn):
     st = _state(space, e, qn)
     pts = chart_points(space, make_rng(331), n=50)
-    calls = {"factor_derivatives": 0, "wavefunction_values": 0}
+    calls = {"_factor_jet": 0, "factor_derivatives": 0, "wavefunction_values": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -208,14 +208,10 @@ def test_residuals_evaluate_each_factor_once(monkeypatch, residual, space, e, qn
 
         return wrapper
 
-    monkeypatch.setattr(
-        operators, "factor_derivatives", counted("factor_derivatives", factor_derivatives)
-    )
-    monkeypatch.setattr(
-        operators, "wavefunction_values", counted("wavefunction_values", wavefunction_values)
-    )
+    for name in calls:
+        monkeypatch.setattr(operators, name, counted(name, getattr(operators, name)))
     assert residual(st, pts).passed
-    assert calls == {"factor_derivatives": 2, "wavefunction_values": 0}
+    assert calls == {"_factor_jet": 2, "factor_derivatives": 0, "wavefunction_values": 0}
 
 
 def _spread_points(space, seed, chi_lo, chi_hi, n=300):
@@ -232,13 +228,26 @@ def _spread_points(space, seed, chi_lo, chi_hi, n=300):
     return pts.t1[keep], pts.t2[keep], pts.phi[keep]
 
 
+def _closed_form_oracle(state, t1, t2, phi):
+    """Psi as the product of principal-branch factor values f1 f2 e^(i m phi),
+    times (-1)^(n2-n1) e^(-pi e/k) where Im t1 < 0 on S3 (past the equator)."""
+    f1 = factor_derivatives(factor(state, 1), t1)[0]
+    f2 = factor_derivatives(factor(state, 2), t2)[0]
+    psi = f1 * f2 * np.exp(1j * state.qn.m * phi)
+    if state.space is S3:
+        qn = state.qn
+        far = (-1) ** (qn.n2 - qn.n1) * np.exp(-np.pi * state.e / qn.k)
+        psi = np.where(t1.imag < 0, far * psi, psi)
+    return psi
+
+
 @pytest.mark.parametrize(
     "space, e, ks, chi_lo, chi_hi",
     [
         # both S3 hemispheres: Im t1 < 0 past the equator
         (S3, 2.0, (1, 3, 6), 0.15, np.pi - 0.15),
         (S3, 5.0, (2, 4), 0.15, np.pi - 0.15),
-        # deep H3 tail, where SeparatedFactor.value sums the series termwise
+        # deep H3 tail, where F2 is summed in 1/t2
         (H3, 5.0, (1, 2), 2.5, 3.5),
         (H3, 100.0, (1, 3, 6), 2.5, 3.5),
     ],
@@ -261,11 +270,13 @@ def test_residual_psi_from_the_jets_matches_wavefunction_values(
     for k in ks:
         for qn in enumerate_states(k):
             st = _state(space, e, qn)
-            (f1, _, _), (f2, _, _) = operators._separated_derivatives(st, t1, t2)
-            psi = f1 * f2 * operators._phase(st, phi)
+            ((f1, _, _), (f2, _, _)), p = operators._jets(st, t1, t2, phi)
+            psi = f1 * f2 * p
             want = wavefunction_values(st, t1, t2, phi)
             assert np.all(want != 0), (k, qn)
             assert np.max(np.abs(psi - want) / np.abs(want)) < 1e-12, (k, qn)
+            oracle = _closed_form_oracle(st, t1, t2, phi)
+            assert np.max(np.abs(want - oracle) / np.abs(oracle)) < 1e-12, (k, qn)
             # the |Psi| each residual scales by is that same Psi
             scales.clear()
             hamiltonian_residual(st, ParabolicPoints(t1, t2, phi))
@@ -275,13 +286,22 @@ def test_residual_psi_from_the_jets_matches_wavefunction_values(
             assert b_scale.tobytes() == ((1.0 + abs(st.k1 + st.k2)) * np.abs(psi)).tobytes()
 
 
-def _parent_apply_hamiltonian(state, t1, t2, phi, operator_space=None):
-    """The Hamiltonian as written before the jets were shared, as an oracle."""
-    space = operator_space if operator_space is not None else state.space
+def _closed_form_jets(state, t1, t2, phi):
+    """Polynomial jets (q, q', q'') of both factors and the one prefactor
+    P1 P2 e^(i m phi) = (t1 t2)^(|m|/2-2) ((1-t1)(1-t2))^-2 ((1-t1)/(1-t2))^b1 e^(i m phi)."""
     t1 = np.asarray(t1, dtype=complex)
     t2 = np.asarray(t2, dtype=complex)
-    f1, d1, dd1 = factor_derivatives(factor(state, 1), t1)
-    f2, d2, dd2 = factor_derivatives(factor(state, 2), t2)
+    q1, s1 = operators._factor_jet(factor(state, 1), t1)
+    q2, s2 = operators._factor_jet(factor(state, 2), t2)
+    p = kepler.psi_prefactor(state, t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
+    return t1, t2, q1, q2, p
+
+
+def _closed_form_apply_hamiltonian(state, t1, t2, phi, operator_space=None):
+    """The Hamiltonian as the bilinear form of the two polynomial jets times
+    the shared prefactor, written out as an oracle."""
+    space = operator_space if operator_space is not None else state.space
+    t1, t2, (f1, d1, dd1), (f2, d2, dd2), p = _closed_form_jets(state, t1, t2, phi)
     m2 = float(state.qn.m * state.qn.m)
     e = state.e
     big1 = (1.0 - 2.0 * t1) * d1 + t1 * (1.0 - t1) * dd1
@@ -296,14 +316,11 @@ def _parent_apply_hamiltonian(state, t1, t2, phi, operator_space=None):
         out = core - 1j * e * (2.0 - t1 - t2) / (t1 - t2) * pair
     else:
         out = -core - e * (2.0 - t1 - t2) / (t1 - t2) * pair
-    return out * np.exp(1j * state.qn.m * np.asarray(phi, dtype=float))
+    return out * p
 
 
-def _parent_apply_b_operator(state, t1, t2, phi):
-    t1 = np.asarray(t1, dtype=complex)
-    t2 = np.asarray(t2, dtype=complex)
-    f1, d1, dd1 = factor_derivatives(factor(state, 1), t1)
-    f2, d2, dd2 = factor_derivatives(factor(state, 2), t2)
+def _closed_form_apply_b_operator(state, t1, t2, phi):
+    t1, t2, (f1, d1, dd1), (f2, d2, dd2), p = _closed_form_jets(state, t1, t2, phi)
     m2 = float(state.qn.m * state.qn.m)
     w = state.e if state.space.model is H3.model else -1j * state.e
     diff = t1 - t2
@@ -317,7 +334,7 @@ def _parent_apply_b_operator(state, t1, t2, phi):
         - 2.0 * t1 * t2 * (1.0 - t2) ** 2 / diff * f1 * dd2
         + m2 * (t1 + t2) / (2.0 * t1 * t2) * pair
     )
-    return out * np.exp(1j * state.qn.m * np.asarray(phi, dtype=float))
+    return out * p
 
 
 @pytest.mark.parametrize("space, e, qn", STATE_SET)
@@ -327,10 +344,10 @@ def test_apply_operators_keep_their_bits(space, e, qn):
     other = H3 if space is S3 else S3
     for op_space in (None, other):
         got = apply_hamiltonian(st, pts.t1, pts.t2, pts.phi, operator_space=op_space)
-        want = _parent_apply_hamiltonian(st, pts.t1, pts.t2, pts.phi, operator_space=op_space)
+        want = _closed_form_apply_hamiltonian(st, pts.t1, pts.t2, pts.phi, operator_space=op_space)
         assert got.tobytes() == want.tobytes(), op_space
     got = apply_b_operator(st, pts.t1, pts.t2, pts.phi)
-    assert got.tobytes() == _parent_apply_b_operator(st, pts.t1, pts.t2, pts.phi).tobytes()
+    assert got.tobytes() == _closed_form_apply_b_operator(st, pts.t1, pts.t2, pts.phi).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -21,9 +21,9 @@ from curvedkepler import (
     Hyp2F1Params,
     ParameterError,
     hyp2f1,
-    hyp2f1_derivative,
     pow_arr,
 )
+from curvedkepler.specfun import scaled_series
 
 HORNER_RTOL = 5e-15
 SERIES_RTOL = 1e-13
@@ -207,7 +207,9 @@ def test_derivative_against_finite_differences(order, h, rtol):
             complex(rng.uniform(0.8, 3.0)),
         )
         t = float(rng.uniform(-0.6, 0.6))
-        got = hyp2f1_derivative(params, t, order=order)
+        rows, log_scale = scaled_series(params, t, order)
+        assert log_scale == 0
+        got = complex(rows[order])
         f = lambda x: hyp2f1(params, x)  # noqa: E731
         if order == 1:
             fd = (f(t + h) - f(t - h)) / (2.0 * h)
@@ -219,12 +221,36 @@ def test_derivative_against_finite_differences(order, h, rtol):
     assert checked == 250
 
 
-def test_derivative_of_log_series():
-    # d/dt [-log(1-t)/t] at t=0.5, from the closed form
-    t = 0.5
-    want = (1.0 / (t * (1.0 - t)) + math.log1p(-t) / (t * t))
-    got = hyp2f1_derivative(Hyp2F1Params(1.0, 1.0, 2.0), t, order=1)
-    assert abs(got - want) < 1e-12
+def test_scaled_series_matches_horner_oracle():
+    """rows[j] e^s is the j-th derivative on both sides of |t| = 1."""
+    rng = np.random.default_rng(4183)
+    for n in range(7):
+        params = Hyp2F1Params(
+            complex(rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)), complex(-n), complex(rng.uniform(1.0, 4.0))
+        )
+        coeffs = _horner_coeffs(params, n)
+        ts = np.array([0.0, 0.3 - 0.4j, -0.99, 1.0, 1.01j, -1.7, 3.0 + 4.0j, -250.0])
+        rows, log_scale = scaled_series(params, ts, 2)
+        assert rows.shape == (3, ts.size) and log_scale.shape == ts.shape
+        assert np.all(log_scale[np.abs(ts) <= 1.0] == 0)
+        for j in range(3):
+            dj = [math.perm(p, j) * c for p, c in enumerate(coeffs)][j:]
+            for t, r, s in zip(ts, rows[j], log_scale):
+                want = _horner_eval(dj, t)
+                size = sum(abs(c) * abs(t) ** p for p, c in enumerate(dj))
+                assert abs(r * cmath.exp(s) - want) <= 1e-13 * max(size, 1e-300), (n, j, t)
+
+
+def test_scaled_series_stays_finite_far_out():
+    """F ~ c_n t^n overflows at t = -1e300; the rows carry c_n (-1)^n and
+    s = n log|t|, the same for either sign of a zero imaginary part."""
+    params = Hyp2F1Params(complex(2.5, 1.0), -5.0, 2.0)
+    c = _horner_coeffs(params, 5)
+    rows, log_scale = scaled_series(params, np.array([-1e300, complex(-1e300, -0.0)]), 1)
+    assert np.isfinite(rows).all()
+    assert abs(rows[0, 0] / -c[5] - 1.0) < 1e-14
+    assert log_scale[0] == log_scale[1] == 5.0 * math.log(1e300)
+    assert rows[0, 0] == rows[0, 1]
 
 
 def test_pow_arr_principal_branch():
