@@ -34,7 +34,7 @@ import numpy as np
 from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError
 from .geometry import spherical_to_parabolic
 from .spaces import Model, SpaceTag, space_from_name
-from .specfun import Hyp2F1Params, hyp2f1, scaled_series
+from .specfun import Hyp2F1Params, drop_zero_imag, hyp2f1, scaled_series
 
 __all__ = [
     "QuantumNumbers",
@@ -281,14 +281,29 @@ def factor(state: StateParams, which: int) -> SeparatedFactor:
     raise ParameterError(f"factor index must be 1 or 2, got {which}")
 
 
+def chart_values(state: StateParams, t1, t2) -> tuple[np.ndarray, np.ndarray]:
+    """(t1, t2) as the state's arithmetic takes them.
+
+    H3 chart values are real: their zero imaginary parts are dropped
+    here, so the series, the prefactor and the operator cores of H3
+    states run in float64.  S3 values, and any value with a nonzero
+    imaginary part, stay complex128 (complex input is not copied).
+    """
+    t1 = np.asarray(t1, dtype=complex)
+    t2 = np.asarray(t2, dtype=complex)
+    if state.space.model is Model.H3 and not (t1.imag.any() or t2.imag.any()):
+        return np.ascontiguousarray(t1.real), np.ascontiguousarray(t2.real)
+    return t1, t2
+
+
 def wavefunction_values(state: StateParams, t1, t2, phi) -> np.ndarray:
     """Psi = F1(t1) F2(t2) (t1 t2)^{|m|/2} ((1-t1)/(1-t2))^{b1} e^{i m phi}.
 
     That is f1 f2 e^{i m phi} with b2 = -b1, over parallel arrays of chart
     coordinates; :func:`psi_prefactor` evaluates the powers with no branch.
+    F1 and F2 run in the dtype of :func:`chart_values`, float64 on H3.
     """
-    t1 = np.asarray(t1, dtype=complex)
-    t2 = np.asarray(t2, dtype=complex)
+    t1, t2 = chart_values(state, t1, t2)
     (f1,), s1 = scaled_series(factor(state, 1).params, t1)
     (f2,), s2 = scaled_series(factor(state, 2).params, t2)
     return f1 * f2 * psi_prefactor(state, t1, t2, s1 + s2, phi)
@@ -305,23 +320,29 @@ def psi_prefactor(state: StateParams, t1, t2, log_scale, phi) -> np.ndarray:
     states are continuous across the equator, and the magnitudes meet in
     one exponent, which stays finite where F2 and e^{-2 b1 chi} alone
     would over- or underflow.  A perturbed state's b1 + b2 != 0 adds
-    (1-t2)^{b1+b2} on the principal branch.
+    (1-t2)^{b1+b2} on the principal branch.  On H3 the exponent is real
+    (float64 for real t and b1 + b2) and the phase i^|m| e^{i m phi} is
+    applied once, at the end; on S3 the phase goes into the exponent.
     """
-    am = abs(state.qn.m)
+    m = state.qn.m
+    am = abs(m)
+    phi = np.asarray(phi, dtype=float)
+    h3 = state.space.model is Model.H3
     with np.errstate(divide="ignore"):
-        if state.space.model is Model.H3:
+        if h3:
             # by modulus: far out on theta = 0, t1 can round to just above 1
-            expo = state.b1.real * np.log(np.abs((1.0 - t1.real) / (1.0 - t2.real))) + 0j
-            unit = 1j**am
+            expo = state.b1.real * np.log(np.abs((1.0 - t1.real) / (1.0 - t2.real))) + log_scale
         else:
             expo = -2j * state.b1 * np.arctan2(t1.real + t2.real, t1.imag - t2.imag)
-            unit = 1.0
-        expo = expo + log_scale + 1j * state.qn.m * np.asarray(phi, dtype=float)
+            expo = expo + log_scale + 1j * m * phi
         if am:
             expo += 0.5 * am * np.log(np.abs(t1 * t2))
-        if state.b1 + state.b2:
-            expo += (state.b1 + state.b2) * np.log(1.0 - t2)
-    return unit * np.exp(expo)
+        shift = drop_zero_imag(state.b1 + state.b2)
+        if shift:
+            expo = expo + shift * np.log(1.0 - t2)
+    if h3:
+        return np.exp(expo) * (1j**am * np.exp(1j * m * phi))
+    return np.exp(expo)
 
 
 def radial_spherical(space: SpaceTag, e: float, n: int, l: int, chi: float) -> complex:

@@ -29,10 +29,17 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .geometry import ParabolicPoint, ParabolicPoints, parabolic_to_ambient
-from .kepler import SeparatedFactor, StateParams, factor, psi_prefactor, wavefunction_values
+from .kepler import (
+    SeparatedFactor,
+    StateParams,
+    chart_values,
+    factor,
+    psi_prefactor,
+    wavefunction_values,
+)
 from .report import ResidualReport, build_report
 from .spaces import Model, SpaceTag
-from .specfun import pow_arr, scaled_series
+from .specfun import drop_zero_imag, pow_arr, scaled_series
 
 ODE_TOL = 1e-10
 HAMILTONIAN_TOL = 1e-9
@@ -58,9 +65,10 @@ def _factor_jet(fac: SeparatedFactor, t: np.ndarray):
     f^(j) = t^(a-2) (1-t)^(b-2) e^s q^(j) for j = 0, 1, 2: the product rule
     on t^a = t^(a-2) u and (1-t)^b = (1-t)^(b-2) v with u = t^2 and
     v = (1-t)^2, and F, F', F'' from :func:`scaled_series` with its scale.
+    Real t and parameters give a float64 jet.
     """
     (F, F1, F2), s = scaled_series(fac.params, t, 2)
-    a, b = fac.a, fac.b
+    a, b = fac.a, drop_zero_imag(fac.b)
     w = 1.0 - t
     u, u1, u2 = t * t, a * t, a * (a - 1.0)
     v, v1, v2 = w * w, -b * w, b * (b - 1.0)
@@ -151,16 +159,19 @@ def _point_rows(t1: np.ndarray, t2: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _jets(state: StateParams, t1, t2, phi):
-    """Both polynomial jets and the prefactor P1 P2 e^(i m phi) they share.
+    """The chart values, both polynomial jets and the prefactor P1 P2 e^(i m phi) they share.
 
     Every term of H Psi, B Psi and Psi is bilinear in the two jets, with
     f_i^(j) = P_i q_i^(j) and P1 P2 = (t1 t2)^(|m|/2-2) ((1-t1)(1-t2))^-2
     ((1-t1)/(1-t2))^b1 from :func:`~curvedkepler.kepler.psi_prefactor`.
+    The chart values come from :func:`~curvedkepler.kepler.chart_values`,
+    so on H3 the jets and the operator cores run in float64.
     """
+    t1, t2 = chart_values(state, t1, t2)
     q1, s1 = _factor_jet(factor(state, 1), t1)
     q2, s2 = _factor_jet(factor(state, 2), t2)
     p = psi_prefactor(state, t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
-    return (q1, q2), p
+    return (t1, t2), (q1, q2), p
 
 
 def _hamiltonian_core(state: StateParams, space: SpaceTag, t1, t2, jets) -> np.ndarray:
@@ -212,10 +223,8 @@ def apply_hamiltonian(
     state's factors — only useful as a deliberate mismatch control.
     """
     space = operator_space if operator_space is not None else state.space
-    t1 = np.asarray(t1, dtype=complex)
-    t2 = np.asarray(t2, dtype=complex)
-    jets, p = _jets(state, t1, t2, phi)
-    return _hamiltonian_core(state, space, t1, t2, jets) * p
+    t, jets, p = _jets(state, t1, t2, phi)
+    return _hamiltonian_core(state, space, *t, jets) * p
 
 
 def apply_b_operator(state: StateParams, t1, t2, phi) -> np.ndarray:
@@ -224,10 +233,8 @@ def apply_b_operator(state: StateParams, t1, t2, phi) -> np.ndarray:
     Same differential structure in both models; only the scalar
     coupling differs (e on H3, -ie on S3).
     """
-    t1 = np.asarray(t1, dtype=complex)
-    t2 = np.asarray(t2, dtype=complex)
-    jets, p = _jets(state, t1, t2, phi)
-    return _b_operator_core(state, t1, t2, jets) * p
+    t, jets, p = _jets(state, t1, t2, phi)
+    return _b_operator_core(state, *t, jets) * p
 
 
 def hamiltonian_residual(
@@ -248,8 +255,8 @@ def hamiltonian_residual(
     """
     space = operator_space if operator_space is not None else state.space
     t1, t2, phi, skipped = _regular_points(sample)
-    jets, p = _jets(state, t1, t2, phi)
-    hpsi = _hamiltonian_core(state, space, t1, t2, jets) * p
+    t, jets, p = _jets(state, t1, t2, phi)
+    hpsi = _hamiltonian_core(state, space, *t, jets) * p
     psi = jets[0][0] * jets[1][0] * p
     scale = (1.0 + abs(state.epsilon)) * np.abs(psi)
     note = f"skipped {skipped} singular point(s)" if skipped else ""
@@ -297,8 +304,8 @@ def b_operator_residual(
     every ground state on S3.
     """
     t1, t2, phi, skipped = _regular_points(sample)
-    jets, p = _jets(state, t1, t2, phi)
-    bpsi = _b_operator_core(state, t1, t2, jets) * p
+    t, jets, p = _jets(state, t1, t2, phi)
+    bpsi = _b_operator_core(state, *t, jets) * p
     eigenvalue = state.k1 + state.k2
     psi = jets[0][0] * jets[1][0] * p
     scale = (1.0 + abs(eigenvalue)) * np.abs(psi)

@@ -5,7 +5,9 @@ with beta a nonpositive integer, so the generic case here is a terminating
 series of small degree; the full series is kept for cross-checks inside
 the unit disc.  :func:`scaled_series` sums the terminating series and its
 derivatives by Horner's rule with the growth |t|^n split off, which is
-how the wave functions evaluate it.
+how the wave functions evaluate it.  It runs in the dtype of its input:
+float64 when t is real and alpha, beta, gamma have zero imaginary parts
+(every H3 state), complex128 otherwise.
 
 :func:`pow_arr` computes a power z^w as one exponential of w log z, with
 the logarithm taken as the real pair (log|z|, arg z) and the exponential
@@ -27,6 +29,7 @@ from .errors import ConvergenceError, DomainError, ParameterError
 
 __all__ = [
     "Hyp2F1Params",
+    "drop_zero_imag",
     "hyp2f1",
     "scaled_series",
 ]
@@ -104,21 +107,32 @@ def hyp2f1(params: Hyp2F1Params, t):
     return complex(total) if scalar else (total if degree != 0 else np.full(tt.shape, total))
 
 
+def drop_zero_imag(z):
+    """z.real when the imaginary part of the number z is zero, else z."""
+    return z.real if z.imag == 0 else z
+
+
 def scaled_series(params: Hyp2F1Params, t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """A terminating 2F1 and its first ``order`` derivatives, finite at any t.
 
     Returns ``(rows, log_scale)`` with d^j F/dt^j = rows[j] exp(log_scale),
     elementwise.  Where |t| <= 1 the series is summed by Horner in t and
     log_scale is 0; where |t| > 1, by Horner in 1/t on the reversed
-    coefficients, with log_scale = n log|t| for the degree n.
+    coefficients, with log_scale = n log|t| for the degree n.  The rows
+    are float64 when t is real and alpha, beta, gamma have zero imaginary
+    parts, and complex128 otherwise; complex t is not copied.
     """
     n = params.polynomial_degree
     if n is None:
         raise ParameterError("scaled_series needs a terminating series")
-    tt = np.asarray(t, dtype=complex)
     a, b, g = params.alpha, params.beta, params.gamma
+    tt = np.asarray(t)
+    if np.iscomplexobj(tt) or a.imag or b.imag or g.imag:
+        tt = np.asarray(t, dtype=complex)
+    else:
+        tt, a, b, g = tt.astype(float, copy=False), a.real, b.real, g.real
     # row j: the coefficients of the j-th derivative, padded to degree n
-    table = np.zeros((order + 1, n + 1), dtype=complex)
+    table = np.zeros((order + 1, n + 1), dtype=tt.dtype)
     table[0, 0] = 1.0
     for j in range(n):
         table[0, j + 1] = table[0, j] * ((a + j) * (b + j) / ((g + j) * (1 + j)))
@@ -134,7 +148,8 @@ def scaled_series(params: Hyp2F1Params, t, order: int = 0) -> tuple[np.ndarray, 
         rows += np.where(big, cols[p], cols[n - p])
     if n:
         # the phase (t/|t|)^n of the split-off t^n, an integer power: exactly
-        # (-1)^n on the negative real axis whatever the sign of a zero Im t
+        # (-1)^n for real t; complex t divides as t (1/|t|), up to an ulp off
+        # +-1 on the real axis, the same for either sign of a zero Im t
         rows *= np.where(big, np.divide(tt, size, out=x), 1.0) ** n
     return rows, n * np.log(size)
 

@@ -381,6 +381,26 @@ def test_wavefunction_values_match_mpmath(space, e, chis):
                 assert abs(g - want) <= 1e-10 * abs(want), (qn, chi, th, g, want)
 
 
+@pytest.mark.parametrize("space, e, dtype", [(H3, 20.0, np.float64), (S3, 2.0, np.complex128)])
+def test_wavefunction_values_sum_f_in_the_dtype_of_the_space(monkeypatch, space, e, dtype):
+    """H3 chart values are real, so F1 and F2 run in float64 there; Psi stays complex."""
+    seen, series = [], kepler.scaled_series
+
+    def recorded(params, t, order=0):
+        rows, log_scale = series(params, t, order)
+        seen.append((t.dtype, rows.dtype))
+        return rows, log_scale
+
+    monkeypatch.setattr(kepler, "scaled_series", recorded)
+    pts = chart_points(space, make_rng(215), n=60)
+    for k in (1, 2, 3, 4):
+        for qn in enumerate_states(k):
+            seen.clear()
+            psi = wavefunction_values(assemble_state(space, e, qn), pts.t1, pts.t2, pts.phi)
+            assert psi.dtype == np.complex128
+            assert seen == [(dtype, dtype)] * 2, qn
+
+
 @pytest.mark.parametrize("qn", [(0, 2, 0), (1, 2, 0), (0, 3, 0), (0, 2, -1)])
 def test_h3_psi_stays_finite_to_chi_300(qn):
     st = assemble_state(H3, 20.0, QuantumNumbers(*qn))

@@ -19,6 +19,7 @@ from curvedkepler.kepler import wavefunction_values
 from curvedkepler.report import build_report
 from curvedkepler import (
     H3,
+    IntegrabilityError,
     ParabolicPoint,
     ParabolicPoints,
     ParameterError,
@@ -270,7 +271,7 @@ def test_residual_psi_from_the_jets_matches_wavefunction_values(
     for k in ks:
         for qn in enumerate_states(k):
             st = _state(space, e, qn)
-            ((f1, _, _), (f2, _, _)), p = operators._jets(st, t1, t2, phi)
+            _, ((f1, _, _), (f2, _, _)), p = operators._jets(st, t1, t2, phi)
             psi = f1 * f2 * p
             want = wavefunction_values(st, t1, t2, phi)
             assert np.all(want != 0), (k, qn)
@@ -288,20 +289,24 @@ def test_residual_psi_from_the_jets_matches_wavefunction_values(
 
 def _closed_form_jets(state, t1, t2, phi):
     """Polynomial jets (q, q', q'') of both factors and the one prefactor
-    P1 P2 e^(i m phi) = (t1 t2)^(|m|/2-2) ((1-t1)(1-t2))^-2 ((1-t1)/(1-t2))^b1 e^(i m phi)."""
+    P1 P2 e^(i m phi) = (t1 t2)^(|m|/2-2) ((1-t1)(1-t2))^-2 ((1-t1)/(1-t2))^b1 e^(i m phi).
+    H3 chart values are real, so there the jets run in float64."""
     t1 = np.asarray(t1, dtype=complex)
     t2 = np.asarray(t2, dtype=complex)
+    if state.space is H3:
+        assert not (t1.imag.any() or t2.imag.any())
+        t1, t2 = t1.real.copy(), t2.real.copy()
     q1, s1 = operators._factor_jet(factor(state, 1), t1)
     q2, s2 = operators._factor_jet(factor(state, 2), t2)
     p = kepler.psi_prefactor(state, t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
     return t1, t2, q1, q2, p
 
 
-def _closed_form_apply_hamiltonian(state, t1, t2, phi, operator_space=None):
+def _closed_form_apply_hamiltonian(state, t1, t2, phi, operator_space=None, jets=_closed_form_jets):
     """The Hamiltonian as the bilinear form of the two polynomial jets times
     the shared prefactor, written out as an oracle."""
     space = operator_space if operator_space is not None else state.space
-    t1, t2, (f1, d1, dd1), (f2, d2, dd2), p = _closed_form_jets(state, t1, t2, phi)
+    t1, t2, (f1, d1, dd1), (f2, d2, dd2), p = jets(state, t1, t2, phi)
     m2 = float(state.qn.m * state.qn.m)
     e = state.e
     big1 = (1.0 - 2.0 * t1) * d1 + t1 * (1.0 - t1) * dd1
@@ -319,8 +324,8 @@ def _closed_form_apply_hamiltonian(state, t1, t2, phi, operator_space=None):
     return out * p
 
 
-def _closed_form_apply_b_operator(state, t1, t2, phi):
-    t1, t2, (f1, d1, dd1), (f2, d2, dd2), p = _closed_form_jets(state, t1, t2, phi)
+def _closed_form_apply_b_operator(state, t1, t2, phi, jets=_closed_form_jets):
+    t1, t2, (f1, d1, dd1), (f2, d2, dd2), p = jets(state, t1, t2, phi)
     m2 = float(state.qn.m * state.qn.m)
     w = state.e if state.space.model is H3.model else -1j * state.e
     diff = t1 - t2
@@ -348,6 +353,123 @@ def test_apply_operators_keep_their_bits(space, e, qn):
         assert got.tobytes() == want.tobytes(), op_space
     got = apply_b_operator(st, pts.t1, pts.t2, pts.phi)
     assert got.tobytes() == _closed_form_apply_b_operator(st, pts.t1, pts.t2, pts.phi).tobytes()
+
+
+def _complex_series(params, t, order):
+    """The scaled Horner sum of a terminating 2F1 in complex128 throughout,
+    as every state evaluated it before H3 moved to float64."""
+    n = params.polynomial_degree
+    tt = np.asarray(t, dtype=complex)
+    a, b, g = params.alpha, params.beta, params.gamma
+    table = np.zeros((order + 1, n + 1), dtype=complex)
+    table[0, 0] = 1.0
+    for j in range(n):
+        table[0, j + 1] = table[0, j] * ((a + j) * (b + j) / ((g + j) * (1 + j)))
+    for j in range(1, order + 1):
+        table[j, : n + 1 - j] = table[j - 1, 1 : n + 2 - j] * np.arange(1, n + 2 - j)
+    cols = table.T.reshape((n + 1, order + 1) + (1,) * tt.ndim)
+    size = np.maximum(np.abs(tt), 1.0)
+    big = size > 1.0
+    x = np.divide(1.0, tt, out=tt.copy(), where=big)
+    rows = np.where(big, cols[0], cols[n])
+    for k in range(1, n + 1):
+        rows *= x
+        rows += np.where(big, cols[k], cols[n - k])
+    if n:
+        rows *= np.where(big, np.divide(tt, size, out=x), 1.0) ** n
+    return rows, n * np.log(size)
+
+
+def _complex_s3_powers(state, t1, t2, log_scale, phi):
+    """(t1 t2)^(|m|/2) ((1-t1)/(1-t2))^b1 e^(log_scale + i m phi) on S3 as one
+    complex exponential, with ((1-t1)/(1-t2))^b1 = e^(-2i b1 chi)."""
+    am = abs(state.qn.m)
+    expo = -2j * state.b1 * np.arctan2(t1.real + t2.real, t1.imag - t2.imag)
+    expo = expo + log_scale + 1j * state.qn.m * np.asarray(phi, dtype=float)
+    if am:
+        expo += 0.5 * am * np.log(np.abs(t1 * t2))
+    return 1.0 * np.exp(expo)
+
+
+def _complex_s3_jets(state, t1, t2, phi):
+    """Jets and prefactor of an S3 state in the complex closed form, with F
+    from _complex_series."""
+    t1 = np.asarray(t1, dtype=complex)
+    t2 = np.asarray(t2, dtype=complex)
+    jets, log_scale = [], 0.0
+    for which, t in ((1, t1), (2, t2)):
+        fac = factor(state, which)
+        (F, F1, F2), s = _complex_series(fac.params, t, 2)
+        a, b = fac.a, fac.b
+        w = 1.0 - t
+        u, u1, u2 = t * t, a * t, a * (a - 1.0)
+        v, v1, v2 = w * w, -b * w, b * (b - 1.0)
+        q = u * v * F
+        q1 = u1 * v * F + u * v1 * F + u * v * F1
+        q2 = u2 * v * F + u * v2 * F + u * v * F2 + 2.0 * (u1 * v1 * F + u1 * v * F1 + u * v1 * F1)
+        jets.append((q, q1, q2))
+        log_scale = log_scale + s
+    p = _complex_s3_powers(state, t1, t2, log_scale, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
+    return t1, t2, jets[0], jets[1], p
+
+
+@pytest.mark.parametrize("e", [0.7, 2.0, 5.0])
+def test_s3_keeps_the_complex_closed_form_bit_for_bit(monkeypatch, e):
+    """S3 Psi and both residual arrays equal the complex closed form exactly."""
+    pts = chart_points(S3, make_rng(334), n=150)
+    recorded = []
+
+    def record(residual, scale, *args, **kwargs):
+        recorded.append((residual, scale))
+        return build_report(residual, scale, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "build_report", record)
+    for k in (1, 2, 3):
+        for qn in enumerate_states(k):
+            st = _state(S3, e, qn)
+            t1, t2, (f1, _, _), (f2, _, _), p = _complex_s3_jets(st, pts.t1, pts.t2, pts.phi)
+            psi = f1 * f2 * p
+            (g1,), s1 = _complex_series(factor(st, 1).params, t1, 0)
+            (g2,), s2 = _complex_series(factor(st, 2).params, t2, 0)
+            want = g1 * g2 * _complex_s3_powers(st, t1, t2, s1 + s2, pts.phi)
+            assert wavefunction_values(st, pts.t1, pts.t2, pts.phi).tobytes() == want.tobytes(), qn
+            hpsi = _closed_form_apply_hamiltonian(st, pts.t1, pts.t2, pts.phi, jets=_complex_s3_jets)
+            bpsi = _closed_form_apply_b_operator(st, pts.t1, pts.t2, pts.phi, jets=_complex_s3_jets)
+            eig = st.k1 + st.k2
+            recorded.clear()
+            hamiltonian_residual(st, pts)
+            b_operator_residual(st, pts)
+            (h_res, h_scale), (b_res, b_scale) = recorded
+            assert h_res.tobytes() == (hpsi - st.epsilon * psi).tobytes(), qn
+            assert h_scale.tobytes() == ((1.0 + abs(st.epsilon)) * np.abs(psi)).tobytes(), qn
+            assert b_res.tobytes() == (bpsi - eig * psi).tobytes(), qn
+            assert b_scale.tobytes() == ((1.0 + abs(eig)) * np.abs(psi)).tobytes(), qn
+
+
+# H3 negative controls: a real delta keeps the float64 jets; a complex one makes
+# the jet that carries it complex (the first derivative holds b, every row alpha).
+H3_CONTROLS = [
+    ({"b2": 5.0}, (np.float64, np.float64), True),
+    ({"b2": 5.0 + 0.5j}, (np.float64, np.complex128), True),
+    ({"b2": 1e-3j}, (np.float64, np.complex128), False),
+    ({"b1": 1e-3j}, (np.complex128, np.float64), False),
+    ({"alpha2": 1e-3j}, (np.float64, np.complex128), False),
+]
+
+
+@pytest.mark.parametrize("deltas, jet_dtypes, grows", H3_CONTROLS)
+def test_h3_negative_controls_still_fail(deltas, jet_dtypes, grows):
+    st = perturbed(_state(H3, 5.0, QuantumNumbers(0, 1, 0)), **deltas)
+    pts = chart_points(H3, make_rng(335), n=50)
+    _, jets, _ = operators._jets(st, pts.t1, pts.t2, pts.phi)
+    assert tuple(q[1].dtype for q in jets) == jet_dtypes
+    for residual in (hamiltonian_residual, b_operator_residual):
+        report = residual(st, pts)
+        assert not report.passed, (residual.__name__, deltas)
+        assert report.max_rel > SENSITIVITY_FLOOR, (residual.__name__, deltas)
+    if grows:
+        with pytest.raises(IntegrabilityError):
+            kepler.normalize(st)
 
 
 @pytest.mark.parametrize(

@@ -253,6 +253,45 @@ def test_scaled_series_stays_finite_far_out():
     assert rows[0, 0] == rows[0, 1]
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 19])
+def test_scaled_series_keeps_float64_for_real_input(n):
+    """Real t with real alpha, beta, gamma sums in float64 on both sides of
+    |t| = 1 and agrees with the complex-input rows to 1e-15 relative.
+
+    The complex path divides t by |t| as t (1/|t|) in complex arithmetic,
+    which can miss -1 or 1 by an ulp, so its phase (t/|t|)^n is up to about
+    n ulp off on the real axis; that phase is swapped for the exact sign.
+    """
+    rng = np.random.default_rng(4189 + n)
+    ts = np.concatenate(
+        [[0.0, 1.0, -1.0], rng.uniform(-1.0, 1.0, 40), -np.logspace(0.01, 8.0, 40), np.logspace(0.01, 3.0, 10)]
+    )
+    for params in (
+        Hyp2F1Params(complex(rng.uniform(-45.0, 45.0)), complex(-n), complex(rng.integers(1, 20))),
+        Hyp2F1Params(rng.uniform(-45.0, 45.0), -n, 1.0 + n),
+    ):
+        rows, log_scale = scaled_series(params, ts, 2)
+        assert rows.dtype == np.float64 and log_scale.dtype == np.float64
+        want, want_scale = scaled_series(params, ts.astype(complex), 2)
+        assert want.dtype == np.complex128
+        assert np.array_equal(log_scale, want_scale)
+        big = np.abs(ts) > 1.0
+        want = want / np.where(big, (ts.astype(complex) / np.maximum(np.abs(ts), 1.0)) ** n, 1.0)
+        want = want * np.where(big, np.sign(ts) ** n, 1.0)
+        assert np.all(np.abs(rows - want) <= 1e-15 * np.abs(want)), params
+
+
+def test_scaled_series_turns_complex_with_a_complex_parameter():
+    ts = np.array([0.25, -3.0])
+    for params in (Hyp2F1Params(2.5 + 1e-3j, -2.0, 1.0), Hyp2F1Params(2.5, -2.0, 1.0 - 1e-3j)):
+        rows, log_scale = scaled_series(params, ts, 1)
+        assert rows.dtype == np.complex128
+        coeffs = _horner_coeffs(params, 2)
+        for t, r, sc in zip(ts, rows[0], log_scale):
+            want = _horner_eval(coeffs, t)
+            assert abs(r * math.exp(sc) - want) <= 1e-13 * abs(want), (params, t)
+
+
 def test_pow_arr_principal_branch():
     assert abs(pow_arr(-1.0, 0.5) - 1j) < 1e-15
     got = pow_arr(-8.0, 1.0 / 3.0)
