@@ -30,7 +30,8 @@ producing NaNs.
 
 The chart maps work on arrays: a :class:`ParabolicPoints` batch holds
 parallel (t1, t2, phi) arrays, and the single-point dataclasses go
-through the same array code as batches of one.
+through the same array code as batches of one; so do the metric, its
+pullback check and the constraint check.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ __all__ = [
     "antipodal",
     "metric_parabolic",
     "metric_pullback_check",
+    "pullback_accepts",
     "constraint_check",
     "flat_limit_coords",
 ]
@@ -424,65 +426,118 @@ def antipodal(p: AmbientPoint) -> AmbientPoint:
 # metrics
 
 
-def metric_parabolic(space: SpaceTag, p: ParabolicPoint) -> np.ndarray:
-    """Closed-form diagonal metric in (t1, t2, phi) order."""
-    t1, t2 = p.t1, p.t2
-    if t1 in (0, 1) or t2 in (0, 1) or t1 == t2:
-        raise SingularLocusError(f"metric singular at ({t1}, {t2})")
-    g11 = (t1 - t2) / (4.0 * t1 * (1.0 - t1) ** 2)
-    g22 = (t2 - t1) / (4.0 * t2 * (1.0 - t2) ** 2)
-    gpp = -t1 * t2
-    if space.model is Model.S3:
-        g11, g22, gpp = -g11, -g22, -gpp
-    return np.diag(np.array([g11, g22, gpp], dtype=complex))
+def metric_parabolic(space: SpaceTag, p) -> np.ndarray:
+    """Closed-form diagonal metric in (t1, t2, phi) order.
+
+    ``p`` is a :class:`ParabolicPoint`, giving one 3 x 3 matrix, or a
+    :class:`ParabolicPoints` batch, giving a stack of shape
+    ``p.t1.shape + (3, 3)``.  A batch raises for its first singular point.
+    """
+    pts = ParabolicPoints.of(p)
+    t1, t2 = pts.t1, pts.t2
+    _raise_first(
+        (t1 == 0) | (t1 == 1) | (t2 == 0) | (t2 == 1) | (t1 == t2),
+        SingularLocusError,
+        "metric singular at ({}, {})",
+        t1,
+        t2,
+    )
+    sign = 1.0 if space.model is Model.H3 else -1.0
+    g = np.zeros(t1.shape + (3, 3), dtype=complex)
+    g[..., 0, 0] = sign * (t1 - t2) / (4.0 * t1 * (1.0 - t1) ** 2)
+    g[..., 1, 1] = sign * (t2 - t1) / (4.0 * t2 * (1.0 - t2) ** 2)
+    g[..., 2, 2] = -sign * t1 * t2
+    return g[0] if isinstance(p, ParabolicPoint) else g
 
 
-def _spherical_metric(space: SpaceTag, p: SphericalPoint) -> np.ndarray:
-    f = math.sinh(p.chi) if space.model is Model.H3 else math.sin(p.chi)
-    return np.diag([1.0, f * f, f * f * math.sin(p.theta) ** 2]).astype(complex)
+def _spherical_metric(space: SpaceTag, chi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """diag(1, f^2, f^2 sin^2 th) at each (chi, theta), a stack of 3 x 3 matrices."""
+    f = np.sinh(chi) if space.model is Model.H3 else np.sin(chi)
+    g = np.zeros(chi.shape + (3, 3))
+    g[..., 0, 0] = 1.0
+    g[..., 1, 1] = f * f
+    g[..., 2, 2] = f * f * np.sin(theta) ** 2
+    return g
 
 
-def _chart_jacobian(space: SpaceTag, p: SphericalPoint) -> np.ndarray:
-    """Closed-form Jacobian of (chi, theta, phi) -> (t1, t2, phi).
+def _chart_jacobian(space: SpaceTag, chi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Closed-form Jacobian of (chi, theta, phi) -> (t1, t2, phi) at each (chi, theta).
 
     Both charts read t1 = (1 + cos th) u1(chi) and t2 = (1 - cos th) u2(chi),
     with (u1, u2) = (sinh(chi) e^{-chi}, -sinh(chi) e^{chi}) on H3 and
-    (w, conj(w)) on S3, where dw/dchi = i e^{-2i chi}.
+    (w, conj(w)) on S3, where dw/dchi = i e^{-2i chi}.  Returns a stack of
+    3 x 3 matrices of shape ``chi.shape + (3, 3)``.
     """
-    chi = p.chi
     if space.model is Model.H3:
-        u1, u2 = math.sinh(chi) * math.exp(-chi), -math.sinh(chi) * math.exp(chi)
-        du1, du2 = math.exp(-2.0 * chi), -math.exp(2.0 * chi)
+        u1, u2 = np.sinh(chi) * np.exp(-chi), -np.sinh(chi) * np.exp(chi)
+        du1, du2 = np.exp(-2.0 * chi), -np.exp(2.0 * chi)
     else:
-        u1 = math.sin(chi) * cmath.exp(1j * (math.pi / 2.0 - chi))
-        du1 = 1j * cmath.exp(-2j * chi)
-        u2, du2 = u1.conjugate(), du1.conjugate()
-    c, s = math.cos(p.theta), math.sin(p.theta)
-    return np.array(
-        [[(1.0 + c) * du1, -s * u1, 0.0], [(1.0 - c) * du2, s * u2, 0.0], [0.0, 0.0, 1.0]],
-        dtype=complex,
-    )
+        u1 = np.sin(chi) * np.exp(1j * (math.pi / 2.0 - chi))
+        du1 = 1j * np.exp(-2j * chi)
+        u2, du2 = np.conj(u1), np.conj(du1)
+    c, s = np.cos(theta), np.sin(theta)
+    jac = np.zeros(chi.shape + (3, 3), dtype=complex)
+    jac[..., 0, 0] = (1.0 + c) * du1
+    jac[..., 0, 1] = -s * u1
+    jac[..., 1, 0] = (1.0 - c) * du2
+    jac[..., 1, 1] = s * u2
+    jac[..., 2, 2] = 1.0
+    return jac
 
 
-def metric_pullback_check(
-    space: SpaceTag, p: SphericalPoint, tolerance: float = 1e-6
-) -> ResidualReport:
+def _off_pullback_domain(chi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Points with chi <= 0.05 or theta within SINGULAR_GUARD of the axis."""
+    return ~((chi > 0.05) & (SINGULAR_GUARD < theta) & (theta < math.pi - SINGULAR_GUARD))
+
+
+def _near_boundary(p: ParabolicPoints) -> np.ndarray:
+    """Points with t1 or t2 within SINGULAR_GUARD of 0 or 1."""
+    t1, t2 = p.t1, p.t2
+    near = np.minimum.reduce([np.abs(t1), np.abs(1.0 - t1), np.abs(t2), np.abs(1.0 - t2)])
+    return near < SINGULAR_GUARD
+
+
+def pullback_accepts(space: SpaceTag, chi, theta) -> np.ndarray:
+    """Mask of the (chi, theta) points :func:`metric_pullback_check` accepts.
+
+    The arrays are checked as :class:`SphericalPoint` checks its fields.
+    """
+    chi, theta = np.asarray(chi, dtype=float), np.asarray(theta, dtype=float)
+    center = spherical_to_parabolic(space, (chi, theta, 0.0))
+    return ~(_off_pullback_domain(chi, theta) | _near_boundary(center))
+
+
+def metric_pullback_check(space: SpaceTag, p, tolerance: float = 1e-6) -> ResidualReport:
     """Compare the closed-form parabolic metric against the spherical one.
 
-    With the closed-form chart Jacobian J, J^T G J must reproduce the
-    space's spherical metric diag(1, f^2, f^2 sin^2 th), on S3 as on H3.
-    Entrywise residuals are measured against 1 + |reference|.
+    ``p`` is a :class:`SphericalPoint` or a pair of broadcastable
+    ``(chi, theta)`` arrays; phi does not enter.  With the closed-form
+    chart Jacobian J, J^T G J must reproduce the space's spherical metric
+    diag(1, f^2, f^2 sin^2 th), on S3 as on H3.  One report covers the nine
+    entries of every point, each measured against 1 + |reference|.
+
+    chi <= 0.05 or theta within ``SINGULAR_GUARD`` of the axis raises
+    DomainError; t1 or t2 within ``SINGULAR_GUARD`` of 0 or 1 raises
+    SingularLocusError.  A batch raises for its first such point, and
+    :func:`pullback_accepts` masks them.
     """
-    if p.chi <= 0.05 or not SINGULAR_GUARD < p.theta < math.pi - SINGULAR_GUARD:
-        raise DomainError("pullback check needs chi > 0.05 and theta off the axis")
-    center = spherical_to_parabolic(space, p)
-    for t in (center.t1, center.t2):
-        if min(abs(t), abs(1.0 - t)) < SINGULAR_GUARD:
-            raise SingularLocusError("point too close to a parabolic boundary")
-    jac = _chart_jacobian(space, p)
-    ref = _spherical_metric(space, p)
-    pull = jac.T @ metric_parabolic(space, center) @ jac
-    return build_report(np.abs(pull - ref).ravel(), np.abs(ref).ravel(), tolerance)
+    chi, theta = ([p.chi], [p.theta]) if isinstance(p, SphericalPoint) else p
+    chi, theta = np.asarray(chi, dtype=float), np.asarray(theta, dtype=float)
+    _raise_first(
+        _off_pullback_domain(chi, theta),
+        DomainError,
+        "pullback check needs chi > 0.05 and theta off the axis, got ({}, {})",
+        chi,
+        theta,
+    )
+    center = spherical_to_parabolic(space, (chi, theta, 0.0))
+    _raise_first(
+        _near_boundary(center), SingularLocusError, "point too close to a parabolic boundary"
+    )
+    jac = _chart_jacobian(space, chi, theta)
+    pull = np.swapaxes(jac, -1, -2) @ metric_parabolic(space, center) @ jac
+    ref = _spherical_metric(space, chi, theta)
+    return build_report(np.abs(pull - ref), np.abs(ref), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -496,26 +551,24 @@ def _constraint_residuals(t1, t2):
     return np.where(near_one, np.inf, r1), np.abs((t1 * t2).imag)
 
 
-def constraint_check(p: ParabolicPoint, tolerance: float = 1e-12) -> ResidualReport:
-    """Report the S3 conjugation-constraint residuals of a single point.
+_POINT_ROW = np.dtype([("t1", complex), ("t2", complex), ("phi", float)])
 
-    Pure report: H3-real points simply show a nonzero residual since the
-    constraint is an S3 statement.  The residuals use Python complex
-    arithmetic: numpy divides complex numbers with a different rounding,
-    and the reported figures are part of the verify output.
+
+def constraint_check(p, tolerance: float = 1e-12) -> ResidualReport:
+    """Report the S3 conjugation-constraint residuals of a point or a batch.
+
+    ``p`` is a :class:`ParabolicPoint` or a :class:`ParabolicPoints`
+    batch; each point gives the two residuals of
+    :func:`_constraint_residuals`, the formula the S3 chart validation
+    uses, and the worst point is recorded as ``(t1, t2, phi)``.  Pure
+    report: H3-real points simply show a nonzero residual since the
+    constraint is an S3 statement.
     """
-    t1, t2 = p.t1, p.t2
-    if abs(1.0 - t1) < 1e-14:
-        r1 = math.inf
-    else:
-        r1 = abs(t1.conjugate() + t1 * (1.0 - t2) / (1.0 - t1))
-    r2 = abs((t1 * t2).imag)
-    return build_report(
-        np.array([r1, r2]),
-        np.array([0.0, 0.0]),
-        tolerance,
-        points=[(p.t1, p.t2, p.phi)] * 2,
-    )
+    pts = ParabolicPoints.of(p)
+    r1, r2 = _constraint_residuals(pts.t1.ravel(), pts.t2.ravel())
+    rows = np.empty(r1.size, dtype=_POINT_ROW)
+    rows["t1"], rows["t2"], rows["phi"] = pts.t1.ravel(), pts.t2.ravel(), pts.phi.ravel()
+    return build_report(np.column_stack([r1, r2]), 0.0, tolerance, points=np.repeat(rows, 2))
 
 
 @dataclass(frozen=True)

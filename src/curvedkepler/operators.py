@@ -402,59 +402,47 @@ def _stencils(state: StateParams, Q: np.ndarray, steps) -> list[_Stencil]:
     return out
 
 
-def _gradient(fn, st: _Stencil, path: tuple) -> np.ndarray:
-    rows = [
-        (fn(path + ((a, 1.0),)) - fn(path + ((a, -1.0),))) / (2.0 * st.h) for a in range(3)
-    ]
-    return np.stack(rows)
+def _central(values, h: np.ndarray) -> np.ndarray:
+    """Central-difference gradient (3, n) from values at the six one-shift nodes."""
+    return np.stack([(values[(a, 1.0)] - values[(a, -1.0)]) / (2.0 * h) for a in range(3)])
 
 
-def _momentum_op(fn, st: _Stencil, sigma: int, axis: int):
-    """P_a = -i (d_a - sigma q_a q_j d_j), as a closure over an evaluator.
-
-    Operators and evaluators take the shift path of the node they act at.
-    """
-
-    def apply(path: tuple = ()) -> np.ndarray:
-        Q = st.nodes[path]
-        g = _gradient(fn, st, path)
-        radial = (Q * g).sum(axis=0)
-        return -1j * (g[axis] - sigma * Q[axis] * radial)
-
-    return apply
+def _momentum_at(sigma: int, axis: int):
+    """P_a = -i (d_a - sigma q_a q_j d_j), from a node's coordinates and gradient."""
+    return lambda Q, g: -1j * (g[axis] - sigma * Q[axis] * (Q * g).sum(axis=0))
 
 
-def _angular_op(fn, st: _Stencil, axis: int):
+def _angular_at(axis: int):
     """L_a = -i (q_b d_c - q_c d_b) with (a, b, c) cyclic."""
-    b = (axis + 1) % 3
-    c = (axis + 2) % 3
-
-    def apply(path: tuple = ()) -> np.ndarray:
-        Q = st.nodes[path]
-        g = _gradient(fn, st, path)
-        return -1j * (Q[b] * g[c] - Q[c] * g[b])
-
-    return apply
+    b, c = (axis + 1) % 3, (axis + 2) % 3
+    return lambda Q, g: -1j * (Q[b] * g[c] - Q[c] * g[b])
 
 
 def _a3_and_l2(state: StateParams, st: _Stencil):
-    """(A3 Psi, L^2 Psi) by nested central differences at the stencil centre."""
-    psi = st.psi.__getitem__
+    """(A3 Psi, L^2 Psi) by nested central differences at the stencil centre.
+
+    Psi's gradient is taken once at each one-shift node; every composed
+    term applies its inner operator there and takes one outer difference.
+    """
+    nodes, psi = st.nodes, st.psi
+    grad = {u: _central({v: psi[(u, v)] for v in _UNIT_SHIFTS}, st.h) for u in _UNIT_SHIFTS}
+
+    def term(outer, inner) -> np.ndarray:
+        values = {u: inner(nodes[(u,)], grad[u]) for u in _UNIT_SHIFTS}
+        return outer(nodes[()], _central(values, st.h))
+
     sigma = state.space.sigma
-    p1 = _momentum_op(psi, st, sigma, 0)
-    p2 = _momentum_op(psi, st, sigma, 1)
-    l1 = _angular_op(psi, st, 0)
-    l2 = _angular_op(psi, st, 1)
+    p1, p2 = _momentum_at(sigma, 0), _momentum_at(sigma, 1)
+    l1, l2 = _angular_at(0), _angular_at(1)
+    l1p2 = term(l1, p2)
+    l2p1 = term(l2, p1)
+    p1l2 = term(p1, l2)
+    p2l1 = term(p2, l1)
 
-    l1p2 = _angular_op(p2, st, 0)()
-    l2p1 = _angular_op(p1, st, 1)()
-    p1l2 = _momentum_op(l2, st, sigma, 0)()
-    p2l1 = _momentum_op(l1, st, sigma, 1)()
-
-    Q = st.nodes[()]
+    Q = nodes[()]
     q = np.sqrt((Q * Q).sum(axis=0))
-    a3 = state.e * Q[2] / q * psi(()) + 0.5 * (l1p2 - l2p1 - p1l2 + p2l1)
-    lsq = sum(_angular_op(_angular_op(psi, st, a), st, a)() for a in range(3))
+    a3 = state.e * Q[2] / q * psi[()] + 0.5 * (l1p2 - l2p1 - p1l2 + p2l1)
+    lsq = sum(term(_angular_at(a), _angular_at(a)) for a in range(3))
     return a3, lsq
 
 
@@ -612,10 +600,12 @@ class QPolynomial:
 
     @classmethod
     def random(cls, rng: np.random.Generator, degree: int = 6, terms: int = 8) -> "QPolynomial":
+        # three scalar draws per key: the same PCG64 stream as one size-3 draw
+        integers, top = rng.integers, degree + 1
         coeffs: dict[tuple[int, int, int], complex] = {}
         for _ in range(terms):
             while True:
-                key = tuple(int(x) for x in rng.integers(0, degree + 1, size=3))
+                key = (int(integers(0, top)), int(integers(0, top)), int(integers(0, top)))
                 if sum(key) <= degree:
                     break
             coeffs[key] = complex(rng.standard_normal(), rng.standard_normal())

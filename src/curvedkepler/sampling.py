@@ -47,22 +47,23 @@ def factor_samples(
             return rng.uniform(2.0 * GUARD, 1.0 - 2.0 * GUARD, n).astype(complex)
         return (-(10.0 ** rng.uniform(-2.5, 0.7, n))).astype(complex)
 
-    out: list[complex] = []
+    out = [np.zeros(0, dtype=complex)]
+    count = 0
     want_physical = n - n // 2
-    while len(out) < want_physical:
+    while count < want_physical:
         chi = rng.uniform(0.1, math.pi - 0.1, 2 * n)
         theta = rng.uniform(0.1, math.pi - 0.1, 2 * n)
         pts = spherical_to_parabolic(space, (chi, theta, 0.0))
         t = pts.t1 if which == 1 else pts.t2
-        good = t[(np.abs(t) >= GUARD) & (np.abs(1.0 - t) >= GUARD)]
-        out.extend(good[: want_physical - len(out)])
-    while len(out) < n:
+        out.append(t[(np.abs(t) >= GUARD) & (np.abs(1.0 - t) >= GUARD)][: want_physical - count])
+        count += out[-1].size
+    while count < n:
         radius = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 2 * n))
         angle = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
         t = radius * np.exp(1j * angle)
-        good = t[(np.abs(t) >= GUARD) & (np.abs(1.0 - t) >= GUARD)]
-        out.extend(good[: n - len(out)])
-    return np.asarray(out, dtype=complex)
+        out.append(t[(np.abs(t) >= GUARD) & (np.abs(1.0 - t) >= GUARD)][: n - count])
+        count += out[-1].size
+    return np.concatenate(out)
 
 
 def chart_points(

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, SingularLocusError
-from .geometry import SphericalPoint, constraint_check, metric_pullback_check
+from .errors import ParameterError
+from .geometry import constraint_check, metric_pullback_check, pullback_accepts
 from .kepler import (
     StateParams,
     assemble_state,
@@ -119,37 +119,35 @@ def _rungelenz(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
 
 
 def _metric(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
+    # each point takes three draws (chi, theta, phi) of the stream; phi does
+    # not enter the metric
     chi_hi = 2.5 if space.model is Model.H3 else math.pi - 0.15
-    reports = []
-    while len(reports) < METRIC_POINTS:
-        p = SphericalPoint(
-            rng.uniform(0.15, chi_hi),
-            rng.uniform(0.15, math.pi - 0.15),
-            rng.uniform(0.0, 2.0 * math.pi),
-        )
-        try:
-            reports.append(metric_pullback_check(space, p, **kw))
-        except (DomainError, SingularLocusError):
-            continue
+    low, high = (0.15, 0.15, 0.0), (chi_hi, math.pi - 0.15, 2.0 * math.pi)
+    kept, count = [], 0
+    while count < METRIC_POINTS:
+        draw = rng.uniform(low, high, (2 * METRIC_POINTS, 3))
+        kept.append(draw[pullback_accepts(space, draw[:, 0], draw[:, 1])])
+        count += len(kept[-1])
+    chi, theta, _ = np.concatenate(kept)[:METRIC_POINTS].T
     label = f"{space.model.value} metric pullback ({METRIC_POINTS} points)"
-    return [SuiteResult("metric", label, merge_reports(reports))]
+    return [SuiteResult("metric", label, metric_pullback_check(space, (chi, theta), **kw))]
 
 
 def _constraint(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
     pts = chart_points(space, rng, CHART_POINTS)
     if space.model is Model.S3:
-        merged = merge_reports([constraint_check(p, **kw) for p in pts])
+        report = constraint_check(pts, **kw)
         label = f"s3 conjugation constraint ({len(pts)} points)"
     else:
         imag = np.maximum(np.abs(pts.t1.imag), np.abs(pts.t2.imag))
-        merged = build_report(
+        report = build_report(
             imag,
             np.zeros_like(imag),
             kw.get("tolerance", 1e-12),
             note="H3 chart reality: max(|Im t1|, |Im t2|) over generated points",
         )
         label = f"h3 chart reality ({len(pts)} points)"
-    return [SuiteResult("constraint", label, merged)]
+    return [SuiteResult("constraint", label, report)]
 
 
 def _commutators(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:

@@ -29,16 +29,18 @@ from curvedkepler import (
     antipodal,
     chart_points,
     constraint_check,
+    factor_samples,
     flat_limit_coords,
     make_rng,
     metric_parabolic,
     metric_pullback_check,
     parabolic_to_ambient,
     parabolic_to_spherical,
+    pullback_accepts,
     quasi_points,
     spherical_to_parabolic,
 )
-from curvedkepler import geometry
+from curvedkepler import geometry, verify
 from curvedkepler.operators import _quasi_to_chart
 
 ROUNDTRIP_TOL = 1e-10
@@ -168,6 +170,22 @@ def test_metric_frozen_values():
     assert np.max(np.abs(off)) == 0.0
 
 
+@pytest.mark.parametrize("space, seed", [(H3, 129), (S3, 130)])
+def test_metric_stack_matches_single_points_and_refuses_singular_ones(space, seed):
+    pts = chart_points(space, make_rng(seed), n=50)
+    stack = metric_parabolic(space, pts)
+    assert stack.shape == (50, 3, 3)
+    for p, g in zip(pts, stack):
+        assert metric_parabolic(space, p).tobytes() == g.tobytes()
+    bad = ParabolicPoint(0.0, -0.5, 0.0)
+    with pytest.raises(SingularLocusError) as scalar:
+        metric_parabolic(space, bad)
+    points = list(pts)
+    with pytest.raises(SingularLocusError) as batched:
+        metric_parabolic(space, ParabolicPoints.of(points[:9] + [bad] + points[9:]))
+    assert str(batched.value) == str(scalar.value)
+
+
 @pytest.mark.parametrize(
     "space, sign, seed",
     [(H3, 1.0, 108), (S3, -1.0, 109)],
@@ -250,8 +268,12 @@ def test_metric_pullback_is_exact(space, seed):
 @pytest.mark.parametrize("space, seed", [(H3, 120), (S3, 121)])
 def test_chart_jacobian_matches_central_differences(space, seed):
     h = 1e-5
-    for s in _pullback_points(space, seed, 50):
-        jac = geometry._chart_jacobian(space, s)
+    points = _pullback_points(space, seed, 50)
+    chi = np.array([s.chi for s in points])
+    theta = np.array([s.theta for s in points])
+    jacs = geometry._chart_jacobian(space, chi, theta)
+    assert jacs.shape == (50, 3, 3)
+    for s, jac in zip(points, jacs):
         oracle = (4.0 * _fd_chart_jacobian(space, s, h / 2.0) - _fd_chart_jacobian(space, s, h)) / 3.0
         assert np.max(np.abs(jac - oracle) / (1.0 + np.abs(oracle))) < JACOBIAN_FD_TOL, s
 
@@ -282,14 +304,134 @@ def test_metric_pullback_maps_each_point_once(space, monkeypatch):
     for s in points:
         metric_pullback_check(space, s)
     assert len(calls) == len(points)
+    chi = np.array([s.chi for s in points])
+    theta = np.array([s.theta for s in points])
+    metric_pullback_check(space, (chi, theta))
+    assert len(calls) == len(points) + 1
+
+
+def _scalar_metric_suite_points(space, seed):
+    """The metric suite's points as its per-point rejection loop drew them."""
+    rng = verify._suite_rng(seed, "metric")
+    chi_hi = 2.5 if space is H3 else math.pi - 0.15
+    out = []
+    while len(out) < verify.METRIC_POINTS:
+        s = SphericalPoint(
+            rng.uniform(0.15, chi_hi),
+            rng.uniform(0.15, math.pi - 0.15),
+            rng.uniform(0.0, 2.0 * math.pi),
+        )
+        try:
+            metric_pullback_check(space, s)
+        except (DomainError, SingularLocusError):
+            continue
+        out.append((s.chi, s.theta))
+    return out
+
+
+@pytest.mark.parametrize("space", [H3, S3])
+def test_metric_suite_draws_the_points_of_the_scalar_loop(space, monkeypatch):
+    seen = []
+
+    def recorded(sp, p, **kw):
+        seen.append(p)
+        return metric_pullback_check(sp, p, **kw)
+
+    monkeypatch.setattr(verify, "metric_pullback_check", recorded)
+    for seed in range(24):
+        seen.clear()
+        (result,) = verify.run_suite("metric", space, 2.0 if space is S3 else 10.0, 1, seed)
+        [(chi, theta)] = seen
+        assert list(zip(chi, theta)) == _scalar_metric_suite_points(space, seed), seed
+        assert result.report.passed and result.report.n_points == 9 * verify.METRIC_POINTS
+
+
+@pytest.mark.parametrize(
+    "space, centre",
+    [(S3, (math.pi / 2.0, math.pi / 2.0)), (H3, (0.05, 0.5)), (S3, (0.05, 1.0))],
+)
+def test_pullback_accepts_exactly_the_points_the_check_accepts(space, centre):
+    """Near a refusal boundary the mask and the single-point check agree."""
+    rng = make_rng(124)
+    chi = centre[0] + rng.uniform(-2e-3, 2e-3, 400)
+    theta = centre[1] + rng.uniform(-2e-3, 2e-3, 400)
+    mask = pullback_accepts(space, chi, theta)
+    for c, t, ok in zip(chi, theta, mask):
+        try:
+            metric_pullback_check(space, SphericalPoint(c, t, 0.0))
+        except (DomainError, SingularLocusError):
+            assert not ok, (c, t)
+        else:
+            assert ok, (c, t)
+    assert 0 < mask.sum() < mask.size
+    with pytest.raises((DomainError, SingularLocusError)):
+        metric_pullback_check(space, (chi, theta))
+    assert metric_pullback_check(space, (chi[mask], theta[mask])).passed
+
+
+def _scalar_pullback(space, chi, theta):
+    """J^T G J at one point from math/cmath closed forms, summed in Python."""
+    c, s = math.cos(theta), math.sin(theta)
+    if space is H3:
+        u1, u2 = math.sinh(chi) * math.exp(-chi), -math.sinh(chi) * math.exp(chi)
+        du1, du2 = math.exp(-2.0 * chi), -math.exp(2.0 * chi)
+    else:
+        u1 = math.sin(chi) * cmath.exp(1j * (math.pi / 2.0 - chi))
+        du1 = 1j * cmath.exp(-2j * chi)
+        u2, du2 = u1.conjugate(), du1.conjugate()
+    t1, t2 = (1.0 + c) * u1, (1.0 - c) * u2
+    sign = 1.0 if space is H3 else -1.0
+    g = [
+        sign * (t1 - t2) / (4.0 * t1 * (1.0 - t1) ** 2),
+        sign * (t2 - t1) / (4.0 * t2 * (1.0 - t2) ** 2),
+        -sign * t1 * t2,
+    ]
+    jac = [[(1.0 + c) * du1, -s * u1, 0.0], [(1.0 - c) * du2, s * u2, 0.0], [0.0, 0.0, 1.0]]
+    return [
+        [sum(jac[k][i] * g[k] * jac[k][j] for k in range(3)) for j in range(3)] for i in range(3)
+    ]
+
+
+@pytest.mark.parametrize("space, seed", [(H3, 125), (S3, 126)])
+def test_pullback_entries_match_a_math_oracle(space, seed):
+    points = [
+        s for s in _pullback_points(space, seed, 200) if pullback_accepts(space, s.chi, s.theta)
+    ]
+    chi = np.array([s.chi for s in points])
+    theta = np.array([s.theta for s in points])
+    jac = geometry._chart_jacobian(space, chi, theta)
+    center = spherical_to_parabolic(space, (chi, theta, 0.0))
+    pull = np.swapaxes(jac, -1, -2) @ metric_parabolic(space, center) @ jac
+    assert pull.shape == (len(points), 3, 3) and len(points) > 150
+    for got, c, t in zip(pull, chi, theta):
+        want = np.array(_scalar_pullback(space, c, t))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (c, t)
 
 
 def test_constraint_closure_on_s3_samples():
-    rng = make_rng(112)
-    for p in chart_points(S3, rng, n=400):
-        report = constraint_check(p)
+    pts = chart_points(S3, make_rng(112), n=400)
+    singles = [constraint_check(p) for p in pts]
+    for report in singles:
         assert report.passed
         assert report.max_abs < CONSTRAINT_TOL
+    # the batch is one report of the same residuals
+    batch = constraint_check(pts)
+    assert batch.passed and batch.n_points == 800
+    assert batch.max_abs == max(r.max_abs for r in singles)
+    worst = max(singles, key=lambda r: r.max_rel)
+    assert batch.worst_point == worst.worst_point
+    t1, t2, phi = batch.to_json_dict()["worst_point"]
+    assert len(t1) == len(t2) == 2 and isinstance(phi, float)
+
+
+def test_constraint_batch_flags_a_corrupted_point():
+    pts = chart_points(S3, make_rng(127), n=200)
+    t2 = pts.t2.copy()
+    t2[137] += 0.01
+    report = constraint_check(ParabolicPoints(pts.t1, t2, pts.phi))
+    assert not report.passed
+    assert report.worst_point == (pts.t1[137], t2[137], pts.phi[137])
+    assert isinstance(report.worst_point[2], float)
 
 
 def test_constraint_detects_corruption():
@@ -351,6 +493,36 @@ def test_batch_with_one_bad_point_raises_the_scalar_error(space, bad, error):
         parabolic_to_ambient(space, ParabolicPoints.of(pts[:7] + [bad] + pts[7:]))
     assert type(batched.value) is type(scalar.value)
     assert str(batched.value) == str(scalar.value)
+
+
+def _list_factor_samples(space, rng, which, n):
+    """S3 factor abscissas drawn by extending a list point by point."""
+    out = []
+    want_physical = n - n // 2
+    while len(out) < want_physical:
+        chi = rng.uniform(0.1, math.pi - 0.1, 2 * n)
+        theta = rng.uniform(0.1, math.pi - 0.1, 2 * n)
+        pts = spherical_to_parabolic(space, (chi, theta, 0.0))
+        t = pts.t1 if which == 1 else pts.t2
+        good = t[(np.abs(t) >= 1e-3) & (np.abs(1.0 - t) >= 1e-3)]
+        out.extend(good[: want_physical - len(out)])
+    while len(out) < n:
+        radius = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 2 * n))
+        angle = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
+        t = radius * np.exp(1j * angle)
+        good = t[(np.abs(t) >= 1e-3) & (np.abs(1.0 - t) >= 1e-3)]
+        out.extend(good[: n - len(out)])
+    return np.asarray(out, dtype=complex)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 7, 100])
+def test_s3_factor_samples_keep_their_values_and_stream(which, n):
+    rng, ref = make_rng(128 + n), make_rng(128 + n)
+    got = factor_samples(S3, rng, which, n)
+    want = _list_factor_samples(S3, ref, which, n)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
 def test_chart_point_sampler_respects_guards():

@@ -689,6 +689,68 @@ def test_runge_lenz_stencil_is_one_batch_with_per_evaluation_bits(monkeypatch, s
     assert json.dumps(got) == json.dumps(want)
 
 
+class _CountedReads(dict):
+    """A stencil's Psi table that counts the reads of each key."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = dict.fromkeys(table, 0)
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize(
+    "space, e, qn", [(S3, 2.0, QuantumNumbers(1, 0, 1)), (H3, 10.0, QuantumNumbers(0, 1, -1))]
+)
+def test_runge_lenz_takes_each_psi_gradient_once(monkeypatch, space, e, qn):
+    """Each Psi value is read once, so Psi's gradient is taken once at each
+    of the six one-shift nodes, and each of the seven composed terms adds
+    one outer difference."""
+    st = _state(space, e, qn)
+    Q = quasi_points(space, make_rng(330), n=40)
+    h = 5e-4 * np.maximum(1.0, np.sqrt((Q * Q).sum(axis=0)))
+    gradients = []
+
+    def counted(values, step):
+        gradients.append(step)
+        return central(values, step)
+
+    central = operators._central
+    monkeypatch.setattr(operators, "_central", counted)
+    for stencil in operators._stencils(st, Q, (h, h / 2.0)):
+        table = _CountedReads(stencil.psi)
+        gradients.clear()
+        got = operators._a3_and_l2(st, stencil._replace(psi=table))
+        assert set(table.reads.values()) == {1}
+        assert len(gradients) == 6 + 7
+        want = operators._a3_and_l2(st, stencil)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def _per_key_random(rng, degree, terms):
+    """QPolynomial.random's coefficients, each key drawn as one size-3 integers call."""
+    coeffs = {}
+    for _ in range(terms):
+        while True:
+            key = tuple(int(x) for x in rng.integers(0, degree + 1, size=3))
+            if sum(key) <= degree:
+                break
+        coeffs[key] = complex(rng.standard_normal(), rng.standard_normal())
+    return coeffs
+
+
+@pytest.mark.parametrize("degree, terms", [(0, 3), (1, 4), (3, 5), (6, 8), (10, 12)])
+def test_random_polynomial_keeps_the_per_key_stream(degree, terms):
+    for seed in range(331, 341):
+        rng, ref = make_rng(seed), make_rng(seed)
+        for _ in range(3):
+            got = QPolynomial.random(rng, degree=degree, terms=terms)
+            assert got.coeffs == QPolynomial(_per_key_random(ref, degree, terms)).coeffs
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
 def test_max_abs_coeff_rounds_like_python_abs():
     rng = make_rng(326)
     for _ in range(20):
