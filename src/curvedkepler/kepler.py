@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError
 from .geometry import spherical_to_parabolic
-from .spaces import Model, SpaceTag, space_from_name
+from .spaces import H3, S3, Model, SpaceTag, space_from_name
 from .specfun import Hyp2F1Params, drop_zero_imag, hyp2f1, scaled_series
 
 __all__ = [
@@ -281,8 +281,8 @@ def factor(state: StateParams, which: int) -> SeparatedFactor:
     raise ParameterError(f"factor index must be 1 or 2, got {which}")
 
 
-def chart_values(state: StateParams, t1, t2) -> tuple[np.ndarray, np.ndarray]:
-    """(t1, t2) as the state's arithmetic takes them.
+def chart_values(space: SpaceTag, t1, t2) -> tuple[np.ndarray, np.ndarray]:
+    """(t1, t2) as the arithmetic of the space's states takes them.
 
     H3 chart values are real: their zero imaginary parts are dropped
     here, so the series, the prefactor and the operator cores of H3
@@ -291,7 +291,7 @@ def chart_values(state: StateParams, t1, t2) -> tuple[np.ndarray, np.ndarray]:
     """
     t1 = np.asarray(t1, dtype=complex)
     t2 = np.asarray(t2, dtype=complex)
-    if state.space.model is Model.H3 and not (t1.imag.any() or t2.imag.any()):
+    if space.model is Model.H3 and not (t1.imag.any() or t2.imag.any()):
         return np.ascontiguousarray(t1.real), np.ascontiguousarray(t2.real)
     return t1, t2
 
@@ -303,7 +303,7 @@ def wavefunction_values(state: StateParams, t1, t2, phi) -> np.ndarray:
     coordinates; :func:`psi_prefactor` evaluates the powers with no branch.
     F1 and F2 run in the dtype of :func:`chart_values`, float64 on H3.
     """
-    t1, t2 = chart_values(state, t1, t2)
+    t1, t2 = chart_values(state.space, t1, t2)
     (f1,), s1 = scaled_series(factor(state, 1).params, t1)
     (f2,), s2 = scaled_series(factor(state, 2).params, t2)
     return f1 * f2 * psi_prefactor(state, t1, t2, s1 + s2, phi)
@@ -312,37 +312,48 @@ def wavefunction_values(state: StateParams, t1, t2, phi) -> np.ndarray:
 def psi_prefactor(state: StateParams, t1, t2, log_scale, phi) -> np.ndarray:
     """(t1 t2)^{|m|/2} ((1-t1)/(1-t2))^{b1} e^{log_scale + i m phi}, one exponential per point.
 
+    The exponent E without the phase is :func:`_psi_exponent`.  On H3 it
+    is real (float64 for real t and b1 + b2) and the phase
+    i^|m| e^{i m phi} is applied once, at the end; on S3 the phase goes
+    into the exponent, added to log_scale.
+    """
+    m = state.qn.m
+    phi = np.asarray(phi, dtype=float)
+    if state.space.model is Model.H3:
+        return np.exp(_psi_exponent(state, t1, t2, log_scale)) * (1j ** abs(m) * np.exp(1j * m * phi))
+    return np.exp(_psi_exponent(state, t1, t2, log_scale + 1j * m * phi))
+
+
+def _psi_exponent(state: StateParams, t1, t2, log_scale, real: bool = False) -> np.ndarray:
+    """E with e^E = (t1 t2)^{|m|/2} ((1-t1)/(1-t2))^{b1} e^{log_scale}, the magnitudes in one exponent.
+
     1 - t1 = e^{-chi} D and 1 - t2 = e^{chi} D on H3 (chi -> i chi on S3),
     so the ratio is e^{-2 chi} on H3 and e^{-2i chi} on S3, where
     chi = atan2(Re(t1 + t2), Im(t1 - t2)) = atan2(2 sin^2 chi, sin 2 chi)
     lies in [0, pi]; (t1 t2)^{|m|/2} is (i sin(theta) sinh(chi))^|m| on H3
-    and (sin(theta) sin(chi))^|m| on S3.  No power takes a branch, so S3
-    states are continuous across the equator, and the magnitudes meet in
-    one exponent, which stays finite where F2 and e^{-2 b1 chi} alone
-    would over- or underflow.  A perturbed state's b1 + b2 != 0 adds
-    (1-t2)^{b1+b2} on the principal branch.  On H3 the exponent is real
-    (float64 for real t and b1 + b2) and the phase i^|m| e^{i m phi} is
-    applied once, at the end; on S3 the phase goes into the exponent.
+    and (sin(theta) sin(chi))^|m| on S3, taken here by modulus (the H3
+    phase i^|m| is :func:`psi_prefactor`'s).  No power takes a branch, so
+    S3 states are continuous across the equator, and E stays finite where
+    F2 and e^{-2 b1 chi} alone would over- or underflow.  A perturbed
+    state's b1 + b2 != 0 adds (1-t2)^{b1+b2} on the principal branch.
+    With ``real`` set, only Re E = log|e^E| is computed, in real
+    arithmetic but for that perturbation term.
     """
-    m = state.qn.m
-    am = abs(m)
-    phi = np.asarray(phi, dtype=float)
-    h3 = state.space.model is Model.H3
+    am = abs(state.qn.m)
     with np.errstate(divide="ignore"):
-        if h3:
+        if state.space.model is Model.H3:
             # by modulus: far out on theta = 0, t1 can round to just above 1
             expo = state.b1.real * np.log(np.abs((1.0 - t1.real) / (1.0 - t2.real))) + log_scale
         else:
-            expo = -2j * state.b1 * np.arctan2(t1.real + t2.real, t1.imag - t2.imag)
-            expo = expo + log_scale + 1j * m * phi
+            rate = -2j * state.b1
+            expo = (rate.real if real else rate) * np.arctan2(t1.real + t2.real, t1.imag - t2.imag) + log_scale
         if am:
             expo += 0.5 * am * np.log(np.abs(t1 * t2))
         shift = drop_zero_imag(state.b1 + state.b2)
         if shift:
-            expo = expo + shift * np.log(1.0 - t2)
-    if h3:
-        return np.exp(expo) * (1j**am * np.exp(1j * m * phi))
-    return np.exp(expo)
+            term = shift * np.log(1.0 - t2)
+            expo = expo + (term.real if real else term)
+    return expo
 
 
 def radial_spherical(space: SpaceTag, e: float, n: int, l: int, chi: float) -> complex:
@@ -405,31 +416,66 @@ def perturbed(state: StateParams, **deltas: complex) -> StateParams:
 # normalization
 
 
-def _density_on_grid(state: StateParams, chi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """|Psi|^2 * (metric radial weight) on an outer-product grid."""
+def _chart_grid(space: SpaceTag, chi: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(t1, t2, volume weight) on the outer product of chi and theta, at phi = 0.
+
+    The chart values are those of :func:`chart_values` (float64 on H3);
+    the weight sinh^2(chi) or sin^2(chi) has shape (n_chi, 1).
+    """
     cc = chi[:, None]
-    pts = spherical_to_parabolic(state.space, (cc, theta[None, :], 0.0))
-    if state.space.model is Model.H3:
-        weight = np.sinh(cc) ** 2
-    else:
-        weight = np.sin(cc) ** 2
-    # |Psi|^2 does not depend on phi, so the phase factor is taken at phi = 0
-    psi = wavefunction_values(state, pts.t1, pts.t2, 0.0)
-    return (psi.real**2 + psi.imag**2) * weight
+    pts = spherical_to_parabolic(space, (cc, theta[None, :], 0.0))
+    t1, t2 = chart_values(space, pts.t1, pts.t2)
+    weight = np.sinh(cc) ** 2 if space.model is Model.H3 else np.sin(cc) ** 2
+    return t1, t2, weight
 
 
-def _h3_chi_cutoff(state: StateParams) -> float:
-    """Radial truncation point where the density falls below the cutoff."""
-    thetas = np.array([0.3, math.pi / 2.0, math.pi - 0.3])
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only because every caller of a cache shares them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _density_on_grid(state: StateParams, t1, t2, weight) -> np.ndarray:
+    """|Psi|^2 times the volume weight, at the chart values of :func:`_chart_grid`.
+
+    |Psi|^2 = |F1 F2|^2 e^{2 Re E}, with E the exponent of
+    :func:`psi_prefactor` without its phase (:func:`_psi_exponent`), so no
+    complex exponential runs and no phase is formed: on H3 the density is
+    float64 throughout, and on S3 only |F1 F2|^2 takes complex input.
+    e^{Re E} is applied twice rather than e^{2 Re E} once, so the density
+    overflows and underflows exactly where |Psi|^2 itself does.
+    """
+    (f1,), s1 = scaled_series(factor(state, 1).params, t1)
+    (f2,), s2 = scaled_series(factor(state, 2).params, t2)
+    f = f1 * f2
+    dens = f.real**2 + f.imag**2 if np.iscomplexobj(f) else f * f
+    scale = np.exp(_psi_exponent(state, t1, t2, s1 + s2, real=True))
+    dens *= scale
+    dens *= scale
+    dens *= weight
+    return dens
+
+
+@functools.lru_cache(maxsize=None)
+def _h3_probe_grid() -> tuple[np.ndarray, ...]:
+    """The radial nodes of the H3 cutoff probe with their :func:`_chart_grid`, built once."""
     # 300 keeps t2 ~ -e^{2 chi} finite; that covers decay rates down to
     # 2(e/k - k) ~ 0.1, i.e. everything but states at the very edge of
     # the bound interval.
     chis = np.linspace(0.05, 300.0, 1501)
+    thetas = np.array([0.3, math.pi / 2.0, math.pi - 0.3])
+    return _frozen(chis, *_chart_grid(H3, chis, thetas))
+
+
+def _h3_chi_cutoff(state: StateParams) -> float:
+    """Radial truncation point where the density falls below the cutoff."""
+    chis, t1, t2, weight = _h3_probe_grid()
     # a normalizable profile stays finite out to chi = 300 (the density
     # underflows long before the volume weight can overflow), so overflow
     # during the probe already proves the state is not normalizable
     with np.errstate(over="ignore", invalid="ignore"):
-        profile = _density_on_grid(state, chis, thetas).max(axis=1)
+        profile = _density_on_grid(state, t1, t2, weight).max(axis=1)
     finite = np.isfinite(profile)
     peak_idx = int(np.argmax(np.where(finite, profile, 0.0)))
     peak = profile[peak_idx]
@@ -450,30 +496,40 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     Each rule costs an eigen-solve; the arrays are read-only because
     every caller shares them.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    return _frozen(*np.polynomial.legendre.leggauss(n))
 
 
 # normalize() at its default orders uses these rules and their doublings.
 # They are built on import, so no normalize() call at the defaults makes an
-# eigen-solve and every such call costs the same, the first one included.
+# eigen-solve.
 _N_CHI, _N_THETA = 128, 64
 for _n in sorted({_N_THETA, _N_CHI, 2 * _N_THETA, 2 * _N_CHI}):
     _gauss_legendre(_n)
 del _n
 
 
-def _quad_norm(state: StateParams, chi_max: float, n_chi: int, n_theta: int) -> float:
+def _quad_grid(space: SpaceTag, top: float, n_chi: int, n_theta: int) -> tuple[np.ndarray, ...]:
+    """Tensor Gauss-Legendre grid on [0, top] x [0, pi].
+
+    Returns the chi weights, the :func:`_chart_grid` of the nodes and the
+    theta weights with their sin(theta) volume factor.
+    """
     x, wx = _gauss_legendre(n_chi)
     y, wy = _gauss_legendre(n_theta)
-    chi = 0.5 * chi_max * (x + 1.0)
-    wchi = 0.5 * chi_max * wx
+    chi = 0.5 * top * (x + 1.0)
     theta = 0.5 * math.pi * (y + 1.0)
-    wtheta = 0.5 * math.pi * wy * np.sin(theta)
-    dens = _density_on_grid(state, chi, theta)
-    return 2.0 * math.pi * float(wchi @ dens @ wtheta)
+    return (0.5 * top * wx, *_chart_grid(space, chi, theta), 0.5 * math.pi * wy * np.sin(theta))
+
+
+@functools.lru_cache(maxsize=None)
+def _s3_quad_grid(n_chi: int, n_theta: int) -> tuple[np.ndarray, ...]:
+    """The S3 :func:`_quad_grid` of the given orders, built once per order pair."""
+    return _frozen(*_quad_grid(S3, math.pi, n_chi, n_theta))
+
+
+def _quad_norm(state: StateParams, grid: tuple[np.ndarray, ...]) -> float:
+    wchi, t1, t2, weight, wtheta = grid
+    return 2.0 * math.pi * float(wchi @ _density_on_grid(state, t1, t2, weight) @ wtheta)
 
 
 def normalize(state: StateParams, n_chi: int = _N_CHI, n_theta: int = _N_THETA) -> NormalizationResult:
@@ -482,21 +538,26 @@ def normalize(state: StateParams, n_chi: int = _N_CHI, n_theta: int = _N_THETA) 
     Tensor-product Gauss-Legendre quadrature in the spherical chart; the
     H3 radial integral is truncated where the density drops below 1e-14
     of its peak.  The error estimate is the relative shift of c under
-    doubling both quadrature orders.  Each Gauss-Legendre rule is built
-    once per order and process; the rules of the default orders are
-    built when the module is imported, those of other orders on first use.
+    doubling both quadrature orders.  The density |Psi|^2 is taken in
+    real arithmetic, with no complex exponential (:func:`_density_on_grid`).
+    Each Gauss-Legendre rule is built once per order and process; the
+    rules of the default orders are built when the module is imported,
+    those of other orders on first use.  The grids that do not depend on
+    the state, each S3 quadrature grid (per order pair) and the H3 cutoff
+    probe, are built on first use and then shared, read-only; an H3
+    quadrature grid follows the state's chi_max and is built per call.
     """
     for name, n in (("n_chi", n_chi), ("n_theta", n_theta)):
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise ParameterError(f"{name} must be an integer >= 1, got {n!r}")
     if state.space.model is Model.H3:
         chi_max: float | None = _h3_chi_cutoff(state)
-        top = chi_max
+        grid = functools.partial(_quad_grid, state.space, chi_max)
     else:
         chi_max = None
-        top = math.pi
-    i1 = _quad_norm(state, top, n_chi, n_theta)
-    i2 = _quad_norm(state, top, 2 * n_chi, 2 * n_theta)
+        grid = _s3_quad_grid
+    i1 = _quad_norm(state, grid(n_chi, n_theta))
+    i2 = _quad_norm(state, grid(2 * n_chi, 2 * n_theta))
     if not (i2 > 0 and math.isfinite(i2)):
         raise IntegrabilityError(f"normalization integral came out {i2}")
     c = 1.0 / math.sqrt(i2)

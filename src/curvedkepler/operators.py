@@ -167,7 +167,7 @@ def _jets(state: StateParams, t1, t2, phi):
     The chart values come from :func:`~curvedkepler.kepler.chart_values`,
     so on H3 the jets and the operator cores run in float64.
     """
-    t1, t2 = chart_values(state, t1, t2)
+    t1, t2 = chart_values(state.space, t1, t2)
     q1, s1 = _factor_jet(factor(state, 1), t1)
     q2, s2 = _factor_jet(factor(state, 2), t2)
     p = psi_prefactor(state, t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2

@@ -490,18 +490,33 @@ def test_normalize_rejects_bad_quadrature_orders(name, order):
         normalize(st, **{name: order})
 
 
+def _fresh_chart_grid(space, chi, theta):
+    """kepler._chart_grid built afresh: the chart, its chart values and the volume weight."""
+    cc = chi[:, None]
+    pts = spherical_to_parabolic(space, (cc, theta[None, :], 0.0))
+    t1, t2 = kepler.chart_values(space, pts.t1, pts.t2)
+    return t1, t2, np.sinh(cc) ** 2 if space is H3 else np.sin(cc) ** 2
+
+
+def _old_density(state, t1, t2, weight):
+    """The density as it was computed before: |Psi|^2 from the complex Psi, times the weight."""
+    psi = wavefunction_values(state, t1, t2, 0.0)
+    return (psi.real**2 + psi.imag**2) * weight
+
+
 def _normalize_oracle(state, n_chi, n_theta):
-    """normalize() with every Gauss-Legendre rule built afresh by numpy."""
+    """normalize() with every Gauss-Legendre rule, chart and probe grid built afresh."""
 
     def quad(top, nc, nt):
         x, wx = np.polynomial.legendre.leggauss(nc)
         y, wy = np.polynomial.legendre.leggauss(nt)
         chi = 0.5 * top * (x + 1.0)
         theta = 0.5 * math.pi * (y + 1.0)
-        dens = kepler._density_on_grid(state, chi, theta)
+        dens = kepler._density_on_grid(state, *_fresh_chart_grid(state.space, chi, theta))
         wtheta = 0.5 * math.pi * wy * np.sin(theta)
         return 2.0 * math.pi * float((0.5 * top * wx) @ dens @ wtheta)
 
+    kepler._h3_probe_grid.cache_clear()
     chi_max = kepler._h3_chi_cutoff(state) if state.space is H3 else None
     top = math.pi if chi_max is None else chi_max
     i1 = quad(top, n_chi, n_theta)
@@ -516,10 +531,89 @@ def _normalize_oracle(state, n_chi, n_theta):
 )
 def test_normalize_with_cached_rules_is_bit_identical(space, e, qn, orders):
     st = assemble_state(space, e, QuantumNumbers(*qn))
-    for _ in range(2):  # the second call reads the cached rules
+    for _ in range(2):  # the second call reads the cached rules and grids
         res = normalize(st, *orders)
         assert (res.constant, res.error_estimate, res.chi_max) == _normalize_oracle(st, *orders)
         assert (res.n_chi, res.n_theta) == orders
+
+
+def _density_grids(state):
+    """The grids normalize() samples for the state: its quadrature grid and, on H3, the cutoff probe."""
+    if state.space is S3:
+        return [kepler._s3_quad_grid(128, 64)[1:4]]
+    chi_max = kepler._h3_chi_cutoff(state)
+    return [kepler._quad_grid(H3, chi_max, 128, 64)[1:4], kepler._h3_probe_grid()[1:]]
+
+
+def _assert_density_matches_psi(state):
+    for grid in _density_grids(state):
+        old = _old_density(state, *grid)
+        new = kepler._density_on_grid(state, *grid)
+        assert new.dtype == np.float64 and np.isfinite(old).all()
+        assert np.max(np.abs(new - old)) <= 1e-15 * np.max(old)
+
+
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (S3, 10.0), (H3, 100.0)])
+def test_density_matches_the_square_of_psi(space, e):
+    for k in (1, 2, 3, 4):
+        for qn in enumerate_states(k):
+            _assert_density_matches_psi(assemble_state(space, e, qn))
+
+
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 100.0)])
+def test_density_matches_the_square_of_psi_for_a_complex_shift(space, e):
+    """b1 + 1e-3j makes b1 + b2 complex, so the H3 exponent goes complex too."""
+    st = perturbed(assemble_state(space, e, QuantumNumbers(1, 0, 1)), b1=1e-3j)
+    t1, t2, _ = _density_grids(st)[0]
+    assert np.iscomplexobj(kepler._psi_exponent(st, t1, t2, 0.0))
+    _assert_density_matches_psi(st)
+
+
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 100.0)])
+def test_density_takes_no_complex_exponential(monkeypatch, space, e):
+    st = assemble_state(space, e, QuantumNumbers(2, 1, 1))
+    grid = _density_grids(st)[0]
+    seen = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x, *a, **kw: seen.append(np.asarray(x).dtype) or exp(x, *a, **kw))
+    assert kepler._density_on_grid(st, *grid).dtype == np.float64
+    assert seen == [np.dtype(float)]
+
+
+def _count_grid_builds(monkeypatch):
+    """Record the (space, n_chi, n_theta) of every chart grid kepler builds."""
+    built = []
+    to_parabolic = kepler.spherical_to_parabolic
+
+    def counting(space, p):
+        built.append((space.name, *np.broadcast_shapes(np.shape(p[0]), np.shape(p[1]))))
+        return to_parabolic(space, p)
+
+    monkeypatch.setattr(kepler, "spherical_to_parabolic", counting)
+    kepler._s3_quad_grid.cache_clear()
+    kepler._h3_probe_grid.cache_clear()
+    return built
+
+
+def test_normalize_builds_each_grid_once(monkeypatch):
+    built = _count_grid_builds(monkeypatch)
+    s3 = [assemble_state(S3, 2.0, QuantumNumbers(*qn)) for qn in [(0, 0, 0), (1, 1, 0), (0, 2, -2)]]
+    h3 = [assemble_state(H3, 100.0, QuantumNumbers(*qn)) for qn in [(0, 0, 0), (1, 1, 0)]]
+    normalize(s3[0])
+    normalize(h3[0])
+    assert built == [("s3", 128, 64), ("s3", 256, 128), ("h3", 1501, 3), ("h3", 128, 64), ("h3", 256, 128)]
+    del built[:]
+    for _ in range(2):
+        for st in s3:
+            normalize(st)
+    assert built == []
+    for st in h3 * 2:  # the H3 quadrature grids follow each state's chi_max; the probe does not
+        normalize(st)
+    assert built == [("h3", 128, 64), ("h3", 256, 128)] * 4
+    del built[:]
+    normalize(s3[1], n_chi=96, n_theta=64)
+    normalize(s3[2], n_chi=96, n_theta=64)
+    assert built == [("s3", 96, 64), ("s3", 192, 128)]
 
 
 def test_normalize_builds_each_rule_once(monkeypatch):
@@ -532,6 +626,7 @@ def test_normalize_builds_each_rule_once(monkeypatch):
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
     kepler._gauss_legendre.cache_clear()
+    kepler._s3_quad_grid.cache_clear()  # a cached S3 grid needs no rule
     for _ in range(3):
         for qn in [(0, 0, 0), (1, 1, 0)]:
             normalize(assemble_state(S3, 2.0, QuantumNumbers(*qn)))
@@ -546,31 +641,51 @@ import numpy as np
 leggauss = np.polynomial.legendre.leggauss
 built = []
 np.polynomial.legendre.leggauss = lambda n: built.append(n) or leggauss(n)
-from curvedkepler import H3, S3, QuantumNumbers, assemble_state, normalize
-on_import = list(built)
+from curvedkepler import H3, S3, QuantumNumbers, assemble_state, kepler, normalize
+def grids():
+    return kepler._s3_quad_grid.cache_info().currsize, kepler._h3_probe_grid.cache_info().currsize
+on_import = list(built), grids()
 normalize(assemble_state(S3, 2.0, QuantumNumbers(0, 0, 0)))
 normalize(assemble_state(H3, 100.0, QuantumNumbers(1, 1, 0)))
-print(on_import, built)
+print(*on_import, built, grids())
 """
 
 
-def test_import_builds_the_default_rules():
-    """In a fresh process the default rules exist before the first normalize()."""
+def _run_fresh(script):
     src = str(Path(kepler.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", _FRESH_PROCESS], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.split("\n")[0] == "[64, 128, 256] [64, 128, 256]"
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_import_builds_the_default_rules():
+    """In a fresh process the default rules exist before the first normalize(), and no grid does."""
+    out = _run_fresh(_FRESH_PROCESS)
+    assert out.split("\n")[0] == "[64, 128, 256] (0, 0) [64, 128, 256] (2, 1)"
+
+
+_ORDERED_PROCESS = """
+from curvedkepler import S3, QuantumNumbers, assemble_state, normalize
+states = {{"A": assemble_state(S3, 2.0, QuantumNumbers(1, 1, 0)), "B": assemble_state(S3, 10.0, QuantumNumbers(0, 2, -2))}}
+results = {{name: normalize(states[name]) for name in {order!r}}}
+print([(results[n].constant.hex(), results[n].error_estimate.hex()) for n in "AB"])
+"""
+
+
+def test_normalize_bits_do_not_depend_on_the_call_order():
+    """The first S3 call builds the shared grid, the second reads it: both orders give the same bits."""
+    outs = [_run_fresh(_ORDERED_PROCESS.format(order=order)) for order in ("AB", "BA")]
+    assert outs[0] == outs[1] and outs[0].startswith("[('0x")
 
 
 def test_cached_rules_are_read_only():
-    x, w = kepler._gauss_legendre(16)
-    assert not x.flags.writeable and not w.flags.writeable
-    with pytest.raises(ValueError):
-        x[0] = 0.0
-    with pytest.raises(ValueError):
-        w *= 2.0
+    """The Gauss-Legendre rules and the state-independent grids are shared, so none can be written."""
+    for arrays in (kepler._gauss_legendre(16), kepler._s3_quad_grid(16, 8), kepler._h3_probe_grid()):
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.0
+            with pytest.raises(ValueError):
+                a *= 2.0
 
 
 @pytest.mark.parametrize("qn", [(0, 0, 0), (1, 1, 0)])
