@@ -324,7 +324,7 @@ def psi_prefactor(state: StateParams, t1, t2, log_scale, phi) -> np.ndarray:
     return np.exp(_psi_exponent(state, t1, t2, log_scale + 1j * m * phi))
 
 
-def _psi_exponent(state: StateParams, t1, t2, log_scale, real: bool = False) -> np.ndarray:
+def _psi_exponent(state: StateParams, t1, t2, log_scale) -> np.ndarray:
     """E with e^E = (t1 t2)^{|m|/2} ((1-t1)/(1-t2))^{b1} e^{log_scale}, the magnitudes in one exponent.
 
     1 - t1 = e^{-chi} D and 1 - t2 = e^{chi} D on H3 (chi -> i chi on S3),
@@ -336,8 +336,6 @@ def _psi_exponent(state: StateParams, t1, t2, log_scale, real: bool = False) -> 
     S3 states are continuous across the equator, and E stays finite where
     F2 and e^{-2 b1 chi} alone would over- or underflow.  A perturbed
     state's b1 + b2 != 0 adds (1-t2)^{b1+b2} on the principal branch.
-    With ``real`` set, only Re E = log|e^E| is computed, in real
-    arithmetic but for that perturbation term.
     """
     am = abs(state.qn.m)
     with np.errstate(divide="ignore"):
@@ -345,14 +343,12 @@ def _psi_exponent(state: StateParams, t1, t2, log_scale, real: bool = False) -> 
             # by modulus: far out on theta = 0, t1 can round to just above 1
             expo = state.b1.real * np.log(np.abs((1.0 - t1.real) / (1.0 - t2.real))) + log_scale
         else:
-            rate = -2j * state.b1
-            expo = (rate.real if real else rate) * np.arctan2(t1.real + t2.real, t1.imag - t2.imag) + log_scale
+            expo = -2j * state.b1 * np.arctan2(t1.real + t2.real, t1.imag - t2.imag) + log_scale
         if am:
             expo += 0.5 * am * np.log(np.abs(t1 * t2))
         shift = drop_zero_imag(state.b1 + state.b2)
         if shift:
-            term = shift * np.log(1.0 - t2)
-            expo = expo + (term.real if real else term)
+            expo = expo + shift * np.log(1.0 - t2)
     return expo
 
 
@@ -442,7 +438,7 @@ def _density_on_grid(state: StateParams, t1, t2, weight) -> np.ndarray:
     |Psi|^2 = |F1 F2|^2 e^{2 Re E}, with E the exponent of
     :func:`psi_prefactor` without its phase (:func:`_psi_exponent`), so no
     complex exponential runs and no phase is formed: on H3 the density is
-    float64 throughout, and on S3 only |F1 F2|^2 takes complex input.
+    float64 throughout, and on S3 only Re E is exponentiated.
     e^{Re E} is applied twice rather than e^{2 Re E} once, so the density
     overflows and underflows exactly where |Psi|^2 itself does.
     """
@@ -450,7 +446,7 @@ def _density_on_grid(state: StateParams, t1, t2, weight) -> np.ndarray:
     (f2,), s2 = scaled_series(factor(state, 2).params, t2)
     f = f1 * f2
     dens = f.real**2 + f.imag**2 if np.iscomplexobj(f) else f * f
-    scale = np.exp(_psi_exponent(state, t1, t2, s1 + s2, real=True))
+    scale = np.exp(_psi_exponent(state, t1, t2, s1 + s2).real)
     dens *= scale
     dens *= scale
     dens *= weight
@@ -499,15 +495,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(*np.polynomial.legendre.leggauss(n))
 
 
-# normalize() at its default orders uses these rules and their doublings.
-# They are built on import, so no normalize() call at the defaults makes an
-# eigen-solve.
-_N_CHI, _N_THETA = 128, 64
-for _n in sorted({_N_THETA, _N_CHI, 2 * _N_THETA, 2 * _N_CHI}):
-    _gauss_legendre(_n)
-del _n
-
-
 def _quad_grid(space: SpaceTag, top: float, n_chi: int, n_theta: int) -> tuple[np.ndarray, ...]:
     """Tensor Gauss-Legendre grid on [0, top] x [0, pi].
 
@@ -521,10 +508,28 @@ def _quad_grid(space: SpaceTag, top: float, n_chi: int, n_theta: int) -> tuple[n
     return (0.5 * top * wx, *_chart_grid(space, chi, theta), 0.5 * math.pi * wy * np.sin(theta))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def _s3_quad_grid(n_chi: int, n_theta: int) -> tuple[np.ndarray, ...]:
-    """The S3 :func:`_quad_grid` of the given orders, built once per order pair."""
+    """The S3 :func:`_quad_grid` of the given orders, built once per order pair.
+
+    Four grids are kept, the two of one normalize() call and the two of
+    another, so a sweep over orders holds no more than that.
+    """
     return _frozen(*_quad_grid(S3, math.pi, n_chi, n_theta))
+
+
+# normalize() at its default orders uses these rules and their doublings, the
+# S3 grids of both and the H3 cutoff probe.  They are built on import (about
+# 2 ms beyond the rules' eigen-solves), so no normalize() call at the defaults
+# makes an eigen-solve or an S3 or probe chart, and every such call costs the
+# same, the first one included.
+_N_CHI, _N_THETA = 128, 64
+for _n in sorted({_N_THETA, _N_CHI, 2 * _N_THETA, 2 * _N_CHI}):
+    _gauss_legendre(_n)
+del _n
+_s3_quad_grid(_N_CHI, _N_THETA)
+_s3_quad_grid(2 * _N_CHI, 2 * _N_THETA)
+_h3_probe_grid()
 
 
 def _quad_norm(state: StateParams, grid: tuple[np.ndarray, ...]) -> float:
@@ -540,12 +545,12 @@ def normalize(state: StateParams, n_chi: int = _N_CHI, n_theta: int = _N_THETA) 
     of its peak.  The error estimate is the relative shift of c under
     doubling both quadrature orders.  The density |Psi|^2 is taken in
     real arithmetic, with no complex exponential (:func:`_density_on_grid`).
-    Each Gauss-Legendre rule is built once per order and process; the
-    rules of the default orders are built when the module is imported,
-    those of other orders on first use.  The grids that do not depend on
-    the state, each S3 quadrature grid (per order pair) and the H3 cutoff
-    probe, are built on first use and then shared, read-only; an H3
-    quadrature grid follows the state's chi_max and is built per call.
+    Each Gauss-Legendre rule is built once per order and process.  The
+    grids that do not depend on the state, each S3 quadrature grid (per
+    order pair, the last four kept) and the H3 cutoff probe, are shared
+    read-only; an H3 quadrature grid follows the state's chi_max and is
+    built per call.  The rules and S3 grids of the default orders and the
+    probe are built when the module is imported, the others on first use.
     """
     for name, n in (("n_chi", n_chi), ("n_theta", n_theta)):
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:

@@ -616,6 +616,20 @@ def test_normalize_builds_each_grid_once(monkeypatch):
     assert built == [("s3", 96, 64), ("s3", 192, 128)]
 
 
+def test_an_order_sweep_keeps_only_the_last_four_s3_grids(monkeypatch):
+    built = _count_grid_builds(monkeypatch)
+    st = assemble_state(S3, 2.0, QuantumNumbers(0, 0, 0))
+    for n in (8, 12, 20, 28):  # no pair here is another's doubling
+        normalize(st, n_chi=2 * n, n_theta=n)
+    assert len(built) == 8 and kepler._s3_quad_grid.cache_info().currsize == 4
+    del built[:]
+    normalize(st, n_chi=40, n_theta=20)
+    normalize(st, n_chi=56, n_theta=28)
+    assert built == []
+    normalize(st, n_chi=16, n_theta=8)
+    assert built == [("s3", 16, 8), ("s3", 32, 16)]
+
+
 def test_normalize_builds_each_rule_once(monkeypatch):
     built = []
     leggauss = np.polynomial.legendre.leggauss
@@ -642,12 +656,17 @@ leggauss = np.polynomial.legendre.leggauss
 built = []
 np.polynomial.legendre.leggauss = lambda n: built.append(n) or leggauss(n)
 from curvedkepler import H3, S3, QuantumNumbers, assemble_state, kepler, normalize
+charts = []
+to_parabolic = kepler.spherical_to_parabolic
+kepler.spherical_to_parabolic = lambda space, p: charts.append(space.name) or to_parabolic(space, p)
 def grids():
     return kepler._s3_quad_grid.cache_info().currsize, kepler._h3_probe_grid.cache_info().currsize
-on_import = list(built), grids()
-normalize(assemble_state(S3, 2.0, QuantumNumbers(0, 0, 0)))
-normalize(assemble_state(H3, 100.0, QuantumNumbers(1, 1, 0)))
-print(*on_import, built, grids())
+print(built, grids())
+for _ in range(2):
+    normalize(assemble_state(S3, 2.0, QuantumNumbers(0, 0, 0)))
+    normalize(assemble_state(H3, 100.0, QuantumNumbers(1, 1, 0)))
+    print(built, grids(), charts)
+    del charts[:]
 """
 
 
@@ -658,21 +677,25 @@ def _run_fresh(script):
 
 
 def test_import_builds_the_default_rules():
-    """In a fresh process the default rules exist before the first normalize(), and no grid does."""
-    out = _run_fresh(_FRESH_PROCESS)
-    assert out.split("\n")[0] == "[64, 128, 256] (0, 0) [64, 128, 256] (2, 1)"
+    """In a fresh process the default rules, both default S3 grids and the H3
+    probe exist before the first normalize(), so the first calls at the
+    default orders chart only the H3 quadrature grids, as later calls do."""
+    lines = _run_fresh(_FRESH_PROCESS).splitlines()
+    assert lines[0] == "[64, 128, 256] (2, 1)"
+    assert lines[1] == lines[2] == "[64, 128, 256] (2, 1) ['h3', 'h3']"
 
 
 _ORDERED_PROCESS = """
 from curvedkepler import S3, QuantumNumbers, assemble_state, normalize
 states = {{"A": assemble_state(S3, 2.0, QuantumNumbers(1, 1, 0)), "B": assemble_state(S3, 10.0, QuantumNumbers(0, 2, -2))}}
-results = {{name: normalize(states[name]) for name in {order!r}}}
+results = {{name: normalize(states[name], 96, 48) for name in {order!r}}}
 print([(results[n].constant.hex(), results[n].error_estimate.hex()) for n in "AB"])
 """
 
 
 def test_normalize_bits_do_not_depend_on_the_call_order():
-    """The first S3 call builds the shared grid, the second reads it: both orders give the same bits."""
+    """At orders not built on import the first S3 call builds the shared grid
+    and the second reads it: both orders give the same bits."""
     outs = [_run_fresh(_ORDERED_PROCESS.format(order=order)) for order in ("AB", "BA")]
     assert outs[0] == outs[1] and outs[0].startswith("[('0x")
 
