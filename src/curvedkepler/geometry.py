@@ -31,7 +31,9 @@ producing NaNs.
 The chart maps work on arrays: a :class:`ParabolicPoints` batch holds
 parallel (t1, t2, phi) arrays, and the single-point dataclasses go
 through the same array code as batches of one; so do the metric, its
-pullback check and the constraint check.
+pullback check and the constraint check.  The H3 chart gives t1, t2 as
+float64 and the S3 chart as complex128; a single :class:`ParabolicPoint`
+holds complex values on either space.
 """
 
 from __future__ import annotations
@@ -205,10 +207,11 @@ class ParabolicPoint:
 class ParabolicPoints:
     """A batch of parabolic chart points: parallel t1, t2, phi arrays.
 
-    The three arrays are broadcast to one shape; t1 and t2 are stored as
-    complex, and phi is normalized into [0, 2 pi) exactly as
-    :class:`ParabolicPoint` normalizes it, before the broadcast.
-    Iterating yields the points one by one, in flat order.
+    The three arrays are broadcast to one shape; t1 and t2 share one
+    dtype, float64 when both are given real (as the H3 chart makes them)
+    and complex128 otherwise, and phi is normalized into [0, 2 pi)
+    exactly as :class:`ParabolicPoint` normalizes it, before the
+    broadcast.  Iterating yields the points one by one, in flat order.
     """
 
     t1: np.ndarray
@@ -216,9 +219,10 @@ class ParabolicPoints:
     phi: np.ndarray
 
     def __post_init__(self) -> None:
+        dtype = complex if np.iscomplexobj(self.t1) or np.iscomplexobj(self.t2) else float
         t1, t2, phi = np.broadcast_arrays(
-            np.asarray(self.t1, dtype=complex),
-            np.asarray(self.t2, dtype=complex),
+            np.asarray(self.t1, dtype=dtype),
+            np.asarray(self.t2, dtype=dtype),
             _norm_phi(np.asarray(self.phi, dtype=float)),
         )
         object.__setattr__(self, "t1", t1)
@@ -283,8 +287,8 @@ def _spherical_to_parabolic(
     if space.model is Model.H3:
         _raise_first(chi > 350.0, DomainError, "chi too large: parabolic t2 would overflow")
         sh = np.sinh(chi)
-        t1 = ((1.0 + c) * sh * np.exp(-chi)).astype(complex)
-        t2 = (-(1.0 - c) * sh * np.exp(chi)).astype(complex)
+        t1 = (1.0 + c) * sh * np.exp(-chi)
+        t2 = -(1.0 - c) * sh * np.exp(chi)
     else:
         _raise_first(chi > math.pi, DomainError, "S3 requires chi <= pi, got {}", chi)
         w = np.sin(chi) * np.exp(1j * (math.pi / 2.0 - chi))
@@ -360,6 +364,8 @@ def _parabolic_to_ambient(space: SpaceTag, p: ParabolicPoints) -> np.ndarray:
         out = np.stack([x0, radial * cos, radial * sin, x3])
         _validate_ambient(space, out)
         return out
+    # an S3 batch given real values (t1 = 0, t2 = 2 is a point) takes complex roots
+    t1, t2 = np.asarray(t1, dtype=complex), np.asarray(t2, dtype=complex)
     prod = (1.0 - t1) * (1.0 - t2)
     _raise_first(prod == 0, SingularLocusError, "t = 1 is the chart boundary")
     root = np.sqrt(prod)
@@ -432,9 +438,11 @@ def metric_parabolic(space: SpaceTag, p) -> np.ndarray:
     ``p`` is a :class:`ParabolicPoint`, giving one 3 x 3 matrix, or a
     :class:`ParabolicPoints` batch, giving a stack of shape
     ``p.t1.shape + (3, 3)``.  A batch raises for its first singular point.
+    The entries are built from complex values, as the matrix is complex, so
+    a real H3 batch gives the bits of its points taken one by one.
     """
     pts = ParabolicPoints.of(p)
-    t1, t2 = pts.t1, pts.t2
+    t1, t2 = np.asarray(pts.t1, dtype=complex), np.asarray(pts.t2, dtype=complex)
     _raise_first(
         (t1 == 0) | (t1 == 1) | (t2 == 0) | (t2 == 1) | (t1 == t2),
         SingularLocusError,

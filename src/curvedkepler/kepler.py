@@ -281,29 +281,16 @@ def factor(state: StateParams, which: int) -> SeparatedFactor:
     raise ParameterError(f"factor index must be 1 or 2, got {which}")
 
 
-def chart_values(space: SpaceTag, t1, t2) -> tuple[np.ndarray, np.ndarray]:
-    """(t1, t2) as the arithmetic of the space's states takes them.
-
-    H3 chart values are real: their zero imaginary parts are dropped
-    here, so the series, the prefactor and the operator cores of H3
-    states run in float64.  S3 values, and any value with a nonzero
-    imaginary part, stay complex128 (complex input is not copied).
-    """
-    t1 = np.asarray(t1, dtype=complex)
-    t2 = np.asarray(t2, dtype=complex)
-    if space.model is Model.H3 and not (t1.imag.any() or t2.imag.any()):
-        return np.ascontiguousarray(t1.real), np.ascontiguousarray(t2.real)
-    return t1, t2
-
-
 def wavefunction_values(state: StateParams, t1, t2, phi) -> np.ndarray:
     """Psi = F1(t1) F2(t2) (t1 t2)^{|m|/2} ((1-t1)/(1-t2))^{b1} e^{i m phi}.
 
     That is f1 f2 e^{i m phi} with b2 = -b1, over parallel arrays of chart
     coordinates; :func:`psi_prefactor` evaluates the powers with no branch.
-    F1 and F2 run in the dtype of :func:`chart_values`, float64 on H3.
+    The arithmetic follows the dtype of t1, t2 and the parameters
+    (:func:`~curvedkepler.specfun.scaled_series`): float64 for the real
+    values of the H3 chart, complex128 on S3 or for complex input.
     """
-    t1, t2 = chart_values(state.space, t1, t2)
+    t1, t2 = np.asarray(t1), np.asarray(t2)
     (f1,), s1 = scaled_series(factor(state, 1).params, t1)
     (f2,), s2 = scaled_series(factor(state, 2).params, t2)
     return f1 * f2 * psi_prefactor(state, t1, t2, s1 + s2, phi)
@@ -359,7 +346,8 @@ def radial_spherical(space: SpaceTag, e: float, n: int, l: int, chi: float) -> c
     S3:  sin^l(chi)  e^{(i(n-l-1)-e/n) chi} F(-ie/n+l+1, l-n+1; 2l+2; 1-e^{-2i chi})
 
     F terminates (second parameter l-n+1 <= 0), so any chi in the
-    space's range is fine.
+    space's range is fine.  A complex chi is taken as given, unchecked,
+    for the chi -> i chi substitution cross-checks off the real axis.
     """
     if n < 1 or not 0 <= l <= n - 1:
         raise DomainError(f"need n >= 1 and 0 <= l <= n-1, got n={n}, l={l}")
@@ -370,15 +358,6 @@ def radial_spherical(space: SpaceTag, e: float, n: int, l: int, chi: float) -> c
             raise DomainError("S3 requires chi <= pi")
         if space.model is Model.H3 and chi > 350.0:
             raise DomainError("chi too large; sinh(chi) overflows beyond 350")
-    return _radial_formula(space, e, n, l, chi)
-
-
-def _radial_formula(space: SpaceTag, e, n: int, l: int, chi) -> complex:
-    """Radial closed form, permissive in complex chi and e.
-
-    Used by the public operation and by the chi -> i chi substitution
-    cross-checks, which probe the formula off the real axis.
-    """
     chi = complex(chi)
     if space.model is Model.H3:
         base = np.sinh(chi)
@@ -415,14 +394,13 @@ def perturbed(state: StateParams, **deltas: complex) -> StateParams:
 def _chart_grid(space: SpaceTag, chi: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
     """(t1, t2, volume weight) on the outer product of chi and theta, at phi = 0.
 
-    The chart values are those of :func:`chart_values` (float64 on H3);
-    the weight sinh^2(chi) or sin^2(chi) has shape (n_chi, 1).
+    The chart values are the chart's own, float64 on H3 and complex128 on
+    S3; the weight sinh^2(chi) or sin^2(chi) has shape (n_chi, 1).
     """
     cc = chi[:, None]
     pts = spherical_to_parabolic(space, (cc, theta[None, :], 0.0))
-    t1, t2 = chart_values(space, pts.t1, pts.t2)
     weight = np.sinh(cc) ** 2 if space.model is Model.H3 else np.sin(cc) ** 2
-    return t1, t2, weight
+    return pts.t1, pts.t2, weight
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -32,7 +32,6 @@ from .geometry import ParabolicPoint, ParabolicPoints, parabolic_to_ambient
 from .kepler import (
     SeparatedFactor,
     StateParams,
-    chart_values,
     factor,
     psi_prefactor,
     wavefunction_values,
@@ -117,7 +116,9 @@ def ode_residual(
 
     (1-t) d/dt[t(1-t) f'] + (c t - m^2/(4t) + k_i) f = 0, where c is the
     energy/coupling combination of the factor's variable.  The relative
-    scale is 1 + |k_i f|.
+    scale is 1 + |k_i f|.  The sample is taken as complex128, real H3
+    draws included, since :func:`factor_derivatives` works on principal
+    branches.
     """
     if which not in (1, 2):
         raise ParameterError(f"which must be 1 or 2, got {which}")
@@ -164,10 +165,10 @@ def _jets(state: StateParams, t1, t2, phi):
     Every term of H Psi, B Psi and Psi is bilinear in the two jets, with
     f_i^(j) = P_i q_i^(j) and P1 P2 = (t1 t2)^(|m|/2-2) ((1-t1)(1-t2))^-2
     ((1-t1)/(1-t2))^b1 from :func:`~curvedkepler.kepler.psi_prefactor`.
-    The chart values come from :func:`~curvedkepler.kepler.chart_values`,
-    so on H3 the jets and the operator cores run in float64.
+    The chart values are taken in their own dtype, so on the real values
+    of the H3 chart the jets and the operator cores run in float64.
     """
-    t1, t2 = chart_values(state.space, t1, t2)
+    t1, t2 = np.asarray(t1), np.asarray(t2)
     q1, s1 = _factor_jet(factor(state, 1), t1)
     q2, s2 = _factor_jet(factor(state, 2), t2)
     p = psi_prefactor(state, t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
@@ -331,12 +332,15 @@ def b_operator_residual(
 
 
 def _quasi_to_chart(space: SpaceTag, Q: np.ndarray):
-    """(t1, t2, phi) arrays of stacked quasi-Cartesian coordinates (3, n)."""
+    """(t1, t2, phi) arrays of stacked quasi-Cartesian coordinates (3, n).
+
+    t1 and t2 are float64 on H3 and complex128 on S3, as the chart gives them.
+    """
     q = np.sqrt((Q * Q).sum(axis=0))
     phi = np.arctan2(Q[1], Q[0])
     if space.model is Model.H3:
-        t1 = ((Q[2] + q) / (1.0 + q)).astype(complex)
-        t2 = ((Q[2] - q) / (1.0 - q)).astype(complex)
+        t1 = (Q[2] + q) / (1.0 + q)
+        t2 = (Q[2] - q) / (1.0 - q)
     else:
         y0 = 1.0 / np.sqrt(1.0 + q * q)
         y = q * y0

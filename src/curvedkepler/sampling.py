@@ -33,19 +33,19 @@ def make_rng(seed: int) -> np.random.Generator:
 def factor_samples(
     space: SpaceTag, rng: np.random.Generator, which: int, n: int = 100
 ) -> np.ndarray:
-    """Complex sample abscissas for one separated-factor ODE check.
+    """Sample abscissas for one separated-factor ODE check.
 
-    H3 draws real values in the chart ranges (t1 in (0,1), t2 < 0 with a
-    logarithmic magnitude spread); S3 mixes points taken from the
-    physical (chi, theta) parametrization with draws from the open disc
-    |t| < 0.9.
+    H3 draws float64 values in the chart ranges (t1 in (0,1), t2 < 0 with
+    a logarithmic magnitude spread); S3 draws complex128 values, mixing
+    points taken from the physical (chi, theta) parametrization with
+    draws from the open disc |t| < 0.9.
     """
     if which not in (1, 2):
         raise ParameterError(f"which must be 1 or 2, got {which}")
     if space.model is Model.H3:
         if which == 1:
-            return rng.uniform(2.0 * GUARD, 1.0 - 2.0 * GUARD, n).astype(complex)
-        return (-(10.0 ** rng.uniform(-2.5, 0.7, n))).astype(complex)
+            return rng.uniform(2.0 * GUARD, 1.0 - 2.0 * GUARD, n)
+        return -(10.0 ** rng.uniform(-2.5, 0.7, n))
 
     out = [np.zeros(0, dtype=complex)]
     count = 0

@@ -1,13 +1,14 @@
 """Gauss hypergeometric evaluation and the principal-branch power kernel.
 
 The separated bound-state factors are built from 2F1(alpha, beta; gamma; t)
-with beta a nonpositive integer, so the generic case here is a terminating
-series of small degree; the full series is kept for cross-checks inside
-the unit disc.  :func:`scaled_series` sums the terminating series and its
-derivatives by Horner's rule with the growth |t|^n split off, which is
-how the wave functions evaluate it.  It runs in the dtype of its input:
-float64 when t is real and alpha, beta, gamma have zero imaginary parts
-(every H3 state), complex128 otherwise.
+with beta a nonpositive integer, so every series here terminates; both
+evaluators refuse one that does not.  :func:`scaled_series` sums the
+polynomial and its derivatives by Horner's rule with the growth |t|^n
+split off, which is how the wave functions evaluate it.  It runs in the
+dtype of its input: float64 when t is real and alpha, beta, gamma have
+zero imaginary parts (every H3 state on the real H3 chart), complex128
+otherwise.  :func:`hyp2f1` sums the polynomial in complex arithmetic for
+the radial functions of the spherical chart.
 
 :func:`pow_arr` computes a power z^w as one exponential of w log z, with
 the logarithm taken as the real pair (log|z|, arg z) and the exponential
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 
 __all__ = [
     "Hyp2F1Params",
@@ -33,10 +34,6 @@ __all__ = [
     "hyp2f1",
     "scaled_series",
 ]
-
-# Series parameters: termination test and hard cap.
-SERIES_RELATIVE_CUTOFF = 1e-16
-SERIES_MAX_TERMS = 100_000
 
 # Slack for recognizing integer-valued complex parameters.
 INTEGER_DETECTION_TOL = 1e-12
@@ -76,35 +73,23 @@ class Hyp2F1Params:
 
 
 def hyp2f1(params: Hyp2F1Params, t):
-    """Evaluate 2F1(alpha, beta; gamma; t), scalar or elementwise on arrays.
+    """Evaluate a terminating 2F1(alpha, beta; gamma; t), scalar or elementwise on arrays.
 
-    Terminating cases sum the finite series by the rising-factorial
-    recurrence (valid for any t); otherwise the power series is summed
-    inside |t| < 1 until terms fall below 1e-16 of the partial sum.
+    The finite series is summed by the rising-factorial recurrence, valid
+    for any t.  Non-terminating parameters raise ParameterError, as in
+    :func:`scaled_series`.
     """
+    degree = params.polynomial_degree
+    if degree is None:
+        raise ParameterError("hyp2f1 needs a terminating series")
     scalar = np.isscalar(t) or isinstance(t, complex)
     tt = np.asarray(t, dtype=complex)
     a, b, g = params.alpha, params.beta, params.gamma
-    degree = params.polynomial_degree
-
     total = term = 1.0 + 0j  # the first term makes both arrays
-    if degree is not None:
-        for j in range(degree):
-            term = term * ((a + j) * (b + j) / ((g + j) * (1 + j))) * tt
-            total = total + term
-    else:
-        if np.max(np.abs(tt)) >= 1.0:
-            raise DomainError("series requires |t| < 1 for non-terminating parameters")
-        converged = False
-        for j in range(SERIES_MAX_TERMS):
-            term = term * ((a + j) * (b + j) / ((g + j) * (1 + j))) * tt
-            total = total + term
-            if np.max(np.abs(term)) <= SERIES_RELATIVE_CUTOFF * np.max(np.abs(total)):
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError("hypergeometric series hit the term cap")
-    return complex(total) if scalar else (total if degree != 0 else np.full(tt.shape, total))
+    for j in range(degree):
+        term = term * ((a + j) * (b + j) / ((g + j) * (1 + j))) * tt
+        total = total + term
+    return complex(total) if scalar else (total if degree else np.full(tt.shape, total))
 
 
 def drop_zero_imag(z):

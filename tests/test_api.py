@@ -27,8 +27,8 @@ REMOVED = {
         "polar_decompose",
         "_wrap_angle",
     ],
-    kepler: ["wavefunction"],
-    specfun: ["hyp2f1_derivative", "power_product"],
+    kepler: ["wavefunction", "chart_values", "_radial_formula"],
+    specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF"],
 }
 
 

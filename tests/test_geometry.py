@@ -565,6 +565,46 @@ def test_parabolic_points_reduce_a_scalar_phi_like_a_broadcast_one(phi):
     assert pts.phi[0, 0] == ParabolicPoint(0.3 + 0.1j, -0.7 + 0.1j, phi).phi
 
 
+@pytest.mark.parametrize("space, dtype", [(H3, np.float64), (S3, np.complex128)])
+def test_chart_values_are_float64_on_h3_and_complex128_on_s3(space, dtype):
+    pts = spherical_to_parabolic(space, (np.array([0.3, 1.2]), np.array([0.4, 2.0]), 0.0))
+    assert pts.t1.dtype == pts.t2.dtype == dtype
+    sampled = chart_points(space, make_rng(131), n=20)
+    assert sampled.t1.dtype == sampled.t2.dtype == dtype
+    t1, t2, _ = _quasi_to_chart(space, quasi_points(space, make_rng(132), n=10))
+    assert t1.dtype == t2.dtype == dtype
+    for which in (1, 2):
+        assert factor_samples(space, make_rng(133), which, 10).dtype == dtype
+    # a single point holds complex values on either space
+    one = spherical_to_parabolic(space, SphericalPoint(0.3, 0.4, 0.0))
+    assert type(one.t1) is complex and type(one.t2) is complex
+    assert ParabolicPoints.of(list(sampled)).t1.dtype == np.complex128
+
+
+@pytest.mark.parametrize(
+    "t1, t2, dtype",
+    [
+        (np.array([0.25]), np.array([-0.5]), np.float64),
+        ([0.25], -0.5, np.float64),
+        (np.array([0.25], dtype=np.float32), np.array([-0.5]), np.float64),
+        (np.array([0.25]), np.array([-0.5 + 0j]), np.complex128),
+        (np.array([0.25 + 0j]), -0.5, np.complex128),
+    ],
+)
+def test_parabolic_points_store_one_common_dtype(t1, t2, dtype):
+    pts = ParabolicPoints(t1, t2, 0.0)
+    assert pts.t1.dtype == pts.t2.dtype == dtype
+    assert (pts.t1[0], pts.t2[0]) == (0.25, -0.5)
+
+
+def test_an_s3_batch_given_real_values_maps_like_the_complex_one():
+    # chi = pi/2 and theta = pi give t1 = 0 and t2 = 2 conj(w) = 2, both real
+    real = ParabolicPoints(np.array([0.0]), np.array([2.0]), 0.5)
+    assert real.t1.dtype == np.float64
+    want = parabolic_to_ambient(S3, ParabolicPoints(np.array([0j]), np.array([2 + 0j]), 0.5))
+    assert parabolic_to_ambient(S3, real).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("point", [(0.0, 0.0, 0.0), (0.3, 0.2, 0.4)])
 @pytest.mark.parametrize(
     "rhos", [[-5.0, 0.0], [0.0, 100.0], [-1.0], [100.0, math.inf], [math.nan], [-math.inf, 1e3]]

@@ -491,11 +491,10 @@ def test_normalize_rejects_bad_quadrature_orders(name, order):
 
 
 def _fresh_chart_grid(space, chi, theta):
-    """kepler._chart_grid built afresh: the chart, its chart values and the volume weight."""
+    """kepler._chart_grid built afresh: the chart values and the volume weight."""
     cc = chi[:, None]
     pts = spherical_to_parabolic(space, (cc, theta[None, :], 0.0))
-    t1, t2 = kepler.chart_values(space, pts.t1, pts.t2)
-    return t1, t2, np.sinh(cc) ** 2 if space is H3 else np.sin(cc) ** 2
+    return pts.t1, pts.t2, np.sinh(cc) ** 2 if space is H3 else np.sin(cc) ** 2
 
 
 def _old_density(state, t1, t2, weight):

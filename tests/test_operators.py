@@ -290,12 +290,7 @@ def test_residual_psi_from_the_jets_matches_wavefunction_values(
 def _closed_form_jets(state, t1, t2, phi):
     """Polynomial jets (q, q', q'') of both factors and the one prefactor
     P1 P2 e^(i m phi) = (t1 t2)^(|m|/2-2) ((1-t1)(1-t2))^-2 ((1-t1)/(1-t2))^b1 e^(i m phi).
-    H3 chart values are real, so there the jets run in float64."""
-    t1 = np.asarray(t1, dtype=complex)
-    t2 = np.asarray(t2, dtype=complex)
-    if state.space is H3:
-        assert not (t1.imag.any() or t2.imag.any())
-        t1, t2 = t1.real.copy(), t2.real.copy()
+    The H3 chart gives float64 values, so there the jets run in float64."""
     q1, s1 = operators._factor_jet(factor(state, 1), t1)
     q2, s2 = operators._factor_jet(factor(state, 2), t2)
     p = kepler.psi_prefactor(state, t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
@@ -444,6 +439,35 @@ def test_s3_keeps_the_complex_closed_form_bit_for_bit(monkeypatch, e):
             assert h_scale.tobytes() == ((1.0 + abs(st.epsilon)) * np.abs(psi)).tobytes(), qn
             assert b_res.tobytes() == (bpsi - eig * psi).tobytes(), qn
             assert b_scale.tobytes() == ((1.0 + abs(eig)) * np.abs(psi)).tobytes(), qn
+
+
+@pytest.mark.parametrize("e, max_k", [(10.0, 3), (50.0, 4)])
+def test_complex_h3_input_agrees_with_the_float64_path(monkeypatch, e, max_k):
+    """H3 chart values given as complex, with zero imaginary parts, run in
+    complex arithmetic; Psi and the Hamiltonian residual agree with the
+    float64 path to 1e-15 of their scale."""
+    pts = chart_points(H3, make_rng(336), n=200)
+    cplx = ParabolicPoints(pts.t1.astype(complex), pts.t2.astype(complex), pts.phi)
+    recorded = []
+
+    def record(residual, scale, *args, **kwargs):
+        recorded.append((residual, scale))
+        return build_report(residual, scale, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "build_report", record)
+    for k in range(1, max_k + 1):
+        for qn in enumerate_states(k):
+            st = _state(H3, e, qn)
+            want = wavefunction_values(st, pts.t1, pts.t2, pts.phi)
+            got = wavefunction_values(st, cplx.t1, cplx.t2, cplx.phi)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), qn
+            recorded.clear()
+            hamiltonian_residual(st, pts)
+            hamiltonian_residual(st, cplx)
+            (res, scale), (cres, cscale) = recorded
+            assert res.dtype == np.complex128 and cres.dtype == np.complex128
+            assert np.all(np.abs(cres - res) <= 1e-15 * (1.0 + scale)), qn
+            assert np.all(np.abs(cscale - scale) <= 1e-15 * scale), qn
 
 
 # H3 negative controls: a real delta keeps the float64 jets; a complex one makes

@@ -2,10 +2,9 @@
 principal-branch power kernel.
 
 Terminating hypergeometric values are cross-checked against an
-independent Horner evaluation of the explicit polynomial coefficients,
-non-terminating ones against a plain term-by-term summation written
-here, and closed-form identities (log series, Chu-Vandermonde) against
-their right-hand sides.
+independent Horner evaluation of the explicit polynomial coefficients
+and the Chu-Vandermonde identity; a series that does not terminate is
+refused.
 """
 
 import cmath
@@ -15,7 +14,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from curvedkepler.specfun import SERIES_MAX_TERMS, SERIES_RELATIVE_CUTOFF
 from curvedkepler import (
     DomainError,
     Hyp2F1Params,
@@ -26,10 +24,7 @@ from curvedkepler import (
 from curvedkepler.specfun import scaled_series
 
 HORNER_RTOL = 5e-15
-SERIES_RTOL = 1e-13
-IDENTITY_RTOL = 5e-14
 GAMMA_RTOL = 1e-12
-TWO_LN_TWO = 1.3862943611198906
 
 
 def _horner_coeffs(params: Hyp2F1Params, degree: int) -> list[complex]:
@@ -78,40 +73,6 @@ def test_terminating_polynomial_degree_and_large_argument():
     assert abs(got - want) <= HORNER_RTOL * abs(want)
 
 
-def test_series_against_plain_summation():
-    rng = np.random.default_rng(90125)
-    for _ in range(200):
-        params = Hyp2F1Params(
-            complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)),
-            complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)),
-            complex(rng.uniform(0.7, 3.0), rng.uniform(-1.0, 1.0)),
-        )
-        t = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3))
-        term = complex(1.0)
-        acc = complex(0.0)
-        cond = 0.0
-        a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-        for j in range(250):
-            acc += term
-            cond += abs(term)
-            term *= t * (a + j) * (b + j) / ((g + j) * (j + 1.0))
-        got = hyp2f1(params, t)
-        assert abs(got - acc) <= SERIES_RTOL * max(1.0, cond)
-
-
-@pytest.mark.parametrize("x", [0.5, 0.25, -0.7, 0.9])
-def test_log_identity(x):
-    """2F1(1, 1; 2; x) = -log(1 - x) / x."""
-    got = hyp2f1(Hyp2F1Params(1.0, 1.0, 2.0), x)
-    want = -math.log1p(-x) / x
-    assert abs(got - want) <= IDENTITY_RTOL * abs(want)
-
-
-def test_log_identity_frozen_value():
-    got = hyp2f1(Hyp2F1Params(1.0, 1.0, 2.0), 0.5)
-    assert abs(got - TWO_LN_TWO) < 5e-15
-
-
 @pytest.mark.parametrize(
     "n, b, c",
     [
@@ -142,12 +103,11 @@ def test_nonpositive_integer_gamma_rejected():
         Hyp2F1Params(0.5, -1.0, -3.0)
 
 
-def test_nonterminating_outside_disc_rejected():
+def test_nonterminating_parameters_refused():
     params = Hyp2F1Params(1.5, 0.25, 2.0)
-    with pytest.raises(DomainError):
-        hyp2f1(params, 1.0)
-    with pytest.raises(DomainError):
-        hyp2f1(params, -1.2)
+    for t in (0.5, 1.0, -1.2, np.array([0.1, 0.2j])):
+        with pytest.raises(ParameterError):
+            hyp2f1(params, t)
 
 
 def _hyp2f1_from_ones(params: Hyp2F1Params, t):
@@ -155,16 +115,11 @@ def _hyp2f1_from_ones(params: Hyp2F1Params, t):
     scalar = np.isscalar(t) or isinstance(t, complex)
     tt = np.asarray(t, dtype=complex)
     a, b, g = params.alpha, params.beta, params.gamma
-    degree = params.polynomial_degree
     total = np.ones_like(tt)
     term = np.ones_like(tt)
-    for j in range(degree if degree is not None else SERIES_MAX_TERMS):
+    for j in range(params.polynomial_degree):
         term = term * ((a + j) * (b + j) / ((g + j) * (1 + j))) * tt
         total = total + term
-        if degree is None and np.max(np.abs(term)) <= SERIES_RELATIVE_CUTOFF * np.max(
-            np.abs(total)
-        ):
-            break
     return complex(total[()]) if scalar else total
 
 
@@ -182,9 +137,6 @@ def test_hyp2f1_matches_the_ones_like_start_bit_for_bit():
             got, want = hyp2f1(params, t), _hyp2f1_from_ones(params, t)
             assert type(got) is type(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    params = Hyp2F1Params(complex(0.5, 1.0), complex(-0.3), complex(2.5))
-    ts = rng.uniform(-0.9, 0.9, 300) + 1j * rng.uniform(-0.4, 0.4, 300)
-    assert hyp2f1(params, ts).tobytes() == _hyp2f1_from_ones(params, ts).tobytes()
 
 
 def test_hyp2f1_accepts_arrays():
