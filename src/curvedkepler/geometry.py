@@ -49,6 +49,7 @@ from .errors import (
     ConstraintError,
     DomainError,
     IndeterminateCoordinateWarning,
+    ParameterError,
     SingularLocusError,
 )
 from .report import ResidualReport, build_report
@@ -230,14 +231,13 @@ class ParabolicPoints:
         object.__setattr__(self, "phi", phi)
 
     @classmethod
-    def of(cls, points) -> "ParabolicPoints":
-        """A batch as is, or the batch of one ParabolicPoint or of a sequence of them."""
-        if isinstance(points, cls):
-            return points
-        if isinstance(points, ParabolicPoint):
-            points = (points,)
-        points = list(points)
-        return cls([p.t1 for p in points], [p.t2 for p in points], [p.phi for p in points])
+    def of(cls, p) -> "ParabolicPoints":
+        """A batch as is, or the batch of one ParabolicPoint; nothing else."""
+        if isinstance(p, ParabolicPoint):
+            return cls([p.t1], [p.t2], [p.phi])
+        if not isinstance(p, cls):
+            raise ParameterError(f"expected a ParabolicPoint or a batch, got {type(p).__name__}")
+        return p
 
     def __len__(self) -> int:
         return self.t1.size
@@ -344,10 +344,8 @@ def parabolic_to_ambient(space: SpaceTag, p):
     flip of (y0, y3); only one of them inverts the forward formulas, so
     both candidates are built and the one reproducing (t1, t2) is kept.
     """
-    if isinstance(p, ParabolicPoint):
-        c = _parabolic_to_ambient(space, ParabolicPoints.of(p))
-        return AmbientPoint(*(float(v) for v in c[:, 0]))
-    return _parabolic_to_ambient(space, p)
+    c = _parabolic_to_ambient(space, ParabolicPoints.of(p))
+    return AmbientPoint(*(float(v) for v in c[:, 0])) if isinstance(p, ParabolicPoint) else c
 
 
 def _parabolic_to_ambient(space: SpaceTag, p: ParabolicPoints) -> np.ndarray:

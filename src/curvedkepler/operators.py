@@ -9,8 +9,8 @@ the equations that define it, and reports the outcome as a
 * ``hamiltonian_residual`` — the full Hamiltonian in parabolic
   coordinates against the energy eigenvalue.
 * ``b_operator_residual`` — the second separation operator (the one
-  diagonal with eigenvalue k1+k2), plus the per-point identity tying its
-  scalar coefficient to cos(theta) through the ambient chart.
+  diagonal with eigenvalue k1+k2), by the Hamiltonian's eigen-residual;
+  ``coupling_identity_residual`` ties its scalar coefficient to cos(theta).
 * ``runge_lenz_check`` — the operator identity B = A3 + L^2 (H3) /
   iB = A3 + iL^2 (S3), with the left side built from nested central
   finite differences in quasi-Cartesian coordinates.
@@ -21,14 +21,13 @@ the equations that define it, and reports the outcome as a
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .geometry import ParabolicPoint, ParabolicPoints, parabolic_to_ambient
+from .geometry import ParabolicPoints, parabolic_to_ambient
 from .kepler import (
     SeparatedFactor,
     StateParams,
@@ -145,15 +144,6 @@ def ode_residual(
 # Hamiltonian and B-operator applications (exact derivatives)
 
 
-def _regular_points(sample: ParabolicPoints | Sequence[ParabolicPoint]):
-    """(t1, t2, phi, skipped): the sample's points clear of the singular loci."""
-    pts = ParabolicPoints.of(sample)
-    keep = pts.clearance() >= SINGULAR_SKIP
-    if not keep.any():
-        raise DomainError("every sample point sits on a singular chart locus")
-    return pts.t1[keep], pts.t2[keep], pts.phi[keep], int(np.count_nonzero(~keep))
-
-
 def _point_rows(t1: np.ndarray, t2: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Report rows (Re t1, Im t1, Re t2, Im t2, phi), one per point."""
     return np.column_stack([t1.real, t1.imag, t2.real, t2.imag, phi])
@@ -193,11 +183,11 @@ def _hamiltonian_core(state: StateParams, space: SpaceTag, t1, t2, jets) -> np.n
     return -core - e * (2.0 - t1 - t2) / (t1 - t2) * pair
 
 
-def _b_operator_core(state: StateParams, t1, t2, jets) -> np.ndarray:
+def _b_operator_core(state: StateParams, space: SpaceTag, t1, t2, jets) -> np.ndarray:
     """B Psi over P1 P2 e^(i m phi), from the two polynomial jets."""
     (f1, d1, dd1), (f2, d2, dd2) = jets
     m2 = float(state.qn.m * state.qn.m)
-    w = state.e if state.space.model is Model.H3 else -1j * state.e
+    w = state.e if space.model is Model.H3 else -1j * state.e
     diff = t1 - t2
     pair = f1 * f2
     c = (t1 + t2 - 2.0 * t1 * t2) / diff
@@ -235,96 +225,88 @@ def apply_b_operator(state: StateParams, t1, t2, phi) -> np.ndarray:
     coupling differs (e on H3, -ie on S3).
     """
     t, jets, p = _jets(state, t1, t2, phi)
-    return _b_operator_core(state, *t, jets) * p
+    return _b_operator_core(state, state.space, *t, jets) * p
+
+
+def _eigen_residual(state, space, sample, core, eigenvalue, tolerance) -> ResidualReport:
+    """(O Psi - eigenvalue Psi) over a batch, relative to 1 + (1 + |eigenvalue|) |Psi|.
+
+    O Psi is ``core`` times the prefactor; it and Psi = f1 f2 e^(i m phi)
+    share one exact-derivative jet per factor, so each factor is evaluated
+    once.  Points within SINGULAR_SKIP of a singular locus are skipped.
+    """
+    if not isinstance(sample, ParabolicPoints):
+        raise ParameterError(f"expected a ParabolicPoints batch, got {type(sample).__name__}")
+    keep = sample.clearance() >= SINGULAR_SKIP
+    if not keep.any():
+        raise DomainError("every sample point sits on a singular chart locus")
+    t1, t2, phi = sample.t1[keep], sample.t2[keep], sample.phi[keep]
+    t, jets, p = _jets(state, t1, t2, phi)
+    psi = jets[0][0] * jets[1][0] * p
+    residual = core(state, space, *t, jets) * p - eigenvalue * psi
+    scale = (1.0 + abs(eigenvalue)) * np.abs(psi)
+    skipped = int(np.count_nonzero(~keep))
+    note = f"skipped {skipped} singular point(s)" if skipped else ""
+    return build_report(residual, scale, tolerance, points=_point_rows(t1, t2, phi), note=note)
 
 
 def hamiltonian_residual(
     state: StateParams,
-    sample: ParabolicPoints | Sequence[ParabolicPoint],
+    sample: ParabolicPoints,
     tolerance: float = HAMILTONIAN_TOL,
     operator_space: SpaceTag | None = None,
 ) -> ResidualReport:
     """(H Psi - eps Psi) over chart points, relative to 1 + (1 + |eps|) |Psi|.
 
-    H Psi and Psi = f1 f2 e^(i m phi) come from one exact-derivative jet
-    per factor and the prefactor the two share, so each factor is
-    evaluated once.  The scale
-    keeps the measure relative to the local wavefunction magnitude even
-    when the eigenvalue is zero (possible on S3 when e^2 = k^2 (k^2 - 1));
-    |eps Psi| alone would then degenerate to an absolute comparison
-    against unnormalized Psi.
+    The scale keeps the measure relative to the local wavefunction
+    magnitude even when the eigenvalue is zero (possible on S3 when
+    e^2 = k^2 (k^2 - 1)); |eps Psi| alone would then degenerate to an
+    absolute comparison against unnormalized Psi.
     """
     space = operator_space if operator_space is not None else state.space
-    t1, t2, phi, skipped = _regular_points(sample)
-    t, jets, p = _jets(state, t1, t2, phi)
-    hpsi = _hamiltonian_core(state, space, *t, jets) * p
-    psi = jets[0][0] * jets[1][0] * p
-    scale = (1.0 + abs(state.epsilon)) * np.abs(psi)
-    note = f"skipped {skipped} singular point(s)" if skipped else ""
-    return build_report(
-        hpsi - state.epsilon * psi, scale, tolerance, points=_point_rows(t1, t2, phi), note=note
-    )
+    return _eigen_residual(state, space, sample, _hamiltonian_core, state.epsilon, tolerance)
 
 
-def coupling_identity_residual(
-    space: SpaceTag, points: ParabolicPoints | Sequence[ParabolicPoint]
-) -> float:
-    """max |(t1+t2-2 t1 t2)/(t1-t2) - cos(theta)| via the ambient chart.
+def b_operator_residual(
+    state: StateParams,
+    sample: ParabolicPoints,
+    tolerance: float = B_OPERATOR_TOL,
+) -> ResidualReport:
+    """(B Psi - (k1+k2) Psi) over chart points, relative to 1 + (1 + |k1+k2|) |Psi|.
+
+    The eigenvalue alone cannot set the scale because k1 + k2 = 0 for
+    every ground state on S3.
+    """
+    eigenvalue = state.k1 + state.k2
+    return _eigen_residual(state, state.space, sample, _b_operator_core, eigenvalue, tolerance)
+
+
+def _coupling_identity_differences(space: SpaceTag, pts: ParabolicPoints) -> np.ndarray:
+    """Per point, |(t1+t2-2 t1 t2)/(t1-t2) - cos(theta)| via the ambient chart.
 
     The left side is the scalar coefficient of the B operator; the right
     side is cos(theta) = c3/|vec c| reconstructed through
     parabolic_to_ambient, so the comparison crosses module boundaries.
     Wherever the quasi-Cartesian chart is single-valued (c0 > 0 — always
     on H3, the near hemisphere on S3) the same value is also checked as
-    q3/q; on the far S3 hemisphere q = y/y0 swaps antipodes and q3/q
-    flips sign, so only the ambient form applies there.
+    q3/q, and the point keeps the larger difference; on the far S3
+    hemisphere q = y/y0 swaps antipodes and q3/q flips sign, so only the
+    ambient form applies there.
     """
-    pts = ParabolicPoints.of(points)
+    amb = parabolic_to_ambient(space, pts)
     t1, t2 = pts.t1, pts.t2
     c = (t1 + t2 - 2.0 * t1 * t2) / (t1 - t2)
-    amb = parabolic_to_ambient(space, pts)
-    ambient_cos = amb[3] / np.sqrt(amb[1] * amb[1] + amb[2] * amb[2] + amb[3] * amb[3])
+    diff = np.abs(c - amb[3] / np.sqrt(amb[1] * amb[1] + amb[2] * amb[2] + amb[3] * amb[3]))
     near = amb[0] > 0
     q = amb[1:, near] / amb[0, near]
     quasi_cos = q[2] / np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2])
-    return float(
-        max(np.abs(c - ambient_cos).max(initial=0.0), np.abs(c[near] - quasi_cos).max(initial=0.0))
-    )
+    diff[near] = np.maximum(diff[near], np.abs(c[near] - quasi_cos))
+    return diff
 
 
-def b_operator_residual(
-    state: StateParams,
-    sample: ParabolicPoints | Sequence[ParabolicPoint],
-    tolerance: float = B_OPERATOR_TOL,
-) -> ResidualReport:
-    """(B Psi - (k1+k2) Psi) over chart points, plus the cos(theta) identity.
-
-    B Psi and Psi share one jet per factor, as in hamiltonian_residual,
-    and are normalized like it, by 1 + (1 + |k1+k2|) |Psi|;
-    the eigenvalue alone cannot set the scale because k1 + k2 = 0 for
-    every ground state on S3.
-    """
-    t1, t2, phi, skipped = _regular_points(sample)
-    t, jets, p = _jets(state, t1, t2, phi)
-    bpsi = _b_operator_core(state, *t, jets) * p
-    eigenvalue = state.k1 + state.k2
-    psi = jets[0][0] * jets[1][0] * p
-    scale = (1.0 + abs(eigenvalue)) * np.abs(psi)
-    identity = coupling_identity_residual(state.space, ParabolicPoints(t1, t2, phi))
-    parts = []
-    if skipped:
-        parts.append(f"skipped {skipped} singular point(s)")
-    parts.append(f"coupling/cos(theta) identity max |diff| = {identity:.3e}")
-    report = build_report(
-        bpsi - eigenvalue * psi,
-        scale,
-        tolerance,
-        points=_point_rows(t1, t2, phi),
-        note="; ".join(parts),
-    )
-    if identity > COUPLING_IDENTITY_TOL:
-        report = replace(report, passed=False)
-    return report
+def coupling_identity_residual(space: SpaceTag, points: ParabolicPoints) -> float:
+    """max |(t1+t2-2 t1 t2)/(t1-t2) - cos(theta)| over a batch, cos(theta) via the ambient chart."""
+    return float(_coupling_identity_differences(space, points).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

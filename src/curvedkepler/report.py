@@ -27,13 +27,6 @@ class ResidualReport:
     passed: bool
     note: str = ""
 
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status} max_rel={self.max_rel:.3e} (tol {self.tolerance:.1e}, "
-            f"{self.n_points} points)"
-        )
-
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "max_abs": self.max_abs,

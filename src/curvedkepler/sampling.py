@@ -30,6 +30,20 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
+def _first_accepted(n: int, size: int, draw) -> list[np.ndarray]:
+    """The first n candidates that pass, from whole rounds of ``draw(size)``.
+
+    ``draw`` returns arrays with the candidates on the last axis, then the
+    mask of those that pass; n = 0 takes one round of size 0 (no draws).
+    """
+    rounds, count = [], 0
+    while count < n or not rounds:
+        *columns, ok = draw(size if n else 0)
+        rounds.append([c[..., ok][..., : n - count] for c in columns])
+        count += rounds[-1][0].shape[-1]
+    return [np.concatenate(parts, axis=-1) for parts in zip(*rounds)]
+
+
 def factor_samples(
     space: SpaceTag, rng: np.random.Generator, which: int, n: int = 100
 ) -> np.ndarray:
@@ -47,23 +61,21 @@ def factor_samples(
             return rng.uniform(2.0 * GUARD, 1.0 - 2.0 * GUARD, n)
         return -(10.0 ** rng.uniform(-2.5, 0.7, n))
 
-    out = [np.zeros(0, dtype=complex)]
-    count = 0
-    want_physical = n - n // 2
-    while count < want_physical:
-        chi = rng.uniform(0.1, math.pi - 0.1, 2 * n)
-        theta = rng.uniform(0.1, math.pi - 0.1, 2 * n)
+    def guarded(t):
+        return t, (np.abs(t) >= GUARD) & (np.abs(1.0 - t) >= GUARD)
+
+    def physical(size):
+        chi = rng.uniform(0.1, math.pi - 0.1, size)
+        theta = rng.uniform(0.1, math.pi - 0.1, size)
         pts = spherical_to_parabolic(space, (chi, theta, 0.0))
-        t = pts.t1 if which == 1 else pts.t2
-        out.append(t[(np.abs(t) >= GUARD) & (np.abs(1.0 - t) >= GUARD)][: want_physical - count])
-        count += out[-1].size
-    while count < n:
-        radius = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 2 * n))
-        angle = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
-        t = radius * np.exp(1j * angle)
-        out.append(t[(np.abs(t) >= GUARD) & (np.abs(1.0 - t) >= GUARD)][: n - count])
-        count += out[-1].size
-    return np.concatenate(out)
+        return guarded(pts.t1 if which == 1 else pts.t2)
+
+    def disc(size):
+        radius = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, size))
+        return guarded(radius * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size)))
+
+    near = _first_accepted(n - n // 2, 2 * n, physical)
+    return np.concatenate(near + _first_accepted(n // 2, 2 * n, disc))
 
 
 def chart_points(
@@ -71,24 +83,15 @@ def chart_points(
 ) -> ParabolicPoints:
     """A batch of n random non-singular chart points from (chi, theta, phi)."""
     chi_hi = 2.5 if space.model is Model.H3 else math.pi - 0.15
-    t1, t2, phi = [], [], []
-    count = 0
-    while True:
-        pts = spherical_to_parabolic(
-            space,
-            (
-                rng.uniform(0.15, chi_hi, 2 * n),
-                rng.uniform(0.15, math.pi - 0.15, 2 * n),
-                rng.uniform(0.0, 2.0 * math.pi, 2 * n),
-            ),
-        )
-        take = np.flatnonzero(pts.clearance() >= GUARD)[: n - count]
-        t1.append(pts.t1[take])
-        t2.append(pts.t2[take])
-        phi.append(pts.phi[take])
-        count += take.size
-        if count >= n:
-            return ParabolicPoints(np.concatenate(t1), np.concatenate(t2), np.concatenate(phi))
+
+    def draw(size):
+        chi = rng.uniform(0.15, chi_hi, size)
+        theta = rng.uniform(0.15, math.pi - 0.15, size)
+        phi = rng.uniform(0.0, 2.0 * math.pi, size)
+        pts = spherical_to_parabolic(space, (chi, theta, phi))
+        return pts.t1, pts.t2, pts.phi, pts.clearance() >= GUARD
+
+    return ParabolicPoints(*_first_accepted(n, 2 * n, draw))
 
 
 def quasi_points(
@@ -101,15 +104,11 @@ def quasi_points(
     below the clearance needed by finite-difference stencils.
     """
     lo, hi = H3_SHELL if space.model is Model.H3 else S3_SHELL
-    cols: list[np.ndarray] = []
-    while len(cols) < n:
-        vec = rng.standard_normal((3, 2 * n))
+
+    def draw(size):
+        vec = rng.standard_normal((3, size))
         vec /= np.sqrt((vec * vec).sum(axis=0))
-        radius = rng.uniform(lo, hi, 2 * n)
-        Q = vec * radius
-        good = np.sqrt(Q[0] ** 2 + Q[1] ** 2) >= AXIS_CLEARANCE
-        for col in Q[:, good].T:
-            if len(cols) >= n:
-                break
-            cols.append(col)
-    return np.stack(cols, axis=1)
+        Q = vec * rng.uniform(lo, hi, size)
+        return Q, np.sqrt(Q[0] ** 2 + Q[1] ** 2) >= AXIS_CLEARANCE
+
+    return _first_accepted(n, 2 * n, draw)[0]

@@ -24,7 +24,10 @@ from .kepler import (
     perturbed,
 )
 from .operators import (
+    COUPLING_IDENTITY_TOL,
     QPolynomial,
+    _coupling_identity_differences,
+    _point_rows,
     b_operator_residual,
     hamiltonian_residual,
     momentum_commutators,
@@ -32,7 +35,7 @@ from .operators import (
     runge_lenz_check,
 )
 from .report import ResidualReport, build_report, merge_reports
-from .sampling import chart_points, factor_samples, quasi_points
+from .sampling import _first_accepted, chart_points, factor_samples, quasi_points
 from .spaces import Model, SpaceTag
 
 ODE_POINTS = 100
@@ -123,31 +126,31 @@ def _metric(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
     # not enter the metric
     chi_hi = 2.5 if space.model is Model.H3 else math.pi - 0.15
     low, high = (0.15, 0.15, 0.0), (chi_hi, math.pi - 0.15, 2.0 * math.pi)
-    kept, count = [], 0
-    while count < METRIC_POINTS:
-        draw = rng.uniform(low, high, (2 * METRIC_POINTS, 3))
-        kept.append(draw[pullback_accepts(space, draw[:, 0], draw[:, 1])])
-        count += len(kept[-1])
-    chi, theta, _ = np.concatenate(kept)[:METRIC_POINTS].T
+
+    def draw(size):
+        chi, theta, _ = rng.uniform(low, high, (size, 3)).T
+        return chi, theta, pullback_accepts(space, chi, theta)
+
+    chi, theta = _first_accepted(METRIC_POINTS, 2 * METRIC_POINTS, draw)
     label = f"{space.model.value} metric pullback ({METRIC_POINTS} points)"
     return [SuiteResult("metric", label, metric_pullback_check(space, (chi, theta), **kw))]
 
 
 def _constraint(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
-    pts = chart_points(space, rng, CHART_POINTS)
+    results = []
     if space.model is Model.S3:
-        report = constraint_check(pts, **kw)
+        pts = chart_points(space, rng, CHART_POINTS)
         label = f"s3 conjugation constraint ({len(pts)} points)"
-    else:
-        imag = np.maximum(np.abs(pts.t1.imag), np.abs(pts.t2.imag))
-        report = build_report(
-            imag,
-            np.zeros_like(imag),
-            kw.get("tolerance", 1e-12),
-            note="H3 chart reality: max(|Im t1|, |Im t2|) over generated points",
-        )
-        label = f"h3 chart reality ({len(pts)} points)"
-    return [SuiteResult("constraint", label, report)]
+        results.append(SuiteResult("constraint", label, constraint_check(pts, **kw)))
+    # the B coupling identity depends on the points alone: checked once, on as
+    # many points as the boperator suite takes, at a tolerance --tol leaves alone
+    n_states = sum(k * k for k in range(1, max_k + 1) if is_admissible(space, e, k))
+    pts = chart_points(space, rng, CHART_POINTS * n_states)
+    diffs, rows = _coupling_identity_differences(space, pts), _point_rows(pts.t1, pts.t2, pts.phi)
+    note = "|(t1+t2-2 t1 t2)/(t1-t2) - cos(theta)|, cos(theta) via the ambient chart"
+    report = build_report(diffs, 0.0, COUPLING_IDENTITY_TOL, points=rows, note=note)
+    label = f"{space.model.value} coupling/cos(theta) identity ({len(pts)} points)"
+    return results + [SuiteResult("constraint", label, report)]
 
 
 def _commutators(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import curvedkepler
-from curvedkepler import geometry, kepler, specfun
+from curvedkepler import geometry, kepler, operators, specfun
 
 SUBMODULES = [
     importlib.import_module(f"curvedkepler.{info.name}")
@@ -28,6 +28,7 @@ REMOVED = {
         "_wrap_angle",
     ],
     kepler: ["wavefunction", "chart_values", "_radial_formula"],
+    operators: ["_regular_points"],
     specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF"],
 }
 

@@ -22,6 +22,7 @@ from curvedkepler import (
     IndeterminateCoordinateWarning,
     ParabolicPoint,
     ParabolicPoints,
+    ParameterError,
     S3,
     SingularLocusError,
     SphericalPoint,
@@ -170,6 +171,13 @@ def test_metric_frozen_values():
     assert np.max(np.abs(off)) == 0.0
 
 
+def _inserted(pts, i, p):
+    """The batch, as complex values, with the point p inserted before index i."""
+    t1 = np.insert(pts.t1.astype(complex), i, p.t1)
+    t2 = np.insert(pts.t2.astype(complex), i, p.t2)
+    return ParabolicPoints(t1, t2, np.insert(pts.phi, i, p.phi))
+
+
 @pytest.mark.parametrize("space, seed", [(H3, 129), (S3, 130)])
 def test_metric_stack_matches_single_points_and_refuses_singular_ones(space, seed):
     pts = chart_points(space, make_rng(seed), n=50)
@@ -180,9 +188,8 @@ def test_metric_stack_matches_single_points_and_refuses_singular_ones(space, see
     bad = ParabolicPoint(0.0, -0.5, 0.0)
     with pytest.raises(SingularLocusError) as scalar:
         metric_parabolic(space, bad)
-    points = list(pts)
     with pytest.raises(SingularLocusError) as batched:
-        metric_parabolic(space, ParabolicPoints.of(points[:9] + [bad] + points[9:]))
+        metric_parabolic(space, _inserted(pts, 9, bad))
     assert str(batched.value) == str(scalar.value)
 
 
@@ -488,9 +495,9 @@ def test_batched_chart_maps_match_the_per_point_wrapper(space, seed):
 def test_batch_with_one_bad_point_raises_the_scalar_error(space, bad, error):
     with pytest.raises(error) as scalar:
         parabolic_to_ambient(space, bad)
-    pts = list(chart_points(space, make_rng(117), n=20))
+    pts = chart_points(space, make_rng(117), n=20)
     with pytest.raises(error) as batched:
-        parabolic_to_ambient(space, ParabolicPoints.of(pts[:7] + [bad] + pts[7:]))
+        parabolic_to_ambient(space, _inserted(pts, 7, bad))
     assert type(batched.value) is type(scalar.value)
     assert str(batched.value) == str(scalar.value)
 
@@ -523,6 +530,45 @@ def test_s3_factor_samples_keep_their_values_and_stream(which, n):
     want = _list_factor_samples(S3, ref, which, n)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
+def _list_chart_points(space, rng, n):
+    """Chart points (t1, t2, phi) drawn by extending a list point by point."""
+    chi_hi = 2.5 if space is H3 else math.pi - 0.15
+    out = []
+    while len(out) < n:
+        chi = rng.uniform(0.15, chi_hi, 2 * n)
+        theta = rng.uniform(0.15, math.pi - 0.15, 2 * n)
+        phi = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
+        for p in spherical_to_parabolic(space, (chi, theta, phi)):
+            gaps = (p.t1, 1.0 - p.t1, p.t2, 1.0 - p.t2, p.t1 - p.t2)
+            if len(out) < n and min(abs(g) for g in gaps) >= 1e-3:
+                out.append((p.t1, p.t2, p.phi))
+    return np.array(out).T
+
+
+def _list_quasi_points(space, rng, n):
+    """Quasi-Cartesian columns drawn by extending a list column by column."""
+    lo, hi = (0.2, 0.8) if space is H3 else (0.2, 1.5)
+    cols = []
+    while len(cols) < n:
+        vec = rng.standard_normal((3, 2 * n))
+        vec /= np.sqrt((vec * vec).sum(axis=0))
+        Q = vec * rng.uniform(lo, hi, 2 * n)
+        cols += [c for c in Q.T if np.sqrt(c[0] ** 2 + c[1] ** 2) >= 0.15][: n - len(cols)]
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("space", [H3, S3])
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_chart_and_quasi_samplers_keep_their_values_and_stream(space, n):
+    for sampler, oracle in ((chart_points, _list_chart_points), (quasi_points, _list_quasi_points)):
+        rng, ref = make_rng(140 + n), make_rng(140 + n)
+        got, want = sampler(space, rng, n), oracle(space, ref, n)
+        if sampler is chart_points:
+            got = np.array([got.t1, got.t2, got.phi])
+        assert got.shape == want.shape == (3, n) and np.array_equal(got, want), sampler
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62), sampler
 
 
 def test_chart_point_sampler_respects_guards():
@@ -578,7 +624,8 @@ def test_chart_values_are_float64_on_h3_and_complex128_on_s3(space, dtype):
     # a single point holds complex values on either space
     one = spherical_to_parabolic(space, SphericalPoint(0.3, 0.4, 0.0))
     assert type(one.t1) is complex and type(one.t2) is complex
-    assert ParabolicPoints.of(list(sampled)).t1.dtype == np.complex128
+    with pytest.raises(ParameterError):
+        ParabolicPoints.of(list(sampled))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Suite-runner tests: suite selection, seeded reproducibility, and the
 scope of the perturbation knob."""
 
+import numpy as np
 import pytest
 
 from curvedkepler import (
@@ -9,6 +10,8 @@ from curvedkepler import (
     S3,
     SUITES,
     all_passed,
+    bound_states,
+    operators,
     run_suite,
     run_suites,
 )
@@ -62,3 +65,31 @@ def test_result_serialization_shape():
             "note", "passed", "suite", "tolerance", "worst_point",
         }
         assert d["suite"] == "constraint"
+
+
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
+def test_constraint_suite_checks_the_coupling_identity_once(space, e):
+    results = run_suite("constraint", space, e, 3, seed=7)
+    n = 200 * len(bound_states(space, e, 3))
+    label = f"{space.model.value} coupling/cos(theta) identity ({n} points)"
+    assert results[-1].label == label and n == 2800
+    assert len(results) == (2 if space is S3 else 1)
+    identity = results[-1].report
+    assert identity.passed and identity.max_abs < 1e-12 and identity.n_points == n
+    # the identity keeps its tolerance under --tol
+    loose = run_suite("constraint", space, e, 3, seed=7, tolerance=1.0)
+    assert loose[-1].report == identity and identity.tolerance == operators.COUPLING_IDENTITY_TOL
+
+
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
+def test_constraint_suite_fails_on_a_wrong_ambient_map(space, e, monkeypatch):
+    ambient = operators.parabolic_to_ambient
+
+    def flipped(sp, p):
+        c = ambient(sp, p)
+        return np.concatenate([c[:3], -c[3:]])
+
+    monkeypatch.setattr(operators, "parabolic_to_ambient", flipped)
+    results = run_suite("constraint", space, e, 3, seed=7)
+    assert [r.report.passed for r in results] == [True] * (len(results) - 1) + [False]
+    assert results[-1].report.max_abs > 0.1
