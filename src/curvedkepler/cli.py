@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CurvedKeplerError
-from .geometry import flat_limit_coords, spherical_to_parabolic
+from .geometry import SphericalPoint, flat_limit_coords, spherical_to_parabolic
 from .kepler import (
     QuantumNumbers,
     assemble_state,
@@ -126,9 +126,13 @@ def _emit(text: str, out: str | None) -> None:
     target = _resolve_out(out)
     if target is None:
         sys.stdout.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(target, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot open --out {target!r}: {exc.strerror or exc}") from exc
+    with fh:
+        fh.write(text)
 
 
 def _json_text(payload: dict) -> str:
@@ -248,7 +252,7 @@ def cmd_eval(cfg: RunConfig) -> tuple[str, int]:
         raise UsageError("chi grid must lie in [0, 350]")
     cc, tt, pp = np.meshgrid(cfg.grid_chi, cfg.grid_theta, cfg.grid_phi, indexing="ij")
     cc, tt, pp = cc.ravel(), tt.ravel(), pp.ravel()
-    chart = spherical_to_parabolic(cfg.space, (cc, tt, 0.0))
+    chart = spherical_to_parabolic(cfg.space, SphericalPoint(cc, tt, 0.0))
     t1, t2 = chart.t1, chart.t2
     skip = (t1 == 1.0) | (t2 == 1.0)
     re = np.zeros_like(cc)
@@ -518,6 +522,8 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
         raise UsageError(f"--e {ns.e!r} must be finite")
     if ns.max_k is not None and ns.max_k < 1:
         raise UsageError(f"--max-k {ns.max_k} must be >= 1")
+    if ns.seed < 0:
+        raise UsageError(f"--seed {ns.seed} must be >= 0")
     space = space_from_name(ns.space) if ns.space else None
     cfg = RunConfig(command=ns.command, space=space, e=ns.e, seed=ns.seed, tol=ns.tol, out=ns.out)
     cfg.max_k = ns.max_k
@@ -561,10 +567,10 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from(ns)
         text, code = _DISPATCH[ns.command](cfg)
+        _emit(text, cfg.out)
     except CurvedKeplerError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(text, cfg.out)
     return code
 
 

@@ -28,17 +28,18 @@ f = sinh(chi) (H3) or sin(chi) (S3).  All maps are pure functions of
 double-precision values; singular loci raise typed errors instead of
 producing NaNs.
 
-The chart maps work on arrays: a :class:`ParabolicPoints` batch holds
-parallel (t1, t2, phi) arrays, and the single-point dataclasses go
-through the same array code as batches of one; so do the metric, its
-pullback check and the constraint check.  The H3 chart gives t1, t2 as
-float64 and the S3 chart as complex128; a single :class:`ParabolicPoint`
-holds complex values on either space.
+Each chart has one point type, and it holds arrays: a
+:class:`SphericalPoint` holds (chi, theta, phi), a :class:`ParabolicPoints`
+batch holds parallel (t1, t2, phi), and ambient points are arrays of
+shape ``(4, ...)`` holding (c0, c1, c2, c3).  One point is a batch of 0-d
+arrays.  Every map, the metric, its pullback check and the constraint
+check take these batches, and a batch raises the typed error of its
+first point that fails a check.  The H3 chart gives t1, t2 as float64
+and the S3 chart as complex128, for one point as for many.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -49,16 +50,13 @@ from .errors import (
     ConstraintError,
     DomainError,
     IndeterminateCoordinateWarning,
-    ParameterError,
     SingularLocusError,
 )
 from .report import ResidualReport, build_report
 from .spaces import Model, SpaceTag
 
 __all__ = [
-    "AmbientPoint",
     "SphericalPoint",
-    "ParabolicPoint",
     "ParabolicPoints",
     "FlatLimitTable",
     "spherical_to_parabolic",
@@ -117,102 +115,39 @@ def _validate_ambient(space: SpaceTag, c: np.ndarray) -> None:
         )
 
 
-def _validate_spherical(chi: np.ndarray, theta: np.ndarray) -> None:
-    _raise_first(
-        ~((chi >= 0.0) & np.isfinite(chi)), DomainError, "chi must be finite and >= 0, got {}", chi
-    )
-    _raise_first(
-        ~((0.0 <= theta) & (theta <= math.pi)), DomainError, "theta must lie in [0, pi], got {}", theta
-    )
-
-
-def _validate_parabolic(space: SpaceTag, t1: np.ndarray, t2: np.ndarray, tol: float) -> None:
-    """Raise the space's typed error for the first point off its parabolic chart."""
-    if space.model is Model.H3:
-        _raise_first(
-            (np.abs(t1.imag) > tol) | (np.abs(t2.imag) > tol),
-            DomainError,
-            "H3 parabolic coordinates must be real",
-        )
-        _raise_first(
-            ~((-tol <= t1.real) & (t1.real < 1.0 + tol)),
-            DomainError,
-            "H3 requires 0 <= t1 < 1, got {}",
-            t1.real,
-        )
-        _raise_first(t2.real > tol, DomainError, "H3 requires t2 <= 0, got {}", t2.real)
-        return
-    r1, r2 = _constraint_residuals(t1, t2)
-    _raise_first(
-        (r1 > tol) | (r2 > tol),
-        ConstraintError,
-        "conjugation constraint violated by ({}, {}): residuals {:.2e}, {:.2e}",
-        t1,
-        t2,
-        r1,
-        r2,
-    )
-
-
-@dataclass(frozen=True)
-class AmbientPoint:
-    """Quadric embedding coordinates; c0 is x0 (H3) or y0 (S3)."""
-
-    c0: float
-    c1: float
-    c2: float
-    c3: float
-
-    def quadric(self, space: SpaceTag) -> float:
-        return _quadric(space, (self.c0, self.c1, self.c2, self.c3))
-
-    def validate_for(self, space: SpaceTag) -> None:
-        _validate_ambient(space, np.array([[self.c0], [self.c1], [self.c2], [self.c3]]))
-
-    def radius(self) -> float:
-        """Euclidean length of the spatial part (c1, c2, c3)."""
-        return math.sqrt(self.c1 * self.c1 + self.c2 * self.c2 + self.c3 * self.c3)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphericalPoint:
-    """Geodesic polar coordinates; chi in [0, inf) on H3, [0, pi] on S3."""
+    """Geodesic polar coordinates: chi, theta and phi arrays, 0-d for one point.
 
-    chi: float
-    theta: float
-    phi: float
+    chi lies in [0, inf) on H3 and [0, pi] on S3, theta in [0, pi]; phi
+    is reduced into [0, 2 pi).  The arrays are checked but not broadcast,
+    so a column of chi and a row of theta stand for their outer product
+    while each holds its own values once.
+    """
 
-    def __post_init__(self) -> None:
-        _validate_spherical(np.array([self.chi]), np.array([self.theta]))
-        object.__setattr__(self, "phi", float(_norm_phi(float(self.phi))))
-
-
-@dataclass(frozen=True)
-class ParabolicPoint:
-    """Generalized parabolic coordinates (t1, t2, phi)."""
-
-    t1: complex
-    t2: complex
-    phi: float
+    chi: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t1", complex(self.t1))
-        object.__setattr__(self, "t2", complex(self.t2))
-        object.__setattr__(self, "phi", float(_norm_phi(float(self.phi))))
-
-    def validate_for(self, space: SpaceTag, tol: float = CONSTRAINT_TOL) -> None:
-        _validate_parabolic(space, np.array([self.t1]), np.array([self.t2]), tol)
+        chi, theta = np.asarray(self.chi, dtype=float), np.asarray(self.theta, dtype=float)
+        ok_chi, ok_theta = (chi >= 0.0) & np.isfinite(chi), (0.0 <= theta) & (theta <= math.pi)
+        _raise_first(~ok_chi, DomainError, "chi must be finite and >= 0, got {}", chi)
+        _raise_first(~ok_theta, DomainError, "theta must lie in [0, pi], got {}", theta)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", _norm_phi(np.asarray(self.phi, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
 class ParabolicPoints:
-    """A batch of parabolic chart points: parallel t1, t2, phi arrays.
+    """Parabolic chart points (t1, t2, phi): parallel arrays, 0-d for one point.
 
     The three arrays are broadcast to one shape; t1 and t2 share one
     dtype, float64 when both are given real (as the H3 chart makes them)
-    and complex128 otherwise, and phi is normalized into [0, 2 pi)
-    exactly as :class:`ParabolicPoint` normalizes it, before the
-    broadcast.  Iterating yields the points one by one, in flat order.
+    and complex128 otherwise, and phi is reduced into [0, 2 pi) before
+    the broadcast.  Iterating yields the points one by one, in flat
+    order, each as a batch of 0-d arrays.
     """
 
     t1: np.ndarray
@@ -230,24 +165,40 @@ class ParabolicPoints:
         object.__setattr__(self, "t2", t2)
         object.__setattr__(self, "phi", phi)
 
-    @classmethod
-    def of(cls, p) -> "ParabolicPoints":
-        """A batch as is, or the batch of one ParabolicPoint; nothing else."""
-        if isinstance(p, ParabolicPoint):
-            return cls([p.t1], [p.t2], [p.phi])
-        if not isinstance(p, cls):
-            raise ParameterError(f"expected a ParabolicPoint or a batch, got {type(p).__name__}")
-        return p
-
     def __len__(self) -> int:
         return self.t1.size
 
     def __iter__(self):
         for t1, t2, phi in zip(self.t1.flat, self.t2.flat, self.phi.flat):
-            yield ParabolicPoint(t1, t2, phi)
+            yield ParabolicPoints(t1, t2, phi)
 
     def validate_for(self, space: SpaceTag, tol: float = CONSTRAINT_TOL) -> None:
-        _validate_parabolic(space, self.t1, self.t2, tol)
+        """Raise the space's typed error for the first point off its parabolic chart."""
+        t1, t2 = self.t1, self.t2
+        if space.model is Model.H3:
+            _raise_first(
+                (np.abs(t1.imag) > tol) | (np.abs(t2.imag) > tol),
+                DomainError,
+                "H3 parabolic coordinates must be real",
+            )
+            _raise_first(
+                ~((-tol <= t1.real) & (t1.real < 1.0 + tol)),
+                DomainError,
+                "H3 requires 0 <= t1 < 1, got {}",
+                t1.real,
+            )
+            _raise_first(t2.real > tol, DomainError, "H3 requires t2 <= 0, got {}", t2.real)
+            return
+        r1, r2 = _constraint_residuals(t1, t2)
+        _raise_first(
+            (r1 > tol) | (r2 > tol),
+            ConstraintError,
+            "conjugation constraint violated by ({}, {}): residuals {:.2e}, {:.2e}",
+            t1,
+            t2,
+            r1,
+            r2,
+        )
 
     def clearance(self) -> np.ndarray:
         """Distance of each point from the singular loci t = 0, t = 1 and t1 = t2."""
@@ -257,33 +208,28 @@ class ParabolicPoints:
         )
 
 
+def _columns(p: ParabolicPoints):
+    """(t1, t2, phi) of a batch as 1-d arrays, for the maps to compute on.
+
+    numpy multiplies the complex scalars that 0-d arrays decay to with
+    other rounding than its array loops; on 1-d arrays one point keeps
+    the bits it has inside a batch.
+    """
+    return p.t1.reshape(-1), p.t2.reshape(-1), p.phi.reshape(-1)
+
+
 # ---------------------------------------------------------------------------
 # chart maps
 
 
-def spherical_to_parabolic(space: SpaceTag, p):
+def spherical_to_parabolic(space: SpaceTag, p: SphericalPoint) -> ParabolicPoints:
     """Map geodesic polar coordinates to the parabolic chart.
 
-    ``p`` is a :class:`SphericalPoint`, mapped to a :class:`ParabolicPoint`,
-    or a tuple of broadcastable ``(chi, theta, phi)`` arrays, mapped to a
-    :class:`ParabolicPoints` batch of their shape; the arrays are checked
-    as SphericalPoint checks its fields.  phi passes through, reduced
-    into [0, 2 pi); the output satisfies the space's parabolic invariants
-    by construction.
+    The result has the broadcast shape of ``p.chi``, ``p.theta`` and
+    ``p.phi``; phi passes through, and the output satisfies the space's
+    parabolic invariants by construction.
     """
-    if isinstance(p, SphericalPoint):
-        q = _spherical_to_parabolic(space, np.array([p.chi]), np.array([p.theta]), p.phi)
-        return ParabolicPoint(q.t1[0], q.t2[0], q.phi[0])
-    chi, theta, phi = p
-    chi, theta = np.asarray(chi, dtype=float), np.asarray(theta, dtype=float)
-    _validate_spherical(chi, theta)
-    return _spherical_to_parabolic(space, chi, theta, phi)
-
-
-def _spherical_to_parabolic(
-    space: SpaceTag, chi: np.ndarray, theta: np.ndarray, phi
-) -> ParabolicPoints:
-    c = np.cos(theta)
+    chi, c = p.chi, np.cos(p.theta)
     if space.model is Model.H3:
         _raise_first(chi > 350.0, DomainError, "chi too large: parabolic t2 would overflow")
         sh = np.sinh(chi)
@@ -294,64 +240,56 @@ def _spherical_to_parabolic(
         w = np.sin(chi) * np.exp(1j * (math.pi / 2.0 - chi))
         t1 = (1.0 + c) * w
         t2 = (1.0 - c) * np.conj(w)
-    return ParabolicPoints(t1, t2, phi)
+    return ParabolicPoints(t1, t2, p.phi)
 
 
-def parabolic_to_spherical(space: SpaceTag, p: ParabolicPoint) -> SphericalPoint:
+def parabolic_to_spherical(space: SpaceTag, p: ParabolicPoints) -> SphericalPoint:
     """Invert the parabolic chart back to (chi, theta, phi).
 
     At the coordinate origin t1 = t2 = 0 the polar angle is genuinely
-    indeterminate; chi = 0 with theta = 0 is returned under a warning.
+    indeterminate; such points map to chi = 0, theta = 0, under one
+    warning per call.
     """
     p.validate_for(space)
-    t1, t2 = p.t1, p.t2
-    if t1 == t2:
-        if t1 == 0:
-            warnings.warn(
-                "theta is indeterminate at the chart origin",
-                IndeterminateCoordinateWarning,
-            )
-            return SphericalPoint(0.0, 0.0, p.phi)
-        raise SingularLocusError("t1 = t2 != 0 lies on the chart axis")
-    cos_theta = (t1 + t2 - 2.0 * t1 * t2) / (t1 - t2)
-    if abs(cos_theta.imag) > 1e-8:
-        raise ConstraintError(f"cos(theta) came out non-real: {cos_theta}")
-    theta = math.acos(min(1.0, max(-1.0, cos_theta.real)))
+    t1, t2, _ = _columns(p)
+    origin = (t1 == 0) & (t2 == 0)
+    _raise_first((t1 == t2) & ~origin, SingularLocusError, "t1 = t2 != 0 lies on the chart axis")
+    if origin.any():
+        warnings.warn("theta is indeterminate at the chart origin", IndeterminateCoordinateWarning)
+    cos_theta = (t1 + t2 - 2.0 * t1 * t2) / np.where(origin, 1.0, t1 - t2)
+    non_real = np.abs(cos_theta.imag) > 1e-8
+    _raise_first(non_real, ConstraintError, "cos(theta) came out non-real: {}", cos_theta)
+    theta = np.arccos(np.clip(cos_theta.real, -1.0, 1.0))
     if space.model is Model.H3:
         tanh_chi = ((t1 - t2) / (2.0 - t1 - t2)).real
-        if not 0.0 <= tanh_chi < 1.0:
-            raise DomainError(f"point outside the H3 chart: tanh(chi) = {tanh_chi}")
-        return SphericalPoint(math.atanh(tanh_chi), theta, p.phi)
-    # S3: arg t1 = pi/2 - chi (and arg t2 = chi - pi/2), so either
-    # nonzero member of the pair recovers chi in [0, pi].
-    if t1 != 0:
-        chi = math.pi / 2.0 - cmath.phase(t1)
+        _raise_first(
+            ~((0.0 <= tanh_chi) & (tanh_chi < 1.0)),
+            DomainError,
+            "point outside the H3 chart: tanh(chi) = {}",
+            tanh_chi,
+        )
+        chi = np.arctanh(tanh_chi)
     else:
-        chi = math.pi / 2.0 + cmath.phase(t2)
-    chi = min(math.pi, max(0.0, chi))
+        # arg t1 = pi/2 - chi (and arg t2 = chi - pi/2), so either
+        # nonzero member of the pair recovers chi in [0, pi].
+        chi = np.where(t1 != 0, math.pi / 2.0 - np.angle(t1), math.pi / 2.0 + np.angle(t2))
+        chi = np.clip(chi, 0.0, math.pi)
+    chi, theta = (np.where(origin, 0.0, v).reshape(p.t1.shape) for v in (chi, theta))
     return SphericalPoint(chi, theta, p.phi)
 
 
-def parabolic_to_ambient(space: SpaceTag, p):
+def parabolic_to_ambient(space: SpaceTag, p: ParabolicPoints) -> np.ndarray:
     """Map parabolic coordinates to the ambient quadric.
 
-    ``p`` is a :class:`ParabolicPoint`, mapped to an :class:`AmbientPoint`,
-    or a :class:`ParabolicPoints` batch, mapped to an array of shape
-    ``(4,) + p.t1.shape`` holding (c0, c1, c2, c3).  A batch raises the
-    typed error of its first point that fails a check.
+    Returns an array of shape ``(4,) + p.t1.shape`` holding (c0, c1, c2, c3).
 
     The S3 square root has two branches differing by the simultaneous
     flip of (y0, y3); only one of them inverts the forward formulas, so
     both candidates are built and the one reproducing (t1, t2) is kept.
     """
-    c = _parabolic_to_ambient(space, ParabolicPoints.of(p))
-    return AmbientPoint(*(float(v) for v in c[:, 0])) if isinstance(p, ParabolicPoint) else c
-
-
-def _parabolic_to_ambient(space: SpaceTag, p: ParabolicPoints) -> np.ndarray:
     p.validate_for(space)
-    t1, t2 = p.t1, p.t2
-    cos, sin = np.cos(p.phi), np.sin(p.phi)
+    t1, t2, phi = _columns(p)
+    cos, sin = np.cos(phi), np.sin(phi)
     if space.model is Model.H3:
         x1, x2 = t1.real, t2.real
         _raise_first(x1 >= 1.0, SingularLocusError, "t1 = 1 is the chart boundary")
@@ -361,7 +299,7 @@ def _parabolic_to_ambient(space: SpaceTag, p: ParabolicPoints) -> np.ndarray:
         x0 = (2.0 - x1 - x2) / (2.0 * root)
         out = np.stack([x0, radial * cos, radial * sin, x3])
         _validate_ambient(space, out)
-        return out
+        return out.reshape((4,) + p.t1.shape)
     # an S3 batch given real values (t1 = 0, t2 = 2 is a point) takes complex roots
     t1, t2 = np.asarray(t1, dtype=complex), np.asarray(t2, dtype=complex)
     prod = (1.0 - t1) * (1.0 - t2)
@@ -397,50 +335,47 @@ def _parabolic_to_ambient(space: SpaceTag, p: ParabolicPoints) -> np.ndarray:
     )
     out = np.where(use_minus, minus, plus)
     _validate_ambient(space, out)
-    return out
+    return out.reshape((4,) + p.t1.shape)
 
 
-def ambient_to_parabolic(space: SpaceTag, p: AmbientPoint) -> ParabolicPoint:
-    """Invert the ambient parametrization of the parabolic chart."""
-    p.validate_for(space)
-    r = p.radius()
-    if p.c1 == 0.0 and p.c2 == 0.0:
+def ambient_to_parabolic(space: SpaceTag, c) -> ParabolicPoints:
+    """Invert the ambient parametrization of the parabolic chart.
+
+    ``c`` holds (c0, c1, c2, c3) on its first axis of length 4.  Points on
+    the c1 = c2 = 0 axis leave phi indeterminate: they take phi = 0 under
+    one warning per call.
+    """
+    c = np.asarray(c, dtype=float)
+    _validate_ambient(space, c)
+    c0, c1, c2, c3 = c
+    if ((c1 == 0.0) & (c2 == 0.0)).any():
         warnings.warn(
-            "phi is indeterminate on the c1 = c2 = 0 axis",
-            IndeterminateCoordinateWarning,
+            "phi is indeterminate on the c1 = c2 = 0 axis", IndeterminateCoordinateWarning
         )
-    phi = math.atan2(p.c2, p.c1)
+    r = np.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
+    phi = np.arctan2(c2, c1)
     if space.model is Model.H3:
-        if r == 0.0:
-            return ParabolicPoint(0j, 0j, phi)
-        t1 = (p.c3 + r) / (p.c0 + r)
-        t2 = (p.c3 - r) / (p.c0 - r)
-        return ParabolicPoint(complex(t1, 0.0), complex(t2, 0.0), phi)
-    t1 = (r + p.c3) * (r + 1j * p.c0)
-    t2 = (r - p.c3) * (r - 1j * p.c0)
-    return ParabolicPoint(t1, t2, phi)
+        return ParabolicPoints((c3 + r) / (c0 + r), (c3 - r) / (c0 - r), phi)
+    return ParabolicPoints((r + c3) * (r + 1j * c0), (r - c3) * (r - 1j * c0), phi)
 
 
-def antipodal(p: AmbientPoint) -> AmbientPoint:
-    """The S3 antipodal map (y0, y_k) -> (-y0, -y_k)."""
-    return AmbientPoint(-p.c0, -p.c1, -p.c2, -p.c3)
+def antipodal(c) -> np.ndarray:
+    """The S3 antipodal map (y0, y_k) -> (-y0, -y_k) on ambient points of shape (4, ...)."""
+    return -np.asarray(c, dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # metrics
 
 
-def metric_parabolic(space: SpaceTag, p) -> np.ndarray:
+def metric_parabolic(space: SpaceTag, p: ParabolicPoints) -> np.ndarray:
     """Closed-form diagonal metric in (t1, t2, phi) order.
 
-    ``p`` is a :class:`ParabolicPoint`, giving one 3 x 3 matrix, or a
-    :class:`ParabolicPoints` batch, giving a stack of shape
-    ``p.t1.shape + (3, 3)``.  A batch raises for its first singular point.
-    The entries are built from complex values, as the matrix is complex, so
-    a real H3 batch gives the bits of its points taken one by one.
+    Returns a stack of complex 3 x 3 matrices of shape ``p.t1.shape + (3, 3)``,
+    built from complex values on H3 too.  A batch raises for its first
+    singular point.
     """
-    pts = ParabolicPoints.of(p)
-    t1, t2 = np.asarray(pts.t1, dtype=complex), np.asarray(pts.t2, dtype=complex)
+    t1, t2 = (np.asarray(t, dtype=complex) for t in _columns(p)[:2])
     _raise_first(
         (t1 == 0) | (t1 == 1) | (t2 == 0) | (t2 == 1) | (t1 == t2),
         SingularLocusError,
@@ -453,7 +388,7 @@ def metric_parabolic(space: SpaceTag, p) -> np.ndarray:
     g[..., 0, 0] = sign * (t1 - t2) / (4.0 * t1 * (1.0 - t1) ** 2)
     g[..., 1, 1] = sign * (t2 - t1) / (4.0 * t2 * (1.0 - t2) ** 2)
     g[..., 2, 2] = -sign * t1 * t2
-    return g[0] if isinstance(p, ParabolicPoint) else g
+    return g.reshape(p.t1.shape + (3, 3))
 
 
 def _spherical_metric(space: SpaceTag, chi: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -503,32 +438,28 @@ def _near_boundary(p: ParabolicPoints) -> np.ndarray:
     return near < SINGULAR_GUARD
 
 
-def pullback_accepts(space: SpaceTag, chi, theta) -> np.ndarray:
-    """Mask of the (chi, theta) points :func:`metric_pullback_check` accepts.
-
-    The arrays are checked as :class:`SphericalPoint` checks its fields.
-    """
-    chi, theta = np.asarray(chi, dtype=float), np.asarray(theta, dtype=float)
-    center = spherical_to_parabolic(space, (chi, theta, 0.0))
-    return ~(_off_pullback_domain(chi, theta) | _near_boundary(center))
+def pullback_accepts(space: SpaceTag, p: SphericalPoint) -> np.ndarray:
+    """Mask of the points :func:`metric_pullback_check` accepts."""
+    center = spherical_to_parabolic(space, p)
+    return ~(_off_pullback_domain(p.chi, p.theta) | _near_boundary(center))
 
 
-def metric_pullback_check(space: SpaceTag, p, tolerance: float = 1e-6) -> ResidualReport:
+def metric_pullback_check(
+    space: SpaceTag, p: SphericalPoint, tolerance: float = 1e-6
+) -> ResidualReport:
     """Compare the closed-form parabolic metric against the spherical one.
 
-    ``p`` is a :class:`SphericalPoint` or a pair of broadcastable
-    ``(chi, theta)`` arrays; phi does not enter.  With the closed-form
-    chart Jacobian J, J^T G J must reproduce the space's spherical metric
-    diag(1, f^2, f^2 sin^2 th), on S3 as on H3.  One report covers the nine
-    entries of every point, each measured against 1 + |reference|.
+    With the closed-form chart Jacobian J, J^T G J must reproduce the
+    space's spherical metric diag(1, f^2, f^2 sin^2 th), on S3 as on H3;
+    phi does not enter.  One report covers the nine entries of every
+    point, each measured against 1 + |reference|.
 
     chi <= 0.05 or theta within ``SINGULAR_GUARD`` of the axis raises
     DomainError; t1 or t2 within ``SINGULAR_GUARD`` of 0 or 1 raises
     SingularLocusError.  A batch raises for its first such point, and
     :func:`pullback_accepts` masks them.
     """
-    chi, theta = ([p.chi], [p.theta]) if isinstance(p, SphericalPoint) else p
-    chi, theta = np.asarray(chi, dtype=float), np.asarray(theta, dtype=float)
+    chi, theta = np.broadcast_arrays(p.chi, p.theta)
     _raise_first(
         _off_pullback_domain(chi, theta),
         DomainError,
@@ -536,7 +467,7 @@ def metric_pullback_check(space: SpaceTag, p, tolerance: float = 1e-6) -> Residu
         chi,
         theta,
     )
-    center = spherical_to_parabolic(space, (chi, theta, 0.0))
+    center = spherical_to_parabolic(space, p)
     _raise_first(
         _near_boundary(center), SingularLocusError, "point too close to a parabolic boundary"
     )
@@ -560,20 +491,17 @@ def _constraint_residuals(t1, t2):
 _POINT_ROW = np.dtype([("t1", complex), ("t2", complex), ("phi", float)])
 
 
-def constraint_check(p, tolerance: float = 1e-12) -> ResidualReport:
-    """Report the S3 conjugation-constraint residuals of a point or a batch.
+def constraint_check(p: ParabolicPoints, tolerance: float = 1e-12) -> ResidualReport:
+    """Report the S3 conjugation-constraint residuals of a batch.
 
-    ``p`` is a :class:`ParabolicPoint` or a :class:`ParabolicPoints`
-    batch; each point gives the two residuals of
-    :func:`_constraint_residuals`, the formula the S3 chart validation
-    uses, and the worst point is recorded as ``(t1, t2, phi)``.  Pure
-    report: H3-real points simply show a nonzero residual since the
-    constraint is an S3 statement.
+    Each point gives the two residuals of :func:`_constraint_residuals`,
+    the formula the S3 chart validation uses, and the worst point is
+    recorded as ``(t1, t2, phi)``.  Pure report: H3-real points simply
+    show a nonzero residual since the constraint is an S3 statement.
     """
-    pts = ParabolicPoints.of(p)
-    r1, r2 = _constraint_residuals(pts.t1.ravel(), pts.t2.ravel())
+    r1, r2 = _constraint_residuals(p.t1.ravel(), p.t2.ravel())
     rows = np.empty(r1.size, dtype=_POINT_ROW)
-    rows["t1"], rows["t2"], rows["phi"] = pts.t1.ravel(), pts.t2.ravel(), pts.phi.ravel()
+    rows["t1"], rows["t2"], rows["phi"] = p.t1.ravel(), p.t2.ravel(), p.phi.ravel()
     return build_report(np.column_stack([r1, r2]), 0.0, tolerance, points=np.repeat(rows, 2))
 
 
@@ -633,9 +561,8 @@ def flat_limit_coords(
     xi = z + r
     eta_neg = z - r
     unit = -1j if space.model is Model.S3 else 1.0
-    e1, e2 = [], []
-    for rho in rhos:
-        q = spherical_to_parabolic(space, SphericalPoint(r / rho, theta, phi))
-        e1.append(abs(unit * rho * q.t1 - xi))
-        e2.append(abs(unit * rho * q.t2 - eta_neg))
-    return FlatLimitTable(tuple(rhos), tuple(e1), tuple(e2), False, (xi, eta_neg))
+    q = spherical_to_parabolic(space, SphericalPoint(r / np.array(rhos), theta, phi))
+    # the errors in Python scalars: numpy's complex abs can differ in the last bit
+    e1 = tuple(abs(unit * rho * t - xi) for rho, t in zip(rhos, q.t1.tolist()))
+    e2 = tuple(abs(unit * rho * t - eta_neg) for rho, t in zip(rhos, q.t2.tolist()))
+    return FlatLimitTable(tuple(rhos), e1, e2, False, (xi, eta_neg))

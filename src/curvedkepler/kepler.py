@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError
-from .geometry import spherical_to_parabolic
+from .geometry import SphericalPoint, spherical_to_parabolic
 from .spaces import H3, S3, Model, SpaceTag, space_from_name
 from .specfun import Hyp2F1Params, drop_zero_imag, hyp2f1, scaled_series
 
@@ -152,14 +152,14 @@ class NormalizationResult:
     n_theta: int
 
 
-def energy(space: SpaceTag, e: float, k: int, force: bool = False) -> float:
+def energy(space: SpaceTag, e: float, k: int) -> float:
     """Closed-form energy of principal level k.
 
-    On H3 only k < sqrt(e) is a bound level; other k raise unless
-    ``force`` is set (the formula itself stays meaningful).
+    On H3 only k < sqrt(e) is a bound level; other k raise (the sum of
+    :func:`energy_split` is the formula itself, unchecked).
     """
     rydberg, curvature = energy_split(space, e, k)
-    if space.model is Model.H3 and not is_admissible(space, e, k) and not force:
+    if space.model is Model.H3 and not is_admissible(space, e, k):
         raise BoundStateError(
             f"H3 level k={k} is not bound for e={e} (needs k < sqrt(e))"
         )
@@ -398,7 +398,7 @@ def _chart_grid(space: SpaceTag, chi: np.ndarray, theta: np.ndarray) -> tuple[np
     S3; the weight sinh^2(chi) or sin^2(chi) has shape (n_chi, 1).
     """
     cc = chi[:, None]
-    pts = spherical_to_parabolic(space, (cc, theta[None, :], 0.0))
+    pts = spherical_to_parabolic(space, SphericalPoint(cc, theta[None, :], 0.0))
     weight = np.sinh(cc) ** 2 if space.model is Model.H3 else np.sin(cc) ** 2
     return pts.t1, pts.t2, weight
 

@@ -228,6 +228,13 @@ def apply_b_operator(state: StateParams, t1, t2, phi) -> np.ndarray:
     return _b_operator_core(state, state.space, *t, jets) * p
 
 
+def _batch(sample) -> ParabolicPoints:
+    """The sample itself; a sequence of points or any other type raises ParameterError."""
+    if not isinstance(sample, ParabolicPoints):
+        raise ParameterError(f"expected a ParabolicPoints batch, got {type(sample).__name__}")
+    return sample
+
+
 def _eigen_residual(state, space, sample, core, eigenvalue, tolerance) -> ResidualReport:
     """(O Psi - eigenvalue Psi) over a batch, relative to 1 + (1 + |eigenvalue|) |Psi|.
 
@@ -235,9 +242,7 @@ def _eigen_residual(state, space, sample, core, eigenvalue, tolerance) -> Residu
     share one exact-derivative jet per factor, so each factor is evaluated
     once.  Points within SINGULAR_SKIP of a singular locus are skipped.
     """
-    if not isinstance(sample, ParabolicPoints):
-        raise ParameterError(f"expected a ParabolicPoints batch, got {type(sample).__name__}")
-    keep = sample.clearance() >= SINGULAR_SKIP
+    keep = _batch(sample).clearance() >= SINGULAR_SKIP
     if not keep.any():
         raise DomainError("every sample point sits on a singular chart locus")
     t1, t2, phi = sample.t1[keep], sample.t2[keep], sample.phi[keep]
@@ -306,7 +311,7 @@ def _coupling_identity_differences(space: SpaceTag, pts: ParabolicPoints) -> np.
 
 def coupling_identity_residual(space: SpaceTag, points: ParabolicPoints) -> float:
     """max |(t1+t2-2 t1 t2)/(t1-t2) - cos(theta)| over a batch, cos(theta) via the ambient chart."""
-    return float(_coupling_identity_differences(space, points).max(initial=0.0))
+    return float(_coupling_identity_differences(space, _batch(points)).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +453,7 @@ def runge_lenz_check(
     """
     Q = np.asarray(sample, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != 3:
-        Q = Q.T if Q.ndim == 2 and Q.shape[1] == 3 else Q
-    if Q.ndim != 2 or Q.shape[0] != 3:
-        raise ParameterError("sample must be 3 x n (or n x 3) quasi-Cartesian coordinates")
+        raise ParameterError(f"sample must be 3 x n quasi-Cartesian columns, got shape {Q.shape}")
     q = np.sqrt((Q * Q).sum(axis=0))
     rho = np.sqrt(Q[0] ** 2 + Q[1] ** 2)
     h_eff = h * np.maximum(1.0, q)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import ParabolicPoints, spherical_to_parabolic
+from .geometry import ParabolicPoints, SphericalPoint, spherical_to_parabolic
 from .spaces import Model, SpaceTag
 
 GUARD = 1e-3
@@ -67,7 +67,7 @@ def factor_samples(
     def physical(size):
         chi = rng.uniform(0.1, math.pi - 0.1, size)
         theta = rng.uniform(0.1, math.pi - 0.1, size)
-        pts = spherical_to_parabolic(space, (chi, theta, 0.0))
+        pts = spherical_to_parabolic(space, SphericalPoint(chi, theta, 0.0))
         return guarded(pts.t1 if which == 1 else pts.t2)
 
     def disc(size):
@@ -88,7 +88,7 @@ def chart_points(
         chi = rng.uniform(0.15, chi_hi, size)
         theta = rng.uniform(0.15, math.pi - 0.15, size)
         phi = rng.uniform(0.0, 2.0 * math.pi, size)
-        pts = spherical_to_parabolic(space, (chi, theta, phi))
+        pts = spherical_to_parabolic(space, SphericalPoint(chi, theta, phi))
         return pts.t1, pts.t2, pts.phi, pts.clearance() >= GUARD
 
     return ParabolicPoints(*_first_accepted(n, 2 * n, draw))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import constraint_check, metric_pullback_check, pullback_accepts
+from .geometry import SphericalPoint, constraint_check, metric_pullback_check, pullback_accepts
 from .kepler import (
     StateParams,
     assemble_state,
@@ -129,11 +129,12 @@ def _metric(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
 
     def draw(size):
         chi, theta, _ = rng.uniform(low, high, (size, 3)).T
-        return chi, theta, pullback_accepts(space, chi, theta)
+        return chi, theta, pullback_accepts(space, SphericalPoint(chi, theta, 0.0))
 
     chi, theta = _first_accepted(METRIC_POINTS, 2 * METRIC_POINTS, draw)
     label = f"{space.model.value} metric pullback ({METRIC_POINTS} points)"
-    return [SuiteResult("metric", label, metric_pullback_check(space, (chi, theta), **kw))]
+    report = metric_pullback_check(space, SphericalPoint(chi, theta, 0.0), **kw)
+    return [SuiteResult("metric", label, report)]
 
 
 def _constraint(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:

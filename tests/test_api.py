@@ -26,6 +26,8 @@ REMOVED = {
         "PolarFactors",
         "polar_decompose",
         "_wrap_angle",
+        "ParabolicPoint",
+        "AmbientPoint",
     ],
     kepler: ["wavefunction", "chart_values", "_radial_formula"],
     operators: ["_regular_points"],
@@ -45,6 +47,11 @@ def test_removed_names_are_gone(module):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
         assert not hasattr(curvedkepler, name), name
         assert name not in curvedkepler.__all__
+
+
+def test_parabolic_points_has_no_of():
+    """One point is a batch of 0-d arrays, so there is nothing to wrap."""
+    assert not hasattr(curvedkepler.ParabolicPoints, "of")
 
 
 def test_runtime_imports_load_no_test_only_dependency():

@@ -221,7 +221,7 @@ def _legacy_eval_text(space, e, qn, grids, fmt):
         axes.append(np.linspace(float(lo), float(hi), int(n)))
     cc, tt, pp = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
     tag = space_from_name(space)
-    chart = spherical_to_parabolic(tag, (cc, tt, 0.0))
+    chart = spherical_to_parabolic(tag, SphericalPoint(cc, tt, 0.0))
     skip = (chart.t1 == 1.0) | (chart.t2 == 1.0)
     re, im = np.zeros_like(cc), np.zeros_like(cc)
     if not skip.all():
@@ -335,6 +335,24 @@ def test_max_k_below_one_exits_2(argv, max_k):
     rc, out, err = run_cli(argv + [f"--max-k={max_k}"])
     assert rc == 2 and out == ""
     assert "--max-k" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "all"], ["verify", "ode", "--space", "h3", "--e", "10"]]
+)
+def test_negative_seed_exits_2(argv):
+    rc, out, err = run_cli(argv + ["--seed", "-1"])
+    assert rc == 2 and out == ""
+    assert err == "error: --seed -1 must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "ode"], ["spectrum", "--space", "h3", "--e", "10"]])
+def test_unwritable_out_path_exits_2(argv, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    rc, out, err = run_cli(argv + ["--out", str(target)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot open --out") and str(target) in err
+    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize("e", ["0.5", "1.0"])

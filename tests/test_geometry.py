@@ -15,14 +15,11 @@ import numpy as np
 import pytest
 
 from curvedkepler import (
-    AmbientPoint,
     ConstraintError,
     DomainError,
     H3,
     IndeterminateCoordinateWarning,
-    ParabolicPoint,
     ParabolicPoints,
-    ParameterError,
     S3,
     SingularLocusError,
     SphericalPoint,
@@ -74,7 +71,7 @@ def test_h3_exact_chart_point_forward():
 
 
 def test_h3_exact_chart_point_inverse():
-    s = parabolic_to_spherical(H3, ParabolicPoint(0.5, -1.0, 0.3))
+    s = parabolic_to_spherical(H3, ParabolicPoints(0.5, -1.0, 0.3))
     assert abs(s.chi - H3_EXACT_SPHERICAL[0]) < 1e-15
     assert abs(s.theta - H3_EXACT_SPHERICAL[1]) < 1e-15
     assert s.phi == 0.3
@@ -89,8 +86,8 @@ def test_s3_exact_chart_point():
 def test_h3_ambient_oracle():
     # (1.25, sqrt(1/2), 0, 0.25): r = sqrt(1/2 + 1/16) = 3/4, so
     # t1 = (1/4 + 3/4)/(5/4 + 3/4) = 1/2, t2 = (1/4 - 3/4)/(5/4 - 3/4) = -1.
-    amb = AmbientPoint(1.25, math.sqrt(0.5), 0.0, 0.25)
-    assert abs(amb.quadric(H3) - 1.0) < 1e-15
+    amb = np.array([1.25, math.sqrt(0.5), 0.0, 0.25])
+    assert abs(geometry._quadric(H3, amb) - 1.0) < 1e-15
     q = ambient_to_parabolic(H3, amb)
     assert abs(q.t1 - 0.5) < 1e-15
     assert abs(q.t2 + 1.0) < 1e-12
@@ -100,7 +97,7 @@ def test_h3_ambient_oracle():
 def test_h3_ambient_axis_point_warns():
     # c1 = c2 = 0 leaves phi indeterminate; t1 = 2/(sqrt(2)+1) = 2(sqrt(2)-1)
     with pytest.warns(IndeterminateCoordinateWarning):
-        q = ambient_to_parabolic(H3, AmbientPoint(math.sqrt(2.0), 0.0, 0.0, 1.0))
+        q = ambient_to_parabolic(H3, np.array([math.sqrt(2.0), 0.0, 0.0, 1.0]))
     assert abs(q.t1 - (2.0 * math.sqrt(2.0) - 2.0)) < 4e-15
     assert q.t2 == 0.0
 
@@ -124,7 +121,7 @@ def test_parabolic_ambient_roundtrip(space, seed):
     pts = chart_points(space, rng, n=N_ROUNDTRIP // 4)
     for p in pts:
         amb = parabolic_to_ambient(space, p)
-        assert abs(amb.quadric(space) - 1.0) < CONSTRAINT_TOL
+        assert abs(geometry._quadric(space, amb) - 1.0) < CONSTRAINT_TOL
         back = ambient_to_parabolic(space, amb)
         assert abs(back.t1 - p.t1) < ROUNDTRIP_TOL
         assert abs(back.t2 - p.t2) < ROUNDTRIP_TOL
@@ -138,20 +135,19 @@ def test_quasi_roundtrip(space, seed):
     Q = quasi_points(space, make_rng(seed), n=200)
     assert Q.shape == (3, 200)
     c = parabolic_to_ambient(space, ParabolicPoints(*_quasi_to_chart(space, Q)))
-    for i in range(Q.shape[1]):
-        assert abs(AmbientPoint(*c[:, i]).quadric(space) - 1.0) < CONSTRAINT_TOL
+    assert np.max(np.abs(geometry._quadric(space, c) - 1.0)) < CONSTRAINT_TOL
     assert np.max(np.abs(c[1:] / c[0] - Q)) < ROUNDTRIP_TOL
 
 
 def test_h3_lower_sheet_rejected():
-    amb = parabolic_to_ambient(H3, ParabolicPoint(0.25, -0.5, 0.0))
+    amb = parabolic_to_ambient(H3, ParabolicPoints(0.25, -0.5, 0.0))
     with pytest.raises(DomainError):
         ambient_to_parabolic(H3, antipodal(amb))
 
 
 def test_off_quadric_rejected():
     with pytest.raises(DomainError):
-        ambient_to_parabolic(H3, AmbientPoint(1.0, 1.0, 1.0, 1.0))
+        ambient_to_parabolic(H3, np.array([1.0, 1.0, 1.0, 1.0]))
 
 
 def test_antipodal_swaps_s3_factors():
@@ -165,7 +161,7 @@ def test_antipodal_swaps_s3_factors():
 
 
 def test_metric_frozen_values():
-    g = metric_parabolic(H3, ParabolicPoint(0.5, -1.0, 0.3))
+    g = metric_parabolic(H3, ParabolicPoints(0.5, -1.0, 0.3))
     assert np.allclose(np.diag(g), [3.0, 0.09375, 0.5], rtol=0, atol=1e-15)
     off = g - np.diag(np.diag(g))
     assert np.max(np.abs(off)) == 0.0
@@ -185,7 +181,7 @@ def test_metric_stack_matches_single_points_and_refuses_singular_ones(space, see
     assert stack.shape == (50, 3, 3)
     for p, g in zip(pts, stack):
         assert metric_parabolic(space, p).tobytes() == g.tobytes()
-    bad = ParabolicPoint(0.0, -0.5, 0.0)
+    bad = ParabolicPoints(0.0, -0.5, 0.0)
     with pytest.raises(SingularLocusError) as scalar:
         metric_parabolic(space, bad)
     with pytest.raises(SingularLocusError) as batched:
@@ -313,7 +309,7 @@ def test_metric_pullback_maps_each_point_once(space, monkeypatch):
     assert len(calls) == len(points)
     chi = np.array([s.chi for s in points])
     theta = np.array([s.theta for s in points])
-    metric_pullback_check(space, (chi, theta))
+    metric_pullback_check(space, SphericalPoint(chi, theta, 0.0))
     assert len(calls) == len(points) + 1
 
 
@@ -332,7 +328,7 @@ def _scalar_metric_suite_points(space, seed):
             metric_pullback_check(space, s)
         except (DomainError, SingularLocusError):
             continue
-        out.append((s.chi, s.theta))
+        out.append((float(s.chi), float(s.theta)))
     return out
 
 
@@ -348,8 +344,9 @@ def test_metric_suite_draws_the_points_of_the_scalar_loop(space, monkeypatch):
     for seed in range(24):
         seen.clear()
         (result,) = verify.run_suite("metric", space, 2.0 if space is S3 else 10.0, 1, seed)
-        [(chi, theta)] = seen
-        assert list(zip(chi, theta)) == _scalar_metric_suite_points(space, seed), seed
+        [p] = seen
+        drawn = list(zip(p.chi.tolist(), p.theta.tolist()))
+        assert drawn == _scalar_metric_suite_points(space, seed), seed
         assert result.report.passed and result.report.n_points == 9 * verify.METRIC_POINTS
 
 
@@ -362,7 +359,7 @@ def test_pullback_accepts_exactly_the_points_the_check_accepts(space, centre):
     rng = make_rng(124)
     chi = centre[0] + rng.uniform(-2e-3, 2e-3, 400)
     theta = centre[1] + rng.uniform(-2e-3, 2e-3, 400)
-    mask = pullback_accepts(space, chi, theta)
+    mask = pullback_accepts(space, SphericalPoint(chi, theta, 0.0))
     for c, t, ok in zip(chi, theta, mask):
         try:
             metric_pullback_check(space, SphericalPoint(c, t, 0.0))
@@ -372,8 +369,8 @@ def test_pullback_accepts_exactly_the_points_the_check_accepts(space, centre):
             assert ok, (c, t)
     assert 0 < mask.sum() < mask.size
     with pytest.raises((DomainError, SingularLocusError)):
-        metric_pullback_check(space, (chi, theta))
-    assert metric_pullback_check(space, (chi[mask], theta[mask])).passed
+        metric_pullback_check(space, SphericalPoint(chi, theta, 0.0))
+    assert metric_pullback_check(space, SphericalPoint(chi[mask], theta[mask], 0.0)).passed
 
 
 def _scalar_pullback(space, chi, theta):
@@ -402,12 +399,12 @@ def _scalar_pullback(space, chi, theta):
 @pytest.mark.parametrize("space, seed", [(H3, 125), (S3, 126)])
 def test_pullback_entries_match_a_math_oracle(space, seed):
     points = [
-        s for s in _pullback_points(space, seed, 200) if pullback_accepts(space, s.chi, s.theta)
+        s for s in _pullback_points(space, seed, 200) if pullback_accepts(space, s)
     ]
     chi = np.array([s.chi for s in points])
     theta = np.array([s.theta for s in points])
     jac = geometry._chart_jacobian(space, chi, theta)
-    center = spherical_to_parabolic(space, (chi, theta, 0.0))
+    center = spherical_to_parabolic(space, SphericalPoint(chi, theta, 0.0))
     pull = np.swapaxes(jac, -1, -2) @ metric_parabolic(space, center) @ jac
     assert pull.shape == (len(points), 3, 3) and len(points) > 150
     for got, c, t in zip(pull, chi, theta):
@@ -442,22 +439,22 @@ def test_constraint_batch_flags_a_corrupted_point():
 
 
 def test_constraint_detects_corruption():
-    p = ParabolicPoint(S3_EXACT_T1, S3_EXACT_T2 + 0.01, 0.0)
+    p = ParabolicPoints(S3_EXACT_T1, S3_EXACT_T2 + 0.01, 0.0)
     assert not constraint_check(p).passed
     # H3 points genuinely do not satisfy the S3 closure
-    assert not constraint_check(ParabolicPoint(0.25, -0.5, 0.0)).passed
+    assert not constraint_check(ParabolicPoints(0.25, -0.5, 0.0)).passed
 
 
 def test_origin_is_flagged_indeterminate():
     with pytest.warns(IndeterminateCoordinateWarning):
-        s = parabolic_to_spherical(S3, ParabolicPoint(0.0, 0.0, 0.7))
+        s = parabolic_to_spherical(S3, ParabolicPoints(0j, 0j, 0.7))
     assert s.chi == 0.0 and s.theta == 0.0 and s.phi == 0.7
 
 
 def test_chart_axis_is_singular():
     # (iy, iy) satisfies the algebraic constraint but sits on the t1 = t2 axis
     with pytest.raises(SingularLocusError):
-        parabolic_to_spherical(S3, ParabolicPoint(0.3j, 0.3j, 0.0))
+        parabolic_to_spherical(S3, ParabolicPoints(0.3j, 0.3j, 0.0))
 
 
 def test_spherical_range_validation():
@@ -467,29 +464,81 @@ def test_spherical_range_validation():
         spherical_to_parabolic(H3, SphericalPoint(400.0, 1.0, 0.0))
 
 
+def _same_bits(one, batch, i):
+    """One point's 0-d arrays hold the bits of point i of the batch."""
+    for a, b in zip(one, batch):
+        assert np.shape(a) == () and np.asarray(a).tobytes() == b[i].tobytes(), i
+
+
 @pytest.mark.parametrize("space, seed", [(H3, 115), (S3, 116)])
 def test_batched_chart_maps_match_the_per_point_wrapper(space, seed):
     pts = chart_points(space, make_rng(seed), n=300)
     amb = parabolic_to_ambient(space, pts)
     assert amb.shape == (4, 300)
-    spherical = [parabolic_to_spherical(space, p) for p in pts]
-    chi = np.array([s.chi for s in spherical])
-    theta = np.array([s.theta for s in spherical])
-    phi = np.array([s.phi for s in spherical])
-    back = spherical_to_parabolic(space, (chi, theta, phi))
+    sph = parabolic_to_spherical(space, pts)
+    back = spherical_to_parabolic(space, sph)
     assert isinstance(back, ParabolicPoints) and len(back) == 300
-    for i, (p, q, s) in enumerate(zip(pts, back, spherical)):
-        one = parabolic_to_ambient(space, p)
-        assert (one.c0, one.c1, one.c2, one.c3) == tuple(amb[:, i])
-        assert spherical_to_parabolic(space, s) == q
+    for i, p in enumerate(pts):
+        _same_bits(parabolic_to_ambient(space, p), amb, i)
+        q = spherical_to_parabolic(space, SphericalPoint(sph.chi[i], sph.theta[i], sph.phi[i]))
+        _same_bits((q.t1, q.t2, q.phi), (back.t1, back.t2, back.phi), i)
+
+
+@pytest.mark.parametrize("space, seed", [(H3, 134), (S3, 135)])
+def test_inverse_chart_maps_give_the_bits_of_their_points_one_by_one(space, seed):
+    pts = chart_points(space, make_rng(seed), n=300)
+    sph = parabolic_to_spherical(space, pts)
+    amb = parabolic_to_ambient(space, pts)
+    back = ambient_to_parabolic(space, amb)
+    assert sph.chi.shape == back.t1.shape == (300,) and back.t1.dtype == pts.t1.dtype
+    for i, p in enumerate(pts):
+        s = parabolic_to_spherical(space, p)
+        _same_bits((s.chi, s.theta, s.phi), (sph.chi, sph.theta, sph.phi), i)
+        q = ambient_to_parabolic(space, amb[:, i])
+        _same_bits((q.t1, q.t2, q.phi), (back.t1, back.t2, back.phi), i)
+
+
+@pytest.mark.parametrize(
+    "space, invert, bad, error",
+    [
+        (S3, parabolic_to_spherical, (S3_EXACT_T1, S3_EXACT_T2 + 0.01), ConstraintError),
+        (S3, parabolic_to_spherical, (0.3j, 0.3j), SingularLocusError),
+        (H3, parabolic_to_spherical, (0.25 + 0.1j, -0.5), DomainError),
+        (H3, ambient_to_parabolic, (1.0, 1.0, 1.0, 1.0), DomainError),
+        (H3, ambient_to_parabolic, (-1.25, -math.sqrt(0.5), 0.0, -0.25), DomainError),
+        (S3, ambient_to_parabolic, (0.5, 0.5, 0.5, 0.6), DomainError),
+    ],
+)
+def test_inverse_chart_maps_raise_the_error_of_one_bad_point_in_a_batch(space, invert, bad, error):
+    pts = chart_points(space, make_rng(136), n=20)
+    if invert is parabolic_to_spherical:
+        alone, batch = ParabolicPoints(*bad, 0.0), _inserted(pts, 7, ParabolicPoints(*bad, 0.0))
+    else:
+        alone = np.array(bad)
+        batch = np.insert(parabolic_to_ambient(space, pts), 7, alone, axis=1)
+    with pytest.raises(error) as single:
+        invert(space, alone)
+    with pytest.raises(error) as batched:
+        invert(space, batch)
+    assert type(batched.value) is type(single.value)
+    assert str(batched.value) == str(single.value)
+
+
+def test_spherical_points_are_checked_but_not_broadcast():
+    chi, theta = np.linspace(0.1, 1.0, 5)[:, None], np.linspace(0.0, math.pi, 7)[None, :]
+    s = SphericalPoint(chi, theta, 0.0)
+    assert s.chi.shape == (5, 1) and s.theta.shape == (1, 7) and s.phi.shape == ()
+    assert spherical_to_parabolic(S3, s).t1.shape == (5, 7)
+    with pytest.raises(DomainError, match="theta must lie in"):
+        SphericalPoint(chi, np.append(theta, 3.5)[None, :], 0.0)
 
 
 @pytest.mark.parametrize(
     "space, bad, error",
     [
-        (S3, ParabolicPoint(S3_EXACT_T1, S3_EXACT_T2 + 0.01, 0.0), ConstraintError),
-        (H3, ParabolicPoint(1.0, -0.5, 0.0), SingularLocusError),
-        (H3, ParabolicPoint(0.25 + 0.1j, -0.5, 0.0), DomainError),
+        (S3, ParabolicPoints(S3_EXACT_T1, S3_EXACT_T2 + 0.01, 0.0), ConstraintError),
+        (H3, ParabolicPoints(1.0, -0.5, 0.0), SingularLocusError),
+        (H3, ParabolicPoints(0.25 + 0.1j, -0.5, 0.0), DomainError),
     ],
 )
 def test_batch_with_one_bad_point_raises_the_scalar_error(space, bad, error):
@@ -509,7 +558,7 @@ def _list_factor_samples(space, rng, which, n):
     while len(out) < want_physical:
         chi = rng.uniform(0.1, math.pi - 0.1, 2 * n)
         theta = rng.uniform(0.1, math.pi - 0.1, 2 * n)
-        pts = spherical_to_parabolic(space, (chi, theta, 0.0))
+        pts = spherical_to_parabolic(space, SphericalPoint(chi, theta, 0.0))
         t = pts.t1 if which == 1 else pts.t2
         good = t[(np.abs(t) >= 1e-3) & (np.abs(1.0 - t) >= 1e-3)]
         out.extend(good[: want_physical - len(out)])
@@ -540,7 +589,7 @@ def _list_chart_points(space, rng, n):
         chi = rng.uniform(0.15, chi_hi, 2 * n)
         theta = rng.uniform(0.15, math.pi - 0.15, 2 * n)
         phi = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
-        for p in spherical_to_parabolic(space, (chi, theta, phi)):
+        for p in spherical_to_parabolic(space, SphericalPoint(chi, theta, phi)):
             gaps = (p.t1, 1.0 - p.t1, p.t2, 1.0 - p.t2, p.t1 - p.t2)
             if len(out) < n and min(abs(g) for g in gaps) >= 1e-3:
                 out.append((p.t1, p.t2, p.phi))
@@ -608,12 +657,13 @@ def test_parabolic_points_reduce_a_scalar_phi_like_a_broadcast_one(phi):
     want = geometry._norm_phi(np.broadcast_to(np.asarray(phi), t1.shape))
     assert pts.phi.shape == t1.shape
     assert np.ascontiguousarray(pts.phi).tobytes() == want.tobytes()
-    assert pts.phi[0, 0] == ParabolicPoint(0.3 + 0.1j, -0.7 + 0.1j, phi).phi
+    one = ParabolicPoints(0.3 + 0.1j, -0.7 + 0.1j, phi)
+    assert one.phi.shape == () and pts.phi[0, 0] == one.phi
 
 
 @pytest.mark.parametrize("space, dtype", [(H3, np.float64), (S3, np.complex128)])
 def test_chart_values_are_float64_on_h3_and_complex128_on_s3(space, dtype):
-    pts = spherical_to_parabolic(space, (np.array([0.3, 1.2]), np.array([0.4, 2.0]), 0.0))
+    pts = spherical_to_parabolic(space, SphericalPoint([0.3, 1.2], [0.4, 2.0], 0.0))
     assert pts.t1.dtype == pts.t2.dtype == dtype
     sampled = chart_points(space, make_rng(131), n=20)
     assert sampled.t1.dtype == sampled.t2.dtype == dtype
@@ -621,11 +671,11 @@ def test_chart_values_are_float64_on_h3_and_complex128_on_s3(space, dtype):
     assert t1.dtype == t2.dtype == dtype
     for which in (1, 2):
         assert factor_samples(space, make_rng(133), which, 10).dtype == dtype
-    # a single point holds complex values on either space
+    # one point follows the same rule, as a batch of 0-d arrays
     one = spherical_to_parabolic(space, SphericalPoint(0.3, 0.4, 0.0))
-    assert type(one.t1) is complex and type(one.t2) is complex
-    with pytest.raises(ParameterError):
-        ParabolicPoints.of(list(sampled))
+    assert one.t1.shape == one.t2.shape == () and one.t1.dtype == one.t2.dtype == dtype
+    for p in sampled:
+        assert p.t1.shape == () and p.t1.dtype == p.t2.dtype == dtype
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from curvedkepler import (
     ParameterError,
     QuantumNumbers,
     S3,
+    SphericalPoint,
     StateParams,
     assemble_state,
     bound_count_h3,
@@ -136,11 +137,11 @@ def test_h3_energies_lie_in_bound_interval():
             assert lo <= eps < hi, (e, k, eps)
 
 
-def test_inadmissible_energy_needs_force():
+def test_inadmissible_energy_is_refused():
     with pytest.raises(BoundStateError):
         energy(H3, 5.0, 3)
-    val = energy(H3, 5.0, 3, force=True)
-    assert val == -25.0 / 18.0 - 4.0
+    # the unchecked formula is the sum of the split
+    assert sum(energy_split(H3, 5.0, 3)) == -25.0 / 18.0 - 4.0
 
 
 def test_s3_always_admissible():
@@ -291,7 +292,7 @@ def test_h3_batches_have_no_negative_zero_imaginary_parts():
     """A -0.0 in Im t2 would flip t2^(|m|/2) to the other side of the cut."""
     pts = chart_points(H3, make_rng(213), n=200)
     grid = spherical_to_parabolic(
-        H3, (np.linspace(0.0, 3.0, 40), np.linspace(0.0, math.pi, 40)[:, None], 0.0)
+        H3, SphericalPoint(np.linspace(0.0, 3.0, 40), np.linspace(0.0, math.pi, 40)[:, None], 0.0)
     )
     for batch in (pts, grid):
         assert not np.signbit(batch.t1.imag).any()
@@ -322,8 +323,8 @@ def test_s3_psi_is_continuous_across_the_equator(e):
     (1-t)^b made it jump by (-1)^(n2-n1) e^(pi e/k) there."""
     d = 1e-7
     theta = np.array([0.3, 1.2, 2.5])
-    below = spherical_to_parabolic(S3, (math.pi / 2 - d, theta, 0.4))
-    above = spherical_to_parabolic(S3, (math.pi / 2 + d, theta, 0.4))
+    below = spherical_to_parabolic(S3, SphericalPoint(math.pi / 2 - d, theta, 0.4))
+    above = spherical_to_parabolic(S3, SphericalPoint(math.pi / 2 + d, theta, 0.4))
     for k in (1, 2, 3):
         for qn in enumerate_states(k):
             st = assemble_state(S3, e, qn)
@@ -371,7 +372,7 @@ def _mp_psi(st, chi, theta, phi):
 def test_wavefunction_values_match_mpmath(space, e, chis):
     theta, phi = (0.3, 1.2, 2.5), 0.7
     cc, tt = np.meshgrid(chis, theta, indexing="ij")
-    pts = spherical_to_parabolic(space, (cc.ravel(), tt.ravel(), phi))
+    pts = spherical_to_parabolic(space, SphericalPoint(cc.ravel(), tt.ravel(), phi))
     for k in (1, 2, 3, 4):
         for qn in enumerate_states(k):
             st = assemble_state(space, e, qn)
@@ -405,7 +406,7 @@ def test_wavefunction_values_sum_f_in_the_dtype_of_the_space(monkeypatch, space,
 def test_h3_psi_stays_finite_to_chi_300(qn):
     st = assemble_state(H3, 20.0, QuantumNumbers(*qn))
     pts = spherical_to_parabolic(
-        H3, (np.linspace(0.0, 300.0, 601)[:, None], np.array([0.0, 0.3, 1.6, 3.0]), 0.5)
+        H3, SphericalPoint(np.linspace(0.0, 300.0, 601)[:, None], [0.0, 0.3, 1.6, 3.0], 0.5)
     )
     psi = wavefunction_values(st, pts.t1, pts.t2, pts.phi)
     assert np.isfinite(psi).all()
@@ -493,7 +494,7 @@ def test_normalize_rejects_bad_quadrature_orders(name, order):
 def _fresh_chart_grid(space, chi, theta):
     """kepler._chart_grid built afresh: the chart values and the volume weight."""
     cc = chi[:, None]
-    pts = spherical_to_parabolic(space, (cc, theta[None, :], 0.0))
+    pts = spherical_to_parabolic(space, SphericalPoint(cc, theta[None, :], 0.0))
     return pts.t1, pts.t2, np.sinh(cc) ** 2 if space is H3 else np.sin(cc) ** 2
 
 
@@ -585,7 +586,7 @@ def _count_grid_builds(monkeypatch):
     to_parabolic = kepler.spherical_to_parabolic
 
     def counting(space, p):
-        built.append((space.name, *np.broadcast_shapes(np.shape(p[0]), np.shape(p[1]))))
+        built.append((space.name, *np.broadcast_shapes(p.chi.shape, p.theta.shape)))
         return to_parabolic(space, p)
 
     monkeypatch.setattr(kepler, "spherical_to_parabolic", counting)

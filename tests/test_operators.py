@@ -25,6 +25,7 @@ from curvedkepler import (
     QPolynomial,
     QuantumNumbers,
     S3,
+    SphericalPoint,
     angular_polynomial,
     apply_b_operator,
     apply_hamiltonian,
@@ -179,11 +180,14 @@ def _appended(pts, t1, t2, phi):
 def test_residuals_take_only_a_batch(residual):
     st = _state(S3, 2.0, QuantumNumbers(0, 0, 1))
     pts = chart_points(S3, make_rng(308), n=5)
-    for sample in (list(pts), next(iter(pts))):
-        with pytest.raises(ParameterError):
-            residual(st, sample)
+    with pytest.raises(ParameterError):
+        residual(st, list(pts))
     with pytest.raises(ParameterError):
         coupling_identity_residual(S3, list(pts))
+    # one point is a batch of 0-d arrays, and reads as the batch of its first point
+    one = residual(st, next(iter(pts)))
+    first = residual(st, ParabolicPoints(pts.t1[:1], pts.t2[:1], pts.phi[:1]))
+    assert one.to_json_dict() == first.to_json_dict()
 
 
 @pytest.mark.parametrize("space, e, qn", STATE_SET)
@@ -233,7 +237,7 @@ def _spread_points(space, seed, chi_lo, chi_hi, n=300):
     rng = make_rng(seed)
     pts = spherical_to_parabolic(
         space,
-        (
+        SphericalPoint(
             rng.uniform(chi_lo, chi_hi, n),
             rng.uniform(0.15, np.pi - 0.15, n),
             rng.uniform(0.0, 2.0 * np.pi, n),
@@ -530,12 +534,12 @@ def test_runge_lenz_component(space, e, qn, seed):
     assert 1.7 <= float(m.group(1)) <= 2.3
 
 
-def test_runge_lenz_accepts_both_orientations():
+def test_runge_lenz_refuses_rows_of_points():
     st = _state(S3, 2.0, QuantumNumbers(0, 0, 1))
     pts = quasi_points(S3, make_rng(318), n=15)
-    a = runge_lenz_check(st, pts)
-    b = runge_lenz_check(st, pts.T)
-    assert a.max_rel == b.max_rel and a.n_points == b.n_points
+    assert runge_lenz_check(st, pts).n_points > 0
+    with pytest.raises(ParameterError, match="3 x n"):
+        runge_lenz_check(st, pts.T)
 
 
 def test_runge_lenz_is_a_genuine_numerical_comparison():
