@@ -9,6 +9,10 @@ eval       evaluate a wavefunction on a (chi, theta, phi) grid as CSV, JSON
 verify     run residual-verification suites, exit 0 iff everything passes
 limit      flat-space limit study (coordinates plus spectrum split)
 
+Each subcommand accepts only the options it reads; argparse refuses any
+other.  A command reads the parsed namespace once :func:`_validate` has
+checked it and parsed its structured values.
+
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or domain error.  Output is deterministic for a fixed seed:
 sample points come from PCG64 streams and all numeric formatting is
@@ -22,7 +26,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .kepler import (
     is_admissible,
     wavefunction_values,
 )
-from .spaces import Model, SpaceTag, space_from_name
+from .spaces import Model, space_from_name
 from .verify import SUITES, all_passed, run_suites
 
 SCHEMA_VERSION = 1
@@ -47,36 +50,6 @@ HUMAN_FMT = "%.6g"
 
 EVAL_COLUMNS = ("chi", "theta", "phi", "re_psi", "im_psi", "abs_psi2", "skipped")
 VERIFY_COLUMNS = ("suite", "label", "max_abs", "max_rel", "mean_rel", "n_points", "passed")
-
-
-@dataclass
-class RunConfig:
-    """Validated bundle of everything a subcommand needs."""
-
-    command: str
-    space: SpaceTag | None = None
-    e: float | None = None
-    n1: int | None = None
-    n2: int | None = None
-    m: int | None = None
-    max_k: int | None = None
-    seed: int = 7
-    fmt: str = "human"
-    tol: float | None = None
-    out: str | None = None
-    perturb_eps: float = 0.0
-    suite: str | None = None
-    grid_chi: np.ndarray = field(default_factory=lambda: np.empty(0))
-    grid_theta: np.ndarray = field(default_factory=lambda: np.empty(0))
-    grid_phi: np.ndarray = field(default_factory=lambda: np.empty(0))
-    rho: tuple = ()
-    point: tuple = (0.3, 0.2, 0.4)
-
-    def __post_init__(self) -> None:
-        if self.tol is not None and not self.tol > 0:
-            raise UsageError("--tol must be > 0")
-        if self.rho and list(self.rho) != sorted(self.rho):
-            raise UsageError("--rho values must be increasing")
 
 
 class UsageError(CurvedKeplerError, ValueError):
@@ -151,12 +124,12 @@ def _h(x: float) -> str:
 # spectrum
 
 
-def cmd_spectrum(cfg: RunConfig) -> tuple[str, int]:
-    space, e = cfg.space, cfg.e
-    if space.model is Model.S3 and cfg.max_k is None:
+def cmd_spectrum(ns: argparse.Namespace) -> tuple[str, int]:
+    space, e = ns.space, ns.e
+    if space.model is Model.S3 and ns.max_k is None:
         raise UsageError("--max-k is required with --space s3")
-    if cfg.max_k is not None:
-        ks = range(1, cfg.max_k + 1)
+    if ns.max_k is not None:
+        ks = range(1, ns.max_k + 1)
     else:
         ks = range(1, bound_count_h3(e) + 1)
     rows = []
@@ -182,9 +155,9 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[str, int]:
         payload["bound_count"] = bound_count_h3(e)
         payload["interval"] = [lo, hi]
 
-    if cfg.fmt == "json":
+    if ns.format == "json":
         return _json_text(payload), 0
-    if cfg.fmt == "csv":
+    if ns.format == "csv":
         lines = ["k,epsilon,degeneracy,admissible"]
         for r in rows:
             lines.append(
@@ -210,13 +183,13 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[str, int]:
 # state
 
 
-def cmd_state(cfg: RunConfig) -> tuple[str, int]:
-    state = assemble_state(cfg.space, cfg.e, QuantumNumbers(cfg.n1, cfg.n2, cfg.m))
+def cmd_state(ns: argparse.Namespace) -> tuple[str, int]:
+    state = assemble_state(ns.space, ns.e, QuantumNumbers(ns.n1, ns.n2, ns.m))
     body = state.to_json_dict()
     payload = {"schema_version": SCHEMA_VERSION, "command": "state", **body}
-    if cfg.fmt == "json":
+    if ns.format == "json":
         return _json_text(payload), 0
-    if cfg.fmt == "csv":
+    if ns.format == "csv":
         lines = ["field,value"]
         for key in sorted(body):
             val = body[key]
@@ -226,7 +199,7 @@ def cmd_state(cfg: RunConfig) -> tuple[str, int]:
                 val = _m(val)
             lines.append(f"{key},{val}")
         return "\n".join(lines) + "\n", 0
-    lines = [f"bound state {body['space']} e={_h(cfg.e)} (n1,n2,m)=({cfg.n1},{cfg.n2},{cfg.m})"]
+    lines = [f"bound state {body['space']} e={_h(ns.e)} (n1,n2,m)=({ns.n1},{ns.n2},{ns.m})"]
     for key in sorted(body):
         if key in ("space", "n1", "n2", "m"):
             continue
@@ -244,15 +217,15 @@ def cmd_state(cfg: RunConfig) -> tuple[str, int]:
 # eval
 
 
-def cmd_eval(cfg: RunConfig) -> tuple[str, int]:
-    state = assemble_state(cfg.space, cfg.e, QuantumNumbers(cfg.n1, cfg.n2, cfg.m))
-    if cfg.space.model is Model.S3 and np.any(cfg.grid_chi > math.pi):
+def cmd_eval(ns: argparse.Namespace) -> tuple[str, int]:
+    state = assemble_state(ns.space, ns.e, QuantumNumbers(ns.n1, ns.n2, ns.m))
+    if ns.space.model is Model.S3 and np.any(ns.grid_chi > math.pi):
         raise UsageError("S3 grid needs chi <= pi")
-    if np.any(cfg.grid_chi < 0) or np.any(cfg.grid_chi > 350.0):
+    if np.any(ns.grid_chi < 0) or np.any(ns.grid_chi > 350.0):
         raise UsageError("chi grid must lie in [0, 350]")
-    cc, tt, pp = np.meshgrid(cfg.grid_chi, cfg.grid_theta, cfg.grid_phi, indexing="ij")
+    cc, tt, pp = np.meshgrid(ns.grid_chi, ns.grid_theta, ns.grid_phi, indexing="ij")
     cc, tt, pp = cc.ravel(), tt.ravel(), pp.ravel()
-    chart = spherical_to_parabolic(cfg.space, SphericalPoint(cc, tt, 0.0))
+    chart = spherical_to_parabolic(ns.space, SphericalPoint(cc, tt, 0.0))
     t1, t2 = chart.t1, chart.t2
     skip = (t1 == 1.0) | (t2 == 1.0)
     re = np.zeros_like(cc)
@@ -263,22 +236,22 @@ def cmd_eval(cfg: RunConfig) -> tuple[str, int]:
         re[good] = psi.real
         im[good] = psi.imag
     cells = np.column_stack([re, im, re * re + im * im])
-    block = _eval_rows(cfg, skip[:: len(cfg.grid_phi)], cells)
-    if cfg.fmt == "json":
+    block = _eval_rows(ns, skip[:: len(ns.grid_phi)], cells)
+    if ns.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "eval",
-            "space": cfg.space.model.value,
-            "e": cfg.e,
-            "n1": cfg.n1,
-            "n2": cfg.n2,
-            "m": cfg.m,
+            "space": ns.space.model.value,
+            "e": ns.e,
+            "n1": ns.n1,
+            "n2": ns.n2,
+            "m": ns.m,
             "columns": list(EVAL_COLUMNS),
             "rows": None,
         }
         # The comma after the last row is cut.
         return _json_text(payload).replace('"rows": null', f'"rows": [{block[:-1]}\n  ]', 1), 0
-    if cfg.fmt == "human":
+    if ns.format == "human":
         head = "  ".join(f"{c:>12s}" for c in EVAL_COLUMNS)
     else:
         head = ",".join(EVAL_COLUMNS)
@@ -302,7 +275,7 @@ def _texts(spec: str | None, values: list) -> list[str]:
     return ((spec + "\n") * len(values) % tuple(values)).split("\n")[:-1]
 
 
-def _eval_rows(cfg: RunConfig, block_skip: np.ndarray, cells: np.ndarray) -> str:
+def _eval_rows(ns: argparse.Namespace, block_skip: np.ndarray, cells: np.ndarray) -> str:
     """The grid's rows in meshgrid `ij` order; `cells` holds one
     `(re_psi, im_psi, abs_psi2)` row per point.
 
@@ -311,8 +284,8 @@ def _eval_rows(cfg: RunConfig, block_skip: np.ndarray, cells: np.ndarray) -> str
     one `%` then fills the three value cells of every point.  `skipped` is
     constant over each `(chi, theta)` block, since the chart ignores phi.
     """
-    start, sep, end, spec, flag = _EVAL_LAYOUT[cfg.fmt]
-    axes = (cfg.grid_chi, cfg.grid_theta, cfg.grid_phi)
+    start, sep, end, spec, flag = _EVAL_LAYOUT[ns.format]
+    axes = (ns.grid_chi, ns.grid_theta, ns.grid_phi)
     chi, theta, phi = (_texts(spec, axis.tolist()) for axis in axes)
     point = sep.join([spec or "%s"] * 3)
     tails = [[f"{p}{sep}{point}{sep}{s}{end}" for p in phi] for s in _texts(flag, [0.0, 1.0])]
@@ -332,33 +305,33 @@ def _eval_rows(cfg: RunConfig, block_skip: np.ndarray, cells: np.ndarray) -> str
 # verify
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
+def cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
     results = run_suites(
-        cfg.suite,
-        cfg.space,
-        cfg.e,
-        cfg.max_k,
-        cfg.seed,
-        perturb_eps=cfg.perturb_eps,
-        tolerance=cfg.tol,
+        ns.suite,
+        ns.space,
+        ns.e,
+        ns.max_k,
+        ns.seed,
+        perturb_eps=ns.perturb_eps,
+        tolerance=ns.tol,
     )
     ok = all_passed(results)
     code = 0 if ok else 1
-    if cfg.fmt == "json":
+    if ns.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "verify",
-            "suite": cfg.suite,
-            "space": cfg.space.model.value,
-            "e": cfg.e,
-            "max_k": cfg.max_k,
-            "seed": cfg.seed,
-            "perturb_eps": cfg.perturb_eps,
+            "suite": ns.suite,
+            "space": ns.space.model.value,
+            "e": ns.e,
+            "max_k": ns.max_k,
+            "seed": ns.seed,
+            "perturb_eps": ns.perturb_eps,
             "passed": ok,
             "reports": [r.to_json_dict() for r in results],
         }
         return _json_text(payload), code
-    if cfg.fmt == "csv":
+    if ns.format == "csv":
         lines = [",".join(VERIFY_COLUMNS)]
         for r in results:
             rep = r.report
@@ -395,20 +368,18 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
 # limit
 
 
-def cmd_limit(cfg: RunConfig) -> tuple[str, int]:
-    rhos = list(cfg.rho) if cfg.rho else [1e2, 1e3, 1e4]
-    table = flat_limit_coords(cfg.space, rhos, cfg.point)
-    max_k = cfg.max_k if cfg.max_k is not None else 3
+def cmd_limit(ns: argparse.Namespace) -> tuple[str, int]:
+    table = flat_limit_coords(ns.space, ns.rho, ns.point)
     split_rows = []
-    for k in range(1, max_k + 1):
-        ryd, curv = energy_split(cfg.space, cfg.e, k)
+    for k in range(1, ns.max_k + 1):
+        ryd, curv = energy_split(ns.space, ns.e, k)
         split_rows.append(
             {
                 "k": k,
                 "epsilon": ryd + curv,
                 "rydberg_term": ryd,
                 "curvature_term": curv,
-                "admissible": is_admissible(cfg.space, cfg.e, k),
+                "admissible": is_admissible(ns.space, ns.e, k),
             }
         )
     slope = table.slope()
@@ -420,9 +391,9 @@ def cmd_limit(cfg: RunConfig) -> tuple[str, int]:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "limit",
-        "space": cfg.space.model.value,
-        "e": cfg.e,
-        "point": list(cfg.point),
+        "space": ns.space.model.value,
+        "e": ns.e,
+        "point": list(ns.point),
         "rho": [float(r) for r in table.rho],
         "err_t1": [float(x) for x in table.err_t1],
         "err_t2": [float(x) for x in table.err_t2],
@@ -431,9 +402,9 @@ def cmd_limit(cfg: RunConfig) -> tuple[str, int]:
         "spectrum_split": split_rows,
         "notes": notes,
     }
-    if cfg.fmt == "json":
+    if ns.format == "json":
         return _json_text(payload), 0
-    if cfg.fmt == "csv":
+    if ns.format == "csv":
         lines = ["rho,err_t1,err_t2"]
         for r, a, b in zip(table.rho, table.err_t1, table.err_t2):
             lines.append(f"{_m(r)},{_m(a)},{_m(b)}")
@@ -444,7 +415,7 @@ def cmd_limit(cfg: RunConfig) -> tuple[str, int]:
                 f"{_m(row['curvature_term'])}"
             )
         return "\n".join(lines) + "\n", 0
-    lines = [f"flat limit, space {cfg.space.model.value}, base point {cfg.point}"]
+    lines = [f"flat limit, space {ns.space.model.value}, base point {ns.point}"]
     lines.append("  rho          err_t1       err_t2")
     for r, a, b in zip(table.rho, table.err_t1, table.err_t2):
         lines.append(f"  {_h(r):<12s} {_h(a):<12s} {_h(b)}")
@@ -471,85 +442,73 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, space_default=None, e_default=None):
+    def command(name, text, fmt_default, *, space_default=None, e_default=None):
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--space", choices=("h3", "s3"), default=space_default)
         sp.add_argument("--e", type=float, default=e_default, help="coupling strength e > 0")
-        sp.add_argument("--max-k", type=int, default=None, dest="max_k")
-        sp.add_argument("--seed", type=int, default=7)
-        sp.add_argument("--tol", type=float, default=None, help="tolerance override")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
+        sp.add_argument("--format", choices=("json", "csv", "human"), default=fmt_default)
+        return sp
 
-    sp = sub.add_parser("spectrum", help="energy levels and degeneracies")
-    common(sp)
-    sp.add_argument("--format", choices=("json", "csv", "human"), default="human")
+    def max_k(sp, default):
+        sp.add_argument("--max-k", type=int, default=default, dest="max_k")
 
-    sp = sub.add_parser("state", help="assemble one bound state")
-    common(sp)
-    sp.add_argument("--n1", type=int, required=True)
-    sp.add_argument("--n2", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--format", choices=("json", "csv", "human"), default="json")
+    def quantum_numbers(sp):
+        sp.add_argument("--n1", type=int, required=True)
+        sp.add_argument("--n2", type=int, required=True)
+        sp.add_argument("--m", type=int, required=True)
 
-    sp = sub.add_parser("eval", help="wavefunction values on a (chi,theta,phi) grid")
-    common(sp)
-    sp.add_argument("--n1", type=int, required=True)
-    sp.add_argument("--n2", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
+    max_k(command("spectrum", "energy levels and degeneracies", "human"), None)
+
+    quantum_numbers(command("state", "assemble one bound state", "json"))
+
+    sp = command("eval", "wavefunction values on a (chi,theta,phi) grid", "csv")
+    quantum_numbers(sp)
     sp.add_argument("--grid-chi", default="0.2:1.2:3", help="lo:hi:count")
     sp.add_argument("--grid-theta", default="0.4:2.7:3", help="lo:hi:count")
     sp.add_argument("--grid-phi", default="0:5.5:2", help="lo:hi:count")
-    sp.add_argument("--format", choices=("json", "csv", "human"), default="csv")
 
-    sp = sub.add_parser("verify", help="run residual-verification suites")
+    sp = command("verify", "run residual-verification suites", "json", space_default="s3", e_default=2.0)
     sp.add_argument("suite", choices=SUITES + ("all",))
-    common(sp, space_default="s3", e_default=2.0)
+    max_k(sp, 3)
+    sp.add_argument("--seed", type=int, default=7)
+    sp.add_argument("--tol", type=float, default=None, help="tolerance override")
     sp.add_argument("--perturb-eps", type=float, default=0.0, dest="perturb_eps")
-    sp.add_argument("--format", choices=("json", "csv", "human"), default="json")
 
-    sp = sub.add_parser("limit", help="flat-space limit of coordinates and spectrum")
-    common(sp)
-    sp.add_argument("--rho", default=None, help="comma-separated increasing radii")
+    sp = command("limit", "flat-space limit of coordinates and spectrum", "human")
+    max_k(sp, 3)
+    sp.add_argument("--rho", default="1e2,1e3,1e4", help="comma-separated increasing radii")
     sp.add_argument("--point", default="0.3,0.2,0.4", help="Euclidean base point x,y,z")
-    sp.add_argument("--format", choices=("json", "csv", "human"), default="human")
 
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    if ns.command != "verify" and (ns.space is None or ns.e is None):
+def _validate(ns: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed options and parse the structured ones, in place."""
+    if ns.space is None or ns.e is None:
         raise UsageError(f"{ns.command} requires --space and --e")
-    if ns.e is not None and not math.isfinite(ns.e):
+    if not math.isfinite(ns.e):
         raise UsageError(f"--e {ns.e!r} must be finite")
-    if ns.max_k is not None and ns.max_k < 1:
+    if getattr(ns, "max_k", None) is not None and ns.max_k < 1:
         raise UsageError(f"--max-k {ns.max_k} must be >= 1")
-    if ns.seed < 0:
-        raise UsageError(f"--seed {ns.seed} must be >= 0")
-    space = space_from_name(ns.space) if ns.space else None
-    cfg = RunConfig(command=ns.command, space=space, e=ns.e, seed=ns.seed, tol=ns.tol, out=ns.out)
-    cfg.max_k = ns.max_k
-    cfg.fmt = ns.format
-    for name in ("n1", "n2", "m"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
+    ns.space = space_from_name(ns.space)
     if ns.command == "eval":
-        cfg.grid_chi = _parse_grid(ns.grid_chi)
-        cfg.grid_theta = _parse_grid(ns.grid_theta)
-        cfg.grid_phi = _parse_grid(ns.grid_phi)
+        ns.grid_chi = _parse_grid(ns.grid_chi)
+        ns.grid_theta = _parse_grid(ns.grid_theta)
+        ns.grid_phi = _parse_grid(ns.grid_phi)
     if ns.command == "verify":
-        cfg.suite = ns.suite
-        cfg.perturb_eps = ns.perturb_eps
-        if cfg.max_k is None:
-            cfg.max_k = 3
-        if space.model is Model.H3 and bound_count_h3(cfg.e) == 0:
-            raise UsageError(f"--e {cfg.e!r} gives no bound H3 level (needs e > 1)")
-    if ns.command == "limit":
-        if ns.rho is not None:
-            cfg.rho = _parse_numbers("--rho", ns.rho)
-        cfg.point = _parse_triple(ns.point)
-    if ns.command in ("spectrum", "state", "eval", "limit") and cfg.e is not None and cfg.e < 0:
+        if ns.seed < 0:
+            raise UsageError(f"--seed {ns.seed} must be >= 0")
+        if ns.space.model is Model.H3 and bound_count_h3(ns.e) == 0:
+            raise UsageError(f"--e {ns.e!r} gives no bound H3 level (needs e > 1)")
+        if ns.tol is not None and not ns.tol > 0:
+            raise UsageError("--tol must be > 0")
+    elif ns.e < 0:
         raise UsageError("--e must be >= 0")
-    cfg.__post_init__()
-    return cfg
+    if ns.command == "limit":
+        ns.rho = _parse_numbers("--rho", ns.rho)
+        ns.point = _parse_triple(ns.point)
+    return ns
 
 
 _DISPATCH = {
@@ -565,9 +524,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        cfg = _config_from(ns)
-        text, code = _DISPATCH[ns.command](cfg)
-        _emit(text, cfg.out)
+        text, code = _DISPATCH[ns.command](_validate(ns))
+        _emit(text, ns.out)
     except CurvedKeplerError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

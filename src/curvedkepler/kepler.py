@@ -24,7 +24,6 @@ form whose powers take no branch (:func:`psi_prefactor`).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Any
@@ -369,7 +368,8 @@ def radial_spherical(space: SpaceTag, e: float, n: int, l: int, chi: float) -> c
         expo = (1j * (n - l - 1) - e / n) * chi
         arg = 1.0 - np.exp(-2j * chi)
         coupling = -1j * e / n
-    f = hyp2f1(Hyp2F1Params(coupling + l + 1, complex(l - n + 1), complex(2 * l + 2)), complex(arg))
+    params = Hyp2F1Params(coupling + l + 1, complex(l - n + 1), complex(2 * l + 2))
+    f = complex(hyp2f1(params, complex(arg)))
     return complex(base**l * np.exp(expo) * f)
 
 
@@ -404,7 +404,7 @@ def _chart_grid(space: SpaceTag, chi: np.ndarray, theta: np.ndarray) -> tuple[np
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only because every caller of a cache shares them."""
+    """The arrays, made read-only because every normalize() call shares them."""
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -431,20 +431,9 @@ def _density_on_grid(state: StateParams, t1, t2, weight) -> np.ndarray:
     return dens
 
 
-@functools.lru_cache(maxsize=None)
-def _h3_probe_grid() -> tuple[np.ndarray, ...]:
-    """The radial nodes of the H3 cutoff probe with their :func:`_chart_grid`, built once."""
-    # 300 keeps t2 ~ -e^{2 chi} finite; that covers decay rates down to
-    # 2(e/k - k) ~ 0.1, i.e. everything but states at the very edge of
-    # the bound interval.
-    chis = np.linspace(0.05, 300.0, 1501)
-    thetas = np.array([0.3, math.pi / 2.0, math.pi - 0.3])
-    return _frozen(chis, *_chart_grid(H3, chis, thetas))
-
-
 def _h3_chi_cutoff(state: StateParams) -> float:
     """Radial truncation point where the density falls below the cutoff."""
-    chis, t1, t2, weight = _h3_probe_grid()
+    chis, t1, t2, weight = _H3_PROBE
     # a normalizable profile stays finite out to chi = 300 (the density
     # underflows long before the volume weight can overflow), so overflow
     # during the probe already proves the state is not normalizable
@@ -463,51 +452,17 @@ def _h3_chi_cutoff(state: StateParams) -> float:
     return float(chis[peak_idx + below[0]] + 1.0)
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per order.
-
-    Each rule costs an eigen-solve; the arrays are read-only because
-    every caller shares them.
-    """
-    return _frozen(*np.polynomial.legendre.leggauss(n))
-
-
 def _quad_grid(space: SpaceTag, top: float, n_chi: int, n_theta: int) -> tuple[np.ndarray, ...]:
     """Tensor Gauss-Legendre grid on [0, top] x [0, pi].
 
     Returns the chi weights, the :func:`_chart_grid` of the nodes and the
     theta weights with their sin(theta) volume factor.
     """
-    x, wx = _gauss_legendre(n_chi)
-    y, wy = _gauss_legendre(n_theta)
+    x, wx = _GAUSS_LEGENDRE[n_chi]
+    y, wy = _GAUSS_LEGENDRE[n_theta]
     chi = 0.5 * top * (x + 1.0)
     theta = 0.5 * math.pi * (y + 1.0)
     return (0.5 * top * wx, *_chart_grid(space, chi, theta), 0.5 * math.pi * wy * np.sin(theta))
-
-
-@functools.lru_cache(maxsize=4)
-def _s3_quad_grid(n_chi: int, n_theta: int) -> tuple[np.ndarray, ...]:
-    """The S3 :func:`_quad_grid` of the given orders, built once per order pair.
-
-    Four grids are kept, the two of one normalize() call and the two of
-    another, so a sweep over orders holds no more than that.
-    """
-    return _frozen(*_quad_grid(S3, math.pi, n_chi, n_theta))
-
-
-# normalize() at its default orders uses these rules and their doublings, the
-# S3 grids of both and the H3 cutoff probe.  They are built on import (about
-# 2 ms beyond the rules' eigen-solves), so no normalize() call at the defaults
-# makes an eigen-solve or an S3 or probe chart, and every such call costs the
-# same, the first one included.
-_N_CHI, _N_THETA = 128, 64
-for _n in sorted({_N_THETA, _N_CHI, 2 * _N_THETA, 2 * _N_CHI}):
-    _gauss_legendre(_n)
-del _n
-_s3_quad_grid(_N_CHI, _N_THETA)
-_s3_quad_grid(2 * _N_CHI, 2 * _N_THETA)
-_h3_probe_grid()
 
 
 def _quad_norm(state: StateParams, grid: tuple[np.ndarray, ...]) -> float:
@@ -515,34 +470,42 @@ def _quad_norm(state: StateParams, grid: tuple[np.ndarray, ...]) -> float:
     return 2.0 * math.pi * float(wchi @ _density_on_grid(state, t1, t2, weight) @ wtheta)
 
 
-def normalize(state: StateParams, n_chi: int = _N_CHI, n_theta: int = _N_THETA) -> NormalizationResult:
+# normalize() integrates at the (n_chi, n_theta) orders of _ORDERS: the
+# quadrature and its doubling.  The Gauss-Legendre rules of both, their S3
+# grids and the H3 cutoff probe do not depend on the state, so they are built
+# on import and shared read-only.  The probe's 300 keeps t2 ~ -e^{2 chi}
+# finite; that covers decay rates down to 2(e/k - k) ~ 0.1, i.e. everything
+# but states at the very edge of the bound interval.
+_ORDERS = ((128, 64), (256, 128))
+_GAUSS_LEGENDRE = {n: _frozen(*np.polynomial.legendre.leggauss(n)) for n in sorted({*_ORDERS[0], *_ORDERS[1]})}
+_S3_GRIDS = tuple(_frozen(*_quad_grid(S3, math.pi, *orders)) for orders in _ORDERS)
+_H3_PROBE_CHI = np.linspace(0.05, 300.0, 1501)
+_H3_PROBE = _frozen(
+    _H3_PROBE_CHI, *_chart_grid(H3, _H3_PROBE_CHI, np.array([0.3, math.pi / 2.0, math.pi - 0.3]))
+)
+
+
+def normalize(state: StateParams) -> NormalizationResult:
     """Normalization constant c with integral(|c Psi|^2 dV) = 1.
 
-    Tensor-product Gauss-Legendre quadrature in the spherical chart; the
-    H3 radial integral is truncated where the density drops below 1e-14
-    of its peak.  The error estimate is the relative shift of c under
-    doubling both quadrature orders.  The density |Psi|^2 is taken in
-    real arithmetic, with no complex exponential (:func:`_density_on_grid`).
-    Each Gauss-Legendre rule is built once per order and process.  The
-    grids that do not depend on the state, each S3 quadrature grid (per
-    order pair, the last four kept) and the H3 cutoff probe, are shared
-    read-only; an H3 quadrature grid follows the state's chi_max and is
-    built per call.  The rules and S3 grids of the default orders and the
-    probe are built when the module is imported, the others on first use.
+    Tensor-product Gauss-Legendre quadrature in the spherical chart, with
+    128 chi and 64 theta nodes; the H3 radial integral is truncated where
+    the density drops below 1e-14 of its peak.  The error estimate is the
+    relative shift of c under doubling both orders.  The density |Psi|^2
+    is taken in real arithmetic, with no complex exponential
+    (:func:`_density_on_grid`).  The rules, both S3 grids and the H3
+    cutoff probe are built on import; an H3 quadrature grid follows the
+    state's chi_max and is built per call.
     """
-    for name, n in (("n_chi", n_chi), ("n_theta", n_theta)):
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise ParameterError(f"{name} must be an integer >= 1, got {n!r}")
     if state.space.model is Model.H3:
         chi_max: float | None = _h3_chi_cutoff(state)
-        grid = functools.partial(_quad_grid, state.space, chi_max)
+        grids = (_quad_grid(state.space, chi_max, *orders) for orders in _ORDERS)
     else:
         chi_max = None
-        grid = _s3_quad_grid
-    i1 = _quad_norm(state, grid(n_chi, n_theta))
-    i2 = _quad_norm(state, grid(2 * n_chi, 2 * n_theta))
+        grids = _S3_GRIDS
+    i1, i2 = (_quad_norm(state, grid) for grid in grids)
     if not (i2 > 0 and math.isfinite(i2)):
         raise IntegrabilityError(f"normalization integral came out {i2}")
     c = 1.0 / math.sqrt(i2)
     err = abs(1.0 / math.sqrt(i1) - c) / c
-    return NormalizationResult(c, err, chi_max, n_chi, n_theta)
+    return NormalizationResult(c, err, chi_max, *_ORDERS[0])

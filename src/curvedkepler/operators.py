@@ -6,8 +6,8 @@ the equations that define it, and reports the outcome as a
 
 * ``ode_residual`` — each separated factor against its second-order ODE,
   using exact hypergeometric derivatives (no finite differences).
-* ``hamiltonian_residual`` — the full Hamiltonian in parabolic
-  coordinates against the energy eigenvalue.
+* ``hamiltonian_residual`` — the full Hamiltonian of the state's space,
+  in parabolic coordinates, against the energy eigenvalue.
 * ``b_operator_residual`` — the second separation operator (the one
   diagonal with eigenvalue k1+k2), by the Hamiltonian's eigen-residual;
   ``coupling_identity_residual`` ties its scalar coefficient to cos(theta).
@@ -82,10 +82,9 @@ def factor_derivatives(fac: SeparatedFactor, t) -> tuple:
     Product rule with exact hypergeometric derivatives throughout; no
     finite differences.  The polynomial parts of :func:`_factor_jet` take
     the power t^(a-2) (1-t)^(b-2) on principal branches, so t = 0 needs
-    a > 2, where f, f' and f'' all vanish.  Scalar in, scalars out; array
-    in, arrays out.
+    a > 2, where f, f' and f'' all vanish.  The results have the shape of
+    t: a scalar gives 0-d arrays.
     """
-    scalar = np.isscalar(t) or isinstance(t, complex)
     tt = np.atleast_1d(np.asarray(t, dtype=complex))
     a, b = fac.a, fac.b
     if a <= 2.0 and np.any(tt == 0):
@@ -94,11 +93,7 @@ def factor_derivatives(fac: SeparatedFactor, t) -> tuple:
         raise DomainError("derivatives need t != 1 when the (1-t)^b power is active")
     q, s = _factor_jet(fac, tt)
     p = pow_arr(tt, a - 2.0) * pow_arr(1.0 - tt, b - 2.0) * np.exp(s)
-    f, f1, f2 = (p * qj for qj in q)
-    if scalar:
-        return complex(f[0]), complex(f1[0]), complex(f2[0])
-    shape = np.shape(t)
-    return f.reshape(shape), f1.reshape(shape), f2.reshape(shape)
+    return tuple((p * qj).reshape(np.shape(t)) for qj in q)
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +196,10 @@ def _b_operator_core(state: StateParams, space: SpaceTag, t1, t2, jets) -> np.nd
     )
 
 
-def apply_hamiltonian(
-    state: StateParams,
-    t1,
-    t2,
-    phi,
-    operator_space: SpaceTag | None = None,
-) -> np.ndarray:
-    """H Psi with exact separated derivatives, arrays in chart coordinates.
-
-    ``operator_space`` applies the other model's Hamiltonian to this
-    state's factors — only useful as a deliberate mismatch control.
-    """
-    space = operator_space if operator_space is not None else state.space
+def apply_hamiltonian(state: StateParams, t1, t2, phi) -> np.ndarray:
+    """H Psi with exact separated derivatives, arrays in chart coordinates."""
     t, jets, p = _jets(state, t1, t2, phi)
-    return _hamiltonian_core(state, space, *t, jets) * p
+    return _hamiltonian_core(state, state.space, *t, jets) * p
 
 
 def apply_b_operator(state: StateParams, t1, t2, phi) -> np.ndarray:
@@ -238,9 +222,11 @@ def _batch(sample) -> ParabolicPoints:
 def _eigen_residual(state, space, sample, core, eigenvalue, tolerance) -> ResidualReport:
     """(O Psi - eigenvalue Psi) over a batch, relative to 1 + (1 + |eigenvalue|) |Psi|.
 
-    O Psi is ``core`` times the prefactor; it and Psi = f1 f2 e^(i m phi)
-    share one exact-derivative jet per factor, so each factor is evaluated
-    once.  Points within SINGULAR_SKIP of a singular locus are skipped.
+    O Psi is ``core`` of the given space times the prefactor; the residuals
+    pass the state's own space, and the other one makes a mismatch
+    control.  O Psi and Psi = f1 f2 e^(i m phi) share one exact-derivative
+    jet per factor, so each factor is evaluated once.  Points within
+    SINGULAR_SKIP of a singular locus are skipped.
     """
     keep = _batch(sample).clearance() >= SINGULAR_SKIP
     if not keep.any():
@@ -259,7 +245,6 @@ def hamiltonian_residual(
     state: StateParams,
     sample: ParabolicPoints,
     tolerance: float = HAMILTONIAN_TOL,
-    operator_space: SpaceTag | None = None,
 ) -> ResidualReport:
     """(H Psi - eps Psi) over chart points, relative to 1 + (1 + |eps|) |Psi|.
 
@@ -268,8 +253,7 @@ def hamiltonian_residual(
     e^2 = k^2 (k^2 - 1)); |eps Psi| alone would then degenerate to an
     absolute comparison against unnormalized Psi.
     """
-    space = operator_space if operator_space is not None else state.space
-    return _eigen_residual(state, space, sample, _hamiltonian_core, state.epsilon, tolerance)
+    return _eigen_residual(state, state.space, sample, _hamiltonian_core, state.epsilon, tolerance)
 
 
 def b_operator_residual(

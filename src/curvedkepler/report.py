@@ -88,7 +88,7 @@ def build_report(
     )
 
 
-def merge_reports(reports: Sequence[ResidualReport], note: str = "") -> ResidualReport:
+def merge_reports(reports: Sequence[ResidualReport]) -> ResidualReport:
     """Combine per-state reports into one suite-level report.
 
     The merged tolerance is the strictest of the inputs; passed requires
@@ -97,16 +97,13 @@ def merge_reports(reports: Sequence[ResidualReport], note: str = "") -> Residual
     """
     reports = list(reports)
     if not reports:
-        return ResidualReport(0.0, 0.0, 0.0, 0, None, float("inf"), True, note)
+        return ResidualReport(0.0, 0.0, 0.0, 0, None, float("inf"), True)
     n = sum(r.n_points for r in reports)
     mean = sum(r.mean_rel * r.n_points for r in reports) / max(n, 1)
     worst = max(reports, key=lambda r: r.max_rel)
-    notes = [note] if note else []
-    unique = sorted({r.note for r in reports if r.note})
-    if len(unique) > 3:
-        unique = unique[:3] + [f"... and {len(unique) - 3} more"]
-    if unique:
-        notes.append("; ".join(unique))
+    notes = sorted({r.note for r in reports if r.note})
+    if len(notes) > 3:
+        notes = notes[:3] + [f"... and {len(notes) - 3} more"]
     return ResidualReport(
         max_abs=max(r.max_abs for r in reports),
         max_rel=worst.max_rel,

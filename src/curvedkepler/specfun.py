@@ -72,24 +72,23 @@ class Hyp2F1Params:
         return min(candidates) if candidates else None
 
 
-def hyp2f1(params: Hyp2F1Params, t):
-    """Evaluate a terminating 2F1(alpha, beta; gamma; t), scalar or elementwise on arrays.
+def hyp2f1(params: Hyp2F1Params, t) -> np.ndarray:
+    """Evaluate a terminating 2F1(alpha, beta; gamma; t) elementwise, complex128 of t's shape.
 
     The finite series is summed by the rising-factorial recurrence, valid
-    for any t.  Non-terminating parameters raise ParameterError, as in
-    :func:`scaled_series`.
+    for any t; a scalar t gives a 0-d array.  Non-terminating parameters
+    raise ParameterError, as in :func:`scaled_series`.
     """
     degree = params.polynomial_degree
     if degree is None:
         raise ParameterError("hyp2f1 needs a terminating series")
-    scalar = np.isscalar(t) or isinstance(t, complex)
     tt = np.asarray(t, dtype=complex)
     a, b, g = params.alpha, params.beta, params.gamma
-    total = term = 1.0 + 0j  # the first term makes both arrays
+    total = term = 1.0 + 0j
     for j in range(degree):
         term = term * ((a + j) * (b + j) / ((g + j) * (1 + j))) * tt
         total = total + term
-    return complex(total) if scalar else (total if degree else np.full(tt.shape, total))
+    return np.full(tt.shape, total)
 
 
 def drop_zero_imag(z):

@@ -1,6 +1,7 @@
 """Public API surface: every exported name resolves, removed names stay gone."""
 
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import curvedkepler
-from curvedkepler import geometry, kepler, operators, specfun
+from curvedkepler import cli, geometry, kepler, operators, report, specfun
 
 SUBMODULES = [
     importlib.import_module(f"curvedkepler.{info.name}")
@@ -29,9 +30,28 @@ REMOVED = {
         "ParabolicPoint",
         "AmbientPoint",
     ],
-    kepler: ["wavefunction", "chart_values", "_radial_formula"],
+    kepler: [
+        "wavefunction",
+        "chart_values",
+        "_radial_formula",
+        "_gauss_legendre",
+        "_s3_quad_grid",
+        "_h3_probe_grid",
+        "_N_CHI",
+        "_N_THETA",
+    ],
+    cli: ["RunConfig", "_config_from"],
     operators: ["_regular_points"],
     specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF"],
+}
+
+
+# function -> parameters it no longer takes
+REMOVED_PARAMETERS = {
+    kepler.normalize: ["n_chi", "n_theta"],
+    operators.apply_hamiltonian: ["operator_space"],
+    operators.hamiltonian_residual: ["operator_space"],
+    report.merge_reports: ["note"],
 }
 
 
@@ -47,6 +67,11 @@ def test_removed_names_are_gone(module):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
         assert not hasattr(curvedkepler, name), name
         assert name not in curvedkepler.__all__
+
+
+def test_removed_parameters_are_gone():
+    for fn, names in REMOVED_PARAMETERS.items():
+        assert not set(names) & set(inspect.signature(fn).parameters), fn.__name__
 
 
 def test_parabolic_points_has_no_of():

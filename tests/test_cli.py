@@ -387,6 +387,36 @@ def test_missing_required_options_exit_2():
     assert ex.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--space", "h3", "--e", "5", "--seed", "3"],
+        ["spectrum", "--space", "h3", "--e", "5", "--tol", "1e-3"],
+        ["state", "--space", "h3", "--e", "5", "--n1", "0", "--n2", "0", "--m", "0", "--tol", "1e-3"],
+        ["state", "--space", "h3", "--e", "5", "--n1", "0", "--n2", "0", "--m", "0", "--max-k", "2"],
+        ["eval", "--space", "s3", "--e", "2", "--n1", "0", "--n2", "0", "--m", "0", "--max-k", "2"],
+        ["eval", "--space", "s3", "--e", "2", "--n1", "0", "--n2", "0", "--m", "0", "--seed", "1"],
+        ["limit", "--space", "h3", "--e", "5", "--seed", "1"],
+        ["limit", "--space", "h3", "--e", "5", "--tol", "1e-3"],
+    ],
+    ids=lambda argv: " ".join([argv[0], argv[-2]]),
+)
+def test_each_command_refuses_an_option_it_does_not_read(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as ex:
+        main(argv)
+    assert ex.value.code == 2 and out.getvalue() == ""
+    assert f"unrecognized arguments: {argv[-2]}" in err.getvalue()
+
+
+def test_verify_reads_seed_tol_and_max_k():
+    rc, out, _ = run_cli(["verify", "all", "--seed", "7", "--tol", "1e-9", "--max-k", "2"])
+    d = json.loads(out)
+    assert rc == (0 if d["passed"] else 1)
+    assert (d["seed"], d["max_k"]) == (7, 2)
+    assert 1e-9 in {r["tolerance"] for r in d["reports"]}
+
+
 def test_unknown_command_and_suite_raise_usage():
     with pytest.raises(SystemExit) as ex:
         run_cli([])
@@ -472,6 +502,13 @@ def test_limit_rejects_non_positive_radii_at_the_origin():
     rc, out, err = run_cli(argv)
     assert rc == 2 and out == ""
     assert "positive" in err
+
+
+@pytest.mark.parametrize("rho", ["300,20", "20,20"])
+def test_limit_rejects_radii_that_do_not_increase(rho):
+    rc, out, err = run_cli(["limit", "--space", "h3", "--e", "5", "--rho", rho])
+    assert rc == 2 and out == ""
+    assert "strictly increasing" in err
 
 
 @pytest.mark.parametrize(

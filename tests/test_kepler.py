@@ -431,6 +431,7 @@ def test_radial_circular_state_closed_form():
 
 def test_radial_at_origin():
     assert radial_spherical(H3, 2.0, 3, 0, 0.0) == 1.0
+    assert type(radial_spherical(S3, 2.0, 3, 1, 0.4)) is complex
     assert radial_spherical(H3, 2.0, 3, 1, 0.0) == 0.0
     assert radial_spherical(S3, 2.0, 2, 1, 0.0) == 0.0
 
@@ -473,22 +474,14 @@ def test_normalize_h3_frozen_and_stable():
     res = normalize(st)
     assert abs(res.constant - 1.1195289977703484) < NORM_RTOL
     assert res.error_estimate < 1e-10
-    finer = normalize(st, n_chi=192, n_theta=96)
-    assert abs(finer.constant - res.constant) < NORM_RTOL
+    finer = _normalize_oracle(st, 192, 96)[0]
+    assert abs(finer - res.constant) < NORM_RTOL
 
 
 def test_normalize_rejects_non_normalizable():
     st = assemble_state(H3, 5.0, QuantumNumbers(0, 1, 0))
     with pytest.raises(IntegrabilityError):
         normalize(perturbed(st, b2=5.0))
-
-
-@pytest.mark.parametrize("name", ["n_chi", "n_theta"])
-@pytest.mark.parametrize("order", [0, -1, 128.0, True])
-def test_normalize_rejects_bad_quadrature_orders(name, order):
-    st = assemble_state(S3, 2.0, QuantumNumbers(0, 0, 0))
-    with pytest.raises(ParameterError):
-        normalize(st, **{name: order})
 
 
 def _fresh_chart_grid(space, chi, theta):
@@ -504,45 +497,51 @@ def _old_density(state, t1, t2, weight):
     return (psi.real**2 + psi.imag**2) * weight
 
 
+def _fresh_integral(state, top, n_chi, n_theta):
+    """The integral of the density on [0, top] x [0, pi], with the rules and the chart built afresh."""
+    x, wx = np.polynomial.legendre.leggauss(n_chi)
+    y, wy = np.polynomial.legendre.leggauss(n_theta)
+    chi = 0.5 * top * (x + 1.0)
+    theta = 0.5 * math.pi * (y + 1.0)
+    dens = kepler._density_on_grid(state, *_fresh_chart_grid(state.space, chi, theta))
+    wtheta = 0.5 * math.pi * wy * np.sin(theta)
+    return 2.0 * math.pi * float((0.5 * top * wx) @ dens @ wtheta)
+
+
 def _normalize_oracle(state, n_chi, n_theta):
-    """normalize() with every Gauss-Legendre rule, chart and probe grid built afresh."""
-
-    def quad(top, nc, nt):
-        x, wx = np.polynomial.legendre.leggauss(nc)
-        y, wy = np.polynomial.legendre.leggauss(nt)
-        chi = 0.5 * top * (x + 1.0)
-        theta = 0.5 * math.pi * (y + 1.0)
-        dens = kepler._density_on_grid(state, *_fresh_chart_grid(state.space, chi, theta))
-        wtheta = 0.5 * math.pi * wy * np.sin(theta)
-        return 2.0 * math.pi * float((0.5 * top * wx) @ dens @ wtheta)
-
-    kepler._h3_probe_grid.cache_clear()
+    """normalize() at the given orders, with every Gauss-Legendre rule and quadrature chart built afresh."""
     chi_max = kepler._h3_chi_cutoff(state) if state.space is H3 else None
     top = math.pi if chi_max is None else chi_max
-    i1 = quad(top, n_chi, n_theta)
-    i2 = quad(top, 2 * n_chi, 2 * n_theta)
+    i1 = _fresh_integral(state, top, n_chi, n_theta)
+    i2 = _fresh_integral(state, top, 2 * n_chi, 2 * n_theta)
     c = 1.0 / math.sqrt(i2)
     return c, abs(1.0 / math.sqrt(i1) - c) / c, chi_max
 
 
-@pytest.mark.parametrize("orders", [(128, 64), (192, 96)])
+@pytest.mark.parametrize("orders", [(128, 64), (256, 128)])
 @pytest.mark.parametrize(
     "space, e, qn", [(S3, 2.0, (1, 1, 0)), (S3, 2.0, (0, 2, -2)), (H3, 100.0, (0, 0, 0)), (H3, 100.0, (2, 1, 1))]
 )
 def test_normalize_with_cached_rules_is_bit_identical(space, e, qn, orders):
+    """normalize(), and its integral at each of its two orders, give the bits of rules and grids built afresh."""
     st = assemble_state(space, e, QuantumNumbers(*qn))
-    for _ in range(2):  # the second call reads the cached rules and grids
-        res = normalize(st, *orders)
-        assert (res.constant, res.error_estimate, res.chi_max) == _normalize_oracle(st, *orders)
-        assert (res.n_chi, res.n_theta) == orders
+    res = normalize(st)
+    assert (res.constant, res.error_estimate, res.chi_max) == _normalize_oracle(st, 128, 64)
+    assert (res.n_chi, res.n_theta) == (128, 64)
+    if space is S3:
+        top, grid = math.pi, kepler._S3_GRIDS[kepler._ORDERS.index(orders)]
+    else:
+        top = res.chi_max
+        grid = kepler._quad_grid(H3, top, *orders)
+    assert kepler._quad_norm(st, grid) == _fresh_integral(st, top, *orders)
 
 
 def _density_grids(state):
     """The grids normalize() samples for the state: its quadrature grid and, on H3, the cutoff probe."""
     if state.space is S3:
-        return [kepler._s3_quad_grid(128, 64)[1:4]]
+        return [kepler._S3_GRIDS[0][1:4]]
     chi_max = kepler._h3_chi_cutoff(state)
-    return [kepler._quad_grid(H3, chi_max, 128, 64)[1:4], kepler._h3_probe_grid()[1:]]
+    return [kepler._quad_grid(H3, chi_max, 128, 64)[1:4], kepler._H3_PROBE[1:]]
 
 
 def _assert_density_matches_psi(state):
@@ -590,64 +589,34 @@ def _count_grid_builds(monkeypatch):
         return to_parabolic(space, p)
 
     monkeypatch.setattr(kepler, "spherical_to_parabolic", counting)
-    kepler._s3_quad_grid.cache_clear()
-    kepler._h3_probe_grid.cache_clear()
     return built
 
 
 def test_normalize_builds_each_grid_once(monkeypatch):
+    """The S3 grids and the H3 probe exist from import; each H3 call charts only
+    its two quadrature grids, which follow the state's chi_max."""
     built = _count_grid_builds(monkeypatch)
     s3 = [assemble_state(S3, 2.0, QuantumNumbers(*qn)) for qn in [(0, 0, 0), (1, 1, 0), (0, 2, -2)]]
     h3 = [assemble_state(H3, 100.0, QuantumNumbers(*qn)) for qn in [(0, 0, 0), (1, 1, 0)]]
-    normalize(s3[0])
-    normalize(h3[0])
-    assert built == [("s3", 128, 64), ("s3", 256, 128), ("h3", 1501, 3), ("h3", 128, 64), ("h3", 256, 128)]
-    del built[:]
     for _ in range(2):
         for st in s3:
             normalize(st)
     assert built == []
-    for st in h3 * 2:  # the H3 quadrature grids follow each state's chi_max; the probe does not
+    for st in h3 * 2:
         normalize(st)
     assert built == [("h3", 128, 64), ("h3", 256, 128)] * 4
-    del built[:]
-    normalize(s3[1], n_chi=96, n_theta=64)
-    normalize(s3[2], n_chi=96, n_theta=64)
-    assert built == [("s3", 96, 64), ("s3", 192, 128)]
-
-
-def test_an_order_sweep_keeps_only_the_last_four_s3_grids(monkeypatch):
-    built = _count_grid_builds(monkeypatch)
-    st = assemble_state(S3, 2.0, QuantumNumbers(0, 0, 0))
-    for n in (8, 12, 20, 28):  # no pair here is another's doubling
-        normalize(st, n_chi=2 * n, n_theta=n)
-    assert len(built) == 8 and kepler._s3_quad_grid.cache_info().currsize == 4
-    del built[:]
-    normalize(st, n_chi=40, n_theta=20)
-    normalize(st, n_chi=56, n_theta=28)
-    assert built == []
-    normalize(st, n_chi=16, n_theta=8)
-    assert built == [("s3", 16, 8), ("s3", 32, 16)]
 
 
 def test_normalize_builds_each_rule_once(monkeypatch):
     built = []
     leggauss = np.polynomial.legendre.leggauss
-
-    def counting(n):
-        built.append(n)
-        return leggauss(n)
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    kepler._gauss_legendre.cache_clear()
-    kepler._s3_quad_grid.cache_clear()  # a cached S3 grid needs no rule
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: built.append(n) or leggauss(n))
     for _ in range(3):
         for qn in [(0, 0, 0), (1, 1, 0)]:
             normalize(assemble_state(S3, 2.0, QuantumNumbers(*qn)))
             normalize(assemble_state(H3, 100.0, QuantumNumbers(*qn)))
-    assert sorted(built) == [64, 128, 256]
-    normalize(assemble_state(S3, 2.0, QuantumNumbers(0, 0, 0)), n_chi=96, n_theta=64)
-    assert sorted(built) == [64, 96, 128, 192, 256]
+    assert built == []
+    assert sorted(kepler._GAUSS_LEGENDRE) == [64, 128, 256]
 
 
 _FRESH_PROCESS = """
@@ -659,13 +628,11 @@ from curvedkepler import H3, S3, QuantumNumbers, assemble_state, kepler, normali
 charts = []
 to_parabolic = kepler.spherical_to_parabolic
 kepler.spherical_to_parabolic = lambda space, p: charts.append(space.name) or to_parabolic(space, p)
-def grids():
-    return kepler._s3_quad_grid.cache_info().currsize, kepler._h3_probe_grid.cache_info().currsize
-print(built, grids())
+print(built)
 for _ in range(2):
     normalize(assemble_state(S3, 2.0, QuantumNumbers(0, 0, 0)))
     normalize(assemble_state(H3, 100.0, QuantumNumbers(1, 1, 0)))
-    print(built, grids(), charts)
+    print(built, charts)
     del charts[:]
 """
 
@@ -677,38 +644,45 @@ def _run_fresh(script):
 
 
 def test_import_builds_the_default_rules():
-    """In a fresh process the default rules, both default S3 grids and the H3
-    probe exist before the first normalize(), so the first calls at the
-    default orders chart only the H3 quadrature grids, as later calls do."""
+    """In a fresh process the rules, both S3 grids and the H3 probe exist
+    before the first normalize(), so the first calls make no eigen-solve and
+    chart only the H3 quadrature grids, as later calls do."""
     lines = _run_fresh(_FRESH_PROCESS).splitlines()
-    assert lines[0] == "[64, 128, 256] (2, 1)"
-    assert lines[1] == lines[2] == "[64, 128, 256] (2, 1) ['h3', 'h3']"
+    assert lines[0] == "[64, 128, 256]"
+    assert lines[1] == lines[2] == "[64, 128, 256] ['h3', 'h3']"
 
 
 _ORDERED_PROCESS = """
-from curvedkepler import S3, QuantumNumbers, assemble_state, normalize
-states = {{"A": assemble_state(S3, 2.0, QuantumNumbers(1, 1, 0)), "B": assemble_state(S3, 10.0, QuantumNumbers(0, 2, -2))}}
-results = {{name: normalize(states[name], 96, 48) for name in {order!r}}}
+from curvedkepler import H3, S3, QuantumNumbers, assemble_state, normalize
+states = {{"A": assemble_state(S3, 2.0, QuantumNumbers(1, 1, 0)), "B": assemble_state(H3, 100.0, QuantumNumbers(0, 2, -2))}}
+results = {{name: normalize(states[name]) for name in {order!r}}}
 print([(results[n].constant.hex(), results[n].error_estimate.hex()) for n in "AB"])
 """
 
 
 def test_normalize_bits_do_not_depend_on_the_call_order():
-    """At orders not built on import the first S3 call builds the shared grid
-    and the second reads it: both orders give the same bits."""
+    """Every call reads the same shared rules and grids: an S3 and an H3 state
+    give the same bits whichever is normalized first."""
     outs = [_run_fresh(_ORDERED_PROCESS.format(order=order)) for order in ("AB", "BA")]
     assert outs[0] == outs[1] and outs[0].startswith("[('0x")
 
 
 def test_cached_rules_are_read_only():
     """The Gauss-Legendre rules and the state-independent grids are shared, so none can be written."""
-    for arrays in (kepler._gauss_legendre(16), kepler._s3_quad_grid(16, 8), kepler._h3_probe_grid()):
+    for arrays in (*kepler._GAUSS_LEGENDRE.values(), *kepler._S3_GRIDS, kepler._H3_PROBE):
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 0.0
             with pytest.raises(ValueError):
                 a *= 2.0
+
+
+def test_the_h3_probe_holds_the_bits_of_a_fresh_build():
+    """The oracle above takes chi_max from the shared probe, so the probe itself is checked here."""
+    chis = np.linspace(0.05, 300.0, 1501)
+    fresh = (chis, *_fresh_chart_grid(H3, chis, np.array([0.3, math.pi / 2.0, math.pi - 0.3])))
+    assert [a.tobytes() for a in kepler._H3_PROBE] == [a.tobytes() for a in fresh]
 
 
 @pytest.mark.parametrize("qn", [(0, 0, 0), (1, 1, 0)])

@@ -142,9 +142,12 @@ def test_hamiltonian_residual_vanishes(space, e, qn):
 
 
 def test_hamiltonian_wrong_space_is_order_one():
+    """The H3 Hamiltonian applied to an S3 state: a mismatch the residual must catch."""
     st = _state(S3, 2.0, QuantumNumbers(0, 0, 1))
     pts = chart_points(S3, make_rng(306), n=50)
-    report = hamiltonian_residual(st, pts, operator_space=H3)
+    report = operators._eigen_residual(
+        st, H3, pts, operators._hamiltonian_core, st.epsilon, operators.HAMILTONIAN_TOL
+    )
     assert not report.passed
     assert report.max_rel > 0.1
 
@@ -315,10 +318,9 @@ def _closed_form_jets(state, t1, t2, phi):
     return t1, t2, q1, q2, p
 
 
-def _closed_form_apply_hamiltonian(state, t1, t2, phi, operator_space=None, jets=_closed_form_jets):
+def _closed_form_apply_hamiltonian(state, t1, t2, phi, jets=_closed_form_jets):
     """The Hamiltonian as the bilinear form of the two polynomial jets times
     the shared prefactor, written out as an oracle."""
-    space = operator_space if operator_space is not None else state.space
     t1, t2, (f1, d1, dd1), (f2, d2, dd2), p = jets(state, t1, t2, phi)
     m2 = float(state.qn.m * state.qn.m)
     e = state.e
@@ -330,7 +332,7 @@ def _closed_form_apply_hamiltonian(state, t1, t2, phi, operator_space=None, jets
         + 2.0 * (1.0 - t2) / (t2 - t1) * f1 * big2
         + m2 / (2.0 * t1 * t2) * pair
     )
-    if space.model is S3.model:
+    if state.space.model is S3.model:
         out = core - 1j * e * (2.0 - t1 - t2) / (t1 - t2) * pair
     else:
         out = -core - e * (2.0 - t1 - t2) / (t1 - t2) * pair
@@ -359,11 +361,8 @@ def _closed_form_apply_b_operator(state, t1, t2, phi, jets=_closed_form_jets):
 def test_apply_operators_keep_their_bits(space, e, qn):
     st = _state(space, e, qn)
     pts = chart_points(space, make_rng(333), n=100)
-    other = H3 if space is S3 else S3
-    for op_space in (None, other):
-        got = apply_hamiltonian(st, pts.t1, pts.t2, pts.phi, operator_space=op_space)
-        want = _closed_form_apply_hamiltonian(st, pts.t1, pts.t2, pts.phi, operator_space=op_space)
-        assert got.tobytes() == want.tobytes(), op_space
+    got = apply_hamiltonian(st, pts.t1, pts.t2, pts.phi)
+    assert got.tobytes() == _closed_form_apply_hamiltonian(st, pts.t1, pts.t2, pts.phi).tobytes()
     got = apply_b_operator(st, pts.t1, pts.t2, pts.phi)
     assert got.tobytes() == _closed_form_apply_b_operator(st, pts.t1, pts.t2, pts.phi).tobytes()
 
