@@ -33,11 +33,12 @@ import numpy as np
 from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError
 from .geometry import SphericalPoint, spherical_to_parabolic
 from .spaces import H3, S3, Model, SpaceTag, space_from_name
-from .specfun import Hyp2F1Params, drop_zero_imag, hyp2f1, scaled_series
+from .specfun import Hyp2F1Params, drop_zero_imag, hyp2f1, per_state, scaled_series
 
 __all__ = [
     "QuantumNumbers",
     "StateParams",
+    "Level",
     "SeparatedFactor",
     "NormalizationResult",
     "energy",
@@ -95,6 +96,11 @@ class StateParams:
     k1: complex
     k2: complex
 
+    @property
+    def states(self) -> tuple["StateParams"]:
+        """The state as a level of one (:class:`Level`)."""
+        return (self,)
+
     def to_json_dict(self) -> dict[str, Any]:
         """JSON-ready fields in declaration order.
 
@@ -129,6 +135,23 @@ class StateParams:
             else:
                 kw[f.name] = float(d[f.name])
         return cls(**kw)
+
+
+class Level:
+    """States of one space evaluated as one stack, row s for state s; a state is a level of one.
+
+    Each per-state number (the factors' degrees n1 and n2 among them) is
+    computed as for the state alone, then stacked as a column
+    (``specfun.per_state``), so a state keeps its bits in any level.
+    """
+
+    __slots__ = ("states", "space")
+
+    def __init__(self, states) -> None:
+        self.states = tuple(states)
+        self.space = self.states[0].space if self.states else None
+        if not self.states or any(s.space is not self.space for s in self.states):
+            raise ParameterError("a level needs one or more states, all on one space")
 
 
 @dataclass(frozen=True)
@@ -287,15 +310,19 @@ def wavefunction_values(state: StateParams, t1, t2, phi) -> np.ndarray:
     coordinates; :func:`psi_prefactor` evaluates the powers with no branch.
     The arithmetic follows the dtype of t1, t2 and the parameters
     (:func:`~curvedkepler.specfun.scaled_series`): float64 for the real
-    values of the H3 chart, complex128 on S3 or for complex input.
+    values of the H3 chart, complex128 on S3 or for complex input.  It runs
+    on 1-d arrays, a lone point as a pair: numpy's loops round one element
+    unlike its array loops, and so a point keeps the bits it has in a batch.
     """
-    t1, t2 = np.asarray(t1), np.asarray(t2)
+    t1, t2, phi = np.broadcast_arrays(t1, t2, phi)
+    shape, n = t1.shape, max(t1.size, 2)
+    t1, t2, phi = (np.resize(a, n) for a in (t1, t2, phi))
     (f1,), s1 = scaled_series(factor(state, 1).params, t1)
     (f2,), s2 = scaled_series(factor(state, 2).params, t2)
-    return f1 * f2 * psi_prefactor(state, t1, t2, s1 + s2, phi)
+    return (f1 * f2 * psi_prefactor(state, t1, t2, s1 + s2, phi))[: math.prod(shape)].reshape(shape)
 
 
-def psi_prefactor(state: StateParams, t1, t2, log_scale, phi) -> np.ndarray:
+def psi_prefactor(state: StateParams | Level, t1, t2, log_scale, phi) -> np.ndarray:
     """(t1 t2)^{|m|/2} ((1-t1)/(1-t2))^{b1} e^{log_scale + i m phi}, one exponential per point.
 
     The exponent E without the phase is :func:`_psi_exponent`.  On H3 it
@@ -303,14 +330,14 @@ def psi_prefactor(state: StateParams, t1, t2, log_scale, phi) -> np.ndarray:
     i^|m| e^{i m phi} is applied once, at the end; on S3 the phase goes
     into the exponent, added to log_scale.
     """
-    m = state.qn.m
+    im, unit = per_state(state.states, lambda s: (1j * s.qn.m, 1j ** abs(s.qn.m)))
     phi = np.asarray(phi, dtype=float)
     if state.space.model is Model.H3:
-        return np.exp(_psi_exponent(state, t1, t2, log_scale)) * (1j ** abs(m) * np.exp(1j * m * phi))
-    return np.exp(_psi_exponent(state, t1, t2, log_scale + 1j * m * phi))
+        return np.exp(_psi_exponent(state, t1, t2, log_scale)) * (unit * np.exp(im * phi))
+    return np.exp(_psi_exponent(state, t1, t2, log_scale + im * phi))
 
 
-def _psi_exponent(state: StateParams, t1, t2, log_scale) -> np.ndarray:
+def _psi_exponent(state: StateParams | Level, t1, t2, log_scale) -> np.ndarray:
     """E with e^E = (t1 t2)^{|m|/2} ((1-t1)/(1-t2))^{b1} e^{log_scale}, the magnitudes in one exponent.
 
     1 - t1 = e^{-chi} D and 1 - t2 = e^{chi} D on H3 (chi -> i chi on S3),
@@ -323,18 +350,20 @@ def _psi_exponent(state: StateParams, t1, t2, log_scale) -> np.ndarray:
     F2 and e^{-2 b1 chi} alone would over- or underflow.  A perturbed
     state's b1 + b2 != 0 adds (1-t2)^{b1+b2} on the principal branch.
     """
-    am = abs(state.qn.m)
-    with np.errstate(divide="ignore"):
-        if state.space.model is Model.H3:
+    h3, level = state.space.model is Model.H3, state.states
+    b1, half_m, shift = per_state(
+        level, lambda s: (s.b1.real if h3 else -2j * s.b1, 0.5 * abs(s.qn.m), drop_zero_imag(s.b1 + s.b2))
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if h3:
             # by modulus: far out on theta = 0, t1 can round to just above 1
-            expo = state.b1.real * np.log(np.abs((1.0 - t1.real) / (1.0 - t2.real))) + log_scale
+            expo = b1 * np.log(np.abs((1.0 - t1.real) / (1.0 - t2.real))) + log_scale
         else:
-            expo = -2j * state.b1 * np.arctan2(t1.real + t2.real, t1.imag - t2.imag) + log_scale
-        if am:
-            expo += 0.5 * am * np.log(np.abs(t1 * t2))
-        shift = drop_zero_imag(state.b1 + state.b2)
-        if shift:
-            expo = expo + shift * np.log(1.0 - t2)
+            expo = b1 * np.arctan2(t1.real + t2.real, t1.imag - t2.imag) + log_scale
+        if any(s.qn.m for s in level):  # masked, so states with m = 0 skip it, as alone
+            expo = np.add(expo, half_m * np.log(np.abs(t1 * t2)), out=np.asarray(expo), where=half_m != 0)
+        if any(s.b1 + s.b2 for s in level):
+            expo = expo + np.where(shift != 0, np.multiply(shift, np.log(1.0 - t2)), 0.0)
     return expo
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .geometry import ParabolicPoints, parabolic_to_ambient
 from .kepler import (
+    Level,
     SeparatedFactor,
     StateParams,
     factor,
@@ -37,7 +38,7 @@ from .kepler import (
 )
 from .report import ResidualReport, build_report
 from .spaces import Model, SpaceTag
-from .specfun import drop_zero_imag, pow_arr, scaled_series
+from .specfun import drop_zero_imag, per_state, pow_arr, scaled_series
 
 ODE_TOL = 1e-10
 HAMILTONIAN_TOL = 1e-9
@@ -57,41 +58,48 @@ _DEFAULT_FD_STEP = 5e-4
 # exact factor derivatives
 
 
-def _factor_jet(fac: SeparatedFactor, t: np.ndarray):
-    """Polynomial parts (q, q', q'') of one factor's jet, and its log scale s.
+def _factor_jet(facs: Sequence[SeparatedFactor], t: np.ndarray):
+    """Polynomial parts (q, q', q'') of a factor stack's jets, and their log scale s.
 
     f^(j) = t^(a-2) (1-t)^(b-2) e^s q^(j) for j = 0, 1, 2: the product rule
     on t^a = t^(a-2) u and (1-t)^b = (1-t)^(b-2) v with u = t^2 and
     v = (1-t)^2, and F, F', F'' from :func:`scaled_series` with its scale.
-    Real t and parameters give a float64 jet.
+    Row s of t is factor s's.  Real t and parameters give a float64 jet.
     """
-    (F, F1, F2), s = scaled_series(fac.params, t, 2)
-    a, b = fac.a, drop_zero_imag(fac.b)
+    (F, F1, F2), s = scaled_series([f.params for f in facs], t, 2)
+
+    def numbers(f: SeparatedFactor) -> tuple:
+        b = drop_zero_imag(f.b)
+        return f.a, -b, f.a * (f.a - 1.0), b * (b - 1.0)
+
+    a, b, u2, v2 = per_state(facs, numbers)
     w = 1.0 - t
-    u, u1, u2 = t * t, a * t, a * (a - 1.0)
-    v, v1, v2 = w * w, -b * w, b * (b - 1.0)
-    q = u * v * F
-    q1 = u1 * v * F + u * v1 * F + u * v * F1
-    q2 = u2 * v * F + u * v2 * F + u * v * F2 + 2.0 * (u1 * v1 * F + u1 * v * F1 + u * v1 * F1)
+    u, u1 = t * t, a * t
+    v, v1 = w * w, b * w
+    uv, u1v, uv1 = u * v, u1 * v, u * v1
+    q = uv * F
+    q1 = u1v * F + uv1 * F + uv * F1
+    q2 = u2 * v * F + u * v2 * F + uv * F2 + 2.0 * (u1 * v1 * F + u1v * F1 + uv1 * F1)
     return (q, q1, q2), s
 
 
-def factor_derivatives(fac: SeparatedFactor, t) -> tuple:
+def factor_derivatives(fac: SeparatedFactor | Sequence[SeparatedFactor], t) -> tuple:
     """(f, f', f'') of f(t) = t^a (1-t)^b F(alpha, beta; gamma; t).
 
     Product rule with exact hypergeometric derivatives throughout; no
     finite differences.  The polynomial parts of :func:`_factor_jet` take
     the power t^(a-2) (1-t)^(b-2) on principal branches, so t = 0 needs
     a > 2, where f, f' and f'' all vanish.  The results have the shape of
-    t: a scalar gives 0-d arrays.
+    t (0-d for a scalar); a sequence of factors takes t with a row each.
     """
+    facs = [fac] if isinstance(fac, SeparatedFactor) else list(fac)
     tt = np.atleast_1d(np.asarray(t, dtype=complex))
-    a, b = fac.a, fac.b
-    if a <= 2.0 and np.any(tt == 0):
+    a, b = per_state(facs, lambda f: (f.a, f.b))
+    if np.any((a <= 2.0) & (tt == 0)):
         raise DomainError("derivatives at t = 0 need the t^a power to have a > 2")
-    if b != 0 and np.any(tt == 1):
+    if np.any((b != 0) & (tt == 1)):
         raise DomainError("derivatives need t != 1 when the (1-t)^b power is active")
-    q, s = _factor_jet(fac, tt)
+    q, s = _factor_jet(facs, tt)
     p = pow_arr(tt, a - 2.0) * pow_arr(1.0 - tt, b - 2.0) * np.exp(s)
     return tuple((p * qj).reshape(np.shape(t)) for qj in q)
 
@@ -100,89 +108,133 @@ def factor_derivatives(fac: SeparatedFactor, t) -> tuple:
 # separated ODE residual
 
 
+def _samples(state: StateParams | Level, sample) -> tuple[list, bool]:
+    """(one sample per state, whether a single state was given)."""
+    single = isinstance(state, StateParams)
+    samples = [sample] if single else list(sample)
+    if len(samples) != len(state.states):
+        raise ParameterError(f"{len(state.states)} states need as many samples, got {len(samples)}")
+    return samples, single
+
+
+def _stacked(rows: list[np.ndarray]) -> np.ndarray:
+    """Rows as one (n_rows, longest) array, a short row cycled through its own values.
+
+    One row stays itself: a single state evaluates on its own points.
+    """
+    if len(rows) == 1:
+        return rows[0]
+    n = max(r.size for r in rows)
+    return np.array([np.resize(r, n) if r.size < n else r for r in rows])
+
+
+def _level_reports(single, tolerance, counts, sizes, residual, scale, *points):
+    """A report per state, on the first counts[s] of its sizes[s] points: row s of each stack.
+
+    A single state's arrays are its row.  ``points`` are the report's
+    coordinate columns; a report builds only its worst point's row.
+    """
+    reports, stacks = [], [[x] if single else x for x in (residual, scale, *points)]
+    for n, size, res, ref, *cols in zip(counts, sizes, *stacks):
+        note = f"skipped {size - n} singular point(s)" if n < size else ""
+        row = lambda i, cols=cols: tuple(c[i] for c in cols)  # noqa: E731
+        reports.append(build_report(res[:n], ref[:n], tolerance, points=row, note=note))
+    return reports[0] if single else reports
+
+
 def ode_residual(
-    state: StateParams,
+    state: StateParams | Level,
     which: int,
     sample,
     tolerance: float = ODE_TOL,
-) -> ResidualReport:
+) -> ResidualReport | list[ResidualReport]:
     """Residual of one separated factor in its defining ODE.
 
     (1-t) d/dt[t(1-t) f'] + (c t - m^2/(4t) + k_i) f = 0, where c is the
     energy/coupling combination of the factor's variable.  The relative
     scale is 1 + |k_i f|.  The sample is taken as complex128, real H3
     draws included, since :func:`factor_derivatives` works on principal
-    branches.
+    branches.  A :class:`~curvedkepler.kepler.Level` takes a sample per state.
     """
     if which not in (1, 2):
         raise ParameterError(f"which must be 1 or 2, got {which}")
-    t = np.atleast_1d(np.asarray(sample, dtype=complex))
+    samples, single = _samples(state, sample)
+    rows = [np.atleast_1d(np.asarray(s, dtype=complex)).ravel() for s in samples]
+    t = _stacked(rows)
     if np.any(np.abs(t) < SINGULAR_SKIP) or np.any(np.abs(1.0 - t) < SINGULAR_SKIP):
         raise DomainError("ODE sample points must stay away from t = 0 and t = 1")
 
-    e, eps = state.e, state.epsilon
-    if state.space.model is Model.S3:
-        c = (1j * e - eps) / 2.0 if which == 1 else (-1j * e - eps) / 2.0
-    else:
-        c = (-e + eps) / 2.0 if which == 1 else (e + eps) / 2.0
-    kconst = state.k1 if which == 1 else state.k2
-    m2 = float(state.qn.m * state.qn.m)
+    def constants(st: StateParams) -> tuple:
+        e, eps = st.e, st.epsilon
+        if st.space.model is Model.S3:
+            c = (1j * e - eps) / 2.0 if which == 1 else (-1j * e - eps) / 2.0
+        else:
+            c = (-e + eps) / 2.0 if which == 1 else (e + eps) / 2.0
+        return c, st.k1 if which == 1 else st.k2, float(st.qn.m * st.qn.m)
 
-    f, f1, f2 = factor_derivatives(factor(state, which), t)
-    lhs = (1.0 - t) * ((1.0 - 2.0 * t) * f1 + t * (1.0 - t) * f2) + (
+    c, kconst, m2 = per_state(state.states, constants)
+    f, f1, f2 = factor_derivatives([factor(s, which) for s in state.states], t)
+    w = 1.0 - t  # named, as in _hamiltonian_core
+    lhs = (1.0 - t) * ((1.0 - 2.0 * t) * f1 + t * w * f2) + (
         c * t - m2 / (4.0 * t) + kconst
     ) * f
-    return build_report(lhs, kconst * f, tolerance, points=np.column_stack([t.real, t.imag]))
+    sizes = [r.size for r in rows]
+    return _level_reports(single, tolerance, sizes, sizes, lhs, kconst * f, t.real, t.imag)
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian and B-operator applications (exact derivatives)
 
 
-def _point_rows(t1: np.ndarray, t2: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Report rows (Re t1, Im t1, Re t2, Im t2, phi), one per point."""
-    return np.column_stack([t1.real, t1.imag, t2.real, t2.imag, phi])
+def _point_rows(t1: np.ndarray, t2: np.ndarray, phi: np.ndarray):
+    """Report row i, (Re t1, Im t1, Re t2, Im t2, phi), as a function of i."""
+    return lambda i: (t1.real[i], t1.imag[i], t2.real[i], t2.imag[i], phi[i])
 
 
-def _jets(state: StateParams, t1, t2, phi):
+def _jets(state: StateParams | Level, t1, t2, phi):
     """The chart values, both polynomial jets and the prefactor P1 P2 e^(i m phi) they share.
 
     Every term of H Psi, B Psi and Psi is bilinear in the two jets, with
     f_i^(j) = P_i q_i^(j) and P1 P2 = (t1 t2)^(|m|/2-2) ((1-t1)(1-t2))^-2
     ((1-t1)/(1-t2))^b1 from :func:`~curvedkepler.kepler.psi_prefactor`.
     The chart values are taken in their own dtype, so on the real values
-    of the H3 chart the jets and the operator cores run in float64.
+    of the H3 chart the jets and the operator cores run in float64; a
+    level's are stacked (n_states, n_points).
     """
     t1, t2 = np.asarray(t1), np.asarray(t2)
-    q1, s1 = _factor_jet(factor(state, 1), t1)
-    q2, s2 = _factor_jet(factor(state, 2), t2)
+    q1, s1 = _factor_jet([factor(s, 1) for s in state.states], t1)
+    q2, s2 = _factor_jet([factor(s, 2) for s in state.states], t2)
     p = psi_prefactor(state, t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
     return (t1, t2), (q1, q2), p
 
 
-def _hamiltonian_core(state: StateParams, space: SpaceTag, t1, t2, jets) -> np.ndarray:
+# numpy runs a * b as b *= a for a temporary b of 256 KiB or more, which moves the
+# last bits of a complex product; no complex product here takes a temporary on its
+# right (1 - t is named first), so a state has the same bits in a stack of any size.
+def _hamiltonian_core(state: StateParams | Level, space: SpaceTag, t1, t2, jets) -> np.ndarray:
     """H Psi over P1 P2 e^(i m phi), from the two polynomial jets."""
     (f1, d1, dd1), (f2, d2, dd2) = jets
-    m2 = float(state.qn.m * state.qn.m)
-    e = state.e
-    big1 = (1.0 - 2.0 * t1) * d1 + t1 * (1.0 - t1) * dd1
-    big2 = (1.0 - 2.0 * t2) * d2 + t2 * (1.0 - t2) * dd2
+    s3 = space.model is Model.S3
+    m2, e = per_state(state.states, lambda s: (float(s.qn.m * s.qn.m), 1j * s.e if s3 else s.e))
+    w1, w2 = 1.0 - t1, 1.0 - t2
+    big1 = (1.0 - 2.0 * t1) * d1 + t1 * w1 * dd1
+    big2 = (1.0 - 2.0 * t2) * d2 + t2 * w2 * dd2
     pair = f1 * f2
     core = (
-        2.0 * (1.0 - t1) / (t1 - t2) * big1 * f2
-        + 2.0 * (1.0 - t2) / (t2 - t1) * f1 * big2
+        2.0 * w1 / (t1 - t2) * big1 * f2
+        + 2.0 * w2 / (t2 - t1) * f1 * big2
         + m2 / (2.0 * t1 * t2) * pair
     )
-    if space.model is Model.S3:
-        return core - 1j * e * (2.0 - t1 - t2) / (t1 - t2) * pair
+    if s3:
+        return core - e * (2.0 - t1 - t2) / (t1 - t2) * pair
     return -core - e * (2.0 - t1 - t2) / (t1 - t2) * pair
 
 
-def _b_operator_core(state: StateParams, space: SpaceTag, t1, t2, jets) -> np.ndarray:
+def _b_operator_core(state: StateParams | Level, space: SpaceTag, t1, t2, jets) -> np.ndarray:
     """B Psi over P1 P2 e^(i m phi), from the two polynomial jets."""
     (f1, d1, dd1), (f2, d2, dd2) = jets
-    m2 = float(state.qn.m * state.qn.m)
-    w = state.e if space.model is Model.H3 else -1j * state.e
+    h3 = space.model is Model.H3
+    m2, w = per_state(state.states, lambda s: (float(s.qn.m * s.qn.m), s.e if h3 else -1j * s.e))
     diff = t1 - t2
     pair = f1 * f2
     c = (t1 + t2 - 2.0 * t1 * t2) / diff
@@ -219,55 +271,56 @@ def _batch(sample) -> ParabolicPoints:
     return sample
 
 
-def _eigen_residual(state, space, sample, core, eigenvalue, tolerance) -> ResidualReport:
+def _eigen_residual(state, space, sample, core, eigenvalue, tolerance):
     """(O Psi - eigenvalue Psi) over a batch, relative to 1 + (1 + |eigenvalue|) |Psi|.
 
     O Psi is ``core`` of the given space times the prefactor; the residuals
     pass the state's own space, and the other one makes a mismatch
     control.  O Psi and Psi = f1 f2 e^(i m phi) share one exact-derivative
     jet per factor, so each factor is evaluated once.  Points within
-    SINGULAR_SKIP of a singular locus are skipped.
+    SINGULAR_SKIP of a singular locus are skipped.  ``eigenvalue`` maps a
+    state to its eigenvalue; a level gives a report per state, from one stack.
     """
-    keep = _batch(sample).clearance() >= SINGULAR_SKIP
-    if not keep.any():
+    batches, single = _samples(state, sample)
+    keep = [_batch(b).clearance() >= SINGULAR_SKIP for b in batches]
+    counts = [int(np.count_nonzero(k)) for k in keep]
+    if not all(counts):
         raise DomainError("every sample point sits on a singular chart locus")
-    t1, t2, phi = sample.t1[keep], sample.t2[keep], sample.phi[keep]
+    t1, t2, phi = map(_stacked, zip(*[(b.t1[k], b.t2[k], b.phi[k]) for b, k in zip(batches, keep)]))
     t, jets, p = _jets(state, t1, t2, phi)
     psi = jets[0][0] * jets[1][0] * p
-    residual = core(state, space, *t, jets) * p - eigenvalue * psi
-    scale = (1.0 + abs(eigenvalue)) * np.abs(psi)
-    skipped = int(np.count_nonzero(~keep))
-    note = f"skipped {skipped} singular point(s)" if skipped else ""
-    return build_report(residual, scale, tolerance, points=_point_rows(t1, t2, phi), note=note)
+    eig, unit = per_state(state.states, lambda s: (eigenvalue(s), 1.0 + abs(eigenvalue(s))))
+    residual = core(state, space, *t, jets) * p - eig * psi
+    sizes, points = [k.size for k in keep], (t1.real, t1.imag, t2.real, t2.imag, phi)
+    return _level_reports(single, tolerance, counts, sizes, residual, unit * np.abs(psi), *points)
 
 
 def hamiltonian_residual(
-    state: StateParams,
-    sample: ParabolicPoints,
+    state: StateParams | Level,
+    sample: ParabolicPoints | Sequence[ParabolicPoints],
     tolerance: float = HAMILTONIAN_TOL,
-) -> ResidualReport:
+) -> ResidualReport | list[ResidualReport]:
     """(H Psi - eps Psi) over chart points, relative to 1 + (1 + |eps|) |Psi|.
 
     The scale keeps the measure relative to the local wavefunction
     magnitude even when the eigenvalue is zero (possible on S3 when
     e^2 = k^2 (k^2 - 1)); |eps Psi| alone would then degenerate to an
-    absolute comparison against unnormalized Psi.
+    absolute comparison against unnormalized Psi.  A level takes a batch per state.
     """
-    return _eigen_residual(state, state.space, sample, _hamiltonian_core, state.epsilon, tolerance)
+    return _eigen_residual(state, state.space, sample, _hamiltonian_core, lambda s: s.epsilon, tolerance)
 
 
 def b_operator_residual(
-    state: StateParams,
-    sample: ParabolicPoints,
+    state: StateParams | Level,
+    sample: ParabolicPoints | Sequence[ParabolicPoints],
     tolerance: float = B_OPERATOR_TOL,
-) -> ResidualReport:
+) -> ResidualReport | list[ResidualReport]:
     """(B Psi - (k1+k2) Psi) over chart points, relative to 1 + (1 + |k1+k2|) |Psi|.
 
     The eigenvalue alone cannot set the scale because k1 + k2 = 0 for
-    every ground state on S3.
+    every ground state on S3.  A level takes a batch per state.
     """
-    eigenvalue = state.k1 + state.k2
-    return _eigen_residual(state, state.space, sample, _b_operator_core, eigenvalue, tolerance)
+    return _eigen_residual(state, state.space, sample, _b_operator_core, lambda s: s.k1 + s.k2, tolerance)
 
 
 def _coupling_identity_differences(space: SpaceTag, pts: ParabolicPoints) -> np.ndarray:

@@ -96,7 +96,14 @@ def drop_zero_imag(z):
     return z.real if z.imag == 0 else z
 
 
-def scaled_series(params: Hyp2F1Params, t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def per_state(items, values) -> tuple:
+    """The tuple values(item) of each item: as it is for one item, else as (n, 1) columns."""
+    if len(items) == 1:
+        return values(items[0])
+    return tuple(np.array(col)[:, None] for col in zip(*map(values, items)))
+
+
+def scaled_series(params, t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """A terminating 2F1 and its first ``order`` derivatives, finite at any t.
 
     Returns ``(rows, log_scale)`` with d^j F/dt^j = rows[j] exp(log_scale),
@@ -105,51 +112,73 @@ def scaled_series(params: Hyp2F1Params, t, order: int = 0) -> tuple[np.ndarray, 
     coefficients, with log_scale = n log|t| for the degree n.  The rows
     are float64 when t is real and alpha, beta, gamma have zero imaginary
     parts, and complex128 otherwise; complex t is not copied.
+
+    ``params`` may be a sequence, one per row of t stacked (n_states,
+    n_points): one Horner pass then pads each state's coefficients with
+    zeros at the start of its Horner order, which compute exact zeros, so
+    a state keeps its bits.  log_scale and the phase take its own degree.
     """
-    n = params.polynomial_degree
-    if n is None:
+    stack = [params] if isinstance(params, Hyp2F1Params) else list(params)
+    degrees = [p.polynomial_degree for p in stack]
+    if None in degrees:
         raise ParameterError("scaled_series needs a terminating series")
-    a, b, g = params.alpha, params.beta, params.gamma
     tt = np.asarray(t)
-    if np.iscomplexobj(tt) or a.imag or b.imag or g.imag:
+    if np.iscomplexobj(tt) or any(p.alpha.imag or p.beta.imag or p.gamma.imag for p in stack):
         tt = np.asarray(t, dtype=complex)
     else:
-        tt, a, b, g = tt.astype(float, copy=False), a.real, b.real, g.real
-    # row j: the coefficients of the j-th derivative, padded to degree n
-    table = np.zeros((order + 1, n + 1), dtype=tt.dtype)
-    table[0, 0] = 1.0
-    for j in range(n):
-        table[0, j + 1] = table[0, j] * ((a + j) * (b + j) / ((g + j) * (1 + j)))
-    for j in range(1, order + 1):
-        table[j, : n + 1 - j] = table[j - 1, 1 : n + 2 - j] * np.arange(1, n + 2 - j)
-    cols = table.T.reshape((n + 1, order + 1) + (1,) * tt.ndim)
+        tt = tt.astype(float, copy=False)
+    top, real = max(degrees), tt.dtype.kind == "f"
+    tables = []  # per state, row i: c_i and its first ``order`` derivative coefficients
+    for p, n in zip(stack, degrees):
+        a, b, g = (p.alpha.real, p.beta.real, p.gamma.real) if real else (p.alpha, p.beta, p.gamma)
+        table = np.zeros((order + 1, n + 1), dtype=tt.dtype)
+        table[0, 0] = 1.0
+        for j in range(n):
+            table[0, j + 1] = table[0, j] * ((a + j) * (b + j) / ((g + j) * (1 + j)))
+        for j in range(1, order + 1):
+            table[j, : n + 1 - j] = table[j - 1, 1 : n + 2 - j] * np.arange(1, n + 2 - j)
+        tables.append(table.T)
+    # lo[p]: Horner step p in t, hi[p]: in 1/t; one state needs no padding
+    if len(stack) == 1:
+        hi = tables[0].reshape(tables[0].shape + (1,) * tt.ndim)
+        lo = hi[::-1]
+    else:
+        lo, hi = np.zeros((2, top + 1, order + 1, len(stack), 1), dtype=tt.dtype)
+        for s, (table, n) in enumerate(zip(tables, degrees)):
+            lo[top - n :, :, s, 0], hi[top - n :, :, s, 0] = table[::-1], table
     size = np.maximum(np.abs(tt), 1.0)
     big = size > 1.0
     x = np.divide(1.0, tt, out=tt.copy(), where=big)
-    rows = np.where(big, cols[0], cols[n])
-    for p in range(1, n + 1):
+    rows = np.where(big, hi[0], lo[0])
+    mixed = np.count_nonzero(big)  # else every point sums in t, by the columns lo[p]
+    for p in range(1, top + 1):
         rows *= x
-        rows += np.where(big, cols[p], cols[n - p])
-    if n:
+        rows += np.where(big, hi[p], lo[p]) if mixed else lo[p]
+    (degree,) = per_state(degrees, lambda n: (n,))
+    if top:
         # the phase (t/|t|)^n of the split-off t^n, an integer power: exactly
         # (-1)^n for real t; complex t divides as t (1/|t|), up to an ulp off
         # +-1 on the real axis, the same for either sign of a zero Im t
-        rows *= np.where(big, np.divide(tt, size, out=x), 1.0) ** n
-    return rows, n * np.log(size)
+        phase = np.where(big, np.divide(tt, size, out=x), 1.0)
+        factor = 1.0
+        for n in set(degrees) - {0}:
+            factor = phase**n if len(stack) == 1 else np.where(degree == n, phase**n, factor)
+        rows *= factor
+    return rows, degree * np.log(size)
 
 
-def pow_arr(base, exponent: complex) -> np.ndarray:
+def pow_arr(base, exponent) -> np.ndarray:
     """Principal-branch power base**exponent, elementwise, as one exponential.
 
-    The module docstring has the arithmetic and the branch.  A zero base
-    gives 0 when the exponent has Re > 0 and is a domain error otherwise,
-    0**0 included.
+    The module docstring has the arithmetic and the branch; the exponent
+    may be an array that broadcasts to the base.  A zero base gives 0 where
+    the exponent has Re > 0 and is a domain error otherwise, 0**0 included.
     """
     z = np.asarray(base, dtype=complex)
-    w = complex(exponent)
+    w = np.asarray(exponent, dtype=complex)
     zero = z == 0
     if zero.any():
-        if w.real <= 0:
+        if np.any(zero & (w.real <= 0)):
             raise DomainError("0 cannot be raised to an exponent with Re <= 0")
         z = np.where(zero, 1.0, z)
     log_abs = np.log(np.abs(z))

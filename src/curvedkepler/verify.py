@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ParameterError
 from .geometry import SphericalPoint, constraint_check, metric_pullback_check, pullback_accepts
 from .kepler import (
+    Level,
     StateParams,
     assemble_state,
     enumerate_states,
@@ -82,34 +84,34 @@ def _state_label(state: StateParams) -> str:
     )
 
 
+def _probes(states: list[StateParams], perturb_eps: float) -> Level:
+    return Level(perturbed(s, epsilon=perturb_eps) if perturb_eps else s for s in states)
+
+
+# ode, hamiltonian and boperator draw each state's points in state order, then
+# evaluate the level in one stacked call per residual
 def _ode(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
-    results = []
-    for state in bound_states(space, e, max_k):
-        probe = perturbed(state, epsilon=perturb_eps) if perturb_eps else state
-        for which in (1, 2):
-            pts = factor_samples(space, rng, which, ODE_POINTS)
-            report = ode_residual(probe, which, pts, **kw)
-            results.append(SuiteResult("ode", f"{_state_label(state)} factor {which}", report))
-    return results
+    states = bound_states(space, e, max_k)
+    if not states:
+        return []
+    draws = [factor_samples(space, rng, which, ODE_POINTS) for _ in states for which in (1, 2)]
+    level = _probes(states, perturb_eps)
+    reports = [ode_residual(level, which, draws[which - 1 :: 2], **kw) for which in (1, 2)]
+    return [
+        SuiteResult("ode", f"{_state_label(state)} factor {which}", reports[which - 1][i])
+        for i, state in enumerate(states)
+        for which in (1, 2)
+    ]
 
 
-def _hamiltonian(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
-    results = []
-    for state in bound_states(space, e, max_k):
-        probe = perturbed(state, epsilon=perturb_eps) if perturb_eps else state
-        pts = chart_points(space, rng, CHART_POINTS)
-        report = hamiltonian_residual(probe, pts, **kw)
-        results.append(SuiteResult("hamiltonian", _state_label(state), report))
-    return results
-
-
-def _boperator(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
-    results = []
-    for state in bound_states(space, e, max_k):
-        pts = chart_points(space, rng, CHART_POINTS)
-        report = b_operator_residual(state, pts, **kw)
-        results.append(SuiteResult("boperator", _state_label(state), report))
-    return results
+def _eigen_suite(suite, residual, perturbs, space, e, max_k, rng, perturb_eps, kw):
+    """The hamiltonian or boperator suite; the B operator's eigenvalue has no epsilon to perturb."""
+    states = bound_states(space, e, max_k)
+    if not states:
+        return []
+    batches = [chart_points(space, rng, CHART_POINTS) for _ in states]
+    reports = residual(_probes(states, perturb_eps if perturbs else 0.0), batches, **kw)
+    return [SuiteResult(suite, _state_label(s), r) for s, r in zip(states, reports)]
 
 
 def _rungelenz(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
@@ -165,8 +167,8 @@ def _commutators(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
 # order fixes each suite's PRNG stream and the order of the reports
 _RUNNERS = {
     "ode": _ode,
-    "hamiltonian": _hamiltonian,
-    "boperator": _boperator,
+    "hamiltonian": partial(_eigen_suite, "hamiltonian", hamiltonian_residual, True),
+    "boperator": partial(_eigen_suite, "boperator", b_operator_residual, False),
     "rungelenz": _rungelenz,
     "metric": _metric,
     "constraint": _constraint,
