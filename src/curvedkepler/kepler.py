@@ -140,9 +140,10 @@ class StateParams:
 class Level:
     """States of one space evaluated as one stack, row s for state s; a state is a level of one.
 
-    Each per-state number (the factors' degrees n1 and n2 among them) is
-    computed as for the state alone, then stacked as a column
-    (``specfun.per_state``), so a state keeps its bits in any level.
+    Each per-state number is computed as for the state alone, then stacked
+    as a column (``specfun.per_state``), and ``scaled_series`` pads each
+    state's F to the level's highest degree, so a state keeps its bits in
+    any level.
     """
 
     __slots__ = ("states", "space")

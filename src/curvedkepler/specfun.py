@@ -140,12 +140,13 @@ def scaled_series(params, t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
         tables.append(table.T)
     # lo[p]: Horner step p in t, hi[p]: in 1/t; one state needs no padding
     if len(stack) == 1:
-        hi = tables[0].reshape(tables[0].shape + (1,) * tt.ndim)
+        hi, degree = tables[0].reshape(tables[0].shape + (1,) * tt.ndim), top
         lo = hi[::-1]
     else:
         lo, hi = np.zeros((2, top + 1, order + 1, len(stack), 1), dtype=tt.dtype)
         for s, (table, n) in enumerate(zip(tables, degrees)):
             lo[top - n :, :, s, 0], hi[top - n :, :, s, 0] = table[::-1], table
+        degree = np.array(degrees)[:, None]
     size = np.maximum(np.abs(tt), 1.0)
     big = size > 1.0
     x = np.divide(1.0, tt, out=tt.copy(), where=big)
@@ -154,7 +155,6 @@ def scaled_series(params, t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
     for p in range(1, top + 1):
         rows *= x
         rows += np.where(big, hi[p], lo[p]) if mixed else lo[p]
-    (degree,) = per_state(degrees, lambda n: (n,))
     if top:
         # the phase (t/|t|)^n of the split-off t^n, an integer power: exactly
         # (-1)^n for real t; complex t divides as t (1/|t|), up to an ulp off
