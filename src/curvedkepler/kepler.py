@@ -96,11 +96,6 @@ class StateParams:
     k1: complex
     k2: complex
 
-    @property
-    def states(self) -> tuple["StateParams"]:
-        """The state as a level of one (:class:`Level`)."""
-        return (self,)
-
     def to_json_dict(self) -> dict[str, Any]:
         """JSON-ready fields in declaration order.
 
@@ -137,22 +132,16 @@ class StateParams:
         return cls(**kw)
 
 
-class Level:
-    """States of one space evaluated as one stack, row s for state s; a state is a level of one.
+class Level(tuple):
+    """States of one space, evaluated as one stack, a row each and bit for bit as alone."""
 
-    Each per-state number is computed as for the state alone, then stacked
-    as a column (``specfun.per_state``), and ``scaled_series`` pads each
-    state's F to the level's highest degree, so a state keeps its bits in
-    any level.
-    """
-
-    __slots__ = ("states", "space")
-
-    def __init__(self, states) -> None:
-        self.states = tuple(states)
-        self.space = self.states[0].space if self.states else None
-        if not self.states or any(s.space is not self.space for s in self.states):
+    def __new__(cls, states) -> "Level":
+        level = super().__new__(cls, states)
+        if not level or any(s.space is not level[0].space for s in level):
             raise ParameterError("a level needs one or more states, all on one space")
+        return level
+
+    space = property(lambda self: self[0].space)
 
 
 @dataclass(frozen=True)
@@ -311,16 +300,17 @@ def wavefunction_values(state: StateParams, t1, t2, phi) -> np.ndarray:
     coordinates; :func:`psi_prefactor` evaluates the powers with no branch.
     The arithmetic follows the dtype of t1, t2 and the parameters
     (:func:`~curvedkepler.specfun.scaled_series`): float64 for the real
-    values of the H3 chart, complex128 on S3 or for complex input.  It runs
-    on 1-d arrays, a lone point as a pair: numpy's loops round one element
-    unlike its array loops, and so a point keeps the bits it has in a batch.
+    values of the H3 chart, complex128 on S3 or for complex input.  A lone
+    point runs as a pair: numpy's loops round one element unlike its array
+    loops, and so a point keeps the bits it has in a batch.
     """
-    t1, t2, phi = np.broadcast_arrays(t1, t2, phi)
-    shape, n = t1.shape, max(t1.size, 2)
-    t1, t2, phi = (np.resize(a, n) for a in (t1, t2, phi))
+    t1, t2 = np.asarray(t1), np.asarray(t2)
+    if t1.size == t2.size == np.size(phi) == 1:
+        shape = np.broadcast_shapes(t1.shape, t2.shape, np.shape(phi))
+        return wavefunction_values(state, *(np.resize(a, 2) for a in (t1, t2, phi)))[:1].reshape(shape)
     (f1,), s1 = scaled_series(factor(state, 1).params, t1)
     (f2,), s2 = scaled_series(factor(state, 2).params, t2)
-    return (f1 * f2 * psi_prefactor(state, t1, t2, s1 + s2, phi))[: math.prod(shape)].reshape(shape)
+    return f1 * f2 * psi_prefactor(state, t1, t2, s1 + s2, phi)
 
 
 def psi_prefactor(state: StateParams | Level, t1, t2, log_scale, phi) -> np.ndarray:
@@ -331,7 +321,7 @@ def psi_prefactor(state: StateParams | Level, t1, t2, log_scale, phi) -> np.ndar
     i^|m| e^{i m phi} is applied once, at the end; on S3 the phase goes
     into the exponent, added to log_scale.
     """
-    im, unit = per_state(state.states, lambda s: (1j * s.qn.m, 1j ** abs(s.qn.m)))
+    im, unit = per_state(state, lambda s: (1j * s.qn.m, 1j ** abs(s.qn.m)))
     phi = np.asarray(phi, dtype=float)
     if state.space.model is Model.H3:
         return np.exp(_psi_exponent(state, t1, t2, log_scale)) * (unit * np.exp(im * phi))
@@ -351,21 +341,28 @@ def _psi_exponent(state: StateParams | Level, t1, t2, log_scale) -> np.ndarray:
     F2 and e^{-2 b1 chi} alone would over- or underflow.  A perturbed
     state's b1 + b2 != 0 adds (1-t2)^{b1+b2} on the principal branch.
     """
-    h3, level = state.space.model is Model.H3, state.states
+    h3 = state.space.model is Model.H3
     b1, half_m, shift = per_state(
-        level, lambda s: (s.b1.real if h3 else -2j * s.b1, 0.5 * abs(s.qn.m), drop_zero_imag(s.b1 + s.b2))
+        state, lambda s: (s.b1.real if h3 else -2j * s.b1, 0.5 * abs(s.qn.m), drop_zero_imag(s.b1 + s.b2))
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         if h3:
             # by modulus: far out on theta = 0, t1 can round to just above 1
             expo = b1 * np.log(np.abs((1.0 - t1.real) / (1.0 - t2.real))) + log_scale
         else:
             expo = b1 * np.arctan2(t1.real + t2.real, t1.imag - t2.imag) + log_scale
-        if any(s.qn.m for s in level):  # masked, so states with m = 0 skip it, as alone
-            expo = np.add(expo, half_m * np.log(np.abs(t1 * t2)), out=np.asarray(expo), where=half_m != 0)
-        if any(s.b1 + s.b2 for s in level):
-            expo = expo + np.where(shift != 0, np.multiply(shift, np.log(1.0 - t2)), 0.0)
+        if np.count_nonzero(half_m):
+            expo = _add_where(expo, half_m, np.log(np.abs(t1 * t2)))
+        if np.count_nonzero(shift):
+            expo = _add_where(expo, shift, np.log(1.0 - t2))
     return expo
+
+
+def _add_where(expo, coef, log):
+    """expo + coef log where coef != 0: a level's states without the term neither add nor compute it."""
+    on = coef != 0
+    out = np.asarray(expo, dtype=np.result_type(expo, coef, log))
+    return np.add(out, np.multiply(coef, log, out=None, where=on), out=out, where=on)
 
 
 def radial_spherical(space: SpaceTag, e: float, n: int, l: int, chi: float) -> complex:

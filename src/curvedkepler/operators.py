@@ -38,7 +38,7 @@ from .kepler import (
 )
 from .report import ResidualReport, build_report
 from .spaces import Model, SpaceTag
-from .specfun import drop_zero_imag, per_state, pow_arr, scaled_series
+from .specfun import drop_zero_imag, each, is_level, per_state, pow_arr, scaled_series
 
 ODE_TOL = 1e-10
 HAMILTONIAN_TOL = 1e-9
@@ -58,28 +58,28 @@ _DEFAULT_FD_STEP = 5e-4
 # exact factor derivatives
 
 
-def _factor_jet(facs: Sequence[SeparatedFactor], t: np.ndarray):
-    """Polynomial parts (q, q', q'') of a factor stack's jets, and their log scale s.
+def _factor_jet(fac, t: np.ndarray):
+    """Polynomial parts (q, q', q'') of one factor's jet, and its log scale s.
 
     f^(j) = t^(a-2) (1-t)^(b-2) e^s q^(j) for j = 0, 1, 2: the product rule
     on t^a = t^(a-2) u and (1-t)^b = (1-t)^(b-2) v with u = t^2 and
     v = (1-t)^2, and F, F', F'' from :func:`scaled_series` with its scale.
-    Row s of t is factor s's.  Real t and parameters give a float64 jet.
+    Real t and parameters give a float64 jet.  A level's factors take t
+    stacked, a row each.
     """
-    (F, F1, F2), s = scaled_series([f.params for f in facs], t, 2)
+    (F, F1, F2), s = scaled_series(each(fac, lambda f: f.params), t, 2)
 
     def numbers(f: SeparatedFactor) -> tuple:
         b = drop_zero_imag(f.b)
         return f.a, -b, f.a * (f.a - 1.0), b * (b - 1.0)
 
-    a, b, u2, v2 = per_state(facs, numbers)
+    a, b, u2, v2 = per_state(fac, numbers)
     w = 1.0 - t
     u, u1 = t * t, a * t
     v, v1 = w * w, b * w
-    uv, u1v, uv1 = u * v, u1 * v, u * v1
-    q = uv * F
-    q1 = u1v * F + uv1 * F + uv * F1
-    q2 = u2 * v * F + u * v2 * F + uv * F2 + 2.0 * (u1 * v1 * F + u1v * F1 + uv1 * F1)
+    q = u * v * F
+    q1 = u1 * v * F + u * v1 * F + u * v * F1
+    q2 = u2 * v * F + u * v2 * F + u * v * F2 + 2.0 * (u1 * v1 * F + u1 * v * F1 + u * v1 * F1)
     return (q, q1, q2), s
 
 
@@ -90,16 +90,15 @@ def factor_derivatives(fac: SeparatedFactor | Sequence[SeparatedFactor], t) -> t
     finite differences.  The polynomial parts of :func:`_factor_jet` take
     the power t^(a-2) (1-t)^(b-2) on principal branches, so t = 0 needs
     a > 2, where f, f' and f'' all vanish.  The results have the shape of
-    t (0-d for a scalar); a sequence of factors takes t with a row each.
+    t (0-d for a scalar); a level's factors take t with a row each.
     """
-    facs = [fac] if isinstance(fac, SeparatedFactor) else list(fac)
     tt = np.atleast_1d(np.asarray(t, dtype=complex))
-    a, b = per_state(facs, lambda f: (f.a, f.b))
+    a, b = per_state(fac, lambda f: (f.a, f.b))
     if np.any((a <= 2.0) & (tt == 0)):
         raise DomainError("derivatives at t = 0 need the t^a power to have a > 2")
     if np.any((b != 0) & (tt == 1)):
         raise DomainError("derivatives need t != 1 when the (1-t)^b power is active")
-    q, s = _factor_jet(facs, tt)
+    q, s = _factor_jet(fac, tt)
     p = pow_arr(tt, a - 2.0) * pow_arr(1.0 - tt, b - 2.0) * np.exp(s)
     return tuple((p * qj).reshape(np.shape(t)) for qj in q)
 
@@ -108,38 +107,33 @@ def factor_derivatives(fac: SeparatedFactor | Sequence[SeparatedFactor], t) -> t
 # separated ODE residual
 
 
-def _samples(state: StateParams | Level, sample) -> tuple[list, bool]:
-    """(one sample per state, whether a single state was given)."""
-    single = isinstance(state, StateParams)
-    samples = [sample] if single else list(sample)
-    if len(samples) != len(state.states):
-        raise ParameterError(f"{len(state.states)} states need as many samples, got {len(samples)}")
-    return samples, single
+def _samples(state: StateParams | Level, sample) -> list:
+    """One sample per state: a single state evaluates on its own arrays, a Level on (n_states, n) stacks."""
+    if not is_level(state):
+        return [sample]
+    samples = list(sample)
+    if len(samples) != len(state):
+        raise ParameterError(f"{len(state)} states need as many samples, got {len(samples)}")
+    return samples
 
 
-def _stacked(rows: list[np.ndarray]) -> np.ndarray:
-    """Rows as one (n_rows, longest) array, a short row cycled through its own values.
-
-    One row stays itself: a single state evaluates on its own points.
-    """
-    if len(rows) == 1:
+def _stacked(state: StateParams | Level, rows: list[np.ndarray]) -> np.ndarray:
+    """A single state's row, or a level's rows as one array (a short row cycled through its values)."""
+    if not is_level(state):
         return rows[0]
     n = max(r.size for r in rows)
     return np.array([np.resize(r, n) if r.size < n else r for r in rows])
 
 
-def _level_reports(single, tolerance, counts, sizes, residual, scale, *points):
-    """A report per state, on the first counts[s] of its sizes[s] points: row s of each stack.
-
-    A single state's arrays are its row.  ``points`` are the report's
-    coordinate columns; a report builds only its worst point's row.
-    """
-    reports, stacks = [], [[x] if single else x for x in (residual, scale, *points)]
+def _reports(state, tolerance, counts, sizes, residual, scale, *points):
+    """A report per state on the first counts[s] of its sizes[s] points; ``points``: coordinate columns."""
+    level, reports = is_level(state), []
+    stacks = [x if level else [x] for x in (residual, scale, *points)]
     for n, size, res, ref, *cols in zip(counts, sizes, *stacks):
         note = f"skipped {size - n} singular point(s)" if n < size else ""
-        row = lambda i, cols=cols: tuple(c[i] for c in cols)  # noqa: E731
-        reports.append(build_report(res[:n], ref[:n], tolerance, points=row, note=note))
-    return reports[0] if single else reports
+        rows = np.column_stack([c[:n] for c in cols])
+        reports.append(build_report(res[:n], ref[:n], tolerance, points=rows, note=note))
+    return reports if level else reports[0]
 
 
 def ode_residual(
@@ -158,9 +152,8 @@ def ode_residual(
     """
     if which not in (1, 2):
         raise ParameterError(f"which must be 1 or 2, got {which}")
-    samples, single = _samples(state, sample)
-    rows = [np.atleast_1d(np.asarray(s, dtype=complex)).ravel() for s in samples]
-    t = _stacked(rows)
+    rows = [np.atleast_1d(np.asarray(s, dtype=complex)).ravel() for s in _samples(state, sample)]
+    t = _stacked(state, rows)
     if np.any(np.abs(t) < SINGULAR_SKIP) or np.any(np.abs(1.0 - t) < SINGULAR_SKIP):
         raise DomainError("ODE sample points must stay away from t = 0 and t = 1")
 
@@ -172,23 +165,23 @@ def ode_residual(
             c = (-e + eps) / 2.0 if which == 1 else (e + eps) / 2.0
         return c, st.k1 if which == 1 else st.k2, float(st.qn.m * st.qn.m)
 
-    c, kconst, m2 = per_state(state.states, constants)
-    f, f1, f2 = factor_derivatives([factor(s, which) for s in state.states], t)
+    c, kconst, m2 = per_state(state, constants)
+    f, f1, f2 = factor_derivatives(each(state, lambda s: factor(s, which)), t)
     w = 1.0 - t  # named, as in _hamiltonian_core
     lhs = (1.0 - t) * ((1.0 - 2.0 * t) * f1 + t * w * f2) + (
         c * t - m2 / (4.0 * t) + kconst
     ) * f
     sizes = [r.size for r in rows]
-    return _level_reports(single, tolerance, sizes, sizes, lhs, kconst * f, t.real, t.imag)
+    return _reports(state, tolerance, sizes, sizes, lhs, kconst * f, t.real, t.imag)
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian and B-operator applications (exact derivatives)
 
 
-def _point_rows(t1: np.ndarray, t2: np.ndarray, phi: np.ndarray):
-    """Report row i, (Re t1, Im t1, Re t2, Im t2, phi), as a function of i."""
-    return lambda i: (t1.real[i], t1.imag[i], t2.real[i], t2.imag[i], phi[i])
+def _point_rows(t1: np.ndarray, t2: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Report rows (Re t1, Im t1, Re t2, Im t2, phi), one per point."""
+    return np.column_stack([t1.real, t1.imag, t2.real, t2.imag, phi])
 
 
 def _jets(state: StateParams | Level, t1, t2, phi):
@@ -202,8 +195,8 @@ def _jets(state: StateParams | Level, t1, t2, phi):
     level's are stacked (n_states, n_points).
     """
     t1, t2 = np.asarray(t1), np.asarray(t2)
-    q1, s1 = _factor_jet([factor(s, 1) for s in state.states], t1)
-    q2, s2 = _factor_jet([factor(s, 2) for s in state.states], t2)
+    q1, s1 = _factor_jet(each(state, lambda s: factor(s, 1)), t1)
+    q2, s2 = _factor_jet(each(state, lambda s: factor(s, 2)), t2)
     p = psi_prefactor(state, t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
     return (t1, t2), (q1, q2), p
 
@@ -215,7 +208,7 @@ def _hamiltonian_core(state: StateParams | Level, space: SpaceTag, t1, t2, jets)
     """H Psi over P1 P2 e^(i m phi), from the two polynomial jets."""
     (f1, d1, dd1), (f2, d2, dd2) = jets
     s3 = space.model is Model.S3
-    m2, e = per_state(state.states, lambda s: (float(s.qn.m * s.qn.m), 1j * s.e if s3 else s.e))
+    m2, e = per_state(state, lambda s: (float(s.qn.m * s.qn.m), 1j * s.e if s3 else s.e))
     w1, w2 = 1.0 - t1, 1.0 - t2
     big1 = (1.0 - 2.0 * t1) * d1 + t1 * w1 * dd1
     big2 = (1.0 - 2.0 * t2) * d2 + t2 * w2 * dd2
@@ -234,7 +227,7 @@ def _b_operator_core(state: StateParams | Level, space: SpaceTag, t1, t2, jets) 
     """B Psi over P1 P2 e^(i m phi), from the two polynomial jets."""
     (f1, d1, dd1), (f2, d2, dd2) = jets
     h3 = space.model is Model.H3
-    m2, w = per_state(state.states, lambda s: (float(s.qn.m * s.qn.m), s.e if h3 else -1j * s.e))
+    m2, w = per_state(state, lambda s: (float(s.qn.m * s.qn.m), s.e if h3 else -1j * s.e))
     diff = t1 - t2
     pair = f1 * f2
     c = (t1 + t2 - 2.0 * t1 * t2) / diff
@@ -281,18 +274,19 @@ def _eigen_residual(state, space, sample, core, eigenvalue, tolerance):
     SINGULAR_SKIP of a singular locus are skipped.  ``eigenvalue`` maps a
     state to its eigenvalue; a level gives a report per state, from one stack.
     """
-    batches, single = _samples(state, sample)
+    batches = _samples(state, sample)
     keep = [_batch(b).clearance() >= SINGULAR_SKIP for b in batches]
     counts = [int(np.count_nonzero(k)) for k in keep]
     if not all(counts):
         raise DomainError("every sample point sits on a singular chart locus")
-    t1, t2, phi = map(_stacked, zip(*[(b.t1[k], b.t2[k], b.phi[k]) for b, k in zip(batches, keep)]))
+    rows = zip(*[(b.t1[k], b.t2[k], b.phi[k]) for b, k in zip(batches, keep)])
+    t1, t2, phi = (_stacked(state, r) for r in rows)
     t, jets, p = _jets(state, t1, t2, phi)
     psi = jets[0][0] * jets[1][0] * p
-    eig, unit = per_state(state.states, lambda s: (eigenvalue(s), 1.0 + abs(eigenvalue(s))))
+    eig, unit = per_state(state, lambda s: (eigenvalue(s), 1.0 + abs(eigenvalue(s))))
     residual = core(state, space, *t, jets) * p - eig * psi
     sizes, points = [k.size for k in keep], (t1.real, t1.imag, t2.real, t2.imag, phi)
-    return _level_reports(single, tolerance, counts, sizes, residual, unit * np.abs(psi), *points)
+    return _reports(state, tolerance, counts, sizes, residual, unit * np.abs(psi), *points)
 
 
 def hamiltonian_residual(

@@ -9,7 +9,7 @@ keeps the quotient meaningful near zeros of the wave function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -56,15 +56,15 @@ def build_report(
     residual: np.ndarray,
     reference: np.ndarray,
     tolerance: float,
-    points: np.ndarray | Sequence[tuple] | Callable[[int], tuple] | None = None,
+    points: np.ndarray | Sequence[tuple] | None = None,
     note: str = "",
 ) -> ResidualReport:
     """Aggregate pointwise |residual| against 1 + |reference|.
 
     ``points`` holds one row of coordinates per residual, as an (n, k)
-    array, a sequence of tuples or a function of the row index; the worst
-    offender's row is recorded as the report's worst point.  When omitted
-    the worst point is left unset.
+    array or a sequence of tuples; the worst offender's row is recorded
+    as the report's worst point.  When omitted the worst point is left
+    unset.
     """
     res = np.abs(np.asarray(residual)).ravel()
     ref = np.abs(np.asarray(reference)).ravel()
@@ -74,12 +74,12 @@ def build_report(
         ref = np.full_like(res, ref[0])
     rel = res / (1.0 + ref)
     i = int(np.argmax(rel))
-    worst = None if points is None else tuple(points(i) if callable(points) else points[i])
+    worst = tuple(points[i]) if points is not None else None
     max_rel = float(rel[i])
     return ResidualReport(
         max_abs=float(res.max()),
         max_rel=max_rel,
-        mean_rel=float(rel.sum() / rel.size),  # rel.mean() to the bit, without its Python layer
+        mean_rel=float(rel.mean()),
         n_points=int(res.size),
         worst_point=worst,
         tolerance=tolerance,

@@ -96,11 +96,21 @@ def drop_zero_imag(z):
     return z.real if z.imag == 0 else z
 
 
-def per_state(items, values) -> tuple:
-    """The tuple values(item) of each item: as it is for one item, else as (n, 1) columns."""
-    if len(items) == 1:
-        return values(items[0])
-    return tuple(np.array(col)[:, None] for col in zip(*map(values, items)))
+def is_level(group) -> bool:
+    """Whether ``group`` is a level's (a list or tuple, one member per state) rather than one state's."""
+    return isinstance(group, (list, tuple))
+
+
+def each(group, fn):
+    """fn(x) for one state's x; for a level's, the list of fn over its members."""
+    return [fn(x) for x in group] if is_level(group) else fn(group)
+
+
+def per_state(group, values) -> tuple:
+    """The tuple values(x) for one state's x; for a level's, each value as an (n, 1) column."""
+    if is_level(group):
+        return tuple(np.array(col)[:, None] for col in zip(*map(values, group)))
+    return values(group)
 
 
 def scaled_series(params, t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -113,12 +123,12 @@ def scaled_series(params, t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
     are float64 when t is real and alpha, beta, gamma have zero imaginary
     parts, and complex128 otherwise; complex t is not copied.
 
-    ``params`` may be a sequence, one per row of t stacked (n_states,
-    n_points): one Horner pass then pads each state's coefficients with
-    zeros at the start of its Horner order, which compute exact zeros, so
-    a state keeps its bits.  log_scale and the phase take its own degree.
+    A level's ``params`` take t stacked, a row each, in one Horner pass: a
+    state's coefficients are padded with zeros at the start of its Horner
+    order, which compute exact zeros, and it keeps its own degree.
     """
-    stack = [params] if isinstance(params, Hyp2F1Params) else list(params)
+    level = is_level(params)
+    stack = list(params) if level else [params]
     degrees = [p.polynomial_degree for p in stack]
     if None in degrees:
         raise ParameterError("scaled_series needs a terminating series")
@@ -138,23 +148,22 @@ def scaled_series(params, t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
         for j in range(1, order + 1):
             table[j, : n + 1 - j] = table[j - 1, 1 : n + 2 - j] * np.arange(1, n + 2 - j)
         tables.append(table.T)
-    # lo[p]: Horner step p in t, hi[p]: in 1/t; one state needs no padding
-    if len(stack) == 1:
-        hi, degree = tables[0].reshape(tables[0].shape + (1,) * tt.ndim), top
-        lo = hi[::-1]
-    else:
+    # lo[p], hi[p]: the coefficients of Horner step p in t and in 1/t, a column per state
+    if level:
         lo, hi = np.zeros((2, top + 1, order + 1, len(stack), 1), dtype=tt.dtype)
         for s, (table, n) in enumerate(zip(tables, degrees)):
             lo[top - n :, :, s, 0], hi[top - n :, :, s, 0] = table[::-1], table
         degree = np.array(degrees)[:, None]
+    else:
+        hi, degree = tables[0].reshape(tables[0].shape + (1,) * tt.ndim), top
+        lo = hi[::-1]
     size = np.maximum(np.abs(tt), 1.0)
     big = size > 1.0
     x = np.divide(1.0, tt, out=tt.copy(), where=big)
     rows = np.where(big, hi[0], lo[0])
-    mixed = np.count_nonzero(big)  # else every point sums in t, by the columns lo[p]
     for p in range(1, top + 1):
         rows *= x
-        rows += np.where(big, hi[p], lo[p]) if mixed else lo[p]
+        rows += np.where(big, hi[p], lo[p])
     if top:
         # the phase (t/|t|)^n of the split-off t^n, an integer power: exactly
         # (-1)^n for real t; complex t divides as t (1/|t|), up to an ulp off
@@ -162,7 +171,7 @@ def scaled_series(params, t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
         phase = np.where(big, np.divide(tt, size, out=x), 1.0)
         factor = 1.0
         for n in set(degrees) - {0}:
-            factor = phase**n if len(stack) == 1 else np.where(degree == n, phase**n, factor)
+            factor = np.where(degree == n, phase**n, factor) if level else phase**n
         rows *= factor
     return rows, degree * np.log(size)
 

@@ -96,21 +96,19 @@ def _ode(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
         return []
     draws = [factor_samples(space, rng, which, ODE_POINTS) for _ in states for which in (1, 2)]
     level = _probes(states, perturb_eps)
-    reports = [ode_residual(level, which, draws[which - 1 :: 2], **kw) for which in (1, 2)]
+    reports = zip(*(ode_residual(level, which, draws[which - 1 :: 2], **kw) for which in (1, 2)))
     return [
-        SuiteResult("ode", f"{_state_label(state)} factor {which}", reports[which - 1][i])
-        for i, state in enumerate(states)
-        for which in (1, 2)
+        SuiteResult("ode", f"{_state_label(s)} factor {which}", r)
+        for s, pair in zip(states, reports)
+        for which, r in zip((1, 2), pair)
     ]
 
 
 def _eigen_suite(suite, residual, perturbs, space, e, max_k, rng, perturb_eps, kw):
     """The hamiltonian or boperator suite; the B operator's eigenvalue has no epsilon to perturb."""
     states = bound_states(space, e, max_k)
-    if not states:
-        return []
     batches = [chart_points(space, rng, CHART_POINTS) for _ in states]
-    reports = residual(_probes(states, perturb_eps if perturbs else 0.0), batches, **kw)
+    reports = residual(_probes(states, perturb_eps if perturbs else 0.0), batches, **kw) if states else []
     return [SuiteResult(suite, _state_label(s), r) for s, r in zip(states, reports)]
 
 

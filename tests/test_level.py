@@ -1,13 +1,15 @@
 """A level: the states of one space evaluated as one stack.
 
-Each state of a stacked call must get the report its level-of-one call
-gets on the same draws, bit for bit, whatever the mix of degrees, the
-perturbations, the stack size or the points skipped in another state.
+Each state of a stacked call must get the report its own call gets on
+the same draws, bit for bit, whatever the mix of degrees, the
+perturbations, the stack size (one state included) or the points
+skipped in another state.
 """
 
 import numpy as np
 import pytest
 
+from curvedkepler import kepler
 from curvedkepler import (
     H3,
     S3,
@@ -114,8 +116,41 @@ def test_a_level_holds_one_or_more_states_of_one_space():
     with pytest.raises(ParameterError):
         Level([assemble_state(S3, 2.0, qn), assemble_state(H3, 10.0, qn)])
     st = assemble_state(S3, 2.0, qn)
-    assert st.states == (st,)
-    assert Level([st]).states == (st,) and Level([st]).space is S3
+    assert Level([st]) == (st,) and Level([st]).space is S3
+
+
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 50.0)])
+def test_a_level_of_one_reports_as_its_state(space, e):
+    st = assemble_state(space, e, QuantumNumbers(1, 0, 1))
+    batches, samples = _draws(space, [st], 46)
+    for residual in (hamiltonian_residual, b_operator_residual):
+        (report,) = residual(Level([st]), batches)
+        assert report.to_json_dict() == residual(st, batches[0]).to_json_dict()
+    for which in (1, 2):
+        (report,) = ode_residual(Level([st]), which, samples[which])
+        assert report.to_json_dict() == ode_residual(st, which, samples[which][0]).to_json_dict()
+
+
+@pytest.mark.parametrize("space, e, max_k", [(S3, 2.0, 1), (H3, 3.0, 4)])
+def test_the_suites_run_a_level_of_one_state(space, e, max_k):
+    assert len(bound_states(space, e, max_k)) == 1
+    for suite in ("ode", "hamiltonian", "boperator"):
+        results = run_suite(suite, space, e, max_k, 3)
+        assert len(results) == (2 if suite == "ode" else 1) and all(r.report.passed for r in results)
+
+
+def test_a_level_computes_no_term_on_the_rows_of_states_without_it():
+    """An m = 0 state adds no (t1 t2)^(|m|/2) term, and an unperturbed one no
+    (1 - t2)^(b1 + b2) term, so at t1 t2 = 0 or t2 = 1 their rows raise no
+    invalid operation, as each state alone raises none."""
+    plain = [assemble_state(S3, 2.0, QuantumNumbers(0, 1, 0)), assemble_state(S3, 2.0, QuantumNumbers(0, 0, 1))]
+    states = plain + [perturbed(plain[1], epsilon=1e-6)]
+    t1 = np.array([[0.0, 0.3 + 0.2j]] * 3)
+    t2 = np.array([[-0.4 + 0.1j, 1.0]] * 3)
+    with np.errstate(invalid="raise"):
+        stacked = kepler._psi_exponent(Level(states), t1, t2, 0.0)
+        for row, st in zip(stacked, states):
+            assert row.tobytes() == kepler._psi_exponent(st, t1[0], t2[0], 0.0).tobytes()
 
 
 @pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])

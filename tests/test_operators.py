@@ -312,8 +312,8 @@ def _closed_form_jets(state, t1, t2, phi):
     """Polynomial jets (q, q', q'') of both factors and the one prefactor
     P1 P2 e^(i m phi) = (t1 t2)^(|m|/2-2) ((1-t1)(1-t2))^-2 ((1-t1)/(1-t2))^b1 e^(i m phi).
     The H3 chart gives float64 values, so there the jets run in float64."""
-    q1, s1 = operators._factor_jet([factor(state, 1)], t1)
-    q2, s2 = operators._factor_jet([factor(state, 2)], t2)
+    q1, s1 = operators._factor_jet(factor(state, 1), t1)
+    q2, s2 = operators._factor_jet(factor(state, 2), t2)
     p = kepler.psi_prefactor(state, t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
     return t1, t2, q1, q2, p
 
