@@ -31,9 +31,8 @@ from typing import Any
 import numpy as np
 
 from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError
-from .geometry import SphericalPoint, spherical_to_parabolic
-from .spaces import H3, S3, Model, SpaceTag, space_from_name
-from .specfun import Hyp2F1Params, drop_zero_imag, hyp2f1, per_state, scaled_series
+from .spaces import Model, SpaceTag, space_from_name
+from .specfun import Hyp2F1Params, drop_zero_imag, hyp2f1, per_state, scaled_series, series_coefficients
 
 __all__ = [
     "QuantumNumbers",
@@ -418,18 +417,6 @@ def perturbed(state: StateParams, **deltas: complex) -> StateParams:
 # normalization
 
 
-def _chart_grid(space: SpaceTag, chi: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(t1, t2, volume weight) on the outer product of chi and theta, at phi = 0.
-
-    The chart values are the chart's own, float64 on H3 and complex128 on
-    S3; the weight sinh^2(chi) or sin^2(chi) has shape (n_chi, 1).
-    """
-    cc = chi[:, None]
-    pts = spherical_to_parabolic(space, SphericalPoint(cc, theta[None, :], 0.0))
-    weight = np.sinh(cc) ** 2 if space.model is Model.H3 else np.sin(cc) ** 2
-    return pts.t1, pts.t2, weight
-
-
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arrays, made read-only because every normalize() call shares them."""
     for a in arrays:
@@ -437,100 +424,98 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _density_on_grid(state: StateParams, t1, t2, weight) -> np.ndarray:
-    """|Psi|^2 times the volume weight, at the chart values of :func:`_chart_grid`.
+def _separated(params: Hyp2F1Params, u: np.ndarray, a: np.ndarray, log_scale, weight=1.0) -> np.ndarray:
+    """weight F(u a) e^{log_scale} on the outer product of a theta axis a (down) and a chi axis u (across).
 
-    |Psi|^2 = |F1 F2|^2 e^{2 Re E}, with E the exponent of
-    :func:`psi_prefactor` without its phase (:func:`_psi_exponent`), so no
-    complex exponential runs and no phase is formed: on H3 the density is
-    float64 throughout, and on S3 only Re E is exponentiated.
-    e^{Re E} is applied twice rather than e^{2 Re E} once, so the density
-    overflows and underflows exactly where |Psi|^2 itself does.
+    A product of power matrices, weight_j a_j^p by c_p (u_i/s_i)^p s_i^{p-n} e^{log_scale_i + n log s_i}
+    with s = max(|u|, 1), each split into float64 parts hi + lo: [A_hi A_hi A_lo] @ [U_hi; U_lo; U_hi].
+    On long double axes no entry's rounding is then shared along a row or column of the grid, where the
+    terms of F cancel.  A complex U multiplies as its real view, in one real product.
     """
-    (f1,), s1 = scaled_series(factor(state, 1).params, t1)
-    (f2,), s2 = scaled_series(factor(state, 2).params, t2)
-    f = f1 * f2
-    dens = f.real**2 + f.imag**2 if np.iscomplexobj(f) else f * f
-    scale = np.exp(_psi_exponent(state, t1, t2, s1 + s2).real)
-    dens *= scale
-    dens *= scale
-    dens *= weight
-    return dens
+    c = series_coefficients(params, u.dtype.kind == "f")
+    n = c.size - 1
+    def powers(x):  # rows x^0 .. x^n, each the row before times x
+        return np.vstack([np.ones_like(x), np.multiply.accumulate(np.broadcast_to(x, (n, x.size)))])
+    def split(m):  # (hi, lo) in float64 or complex128
+        hi = m.astype(complex if m.dtype.kind == "c" else float)
+        return hi, (m - hi).astype(hi.dtype)
+    s = np.maximum(np.abs(u), 1.0)
+    chi = c[:, None] * powers(u / s) * powers(1.0 / s)[::-1] * np.exp(log_scale + n * np.log(s))
+    (th, tl), (ch, cl) = split(powers(a).T * weight), split(chi)
+    theta, chi = np.hstack([th, th, tl]), np.vstack([ch, cl, ch])
+    return (theta @ chi.view(float)).view(complex) if chi.dtype.kind == "c" else theta @ chi
+
+
+def _density(state: StateParams, chi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """|Psi|^2 times the volume weight sinh^2(chi) or sin^2(chi), on the outer product of the axes.
+
+    There t1 = (1 + cos theta) u1(chi) and t2 = (1 - cos theta) u2(chi), with u1 = sinh(chi) e^{-chi},
+    u2 = -sinh(chi) e^{chi} on H3 and u1 = sin(chi) e^{i(pi/2 - chi)} = conj(u2) on S3, so each F is
+    a product of power matrices (:func:`_separated`) in the precision of the axes: long double for the
+    quadrature, float64 for the H3 cutoff probe, which needs only a profile.  |e^E| of
+    :func:`_psi_exponent` is (sin(theta) sinh(chi))^|m| e^{-2 Re(b1) chi} on H3 and (sin(theta)
+    sin(chi))^|m| e^{2 Im(b1) chi} on S3; with F2's scale and the root of the weight its chi part is
+    one real exponent per chi node, in F2's chi matrix (|u1| <= 1 needs no scale), so |F1 F2|^2
+    over- and underflows where |Psi|^2 does.  A perturbed state's (1-t2)^{b1+b2} is applied pointwise.
+    """
+    am, shift = abs(state.qn.m), drop_zero_imag(state.b1 + state.b2)
+    if state.space.model is Model.H3:
+        u1, u2 = -0.5 * np.expm1(-2.0 * chi), -0.5 * np.expm1(2.0 * chi)
+        expo = (am + 1) * np.log(np.sinh(chi)) - 2.0 * state.b1.real * chi
+    else:
+        sin = np.sin(chi)
+        u1, u2 = sin * (sin + 1j * np.cos(chi)), sin * (sin - 1j * np.cos(chi))
+        expo = (am + 1) * np.log(sin) + 2.0 * state.b1.imag * chi
+    # 1 + cos(theta) and 1 - cos(theta), with no cancellation at either pole
+    a2 = 2.0 * np.sin(0.5 * theta) ** 2
+    f = _separated(factor(state, 1).params, u1, 2.0 * np.cos(0.5 * theta) ** 2, 0.0, np.sin(theta)[:, None] ** am)
+    f *= _separated(factor(state, 2).params, u2, a2, expo)
+    if shift:
+        f *= np.exp((shift * np.log(1.0 - np.multiply.outer(a2, u2))).real)
+    return (f.real**2 + f.imag**2 if np.iscomplexobj(f) else f * f).T
 
 
 def _h3_chi_cutoff(state: StateParams) -> float:
     """Radial truncation point where the density falls below the cutoff."""
-    chis, t1, t2, weight = _H3_PROBE
-    # a normalizable profile stays finite out to chi = 300 (the density
-    # underflows long before the volume weight can overflow), so overflow
-    # during the probe already proves the state is not normalizable
+    # a normalizable profile stays finite out to chi = 300 (the density underflows long before
+    # the volume weight can overflow), so overflow in the probe proves the state is not normalizable
     with np.errstate(over="ignore", invalid="ignore"):
-        profile = _density_on_grid(state, t1, t2, weight).max(axis=1)
+        profile = _density(state, *_H3_PROBE).max(axis=1)
     finite = np.isfinite(profile)
     peak_idx = int(np.argmax(np.where(finite, profile, 0.0)))
-    peak = profile[peak_idx]
-    below = np.nonzero(profile[peak_idx:] < RADIAL_TAIL_CUTOFF * peak)[0]
+    below = np.nonzero(profile[peak_idx:] < RADIAL_TAIL_CUTOFF * profile[peak_idx])[0]
     if not finite.all() or below.size == 0:
-        raise IntegrabilityError(
-            "radial density does not decay fast enough to truncate; the "
-            "state is not normalizable (or sits at the edge of the bound "
-            "interval)"
-        )
-    return float(chis[peak_idx + below[0]] + 1.0)
+        raise IntegrabilityError("radial density does not decay fast enough to truncate; the state is "
+                                 "not normalizable (or sits at the edge of the bound interval)")
+    return float(_H3_PROBE[0][peak_idx + below[0]] + 1.0)
 
 
-def _quad_grid(space: SpaceTag, top: float, n_chi: int, n_theta: int) -> tuple[np.ndarray, ...]:
-    """Tensor Gauss-Legendre grid on [0, top] x [0, pi].
-
-    Returns the chi weights, the :func:`_chart_grid` of the nodes and the
-    theta weights with their sin(theta) volume factor.
-    """
-    x, wx = _GAUSS_LEGENDRE[n_chi]
-    y, wy = _GAUSS_LEGENDRE[n_theta]
-    chi = 0.5 * top * (x + 1.0)
+def _quad_norm(state: StateParams, top: float, n_chi: int, n_theta: int) -> float:
+    """The integral of |Psi|^2 dV by the Gauss-Legendre rule on [0, top] x [0, pi], on long double axes."""
+    (x, wx), (y, wy) = _GAUSS_LEGENDRE[n_chi], _GAUSS_LEGENDRE[n_theta]
     theta = 0.5 * math.pi * (y + 1.0)
-    return (0.5 * top * wx, *_chart_grid(space, chi, theta), 0.5 * math.pi * wy * np.sin(theta))
+    dens = _density(state, *(z.astype(np.longdouble) for z in (0.5 * top * (x + 1.0), theta)))
+    return 2.0 * math.pi * float((0.5 * top * wx) @ dens @ (0.5 * math.pi * wy * np.sin(theta)))
 
 
-def _quad_norm(state: StateParams, grid: tuple[np.ndarray, ...]) -> float:
-    wchi, t1, t2, weight, wtheta = grid
-    return 2.0 * math.pi * float(wchi @ _density_on_grid(state, t1, t2, weight) @ wtheta)
-
-
-# normalize() integrates at the (n_chi, n_theta) orders of _ORDERS: the
-# quadrature and its doubling.  The Gauss-Legendre rules of both, their S3
-# grids and the H3 cutoff probe do not depend on the state, so they are built
-# on import and shared read-only.  The probe's 300 keeps t2 ~ -e^{2 chi}
-# finite; that covers decay rates down to 2(e/k - k) ~ 0.1, i.e. everything
-# but states at the very edge of the bound interval.
+# normalize() integrates at the (n_chi, n_theta) orders of _ORDERS, the quadrature and its doubling; their rules
+# and the axes of the H3 cutoff probe are built on import and shared read-only.  The probe's 300 keeps t2 ~ -e^{2 chi}
+# finite; that covers decay rates down to 2(e/k - k) ~ 0.1, i.e. all but states at the very edge of the bound interval.
 _ORDERS = ((128, 64), (256, 128))
 _GAUSS_LEGENDRE = {n: _frozen(*np.polynomial.legendre.leggauss(n)) for n in sorted({*_ORDERS[0], *_ORDERS[1]})}
-_S3_GRIDS = tuple(_frozen(*_quad_grid(S3, math.pi, *orders)) for orders in _ORDERS)
-_H3_PROBE_CHI = np.linspace(0.05, 300.0, 1501)
-_H3_PROBE = _frozen(
-    _H3_PROBE_CHI, *_chart_grid(H3, _H3_PROBE_CHI, np.array([0.3, math.pi / 2.0, math.pi - 0.3]))
-)
+_H3_PROBE = _frozen(np.linspace(0.05, 300.0, 1501), np.array([0.3, math.pi / 2.0, math.pi - 0.3]))
 
 
 def normalize(state: StateParams) -> NormalizationResult:
     """Normalization constant c with integral(|c Psi|^2 dV) = 1.
 
-    Tensor-product Gauss-Legendre quadrature in the spherical chart, with
-    128 chi and 64 theta nodes; the H3 radial integral is truncated where
-    the density drops below 1e-14 of its peak.  The error estimate is the
-    relative shift of c under doubling both orders.  The density |Psi|^2
-    is taken in real arithmetic, with no complex exponential
-    (:func:`_density_on_grid`).  The rules, both S3 grids and the H3
-    cutoff probe are built on import; an H3 quadrature grid follows the
-    state's chi_max and is built per call.
+    Tensor-product Gauss-Legendre quadrature in the spherical chart, with 128 chi and 64
+    theta nodes; the H3 radial integral is truncated where the density drops below 1e-14 of
+    its peak.  The error estimate is the relative shift of c under doubling both orders.
+    The density is taken on the separated form (:func:`_density`): no chart runs.
     """
-    if state.space.model is Model.H3:
-        chi_max: float | None = _h3_chi_cutoff(state)
-        grids = (_quad_grid(state.space, chi_max, *orders) for orders in _ORDERS)
-    else:
-        chi_max = None
-        grids = _S3_GRIDS
-    i1, i2 = (_quad_norm(state, grid) for grid in grids)
+    chi_max = _h3_chi_cutoff(state) if state.space.model is Model.H3 else None
+    i1, i2 = (_quad_norm(state, chi_max or math.pi, *orders) for orders in _ORDERS)
     if not (i2 > 0 and math.isfinite(i2)):
         raise IntegrabilityError(f"normalization integral came out {i2}")
     c = 1.0 / math.sqrt(i2)

@@ -33,6 +33,7 @@ __all__ = [
     "drop_zero_imag",
     "hyp2f1",
     "scaled_series",
+    "series_coefficients",
 ]
 
 # Slack for recognizing integer-valued complex parameters.
@@ -113,6 +114,22 @@ def per_state(group, values) -> tuple:
     return values(group)
 
 
+def series_coefficients(p: Hyp2F1Params, real: bool) -> np.ndarray:
+    """c_0 .. c_n of a terminating 2F1 = sum c_j t^j: c_{j+1} = c_j (a+j)(b+j)/((g+j)(1+j)).
+
+    float64 from the parameters' real parts if ``real``, complex128 otherwise.
+    """
+    n = p.polynomial_degree
+    if n is None:
+        raise ParameterError("a terminating series is needed")
+    a, b, g = (p.alpha.real, p.beta.real, p.gamma.real) if real else (p.alpha, p.beta, p.gamma)
+    c = np.zeros(n + 1, dtype=float if real else complex)
+    c[0] = 1.0
+    for j in range(n):
+        c[j + 1] = c[j] * ((a + j) * (b + j) / ((g + j) * (1 + j)))
+    return c
+
+
 def scaled_series(params, t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """A terminating 2F1 and its first ``order`` derivatives, finite at any t.
 
@@ -140,11 +157,8 @@ def scaled_series(params, t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
     top, real = max(degrees), tt.dtype.kind == "f"
     tables = []  # per state, row i: c_i and its first ``order`` derivative coefficients
     for p, n in zip(stack, degrees):
-        a, b, g = (p.alpha.real, p.beta.real, p.gamma.real) if real else (p.alpha, p.beta, p.gamma)
         table = np.zeros((order + 1, n + 1), dtype=tt.dtype)
-        table[0, 0] = 1.0
-        for j in range(n):
-            table[0, j + 1] = table[0, j] * ((a + j) * (b + j) / ((g + j) * (1 + j)))
+        table[0] = series_coefficients(p, real)
         for j in range(1, order + 1):
             table[j, : n + 1 - j] = table[j - 1, 1 : n + 2 - j] * np.arange(1, n + 2 - j)
         tables.append(table.T)

@@ -39,6 +39,11 @@ REMOVED = {
         "_h3_probe_grid",
         "_N_CHI",
         "_N_THETA",
+        "_S3_GRIDS",
+        "_H3_PROBE_CHI",
+        "_chart_grid",
+        "_quad_grid",
+        "_density_on_grid",
     ],
     cli: ["RunConfig", "_config_from"],
     operators: ["_regular_points"],

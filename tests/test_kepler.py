@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from curvedkepler import kepler
+from curvedkepler import geometry, kepler, specfun
 from curvedkepler import (
     BoundStateError,
     DomainError,
@@ -484,32 +484,27 @@ def test_normalize_rejects_non_normalizable():
         normalize(perturbed(st, b2=5.0))
 
 
-def _fresh_chart_grid(space, chi, theta):
-    """kepler._chart_grid built afresh: the chart values and the volume weight."""
-    cc = chi[:, None]
-    pts = spherical_to_parabolic(space, SphericalPoint(cc, theta[None, :], 0.0))
-    return pts.t1, pts.t2, np.sinh(cc) ** 2 if space is H3 else np.sin(cc) ** 2
+def _gauss_axes(top, n_chi, n_theta):
+    """Gauss-Legendre rules on [0, top] x [0, pi], built afresh: (chi, chi weights, theta, theta weights with sin)."""
+    x, wx = np.polynomial.legendre.leggauss(n_chi)
+    y, wy = np.polynomial.legendre.leggauss(n_theta)
+    theta = 0.5 * math.pi * (y + 1.0)
+    return 0.5 * top * (x + 1.0), 0.5 * top * wx, theta, 0.5 * math.pi * wy * np.sin(theta)
 
 
-def _old_density(state, t1, t2, weight):
-    """The density as it was computed before: |Psi|^2 from the complex Psi, times the weight."""
-    psi = wavefunction_values(state, t1, t2, 0.0)
-    return (psi.real**2 + psi.imag**2) * weight
+def _long(*axes):
+    """The axes in long double, the precision the quadrature takes the density in."""
+    return [np.asarray(a, dtype=np.longdouble) for a in axes]
 
 
 def _fresh_integral(state, top, n_chi, n_theta):
-    """The integral of the density on [0, top] x [0, pi], with the rules and the chart built afresh."""
-    x, wx = np.polynomial.legendre.leggauss(n_chi)
-    y, wy = np.polynomial.legendre.leggauss(n_theta)
-    chi = 0.5 * top * (x + 1.0)
-    theta = 0.5 * math.pi * (y + 1.0)
-    dens = kepler._density_on_grid(state, *_fresh_chart_grid(state.space, chi, theta))
-    wtheta = 0.5 * math.pi * wy * np.sin(theta)
-    return 2.0 * math.pi * float((0.5 * top * wx) @ dens @ wtheta)
+    """The integral of the density on [0, top] x [0, pi], with the rules built afresh."""
+    chi, wchi, theta, wtheta = _gauss_axes(top, n_chi, n_theta)
+    return 2.0 * math.pi * float(wchi @ kepler._density(state, *_long(chi, theta)) @ wtheta)
 
 
 def _normalize_oracle(state, n_chi, n_theta):
-    """normalize() at the given orders, with every Gauss-Legendre rule and quadrature chart built afresh."""
+    """normalize() at the given orders, with every Gauss-Legendre rule built afresh."""
     chi_max = kepler._h3_chi_cutoff(state) if state.space is H3 else None
     top = math.pi if chi_max is None else chi_max
     i1 = _fresh_integral(state, top, n_chi, n_theta)
@@ -523,88 +518,145 @@ def _normalize_oracle(state, n_chi, n_theta):
     "space, e, qn", [(S3, 2.0, (1, 1, 0)), (S3, 2.0, (0, 2, -2)), (H3, 100.0, (0, 0, 0)), (H3, 100.0, (2, 1, 1))]
 )
 def test_normalize_with_cached_rules_is_bit_identical(space, e, qn, orders):
-    """normalize(), and its integral at each of its two orders, give the bits of rules and grids built afresh."""
+    """normalize(), and its integral at each of its two orders, give the bits of rules built afresh."""
     st = assemble_state(space, e, QuantumNumbers(*qn))
     res = normalize(st)
     assert (res.constant, res.error_estimate, res.chi_max) == _normalize_oracle(st, 128, 64)
     assert (res.n_chi, res.n_theta) == (128, 64)
-    if space is S3:
-        top, grid = math.pi, kepler._S3_GRIDS[kepler._ORDERS.index(orders)]
-    else:
-        top = res.chi_max
-        grid = kepler._quad_grid(H3, top, *orders)
-    assert kepler._quad_norm(st, grid) == _fresh_integral(st, top, *orders)
+    top = math.pi if space is S3 else res.chi_max
+    assert kepler._quad_norm(st, top, *orders) == _fresh_integral(st, top, *orders)
 
 
-def _density_grids(state):
-    """The grids normalize() samples for the state: its quadrature grid and, on H3, the cutoff probe."""
-    if state.space is S3:
-        return [kepler._S3_GRIDS[0][1:4]]
-    chi_max = kepler._h3_chi_cutoff(state)
-    return [kepler._quad_grid(H3, chi_max, 128, 64)[1:4], kepler._H3_PROBE[1:]]
+def _mp_density(st, chi, theta):
+    """|Psi|^2 times the volume weight at one node, at ORACLE_DPS digits.
+
+    F1 and F2 are the terminating series of the state's own float
+    parameters; |(t1 t2)^{|m|/2}| and the shift (1-t2)^{b1+b2} come from t1
+    and t2; |((1-t1)/(1-t2))^{b1}| is ((1-t1)/(1-t2))^{Re b1} on H3 and
+    e^{2 Im(b1) chi} on S3, where the closed form takes the ratio as e^{-2i chi}.
+    """
+    with mpmath.workdps(ORACLE_DPS):
+        chi, c = mpmath.mpf(chi), mpmath.cos(mpmath.mpf(theta))
+        if st.space is H3:
+            rad = mpmath.sinh(chi)
+            t1, t2 = (1 + c) * rad * mpmath.exp(-chi), -(1 - c) * rad * mpmath.exp(chi)
+            amp = ((1 - t1) / (1 - t2)) ** mpmath.mpf(st.b1.real)
+        else:
+            rad = mpmath.sin(chi)
+            w = rad * mpmath.expj(mpmath.pi / 2 - chi)
+            t1, t2 = (1 + c) * w, (1 - c) * mpmath.conj(w)
+            amp = mpmath.exp(2 * mpmath.mpf(st.b1.imag) * chi)
+        amp *= abs(t1 * t2) ** (mpmath.mpf(abs(st.qn.m)) / 2) * rad
+        for t, (al, be, ga) in ((t1, (st.alpha1, st.beta1, st.gamma1)), (t2, (st.alpha2, st.beta2, st.gamma2))):
+            al, be, ga = (mpmath.mpc(z) for z in (al, be, ga))
+            term = total = mpmath.mpf(1)
+            for j in range(int(round(-be.real))):
+                term *= (al + j) * (be + j) / ((ga + j) * (1 + j)) * t
+                total += term
+            amp *= total
+        shift = st.b1 + st.b2
+        if shift:
+            amp *= abs(mpmath.exp(mpmath.mpc(shift) * mpmath.log(1 - t2)))
+        return float(abs(amp) ** 2)
 
 
-def _assert_density_matches_psi(state):
-    for grid in _density_grids(state):
-        old = _old_density(state, *grid)
-        new = kepler._density_on_grid(state, *grid)
-        assert new.dtype == np.float64 and np.isfinite(old).all()
-        assert np.max(np.abs(new - old)) <= 1e-15 * np.max(old)
+def _density_errors(state, stride=(17, 9)):
+    """Largest distance of the density from _mp_density over a stride of each grid
+    normalize() samples, relative to that grid's largest value: the 128 x 64
+    quadrature grid in long double and, on H3, the float64 cutoff probe."""
+    top = kepler._h3_chi_cutoff(state) if state.space is H3 else math.pi
+    chi, _, theta, _ = _gauss_axes(top, 128, 64)
+    grids = [(_long(chi, theta), stride)] + ([(kepler._H3_PROBE, (50, 1))] if state.space is H3 else [])
+    for (chi, theta), (di, dj) in grids:
+        dens = kepler._density(state, chi, theta)
+        assert dens.dtype == np.float64 and np.isfinite(dens).all()
+        worst = max(
+            abs(dens[i, j] - _mp_density(state, float(chi[i]), float(theta[j])))
+            for i in range(0, chi.size, di)
+            for j in range(0, theta.size, dj)
+        )
+        yield worst / dens.max()
 
 
 @pytest.mark.parametrize("space, e", [(S3, 2.0), (S3, 10.0), (H3, 100.0)])
 def test_density_matches_the_square_of_psi(space, e):
+    """The density against a 40-digit |Psi|^2, at 1e-14 of the grid's largest value."""
     for k in (1, 2, 3, 4):
         for qn in enumerate_states(k):
-            _assert_density_matches_psi(assemble_state(space, e, qn))
+            assert max(_density_errors(assemble_state(space, e, qn))) <= 1e-14, qn
 
 
 @pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 100.0)])
 def test_density_matches_the_square_of_psi_for_a_complex_shift(space, e):
-    """b1 + 1e-3j makes b1 + b2 complex, so the H3 exponent goes complex too."""
+    """b1 + 1e-3j makes b1 + b2 complex, so the density takes (1-t2)^{b1+b2} pointwise."""
     st = perturbed(assemble_state(space, e, QuantumNumbers(1, 0, 1)), b1=1e-3j)
-    t1, t2, _ = _density_grids(st)[0]
-    assert np.iscomplexobj(kepler._psi_exponent(st, t1, t2, 0.0))
-    _assert_density_matches_psi(st)
+    assert max(_density_errors(st, stride=(5, 3))) <= 1e-14
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is float64 here: no lo parts")
+def test_density_rule_sum_matches_mpmath_at_a_large_degree():
+    """A 24 x 12 rule at H3 e=400, state (10,4,0), where F1 has degree 10 and its
+    terms cancel to 1e-7 of their size: the sum of the density within 1e-12 of
+    the 40-digit sum.  Power matrices rounded to float64 once per entry, with no
+    lo parts, share that rounding along a whole row or column and read 1.5e-12."""
+    st = assemble_state(H3, 400.0, QuantumNumbers(10, 4, 0))
+    chi, wchi, theta, wtheta = _gauss_axes(kepler._h3_chi_cutoff(st), 24, 12)
+    got = float(wchi @ kepler._density(st, *_long(chi, theta)) @ wtheta)
+    with mpmath.workdps(ORACLE_DPS):
+        want = mpmath.fsum(
+            mpmath.mpf(wc) * mpmath.mpf(wt) * _mp_density(st, ch, th)
+            for ch, wc in zip(chi, wchi)
+            for th, wt in zip(theta, wtheta)
+        )
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-6, 1e-4])
+def test_density_is_exact_near_the_far_axis(theta):
+    """H3 e=5, state (0,1,0): |Psi|^2 sinh^2(chi) = (1 + 1.5 t2)^2 e^{-7 chi} sinh^2(chi) with
+    t2 = -2 sin^2(theta/2) sinh(chi) e^{chi}, out where the chart's t1 rounds to 1, in
+    either precision of the axes."""
+    st = assemble_state(H3, 5.0, QuantumNumbers(0, 1, 0))
+    chis = np.array([5.0, 10.0, 15.0, 18.0, 25.0])
+    for axes in ((chis, np.array([theta])), _long(chis, [theta])):
+        got = kepler._density(st, *axes)[:, 0]
+        with mpmath.workdps(ORACLE_DPS):
+            for g, chi in zip(got, chis):
+                chi = mpmath.mpf(chi)
+                t2 = -2 * mpmath.sin(mpmath.mpf(theta) / 2) ** 2 * mpmath.sinh(chi) * mpmath.exp(chi)
+                want = (1 + 1.5 * t2) ** 2 * mpmath.exp(-7 * chi) * mpmath.sinh(chi) ** 2
+                assert abs(g - want) <= 1e-13 * want, (axes[0].dtype, theta, chi)
 
 
 @pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 100.0)])
 def test_density_takes_no_complex_exponential(monkeypatch, space, e):
     st = assemble_state(space, e, QuantumNumbers(2, 1, 1))
-    grid = _density_grids(st)[0]
+    chi, _, theta, _ = _gauss_axes(math.pi if space is S3 else kepler._h3_chi_cutoff(st), 128, 64)
     seen = []
     exp = np.exp
     monkeypatch.setattr(np, "exp", lambda x, *a, **kw: seen.append(np.asarray(x).dtype) or exp(x, *a, **kw))
-    assert kepler._density_on_grid(st, *grid).dtype == np.float64
-    assert seen == [np.dtype(float)]
+    for axes in ((chi, theta), _long(chi, theta)):
+        assert kepler._density(st, *axes).dtype == np.float64
+    assert seen and all(dtype.kind == "f" for dtype in seen)
 
 
-def _count_grid_builds(monkeypatch):
-    """Record the (space, n_chi, n_theta) of every chart grid kepler builds."""
-    built = []
-    to_parabolic = kepler.spherical_to_parabolic
-
-    def counting(space, p):
-        built.append((space.name, *np.broadcast_shapes(p.chi.shape, p.theta.shape)))
-        return to_parabolic(space, p)
-
-    monkeypatch.setattr(kepler, "spherical_to_parabolic", counting)
-    return built
-
-
-def test_normalize_builds_each_grid_once(monkeypatch):
-    """The S3 grids and the H3 probe exist from import; each H3 call charts only
-    its two quadrature grids, which follow the state's chi_max."""
-    built = _count_grid_builds(monkeypatch)
-    s3 = [assemble_state(S3, 2.0, QuantumNumbers(*qn)) for qn in [(0, 0, 0), (1, 1, 0), (0, 2, -2)]]
-    h3 = [assemble_state(H3, 100.0, QuantumNumbers(*qn)) for qn in [(0, 0, 0), (1, 1, 0)]]
-    for _ in range(2):
-        for st in s3:
-            normalize(st)
-    assert built == []
-    for st in h3 * 2:
+def test_normalize_charts_nothing(monkeypatch):
+    """normalize() runs on the separated form: no chart map, no scaled_series
+    and no _psi_exponent, for a plain state or a shifted one on either space."""
+    calls = []
+    for module, name in [
+        (geometry, "spherical_to_parabolic"),
+        (specfun, "scaled_series"),
+        (kepler, "scaled_series"),
+        (kepler, "_psi_exponent"),
+    ]:
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
+    for space, e in [(S3, 2.0), (H3, 100.0)]:
+        st = assemble_state(space, e, QuantumNumbers(1, 0, 1))
         normalize(st)
-    assert built == [("h3", 128, 64), ("h3", 256, 128)] * 4
+        normalize(perturbed(st, b1=1e-3j))
+    assert calls == []
 
 
 def test_normalize_builds_each_rule_once(monkeypatch):
@@ -624,32 +676,33 @@ import numpy as np
 leggauss = np.polynomial.legendre.leggauss
 built = []
 np.polynomial.legendre.leggauss = lambda n: built.append(n) or leggauss(n)
-from curvedkepler import H3, S3, QuantumNumbers, assemble_state, kepler, normalize
+from curvedkepler import H3, S3, QuantumNumbers, assemble_state, geometry, kepler, normalize
+print(built, sorted({a.ndim for a in (*kepler._H3_PROBE, *(a for r in kepler._GAUSS_LEGENDRE.values() for a in r))}))
 charts = []
-to_parabolic = kepler.spherical_to_parabolic
-kepler.spherical_to_parabolic = lambda space, p: charts.append(space.name) or to_parabolic(space, p)
-print(built)
+to_parabolic = geometry.spherical_to_parabolic
+geometry.spherical_to_parabolic = lambda space, p: charts.append(space.name) or to_parabolic(space, p)
 for _ in range(2):
     normalize(assemble_state(S3, 2.0, QuantumNumbers(0, 0, 0)))
     normalize(assemble_state(H3, 100.0, QuantumNumbers(1, 1, 0)))
     print(built, charts)
-    del charts[:]
 """
 
 
-def _run_fresh(script):
+def _run_fresh(script, threads=None):
     src = str(Path(kepler.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    if threads is not None:
+        env.update(OMP_NUM_THREADS=str(threads), OPENBLAS_NUM_THREADS=str(threads))
     return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
 
 
 def test_import_builds_the_default_rules():
-    """In a fresh process the rules, both S3 grids and the H3 probe exist
-    before the first normalize(), so the first calls make no eigen-solve and
-    chart only the H3 quadrature grids, as later calls do."""
+    """In a fresh process the rules and the probe axes exist before the first
+    normalize(), all of them 1-D, so the first calls make no eigen-solve and,
+    like later calls, chart nothing."""
     lines = _run_fresh(_FRESH_PROCESS).splitlines()
-    assert lines[0] == "[64, 128, 256]"
-    assert lines[1] == lines[2] == "[64, 128, 256] ['h3', 'h3']"
+    assert lines[0] == "[64, 128, 256] [1]"
+    assert lines[1] == lines[2] == "[64, 128, 256] []"
 
 
 _ORDERED_PROCESS = """
@@ -661,27 +714,27 @@ print([(results[n].constant.hex(), results[n].error_estimate.hex()) for n in "AB
 
 
 def test_normalize_bits_do_not_depend_on_the_call_order():
-    """Every call reads the same shared rules and grids: an S3 and an H3 state
-    give the same bits whichever is normalized first."""
+    """Every call reads the same shared rules: an S3 and an H3 state give the
+    same bits whichever is normalized first, and with one BLAS thread or two."""
     outs = [_run_fresh(_ORDERED_PROCESS.format(order=order)) for order in ("AB", "BA")]
-    assert outs[0] == outs[1] and outs[0].startswith("[('0x")
+    outs += [_run_fresh(_ORDERED_PROCESS.format(order="AB"), threads=n) for n in (1, 2)]
+    assert len(set(outs)) == 1 and outs[0].startswith("[('0x")
 
 
 def test_cached_rules_are_read_only():
-    """The Gauss-Legendre rules and the state-independent grids are shared, so none can be written."""
-    for arrays in (*kepler._GAUSS_LEGENDRE.values(), *kepler._S3_GRIDS, kepler._H3_PROBE):
+    """The Gauss-Legendre rules and the probe axes are shared, so none can be written; each is 1-D."""
+    for arrays in (*kepler._GAUSS_LEGENDRE.values(), kepler._H3_PROBE):
         for a in arrays:
-            assert not a.flags.writeable
+            assert a.ndim == 1 and not a.flags.writeable
             with pytest.raises(ValueError):
-                a[(0,) * a.ndim] = 0.0
+                a[0] = 0.0
             with pytest.raises(ValueError):
                 a *= 2.0
 
 
 def test_the_h3_probe_holds_the_bits_of_a_fresh_build():
     """The oracle above takes chi_max from the shared probe, so the probe itself is checked here."""
-    chis = np.linspace(0.05, 300.0, 1501)
-    fresh = (chis, *_fresh_chart_grid(H3, chis, np.array([0.3, math.pi / 2.0, math.pi - 0.3])))
+    fresh = (np.linspace(0.05, 300.0, 1501), np.array([0.3, math.pi / 2.0, math.pi - 0.3]))
     assert [a.tobytes() for a in kepler._H3_PROBE] == [a.tobytes() for a in fresh]
 
 
