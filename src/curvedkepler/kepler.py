@@ -463,8 +463,8 @@ def _density(state: StateParams, chi: np.ndarray, theta: np.ndarray) -> np.ndarr
         u1, u2 = -0.5 * np.expm1(-2.0 * chi), -0.5 * np.expm1(2.0 * chi)
         expo = (am + 1) * np.log(np.sinh(chi)) - 2.0 * state.b1.real * chi
     else:
-        sin = np.sin(chi)
-        u1, u2 = sin * (sin + 1j * np.cos(chi)), sin * (sin - 1j * np.cos(chi))
+        sin, cos = np.sin(chi), np.cos(chi)
+        u1, u2 = sin * (sin + 1j * cos), sin * (sin - 1j * cos)
         expo = (am + 1) * np.log(sin) + 2.0 * state.b1.imag * chi
     # 1 + cos(theta) and 1 - cos(theta), with no cancellation at either pole
     a2 = 2.0 * np.sin(0.5 * theta) ** 2
