@@ -424,54 +424,58 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _separated(params: Hyp2F1Params, u: np.ndarray, a: np.ndarray, log_scale, weight=1.0) -> np.ndarray:
-    """weight F(u a) e^{log_scale} on the outer product of a theta axis a (down) and a chi axis u (across).
-
-    A product of power matrices, weight_j a_j^p by c_p (u_i/s_i)^p s_i^{p-n} e^{log_scale_i + n log s_i}
-    with s = max(|u|, 1), each split into float64 parts hi + lo: [A_hi A_hi A_lo] @ [U_hi; U_lo; U_hi].
-    On long double axes no entry's rounding is then shared along a row or column of the grid, where the
-    terms of F cancel.  A complex U multiplies as its real view, in one real product.
-    """
-    c = series_coefficients(params, u.dtype.kind == "f")
-    n = c.size - 1
-    def powers(x):  # rows x^0 .. x^n, each the row before times x
-        return np.vstack([np.ones_like(x), np.multiply.accumulate(np.broadcast_to(x, (n, x.size)))])
-    def split(m):  # (hi, lo) in float64 or complex128
-        hi = m.astype(complex if m.dtype.kind == "c" else float)
-        return hi, (m - hi).astype(hi.dtype)
-    s = np.maximum(np.abs(u), 1.0)
-    chi = c[:, None] * powers(u / s) * powers(1.0 / s)[::-1] * np.exp(log_scale + n * np.log(s))
-    (th, tl), (ch, cl) = split(powers(a).T * weight), split(chi)
-    theta, chi = np.hstack([th, th, tl]), np.vstack([ch, cl, ch])
-    return (theta @ chi.view(float)).view(complex) if chi.dtype.kind == "c" else theta @ chi
+def _rounding(a, b, ab):
+    """a b - ab for the float64 product ab = a * b, exactly (Dekker's product on Veltkamp's 26-bit halves)."""
+    (ah, al), (bh, bl) = ((h, x - h) for x in (a, b) for h in [134217729.0 * x - (134217729.0 * x - x)])
+    return ((ah * bh - ab) + ah * bl + al * bh) + al * bl
 
 
-def _density(state: StateParams, chi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _density(state: StateParams, chi: np.ndarray, theta: np.ndarray, split: bool = True) -> np.ndarray:
     """|Psi|^2 times the volume weight sinh^2(chi) or sin^2(chi), on the outer product of the axes.
 
-    There t1 = (1 + cos theta) u1(chi) and t2 = (1 - cos theta) u2(chi), with u1 = sinh(chi) e^{-chi},
-    u2 = -sinh(chi) e^{chi} on H3 and u1 = sin(chi) e^{i(pi/2 - chi)} = conj(u2) on S3, so each F is
-    a product of power matrices (:func:`_separated`) in the precision of the axes: long double for the
-    quadrature, float64 for the H3 cutoff probe, which needs only a profile.  |e^E| of
-    :func:`_psi_exponent` is (sin(theta) sinh(chi))^|m| e^{-2 Re(b1) chi} on H3 and (sin(theta)
-    sin(chi))^|m| e^{2 Im(b1) chi} on S3; with F2's scale and the root of the weight its chi part is
-    one real exponent per chi node, in F2's chi matrix (|u1| <= 1 needs no scale), so |F1 F2|^2
-    over- and underflows where |Psi|^2 does.  A perturbed state's (1-t2)^{b1+b2} is applied pointwise.
+    t1 = (1 + cos theta) u1(chi) and t2 = (1 - cos theta) u2(chi), u1 = sinh(chi) e^{-chi} and u2 =
+    -sinh(chi) e^{chi} on H3, u1 = sin(chi) e^{i(pi/2 - chi)} = conj(u2) on S3, so F = sum c_p t^p is
+    a theta matrix, rows (2 cos^2(theta/2))^p or (2 sin^2(theta/2))^p, times a chi matrix, rows c_p u^p
+    (c_p u^{p-n}, with n log|u| in the exponent, where |u| > 1).  sin(theta)^|m| starts F1's theta rows,
+    and the rest of |e^E| (:func:`_psi_exponent`), F2's scale and the root of the weight make one real
+    exponent that starts F2's chi rows, so |F1 F2|^2 overflows where |Psi|^2 does.  With ``split`` and
+    real arithmetic each entry carries its rounding as a lo part (:func:`_rounding`), and F is
+    [A A A_lo] @ [U; U_lo; U]: on H3 the terms of F cancel, and an entry rounded once would share its
+    error along a grid row or column, which the rule sums do not average out.  S3 (|t| <= 2) stays in
+    complex float64, and the H3 cutoff probe, which needs only a profile, takes no lo parts.
     """
     am, shift = abs(state.qn.m), drop_zero_imag(state.b1 + state.b2)
     if state.space.model is Model.H3:
-        u1, u2 = -0.5 * np.expm1(-2.0 * chi), -0.5 * np.expm1(2.0 * chi)
-        expo = (am + 1) * np.log(np.sinh(chi)) - 2.0 * state.b1.real * chi
+        rad, rate, u = np.sinh(chi), -2.0 * state.b1.real, -0.5 * np.expm1(np.multiply.outer([-2.0, 2.0], chi))
     else:
-        sin, cos = np.sin(chi), np.cos(chi)
-        u1, u2 = sin * (sin + 1j * cos), sin * (sin - 1j * cos)
-        expo = (am + 1) * np.log(sin) + 2.0 * state.b1.imag * chi
-    # 1 + cos(theta) and 1 - cos(theta), with no cancellation at either pole
-    a2 = 2.0 * np.sin(0.5 * theta) ** 2
-    f = _separated(factor(state, 1).params, u1, 2.0 * np.cos(0.5 * theta) ** 2, 0.0, np.sin(theta)[:, None] ** am)
-    f *= _separated(factor(state, 2).params, u2, a2, expo)
+        rad, rate = np.sin(chi), 2.0 * state.b1.imag
+        u = rad * (rad + np.multiply.outer([1j, -1j], np.cos(chi)))
+    expo = (am + 1) * np.log(rad) + rate * chi
+    params = [factor(state, i).params for i in (1, 2)]
+    real = u.dtype.kind == "f" and not any(z.imag for p in params for z in (p.alpha, p.beta, p.gamma))
+    split, coef = split and real, [series_coefficients(p, real)[:, None] for p in params]
+    deg, big, nt = np.array([[c.size - 1] for c in coef]), np.abs(u) > 1.0, theta.size
+    a = 2.0 * np.stack([np.cos(0.5 * theta), np.sin(0.5 * theta)]) ** 2
+    # columns: the theta axis, then the chi axis; row 0 the weights, row p the weights times the axis to the p
+    rows = np.empty((deg.max() + 1, 2, nt + chi.size), dtype=u.dtype)
+    rows[0, 0, :nt], rows[0, 1, :nt] = np.sin(theta) ** am, 1.0
+    rows[0, :, nt:] = np.exp(np.stack([np.zeros_like(expo), expo]) + deg * np.log(np.where(big, np.abs(u), 1.0)))
+    rows[1:] = np.hstack([a, np.where(big, 1.0 / np.where(big, u, 1.0), u)])
+    hi, lo = np.multiply.accumulate(rows), np.zeros_like(rows)
+    if split:  # row p's relative error is the sum of the relative roundings of steps 1 .. p
+        step = np.divide(_rounding(hi[:-1], rows[1:], hi[1:]), hi[1:], out=np.zeros_like(lo[1:]), where=hi[1:] != 0)
+        lo[1:] = np.cumsum(step, axis=0) * hi[1:]
+    f = None
+    for i, c in enumerate(coef):
+        # where |u| > 1, row p of the chi matrix is c_p times the row of u^{-(n-p)}
+        w, w_lo = (np.where(big[i], z[c.size - 1 :: -1, i, nt:], z[: c.size, i, nt:]) for z in (hi, lo))
+        th, ch = hi[: c.size, i, :nt].real.T, w * c
+        if split:
+            th, ch = np.hstack([th, th, lo[: c.size, i, :nt].T]), np.vstack([ch, _rounding(w, c, ch) + w_lo * c, ch])
+        fi = (th @ ch.view(float)).view(complex) if ch.dtype.kind == "c" else th @ ch
+        f = fi if f is None else np.multiply(f, fi, out=fi)
     if shift:
-        f *= np.exp((shift * np.log(1.0 - np.multiply.outer(a2, u2))).real)
+        f *= np.exp((shift * np.log(1.0 - np.multiply.outer(a[1], u[1]))).real)
     return (f.real**2 + f.imag**2 if np.iscomplexobj(f) else f * f).T
 
 
@@ -480,7 +484,7 @@ def _h3_chi_cutoff(state: StateParams) -> float:
     # a normalizable profile stays finite out to chi = 300 (the density underflows long before
     # the volume weight can overflow), so overflow in the probe proves the state is not normalizable
     with np.errstate(over="ignore", invalid="ignore"):
-        profile = _density(state, *_H3_PROBE).max(axis=1)
+        profile = _density(state, *_H3_PROBE, split=False).max(axis=1)
     finite = np.isfinite(profile)
     peak_idx = int(np.argmax(np.where(finite, profile, 0.0)))
     below = np.nonzero(profile[peak_idx:] < RADIAL_TAIL_CUTOFF * profile[peak_idx])[0]
@@ -491,10 +495,10 @@ def _h3_chi_cutoff(state: StateParams) -> float:
 
 
 def _quad_norm(state: StateParams, top: float, n_chi: int, n_theta: int) -> float:
-    """The integral of |Psi|^2 dV by the Gauss-Legendre rule on [0, top] x [0, pi], on long double axes."""
+    """The integral of |Psi|^2 dV by the Gauss-Legendre rule on [0, top] x [0, pi]."""
     (x, wx), (y, wy) = _GAUSS_LEGENDRE[n_chi], _GAUSS_LEGENDRE[n_theta]
     theta = 0.5 * math.pi * (y + 1.0)
-    dens = _density(state, *(z.astype(np.longdouble) for z in (0.5 * top * (x + 1.0), theta)))
+    dens = _density(state, 0.5 * top * (x + 1.0), theta)
     return 2.0 * math.pi * float((0.5 * top * wx) @ dens @ (0.5 * math.pi * wy * np.sin(theta)))
 
 
@@ -519,5 +523,4 @@ def normalize(state: StateParams) -> NormalizationResult:
     if not (i2 > 0 and math.isfinite(i2)):
         raise IntegrabilityError(f"normalization integral came out {i2}")
     c = 1.0 / math.sqrt(i2)
-    err = abs(1.0 / math.sqrt(i1) - c) / c
-    return NormalizationResult(c, err, chi_max, *_ORDERS[0])
+    return NormalizationResult(c, abs(1.0 / math.sqrt(i1) - c) / c, chi_max, *_ORDERS[0])

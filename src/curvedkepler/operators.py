@@ -78,8 +78,7 @@ def _factor_jet(fac, t: np.ndarray):
     u, u1 = t * t, a * t
     v, v1 = w * w, b * w
     uv, u1v, uv1 = u * v, u1 * v, u * v1
-    q = uv * F
-    q1 = u1v * F + uv1 * F + uv * F1
+    q, q1 = uv * F, u1v * F + uv1 * F + uv * F1
     q2 = u2 * v * F + u * v2 * F + uv * F2 + 2.0 * (u1 * v1 * F + u1v * F1 + uv1 * F1)
     return (q, q1, q2), s
 

@@ -115,16 +115,13 @@ def per_state(group, values) -> tuple:
 
 
 def series_coefficients(p: Hyp2F1Params, real: bool) -> np.ndarray:
-    """c_0 .. c_n of a terminating 2F1 = sum c_j t^j: c_{j+1} = c_j (a+j)(b+j)/((g+j)(1+j)).
-
-    float64 from the parameters' real parts if ``real``, complex128 otherwise.
-    """
+    """c_0 .. c_n of a terminating 2F1 = sum c_j t^j, c_{j+1} = c_j (a+j)(b+j)/((g+j)(1+j)): float64
+    from the parameters' real parts if ``real``, complex128 otherwise."""
     n = p.polynomial_degree
     if n is None:
         raise ParameterError("a terminating series is needed")
     a, b, g = (p.alpha.real, p.beta.real, p.gamma.real) if real else (p.alpha, p.beta, p.gamma)
-    c = np.zeros(n + 1, dtype=float if real else complex)
-    c[0] = 1.0
+    c = np.ones(n + 1, dtype=float if real else complex)
     for j in range(n):
         c[j + 1] = c[j] * ((a + j) * (b + j) / ((g + j) * (1 + j)))
     return c

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -492,15 +493,10 @@ def _gauss_axes(top, n_chi, n_theta):
     return 0.5 * top * (x + 1.0), 0.5 * top * wx, theta, 0.5 * math.pi * wy * np.sin(theta)
 
 
-def _long(*axes):
-    """The axes in long double, the precision the quadrature takes the density in."""
-    return [np.asarray(a, dtype=np.longdouble) for a in axes]
-
-
 def _fresh_integral(state, top, n_chi, n_theta):
     """The integral of the density on [0, top] x [0, pi], with the rules built afresh."""
     chi, wchi, theta, wtheta = _gauss_axes(top, n_chi, n_theta)
-    return 2.0 * math.pi * float(wchi @ kepler._density(state, *_long(chi, theta)) @ wtheta)
+    return 2.0 * math.pi * float(wchi @ kepler._density(state, chi, theta) @ wtheta)
 
 
 def _normalize_oracle(state, n_chi, n_theta):
@@ -563,12 +559,12 @@ def _mp_density(st, chi, theta):
 def _density_errors(state, stride=(17, 9)):
     """Largest distance of the density from _mp_density over a stride of each grid
     normalize() samples, relative to that grid's largest value: the 128 x 64
-    quadrature grid in long double and, on H3, the float64 cutoff probe."""
+    quadrature grid and, on H3, the cutoff probe, which takes no lo parts."""
     top = kepler._h3_chi_cutoff(state) if state.space is H3 else math.pi
     chi, _, theta, _ = _gauss_axes(top, 128, 64)
-    grids = [(_long(chi, theta), stride)] + ([(kepler._H3_PROBE, (50, 1))] if state.space is H3 else [])
-    for (chi, theta), (di, dj) in grids:
-        dens = kepler._density(state, chi, theta)
+    grids = [((chi, theta), stride, True)] + ([(kepler._H3_PROBE, (50, 1), False)] if state.space is H3 else [])
+    for (chi, theta), (di, dj), split in grids:
+        dens = kepler._density(state, chi, theta, split)
         assert dens.dtype == np.float64 and np.isfinite(dens).all()
         worst = max(
             abs(dens[i, j] - _mp_density(state, float(chi[i]), float(theta[j])))
@@ -593,7 +589,20 @@ def test_density_matches_the_square_of_psi_for_a_complex_shift(space, e):
     assert max(_density_errors(st, stride=(5, 3))) <= 1e-14
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is float64 here: no lo parts")
+def test_density_matches_the_square_of_psi_for_complex_h3_coefficients():
+    """alpha1 + 1e-3j makes F1's coefficients complex on H3, where t1 and t2 are real."""
+    st = perturbed(assemble_state(H3, 100.0, QuantumNumbers(1, 0, 1)), alpha1=1e-3j)
+    assert max(_density_errors(st, stride=(5, 3))) <= 1e-14
+
+
+def test_rounding_is_the_exact_error_of_the_product():
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal(200) * 10.0 ** rng.integers(-30, 30, 200), rng.standard_normal(200)
+    err = kepler._rounding(a, b, a * b)
+    for x, y, p, e in zip(a, b, a * b, err):
+        assert Fraction(x) * Fraction(y) == Fraction(p) + Fraction(e)
+
+
 def test_density_rule_sum_matches_mpmath_at_a_large_degree():
     """A 24 x 12 rule at H3 e=400, state (10,4,0), where F1 has degree 10 and its
     terms cancel to 1e-7 of their size: the sum of the density within 1e-12 of
@@ -601,7 +610,7 @@ def test_density_rule_sum_matches_mpmath_at_a_large_degree():
     lo parts, share that rounding along a whole row or column and read 1.5e-12."""
     st = assemble_state(H3, 400.0, QuantumNumbers(10, 4, 0))
     chi, wchi, theta, wtheta = _gauss_axes(kepler._h3_chi_cutoff(st), 24, 12)
-    got = float(wchi @ kepler._density(st, *_long(chi, theta)) @ wtheta)
+    got = float(wchi @ kepler._density(st, chi, theta) @ wtheta)
     with mpmath.workdps(ORACLE_DPS):
         want = mpmath.fsum(
             mpmath.mpf(wc) * mpmath.mpf(wt) * _mp_density(st, ch, th)
@@ -614,18 +623,18 @@ def test_density_rule_sum_matches_mpmath_at_a_large_degree():
 @pytest.mark.parametrize("theta", [0.0, 1e-6, 1e-4])
 def test_density_is_exact_near_the_far_axis(theta):
     """H3 e=5, state (0,1,0): |Psi|^2 sinh^2(chi) = (1 + 1.5 t2)^2 e^{-7 chi} sinh^2(chi) with
-    t2 = -2 sin^2(theta/2) sinh(chi) e^{chi}, out where the chart's t1 rounds to 1, in
-    either precision of the axes."""
+    t2 = -2 sin^2(theta/2) sinh(chi) e^{chi}, out where the chart's t1 rounds to 1, with
+    lo parts and without."""
     st = assemble_state(H3, 5.0, QuantumNumbers(0, 1, 0))
     chis = np.array([5.0, 10.0, 15.0, 18.0, 25.0])
-    for axes in ((chis, np.array([theta])), _long(chis, [theta])):
-        got = kepler._density(st, *axes)[:, 0]
+    for split in (True, False):
+        got = kepler._density(st, chis, np.array([theta]), split)[:, 0]
         with mpmath.workdps(ORACLE_DPS):
             for g, chi in zip(got, chis):
                 chi = mpmath.mpf(chi)
                 t2 = -2 * mpmath.sin(mpmath.mpf(theta) / 2) ** 2 * mpmath.sinh(chi) * mpmath.exp(chi)
                 want = (1 + 1.5 * t2) ** 2 * mpmath.exp(-7 * chi) * mpmath.sinh(chi) ** 2
-                assert abs(g - want) <= 1e-13 * want, (axes[0].dtype, theta, chi)
+                assert abs(g - want) <= 1e-13 * want, (split, theta, chi)
 
 
 @pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 100.0)])
@@ -635,8 +644,8 @@ def test_density_takes_no_complex_exponential(monkeypatch, space, e):
     seen = []
     exp = np.exp
     monkeypatch.setattr(np, "exp", lambda x, *a, **kw: seen.append(np.asarray(x).dtype) or exp(x, *a, **kw))
-    for axes in ((chi, theta), _long(chi, theta)):
-        assert kepler._density(st, *axes).dtype == np.float64
+    for split in (True, False):
+        assert kepler._density(st, chi, theta, split).dtype == np.float64
     assert seen and all(dtype.kind == "f" for dtype in seen)
 
 
