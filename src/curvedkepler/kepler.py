@@ -24,6 +24,7 @@ form whose powers take no branch (:func:`psi_prefactor`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Any
@@ -292,6 +293,21 @@ def factor(state: StateParams, which: int) -> SeparatedFactor:
     raise ParameterError(f"factor index must be 1 or 2, got {which}")
 
 
+def lone_point_as_pair(fn):
+    """fn(state, t1, t2, phi) on chart arrays, a lone point run as a pair: numpy's loops
+    round one element unlike its array loops, and so a point keeps the bits it has in a batch."""
+    @functools.wraps(fn)
+    def run(state, t1, t2, phi):
+        t1, t2 = np.asarray(t1), np.asarray(t2)
+        if t1.size == t2.size == np.size(phi) == 1:
+            shape = np.broadcast_shapes(t1.shape, t2.shape, np.shape(phi))
+            return fn(state, *(np.resize(a, 2) for a in (t1, t2, phi)))[:1].reshape(shape)
+        return fn(state, t1, t2, phi)
+
+    return run
+
+
+@lone_point_as_pair
 def wavefunction_values(state: StateParams, t1, t2, phi) -> np.ndarray:
     """Psi = F1(t1) F2(t2) (t1 t2)^{|m|/2} ((1-t1)/(1-t2))^{b1} e^{i m phi}.
 
@@ -300,13 +316,8 @@ def wavefunction_values(state: StateParams, t1, t2, phi) -> np.ndarray:
     The arithmetic follows the dtype of t1, t2 and the parameters
     (:func:`~curvedkepler.specfun.scaled_series`): float64 for the real
     values of the H3 chart, complex128 on S3 or for complex input.  A lone
-    point runs as a pair: numpy's loops round one element unlike its array
-    loops, and so a point keeps the bits it has in a batch.
+    point runs as a pair (:func:`lone_point_as_pair`).
     """
-    t1, t2 = np.asarray(t1), np.asarray(t2)
-    if t1.size == t2.size == np.size(phi) == 1:
-        shape = np.broadcast_shapes(t1.shape, t2.shape, np.shape(phi))
-        return wavefunction_values(state, *(np.resize(a, 2) for a in (t1, t2, phi)))[:1].reshape(shape)
     (f1,), s1 = scaled_series(factor(state, 1).params, t1)
     (f2,), s2 = scaled_series(factor(state, 2).params, t2)
     return f1 * f2 * psi_prefactor(state, t1, t2, s1 + s2, phi)

@@ -21,6 +21,7 @@ the equations that define it, and reports the outcome as a
 from __future__ import annotations
 
 import math
+import weakref
 from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
@@ -33,6 +34,7 @@ from .kepler import (
     SeparatedFactor,
     StateParams,
     factor,
+    lone_point_as_pair,
     psi_prefactor,
     wavefunction_values,
 )
@@ -52,6 +54,8 @@ COUPLING_IDENTITY_TOL = 1e-12
 SINGULAR_SKIP = 1e-6
 
 _DEFAULT_FD_STEP = 5e-4
+
+_last: dict = {}  # {"entry": (batch weakrefs, state, sample key, evaluation)} of the last eigen-residual
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +245,19 @@ def _b_operator_core(state: StateParams | Level, space: SpaceTag, t1, t2, jets) 
     )
 
 
+@lone_point_as_pair
 def apply_hamiltonian(state: StateParams, t1, t2, phi) -> np.ndarray:
-    """H Psi with exact separated derivatives, arrays in chart coordinates."""
+    """H Psi with exact separated derivatives, arrays in chart coordinates; a lone point runs as a pair."""
     t, jets, p = _jets(state, t1, t2, phi)
     return _hamiltonian_core(state, state.space, *t, jets) * p
 
 
+@lone_point_as_pair
 def apply_b_operator(state: StateParams, t1, t2, phi) -> np.ndarray:
     """B Psi: the second separation operator, exact derivatives.
 
     Same differential structure in both models; only the scalar
-    coupling differs (e on H3, -ie on S3).
+    coupling differs (e on H3, -ie on S3).  A lone point runs as a pair.
     """
     t, jets, p = _jets(state, t1, t2, phi)
     return _b_operator_core(state, state.space, *t, jets) * p
@@ -270,21 +276,27 @@ def _eigen_residual(state, space, sample, core, eigenvalue, tolerance):
     O Psi is ``core`` of the given space times the prefactor; the residuals
     pass the state's own space, and the other one makes a mismatch
     control.  O Psi and Psi = f1 f2 e^(i m phi) share one exact-derivative
-    jet per factor, so each factor is evaluated once.  Points within
-    SINGULAR_SKIP of a singular locus are skipped.  ``eigenvalue`` maps a
-    state to its eigenvalue; a level gives a report per state, from one stack.
+    jet per factor.  Points within SINGULAR_SKIP of a singular locus are
+    skipped.  Until a batch is freed, the next call on the same state object
+    and batches of the same dtype, shape and bytes reuses the jets, prefactor
+    and Psi.  ``eigenvalue`` maps a state to its eigenvalue; a level gives a
+    report per state, from one stack.
     """
-    batches = _samples(state, sample)
-    keep = [_batch(b).clearance() >= SINGULAR_SKIP for b in batches]
-    counts = [int(np.count_nonzero(k)) for k in keep]
-    if not all(counts):
-        raise DomainError("every sample point sits on a singular chart locus")
-    rows = zip(*[(b.t1[k], b.t2[k], b.phi[k]) for b, k in zip(batches, keep)])
-    t1, t2, phi = (_stacked(state, r) for r in rows)
-    t, jets, p = _jets(state, t1, t2, phi)
-    psi = jets[0][0] * jets[1][0] * p
-    eig, unit = per_state(state, lambda s: (eigenvalue(s), 1.0 + abs(eigenvalue(s))))
-    residual = core(state, space, *t, jets) * p - eig * psi
+    batches = [_batch(b) for b in _samples(state, sample)]
+    key = tuple((a.dtype.str, a.shape, a.tobytes()) for b in batches for a in (b.t1, b.t2, b.phi))
+    if (entry := _last.get("entry")) is None or entry[1] is not state or entry[2] != key:
+        keep = [b.clearance() >= SINGULAR_SKIP for b in batches]
+        counts = [int(np.count_nonzero(k)) for k in keep]
+        if not all(counts):
+            raise DomainError("every sample point sits on a singular chart locus")
+        rows = zip(*[(b.t1[k], b.t2[k], b.phi[k]) for b, k in zip(batches, keep)])
+        t1, t2, phi = (_stacked(state, r) for r in rows)
+        t, jets, p = _jets(state, t1, t2, phi)
+        refs = [weakref.ref(b, lambda _: _last.clear()) for b in batches]
+        _last["entry"] = entry = (refs, state, key, (keep, counts, t, phi, jets, p, jets[0][0] * jets[1][0] * p))
+    keep, counts, (t1, t2), phi, jets, p, psi = entry[3]
+    eig, unit = per_state(state, lambda s: ((v := eigenvalue(s)), 1.0 + abs(v)))
+    residual = core(state, space, t1, t2, jets) * p - eig * psi
     sizes, points = [k.size for k in keep], (t1.real, t1.imag, t2.real, t2.imag, phi)
     return _reports(state, tolerance, counts, sizes, residual, unit * np.abs(psi), *points)
 
@@ -300,6 +312,7 @@ def hamiltonian_residual(
     magnitude even when the eigenvalue is zero (possible on S3 when
     e^2 = k^2 (k^2 - 1)); |eps Psi| alone would then degenerate to an
     absolute comparison against unnormalized Psi.  A level takes a batch per state.
+    H and :func:`b_operator_residual` share Psi's evaluation on one state and sample while it lives.
     """
     return _eigen_residual(state, state.space, sample, _hamiltonian_core, lambda s: s.epsilon, tolerance)
 
@@ -312,7 +325,8 @@ def b_operator_residual(
     """(B Psi - (k1+k2) Psi) over chart points, relative to 1 + (1 + |k1+k2|) |Psi|.
 
     The eigenvalue alone cannot set the scale because k1 + k2 = 0 for
-    every ground state on S3.  A level takes a batch per state.
+    every ground state on S3.  A level takes a batch per state.  Psi's
+    evaluation is shared as in :func:`hamiltonian_residual`.
     """
     return _eigen_residual(state, state.space, sample, _b_operator_core, lambda s: s.k1 + s.k2, tolerance)
 
