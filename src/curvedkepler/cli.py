@@ -30,16 +30,9 @@ import sys
 import numpy as np
 
 from .errors import CurvedKeplerError
-from .geometry import SphericalPoint, flat_limit_coords, spherical_to_parabolic
-from .kepler import (
-    QuantumNumbers,
-    assemble_state,
-    bound_count_h3,
-    bound_interval_h3,
-    energy_split,
-    is_admissible,
-    wavefunction_values,
-)
+from .geometry import flat_limit_coords
+from .kepler import (QuantumNumbers, _psi_grid, assemble_state, bound_count_h3, bound_interval_h3, energy_split,
+                     is_admissible)
 from .spaces import Model, space_from_name
 from .verify import SUITES, all_passed, run_suites
 
@@ -223,20 +216,10 @@ def cmd_eval(ns: argparse.Namespace) -> tuple[str, int]:
         raise UsageError("S3 grid needs chi <= pi")
     if np.any(ns.grid_chi < 0) or np.any(ns.grid_chi > 350.0):
         raise UsageError("chi grid must lie in [0, 350]")
-    cc, tt, pp = np.meshgrid(ns.grid_chi, ns.grid_theta, ns.grid_phi, indexing="ij")
-    cc, tt, pp = cc.ravel(), tt.ravel(), pp.ravel()
-    chart = spherical_to_parabolic(ns.space, SphericalPoint(cc, tt, 0.0))
-    t1, t2 = chart.t1, chart.t2
-    skip = (t1 == 1.0) | (t2 == 1.0)
-    re = np.zeros_like(cc)
-    im = np.zeros_like(cc)
-    good = ~skip
-    if good.any():
-        psi = wavefunction_values(state, t1[good], t2[good], pp[good])
-        re[good] = psi.real
-        im[good] = psi.imag
-    cells = np.column_stack([re, im, re * re + im * im])
-    block = _eval_rows(ns, skip[:: len(ns.grid_phi)], cells)
+    if np.any(ns.grid_theta < 0) or np.any(ns.grid_theta > math.pi):
+        raise UsageError("theta grid must lie in [0, pi]")
+    psi = _psi_grid(state, ns.grid_chi, ns.grid_theta, ns.grid_phi).ravel()
+    block = _eval_rows(ns, np.column_stack([psi.real, psi.imag, psi.real**2 + psi.imag**2]))
     if ns.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -258,12 +241,12 @@ def cmd_eval(ns: argparse.Namespace) -> tuple[str, int]:
     return head + "\n" + block, 0
 
 
-# Per format: row start, cell separator, row end, and the cell and `skipped`
-# formats (None: the C encoder's JSON text, as in the indent=2 layout).
+# Per format: row start, cell separator, row end, the cell format (None: the
+# C encoder's JSON text, as in the indent=2 layout) and the `skipped` text.
 _EVAL_LAYOUT = {
-    "csv": ("", ",", "\n", MACHINE_FMT, "%d"),
-    "human": ("", "  ", "\n", "%12.6g", "%12.6g"),
-    "json": ("\n    [\n      ", ",\n      ", "\n    ],", None, None),
+    "csv": ("", ",", "\n", MACHINE_FMT, "0"),
+    "human": ("", "  ", "\n", "%12.6g", "%12s" % 0),
+    "json": ("\n    [\n      ", ",\n      ", "\n    ],", None, "0.0"),
 }
 
 
@@ -275,25 +258,20 @@ def _texts(spec: str | None, values: list) -> list[str]:
     return ((spec + "\n") * len(values) % tuple(values)).split("\n")[:-1]
 
 
-def _eval_rows(ns: argparse.Namespace, block_skip: np.ndarray, cells: np.ndarray) -> str:
+def _eval_rows(ns: argparse.Namespace, cells: np.ndarray) -> str:
     """The grid's rows in meshgrid `ij` order; `cells` holds one
     `(re_psi, im_psi, abs_psi2)` row per point.
 
-    The axis and `skipped` text is formatted once per axis entry and
-    written into the row template as literal text (none of it holds a `%`);
-    one `%` then fills the three value cells of every point.  `skipped` is
-    constant over each `(chi, theta)` block, since the chart ignores phi.
+    The axis text is formatted once per axis entry and written, with the
+    constant `skipped` text, into the row template as literal text (none of
+    it holds a `%`); one `%` then fills the three value cells of every point.
     """
-    start, sep, end, spec, flag = _EVAL_LAYOUT[ns.format]
+    start, sep, end, spec, skipped = _EVAL_LAYOUT[ns.format]
     axes = (ns.grid_chi, ns.grid_theta, ns.grid_phi)
     chi, theta, phi = (_texts(spec, axis.tolist()) for axis in axes)
     point = sep.join([spec or "%s"] * 3)
-    tails = [[f"{p}{sep}{point}{sep}{s}{end}" for p in phi] for s in _texts(flag, [0.0, 1.0])]
-    blocks = []
-    for c, skips in zip(chi, block_skip.reshape(len(chi), -1).tolist()):
-        for t, skipped in zip(theta, skips):
-            prefix = f"{start}{c}{sep}{t}{sep}"
-            blocks.append(prefix + prefix.join(tails[skipped]))
+    tails = [f"{p}{sep}{point}{sep}{skipped}{end}" for p in phi]
+    blocks = [prefix + prefix.join(tails) for c in chi for prefix in (f"{start}{c}{sep}{t}{sep}" for t in theta)]
     # The value lists stay unnamed temporaries: bound to names, they raised
     # the process's peak RSS.
     if spec is None:

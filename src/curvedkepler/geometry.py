@@ -143,7 +143,8 @@ class SphericalPoint:
 class ParabolicPoints:
     """Parabolic chart points (t1, t2, phi): parallel arrays, 0-d for one point.
 
-    The three arrays are broadcast to one shape; t1 and t2 share one
+    The three arrays are broadcast to one shape (an expanded one is
+    copied, so each point holds its own values); t1 and t2 share one
     dtype, float64 when both are given real (as the H3 chart makes them)
     and complex128 otherwise, and phi is reduced into [0, 2 pi) before
     the broadcast.  Iterating yields the points one by one, in flat
@@ -156,14 +157,10 @@ class ParabolicPoints:
 
     def __post_init__(self) -> None:
         dtype = complex if np.iscomplexobj(self.t1) or np.iscomplexobj(self.t2) else float
-        t1, t2, phi = np.broadcast_arrays(
-            np.asarray(self.t1, dtype=dtype),
-            np.asarray(self.t2, dtype=dtype),
-            _norm_phi(np.asarray(self.phi, dtype=float)),
-        )
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "t2", t2)
-        object.__setattr__(self, "phi", phi)
+        given = [np.asarray(self.t1, dtype), np.asarray(self.t2, dtype), _norm_phi(np.asarray(self.phi, float))]
+        # a copy where the broadcast expanded an array: its stride-0 view would write one value to every point
+        for name, a, b in zip(("t1", "t2", "phi"), given, np.broadcast_arrays(*given)):
+            object.__setattr__(self, name, b if b.shape == a.shape else b.copy())
 
     def __len__(self) -> int:
         return self.t1.size

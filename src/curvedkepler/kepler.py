@@ -317,6 +317,11 @@ def wavefunction_values(state: StateParams, t1, t2, phi) -> np.ndarray:
     (:func:`~curvedkepler.specfun.scaled_series`): float64 for the real
     values of the H3 chart, complex128 on S3 or for complex input.  A lone
     point runs as a pair (:func:`lone_point_as_pair`).
+
+    The far-axis limit: on H3 near theta = 0, 1 - t1 = O(e^{-2 chi}) is read from a rounded t1.  At e = 5,
+    state (0,1,0), Psi reads within 3e-14 out to chi = 2.5 (the samplers' range), theta = 0 included, then
+    1.1e-13 at chi = 3 and 4.5e-12 at chi = 5; t1 rounds to 1 near chi = 19.  ``eval`` and ``normalize``
+    take the separated form, which has no such limit.
     """
     (f1,), s1 = scaled_series(factor(state, 1).params, t1)
     (f2,), s2 = scaled_series(factor(state, 2).params, t2)
@@ -441,19 +446,18 @@ def _rounding(a, b, ab):
     return ((ah * bh - ab) + ah * bl + al * bh) + al * bl
 
 
-def _density(state: StateParams, chi: np.ndarray, theta: np.ndarray, split: bool = True) -> np.ndarray:
-    """|Psi|^2 times the volume weight sinh^2(chi) or sin^2(chi), on the outer product of the axes.
+def _separated(state: StateParams, chi: np.ndarray, theta: np.ndarray, power: int, split: bool = True):
+    """(F1 F2 |e^E| rad^(power - |m|) on the outer product of the axes, rows chi; ``big``), rad = sinh or sin(chi).
 
-    t1 = (1 + cos theta) u1(chi) and t2 = (1 - cos theta) u2(chi), u1 = sinh(chi) e^{-chi} and u2 =
-    -sinh(chi) e^{chi} on H3, u1 = sin(chi) e^{i(pi/2 - chi)} = conj(u2) on S3, so F = sum c_p t^p is
-    a theta matrix, rows (2 cos^2(theta/2))^p or (2 sin^2(theta/2))^p, times a chi matrix, rows c_p u^p
-    (c_p u^{p-n}, with n log|u| in the exponent, where |u| > 1).  sin(theta)^|m| starts F1's theta rows,
-    and the rest of |e^E| (:func:`_psi_exponent`), F2's scale and the root of the weight make one real
-    exponent that starts F2's chi rows, so |F1 F2|^2 overflows where |Psi|^2 does.  With ``split`` and
-    real arithmetic each entry carries its rounding as a lo part (:func:`_rounding`), and F is
-    [A A A_lo] @ [U; U_lo; U]: on H3 the terms of F cancel, and an entry rounded once would share its
-    error along a grid row or column, which the rule sums do not average out.  S3 (|t| <= 2) stays in
-    complex float64, and the H3 cutoff probe, which needs only a profile, takes no lo parts.
+    t1 = (1 + cos theta) u1(chi) and t2 = (1 - cos theta) u2(chi), u1 = sinh(chi) e^{-chi} and u2 = -sinh(chi) e^{chi}
+    on H3, u1 = sin(chi) e^{i(pi/2 - chi)} = conj(u2) on S3, so F = sum c_p t^p is a theta matrix, rows
+    (2 cos^2(theta/2))^p or (2 sin^2(theta/2))^p, times a chi matrix, rows c_p u^p (c_p u^{p-n}, with n log|u| in
+    the exponent, where ``big``: |u| > 1).  sin(theta)^|m| starts F1's theta rows, and the rest of |e^E|
+    (:func:`_psi_exponent`), F2's scale and rad^power make one real exponent that starts F2's chi rows.  With
+    ``split`` and real arithmetic each entry carries its rounding as a lo part (:func:`_rounding`), and F is
+    [A A A_lo] @ [U; U_lo; U]: on H3 the terms of F cancel, and an entry rounded once would share its error along a
+    grid row or column.  S3 (|t| <= 2) stays in complex float64.  The phases are :func:`_psi_grid`'s: i^|m| and
+    (-1)^n2 where ``big[1]`` (u2 < 0) on H3, e^{-2i Re(b1) chi} on S3 (|u| = sin(chi) <= 1), and (1 - t2)^{b1+b2}'s.
     """
     am, shift = abs(state.qn.m), drop_zero_imag(state.b1 + state.b2)
     if state.space.model is Model.H3:
@@ -461,7 +465,10 @@ def _density(state: StateParams, chi: np.ndarray, theta: np.ndarray, split: bool
     else:
         rad, rate = np.sin(chi), 2.0 * state.b1.imag
         u = rad * (rad + np.multiply.outer([1j, -1j], np.cos(chi)))
-    expo = (am + 1) * np.log(rad) + rate * chi
+    expo = rate * chi
+    if power:  # no 0 log 0 at chi = 0
+        with np.errstate(divide="ignore"):
+            expo = power * np.log(rad) + expo
     params = [factor(state, i).params for i in (1, 2)]
     real = u.dtype.kind == "f" and not any(z.imag for p in params for z in (p.alpha, p.beta, p.gamma))
     split, coef = split and real, [series_coefficients(p, real)[:, None] for p in params]
@@ -487,13 +494,31 @@ def _density(state: StateParams, chi: np.ndarray, theta: np.ndarray, split: bool
         f = fi if f is None else np.multiply(f, fi, out=fi)
     if shift:
         f *= np.exp((shift * np.log(1.0 - np.multiply.outer(a[1], u[1]))).real)
-    return (f.real**2 + f.imag**2 if np.iscomplexobj(f) else f * f).T
+    return f.T, big
+
+
+def _density(state: StateParams, chi: np.ndarray, theta: np.ndarray, split: bool = True) -> np.ndarray:
+    """|Psi|^2 times the weight sinh^2 or sin^2(chi): :func:`_separated` squared, the weight's root in its exponent."""
+    f = _separated(state, chi, theta, abs(state.qn.m) + 1, split)[0]
+    return f.real**2 + f.imag**2 if np.iscomplexobj(f) else f * f
+
+
+def _psi_grid(state: StateParams, chi: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Psi on the outer product of the chi, theta and phi axes: :func:`_separated` with its phases put back
+    (i^|m| and the sign of the split-off u2^n2 on H3, e^{-2i Re(b1) chi} on S3), times e^{i m phi}."""
+    (f, big), m = _separated(state, chi, theta, abs(state.qn.m)), state.qn.m
+    if state.space.model is Model.H3:
+        phase = 1j ** abs(m) * np.where(big[1], (-1.0) ** state.qn.n2, 1.0)
+    else:
+        phase = np.exp(-2j * state.b1.real * chi)
+    # + 0.0 turns the zeros of Psi (on the axis when m != 0) into 0, never -0
+    return np.multiply.outer(f * phase[:, None], np.exp(1j * m * phi)) + 0.0
 
 
 def _h3_chi_cutoff(state: StateParams) -> float:
     """Radial truncation point where the density falls below the cutoff."""
-    # a normalizable profile stays finite out to chi = 300 (the density underflows long before
-    # the volume weight can overflow), so overflow in the probe proves the state is not normalizable
+    # a normalizable profile stays finite out to chi = 300 (the density underflows long before the volume
+    # weight can overflow), so overflow in the probe proves the state is not normalizable; a profile needs no lo parts
     with np.errstate(over="ignore", invalid="ignore"):
         profile = _density(state, *_H3_PROBE, split=False).max(axis=1)
     finite = np.isfinite(profile)

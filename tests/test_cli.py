@@ -12,18 +12,17 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from curvedkepler import (
+    H3,
     QuantumNumbers,
     S3,
-    SphericalPoint,
     assemble_state,
     enumerate_states,
     space_from_name,
-    spherical_to_parabolic,
-    wavefunction_values,
 )
 from curvedkepler import cli
 from curvedkepler.cli import (
@@ -118,7 +117,42 @@ def test_state_inadmissible_exits_2():
     assert "not bound" in err
 
 
+ORACLE_DPS = 40
+
+
+def _mp_psi(st, chi, theta, phi):
+    """Psi at one grid point at ORACLE_DPS digits, from the chart's t1 and t2.
+
+    F1 and F2 are the terminating series of the state's own float
+    parameters; (t1 t2)^{|m|/2} takes the principal branch (t1 t2 <= 0 on
+    H3, >= 0 on S3), and ((1-t1)/(1-t2))^{b1} too on H3, where the ratio is
+    positive; on S3 the closed form takes the ratio as e^{-2i chi}.
+    """
+    with mpmath.workdps(ORACLE_DPS):
+        chi, c = mpmath.mpf(chi), mpmath.cos(mpmath.mpf(theta))
+        b1 = mpmath.mpc(st.b1)
+        if st.space is H3:
+            rad = mpmath.sinh(chi)
+            t1, t2 = (1 + c) * rad * mpmath.exp(-chi), -(1 - c) * rad * mpmath.exp(chi)
+            amp = ((1 - t1) / (1 - t2)) ** b1
+        else:
+            w = mpmath.sin(chi) * mpmath.expj(mpmath.pi / 2 - chi)
+            t1, t2 = (1 + c) * w, (1 - c) * mpmath.conj(w)
+            amp = mpmath.exp(-2j * b1 * chi)
+        m = st.qn.m
+        amp *= (mpmath.mpc(t1) * t2) ** (mpmath.mpf(abs(m)) / 2) * mpmath.expj(m * mpmath.mpf(phi))
+        for t, (al, be, ga) in ((t1, (st.alpha1, st.beta1, st.gamma1)), (t2, (st.alpha2, st.beta2, st.gamma2))):
+            al, be, ga = (mpmath.mpc(z) for z in (al, be, ga))
+            term = total = mpmath.mpf(1)
+            for j in range(int(round(-be.real))):
+                term *= (al + j) * (be + j) / ((ga + j) * (1 + j)) * t
+                total += term
+            amp *= total
+        return complex(amp)
+
+
 def test_eval_single_point_matches_library_bits():
+    """A lone point prints the bits of the separated evaluator on that one-point grid, within 1e-14 of mpmath."""
     argv = [
         "eval", "--space", "s3", "--e", "2", "--n1", "0", "--n2", "0", "--m", "1",
         "--grid-chi", "0.7:0.7:1", "--grid-theta", "1.1:1.1:1", "--grid-phi", "0.4:0.4:1",
@@ -129,14 +163,15 @@ def test_eval_single_point_matches_library_bits():
     assert lines[0] == ",".join(EVAL_COLUMNS)
     fields = lines[1].split(",")
     st = assemble_state(S3, 2.0, QuantumNumbers(0, 0, 1))
-    p = spherical_to_parabolic(S3, SphericalPoint(0.7, 1.1, 0.4))
-    psi = complex(wavefunction_values(st, [p.t1], [p.t2], [0.4])[0])
+    psi = complex(cli._psi_grid(st, np.array([0.7]), np.array([1.1]), np.array([0.4]))[0, 0, 0])
     assert fields[0] == MACHINE_FMT % 0.7
     assert fields[3] == MACHINE_FMT % psi.real
     assert fields[4] == MACHINE_FMT % psi.imag
     assert fields[5] == MACHINE_FMT % (psi.real**2 + psi.imag**2)
     assert fields[6] == "0"
     assert out.endswith("\n") and "\r" not in out
+    want = _mp_psi(st, 0.7, 1.1, 0.4)
+    assert abs(complex(float(fields[3]), float(fields[4])) - want) <= 1e-14 * abs(want)
 
 
 def test_eval_axis_point_with_m_is_zero_not_skipped():
@@ -150,6 +185,74 @@ def test_eval_axis_point_with_m_is_zero_not_skipped():
     fields = out.splitlines()[1].split(",")
     assert fields[3] == "0" and fields[4] == "0" and fields[5] == "0"
     assert fields[6] == "0"
+
+
+def _eval_table(argv):
+    """The rows of a CSV `eval` run as floats, with the exit code and the text."""
+    rc, out, _ = run_cli(argv + ["--format", "csv"])
+    return rc, out, np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+
+
+FAR_AXIS_CHI = (2.0, 5.0, 10.0, 15.0, 18.0, 25.0)
+
+
+def _far_axis_psi(chi, theta):
+    """H3 e=5, state (0,1,0): (1-t1)/(1-t2) = e^{-2 chi}, so Psi = (1 + 1.5 t2) e^{-3.5 chi}, at ORACLE_DPS digits."""
+    with mpmath.workdps(ORACLE_DPS):
+        chi = mpmath.mpf(chi)
+        t2 = -2 * mpmath.sin(mpmath.mpf(theta) / 2) ** 2 * mpmath.sinh(chi) * mpmath.exp(chi)
+        return float((1 + mpmath.mpf(1.5) * t2) * mpmath.exp(-mpmath.mpf(3.5) * chi))
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-6, 1e-4, 1e-2, 0.3])
+def test_eval_reads_the_far_axis_table(theta):
+    """Every cell of the far-axis table, where the chart's t1 loses 1 - t1 (and rounds to 1
+    from chi = 19), within 1e-13 of mpmath through `eval`."""
+    base = ["eval", "--space", "h3", "--e", "5", "--n1", "0", "--n2", "1", "--m", "0", "--grid-phi", "0:0:1"]
+    for chi in FAR_AXIS_CHI:
+        rc, _, rows = _eval_table(base + [f"--grid-chi={chi!r}:{chi!r}:1", f"--grid-theta={theta!r}:{theta!r}:1"])
+        assert rc == 0 and rows.shape == (1, 7)
+        want = _far_axis_psi(chi, theta)
+        assert abs(rows[0, 3] - want) <= 1e-13 * abs(want), (chi, theta)
+        assert rows[0, 4] == 0 and rows[0, 6] == 0
+
+
+def test_eval_prints_every_far_axis_row():
+    """chi from 15 to 40 on the axis theta = 0: six rows, none skipped, each within 1e-13 of e^{-3.5 chi}."""
+    rc, out, rows = _eval_table(
+        ["eval", "--space", "h3", "--e", "5", "--n1", "0", "--n2", "1", "--m", "0",
+         "--grid-chi", "15:40:6", "--grid-theta", "0:0:1", "--grid-phi", "0:0:1"]
+    )
+    assert rc == 0 and rows.shape == (6, 7)
+    assert rows[:, 0].tolist() == [15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
+    assert (rows[:, 6] == 0).all() and (rows[:, 4] == 0).all()
+    for chi, psi in zip(rows[:, 0], rows[:, 3]):
+        assert abs(psi - _far_axis_psi(chi, 0.0)) <= 1e-13 * _far_axis_psi(chi, 0.0)
+
+
+AXIS_GRIDS = [
+    # chi and theta through 0, pi/2 and pi (the chart's t = 1 on S3), so also chi = 0 with m = 0 and m != 0
+    ("s3", 2.0, (1, 1, 1), ("0:3.141592653589793:9", "0:3.141592653589793:9", "0:6:3")),
+    ("s3", 2.0, (0, 2, 0), ("0:3.141592653589793:9", "0:3.141592653589793:9", "0:6:3")),
+    ("s3", 10.0, (2, 0, -1), ("0:3.141592653589793:9", "0:3.141592653589793:5", "-1:6:3")),
+    ("h3", 10.0, (1, 0, 1), ("0:3:7", "0:3.141592653589793:5", "0:6:3")),
+    ("h3", 10.0, (0, 1, 0), ("0:6:7", "0:3.141592653589793:5", "0:6:2")),
+    ("h3", 30.0, (1, 1, -1), ("0:6:7", "0:3.141592653589793:5", "-1:6:3")),
+]
+
+
+@pytest.mark.parametrize("case", AXIS_GRIDS, ids=lambda c: f"{c[0]}-{c[1]:g}-{c[2][0]}{c[2][1]}{c[2][2]}")
+def test_eval_matches_mpmath_on_grids_through_the_axes(case):
+    """Finite everywhere, within 1e-13 of mpmath relative to the grid's largest |Psi|, and no -0 printed."""
+    space, e, qn, grids = case
+    rc, out, rows = _eval_table(_eval_argv(space, e, qn, grids, "csv")[:-2])
+    assert rc == 0 and np.isfinite(rows).all() and (rows[:, 6] == 0).all()
+    assert "-0," not in out and ",-0\n" not in out
+    st = assemble_state(space_from_name(space), e, QuantumNumbers(*qn))
+    want = np.array([_mp_psi(st, *row[:3]) for row in rows])
+    got = rows[:, 3] + 1j * rows[:, 4]
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert (rows[:, 5] == rows[:, 3] ** 2 + rows[:, 4] ** 2).all()
 
 
 def test_eval_default_grid_shape():
@@ -172,6 +275,9 @@ def test_eval_grid_validation():
     assert rc == 2
     rc, _, err = run_cli(base + ["--grid-chi", f"0.5:{math.pi + 0.5}:3"])
     assert rc == 2 and "chi" in err
+    for spec in ("-0.1:1:2", f"1:{math.pi + 1e-9}:2"):
+        rc, out, err = run_cli(base + [f"--grid-theta={spec}"])
+        assert rc == 2 and out == "" and "theta" in err
 
 
 @pytest.mark.parametrize("axis", ["chi", "theta", "phi"])
@@ -186,18 +292,18 @@ def test_eval_grid_rejects_non_finite_bounds(axis, spec):
     assert "RuntimeWarning" not in err
 
 
-# Byte-identity oracle: rows computed as `eval` computes them and printed by
-# the per-value emitters that `eval` used before it formatted whole grids.
+# Byte-identity oracle: the separated evaluator's values (`cli._psi_grid`),
+# printed by the per-value emitters that `eval` used before it formatted
+# whole grids.
 EVAL_CASES = [
     ("s3", 2.0, (1, 1, 1), ("0.2:1.2:3", "0.4:2.7:3", "0:5.5:2")),
     ("h3", 5.0, (0, 1, 0), ("0.2:1.2:3", "0.4:2.7:3", "0:5.5:2")),
     ("s3", 2.0, (0, 1, 0), ("0.1:3.0:9", "0:3.14:7", "-1:6:4")),
     ("h3", 5.0, (0, 1, 0), ("0.1:40:9", "0:3.14:7", "0:6:4")),
     ("s3", 2.0, (0, 0, 1), ("0.7:0.7:1", "1.1:1.1:1", "0.4:0.4:1")),
-    # chi = 175, theta = 0 lands on t1 == 1 and is skipped
+    # chi = 175, theta = 0, where the chart's t1 rounds to 1
     ("h3", 5.0, (0, 0, 0), ("175:175:1", "0:1:3", "0:1:2")),
-    # chi = theta = pi/2 on S3 lands on t1 == 1: one skipped (chi, theta)
-    # block of four phi values among unskipped blocks
+    # chi = theta = pi/2 on S3, where the chart's t1 is 1
     ("s3", 2.0, (0, 1, 1), ("1.2:1.5707963267948966:3", "1.5707963267948966:2:2", "0:6:4")),
     # repeated axis values
     ("s3", 2.0, (1, 0, 1), ("0.5:0.5:3", "0.3:2.9:7", "-1:6:4")),
@@ -220,15 +326,9 @@ def _legacy_eval_text(space, e, qn, grids, fmt):
         lo, hi, n = spec.split(":")
         axes.append(np.linspace(float(lo), float(hi), int(n)))
     cc, tt, pp = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
-    tag = space_from_name(space)
-    chart = spherical_to_parabolic(tag, SphericalPoint(cc, tt, 0.0))
-    skip = (chart.t1 == 1.0) | (chart.t2 == 1.0)
-    re, im = np.zeros_like(cc), np.zeros_like(cc)
-    if not skip.all():
-        state = assemble_state(tag, e, QuantumNumbers(*qn))
-        psi = cli.wavefunction_values(state, chart.t1[~skip], chart.t2[~skip], pp[~skip])
-        re[~skip], im[~skip] = psi.real, psi.imag
-    rows = np.column_stack([cc, tt, pp, re, im, re * re + im * im, skip.astype(float)])
+    psi = cli._psi_grid(assemble_state(space_from_name(space), e, QuantumNumbers(*qn)), *axes).ravel()
+    re, im = psi.real, psi.imag
+    rows = np.column_stack([cc, tt, pp, re, im, re * re + im * im, np.zeros_like(cc)])
     if fmt == "json":
         payload = {
             "schema_version": SCHEMA_VERSION, "command": "eval", "space": space, "e": e,
@@ -274,10 +374,10 @@ SPECIAL_PSI = np.array(
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "human"])
 def test_eval_prints_non_finite_and_signed_zero_like_per_value_emitters(fmt, monkeypatch):
-    def special(state, t1, t2, phi):
-        return np.resize(SPECIAL_PSI, t1.shape)
+    def special(state, chi, theta, phi):
+        return np.resize(SPECIAL_PSI, (chi.size, theta.size, phi.size))
 
-    monkeypatch.setattr(cli, "wavefunction_values", special)
+    monkeypatch.setattr(cli, "_psi_grid", special)
     case = ("s3", 2.0, (0, 1, 0), ("0.3:2.9:3", "0.2:2.8:3", "0:1:2"))
     rc, out, _ = run_cli(_eval_argv(*case, fmt))
     assert rc == 0

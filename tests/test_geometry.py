@@ -694,6 +694,18 @@ def test_parabolic_points_store_one_common_dtype(t1, t2, dtype):
     assert (pts.t1[0], pts.t2[0]) == (0.25, -0.5)
 
 
+@pytest.mark.parametrize("scalar", ["t1", "t2", "phi"])
+def test_a_broadcast_batch_holds_each_point_once(scalar):
+    """An array the batch expands by broadcasting is stored as a copy: writing one element changes one point."""
+    given = {"t1": np.array([0.1, 0.2, 0.3]), "t2": np.array([-1.0, -2.0, -3.0]), "phi": np.array([0.5, 0.5, 0.5])}
+    given[scalar] = given[scalar][0]
+    pts = ParabolicPoints(**given)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on a write through a stride-0 view
+        getattr(pts, scalar)[0] = 0.75
+    assert getattr(pts, scalar).tolist() == [0.75] + [float(given[scalar])] * 2
+
+
 def test_an_s3_batch_given_real_values_maps_like_the_complex_one():
     # chi = pi/2 and theta = pi give t1 = 0 and t2 = 2 conj(w) = 2, both real
     real = ParabolicPoints(np.array([0.0]), np.array([2.0]), 0.5)

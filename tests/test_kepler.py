@@ -637,6 +637,24 @@ def test_density_is_exact_near_the_far_axis(theta):
                 assert abs(g - want) <= 1e-13 * want, (split, theta, chi)
 
 
+@pytest.mark.parametrize("theta", [0.0, 1e-6, 1e-4, 1e-2, 0.15, 0.3, 1.0, math.pi - 0.15, math.pi])
+def test_chart_psi_is_accurate_over_the_samplers_h3_range(theta):
+    """wavefunction_values at the chart's points, H3 e=5 state (0,1,0), chi in [0.05, 2.5] (chart_points draws
+    chi <= 2.5 and theta >= 0.15): within 1e-13 of Psi = (1 + 1.5 t2) e^{-3.5 chi}, theta = 0 included, measured
+    against the size of its terms, (1 + 1.5 |t2|) e^{-3.5 chi}, as Psi has a node near chi = 2.4 at theta = 0.15.
+    Past chi = 2.5 the chart's t1 loses 1 - t1 near the axis (4.5e-12 at chi = 5, theta = 0)."""
+    st = assemble_state(H3, 5.0, QuantumNumbers(0, 1, 0))
+    chis = np.linspace(0.05, 2.5, 50)
+    pts = spherical_to_parabolic(H3, SphericalPoint(chis, np.full_like(chis, theta), 0.0))
+    got = wavefunction_values(st, pts.t1, pts.t2, pts.phi)
+    with mpmath.workdps(ORACLE_DPS):
+        for g, chi in zip(got, chis):
+            chi = mpmath.mpf(chi)
+            t2 = -2 * mpmath.sin(mpmath.mpf(theta) / 2) ** 2 * mpmath.sinh(chi) * mpmath.exp(chi)
+            want, size = ((1 + 1.5 * t) * mpmath.exp(-3.5 * chi) for t in (t2, abs(t2)))
+            assert abs(g - complex(want)) <= 1e-13 * size, (theta, chi)
+
+
 @pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 100.0)])
 def test_density_takes_no_complex_exponential(monkeypatch, space, e):
     st = assemble_state(space, e, QuantumNumbers(2, 1, 1))
