@@ -293,43 +293,42 @@ def factor(state: StateParams, which: int) -> SeparatedFactor:
     raise ParameterError(f"factor index must be 1 or 2, got {which}")
 
 
-def lone_point_as_pair(fn):
-    """fn(state, t1, t2, phi) on chart arrays, a lone point run as a pair: numpy's loops
-    round one element unlike its array loops, and so a point keeps the bits it has in a batch."""
+def state_on_a_row(fn):
+    """fn(level, t1, t2, phi) of one state, as a level of one on its chart arrays flattened to a (1, n) row, in their
+    broadcast shape.  A lone point runs as a pair: numpy's loops round one element unlike its array loops, and so a
+    point keeps the bits it has in a batch."""
     @functools.wraps(fn)
     def run(state, t1, t2, phi):
-        t1, t2 = np.asarray(t1), np.asarray(t2)
-        if t1.size == t2.size == np.size(phi) == 1:
-            shape = np.broadcast_shapes(t1.shape, t2.shape, np.shape(phi))
-            return fn(state, *(np.resize(a, 2) for a in (t1, t2, phi)))[:1].reshape(shape)
-        return fn(state, t1, t2, phi)
+        t1, t2, phi = np.broadcast_arrays(t1, t2, phi)
+        rows = (np.resize(a, (1, 2)) if a.size == 1 else a.reshape(1, -1) for a in (t1, t2, phi))
+        return fn(Level((state,)), *rows)[0, : t1.size].reshape(t1.shape)
 
     return run
 
 
-@lone_point_as_pair
-def wavefunction_values(state: StateParams, t1, t2, phi) -> np.ndarray:
+@state_on_a_row
+def wavefunction_values(state, t1, t2, phi) -> np.ndarray:
     """Psi = F1(t1) F2(t2) (t1 t2)^{|m|/2} ((1-t1)/(1-t2))^{b1} e^{i m phi}.
 
     That is f1 f2 e^{i m phi} with b2 = -b1, over parallel arrays of chart
     coordinates; :func:`psi_prefactor` evaluates the powers with no branch.
     The arithmetic follows the dtype of t1, t2 and the parameters
     (:func:`~curvedkepler.specfun.scaled_series`): float64 for the real
-    values of the H3 chart, complex128 on S3 or for complex input.  A lone
-    point runs as a pair (:func:`lone_point_as_pair`).
+    values of the H3 chart, complex128 on S3 or for complex input.  The
+    state runs as a level of one (:func:`state_on_a_row`).
 
     The far-axis limit: on H3 near theta = 0, 1 - t1 = O(e^{-2 chi}) is read from a rounded t1.  At e = 5,
     state (0,1,0), Psi reads within 3e-14 out to chi = 2.5 (the samplers' range), theta = 0 included, then
     1.1e-13 at chi = 3 and 4.5e-12 at chi = 5; t1 rounds to 1 near chi = 19.  ``eval`` and ``normalize``
     take the separated form, which has no such limit.
     """
-    (f1,), s1 = scaled_series(factor(state, 1).params, t1)
-    (f2,), s2 = scaled_series(factor(state, 2).params, t2)
+    (f1,), s1 = scaled_series([factor(s, 1).params for s in state], t1)
+    (f2,), s2 = scaled_series([factor(s, 2).params for s in state], t2)
     return f1 * f2 * psi_prefactor(state, t1, t2, s1 + s2, phi)
 
 
-def psi_prefactor(state: StateParams | Level, t1, t2, log_scale, phi) -> np.ndarray:
-    """(t1 t2)^{|m|/2} ((1-t1)/(1-t2))^{b1} e^{log_scale + i m phi}, one exponential per point.
+def psi_prefactor(state: Level, t1, t2, log_scale, phi) -> np.ndarray:
+    """(t1 t2)^{|m|/2} ((1-t1)/(1-t2))^{b1} e^{log_scale + i m phi}, one exponential per point, a row per state.
 
     The exponent E without the phase is :func:`_psi_exponent`.  On H3 it
     is real (float64 for real t and b1 + b2) and the phase
@@ -343,7 +342,7 @@ def psi_prefactor(state: StateParams | Level, t1, t2, log_scale, phi) -> np.ndar
     return np.exp(_psi_exponent(state, t1, t2, log_scale + im * phi))
 
 
-def _psi_exponent(state: StateParams | Level, t1, t2, log_scale) -> np.ndarray:
+def _psi_exponent(state: Level, t1, t2, log_scale) -> np.ndarray:
     """E with e^E = (t1 t2)^{|m|/2} ((1-t1)/(1-t2))^{b1} e^{log_scale}, the magnitudes in one exponent.
 
     1 - t1 = e^{-chi} D and 1 - t2 = e^{chi} D on H3 (chi -> i chi on S3),

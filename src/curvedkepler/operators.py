@@ -34,13 +34,13 @@ from .kepler import (
     SeparatedFactor,
     StateParams,
     factor,
-    lone_point_as_pair,
     psi_prefactor,
+    state_on_a_row,
     wavefunction_values,
 )
 from .report import ResidualReport, build_report
 from .spaces import Model, SpaceTag
-from .specfun import drop_zero_imag, each, is_level, per_state, pow_arr, scaled_series
+from .specfun import drop_zero_imag, per_state, pow_arr, scaled_series
 
 ODE_TOL = 1e-10
 HAMILTONIAN_TOL = 1e-9
@@ -62,16 +62,15 @@ _last: dict = {}  # {"entry": (batch weakrefs, state, sample key, evaluation)} o
 # exact factor derivatives
 
 
-def _factor_jet(fac, t: np.ndarray):
-    """Polynomial parts (q, q', q'') of one factor's jet, and its log scale s.
+def _factor_jet(fac: Sequence[SeparatedFactor], t: np.ndarray):
+    """Polynomial parts (q, q', q'') of a level's factor jets, and their log scale s, a row per factor.
 
     f^(j) = t^(a-2) (1-t)^(b-2) e^s q^(j) for j = 0, 1, 2: the product rule
     on t^a = t^(a-2) u and (1-t)^b = (1-t)^(b-2) v with u = t^2 and
     v = (1-t)^2, and F, F', F'' from :func:`scaled_series` with its scale.
-    Real t and parameters give a float64 jet.  A level's factors take t
-    stacked, a row each.
+    Real t and parameters give a float64 jet.  t is stacked, a row per factor.
     """
-    (F, F1, F2), s = scaled_series(each(fac, lambda f: f.params), t, 2)
+    (F, F1, F2), s = scaled_series([f.params for f in fac], t, 2)
 
     def numbers(f: SeparatedFactor) -> tuple:
         b = drop_zero_imag(f.b)
@@ -87,57 +86,59 @@ def _factor_jet(fac, t: np.ndarray):
     return (q, q1, q2), s
 
 
-def factor_derivatives(fac: SeparatedFactor | Sequence[SeparatedFactor], t) -> tuple:
-    """(f, f', f'') of f(t) = t^a (1-t)^b F(alpha, beta; gamma; t).
+def factor_derivatives(fac: SeparatedFactor, t) -> tuple:
+    """(f, f', f'') of one factor, arrays of the shape of t (0-d for a scalar): :func:`_derivatives` on a (1, n) row."""
+    tt = np.asarray(t, dtype=complex)
+    return tuple(d.reshape(tt.shape) for d in _derivatives([fac], tt.reshape(1, -1)))
+
+
+def _derivatives(fac: Sequence[SeparatedFactor], t: np.ndarray) -> tuple:
+    """(f, f', f'') of f(t) = t^a (1-t)^b F(alpha, beta; gamma; t) for a level's factors, t stacked, a row each.
 
     Product rule with exact hypergeometric derivatives throughout; no
     finite differences.  The polynomial parts of :func:`_factor_jet` take
     the power t^(a-2) (1-t)^(b-2) on principal branches, so t = 0 needs
-    a > 2, where f, f' and f'' all vanish.  The results have the shape of
-    t (0-d for a scalar); a level's factors take t with a row each.
+    a > 2, where f, f' and f'' all vanish.
     """
-    tt = np.atleast_1d(np.asarray(t, dtype=complex))
     a, b = per_state(fac, lambda f: (f.a, f.b))
-    if np.any((a <= 2.0) & (tt == 0)):
+    if np.any((a <= 2.0) & (t == 0)):
         raise DomainError("derivatives at t = 0 need the t^a power to have a > 2")
-    if np.any((b != 0) & (tt == 1)):
+    if np.any((b != 0) & (t == 1)):
         raise DomainError("derivatives need t != 1 when the (1-t)^b power is active")
-    q, s = _factor_jet(fac, tt)
-    p = pow_arr(tt, a - 2.0) * pow_arr(1.0 - tt, b - 2.0) * np.exp(s)
-    return tuple((p * qj).reshape(np.shape(t)) for qj in q)
+    q, s = _factor_jet(fac, t)
+    p = pow_arr(t, a - 2.0) * pow_arr(1.0 - t, b - 2.0) * np.exp(s)
+    return tuple(p * qj for qj in q)
 
 
 # ---------------------------------------------------------------------------
 # separated ODE residual
 
 
-def _samples(state: StateParams | Level, sample) -> list:
-    """One sample per state: a single state evaluates on its own arrays, a Level on (n_states, n) stacks."""
-    if not is_level(state):
-        return [sample]
-    samples = list(sample)
-    if len(samples) != len(state):
-        raise ParameterError(f"{len(state)} states need as many samples, got {len(samples)}")
-    return samples
+def _as_level(state: StateParams | Level, sample) -> tuple[Level, list]:
+    """A Level with its samples, one per state, or a StateParams as a level of one with its sample: the residual
+    entries run the level, and return its reports for a Level and the one report for a StateParams."""
+    if not isinstance(state, Level):
+        return Level((state,)), [sample]
+    samples = None if isinstance(sample, ParabolicPoints) else list(sample)
+    if samples is None or len(samples) != len(state):
+        raise ParameterError(f"{len(state)} states need one sample each (one batch per state)")
+    return state, samples
 
 
-def _stacked(state: StateParams | Level, rows: list[np.ndarray]) -> np.ndarray:
-    """A single state's row, or a level's rows as one array (a short row cycled through its values)."""
-    if not is_level(state):
-        return rows[0]
+def _stacked(rows: list[np.ndarray]) -> np.ndarray:
+    """A level's rows as one array, a short row cycled through its values."""
     n = max(r.size for r in rows)
     return np.array([np.resize(r, n) if r.size < n else r for r in rows])
 
 
-def _reports(state, tolerance, counts, sizes, residual, scale, *points):
-    """A report per state on the first counts[s] of its sizes[s] points; ``points``: coordinate columns."""
-    level, reports = is_level(state), []
-    stacks = [x if level else [x] for x in (residual, scale, *points)]
-    for n, size, res, ref, *cols in zip(counts, sizes, *stacks):
+def _reports(tolerance, counts, sizes, residual, scale, *points) -> list:
+    """A report per state on the first counts[s] of its sizes[s] points; ``points``: coordinate rows."""
+    reports = []
+    for n, size, res, ref, *cols in zip(counts, sizes, residual, scale, *points):
         note = f"skipped {size - n} singular point(s)" if n < size else ""
-        rows = np.column_stack([c[:n] for c in cols])
+        rows = np.array([c[:n] for c in cols]).T
         reports.append(build_report(res[:n], ref[:n], tolerance, points=rows, note=note))
-    return reports if level else reports[0]
+    return reports
 
 
 def ode_residual(
@@ -151,13 +152,14 @@ def ode_residual(
     (1-t) d/dt[t(1-t) f'] + (c t - m^2/(4t) + k_i) f = 0, where c is the
     energy/coupling combination of the factor's variable.  The relative
     scale is 1 + |k_i f|.  The sample is taken as complex128, real H3
-    draws included, since :func:`factor_derivatives` works on principal
+    draws included, since :func:`_derivatives` works on principal
     branches.  A :class:`~curvedkepler.kepler.Level` takes a sample per state.
     """
     if which not in (1, 2):
         raise ParameterError(f"which must be 1 or 2, got {which}")
-    rows = [np.atleast_1d(np.asarray(s, dtype=complex)).ravel() for s in _samples(state, sample)]
-    t = _stacked(state, rows)
+    level, samples = _as_level(state, sample)
+    rows = [np.atleast_1d(np.asarray(s, dtype=complex)).ravel() for s in samples]
+    t = _stacked(rows)
     if np.any(np.abs(t) < SINGULAR_SKIP) or np.any(np.abs(1.0 - t) < SINGULAR_SKIP):
         raise DomainError("ODE sample points must stay away from t = 0 and t = 1")
 
@@ -169,14 +171,15 @@ def ode_residual(
             c = (-e + eps) / 2.0 if which == 1 else (e + eps) / 2.0
         return c, st.k1 if which == 1 else st.k2, float(st.qn.m * st.qn.m)
 
-    c, kconst, m2 = per_state(state, constants)
-    f, f1, f2 = factor_derivatives(each(state, lambda s: factor(s, which)), t)
+    c, kconst, m2 = per_state(level, constants)
+    f, f1, f2 = _derivatives([factor(s, which) for s in level], t)
     w = 1.0 - t  # named, as in _hamiltonian_core
     lhs = (1.0 - t) * ((1.0 - 2.0 * t) * f1 + t * w * f2) + (
         c * t - m2 / (4.0 * t) + kconst
     ) * f
     sizes = [r.size for r in rows]
-    return _reports(state, tolerance, sizes, sizes, lhs, kconst * f, t.real, t.imag)
+    reports = _reports(tolerance, sizes, sizes, lhs, kconst * f, t.real, t.imag)
+    return reports if isinstance(state, Level) else reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +191,18 @@ def _point_rows(t1: np.ndarray, t2: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.column_stack([t1.real, t1.imag, t2.real, t2.imag, phi])
 
 
-def _jets(state: StateParams | Level, t1, t2, phi):
+def _jets(state: Level, t1, t2, phi):
     """The chart values, both polynomial jets and the prefactor P1 P2 e^(i m phi) they share.
 
     Every term of H Psi, B Psi and Psi is bilinear in the two jets, with
     f_i^(j) = P_i q_i^(j) and P1 P2 = (t1 t2)^(|m|/2-2) ((1-t1)(1-t2))^-2
     ((1-t1)/(1-t2))^b1 from :func:`~curvedkepler.kepler.psi_prefactor`.
     The chart values are taken in their own dtype, so on the real values
-    of the H3 chart the jets and the operator cores run in float64; a
-    level's are stacked (n_states, n_points).
+    of the H3 chart the jets and the operator cores run in float64; they
+    are stacked (n_states, n_points).
     """
-    t1, t2 = np.asarray(t1), np.asarray(t2)
-    q1, s1 = _factor_jet(each(state, lambda s: factor(s, 1)), t1)
-    q2, s2 = _factor_jet(each(state, lambda s: factor(s, 2)), t2)
+    q1, s1 = _factor_jet([factor(s, 1) for s in state], t1)
+    q2, s2 = _factor_jet([factor(s, 2) for s in state], t2)
     p = psi_prefactor(state, t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
     return (t1, t2), (q1, q2), p
 
@@ -208,7 +210,7 @@ def _jets(state: StateParams | Level, t1, t2, phi):
 # numpy runs a * b as b *= a for a temporary b of 256 KiB or more, which moves the
 # last bits of a complex product; no complex product here takes a temporary on its
 # right (1 - t is named first), so a state has the same bits in a stack of any size.
-def _hamiltonian_core(state: StateParams | Level, space: SpaceTag, t1, t2, jets) -> np.ndarray:
+def _hamiltonian_core(state: Level, space: SpaceTag, t1, t2, jets) -> np.ndarray:
     """H Psi over P1 P2 e^(i m phi), from the two polynomial jets."""
     (f1, d1, dd1), (f2, d2, dd2) = jets
     s3 = space.model is Model.S3
@@ -227,7 +229,7 @@ def _hamiltonian_core(state: StateParams | Level, space: SpaceTag, t1, t2, jets)
     return -core - e * (2.0 - t1 - t2) / (t1 - t2) * pair
 
 
-def _b_operator_core(state: StateParams | Level, space: SpaceTag, t1, t2, jets) -> np.ndarray:
+def _b_operator_core(state: Level, space: SpaceTag, t1, t2, jets) -> np.ndarray:
     """B Psi over P1 P2 e^(i m phi), from the two polynomial jets."""
     (f1, d1, dd1), (f2, d2, dd2) = jets
     h3 = space.model is Model.H3
@@ -245,19 +247,19 @@ def _b_operator_core(state: StateParams | Level, space: SpaceTag, t1, t2, jets) 
     )
 
 
-@lone_point_as_pair
-def apply_hamiltonian(state: StateParams, t1, t2, phi) -> np.ndarray:
-    """H Psi with exact separated derivatives, arrays in chart coordinates; a lone point runs as a pair."""
+@state_on_a_row
+def apply_hamiltonian(state, t1, t2, phi) -> np.ndarray:
+    """H Psi with exact separated derivatives, arrays in chart coordinates, the state as a level of one."""
     t, jets, p = _jets(state, t1, t2, phi)
     return _hamiltonian_core(state, state.space, *t, jets) * p
 
 
-@lone_point_as_pair
-def apply_b_operator(state: StateParams, t1, t2, phi) -> np.ndarray:
+@state_on_a_row
+def apply_b_operator(state, t1, t2, phi) -> np.ndarray:
     """B Psi: the second separation operator, exact derivatives.
 
     Same differential structure in both models; only the scalar
-    coupling differs (e on H3, -ie on S3).  A lone point runs as a pair.
+    coupling differs (e on H3, -ie on S3).  The state runs as a level of one.
     """
     t, jets, p = _jets(state, t1, t2, phi)
     return _b_operator_core(state, state.space, *t, jets) * p
@@ -270,35 +272,35 @@ def _batch(sample) -> ParabolicPoints:
     return sample
 
 
-def _eigen_residual(state, space, sample, core, eigenvalue, tolerance):
-    """(O Psi - eigenvalue Psi) over a batch, relative to 1 + (1 + |eigenvalue|) |Psi|.
+def _eigen_residual(caller, level: Level, samples: list, core, eigenvalue, tolerance) -> list:
+    """(O Psi - eigenvalue Psi) over a batch per state, relative to 1 + (1 + |eigenvalue|) |Psi|, a report each.
 
-    O Psi is ``core`` of the given space times the prefactor; the residuals
-    pass the state's own space, and the other one makes a mismatch
-    control.  O Psi and Psi = f1 f2 e^(i m phi) share one exact-derivative
-    jet per factor.  Points within SINGULAR_SKIP of a singular locus are
-    skipped.  Until a batch is freed, the next call on the same state object
-    and batches of the same dtype, shape and bytes reuses the jets, prefactor
-    and Psi.  ``eigenvalue`` maps a state to its eigenvalue; a level gives a
-    report per state, from one stack.
+    O Psi is ``core`` of the level's space times the prefactor.  O Psi and
+    Psi = f1 f2 e^(i m phi) share one exact-derivative jet per factor,
+    stacked over the level.  Points within SINGULAR_SKIP of a singular
+    locus are skipped.  Until a batch is freed, the next call on the same
+    ``caller`` (the object the entry was passed, by identity: a StateParams
+    shares though its level of one is new on every call) and batches of
+    the same dtype, shape and bytes reuses the jets, prefactor and Psi.
+    ``eigenvalue`` maps a state to its eigenvalue.
     """
-    batches = [_batch(b) for b in _samples(state, sample)]
+    batches = [_batch(b) for b in samples]
     key = tuple((a.dtype.str, a.shape, a.tobytes()) for b in batches for a in (b.t1, b.t2, b.phi))
-    if (entry := _last.get("entry")) is None or entry[1] is not state or entry[2] != key:
+    if (entry := _last.get("entry")) is None or entry[1] is not caller or entry[2] != key:
         keep = [b.clearance() >= SINGULAR_SKIP for b in batches]
         counts = [int(np.count_nonzero(k)) for k in keep]
         if not all(counts):
             raise DomainError("every sample point sits on a singular chart locus")
         rows = zip(*[(b.t1[k], b.t2[k], b.phi[k]) for b, k in zip(batches, keep)])
-        t1, t2, phi = (_stacked(state, r) for r in rows)
-        t, jets, p = _jets(state, t1, t2, phi)
+        t1, t2, phi = (_stacked(r) for r in rows)
+        t, jets, p = _jets(level, t1, t2, phi)
         refs = [weakref.ref(b, lambda _: _last.clear()) for b in batches]
-        _last["entry"] = entry = (refs, state, key, (keep, counts, t, phi, jets, p, jets[0][0] * jets[1][0] * p))
+        _last["entry"] = entry = (refs, caller, key, (keep, counts, t, phi, jets, p, jets[0][0] * jets[1][0] * p))
     keep, counts, (t1, t2), phi, jets, p, psi = entry[3]
-    eig, unit = per_state(state, lambda s: ((v := eigenvalue(s)), 1.0 + abs(v)))
-    residual = core(state, space, t1, t2, jets) * p - eig * psi
+    eig, unit = per_state(level, lambda s: ((v := eigenvalue(s)), 1.0 + abs(v)))
+    residual = core(level, level.space, t1, t2, jets) * p - eig * psi
     sizes, points = [k.size for k in keep], (t1.real, t1.imag, t2.real, t2.imag, phi)
-    return _reports(state, tolerance, counts, sizes, residual, unit * np.abs(psi), *points)
+    return _reports(tolerance, counts, sizes, residual, unit * np.abs(psi), *points)
 
 
 def hamiltonian_residual(
@@ -314,7 +316,8 @@ def hamiltonian_residual(
     absolute comparison against unnormalized Psi.  A level takes a batch per state.
     H and :func:`b_operator_residual` share Psi's evaluation on one state and sample while it lives.
     """
-    return _eigen_residual(state, state.space, sample, _hamiltonian_core, lambda s: s.epsilon, tolerance)
+    reports = _eigen_residual(state, *_as_level(state, sample), _hamiltonian_core, lambda s: s.epsilon, tolerance)
+    return reports if isinstance(state, Level) else reports[0]
 
 
 def b_operator_residual(
@@ -328,7 +331,8 @@ def b_operator_residual(
     every ground state on S3.  A level takes a batch per state.  Psi's
     evaluation is shared as in :func:`hamiltonian_residual`.
     """
-    return _eigen_residual(state, state.space, sample, _b_operator_core, lambda s: s.k1 + s.k2, tolerance)
+    reports = _eigen_residual(state, *_as_level(state, sample), _b_operator_core, lambda s: s.k1 + s.k2, tolerance)
+    return reports if isinstance(state, Level) else reports[0]
 
 
 def _coupling_identity_differences(space: SpaceTag, pts: ParabolicPoints) -> np.ndarray:

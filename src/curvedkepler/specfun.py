@@ -23,6 +23,7 @@ will do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -97,21 +98,11 @@ def drop_zero_imag(z):
     return z.real if z.imag == 0 else z
 
 
-def is_level(group) -> bool:
-    """Whether ``group`` is a level's (a list or tuple, one member per state) rather than one state's."""
-    return isinstance(group, (list, tuple))
-
-
-def each(group, fn):
-    """fn(x) for one state's x; for a level's, the list of fn over its members."""
-    return [fn(x) for x in group] if is_level(group) else fn(group)
-
-
 def per_state(group, values) -> tuple:
-    """The tuple values(x) for one state's x; for a level's, each value as an (n, 1) column."""
-    if is_level(group):
-        return tuple(np.array(col)[:, None] for col in zip(*map(values, group)))
-    return values(group)
+    """The tuple values(x) over a level's members, each value an (n, 1) column; a level of one's as plain numbers."""
+    if len(group) == 1:
+        return values(group[0])
+    return tuple(np.array(col)[:, None] for col in zip(*map(values, group)))
 
 
 def series_coefficients(p: Hyp2F1Params, real: bool) -> np.ndarray:
@@ -127,47 +118,34 @@ def series_coefficients(p: Hyp2F1Params, real: bool) -> np.ndarray:
     return c
 
 
-def scaled_series(params, t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """A terminating 2F1 and its first ``order`` derivatives, finite at any t.
+def scaled_series(params: Sequence[Hyp2F1Params], t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """A level's terminating 2F1s and their first ``order`` derivatives, finite at any t, t stacked a row per series.
 
     Returns ``(rows, log_scale)`` with d^j F/dt^j = rows[j] exp(log_scale),
     elementwise.  Where |t| <= 1 the series is summed by Horner in t and
     log_scale is 0; where |t| > 1, by Horner in 1/t on the reversed
-    coefficients, with log_scale = n log|t| for the degree n.  The rows
-    are float64 when t is real and alpha, beta, gamma have zero imaginary
-    parts, and complex128 otherwise; complex t is not copied.
-
-    A level's ``params`` take t stacked, a row each, in one Horner pass: a
-    state's coefficients are padded with zeros at the start of its Horner
-    order, which compute exact zeros, and it keeps its own degree.
+    coefficients, with log_scale = n log|t| for the row's degree n.  The
+    rows are float64 when t is real and alpha, beta, gamma have zero
+    imaginary parts, and complex128 otherwise; complex t is not copied.
+    All rows run in one Horner pass: a series' coefficients are padded
+    with zeros at the start of its Horner order, which compute exact
+    zeros, and it keeps its own degree.
     """
-    level = is_level(params)
-    stack = list(params) if level else [params]
-    degrees = [p.polynomial_degree for p in stack]
-    if None in degrees:
-        raise ParameterError("scaled_series needs a terminating series")
-    tt = np.asarray(t)
-    if np.iscomplexobj(tt) or any(p.alpha.imag or p.beta.imag or p.gamma.imag for p in stack):
-        tt = np.asarray(t, dtype=complex)
-    else:
-        tt = tt.astype(float, copy=False)
-    top, real = max(degrees), tt.dtype.kind == "f"
-    tables = []  # per state, row i: c_i and its first ``order`` derivative coefficients
-    for p, n in zip(stack, degrees):
-        table = np.zeros((order + 1, n + 1), dtype=tt.dtype)
-        table[0] = series_coefficients(p, real)
+    real = not (np.iscomplexobj(t) or any(p.alpha.imag or p.beta.imag or p.gamma.imag for p in params))
+    tt = np.asarray(t, dtype=float if real else complex)
+    coefficients = [series_coefficients(p, real) for p in params]
+    degrees = [c.size - 1 for c in coefficients]
+    top = max(degrees)
+    # hi[p], lo[p]: the coefficients of Horner step p in 1/t and in t, a column per series; a series'
+    # table has a row per c_i, with c_i and its first ``order`` derivative coefficients
+    hi, lo = np.zeros((2, top + 1, order + 1, len(degrees), 1), dtype=tt.dtype)
+    for s, (c, n) in enumerate(zip(coefficients, degrees)):
+        table = hi[top - n :, :, s, 0]
+        table[:, 0] = c
         for j in range(1, order + 1):
-            table[j, : n + 1 - j] = table[j - 1, 1 : n + 2 - j] * np.arange(1, n + 2 - j)
-        tables.append(table.T)
-    # lo[p], hi[p]: the coefficients of Horner step p in t and in 1/t, a column per state
-    if level:
-        lo, hi = np.zeros((2, top + 1, order + 1, len(stack), 1), dtype=tt.dtype)
-        for s, (table, n) in enumerate(zip(tables, degrees)):
-            lo[top - n :, :, s, 0], hi[top - n :, :, s, 0] = table[::-1], table
-        degree = np.array(degrees)[:, None]
-    else:
-        hi, degree = tables[0].reshape(tables[0].shape + (1,) * tt.ndim), top
-        lo = hi[::-1]
+            table[: n + 1 - j, j] = table[1 : n + 2 - j, j - 1] * np.arange(1, n + 2 - j)
+        lo[top - n :, :, s, 0] = table[::-1]
+    degree = np.array(degrees)[:, None]
     size = np.maximum(np.abs(tt), 1.0)
     big = size > 1.0
     x = np.divide(1.0, tt, out=tt.copy(), where=big)
@@ -180,9 +158,9 @@ def scaled_series(params, t, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
         # (-1)^n for real t; complex t divides as t (1/|t|), up to an ulp off
         # +-1 on the real axis, the same for either sign of a zero Im t
         phase = np.where(big, np.divide(tt, size, out=x), 1.0)
-        factor = 1.0
-        for n in set(degrees) - {0}:
-            factor = np.where(degree == n, phase**n, factor) if level else phase**n
+        factor = phase**top
+        for n in set(degrees) - {top}:  # a padded series takes the power of its own degree
+            factor = np.where(degree == n, phase**n if n else 1.0, factor)
         rows *= factor
     return rows, degree * np.log(size)
 

@@ -44,10 +44,11 @@ REMOVED = {
         "_chart_grid",
         "_quad_grid",
         "_density_on_grid",
+        "lone_point_as_pair",
     ],
     cli: ["RunConfig", "_config_from"],
     operators: ["_regular_points"],
-    specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF"],
+    specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF", "is_level", "each"],
 }
 
 

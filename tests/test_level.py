@@ -9,7 +9,7 @@ skipped in another state.
 import numpy as np
 import pytest
 
-from curvedkepler import kepler
+from curvedkepler import kepler, operators
 from curvedkepler import (
     H3,
     S3,
@@ -23,6 +23,8 @@ from curvedkepler import (
     b_operator_residual,
     bound_states,
     chart_points,
+    factor,
+    factor_derivatives,
     factor_samples,
     hamiltonian_residual,
     make_rng,
@@ -109,6 +111,18 @@ def test_a_stack_needs_one_sample_per_state():
         ode_residual(level, 1, samples[1][:-1])
 
 
+def test_a_level_refuses_one_batch_for_all_its_states():
+    """One batch of as many points as the level has states is not a batch per
+    state: it is refused, not run as one point per state."""
+    states = bound_states(S3, 2.0, 2)
+    pts = chart_points(S3, make_rng(47), len(states))
+    assert len(pts) == len(states) == 5
+    for residual in (hamiltonian_residual, b_operator_residual):
+        with pytest.raises(ParameterError, match="one batch per state"):
+            residual(Level(states), pts)
+        assert len(residual(Level(states), [pts] * len(states))) == len(states)
+
+
 def test_a_level_holds_one_or_more_states_of_one_space():
     qn = QuantumNumbers(0, 0, 0)
     with pytest.raises(ParameterError):
@@ -129,6 +143,16 @@ def test_a_level_of_one_reports_as_its_state(space, e):
     for which in (1, 2):
         (report,) = ode_residual(Level([st]), which, samples[which])
         assert report.to_json_dict() == ode_residual(st, which, samples[which][0]).to_json_dict()
+    # the point-array entries run the state as a level of one on a (1, n) row
+    b = batches[0]
+    for entry in (wavefunction_values, apply_hamiltonian, apply_b_operator):
+        row = entry.__wrapped__(Level([st]), b.t1[None], b.t2[None], b.phi[None])
+        assert row.shape == (1, len(b)) and row[0].tobytes() == entry(st, b.t1, b.t2, b.phi).tobytes()
+    for which in (1, 2):
+        t = samples[which][0]
+        rows = operators._derivatives([factor(st, which)], t.astype(complex)[None])
+        for got, want in zip(factor_derivatives(factor(st, which), t), rows):
+            assert got.tobytes() == want[0].tobytes()
 
 
 @pytest.mark.parametrize("space, e, max_k", [(S3, 2.0, 1), (H3, 3.0, 4)])
@@ -150,7 +174,7 @@ def test_a_level_computes_no_term_on_the_rows_of_states_without_it():
     with np.errstate(invalid="raise"):
         stacked = kepler._psi_exponent(Level(states), t1, t2, 0.0)
         for row, st in zip(stacked, states):
-            assert row.tobytes() == kepler._psi_exponent(st, t1[0], t2[0], 0.0).tobytes()
+            assert row.tobytes() == kepler._psi_exponent(Level([st]), t1[:1], t2[:1], 0.0)[0].tobytes()
 
 
 @pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
@@ -187,3 +211,28 @@ def test_one_point_runs_through_the_operators(space, e):
         for p, want in zip(pts, batch):
             got = apply(st, p.t1, p.t2, p.phi)
             assert got.shape == () and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 50.0)])
+def test_the_point_array_entries_keep_the_broadcast_shape_and_the_flat_bits(space, e):
+    """0-d, 1-D and 2-D chart arrays, and arrays that broadcast, give results of
+    the broadcast shape with the bits of the call on the flattened arrays."""
+    st = assemble_state(space, e, QuantumNumbers(1, 1, 1))
+    pts = chart_points(space, make_rng(48), 12)
+    grid = (pts.t1.reshape(3, 4), pts.t2.reshape(3, 4), pts.phi.reshape(3, 4))
+    inputs = [grid, (grid[0], grid[1], 0.3), (pts.t1[5], pts.t2[5], pts.phi[5]), (pts.t1, pts.t2, pts.phi)]
+    for entry in (wavefunction_values, apply_hamiltonian, apply_b_operator):
+        for t1, t2, phi in inputs:
+            shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), np.shape(phi))
+            flat = (np.ravel(a) for a in np.broadcast_arrays(t1, t2, phi))
+            got = entry(st, t1, t2, phi)
+            assert got.shape == shape, (entry.__name__, shape)
+            assert got.tobytes() == entry(st, *flat).tobytes(), (entry.__name__, shape)
+    for which in (1, 2):
+        t = factor_samples(space, make_rng(49), which, 12)
+        fac = factor(st, which)
+        for tt in (t.reshape(3, 4), t[5], t):
+            derivs = factor_derivatives(fac, tt)
+            flat = factor_derivatives(fac, np.ravel(tt))
+            assert all(d.shape == np.shape(tt) for d in derivs)
+            assert all(d.tobytes() == f.tobytes() for d, f in zip(derivs, flat))

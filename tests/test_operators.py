@@ -20,6 +20,7 @@ from curvedkepler.report import build_report
 from curvedkepler import (
     H3,
     IntegrabilityError,
+    Level,
     ParabolicPoints,
     ParameterError,
     QPolynomial,
@@ -145,8 +146,12 @@ def test_hamiltonian_wrong_space_is_order_one():
     """The H3 Hamiltonian applied to an S3 state: a mismatch the residual must catch."""
     st = _state(S3, 2.0, QuantumNumbers(0, 0, 1))
     pts = chart_points(S3, make_rng(306), n=50)
-    report = operators._eigen_residual(
-        st, H3, pts, operators._hamiltonian_core, lambda s: s.epsilon, operators.HAMILTONIAN_TOL
+
+    def h3_core(level, space, *rest):  # the level's own space swapped for H3
+        return operators._hamiltonian_core(level, H3, *rest)
+
+    (report,) = operators._eigen_residual(
+        st, Level([st]), [pts], h3_core, lambda s: s.epsilon, operators.HAMILTONIAN_TOL
     )
     assert not report.passed
     assert report.max_rel > 0.1
@@ -292,7 +297,7 @@ def test_residual_psi_from_the_jets_matches_wavefunction_values(
     for k in ks:
         for qn in enumerate_states(k):
             st = _state(space, e, qn)
-            _, ((f1, _, _), (f2, _, _)), p = operators._jets(st, t1, t2, phi)
+            _, ((f1, _, _), (f2, _, _)), p = operators._jets(Level([st]), t1, t2, phi)
             psi = f1 * f2 * p
             want = wavefunction_values(st, t1, t2, phi)
             assert np.all(want != 0), (k, qn)
@@ -312,9 +317,9 @@ def _closed_form_jets(state, t1, t2, phi):
     """Polynomial jets (q, q', q'') of both factors and the one prefactor
     P1 P2 e^(i m phi) = (t1 t2)^(|m|/2-2) ((1-t1)(1-t2))^-2 ((1-t1)/(1-t2))^b1 e^(i m phi).
     The H3 chart gives float64 values, so there the jets run in float64."""
-    q1, s1 = operators._factor_jet(factor(state, 1), t1)
-    q2, s2 = operators._factor_jet(factor(state, 2), t2)
-    p = kepler.psi_prefactor(state, t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
+    q1, s1 = operators._factor_jet([factor(state, 1)], t1)
+    q2, s2 = operators._factor_jet([factor(state, 2)], t2)
+    p = kepler.psi_prefactor(Level([state]), t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
     return t1, t2, q1, q2, p
 
 
@@ -502,7 +507,7 @@ H3_CONTROLS = [
 def test_h3_negative_controls_still_fail(deltas, jet_dtypes, grows):
     st = perturbed(_state(H3, 5.0, QuantumNumbers(0, 1, 0)), **deltas)
     pts = chart_points(H3, make_rng(335), n=50)
-    _, jets, _ = operators._jets(st, pts.t1, pts.t2, pts.phi)
+    _, jets, _ = operators._jets(Level([st]), pts.t1, pts.t2, pts.phi)
     assert tuple(q[1].dtype for q in jets) == jet_dtypes
     for residual in (hamiltonian_residual, b_operator_residual):
         report = residual(st, pts)

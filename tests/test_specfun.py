@@ -108,6 +108,8 @@ def test_nonterminating_parameters_refused():
     for t in (0.5, 1.0, -1.2, np.array([0.1, 0.2j])):
         with pytest.raises(ParameterError):
             hyp2f1(params, t)
+        with pytest.raises(ParameterError):
+            scaled_series([Hyp2F1Params(1.5, -2.0, 2.0), params], np.stack([np.ravel(t)] * 2))
 
 
 def _hyp2f1_from_ones(params: Hyp2F1Params, t):
@@ -158,9 +160,9 @@ def test_derivative_against_finite_differences(order, h, rtol):
             complex(rng.uniform(0.8, 3.0)),
         )
         t = float(rng.uniform(-0.6, 0.6))
-        rows, log_scale = scaled_series(params, t, order)
-        assert log_scale == 0
-        got = complex(rows[order])
+        rows, log_scale = scaled_series([params], t, order)
+        assert log_scale[0, 0] == 0
+        got = complex(rows[order, 0, 0])
         f = lambda x: hyp2f1(params, x)  # noqa: E731
         if order == 1:
             fd = (f(t + h) - f(t - h)) / (2.0 * h)
@@ -181,8 +183,9 @@ def test_scaled_series_matches_horner_oracle():
         )
         coeffs = _horner_coeffs(params, n)
         ts = np.array([0.0, 0.3 - 0.4j, -0.99, 1.0, 1.01j, -1.7, 3.0 + 4.0j, -250.0])
-        rows, log_scale = scaled_series(params, ts, 2)
-        assert rows.shape == (3, ts.size) and log_scale.shape == ts.shape
+        rows, log_scale = scaled_series([params], ts[None], 2)
+        assert rows.shape == (3, 1, ts.size) and log_scale.shape == (1, ts.size)
+        rows, log_scale = rows[:, 0], log_scale[0]
         assert np.all(log_scale[np.abs(ts) <= 1.0] == 0)
         for j in range(3):
             dj = [math.perm(p, j) * c for p, c in enumerate(coeffs)][j:]
@@ -197,7 +200,8 @@ def test_scaled_series_stays_finite_far_out():
     s = n log|t|, the same for either sign of a zero imaginary part."""
     params = Hyp2F1Params(complex(2.5, 1.0), -5.0, 2.0)
     c = _horner_coeffs(params, 5)
-    rows, log_scale = scaled_series(params, np.array([-1e300, complex(-1e300, -0.0)]), 1)
+    rows, log_scale = scaled_series([params], np.array([[-1e300, complex(-1e300, -0.0)]]), 1)
+    rows, log_scale = rows[:, 0], log_scale[0]
     assert np.isfinite(rows).all()
     assert abs(rows[0, 0] / -c[5] - 1.0) < 1e-14
     assert log_scale[0] == log_scale[1] == 5.0 * math.log(1e300)
@@ -221,9 +225,9 @@ def test_scaled_series_keeps_float64_for_real_input(n):
         Hyp2F1Params(complex(rng.uniform(-45.0, 45.0)), complex(-n), complex(rng.integers(1, 20))),
         Hyp2F1Params(rng.uniform(-45.0, 45.0), -n, 1.0 + n),
     ):
-        rows, log_scale = scaled_series(params, ts, 2)
+        rows, log_scale = scaled_series([params], ts, 2)
         assert rows.dtype == np.float64 and log_scale.dtype == np.float64
-        want, want_scale = scaled_series(params, ts.astype(complex), 2)
+        want, want_scale = scaled_series([params], ts.astype(complex), 2)
         assert want.dtype == np.complex128
         assert np.array_equal(log_scale, want_scale)
         big = np.abs(ts) > 1.0
@@ -235,10 +239,10 @@ def test_scaled_series_keeps_float64_for_real_input(n):
 def test_scaled_series_turns_complex_with_a_complex_parameter():
     ts = np.array([0.25, -3.0])
     for params in (Hyp2F1Params(2.5 + 1e-3j, -2.0, 1.0), Hyp2F1Params(2.5, -2.0, 1.0 - 1e-3j)):
-        rows, log_scale = scaled_series(params, ts, 1)
+        rows, log_scale = scaled_series([params], ts, 1)
         assert rows.dtype == np.complex128
         coeffs = _horner_coeffs(params, 2)
-        for t, r, sc in zip(ts, rows[0], log_scale):
+        for t, r, sc in zip(ts, rows[0, 0], log_scale[0]):
             want = _horner_eval(coeffs, t)
             assert abs(r * math.exp(sc) - want) <= 1e-13 * abs(want), (params, t)
 
