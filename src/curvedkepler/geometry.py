@@ -169,9 +169,9 @@ class ParabolicPoints:
         for t1, t2, phi in zip(self.t1.flat, self.t2.flat, self.phi.flat):
             yield ParabolicPoints(t1, t2, phi)
 
-    def validate_for(self, space: SpaceTag, tol: float = CONSTRAINT_TOL) -> None:
-        """Raise the space's typed error for the first point off its parabolic chart."""
-        t1, t2 = self.t1, self.t2
+    def validate_for(self, space: SpaceTag) -> None:
+        """Raise the space's typed error for the first point off its parabolic chart by more than CONSTRAINT_TOL."""
+        t1, t2, tol = self.t1, self.t2, CONSTRAINT_TOL
         if space.model is Model.H3:
             _raise_first(
                 (np.abs(t1.imag) > tol) | (np.abs(t2.imag) > tol),

@@ -13,17 +13,18 @@ the equations that define it, and reports the outcome as a
   ``coupling_identity_residual`` ties its scalar coefficient to cos(theta).
 * ``runge_lenz_check`` — the operator identity B = A3 + L^2 (H3) /
   iB = A3 + iL^2 (S3), with the left side built from nested central
-  finite differences in quasi-Cartesian coordinates.
+  finite differences in quasi-Cartesian coordinates, on node arrays.
 * ``momentum_commutators`` — the so(3,1)/so(4) commutation relations as
-  exact polynomial-coefficient identities.
+  exact polynomial-coefficient identities, with the stencil's P_a and L_a.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from functools import partial
 from types import MappingProxyType
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -364,6 +365,23 @@ def coupling_identity_residual(space: SpaceTag, points: ParabolicPoints) -> floa
 
 
 # ---------------------------------------------------------------------------
+# the so(3,1)/so(4) generators, shared by the stencil and the polynomial rows
+
+
+def _momentum(sigma: int, axis: int, d, times):
+    """P_a = -i (d_a - sigma q_a q_j d_j), from d(j), the derivative along q_j, and times(x, j) = q_j x."""
+    grads = [d(j) for j in range(3)]
+    radial = times(grads[0], 0) + times(grads[1], 1) + times(grads[2], 2)
+    return -1j * (grads[axis] - sigma * times(radial, axis))
+
+
+def _angular(axis: int, d, times):
+    """L_a = -i (q_b d_c - q_c d_b) with (a, b, c) cyclic, from d and times as in :func:`_momentum`."""
+    b, c = (axis + 1) % 3, (axis + 2) % 3
+    return -1j * (times(d(c), b) - times(d(b), c))
+
+
+# ---------------------------------------------------------------------------
 # Runge-Lenz / angular-momentum identity via finite differences
 
 
@@ -386,104 +404,66 @@ def _quasi_to_chart(space: SpaceTag, Q: np.ndarray):
     return t1, t2, phi
 
 
-def _shifted(Q: np.ndarray, axis: int, delta: np.ndarray) -> np.ndarray:
-    out = Q.copy()
-    out[axis] = out[axis] + delta
-    return out
+# The stencil of one step h.  Its nodes are the centre (0) and the one-shift
+# nodes u = 1..6, the centre moved by +h (odd u) or -h (even u) along axis
+# (u - 1) // 2.  Psi is read at the centre and at the 24 distinct two-shift
+# nodes, shift u then shift v: one node per unordered pair along different
+# axes, which commute bit for bit, and one per order along one axis, where
+# (x + h) - h need not equal (x - h) + h.  _COLUMN[u - 1, v - 1] is the row of
+# node (u, v) in Psi's table, whose row 0 is the centre.
+_AXIS = np.repeat(np.arange(3), 2)
+_SIGN = np.tile([1.0, -1.0], 3)
+_FIRST, _THEN = np.array([(u, v) for u in range(6) for v in range(6) if u < v or _AXIS[u] == _AXIS[v]]).T
+_COLUMN = np.empty((6, 6), dtype=int)
+_COLUMN[_THEN, _FIRST] = 1 + np.arange(_FIRST.size)
+_COLUMN[_FIRST, _THEN] = 1 + np.arange(_FIRST.size)  # after the swap, so a one-axis pair keeps its order
 
 
-def _canonical(path: tuple) -> tuple:
-    """Key of the node reached by a path of (axis, sign) shifts.
+def _stencils(state: StateParams, Q: np.ndarray, steps) -> list[tuple]:
+    """(nodes, h, psi) per step h: the centre and its one-shift nodes (7, 3, n), and Psi (25, n).
 
-    Shifts along different axes commute bit for bit; two shifts along one
-    axis do not ((x + h) - h need not equal (x - h) + h), so they keep
-    their order.
+    Psi at the centre and the two-shift nodes of every step comes from a
+    single ``wavefunction_values`` call.
     """
-    return tuple(sorted(path)) if len({axis for axis, _ in path}) == len(path) else path
-
-
-_UNIT_SHIFTS = tuple((axis, sign) for axis in range(3) for sign in (1.0, -1.0))
-_TWO_SHIFTS = tuple((u, v) for u in _UNIT_SHIFTS for v in _UNIT_SHIFTS)
-# the nodes Psi is read at: the centre and every distinct two-shift node
-_READ_PATHS = ((),) + tuple(sorted({_canonical(p) for p in _TWO_SHIFTS}))
-
-
-class _Stencil(NamedTuple):
-    """Nested central differences at one step h.
-
-    ``nodes`` maps the centre, each one-shift path and each canonical
-    two-shift path of (axis, sign) shifts to the points it reaches,
-    composed in the nesting order of the differences; ``psi`` maps the
-    centre and every two-shift path to Psi there.
-    """
-
-    h: np.ndarray
-    nodes: dict
-    psi: dict
-
-
-def _stencils(state: StateParams, Q: np.ndarray, steps) -> list[_Stencil]:
-    """One stencil per step, with Psi from a single ``wavefunction_values`` call."""
-    node_tables = []
+    out, reads = [], []
     for h in steps:
-        nodes = {(): Q}
-        for u in _UNIT_SHIFTS:
-            nodes[(u,)] = _shifted(Q, u[0], u[1] * h)
-        for u, v in _READ_PATHS[1:]:
-            nodes[(u, v)] = _shifted(nodes[(u,)], v[0], v[1] * h)
-        node_tables.append(nodes)
-    batch = np.concatenate([nodes[p] for nodes in node_tables for p in _READ_PATHS], axis=1)
+        nodes = np.repeat(Q[None], 7, axis=0)
+        nodes[1 + np.arange(6), _AXIS] += _SIGN[:, None] * h
+        two = nodes[1 + _FIRST]
+        two[np.arange(_FIRST.size), _AXIS[_THEN]] += _SIGN[_THEN, None] * h
+        out.append((nodes, h))
+        reads.append(np.concatenate([Q[None], two]))
+    batch = np.concatenate(reads).transpose(1, 0, 2).reshape(3, -1)
     psi = wavefunction_values(state, *_quasi_to_chart(state.space, batch))
-    blocks = iter(np.split(psi, len(node_tables) * len(_READ_PATHS)))
-    out = []
-    for h, nodes in zip(steps, node_tables):
-        read = {p: next(blocks) for p in _READ_PATHS}
-        out.append(_Stencil(h, nodes, {p: read[_canonical(p)] for p in ((),) + _TWO_SHIFTS}))
-    return out
+    return [(nodes, h, p) for (nodes, h), p in zip(out, psi.reshape(len(steps), 1 + _FIRST.size, -1))]
 
 
-def _central(values, h: np.ndarray) -> np.ndarray:
-    """Central-difference gradient (3, n) from values at the six one-shift nodes."""
-    return np.stack([(values[(a, 1.0)] - values[(a, -1.0)]) / (2.0 * h) for a in range(3)])
+def _central(values: np.ndarray, h) -> np.ndarray:
+    """Central-difference gradients (..., 3, n) from values (..., 6, n) at the six one-shift nodes."""
+    return (values[..., 0::2, :] - values[..., 1::2, :]) / (2.0 * h)
 
 
-def _momentum_at(sigma: int, axis: int):
-    """P_a = -i (d_a - sigma q_a q_j d_j), from a node's coordinates and gradient."""
-    return lambda Q, g: -1j * (g[axis] - sigma * Q[axis] * (Q * g).sum(axis=0))
-
-
-def _angular_at(axis: int):
-    """L_a = -i (q_b d_c - q_c d_b) with (a, b, c) cyclic."""
-    b, c = (axis + 1) % 3, (axis + 2) % 3
-    return lambda Q, g: -1j * (Q[b] * g[c] - Q[c] * g[b])
-
-
-def _a3_and_l2(state: StateParams, st: _Stencil):
+def _a3_and_l2(state: StateParams, nodes: np.ndarray, h, psi: np.ndarray):
     """(A3 Psi, L^2 Psi) by nested central differences at the stencil centre.
 
-    Psi's gradient is taken once at each one-shift node; every composed
-    term applies its inner operator there and takes one outer difference.
+    Psi's gradient at the six one-shift nodes is one central difference
+    over the two-shift table; every composed term applies its inner
+    operator at those nodes and takes one outer difference.
     """
-    nodes, psi = st.nodes, st.psi
-    grad = {u: _central({v: psi[(u, v)] for v in _UNIT_SHIFTS}, st.h) for u in _UNIT_SHIFTS}
+    centre, shifted = nodes[0], nodes[1:]
+    grad = _central(psi[_COLUMN], h)
 
     def term(outer, inner) -> np.ndarray:
-        values = {u: inner(nodes[(u,)], grad[u]) for u in _UNIT_SHIFTS}
-        return outer(nodes[()], _central(values, st.h))
+        g = _central(inner(lambda j: grad[:, j], lambda x, j: shifted[:, j] * x), h)
+        return outer(lambda j: g[j], lambda x, j: centre[j] * x)
 
     sigma = state.space.sigma
-    p1, p2 = _momentum_at(sigma, 0), _momentum_at(sigma, 1)
-    l1, l2 = _angular_at(0), _angular_at(1)
-    l1p2 = term(l1, p2)
-    l2p1 = term(l2, p1)
-    p1l2 = term(p1, l2)
-    p2l1 = term(p2, l1)
-
-    Q = nodes[()]
-    q = np.sqrt((Q * Q).sum(axis=0))
-    a3 = state.e * Q[2] / q * psi[()] + 0.5 * (l1p2 - l2p1 - p1l2 + p2l1)
-    lsq = sum(term(_angular_at(a), _angular_at(a)) for a in range(3))
-    return a3, lsq
+    p1, p2 = partial(_momentum, sigma, 0), partial(_momentum, sigma, 1)
+    l1, l2, l3 = (partial(_angular, a) for a in range(3))
+    q = np.sqrt((centre * centre).sum(axis=0))
+    commutator = term(l1, p2) - term(l2, p1) - term(p1, l2) + term(p2, l1)
+    a3 = state.e * centre[2] / q * psi[0] + 0.5 * commutator
+    return a3, sum(term(l, l) for l in (l1, l2, l3))
 
 
 def runge_lenz_check(
@@ -500,6 +480,8 @@ def runge_lenz_check(
     exact separated derivatives through the chart.  The note records the
     observed convergence order (should sit near 2) before extrapolation.
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ParameterError(f"the step h must be finite and > 0, got {h!r}")
     Q = np.asarray(sample, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != 3:
         raise ParameterError(f"sample must be 3 x n quasi-Cartesian columns, got shape {Q.shape}")
@@ -514,19 +496,10 @@ def runge_lenz_check(
         raise DomainError("no usable sample points for the finite-difference stencil")
     Q, q, h_eff = Q[:, keep], q[keep], h_eff[keep]
 
-    t1, t2, phi = _quasi_to_chart(state.space, Q)
-    b_exact = apply_b_operator(state, t1, t2, phi)
-    if state.space.model is Model.H3:
-        unit = 1.0 + 0j
-    else:
-        unit = 1j
-    want = unit * b_exact
-
-    st_h, st_h2 = _stencils(state, Q, (h_eff, h_eff / 2.0))
-    a3_h, l2_h = _a3_and_l2(state, st_h)
-    a3_h2, l2_h2 = _a3_and_l2(state, st_h2)
-    fd_h = a3_h + unit * l2_h
-    fd_h2 = a3_h2 + unit * l2_h2
+    unit = 1.0 + 0j if state.space.model is Model.H3 else 1j
+    want = unit * apply_b_operator(state, *_quasi_to_chart(state.space, Q))
+    stencils = _stencils(state, Q, (h_eff, h_eff / 2.0))
+    fd_h, fd_h2 = (a3 + unit * l2 for a3, l2 in (_a3_and_l2(state, *st) for st in stencils))
     rich = (4.0 * fd_h2 - fd_h) / 3.0
 
     r1 = np.abs(fd_h - want)
@@ -573,17 +546,6 @@ def _diff(rows: np.ndarray, axis: int) -> np.ndarray:
     out = np.take(rows, _DOWN[axis], axis=-1)
     out *= _EXPONENT[axis]
     return out
-
-
-def _momentum(sigma: int, axis: int, rows: np.ndarray) -> np.ndarray:
-    grads = [_diff(rows, j) for j in range(3)]
-    radial = _times(grads[0], 0) + _times(grads[1], 1) + _times(grads[2], 2)
-    return -1j * (grads[axis] - sigma * _times(radial, axis))
-
-
-def _angular(axis: int, rows: np.ndarray) -> np.ndarray:
-    b, c = (axis + 1) % 3, (axis + 2) % 3
-    return -1j * (_times(_diff(rows, c), b) - _times(_diff(rows, b), c))
 
 
 class QPolynomial:
@@ -701,12 +663,12 @@ def momentum_polynomial(space: SpaceTag, axis: int, p: QPolynomial) -> QPolynomi
 
     Axes are 0-indexed: axis 2 is the distinguished q3 direction.
     """
-    return QPolynomial._of(_momentum(space.sigma, QPolynomial._check_axis(axis), p._row))
+    return QPolynomial._of(_momentum(space.sigma, QPolynomial._check_axis(axis), partial(_diff, p._row), _times))
 
 
 def angular_polynomial(axis: int, p: QPolynomial) -> QPolynomial:
     """L_a p = -i (q_b d_c - q_c d_b) p with (a, b, c) cyclic, 0-indexed."""
-    return QPolynomial._of(_angular(QPolynomial._check_axis(axis), p._row))
+    return QPolynomial._of(_angular(QPolynomial._check_axis(axis), partial(_diff, p._row), _times))
 
 
 def _commutator_residuals(space: SpaceTag, rows: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -714,21 +676,26 @@ def _commutator_residuals(space: SpaceTag, rows: np.ndarray) -> tuple[np.ndarray
     sigma = space.sigma
     pp_sign = -1j * sigma  # -i on H3, +i on S3
     rhs = "+ iL" if space.model is Model.H3 else "- iL"
-    lp = [_angular(a, rows) for a in range(3)]
-    pp = [_momentum(sigma, a, rows) for a in range(3)]
+
+    def P(a: int, r: np.ndarray) -> np.ndarray:
+        return _momentum(sigma, a, partial(_diff, r), _times)
+
+    def L(a: int, r: np.ndarray) -> np.ndarray:
+        return _angular(a, partial(_diff, r), _times)
+
+    lp = [L(a, rows) for a in range(3)]
+    pp = [P(a, rows) for a in range(3)]
     residuals, labels = [], []
 
     def peak(r: np.ndarray) -> np.ndarray:
         return np.hypot(r.real, r.imag).max(axis=-1)
 
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        residuals.append(peak(_angular(a, lp[b]) - _angular(b, lp[a]) - 1j * lp[c]))
+        residuals.append(peak(L(a, lp[b]) - L(b, lp[a]) - 1j * lp[c]))
         labels.append(f"[L{a+1},L{b+1}] - iL{c+1}")
-        residuals.append(peak(_angular(a, pp[b]) - _momentum(sigma, b, lp[a]) - 1j * pp[c]))
+        residuals.append(peak(L(a, pp[b]) - P(b, lp[a]) - 1j * pp[c]))
         labels.append(f"[L{a+1},P{b+1}] - iP{c+1}")
-        residuals.append(
-            peak(_momentum(sigma, a, pp[b]) - _momentum(sigma, b, pp[a]) - pp_sign * lp[c])
-        )
+        residuals.append(peak(P(a, pp[b]) - P(b, pp[a]) - pp_sign * lp[c]))
         labels.append(f"[P{a+1},P{b+1}] {rhs}{c+1}")
     return np.stack(residuals, axis=-1), labels
 

@@ -47,7 +47,17 @@ REMOVED = {
         "lone_point_as_pair",
     ],
     cli: ["RunConfig", "_config_from"],
-    operators: ["_regular_points"],
+    operators: [
+        "_regular_points",
+        "_Stencil",
+        "_canonical",
+        "_shifted",
+        "_UNIT_SHIFTS",
+        "_TWO_SHIFTS",
+        "_READ_PATHS",
+        "_momentum_at",
+        "_angular_at",
+    ],
     specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF", "is_level", "each"],
 }
 
@@ -58,6 +68,7 @@ REMOVED_PARAMETERS = {
     operators.apply_hamiltonian: ["operator_space"],
     operators.hamiltonian_residual: ["operator_space"],
     report.merge_reports: ["note"],
+    geometry.ParabolicPoints.validate_for: ["tol"],
 }
 
 

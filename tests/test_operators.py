@@ -9,6 +9,7 @@ enough to reject wrong parameters.
 """
 
 import json
+import math
 import re
 
 import numpy as np
@@ -546,6 +547,17 @@ def test_runge_lenz_refuses_rows_of_points():
         runge_lenz_check(st, pts.T)
 
 
+@pytest.mark.parametrize("space", [S3, H3])
+@pytest.mark.parametrize("h", [0.0, -5e-4, math.nan, math.inf])
+def test_runge_lenz_refuses_a_step_that_is_not_finite_and_positive(space, h):
+    """A zero step divides by zero, a negative one loosens the clearance
+    rules, and nan or inf would pass as 'no usable points'."""
+    st = _state(space, 2.0 if space is S3 else 10.0, QuantumNumbers(0, 0, 1))
+    pts = quasi_points(space, make_rng(318), n=15)
+    with pytest.raises(ParameterError, match="step h must be finite and > 0"):
+        runge_lenz_check(st, pts, h=h)
+
+
 def test_runge_lenz_is_a_genuine_numerical_comparison():
     """The check pits finite-difference composites against the closed-form
     operator, so the residual must sit at a nonzero extrapolation floor
@@ -662,10 +674,11 @@ def test_qpolynomial_multiplication_degree_cap():
         _ = a * a
 
 
-def _per_evaluation_a3_and_l2(state, st):
+def _per_evaluation_a3_and_l2(state, nodes, h, psi):
     """Oracle for the stencil: the nested differences with Psi evaluated
-    afresh at the coordinates of every nested call, no table."""
-    Q, h, sigma = st.nodes[()], st.h, state.space.sigma
+    afresh at the coordinates of every nested call, no table (``psi`` is
+    not read)."""
+    Q, sigma = nodes[0], state.space.sigma
 
     def psi(X):
         return wavefunction_values(state, *operators._quasi_to_chart(state.space, X))
@@ -717,61 +730,49 @@ def test_runge_lenz_stencil_is_one_batch_with_per_evaluation_bits(monkeypatch, s
     # the sample holds coordinates where two shifts along one axis do not commute
     assert np.any((Q + h) - h != (Q - h) + h) and np.any((Q + h) - h != Q)
     for stencil in operators._stencils(st, Q, (h, h / 2.0)):
-        table = operators._a3_and_l2(st, stencil)
-        oracle = _per_evaluation_a3_and_l2(st, stencil)
+        table = operators._a3_and_l2(st, *stencil)
+        oracle = _per_evaluation_a3_and_l2(st, *stencil)
         assert [x.tobytes() for x in table] == [x.tobytes() for x in oracle]
 
-    calls = []
+    sizes = []
 
-    def counted(*args):
-        calls.append(args)
-        return wavefunction_values(*args)
+    def counted(state, t1, t2, phi):
+        sizes.append(np.size(t1))
+        return wavefunction_values(state, t1, t2, phi)
 
     monkeypatch.setattr(operators, "wavefunction_values", counted)
     got = runge_lenz_check(st, Q).to_json_dict()
-    assert len(calls) == 1
+    # one call: the centre and 24 two-shift nodes per kept point, at h and h/2
+    assert sizes == [25 * 2 * got["n_points"]] and got["n_points"] > 100
     monkeypatch.setattr(operators, "_a3_and_l2", _per_evaluation_a3_and_l2)
     want = runge_lenz_check(st, Q).to_json_dict()
     assert json.dumps(got) == json.dumps(want)
-
-
-class _CountedReads(dict):
-    """A stencil's Psi table that counts the reads of each key."""
-
-    def __init__(self, table):
-        super().__init__(table)
-        self.reads = dict.fromkeys(table, 0)
-
-    def __getitem__(self, key):
-        self.reads[key] += 1
-        return super().__getitem__(key)
 
 
 @pytest.mark.parametrize(
     "space, e, qn", [(S3, 2.0, QuantumNumbers(1, 0, 1)), (H3, 10.0, QuantumNumbers(0, 1, -1))]
 )
 def test_runge_lenz_takes_each_psi_gradient_once(monkeypatch, space, e, qn):
-    """Each Psi value is read once, so Psi's gradient is taken once at each
-    of the six one-shift nodes, and each of the seven composed terms adds
-    one outer difference."""
+    """Per step, Psi's gradient at all six one-shift nodes is one central
+    difference, and each of the seven composed terms adds one outer
+    difference; the counted differences keep the oracle's bits."""
     st = _state(space, e, qn)
     Q = quasi_points(space, make_rng(330), n=40)
     h = 5e-4 * np.maximum(1.0, np.sqrt((Q * Q).sum(axis=0)))
-    gradients = []
+    shapes = []
 
     def counted(values, step):
-        gradients.append(step)
+        shapes.append(values.shape)
         return central(values, step)
 
     central = operators._central
     monkeypatch.setattr(operators, "_central", counted)
+    n = Q.shape[1]
     for stencil in operators._stencils(st, Q, (h, h / 2.0)):
-        table = _CountedReads(stencil.psi)
-        gradients.clear()
-        got = operators._a3_and_l2(st, stencil._replace(psi=table))
-        assert set(table.reads.values()) == {1}
-        assert len(gradients) == 6 + 7
-        want = operators._a3_and_l2(st, stencil)
+        shapes.clear()
+        got = operators._a3_and_l2(st, *stencil)
+        assert shapes == [(6, 6, n)] + [(6, n)] * 7
+        want = _per_evaluation_a3_and_l2(st, *stencil)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 

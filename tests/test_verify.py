@@ -93,3 +93,28 @@ def test_constraint_suite_fails_on_a_wrong_ambient_map(space, e, monkeypatch):
     results = run_suite("constraint", space, e, 3, seed=7)
     assert [r.report.passed for r in results] == [True] * (len(results) - 1) + [False]
     assert results[-1].report.max_abs > 0.1
+
+
+def _failing(space, e, suites=("rungelenz", "commutators", "hamiltonian", "boperator")):
+    return [s for s in suites if not all_passed(run_suite(s, space, e, 3, 7))]
+
+
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
+def test_seeded_generator_and_b_defects_fail_the_suites_that_share_them(monkeypatch, space, e):
+    """P_a has one definition for the Runge-Lenz stencil and the commutator
+    rows, and the B core serves both the boperator and rungelenz suites, so
+    a defect in either fails every suite that reads it and no other."""
+    momentum = operators._momentum
+    monkeypatch.setattr(operators, "_momentum", lambda sigma, *rest: momentum(-sigma, *rest))
+    assert _failing(space, e) == ["rungelenz", "commutators"]
+    monkeypatch.undo()
+
+    core = operators._b_operator_core
+
+    def d1_f2_flipped(state, space, t1, t2, jets):
+        (_, d1, _), (f2, _, _) = jets
+        term = 2.0 * t2 * (1.0 - t1) * (1.0 - 2.0 * t1) / (t1 - t2) * d1 * f2
+        return core(state, space, t1, t2, jets) - 2.0 * term
+
+    monkeypatch.setattr(operators, "_b_operator_core", d1_f2_flipped)
+    assert _failing(space, e) == ["rungelenz", "boperator"]
