@@ -479,8 +479,10 @@ def _validate(ns: argparse.Namespace) -> argparse.Namespace:
             raise UsageError(f"--seed {ns.seed} must be >= 0")
         if ns.space.model is Model.H3 and bound_count_h3(ns.e) == 0:
             raise UsageError(f"--e {ns.e!r} gives no bound H3 level (needs e > 1)")
-        if ns.tol is not None and not ns.tol > 0:
-            raise UsageError("--tol must be > 0")
+        if ns.tol is not None and not (math.isfinite(ns.tol) and ns.tol > 0):
+            raise UsageError(f"--tol {ns.tol!r} must be finite and > 0")
+        if not math.isfinite(ns.perturb_eps):
+            raise UsageError(f"--perturb-eps {ns.perturb_eps!r} must be finite")
     elif ns.e < 0:
         raise UsageError("--e must be >= 0")
     if ns.command == "limit":

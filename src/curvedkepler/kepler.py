@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError
-from .spaces import Model, SpaceTag, space_from_name
+from .spaces import Model, SpaceTag
 from .specfun import Hyp2F1Params, drop_zero_imag, hyp2f1, per_state, scaled_series, series_coefficients
 
 __all__ = [
@@ -116,20 +116,6 @@ class StateParams:
             else:
                 out[f.name] = v
         return out
-
-    @classmethod
-    def from_json_dict(cls, d: dict[str, Any]) -> "StateParams":
-        kw: dict[str, Any] = {}
-        for f in fields(cls):
-            if f.name == "space":
-                kw["space"] = space_from_name(d["space"])
-            elif f.name == "qn":
-                kw["qn"] = QuantumNumbers(int(d["n1"]), int(d["n2"]), int(d["m"]))
-            elif f.type in (complex, "complex"):
-                kw[f.name] = complex(d[f.name][0], d[f.name][1])
-            else:
-                kw[f.name] = float(d[f.name])
-        return cls(**kw)
 
 
 class Level(tuple):

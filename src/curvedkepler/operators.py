@@ -466,25 +466,23 @@ def _a3_and_l2(state: StateParams, nodes: np.ndarray, h, psi: np.ndarray):
     return a3, sum(term(l, l) for l in (l1, l2, l3))
 
 
-def runge_lenz_check(
-    state: StateParams,
-    sample,
-    h: float = _DEFAULT_FD_STEP,
-    tolerance: float = RUNGE_LENZ_TOL,
-) -> ResidualReport:
+def runge_lenz_check(state: StateParams, sample, tolerance: float = RUNGE_LENZ_TOL) -> ResidualReport:
     """A3 + L^2 (H3) or A3 + i L^2 (S3) against the exact B operator.
 
     The left side uses nested second-order central differences in
     quasi-Cartesian coordinates with per-point step h * max(1, |q|),
-    Richardson-extrapolated over (h, h/2); the right side applies the
-    exact separated derivatives through the chart.  The note records the
-    observed convergence order (should sit near 2) before extrapolation.
+    h = ``_DEFAULT_FD_STEP``, Richardson-extrapolated over (h, h/2); the
+    right side applies the exact separated derivatives through the chart.
+    The note records the observed convergence order (should sit near 2)
+    before extrapolation.  A sample coordinate that is not finite raises
+    ParameterError.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise ParameterError(f"the step h must be finite and > 0, got {h!r}")
     Q = np.asarray(sample, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != 3:
         raise ParameterError(f"sample must be 3 x n quasi-Cartesian columns, got shape {Q.shape}")
+    if not np.isfinite(Q).all():
+        raise ParameterError("sample coordinates must be finite")
+    h = _DEFAULT_FD_STEP
     q = np.sqrt((Q * Q).sum(axis=0))
     rho = np.sqrt(Q[0] ** 2 + Q[1] ** 2)
     h_eff = h * np.maximum(1.0, q)
@@ -553,12 +551,12 @@ class QPolynomial:
 
     ``_row`` holds the coefficients of the 455 monomials q1^i q2^j q3^k of
     total degree <= 12 in lexicographic (i, j, k) order, then a zero pad
-    slot.  q_i and d/dq_i are gathers through tables built on import, by
-    array functions on the last axis, so a stack of rows runs as one.
-    Products and q_i shifts refuse to pass degree 12 — the commutator
-    checks never legitimately exceed degree(p) + 2.  ``coeffs`` is a
-    read-only view of the non-zero terms.  Magnitudes are taken as
-    ``hypot(re, im)``, the same rounding as CPython's ``abs``.
+    slot.  The commutator checks run on these rows: q_i and d/dq_i are
+    the gathers :func:`_times` and :func:`_diff`, by array functions on the
+    last axis, so a stack of rows runs as one.  Products and q_i shifts
+    refuse to pass degree 12 — the commutator checks never legitimately
+    exceed degree(p) + 2.  ``coeffs`` is a read-only view of the non-zero
+    terms.
     """
 
     MAX_DEGREE = _MAX_DEGREE
@@ -587,17 +585,6 @@ class QPolynomial:
         if degree > cls.MAX_DEGREE:
             raise ParameterError(f"polynomial degree {degree} exceeds cap {cls.MAX_DEGREE}")
 
-    @staticmethod
-    def _check_axis(axis: int) -> int:
-        if axis not in (0, 1, 2):
-            raise ParameterError(f"axis must be 0, 1 or 2, got {axis!r}")
-        return axis
-
-    @classmethod
-    def variable(cls, axis: int) -> "QPolynomial":
-        key = tuple(1 if i == cls._check_axis(axis) else 0 for i in range(3))
-        return cls({key: 1.0})
-
     @classmethod
     def random(cls, rng: np.random.Generator, degree: int = 6, terms: int = 8) -> "QPolynomial":
         # three scalar draws per key: the same PCG64 stream as one size-3 draw
@@ -619,15 +606,6 @@ class QPolynomial:
     def degree(self) -> int:
         return int(_DEGREE[self._row[:_PAD] != 0].max(initial=0))
 
-    def max_abs_coeff(self) -> float:
-        return float(np.hypot(self._row.real, self._row.imag).max())
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        return self._of(self._row + other._row)
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self._of(self._row - other._row)
-
     def __mul__(self, other):
         if not isinstance(other, QPolynomial):
             return self._of(complex(other) * self._row)
@@ -640,35 +618,6 @@ class QPolynomial:
         return self._of(out)
 
     __rmul__ = __mul__
-
-    def times_variable(self, axis: int) -> "QPolynomial":
-        return self._of(_times(self._row, self._check_axis(axis)))
-
-    def diff(self, axis: int) -> "QPolynomial":
-        return self._of(_diff(self._row, self._check_axis(axis)))
-
-    def __call__(self, q1: complex, q2: complex, q3: complex) -> complex:
-        total = 0j
-        for (i, j, k), c in self.coeffs.items():
-            total += c * q1**i * q2**j * q3**k
-        return total
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        terms = ", ".join(f"{k}: {c:.3g}" for k, c in sorted(self.coeffs.items()))
-        return f"QPolynomial({{{terms}}})"
-
-
-def momentum_polynomial(space: SpaceTag, axis: int, p: QPolynomial) -> QPolynomial:
-    """P_a p = -i (d_a p - sigma q_a q_j d_j p), exact in coefficients.
-
-    Axes are 0-indexed: axis 2 is the distinguished q3 direction.
-    """
-    return QPolynomial._of(_momentum(space.sigma, QPolynomial._check_axis(axis), partial(_diff, p._row), _times))
-
-
-def angular_polynomial(axis: int, p: QPolynomial) -> QPolynomial:
-    """L_a p = -i (q_b d_c - q_c d_b) p with (a, b, c) cyclic, 0-indexed."""
-    return QPolynomial._of(_angular(QPolynomial._check_axis(axis), partial(_diff, p._row), _times))
 
 
 def _commutator_residuals(space: SpaceTag, rows: np.ndarray) -> tuple[np.ndarray, list[str]]:

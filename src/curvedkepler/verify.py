@@ -192,7 +192,7 @@ def run_suite(
 
 
 def run_suites(
-    suites,
+    suites: str,
     space: SpaceTag,
     e: float,
     max_k: int,
@@ -200,33 +200,13 @@ def run_suites(
     perturb_eps: float = 0.0,
     tolerance: float | None = None,
 ) -> list[SuiteResult]:
-    """Run the named suite(s) — a name, a list of names, or 'all'."""
-    if isinstance(suites, str):
-        wanted = list(SUITES) if suites == "all" else [suites]
-    else:
-        wanted = list(suites)
-        if wanted == ["all"]:
-            wanted = list(SUITES)
-    for name in wanted:
-        if name not in SUITES:
-            raise ParameterError(
-                f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'"
-            )
-    out: list[SuiteResult] = []
-    for name in SUITES:
-        if name in wanted:
-            out.extend(
-                run_suite(
-                    name,
-                    space,
-                    e,
-                    max_k,
-                    seed,
-                    perturb_eps=perturb_eps,
-                    tolerance=tolerance,
-                )
-            )
-    return out
+    """Run one named suite, or every suite in ``SUITES`` order for 'all'."""
+    names = SUITES if suites == "all" else (suites,)
+    return [
+        result
+        for name in names
+        for result in run_suite(name, space, e, max_k, seed, perturb_eps=perturb_eps, tolerance=tolerance)
+    ]
 
 
 def all_passed(results) -> bool:

@@ -1,6 +1,7 @@
 """Public API surface: every exported name resolves, removed names stay gone."""
 
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -57,8 +58,27 @@ REMOVED = {
         "_READ_PATHS",
         "_momentum_at",
         "_angular_at",
+        "momentum_polynomial",
+        "angular_polynomial",
     ],
     specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF", "is_level", "each"],
+}
+
+
+# class -> attributes it no longer has
+REMOVED_ATTRIBUTES = {
+    operators.QPolynomial: [
+        "variable",
+        "_check_axis",
+        "times_variable",
+        "diff",
+        "__add__",
+        "__sub__",
+        "__call__",
+        "max_abs_coeff",
+        "__repr__",
+    ],
+    kepler.StateParams: ["from_json_dict"],
 }
 
 
@@ -69,6 +89,7 @@ REMOVED_PARAMETERS = {
     operators.hamiltonian_residual: ["operator_space"],
     report.merge_reports: ["note"],
     geometry.ParabolicPoints.validate_for: ["tol"],
+    operators.runge_lenz_check: ["h"],
 }
 
 
@@ -86,9 +107,33 @@ def test_removed_names_are_gone(module):
         assert name not in curvedkepler.__all__
 
 
+@pytest.mark.parametrize("cls", list(REMOVED_ATTRIBUTES), ids=lambda c: c.__name__)
+def test_removed_class_attributes_are_gone(cls):
+    for name in REMOVED_ATTRIBUTES[cls]:
+        assert name not in vars(cls), f"{cls.__name__}.{name}"
+
+
 def test_removed_parameters_are_gone():
     for fn, names in REMOVED_PARAMETERS.items():
         assert not set(names) & set(inspect.signature(fn).parameters), fn.__name__
+
+
+def test_the_benchmark_tracer_finds_every_name_it_binds():
+    """bench/tracing.py looks its traced functions up by name; entering a
+    Tracer raises if one is gone, and leaving it restores every binding."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = [vars(curvedkepler.operators.QPolynomial)["__mul__"], curvedkepler.verify.run_suite]
+    with tracing.Tracer():
+        installed = tracing.installed_wrappers()
+        for _, home, attr, _ in tracing.FUNCTIONS:
+            assert f"{home}.{attr}" in installed
+        assert "curvedkepler.verify.run_suite" in installed
+        assert {"QPolynomial.__mul__", "QPolynomial.__rmul__"} <= set(installed)
+    assert tracing.installed_wrappers() == []
+    assert [vars(curvedkepler.operators.QPolynomial)["__mul__"], curvedkepler.verify.run_suite] == originals
 
 
 def test_parabolic_points_has_no_of():

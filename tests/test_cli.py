@@ -422,6 +422,16 @@ def test_non_finite_e_exits_2(argv, value):
     assert "--e" in err and "finite" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("option", ["--tol", "--perturb-eps"])
+def test_non_finite_verify_option_exits_2(option, value):
+    """A tolerance of inf passed every report, and a nan or inf perturbation
+    printed nan reports, which are not valid JSON."""
+    rc, out, err = run_cli(["verify", "ode", "--space", "s3", "--e", "2", f"{option}={value}"])
+    assert rc == 2 and out == ""
+    assert option in err and "finite" in err
+
+
 @pytest.mark.parametrize("max_k", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",

@@ -23,9 +23,9 @@ def test_all_suites_run_and_pass():
     assert {r.suite for r in results} == set(SUITES)
 
 
-def test_string_and_list_selection_agree():
+def test_one_name_runs_that_suite_alone():
     a = run_suites("ode", S3, 2.0, 2, seed=7)
-    b = run_suites(["ode"], S3, 2.0, 2, seed=7)
+    b = run_suite("ode", S3, 2.0, 2, seed=7)
     assert [r.label for r in a] == [r.label for r in b]
     assert [r.report.max_abs for r in a] == [r.report.max_abs for r in b]
 
@@ -33,6 +33,9 @@ def test_string_and_list_selection_agree():
 def test_unknown_suite_rejected():
     with pytest.raises(ParameterError):
         run_suite("bogus", S3, 2.0, 2, seed=7)
+    for suites in ("bogus", ["ode"]):  # one name or "all"; a list is not a suite name
+        with pytest.raises(ParameterError, match="unknown suite"):
+            run_suites(suites, S3, 2.0, 2, seed=7)
 
 
 def test_seed_reproducibility():
@@ -45,8 +48,10 @@ def test_seed_reproducibility():
 
 
 def test_perturbation_only_affects_residual_suites():
-    clean = run_suites(["ode", "boperator"], S3, 2.0, 2, seed=7)
-    dirty = run_suites(["ode", "boperator"], S3, 2.0, 2, seed=7, perturb_eps=1e-3)
+    clean, dirty = (
+        [r for name in ("ode", "boperator") for r in run_suite(name, S3, 2.0, 2, seed=7, perturb_eps=eps)]
+        for eps in (0.0, 1e-3)
+    )
     ode_clean = [r for r in clean if r.suite == "ode"]
     ode_dirty = [r for r in dirty if r.suite == "ode"]
     assert all(r.report.passed for r in ode_clean)
