@@ -113,6 +113,28 @@ def _h(x: float) -> str:
     return HUMAN_FMT % x
 
 
+def _csv(header, rows, trailers=()) -> str:
+    """The header row, a row of comma-joined cells per row, then a `# key,values` row per trailer."""
+    lines = [",".join(header), *(",".join(row) for row in rows), *("# " + ",".join(row) for row in trailers)]
+    return "\n".join(lines) + "\n"
+
+
+def _table(widths, *rows) -> list[str]:
+    """Human table lines, indented two spaces: each cell but the last is
+    left-justified to its width, and cells are one space apart."""
+    return ["  " + " ".join([*(cell.ljust(w) for cell, w in zip(row, widths)), row[-1]]) for row in rows]
+
+
+def _levels(space, e: float, ks) -> list[dict]:
+    """One row per k: epsilon as the sum of its Rydberg and curvature terms, and whether k is a bound level."""
+    rows = []
+    for k in ks:
+        ryd, curv = energy_split(space, e, k)
+        rows.append({"k": k, "epsilon": ryd + curv, "rydberg_term": ryd, "curvature_term": curv,
+                     "admissible": is_admissible(space, e, k)})
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -121,54 +143,34 @@ def cmd_spectrum(ns: argparse.Namespace) -> tuple[str, int]:
     space, e = ns.space, ns.e
     if space.model is Model.S3 and ns.max_k is None:
         raise UsageError("--max-k is required with --space s3")
-    if ns.max_k is not None:
-        ks = range(1, ns.max_k + 1)
-    else:
-        ks = range(1, bound_count_h3(e) + 1)
-    rows = []
-    for k in ks:
-        ryd, curv = energy_split(space, e, k)
-        rows.append(
-            {
-                "k": k,
-                "epsilon": ryd + curv,
-                "degeneracy": k * k,
-                "admissible": is_admissible(space, e, k),
-            }
-        )
+    levels = _levels(space, e, range(1, (bound_count_h3(e) if ns.max_k is None else ns.max_k) + 1))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "spectrum",
         "space": space.model.value,
         "e": e,
-        "rows": rows,
+        "rows": [
+            {"k": r["k"], "epsilon": r["epsilon"], "degeneracy": r["k"] * r["k"], "admissible": r["admissible"]}
+            for r in levels
+        ],
     }
-    if space.model is Model.H3:
+    h3 = space.model is Model.H3
+    if h3:
         lo, hi = bound_interval_h3(e)
         payload["bound_count"] = bound_count_h3(e)
         payload["interval"] = [lo, hi]
-
     if ns.format == "json":
         return _json_text(payload), 0
-    if ns.format == "csv":
-        lines = ["k,epsilon,degeneracy,admissible"]
-        for r in rows:
-            lines.append(
-                f"{r['k']},{_m(r['epsilon'])},{r['degeneracy']},{int(r['admissible'])}"
-            )
-        if space.model is Model.H3:
-            lines.append(f"# bound_count,{payload['bound_count']}")
-            lines.append(f"# interval,{_m(lo)},{_m(hi)}")
-        return "\n".join(lines) + "\n", 0
-    lines = [f"space {space.model.value}  e = {_h(e)}", "  k   epsilon        degeneracy  admissible"]
-    for r in rows:
-        lines.append(
-            f"  {r['k']:<3d} {_h(r['epsilon']):<14s} {r['degeneracy']:<11d} "
-            f"{'yes' if r['admissible'] else 'no'}"
-        )
-    if space.model is Model.H3:
-        lines.append(f"bound_count: {payload['bound_count']}")
-        lines.append(f"interval: [{_h(lo)}, {_h(hi)}]")
+    csv = ns.format == "csv"
+    num, flags = (_m, ("0", "1")) if csv else (_h, ("no", "yes"))
+    header = ("k", "epsilon", "degeneracy", "admissible")
+    rows = [(str(r["k"]), num(r["epsilon"]), str(r["degeneracy"]), flags[r["admissible"]]) for r in payload["rows"]]
+    if csv:
+        trailers = [("bound_count", str(payload["bound_count"])), ("interval", _m(lo), _m(hi))] if h3 else ()
+        return _csv(header, rows, trailers), 0
+    lines = [f"space {space.model.value}  e = {_h(e)}", *_table((3, 14, 11), header, *rows)]
+    if h3:
+        lines += [f"bound_count: {payload['bound_count']}", f"interval: [{_h(lo)}, {_h(hi)}]"]
     return "\n".join(lines) + "\n", 0
 
 
@@ -182,27 +184,19 @@ def cmd_state(ns: argparse.Namespace) -> tuple[str, int]:
     payload = {"schema_version": SCHEMA_VERSION, "command": "state", **body}
     if ns.format == "json":
         return _json_text(payload), 0
-    if ns.format == "csv":
-        lines = ["field,value"]
-        for key in sorted(body):
-            val = body[key]
-            if isinstance(val, list):
-                val = ";".join(_m(v) for v in val)
-            elif isinstance(val, float):
-                val = _m(val)
-            lines.append(f"{key},{val}")
-        return "\n".join(lines) + "\n", 0
+    csv = ns.format == "csv"
+
+    def text(value) -> str:
+        if isinstance(value, list):  # a complex field, [re, im]
+            re, im = value
+            return f"{_m(re)};{_m(im)}" if csv else f"{_h(re)} {'+' if im >= 0 else '-'} {_h(abs(im))}i"
+        return (_m if csv else _h)(value) if isinstance(value, float) else str(value)
+
+    rows = [(key, text(value)) for key, value in sorted(body.items())]
+    if csv:
+        return _csv(("field", "value"), rows), 0
     lines = [f"bound state {body['space']} e={_h(ns.e)} (n1,n2,m)=({ns.n1},{ns.n2},{ns.m})"]
-    for key in sorted(body):
-        if key in ("space", "n1", "n2", "m"):
-            continue
-        val = body[key]
-        if isinstance(val, list):
-            lines.append(f"  {key} = {_h(val[0])} {'+' if val[1] >= 0 else '-'} {_h(abs(val[1]))}i")
-        elif isinstance(val, float):
-            lines.append(f"  {key} = {_h(val)}")
-        else:
-            lines.append(f"  {key} = {val}")
+    lines += [f"  {key} = {value}" for key, value in rows if key not in ("space", "n1", "n2", "m")]
     return "\n".join(lines) + "\n", 0
 
 
@@ -310,34 +304,20 @@ def cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
         }
         return _json_text(payload), code
     if ns.format == "csv":
-        lines = [",".join(VERIFY_COLUMNS)]
-        for r in results:
-            rep = r.report
-            lines.append(
-                ",".join(
-                    [
-                        r.suite,
-                        f'"{r.label}"',
-                        _m(rep.max_abs),
-                        _m(rep.max_rel),
-                        _m(rep.mean_rel),
-                        str(rep.n_points),
-                        str(int(rep.passed)),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n", code
+        rows = [
+            (r.suite, f'"{r.label}"', _m(r.report.max_abs), _m(r.report.max_rel), _m(r.report.mean_rel),
+             str(r.report.n_points), str(int(r.report.passed)))
+            for r in results
+        ]
+        return _csv(VERIFY_COLUMNS, rows), code
     lines = []
     for r in results:
         rep = r.report
-        flag = "PASS" if rep.passed else "FAIL"
-        line = (
-            f"[{flag}] {r.suite:<12s} {r.label:<44s} "
-            f"max_rel={_h(rep.max_rel)} (tol {_h(rep.tolerance)}, n={rep.n_points})"
+        note = f"  [{rep.note}]" if rep.note else ""
+        lines.append(
+            f"[{'PASS' if rep.passed else 'FAIL'}] {r.suite:<12s} {r.label:<44s} "
+            f"max_rel={_h(rep.max_rel)} (tol {_h(rep.tolerance)}, n={rep.n_points}){note}"
         )
-        if rep.note:
-            line += f"  [{rep.note}]"
-        lines.append(line)
     lines.append(f"verify: {'all passed' if ok else 'FAILURES PRESENT'} ({len(results)} reports)")
     return "\n".join(lines) + "\n", code
 
@@ -348,18 +328,7 @@ def cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_limit(ns: argparse.Namespace) -> tuple[str, int]:
     table = flat_limit_coords(ns.space, ns.rho, ns.point)
-    split_rows = []
-    for k in range(1, ns.max_k + 1):
-        ryd, curv = energy_split(ns.space, ns.e, k)
-        split_rows.append(
-            {
-                "k": k,
-                "epsilon": ryd + curv,
-                "rydberg_term": ryd,
-                "curvature_term": curv,
-                "admissible": is_admissible(ns.space, ns.e, k),
-            }
-        )
+    levels = _levels(ns.space, ns.e, range(1, ns.max_k + 1))
     slope = table.slope()
     notes = [
         "rydberg_term is the flat-space -e^2/(2 k^2) exactly; epsilon is its sum "
@@ -377,35 +346,21 @@ def cmd_limit(ns: argparse.Namespace) -> tuple[str, int]:
         "err_t2": [float(x) for x in table.err_t2],
         "slope": slope,
         "degenerate": table.degenerate,
-        "spectrum_split": split_rows,
+        "spectrum_split": levels,
         "notes": notes,
     }
     if ns.format == "json":
         return _json_text(payload), 0
+    num = _m if ns.format == "csv" else _h
+    header, split_header = ("rho", "err_t1", "err_t2"), ("k", "epsilon", "rydberg_term", "curvature_term")
+    rows = [tuple(map(num, row)) for row in zip(table.rho, table.err_t1, table.err_t2)]
+    split = [(str(r["k"]), *(num(r[key]) for key in split_header[1:])) for r in levels]
     if ns.format == "csv":
-        lines = ["rho,err_t1,err_t2"]
-        for r, a, b in zip(table.rho, table.err_t1, table.err_t2):
-            lines.append(f"{_m(r)},{_m(a)},{_m(b)}")
-        lines.append(f"# slope,{_m(slope)}")
-        for row in split_rows:
-            lines.append(
-                f"# split,{row['k']},{_m(row['epsilon'])},{_m(row['rydberg_term'])},"
-                f"{_m(row['curvature_term'])}"
-            )
-        return "\n".join(lines) + "\n", 0
-    lines = [f"flat limit, space {ns.space.model.value}, base point {ns.point}"]
-    lines.append("  rho          err_t1       err_t2")
-    for r, a, b in zip(table.rho, table.err_t1, table.err_t2):
-        lines.append(f"  {_h(r):<12s} {_h(a):<12s} {_h(b)}")
+        return _csv(header, rows, [("slope", _m(slope)), *(("split", *row) for row in split)]), 0
+    lines = [f"flat limit, space {ns.space.model.value}, base point {ns.point}", *_table((12, 12), header, *rows)]
     lines.append(f"log-log slope: {_h(slope)}")
-    lines.append("  k   epsilon        rydberg_term   curvature_term")
-    for row in split_rows:
-        lines.append(
-            f"  {row['k']:<3d} {_h(row['epsilon']):<14s} {_h(row['rydberg_term']):<14s} "
-            f"{_h(row['curvature_term'])}"
-        )
-    for n in notes:
-        lines.append(f"note: {n}")
+    lines += _table((3, 14, 14), split_header, *split)
+    lines += [f"note: {n}" for n in notes]
     return "\n".join(lines) + "\n", 0
 
 

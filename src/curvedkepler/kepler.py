@@ -230,22 +230,15 @@ def assemble_state(space: SpaceTag, e: float, qn: QuantumNumbers) -> StateParams
     beta1 = complex(-n1)
     beta2 = complex(-n2)
     d = n2 - n1
-    if space.model is Model.H3:
-        r = e / k
-        b1 = complex((d + r) / 2.0)
-        b2 = complex((-d - r) / 2.0)
-        alpha1 = complex(n2 + am + 1 + r)
-        alpha2 = complex(n1 + am + 1 - r)
-        k1 = complex(((k + r) ** 2 - (d + r) ** 2 + m * m - 1) / 4.0)
-        k2 = complex(((k - r) ** 2 - (d + r) ** 2 + m * m - 1) / 4.0)
-    else:
-        ri = 1j * e / k
-        b1 = (d - ri) / 2.0
-        b2 = (-d + ri) / 2.0
-        alpha1 = n2 + am + 1 - ri
-        alpha2 = n1 + am + 1 + ri
-        k1 = ((k - ri) ** 2 - (d - ri) ** 2 + m * m - 1) / 4.0
-        k2 = ((k + ri) ** 2 - (d - ri) ** 2 + m * m - 1) / 4.0
+    # r is e/k on H3 and -i e/k on S3. On H3 each value stays a float until
+    # complex() wraps it, which keeps the bits (and zero signs) of real arithmetic.
+    r = e / k if space.model is Model.H3 else -1j * e / k
+    b1 = complex((d + r) / 2.0)
+    b2 = complex((-d - r) / 2.0)
+    alpha1 = complex(n2 + am + 1 + r)
+    alpha2 = complex(n1 + am + 1 - r)
+    k1 = complex(((k + r) ** 2 - (d + r) ** 2 + m * m - 1) / 4.0)
+    k2 = complex(((k - r) ** 2 - (d + r) ** 2 + m * m - 1) / 4.0)
     return StateParams(
         space=space,
         e=float(e),

@@ -187,11 +187,6 @@ def ode_residual(
 # Hamiltonian and B-operator applications (exact derivatives)
 
 
-def _point_rows(t1: np.ndarray, t2: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Report rows (Re t1, Im t1, Re t2, Im t2, phi), one per point."""
-    return np.column_stack([t1.real, t1.imag, t2.real, t2.imag, phi])
-
-
 def _jets(state: Level, t1, t2, phi):
     """The chart values, both polynomial jets and the prefactor P1 P2 e^(i m phi) they share.
 

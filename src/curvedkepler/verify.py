@@ -29,7 +29,6 @@ from .operators import (
     COUPLING_IDENTITY_TOL,
     QPolynomial,
     _coupling_identity_differences,
-    _point_rows,
     b_operator_residual,
     hamiltonian_residual,
     momentum_commutators,
@@ -147,7 +146,8 @@ def _constraint(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
     # many points as the boperator suite takes, at a tolerance --tol leaves alone
     n_states = sum(k * k for k in range(1, max_k + 1) if is_admissible(space, e, k))
     pts = chart_points(space, rng, CHART_POINTS * n_states)
-    diffs, rows = _coupling_identity_differences(space, pts), _point_rows(pts.t1, pts.t2, pts.phi)
+    diffs = _coupling_identity_differences(space, pts)
+    rows = np.column_stack([pts.t1.real, pts.t1.imag, pts.t2.real, pts.t2.imag, pts.phi])
     note = "|(t1+t2-2 t1 t2)/(t1-t2) - cos(theta)|, cos(theta) via the ambient chart"
     report = build_report(diffs, 0.0, COUPLING_IDENTITY_TOL, points=rows, note=note)
     label = f"{space.model.value} coupling/cos(theta) identity ({len(pts)} points)"

@@ -60,6 +60,7 @@ REMOVED = {
         "_angular_at",
         "momentum_polynomial",
         "angular_polynomial",
+        "_point_rows",
     ],
     specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF", "is_level", "each"],
 }

@@ -68,6 +68,151 @@ def test_spectrum_h3_csv_exact_bytes():
     )
 
 
+LIMIT_NOTES = (
+    "note: rydberg_term is the flat-space -e^2/(2 k^2) exactly; epsilon is its sum with the curvature term, "
+    "so the spectrum's flat limit is a closed-form split\n"
+    "note: the dimensionless spectrum carries no rho dependence\n"
+)
+
+# command line -> its whole output, byte for byte
+TEXT_OUTPUTS = {
+    "spectrum --space h3 --e 10": (
+        "space h3  e = 10\n"
+        "  k   epsilon        degeneracy  admissible\n"
+        "  1   -50            1           yes\n"
+        "  2   -14            4           yes\n"
+        "  3   -9.55556       9           yes\n"
+        "bound_count: 3\n"
+        "interval: [-50, -9.5]\n"
+    ),
+    # no bound level: the table is its header alone
+    "spectrum --space h3 --e 0.5": (
+        "space h3  e = 0.5\n"
+        "  k   epsilon        degeneracy  admissible\n"
+        "bound_count: 0\n"
+        "interval: [-0.125, 0]\n"
+    ),
+    "spectrum --space s3 --e 2 --max-k 3 --format csv": (
+        "k,epsilon,degeneracy,admissible\n"
+        "1,-2,1,1\n"
+        "2,1,4,1\n"
+        "3,3.7777777777777777,9,1\n"
+    ),
+    # n1 = n2: Re b1 is a zero, and prints as 0, not -0
+    "state --space s3 --e 2 --n1 1 --n2 1 --m 0 --format csv": (
+        "field,value\n"
+        "a1,0\n"
+        "a2,0\n"
+        "alpha1,2;-0.66666666666666663\n"
+        "alpha2,2;0.66666666666666663\n"
+        "b1,0;-0.33333333333333331\n"
+        "b2,0;0.33333333333333331\n"
+        "beta1,-1;0\n"
+        "beta2,-1;0\n"
+        "e,2\n"
+        "epsilon,3.7777777777777777\n"
+        "gamma1,1;0\n"
+        "gamma2,1;0\n"
+        "k,3\n"
+        "k1,2;-1\n"
+        "k2,2;1\n"
+        "m,0\n"
+        "n1,1\n"
+        "n2,1\n"
+        "space,s3\n"
+    ),
+    "state --space s3 --e 2 --n1 1 --n2 1 --m 0 --format human": (
+        "bound state s3 e=2 (n1,n2,m)=(1,1,0)\n"
+        "  a1 = 0\n"
+        "  a2 = 0\n"
+        "  alpha1 = 2 - 0.666667i\n"
+        "  alpha2 = 2 + 0.666667i\n"
+        "  b1 = 0 - 0.333333i\n"
+        "  b2 = 0 + 0.333333i\n"
+        "  beta1 = -1 + 0i\n"
+        "  beta2 = -1 + 0i\n"
+        "  e = 2\n"
+        "  epsilon = 3.77778\n"
+        "  gamma1 = 1 + 0i\n"
+        "  gamma2 = 1 + 0i\n"
+        "  k = 3\n"
+        "  k1 = 2 - 1i\n"
+        "  k2 = 2 + 1i\n"
+    ),
+    "state --space h3 --e 10 --n1 1 --n2 0 --m 1 --format csv": (
+        "field,value\n"
+        "a1,0.5\n"
+        "a2,0.5\n"
+        "alpha1,5.3333333333333339;0\n"
+        "alpha2,-0.33333333333333348;0\n"
+        "b1,1.1666666666666667;0\n"
+        "b2,-1.1666666666666667;0\n"
+        "beta1,-1;0\n"
+        "beta2,0;0\n"
+        "e,10\n"
+        "epsilon,-9.5555555555555554\n"
+        "gamma1,2;0\n"
+        "gamma2,2;0\n"
+        "k,3\n"
+        "k1,8.6666666666666696;0\n"
+        "k2,-1.3333333333333335;0\n"
+        "m,1\n"
+        "n1,1\n"
+        "n2,0\n"
+        "space,h3\n"
+    ),
+    "limit --space s3 --e 5 --rho 20,300,5000 --format csv": (
+        "rho,err_t1,err_t2\n"
+        "20,0.025268294014420687,0.0037293699497419363\n"
+        "300,0.0016846880377913041,0.00024864460336115174\n"
+        "5000,0.00010108131832689401,1.4918681523710293e-05\n"
+        "# slope,-0.99998550431516231\n"
+        "# split,1,-12.5,-12.5,0\n"
+        "# split,2,-1.625,-3.125,1.5\n"
+        "# split,3,2.6111111111111112,-1.3888888888888888,4\n"
+    ),
+    "limit --space s3 --e 5 --rho 20,300,5000 --format human": (
+        "flat limit, space s3, base point (0.3, 0.2, 0.4)\n"
+        "  rho          err_t1       err_t2\n"
+        "  20           0.0252683    0.00372937\n"
+        "  300          0.00168469   0.000248645\n"
+        "  5000         0.000101081  1.49187e-05\n"
+        "log-log slope: -0.999986\n"
+        "  k   epsilon        rydberg_term   curvature_term\n"
+        "  1   -12.5          -12.5          0\n"
+        "  2   -1.625         -3.125         1.5\n"
+        "  3   2.61111        -1.38889       4\n" + LIMIT_NOTES
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(TEXT_OUTPUTS))
+def test_text_formats_exact_bytes(command):
+    assert run_cli(command.split()) == (0, TEXT_OUTPUTS[command], "")
+
+
+@pytest.mark.parametrize("suite", ["commutators", "metric"])
+@pytest.mark.parametrize("space", [["--space", "s3", "--e", "2"], ["--space", "h3", "--e", "10"]], ids=["s3", "h3"])
+def test_verify_csv_and_human_rows_rebuild_from_the_json_reports(suite, space):
+    argv = ["verify", suite, *space, "--seed", "5"]
+    rc, out, _ = run_cli([*argv, "--format", "json"])
+    reports = json.loads(out)["reports"]
+    m, h = (lambda x: MACHINE_FMT % x), (lambda x: HUMAN_FMT % x)
+    csv = ["suite,label,max_abs,max_rel,mean_rel,n_points,passed"] + [
+        f'{r["suite"]},"{r["label"]}",{m(r["max_abs"])},{m(r["max_rel"])},{m(r["mean_rel"])},'
+        f'{r["n_points"]},{int(r["passed"])}'
+        for r in reports
+    ]
+    human = [
+        f'[{"PASS" if r["passed"] else "FAIL"}] {r["suite"]:<12s} {r["label"]:<44s} max_rel={h(r["max_rel"])} '
+        f'(tol {h(r["tolerance"])}, n={r["n_points"]})' + (f'  [{r["note"]}]' if r["note"] else "")
+        for r in reports
+    ] + [f"verify: all passed ({len(reports)} reports)"]
+    assert rc == 0 and reports
+    assert run_cli([*argv, "--format", "csv"]) == (0, "\n".join(csv) + "\n", "")
+    assert run_cli([*argv, "--format", "human"]) == (0, "\n".join(human) + "\n", "")
+
+
 def test_spectrum_defaults_to_human():
     rc, out, _ = run_cli(["spectrum", "--space", "h3", "--e", "5"])
     assert rc == 0
