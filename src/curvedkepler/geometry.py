@@ -17,7 +17,11 @@ while on S3 it is genuinely complex,
 
 tied to the real sphere by the conjugation constraint
 t1* = -t1 (1 - t2)/(1 - t1) (equivalently t2* = -t2 (1 - t1)/(1 - t2),
-and t1 t2 real).  The closed-form parabolic metrics are diagonal,
+and t1 t2 real).  With D = cos(chi) - i cos(th) sin(chi) the S3 pair obeys
+
+    t1 - t2 = 2i sin(chi) D,   (1 - t1)(1 - t2) = D^2.
+
+The closed-form parabolic metrics are diagonal,
 
     H3:  diag( (t1-t2)/(4 t1 (1-t1)^2),  (t2-t1)/(4 t2 (1-t2)^2),  -t1 t2 ),
     S3:  the negated first two entries and +t1 t2,
@@ -241,37 +245,26 @@ def spherical_to_parabolic(space: SpaceTag, p: SphericalPoint) -> ParabolicPoint
 
 
 def parabolic_to_spherical(space: SpaceTag, p: ParabolicPoints) -> SphericalPoint:
-    """Invert the parabolic chart back to (chi, theta, phi).
+    """Invert the parabolic chart back to (chi, theta, phi) through the ambient point.
 
-    At the coordinate origin t1 = t2 = 0 the polar angle is genuinely
-    indeterminate; such points map to chi = 0, theta = 0, under one
-    warning per call.
+    theta = arccos(c3/|c|) on both spaces; chi = arcsinh|c| on H3 and
+    atan2(Re(t1 + t2), Im(t1 - t2)) on S3.  At the coordinate origin
+    t1 = t2 = 0 the polar angle is genuinely indeterminate; such points
+    map to chi = 0, theta = 0, under one warning per call.
     """
-    p.validate_for(space)
-    t1, t2, _ = _columns(p)
+    t1, t2 = p.t1, p.t2
     origin = (t1 == 0) & (t2 == 0)
     _raise_first((t1 == t2) & ~origin, SingularLocusError, "t1 = t2 != 0 lies on the chart axis")
+    c = parabolic_to_ambient(space, p)
     if origin.any():
         warnings.warn("theta is indeterminate at the chart origin", IndeterminateCoordinateWarning)
-    cos_theta = (t1 + t2 - 2.0 * t1 * t2) / np.where(origin, 1.0, t1 - t2)
-    non_real = np.abs(cos_theta.imag) > 1e-8
-    _raise_first(non_real, ConstraintError, "cos(theta) came out non-real: {}", cos_theta)
-    theta = np.arccos(np.clip(cos_theta.real, -1.0, 1.0))
+    r = np.sqrt(c[1] * c[1] + c[2] * c[2] + c[3] * c[3])
+    theta = np.where(r == 0.0, 0.0, np.arccos(c[3] / np.where(r == 0.0, 1.0, r)))
     if space.model is Model.H3:
-        tanh_chi = ((t1 - t2) / (2.0 - t1 - t2)).real
-        _raise_first(
-            ~((0.0 <= tanh_chi) & (tanh_chi < 1.0)),
-            DomainError,
-            "point outside the H3 chart: tanh(chi) = {}",
-            tanh_chi,
-        )
-        chi = np.arctanh(tanh_chi)
+        chi = np.arcsinh(r)
     else:
-        # arg t1 = pi/2 - chi (and arg t2 = chi - pi/2), so either
-        # nonzero member of the pair recovers chi in [0, pi].
-        chi = np.where(t1 != 0, math.pi / 2.0 - np.angle(t1), math.pi / 2.0 + np.angle(t2))
-        chi = np.clip(chi, 0.0, math.pi)
-    chi, theta = (np.where(origin, 0.0, v).reshape(p.t1.shape) for v in (chi, theta))
+        # Re(t1 + t2) = 2 sin^2 chi: its modulus keeps a -0 or a point off by rounding in [0, pi]
+        chi = np.where(origin, 0.0, np.arctan2(np.abs(t1.real + t2.real), t1.imag - t2.imag))
     return SphericalPoint(chi, theta, p.phi)
 
 
@@ -280,9 +273,8 @@ def parabolic_to_ambient(space: SpaceTag, p: ParabolicPoints) -> np.ndarray:
 
     Returns an array of shape ``(4,) + p.t1.shape`` holding (c0, c1, c2, c3).
 
-    The S3 square root has two branches differing by the simultaneous
-    flip of (y0, y3); only one of them inverts the forward formulas, so
-    both candidates are built and the one reproducing (t1, t2) is kept.
+    On S3 the root of (1-t1)(1-t2) = D^2 is the one along -i (t1 - t2) = 2 sin(chi) D
+    (module docstring); -D would flip (y0, y3) to the antipode.
     """
     p.validate_for(space)
     t1, t2, phi = _columns(p)
@@ -302,6 +294,7 @@ def parabolic_to_ambient(space: SpaceTag, p: ParabolicPoints) -> np.ndarray:
     prod = (1.0 - t1) * (1.0 - t2)
     _raise_first(prod == 0, SingularLocusError, "t = 1 is the chart boundary")
     root = np.sqrt(prod)
+    root = np.where((np.conj(root) * (-1j * (t1 - t2))).real < 0.0, -root, root)
     # t1*t2 is nonnegative real on S3 points, so -t1*t2 would sit on the
     # sqrt branch cut and rounding noise could flip the sign of (y1, y2);
     # keep the argument on the positive axis instead.
@@ -309,30 +302,10 @@ def parabolic_to_ambient(space: SpaceTag, p: ParabolicPoints) -> np.ndarray:
     y0 = (2.0 - t1 - t2) / (2.0 * root)
     iy3 = (t1 + t2 - 2.0 * t1 * t2) / (2.0 * root)
     y = np.stack([y0, radial * cos, radial * sin, -1j * iy3])
-    # The other branch negates the root, so it is (-y0, y1, y2, -y3) with
-    # the same imaginary parts: both candidates are real or neither is.
-    real = ~(np.abs(y.imag).max(axis=0) > 1e-9)
-    plus = y.real
-    minus = np.stack([-plus[0], plus[1], plus[2], -plus[3]])
-
-    def inversion_error(c: np.ndarray) -> np.ndarray:
-        # distance of the inverse map (2.14b) from (t1, t2)
-        r = np.sqrt(c[1] * c[1] + c[2] * c[2] + c[3] * c[3])
-        return np.abs((r + c[3]) * (r + 1j * c[0]) - t1) + np.abs((r - c[3]) * (r - 1j * c[0]) - t2)
-
-    err_plus, err_minus = inversion_error(plus), inversion_error(minus)
-    use_minus = err_minus < err_plus
-    best_err = np.where(real, np.minimum(err_plus, err_minus), np.inf)
-    _raise_first(
-        ~(best_err <= 1e-8 * (1.0 + np.abs(t1) + np.abs(t2))),
-        ConstraintError,
-        "({}, {}) does not correspond to a real S3 point",
-        t1,
-        t2,
-    )
-    out = np.where(use_minus, minus, plus)
-    _validate_ambient(space, out)
-    return out.reshape((4,) + p.t1.shape)
+    non_real = ~(np.abs(y.imag).max(axis=0) <= 1e-9)
+    _raise_first(non_real, ConstraintError, "({}, {}) does not correspond to a real S3 point", t1, t2)
+    _validate_ambient(space, y.real)
+    return y.real.reshape((4,) + p.t1.shape)
 
 
 def ambient_to_parabolic(space: SpaceTag, c) -> ParabolicPoints:
@@ -428,17 +401,10 @@ def _off_pullback_domain(chi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return ~((chi > 0.05) & (SINGULAR_GUARD < theta) & (theta < math.pi - SINGULAR_GUARD))
 
 
-def _near_boundary(p: ParabolicPoints) -> np.ndarray:
-    """Points with t1 or t2 within SINGULAR_GUARD of 0 or 1."""
-    t1, t2 = p.t1, p.t2
-    near = np.minimum.reduce([np.abs(t1), np.abs(1.0 - t1), np.abs(t2), np.abs(1.0 - t2)])
-    return near < SINGULAR_GUARD
-
-
 def pullback_accepts(space: SpaceTag, p: SphericalPoint) -> np.ndarray:
     """Mask of the points :func:`metric_pullback_check` accepts."""
     center = spherical_to_parabolic(space, p)
-    return ~(_off_pullback_domain(p.chi, p.theta) | _near_boundary(center))
+    return ~(_off_pullback_domain(p.chi, p.theta) | (center.clearance() < SINGULAR_GUARD))
 
 
 def metric_pullback_check(
@@ -452,9 +418,9 @@ def metric_pullback_check(
     point, each measured against 1 + |reference|.
 
     chi <= 0.05 or theta within ``SINGULAR_GUARD`` of the axis raises
-    DomainError; t1 or t2 within ``SINGULAR_GUARD`` of 0 or 1 raises
-    SingularLocusError.  A batch raises for its first such point, and
-    :func:`pullback_accepts` masks them.
+    DomainError; a :meth:`ParabolicPoints.clearance` below ``SINGULAR_GUARD``
+    raises SingularLocusError.  A batch raises for its first such point,
+    and :func:`pullback_accepts` masks them.
     """
     chi, theta = np.broadcast_arrays(p.chi, p.theta)
     _raise_first(
@@ -465,9 +431,7 @@ def metric_pullback_check(
         theta,
     )
     center = spherical_to_parabolic(space, p)
-    _raise_first(
-        _near_boundary(center), SingularLocusError, "point too close to a parabolic boundary"
-    )
+    _raise_first(center.clearance() < SINGULAR_GUARD, SingularLocusError, "point too close to a parabolic boundary")
     jac = _chart_jacobian(space, chi, theta)
     pull = np.swapaxes(jac, -1, -2) @ metric_parabolic(space, center) @ jac
     ref = _spherical_metric(space, chi, theta)

@@ -337,21 +337,13 @@ def _coupling_identity_differences(space: SpaceTag, pts: ParabolicPoints) -> np.
     The left side is the scalar coefficient of the B operator; the right
     side is cos(theta) = c3/|vec c| reconstructed through
     parabolic_to_ambient, so the comparison crosses module boundaries.
-    Wherever the quasi-Cartesian chart is single-valued (c0 > 0 — always
-    on H3, the near hemisphere on S3) the same value is also checked as
-    q3/q, and the point keeps the larger difference; on the far S3
-    hemisphere q = y/y0 swaps antipodes and q3/q flips sign, so only the
-    ambient form applies there.
+    Where c0 > 0 the quasi-Cartesian q = vec c/c0 gives q3/|q| = c3/|vec c|,
+    so this one form covers it.
     """
     amb = parabolic_to_ambient(space, pts)
     t1, t2 = pts.t1, pts.t2
     c = (t1 + t2 - 2.0 * t1 * t2) / (t1 - t2)
-    diff = np.abs(c - amb[3] / np.sqrt(amb[1] * amb[1] + amb[2] * amb[2] + amb[3] * amb[3]))
-    near = amb[0] > 0
-    q = amb[1:, near] / amb[0, near]
-    quasi_cos = q[2] / np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2])
-    diff[near] = np.maximum(diff[near], np.abs(c[near] - quasi_cos))
-    return diff
+    return np.abs(c - amb[3] / np.sqrt(amb[1] * amb[1] + amb[2] * amb[2] + amb[3] * amb[3]))
 
 
 def coupling_identity_residual(space: SpaceTag, points: ParabolicPoints) -> float:

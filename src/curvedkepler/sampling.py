@@ -2,8 +2,8 @@
 
 All generators take a ``numpy.random.Generator`` so a fixed seed gives
 bit-identical point sets across runs and platforms (PCG64 is fully
-specified).  Points keep a margin of at least ``GUARD`` from the chart
-singular loci t = 0, t = 1 and t1 = t2.
+specified).  Points keep a margin of at least ``SINGULAR_GUARD`` from the
+chart singular loci t = 0, t = 1 and t1 = t2.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import ParabolicPoints, SphericalPoint, spherical_to_parabolic
+from .geometry import SINGULAR_GUARD, ParabolicPoints, SphericalPoint, spherical_to_parabolic
 from .spaces import Model, SpaceTag
-
-GUARD = 1e-3
 
 # quasi-Cartesian shells stay inside the chart (H3 needs |q| < 1) and
 # clear of the q3-axis so phi and the parabolic pair stay smooth.
@@ -58,11 +56,11 @@ def factor_samples(
         raise ParameterError(f"which must be 1 or 2, got {which}")
     if space.model is Model.H3:
         if which == 1:
-            return rng.uniform(2.0 * GUARD, 1.0 - 2.0 * GUARD, n)
+            return rng.uniform(2.0 * SINGULAR_GUARD, 1.0 - 2.0 * SINGULAR_GUARD, n)
         return -(10.0 ** rng.uniform(-2.5, 0.7, n))
 
     def guarded(t):
-        return t, (np.abs(t) >= GUARD) & (np.abs(1.0 - t) >= GUARD)
+        return t, (np.abs(t) >= SINGULAR_GUARD) & (np.abs(1.0 - t) >= SINGULAR_GUARD)
 
     def physical(size):
         chi = rng.uniform(0.1, math.pi - 0.1, size)
@@ -89,7 +87,7 @@ def chart_points(
         theta = rng.uniform(0.15, math.pi - 0.15, size)
         phi = rng.uniform(0.0, 2.0 * math.pi, size)
         pts = spherical_to_parabolic(space, SphericalPoint(chi, theta, phi))
-        return pts.t1, pts.t2, pts.phi, pts.clearance() >= GUARD
+        return pts.t1, pts.t2, pts.phi, pts.clearance() >= SINGULAR_GUARD
 
     return ParabolicPoints(*_first_accepted(n, 2 * n, draw))
 

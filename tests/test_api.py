@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import curvedkepler
-from curvedkepler import cli, geometry, kepler, operators, report, specfun
+from curvedkepler import cli, geometry, kepler, operators, report, sampling, specfun
 
 SUBMODULES = [
     importlib.import_module(f"curvedkepler.{info.name}")
@@ -30,6 +30,7 @@ REMOVED = {
         "_wrap_angle",
         "ParabolicPoint",
         "AmbientPoint",
+        "_near_boundary",
     ],
     kepler: [
         "wavefunction",
@@ -62,6 +63,7 @@ REMOVED = {
         "angular_polynomial",
         "_point_rows",
     ],
+    sampling: ["GUARD"],
     specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF", "is_level", "each"],
 }
 

@@ -115,6 +115,18 @@ def test_parabolic_spherical_roundtrip(space, seed):
     assert worst < ROUNDTRIP_TOL, worst
 
 
+@pytest.mark.parametrize("space, chi_max, chi_tol", [(S3, math.pi, 1e-15), (H3, 5.0, 5e-12)])
+def test_spherical_roundtrip_is_accurate_on_a_grid_with_the_axis(space, chi_max, chi_tol):
+    """400 chi in (0, chi_max] by 300 theta in [0, pi], ends included: theta = 0
+    and pi come back exactly on the axis, and every point within the bounds."""
+    chi = np.linspace(0.0, chi_max, 401)[1:, None]
+    theta = np.linspace(0.0, math.pi, 300)[None, :]
+    back = parabolic_to_spherical(space, spherical_to_parabolic(space, SphericalPoint(chi, theta, 0.3)))
+    assert (back.theta[:, 0] == 0.0).all() and (back.theta[:, -1] == math.pi).all()
+    assert np.abs(back.theta - theta).max() <= 1e-13
+    assert np.abs(back.chi - chi).max() <= chi_tol
+
+
 @pytest.mark.parametrize("space, seed", [(H3, 103), (S3, 104)])
 def test_parabolic_ambient_roundtrip(space, seed):
     rng = make_rng(seed)
@@ -503,6 +515,8 @@ def test_inverse_chart_maps_give_the_bits_of_their_points_one_by_one(space, seed
     [
         (S3, parabolic_to_spherical, (S3_EXACT_T1, S3_EXACT_T2 + 0.01), ConstraintError),
         (S3, parabolic_to_spherical, (0.3j, 0.3j), SingularLocusError),
+        # t1 = 0 zeroes both constraint residuals, yet (0, 5) is no real S3 point
+        (S3, parabolic_to_spherical, (0j, 5 + 0j), ConstraintError),
         (H3, parabolic_to_spherical, (0.25 + 0.1j, -0.5), DomainError),
         (H3, ambient_to_parabolic, (1.0, 1.0, 1.0, 1.0), DomainError),
         (H3, ambient_to_parabolic, (-1.25, -math.sqrt(0.5), 0.0, -0.25), DomainError),
@@ -537,6 +551,7 @@ def test_spherical_points_are_checked_but_not_broadcast():
     "space, bad, error",
     [
         (S3, ParabolicPoints(S3_EXACT_T1, S3_EXACT_T2 + 0.01, 0.0), ConstraintError),
+        (S3, ParabolicPoints(0j, 5 + 0j, 0.0), ConstraintError),
         (H3, ParabolicPoints(1.0, -0.5, 0.0), SingularLocusError),
         (H3, ParabolicPoints(0.25 + 0.1j, -0.5, 0.0), DomainError),
     ],
