@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError
 from .spaces import Model, SpaceTag
-from .specfun import Hyp2F1Params, drop_zero_imag, hyp2f1, per_state, scaled_series, series_coefficients
+from .specfun import Hyp2F1Params, drop_zero_imag, per_state, scaled_series, series_coefficients
 
 __all__ = [
     "QuantumNumbers",
@@ -389,8 +389,8 @@ def radial_spherical(space: SpaceTag, e: float, n: int, l: int, chi: float) -> c
         arg = 1.0 - np.exp(-2j * chi)
         coupling = -1j * e / n
     params = Hyp2F1Params(coupling + l + 1, complex(l - n + 1), complex(2 * l + 2))
-    f = complex(hyp2f1(params, complex(arg)))
-    return complex(base**l * np.exp(expo) * f)
+    (f,), s = scaled_series([params], np.full((1, 1), arg))
+    return complex(base**l * np.exp(expo + s[0, 0]) * f[0, 0])
 
 
 def perturbed(state: StateParams, **deltas: complex) -> StateParams:

@@ -1,19 +1,21 @@
 """Differential-operator and symmetry-algebra verification.
 
 Everything here measures how well a constructed bound state satisfies
-the equations that define it, and reports the outcome as a
-:class:`~curvedkepler.report.ResidualReport`:
+the equations that define it, and every check returns a
+:class:`~curvedkepler.report.ResidualReport` (a list of them for a level):
 
 * ``ode_residual`` — each separated factor against its second-order ODE,
   using exact hypergeometric derivatives (no finite differences).
 * ``hamiltonian_residual`` — the full Hamiltonian of the state's space,
   in parabolic coordinates, against the energy eigenvalue.
 * ``b_operator_residual`` — the second separation operator (the one
-  diagonal with eigenvalue k1+k2), by the Hamiltonian's eigen-residual;
-  ``coupling_identity_residual`` ties its scalar coefficient to cos(theta).
+  diagonal with eigenvalue k1+k2), by the Hamiltonian's eigen-residual.
+* ``coupling_identity_residual`` — B's scalar coefficient against
+  cos(theta) of the ambient point, a property of the chart points alone.
 * ``runge_lenz_check`` — the operator identity B = A3 + L^2 (H3) /
   iB = A3 + iL^2 (S3), with the left side built from nested central
-  finite differences in quasi-Cartesian coordinates, on node arrays.
+  finite differences in quasi-Cartesian coordinates, on node arrays
+  mapped to the chart by ``ambient_to_parabolic``.
 * ``momentum_commutators`` — the so(3,1)/so(4) commutation relations as
   exact polynomial-coefficient identities, with the stencil's P_a and L_a.
 """
@@ -29,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .geometry import ParabolicPoints, parabolic_to_ambient
+from .geometry import ParabolicPoints, ambient_to_parabolic, parabolic_to_ambient
 from .kepler import (
     Level,
     SeparatedFactor,
@@ -331,24 +333,23 @@ def b_operator_residual(
     return reports if isinstance(state, Level) else reports[0]
 
 
-def _coupling_identity_differences(space: SpaceTag, pts: ParabolicPoints) -> np.ndarray:
-    """Per point, |(t1+t2-2 t1 t2)/(t1-t2) - cos(theta)| via the ambient chart.
+def coupling_identity_residual(space: SpaceTag, points: ParabolicPoints) -> ResidualReport:
+    """|(t1+t2-2 t1 t2)/(t1-t2) - cos(theta)| over a batch, at ``COUPLING_IDENTITY_TOL``.
 
     The left side is the scalar coefficient of the B operator; the right
     side is cos(theta) = c3/|vec c| reconstructed through
     parabolic_to_ambient, so the comparison crosses module boundaries.
     Where c0 > 0 the quasi-Cartesian q = vec c/c0 gives q3/|q| = c3/|vec c|,
-    so this one form covers it.
+    so this one form covers it.  The worst point reads (Re t1, Im t1, Re t2, Im t2, phi).
     """
+    pts = _batch(points)
     amb = parabolic_to_ambient(space, pts)
     t1, t2 = pts.t1, pts.t2
     c = (t1 + t2 - 2.0 * t1 * t2) / (t1 - t2)
-    return np.abs(c - amb[3] / np.sqrt(amb[1] * amb[1] + amb[2] * amb[2] + amb[3] * amb[3]))
-
-
-def coupling_identity_residual(space: SpaceTag, points: ParabolicPoints) -> float:
-    """max |(t1+t2-2 t1 t2)/(t1-t2) - cos(theta)| over a batch, cos(theta) via the ambient chart."""
-    return float(_coupling_identity_differences(space, _batch(points)).max(initial=0.0))
+    diffs = np.abs(c - amb[3] / np.sqrt(amb[1] * amb[1] + amb[2] * amb[2] + amb[3] * amb[3]))
+    rows = np.stack([t1.real, t1.imag, t2.real, t2.imag, pts.phi], axis=-1).reshape(-1, 5)
+    note = "|(t1+t2-2 t1 t2)/(t1-t2) - cos(theta)|, cos(theta) via the ambient chart"
+    return build_report(diffs, 0.0, COUPLING_IDENTITY_TOL, points=rows, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +374,13 @@ def _angular(axis: int, d, times):
 
 
 def _quasi_to_chart(space: SpaceTag, Q: np.ndarray):
-    """(t1, t2, phi) arrays of stacked quasi-Cartesian coordinates (3, n).
+    """(t1, t2, phi) arrays of stacked quasi-Cartesian coordinates (3, n), by :func:`ambient_to_parabolic`.
 
-    t1 and t2 are float64 on H3 and complex128 on S3, as the chart gives them.
+    Q lifts to the ambient point c0 (1, Q) with c0 = (1 - sigma |Q|^2)^(-1/2).
     """
-    q = np.sqrt((Q * Q).sum(axis=0))
-    phi = np.arctan2(Q[1], Q[0])
-    if space.model is Model.H3:
-        t1 = (Q[2] + q) / (1.0 + q)
-        t2 = (Q[2] - q) / (1.0 - q)
-    else:
-        y0 = 1.0 / np.sqrt(1.0 + q * q)
-        y = q * y0
-        y3 = Q[2] * y0
-        t1 = (y + y3) * (y + 1j * y0)
-        t2 = (y - y3) * (y - 1j * y0)
-    return t1, t2, phi
+    c0 = 1.0 / np.sqrt(1.0 - space.sigma * (Q * Q).sum(axis=0))
+    pts = ambient_to_parabolic(space, c0 * np.concatenate([np.ones_like(Q[:1]), Q]))
+    return pts.t1, pts.t2, pts.phi
 
 
 # The stencil of one step h.  Its nodes are the centre (0) and the one-shift

@@ -70,8 +70,6 @@ def build_report(
     ref = np.abs(np.asarray(reference)).ravel()
     if res.size == 0:
         return ResidualReport(0.0, 0.0, 0.0, 0, None, tolerance, True, note)
-    if ref.size == 1:
-        ref = np.full_like(res, ref[0])
     rel = res / (1.0 + ref)
     i = int(np.argmax(rel))
     worst = tuple(points[i]) if points is not None else None

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import SINGULAR_GUARD, ParabolicPoints, SphericalPoint, spherical_to_parabolic
+from .geometry import SINGULAR_GUARD, ParabolicPoints, SphericalPoint, pullback_accepts, spherical_to_parabolic
 from .spaces import Model, SpaceTag
 
 # quasi-Cartesian shells stay inside the chart (H3 needs |q| < 1) and
@@ -21,6 +21,11 @@ from .spaces import Model, SpaceTag
 H3_SHELL = (0.2, 0.8)
 S3_SHELL = (0.2, 1.5)
 AXIS_CLEARANCE = 0.15
+
+
+def _box(space: SpaceTag) -> tuple[tuple, tuple]:
+    """The low and high (chi, theta, phi) corners of the box that chart and pullback points are drawn from."""
+    return (0.15, 0.15, 0.0), (2.5 if space.model is Model.H3 else math.pi - 0.15, math.pi - 0.15, 2.0 * math.pi)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -79,17 +84,30 @@ def factor_samples(
 def chart_points(
     space: SpaceTag, rng: np.random.Generator, n: int = 200
 ) -> ParabolicPoints:
-    """A batch of n random non-singular chart points from (chi, theta, phi)."""
-    chi_hi = 2.5 if space.model is Model.H3 else math.pi - 0.15
+    """A batch of n random non-singular chart points from (chi, theta, phi), drawn one coordinate at a time."""
+    low, high = _box(space)
 
     def draw(size):
-        chi = rng.uniform(0.15, chi_hi, size)
-        theta = rng.uniform(0.15, math.pi - 0.15, size)
-        phi = rng.uniform(0.0, 2.0 * math.pi, size)
+        chi, theta, phi = (rng.uniform(lo, hi, size) for lo, hi in zip(low, high))
         pts = spherical_to_parabolic(space, SphericalPoint(chi, theta, phi))
         return pts.t1, pts.t2, pts.phi, pts.clearance() >= SINGULAR_GUARD
 
     return ParabolicPoints(*_first_accepted(n, 2 * n, draw))
+
+
+def pullback_points(space: SpaceTag, rng: np.random.Generator, n: int) -> SphericalPoint:
+    """n points of the chart-point box that :func:`~curvedkepler.geometry.pullback_accepts` keeps, at phi = 0.
+
+    Each candidate takes three draws (chi, theta, phi) of the stream, one
+    row of a (size, 3) block; phi does not enter the metric.
+    """
+    low, high = _box(space)
+
+    def draw(size):
+        chi, theta, _ = rng.uniform(low, high, (size, 3)).T
+        return chi, theta, pullback_accepts(space, SphericalPoint(chi, theta, 0.0))
+
+    return SphericalPoint(*_first_accepted(n, 2 * n, draw), 0.0)
 
 
 def quasi_points(

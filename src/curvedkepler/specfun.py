@@ -7,8 +7,9 @@ polynomial and its derivatives by Horner's rule with the growth |t|^n
 split off, which is how the wave functions evaluate it.  It runs in the
 dtype of its input: float64 when t is real and alpha, beta, gamma have
 zero imaginary parts (every H3 state on the real H3 chart), complex128
-otherwise.  :func:`hyp2f1` sums the polynomial in complex arithmetic for
-the radial functions of the spherical chart.
+otherwise; the radial functions of the spherical chart sum their series
+through it too.  :func:`hyp2f1` sums the polynomial in complex arithmetic
+by the rising-factorial recurrence; no runtime path calls it.
 
 :func:`pow_arr` computes a power z^w as one exponential of w log z, with
 the logarithm taken as the real pair (log|z|, arg z) and the exponential
@@ -99,9 +100,7 @@ def drop_zero_imag(z):
 
 
 def per_state(group, values) -> tuple:
-    """The tuple values(x) over a level's members, each value an (n, 1) column; a level of one's as plain numbers."""
-    if len(group) == 1:
-        return values(group[0])
+    """The tuple values(x) over a level's members, each value an (n, 1) column."""
     return tuple(np.array(col)[:, None] for col in zip(*map(values, group)))
 
 

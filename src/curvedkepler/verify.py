@@ -9,14 +9,13 @@ points used by, say, ``ode`` do not depend on which other suites run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import SphericalPoint, constraint_check, metric_pullback_check, pullback_accepts
+from .geometry import constraint_check, metric_pullback_check
 from .kepler import (
     Level,
     StateParams,
@@ -26,17 +25,16 @@ from .kepler import (
     perturbed,
 )
 from .operators import (
-    COUPLING_IDENTITY_TOL,
     QPolynomial,
-    _coupling_identity_differences,
     b_operator_residual,
+    coupling_identity_residual,
     hamiltonian_residual,
     momentum_commutators,
     ode_residual,
     runge_lenz_check,
 )
-from .report import ResidualReport, build_report, merge_reports
-from .sampling import _first_accepted, chart_points, factor_samples, quasi_points
+from .report import ResidualReport, merge_reports
+from .sampling import chart_points, factor_samples, pullback_points, quasi_points
 from .spaces import Model, SpaceTag
 
 ODE_POINTS = 100
@@ -121,18 +119,8 @@ def _rungelenz(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
 
 
 def _metric(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
-    # each point takes three draws (chi, theta, phi) of the stream; phi does
-    # not enter the metric
-    chi_hi = 2.5 if space.model is Model.H3 else math.pi - 0.15
-    low, high = (0.15, 0.15, 0.0), (chi_hi, math.pi - 0.15, 2.0 * math.pi)
-
-    def draw(size):
-        chi, theta, _ = rng.uniform(low, high, (size, 3)).T
-        return chi, theta, pullback_accepts(space, SphericalPoint(chi, theta, 0.0))
-
-    chi, theta = _first_accepted(METRIC_POINTS, 2 * METRIC_POINTS, draw)
     label = f"{space.model.value} metric pullback ({METRIC_POINTS} points)"
-    report = metric_pullback_check(space, SphericalPoint(chi, theta, 0.0), **kw)
+    report = metric_pullback_check(space, pullback_points(space, rng, METRIC_POINTS), **kw)
     return [SuiteResult("metric", label, report)]
 
 
@@ -144,14 +132,9 @@ def _constraint(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
         results.append(SuiteResult("constraint", label, constraint_check(pts, **kw)))
     # the B coupling identity depends on the points alone: checked once, on as
     # many points as the boperator suite takes, at a tolerance --tol leaves alone
-    n_states = sum(k * k for k in range(1, max_k + 1) if is_admissible(space, e, k))
-    pts = chart_points(space, rng, CHART_POINTS * n_states)
-    diffs = _coupling_identity_differences(space, pts)
-    rows = np.column_stack([pts.t1.real, pts.t1.imag, pts.t2.real, pts.t2.imag, pts.phi])
-    note = "|(t1+t2-2 t1 t2)/(t1-t2) - cos(theta)|, cos(theta) via the ambient chart"
-    report = build_report(diffs, 0.0, COUPLING_IDENTITY_TOL, points=rows, note=note)
+    pts = chart_points(space, rng, CHART_POINTS * len(bound_states(space, e, max_k)))
     label = f"{space.model.value} coupling/cos(theta) identity ({len(pts)} points)"
-    return results + [SuiteResult("constraint", label, report)]
+    return results + [SuiteResult("constraint", label, coupling_identity_residual(space, pts))]
 
 
 def _commutators(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:

@@ -62,6 +62,7 @@ REMOVED = {
         "momentum_polynomial",
         "angular_polynomial",
         "_point_rows",
+        "_coupling_identity_differences",
     ],
     sampling: ["GUARD"],
     specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF", "is_level", "each"],

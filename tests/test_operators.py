@@ -218,7 +218,7 @@ def test_b_operator_detects_separation_constant_shift():
 @pytest.mark.parametrize("space, seed", [(H3, 312), (S3, 313)])
 def test_coupling_identity(space, seed):
     pts = chart_points(space, make_rng(seed), n=200)
-    assert coupling_identity_residual(space, pts) < COUPLING_TOL
+    assert coupling_identity_residual(space, pts).max_abs < COUPLING_TOL
 
 
 @pytest.mark.parametrize("residual", [hamiltonian_residual, b_operator_residual])

@@ -11,9 +11,13 @@ from curvedkepler import (
     SUITES,
     all_passed,
     bound_states,
+    chart_points,
+    coupling_identity_residual,
+    geometry,
     operators,
     run_suite,
     run_suites,
+    verify,
 )
 
 
@@ -86,18 +90,29 @@ def test_constraint_suite_checks_the_coupling_identity_once(space, e):
     assert loose[-1].report == identity and identity.tolerance == operators.COUPLING_IDENTITY_TOL
 
 
-@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
-def test_constraint_suite_fails_on_a_wrong_ambient_map(space, e, monkeypatch):
-    ambient = operators.parabolic_to_ambient
-
-    def flipped(sp, p):
-        c = ambient(sp, p)
+def _ambient_flipped(ambient):
+    def run(space, p):
+        c = ambient(space, p)
         return np.concatenate([c[:3], -c[3:]])
 
-    monkeypatch.setattr(operators, "parabolic_to_ambient", flipped)
+    return run
+
+
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
+def test_constraint_suite_fails_on_a_wrong_ambient_map(space, e, monkeypatch):
+    monkeypatch.setattr(operators, "parabolic_to_ambient", _ambient_flipped(operators.parabolic_to_ambient))
     results = run_suite("constraint", space, e, 3, seed=7)
     assert [r.report.passed for r in results] == [True] * (len(results) - 1) + [False]
     assert results[-1].report.max_abs > 0.1
+
+
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
+def test_constraint_suite_reports_the_coupling_identity_of_its_draw(space, e):
+    rng = verify._suite_rng(7, "constraint")
+    if space is S3:  # the conjugation check draws first
+        chart_points(space, rng, verify.CHART_POINTS)
+    pts = chart_points(space, rng, verify.CHART_POINTS * len(bound_states(space, e, 3)))
+    assert run_suite("constraint", space, e, 3, seed=7)[-1].report == coupling_identity_residual(space, pts)
 
 
 def _failing(space, e, suites=("rungelenz", "commutators", "hamiltonian", "boperator")):
@@ -123,3 +138,32 @@ def test_seeded_generator_and_b_defects_fail_the_suites_that_share_them(monkeypa
 
     monkeypatch.setattr(operators, "_b_operator_core", d1_f2_flipped)
     assert _failing(space, e) == ["rungelenz", "boperator"]
+
+
+
+def _second_derivative_off(derivatives):
+    def run(fac, t):
+        f, f1, f2 = derivatives(fac, t)
+        return f, f1, f2 * (1.0 + 1e-3)
+
+    return run
+
+
+def _metric_off(metric):
+    return lambda space, p: metric(space, p) * (1.0 + 1e-4)
+
+
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
+@pytest.mark.parametrize(
+    "owner, name, defect, suite",
+    [
+        pytest.param(operators, "_derivatives", _second_derivative_off, "ode", id="second-derivative"),
+        pytest.param(geometry, "metric_parabolic", _metric_off, "metric", id="metric"),
+        pytest.param(operators, "parabolic_to_ambient", _ambient_flipped, "constraint", id="ambient"),
+    ],
+)
+def test_seeded_ode_metric_and_ambient_defects_fail_one_suite_each(monkeypatch, space, e, owner, name, defect, suite):
+    """f'' serves only the ODE suite, the parabolic metric only the metric
+    suite, and the ambient map of the operators only the coupling identity."""
+    monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
+    assert _failing(space, e, SUITES) == [suite]
