@@ -5,7 +5,7 @@ the equations that define it, and every check returns a
 :class:`~curvedkepler.report.ResidualReport` (a list of them for a level):
 
 * ``ode_residual`` — each separated factor against its second-order ODE,
-  using exact hypergeometric derivatives (no finite differences).
+  on the exact polynomial jets that H and B read (no finite differences).
 * ``hamiltonian_residual`` — the full Hamiltonian of the state's space,
   in parabolic coordinates, against the energy eigenvalue.
 * ``b_operator_residual`` — the second separation operator (the one
@@ -90,27 +90,19 @@ def _factor_jet(fac: Sequence[SeparatedFactor], t: np.ndarray):
 
 
 def factor_derivatives(fac: SeparatedFactor, t) -> tuple:
-    """(f, f', f'') of one factor, arrays of the shape of t (0-d for a scalar): :func:`_derivatives` on a (1, n) row."""
-    tt = np.asarray(t, dtype=complex)
-    return tuple(d.reshape(tt.shape) for d in _derivatives([fac], tt.reshape(1, -1)))
+    """(f, f', f'') of f(t) = t^a (1-t)^b F(alpha, beta; gamma; t), arrays of the shape of t (0-d for a scalar).
 
-
-def _derivatives(fac: Sequence[SeparatedFactor], t: np.ndarray) -> tuple:
-    """(f, f', f'') of f(t) = t^a (1-t)^b F(alpha, beta; gamma; t) for a level's factors, t stacked, a row each.
-
-    Product rule with exact hypergeometric derivatives throughout; no
-    finite differences.  The polynomial parts of :func:`_factor_jet` take
-    the power t^(a-2) (1-t)^(b-2) on principal branches, so t = 0 needs
-    a > 2, where f, f' and f'' all vanish.
+    The jets of :func:`_factor_jet` on a (1, n) row times t^(a-2) (1-t)^(b-2) on principal branches (``pow_arr``).
+    t = 0 needs a > 2, where f, f' and f'' all vanish, and t = 1 needs b = 0.
     """
-    a, b = per_state(fac, lambda f: (f.a, f.b))
-    if np.any((a <= 2.0) & (t == 0)):
+    row = np.asarray(t, dtype=complex).reshape(1, -1)
+    if fac.a <= 2.0 and np.any(row == 0):
         raise DomainError("derivatives at t = 0 need the t^a power to have a > 2")
-    if np.any((b != 0) & (t == 1)):
+    if fac.b != 0 and np.any(row == 1):
         raise DomainError("derivatives need t != 1 when the (1-t)^b power is active")
-    q, s = _factor_jet(fac, t)
-    p = pow_arr(t, a - 2.0) * pow_arr(1.0 - t, b - 2.0) * np.exp(s)
-    return tuple(p * qj for qj in q)
+    q, s = _factor_jet([fac], row)
+    p = pow_arr(row, fac.a - 2.0) * pow_arr(1.0 - row, fac.b - 2.0) * np.exp(s)
+    return tuple((p * qj).reshape(np.shape(t)) for qj in q)
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +145,16 @@ def ode_residual(
     """Residual of one separated factor in its defining ODE.
 
     (1-t) d/dt[t(1-t) f'] + (c t - m^2/(4t) + k_i) f = 0, where c is the
-    energy/coupling combination of the factor's variable.  The relative
-    scale is 1 + |k_i f|.  The sample is taken as complex128, real H3
-    draws included, since :func:`_derivatives` works on principal
-    branches.  A :class:`~curvedkepler.kepler.Level` takes a sample per state.
+    energy/coupling combination of the factor's variable.  Every term shares
+    the nonzero power p = t^(a-2) (1-t)^(b-2) e^s of f^(j) = p q^(j), so this takes
+    (1-t)((1-2t) q' + t(1-t) q'') + (c t - m^2/(4t) + k_i) q, relative to 1 + |k_i q|,
+    on the jets of :func:`_factor_jet` that H and B read.  The sample keeps its dtype
+    (real H3 draws run in float64).  A :class:`~curvedkepler.kepler.Level` takes a sample per state.
     """
     if which not in (1, 2):
         raise ParameterError(f"which must be 1 or 2, got {which}")
     level, samples = _as_level(state, sample)
-    rows = [np.atleast_1d(np.asarray(s, dtype=complex)).ravel() for s in samples]
+    rows = [np.atleast_1d(np.asarray(s)).ravel() for s in samples]
     t = _stacked(rows)
     if np.any(np.abs(t) < SINGULAR_SKIP) or np.any(np.abs(1.0 - t) < SINGULAR_SKIP):
         raise DomainError("ODE sample points must stay away from t = 0 and t = 1")
@@ -175,13 +168,13 @@ def ode_residual(
         return c, st.k1 if which == 1 else st.k2, float(st.qn.m * st.qn.m)
 
     c, kconst, m2 = per_state(level, constants)
-    f, f1, f2 = _derivatives([factor(s, which) for s in level], t)
+    (q, q1, q2), _ = _factor_jet([factor(s, which) for s in level], t)
     w = 1.0 - t  # named, as in _hamiltonian_core
-    lhs = (1.0 - t) * ((1.0 - 2.0 * t) * f1 + t * w * f2) + (
+    lhs = (1.0 - t) * ((1.0 - 2.0 * t) * q1 + t * w * q2) + (
         c * t - m2 / (4.0 * t) + kconst
-    ) * f
+    ) * q
     sizes = [r.size for r in rows]
-    reports = _reports(tolerance, sizes, sizes, lhs, kconst * f, t.real, t.imag)
+    reports = _reports(tolerance, sizes, sizes, lhs, kconst * q, t.real, t.imag)
     return reports if isinstance(state, Level) else reports[0]
 
 

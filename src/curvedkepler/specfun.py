@@ -16,9 +16,9 @@ the logarithm taken as the real pair (log|z|, arg z) and the exponential
 as exp(Re)(cos Im + i sin Im), so no complex log or exp runs.  Its branch
 is the principal one: log cut on the negative real axis, arg in
 (-pi, pi], and a negative real base has arg = +pi whatever the sign of
-its zero imaginary part.  The wave functions do not use it; it serves
-the one-factor jets of the separated ODE check, where any fixed branch
-will do.
+its zero imaginary part.  As with :func:`hyp2f1`, no runtime path
+calls it: it serves only ``operators.factor_derivatives`` (which no
+suite calls), its own tests and the benchmark tracer.
 """
 
 from __future__ import annotations

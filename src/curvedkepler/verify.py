@@ -130,9 +130,10 @@ def _constraint(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
         pts = chart_points(space, rng, CHART_POINTS)
         label = f"s3 conjugation constraint ({len(pts)} points)"
         results.append(SuiteResult("constraint", label, constraint_check(pts, **kw)))
-    # the B coupling identity depends on the points alone: checked once, on as
-    # many points as the boperator suite takes, at a tolerance --tol leaves alone
-    pts = chart_points(space, rng, CHART_POINTS * len(bound_states(space, e, max_k)))
+    # the B coupling identity depends on the points alone: checked once, on as many points
+    # as the boperator suite takes (k^2 states per level k), at a tolerance --tol leaves alone
+    n_states = sum(k * k for k in range(1, max_k + 1) if is_admissible(space, e, k))
+    pts = chart_points(space, rng, CHART_POINTS * n_states)
     label = f"{space.model.value} coupling/cos(theta) identity ({len(pts)} points)"
     return results + [SuiteResult("constraint", label, coupling_identity_residual(space, pts))]
 

@@ -63,6 +63,7 @@ REMOVED = {
         "angular_polynomial",
         "_point_rows",
         "_coupling_identity_differences",
+        "_derivatives",
     ],
     sampling: ["GUARD"],
     specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF", "is_level", "each"],

@@ -9,7 +9,7 @@ skipped in another state.
 import numpy as np
 import pytest
 
-from curvedkepler import kepler, operators
+from curvedkepler import kepler
 from curvedkepler import (
     H3,
     S3,
@@ -148,11 +148,6 @@ def test_a_level_of_one_reports_as_its_state(space, e):
     for entry in (wavefunction_values, apply_hamiltonian, apply_b_operator):
         row = entry.__wrapped__(Level([st]), b.t1[None], b.t2[None], b.phi[None])
         assert row.shape == (1, len(b)) and row[0].tobytes() == entry(st, b.t1, b.t2, b.phi).tobytes()
-    for which in (1, 2):
-        t = samples[which][0]
-        rows = operators._derivatives([factor(st, which)], t.astype(complex)[None])
-        for got, want in zip(factor_derivatives(factor(st, which), t), rows):
-            assert got.tobytes() == want[0].tobytes()
 
 
 @pytest.mark.parametrize("space, e, max_k", [(S3, 2.0, 1), (H3, 3.0, 4)])

@@ -17,6 +17,7 @@ from curvedkepler import (
     operators,
     run_suite,
     run_suites,
+    specfun,
     verify,
 )
 
@@ -63,6 +64,35 @@ def test_perturbation_only_affects_residual_suites():
     b_clean = [r.report.max_abs for r in clean if r.suite == "boperator"]
     b_dirty = [r.report.max_abs for r in dirty if r.suite == "boperator"]
     assert b_clean == b_dirty  # eigen-relation suites ignore the knob
+
+
+def test_ode_suite_fails_every_report_of_a_small_perturbation_where_psi_is_tiny():
+    """On the polynomial jets the ODE's scale does not shrink with the power
+    t^(a-2) (1-t)^(b-2) e^s, so at H3 e = 900 an epsilon off by 1e-6 fails
+    every factor, and the clean run passes every one."""
+    clean = run_suite("ode", H3, 900.0, 4, 7)
+    dirty = run_suite("ode", H3, 900.0, 4, 7, perturb_eps=1e-6)
+    assert len(clean) == len(dirty) == 60
+    assert all_passed(clean)
+    assert not any(r.report.passed for r in dirty)
+
+
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
+def test_ode_suite_takes_no_principal_branch_power(monkeypatch, space, e):
+    """The ODE suite reads the polynomial jets alone: no principal-branch power, no factor_derivatives."""
+    calls = []
+
+    def spied(name, fn):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return run
+
+    for owner, name in ((specfun, "pow_arr"), (operators, "pow_arr"), (operators, "factor_derivatives")):
+        monkeypatch.setattr(owner, name, spied(name, getattr(owner, name)))
+    assert all_passed(run_suite("ode", space, e, 3, 7))
+    assert calls == []
 
 
 def test_result_serialization_shape():
@@ -141,10 +171,10 @@ def test_seeded_generator_and_b_defects_fail_the_suites_that_share_them(monkeypa
 
 
 
-def _second_derivative_off(derivatives):
+def _second_derivative_off(jet):
     def run(fac, t):
-        f, f1, f2 = derivatives(fac, t)
-        return f, f1, f2 * (1.0 + 1e-3)
+        (q, q1, q2), s = jet(fac, t)
+        return (q, q1, q2 * (1.0 + 1e-3)), s
 
     return run
 
@@ -155,15 +185,22 @@ def _metric_off(metric):
 
 @pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
 @pytest.mark.parametrize(
-    "owner, name, defect, suite",
+    "owner, name, defect, suites",
     [
-        pytest.param(operators, "_derivatives", _second_derivative_off, "ode", id="second-derivative"),
-        pytest.param(geometry, "metric_parabolic", _metric_off, "metric", id="metric"),
-        pytest.param(operators, "parabolic_to_ambient", _ambient_flipped, "constraint", id="ambient"),
+        pytest.param(
+            operators,
+            "_factor_jet",
+            _second_derivative_off,
+            ["ode", "hamiltonian", "boperator", "rungelenz"],
+            id="second-derivative",
+        ),
+        pytest.param(geometry, "metric_parabolic", _metric_off, ["metric"], id="metric"),
+        pytest.param(operators, "parabolic_to_ambient", _ambient_flipped, ["constraint"], id="ambient"),
     ],
 )
-def test_seeded_ode_metric_and_ambient_defects_fail_one_suite_each(monkeypatch, space, e, owner, name, defect, suite):
-    """f'' serves only the ODE suite, the parabolic metric only the metric
+def test_seeded_ode_metric_and_ambient_defects_fail_one_suite_each(monkeypatch, space, e, owner, name, defect, suites):
+    """The factor jets serve the ODE suite and the exact H and B, which the
+    Runge-Lenz check applies; the parabolic metric serves only the metric
     suite, and the ambient map of the operators only the coupling identity."""
     monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
-    assert _failing(space, e, SUITES) == [suite]
+    assert _failing(space, e, SUITES) == suites
