@@ -6,16 +6,15 @@ Three charts are connected here:
 * geodesic spherical coordinates (chi, theta, phi),
 * generalized parabolic coordinates (t1, t2, phi).
 
-On H3 the parabolic pair is real with 0 <= t1 < 1 and t2 <= 0,
+The parabolic pair is the separated product t_i = a_i(th) u_i(chi), with
+a1 = 1 + cos th = 2 cos^2(th/2) and a2 = 1 - cos th = 2 sin^2(th/2) taken
+in half-angle form, where 1 - cos th would cancel near the axis th = 0.
+It is real on H3, with 0 <= t1 < 1 and t2 <= 0, and complex on S3:
 
-    t1 = (1 + cos th) sinh(chi) e^{-chi},   t2 = -(1 - cos th) sinh(chi) e^{chi},
+    H3:  u1 = sinh(chi) e^{-chi} = -expm1(-2 chi)/2,   u2 = -sinh(chi) e^{chi} = -expm1(2 chi)/2,
+    S3:  u1 = conj(u2) = sin(chi) e^{i(pi/2 - chi)} = sin(chi) (sin(chi) + i cos(chi)),
 
-while on S3 it is genuinely complex,
-
-    t1 = (1 + cos th) w(chi),   t2 = (1 - cos th) conj(w(chi)),
-    w(chi) = sin(chi) e^{i(pi/2 - chi)} = (1 - e^{-2i chi})/2,
-
-tied to the real sphere by the conjugation constraint
+the S3 pair tied to the real sphere by the conjugation constraint
 t1* = -t1 (1 - t2)/(1 - t1) (equivalently t2* = -t2 (1 - t1)/(1 - t2),
 and t1 t2 real).  With D = cos(chi) - i cos(th) sin(chi) the S3 pair obeys
 
@@ -28,9 +27,10 @@ The closed-form parabolic metrics are diagonal,
 
 and each pulls back, through the closed-form chart Jacobian, to the
 space's own spherical metric diag(1, f^2, f^2 sin^2 th) with
-f = sinh(chi) (H3) or sin(chi) (S3).  All maps are pure functions of
-double-precision values; singular loci raise typed errors instead of
-producing NaNs.
+f = sinh(chi) (H3) or sin(chi) (S3).  The inverse reads theta as
+atan2(hypot(c1, c2), c3) of the ambient point, exact near the axis too.
+All maps are pure functions of double-precision values; singular loci and
+non-finite coordinates raise typed errors instead of producing NaNs.
 
 Each chart has one point type, and it holds arrays: a
 :class:`SphericalPoint` holds (chi, theta, phi), a :class:`ParabolicPoints`
@@ -108,15 +108,12 @@ def _quadric(space: SpaceTag, c):
 
 
 def _validate_ambient(space: SpaceTag, c: np.ndarray) -> None:
-    """Raise DomainError for the first column of c = (c0, c1, c2, c3) off the quadric."""
-    off = np.abs(_quadric(space, c) - 1.0) > QUADRIC_TOL * np.maximum(1.0, c[0] * c[0])
-    _raise_first(
-        off, DomainError, f"point not on the {space.name} quadric: ({{}}, {{}}, {{}}, {{}})", *c
-    )
+    """Raise DomainError for the first column of c = (c0, c1, c2, c3) off the quadric, or not finite."""
+    scale = np.maximum(1.0, c[0] * c[0])
+    off = ~((np.abs(_quadric(space, c) - 1.0) <= QUADRIC_TOL * scale) & (scale < np.inf))
+    _raise_first(off, DomainError, f"point not on the {space.name} quadric: ({{}}, {{}}, {{}}, {{}})", *c)
     if space.model is Model.H3:
-        _raise_first(
-            c[0] < 1.0 - QUADRIC_TOL, DomainError, "H3 points live on the upper sheet (x0 >= 1)"
-        )
+        _raise_first(~(c[0] >= 1.0 - QUADRIC_TOL), DomainError, "H3 points live on the upper sheet (x0 >= 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +121,9 @@ class SphericalPoint:
     """Geodesic polar coordinates: chi, theta and phi arrays, 0-d for one point.
 
     chi lies in [0, inf) on H3 and [0, pi] on S3, theta in [0, pi]; phi
-    is reduced into [0, 2 pi).  The arrays are checked but not broadcast,
-    so a column of chi and a row of theta stand for their outer product
-    while each holds its own values once.
+    is finite and reduced into [0, 2 pi).  The arrays are checked but not
+    broadcast, so a column of chi and a row of theta stand for their outer
+    product while each holds its own values once.
     """
 
     chi: np.ndarray
@@ -134,13 +131,14 @@ class SphericalPoint:
     phi: np.ndarray
 
     def __post_init__(self) -> None:
-        chi, theta = np.asarray(self.chi, dtype=float), np.asarray(self.theta, dtype=float)
+        chi, theta, phi = (np.asarray(v, dtype=float) for v in (self.chi, self.theta, self.phi))
         ok_chi, ok_theta = (chi >= 0.0) & np.isfinite(chi), (0.0 <= theta) & (theta <= math.pi)
         _raise_first(~ok_chi, DomainError, "chi must be finite and >= 0, got {}", chi)
         _raise_first(~ok_theta, DomainError, "theta must lie in [0, pi], got {}", theta)
+        _raise_first(~np.isfinite(phi), DomainError, "phi must be finite, got {}", phi)
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", _norm_phi(np.asarray(self.phi, dtype=float)))
+        object.__setattr__(self, "phi", _norm_phi(phi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +149,8 @@ class ParabolicPoints:
     copied, so each point holds its own values); t1 and t2 share one
     dtype, float64 when both are given real (as the H3 chart makes them)
     and complex128 otherwise, and phi is reduced into [0, 2 pi) before
-    the broadcast.  Iterating yields the points one by one, in flat
-    order, each as a batch of 0-d arrays.
+    the broadcast; all three must be finite.  Iterating yields the points
+    one by one, in flat order, each as a batch of 0-d arrays.
     """
 
     t1: np.ndarray
@@ -161,7 +159,9 @@ class ParabolicPoints:
 
     def __post_init__(self) -> None:
         dtype = complex if np.iscomplexobj(self.t1) or np.iscomplexobj(self.t2) else float
-        given = [np.asarray(self.t1, dtype), np.asarray(self.t2, dtype), _norm_phi(np.asarray(self.phi, float))]
+        t1, t2, phi = np.asarray(self.t1, dtype), np.asarray(self.t2, dtype), np.asarray(self.phi, float)
+        _raise_first(~(np.isfinite(t1) & np.isfinite(t2) & np.isfinite(phi)), DomainError, "non-finite coordinate")
+        given = [t1, t2, _norm_phi(phi)]
         # a copy where the broadcast expanded an array: its stride-0 view would write one value to every point
         for name, a, b in zip(("t1", "t2", "phi"), given, np.broadcast_arrays(*given)):
             object.__setattr__(self, name, b if b.shape == a.shape else b.copy())
@@ -223,6 +223,17 @@ def _columns(p: ParabolicPoints):
 # chart maps
 
 
+def _chart_factors(space: SpaceTag, chi: np.ndarray, theta: np.ndarray):
+    """((a1, a2), (u1, u2)) of t_i = a_i(theta) u_i(chi) (module docstring), a shaped as theta and u as chi."""
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    if space.model is Model.H3:
+        u = -0.5 * np.expm1(-2.0 * chi), -0.5 * np.expm1(2.0 * chi)
+    else:
+        rad, cos = np.sin(chi), np.cos(chi)
+        u = rad * (rad + 1j * cos), rad * (rad - 1j * cos)
+    return (2.0 * c * c, 2.0 * s * s), u
+
+
 def spherical_to_parabolic(space: SpaceTag, p: SphericalPoint) -> ParabolicPoints:
     """Map geodesic polar coordinates to the parabolic chart.
 
@@ -230,24 +241,18 @@ def spherical_to_parabolic(space: SpaceTag, p: SphericalPoint) -> ParabolicPoint
     ``p.phi``; phi passes through, and the output satisfies the space's
     parabolic invariants by construction.
     """
-    chi, c = p.chi, np.cos(p.theta)
     if space.model is Model.H3:
-        _raise_first(chi > 350.0, DomainError, "chi too large: parabolic t2 would overflow")
-        sh = np.sinh(chi)
-        t1 = (1.0 + c) * sh * np.exp(-chi)
-        t2 = -(1.0 - c) * sh * np.exp(chi)
+        _raise_first(p.chi > 350.0, DomainError, "chi too large: parabolic t2 would overflow")
     else:
-        _raise_first(chi > math.pi, DomainError, "S3 requires chi <= pi, got {}", chi)
-        w = np.sin(chi) * np.exp(1j * (math.pi / 2.0 - chi))
-        t1 = (1.0 + c) * w
-        t2 = (1.0 - c) * np.conj(w)
-    return ParabolicPoints(t1, t2, p.phi)
+        _raise_first(p.chi > math.pi, DomainError, "S3 requires chi <= pi, got {}", p.chi)
+    (a1, a2), (u1, u2) = _chart_factors(space, p.chi, p.theta)
+    return ParabolicPoints(a1 * u1, a2 * u2, p.phi)
 
 
 def parabolic_to_spherical(space: SpaceTag, p: ParabolicPoints) -> SphericalPoint:
     """Invert the parabolic chart back to (chi, theta, phi) through the ambient point.
 
-    theta = arccos(c3/|c|) on both spaces; chi = arcsinh|c| on H3 and
+    theta = atan2(hypot(c1, c2), c3) on both spaces; chi = arcsinh|c| on H3 and
     atan2(Re(t1 + t2), Im(t1 - t2)) on S3.  At the coordinate origin
     t1 = t2 = 0 the polar angle is genuinely indeterminate; such points
     map to chi = 0, theta = 0, under one warning per call.
@@ -258,10 +263,9 @@ def parabolic_to_spherical(space: SpaceTag, p: ParabolicPoints) -> SphericalPoin
     c = parabolic_to_ambient(space, p)
     if origin.any():
         warnings.warn("theta is indeterminate at the chart origin", IndeterminateCoordinateWarning)
-    r = np.sqrt(c[1] * c[1] + c[2] * c[2] + c[3] * c[3])
-    theta = np.where(r == 0.0, 0.0, np.arccos(c[3] / np.where(r == 0.0, 1.0, r)))
+    theta = np.where(origin, 0.0, np.arctan2(np.hypot(c[1], c[2]), c[3]))
     if space.model is Model.H3:
-        chi = np.arcsinh(r)
+        chi = np.arcsinh(np.sqrt(c[1] * c[1] + c[2] * c[2] + c[3] * c[3]))
     else:
         # Re(t1 + t2) = 2 sin^2 chi: its modulus keeps a -0 or a point off by rounding in [0, pi]
         chi = np.where(origin, 0.0, np.arctan2(np.abs(t1.real + t2.real), t1.imag - t2.imag))
@@ -374,23 +378,20 @@ def _spherical_metric(space: SpaceTag, chi: np.ndarray, theta: np.ndarray) -> np
 def _chart_jacobian(space: SpaceTag, chi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Closed-form Jacobian of (chi, theta, phi) -> (t1, t2, phi) at each (chi, theta).
 
-    Both charts read t1 = (1 + cos th) u1(chi) and t2 = (1 - cos th) u2(chi),
-    with (u1, u2) = (sinh(chi) e^{-chi}, -sinh(chi) e^{chi}) on H3 and
-    (w, conj(w)) on S3, where dw/dchi = i e^{-2i chi}.  Returns a stack of
-    3 x 3 matrices of shape ``chi.shape + (3, 3)``.
+    t_i = a_i(theta) u_i(chi) with the factors of :func:`_chart_factors`, where
+    da1/dtheta = -da2/dtheta = -sin(theta).  Returns a stack of 3 x 3 matrices
+    of shape ``chi.shape + (3, 3)``.
     """
+    (a1, a2), (u1, u2) = _chart_factors(space, chi, theta)
     if space.model is Model.H3:
-        u1, u2 = np.sinh(chi) * np.exp(-chi), -np.sinh(chi) * np.exp(chi)
         du1, du2 = np.exp(-2.0 * chi), -np.exp(2.0 * chi)
     else:
-        u1 = np.sin(chi) * np.exp(1j * (math.pi / 2.0 - chi))
-        du1 = 1j * np.exp(-2j * chi)
-        u2, du2 = np.conj(u1), np.conj(du1)
-    c, s = np.cos(theta), np.sin(theta)
+        du1, du2 = 1j * np.exp(-2j * chi), -1j * np.exp(2j * chi)
+    s = np.sin(theta)
     jac = np.zeros(chi.shape + (3, 3), dtype=complex)
-    jac[..., 0, 0] = (1.0 + c) * du1
+    jac[..., 0, 0] = a1 * du1
     jac[..., 0, 1] = -s * u1
-    jac[..., 1, 0] = (1.0 - c) * du2
+    jac[..., 1, 0] = a2 * du2
     jac[..., 1, 1] = s * u2
     jac[..., 2, 2] = 1.0
     return jac

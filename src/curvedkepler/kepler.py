@@ -32,6 +32,7 @@ from typing import Any
 import numpy as np
 
 from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError
+from .geometry import _chart_factors
 from .spaces import Model, SpaceTag
 from .specfun import Hyp2F1Params, drop_zero_imag, per_state, scaled_series, series_coefficients
 
@@ -431,9 +432,8 @@ def _rounding(a, b, ab):
 def _separated(state: StateParams, chi: np.ndarray, theta: np.ndarray, power: int, split: bool = True):
     """(F1 F2 |e^E| rad^(power - |m|) on the outer product of the axes, rows chi; ``big``), rad = sinh or sin(chi).
 
-    t1 = (1 + cos theta) u1(chi) and t2 = (1 - cos theta) u2(chi), u1 = sinh(chi) e^{-chi} and u2 = -sinh(chi) e^{chi}
-    on H3, u1 = sin(chi) e^{i(pi/2 - chi)} = conj(u2) on S3, so F = sum c_p t^p is a theta matrix, rows
-    (2 cos^2(theta/2))^p or (2 sin^2(theta/2))^p, times a chi matrix, rows c_p u^p (c_p u^{p-n}, with n log|u| in
+    The chart is separated, t_i = a_i(theta) u_i(chi) as :func:`~curvedkepler.geometry._chart_factors` gives a and u,
+    so F = sum c_p t^p is a theta matrix, rows a^p, times a chi matrix, rows c_p u^p (c_p u^{p-n}, with n log|u| in
     the exponent, where ``big``: |u| > 1).  sin(theta)^|m| starts F1's theta rows, and the rest of |e^E|
     (:func:`_psi_exponent`), F2's scale and rad^power make one real exponent that starts F2's chi rows.  With
     ``split`` and real arithmetic each entry carries its rounding as a lo part (:func:`_rounding`), and F is
@@ -442,12 +442,10 @@ def _separated(state: StateParams, chi: np.ndarray, theta: np.ndarray, power: in
     (-1)^n2 where ``big[1]`` (u2 < 0) on H3, e^{-2i Re(b1) chi} on S3 (|u| = sin(chi) <= 1), and (1 - t2)^{b1+b2}'s.
     """
     am, shift = abs(state.qn.m), drop_zero_imag(state.b1 + state.b2)
-    if state.space.model is Model.H3:
-        rad, rate, u = np.sinh(chi), -2.0 * state.b1.real, -0.5 * np.expm1(np.multiply.outer([-2.0, 2.0], chi))
-    else:
-        rad, rate = np.sin(chi), 2.0 * state.b1.imag
-        u = rad * (rad + np.multiply.outer([1j, -1j], np.cos(chi)))
-    expo = rate * chi
+    a, u = (np.stack(pair) for pair in _chart_factors(state.space, chi, theta))
+    h3 = state.space.model is Model.H3
+    expo = (-2.0 * state.b1.real if h3 else 2.0 * state.b1.imag) * chi
+    rad = np.sinh(chi) if h3 else np.sin(chi)
     if power:  # no 0 log 0 at chi = 0
         with np.errstate(divide="ignore"):
             expo = power * np.log(rad) + expo
@@ -455,7 +453,6 @@ def _separated(state: StateParams, chi: np.ndarray, theta: np.ndarray, power: in
     real = u.dtype.kind == "f" and not any(z.imag for p in params for z in (p.alpha, p.beta, p.gamma))
     split, coef = split and real, [series_coefficients(p, real)[:, None] for p in params]
     deg, big, nt = np.array([[c.size - 1] for c in coef]), np.abs(u) > 1.0, theta.size
-    a = 2.0 * np.stack([np.cos(0.5 * theta), np.sin(0.5 * theta)]) ** 2
     # columns: the theta axis, then the chi axis; row 0 the weights, row p the weights times the axis to the p
     rows = np.empty((deg.max() + 1, 2, nt + chi.size), dtype=u.dtype)
     rows[0, 0, :nt], rows[0, 1, :nt] = np.sin(theta) ** am, 1.0

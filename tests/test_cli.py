@@ -163,10 +163,10 @@ TEXT_OUTPUTS = {
     ),
     "limit --space s3 --e 5 --rho 20,300,5000 --format csv": (
         "rho,err_t1,err_t2\n"
-        "20,0.025268294014420687,0.0037293699497419363\n"
-        "300,0.0016846880377913041,0.00024864460336115174\n"
-        "5000,0.00010108131832689401,1.4918681523710293e-05\n"
-        "# slope,-0.99998550431516231\n"
+        "20,0.025268294014420697,0.003729369949741938\n"
+        "300,0.0016846880377912234,0.00024864460336113982\n"
+        "5000,0.00010108131832679346,1.4918681523695455e-05\n"
+        "# slope,-0.9999855043153435\n"
         "# split,1,-12.5,-12.5,0\n"
         "# split,2,-1.625,-3.125,1.5\n"
         "# split,3,2.6111111111111112,-1.3888888888888888,4\n"

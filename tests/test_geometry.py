@@ -20,11 +20,13 @@ from curvedkepler import (
     H3,
     IndeterminateCoordinateWarning,
     ParabolicPoints,
+    QuantumNumbers,
     S3,
     SingularLocusError,
     SphericalPoint,
     ambient_to_parabolic,
     antipodal,
+    assemble_state,
     chart_points,
     constraint_check,
     factor_samples,
@@ -32,13 +34,14 @@ from curvedkepler import (
     make_rng,
     metric_parabolic,
     metric_pullback_check,
+    normalize,
     parabolic_to_ambient,
     parabolic_to_spherical,
     pullback_accepts,
     quasi_points,
     spherical_to_parabolic,
 )
-from curvedkepler import geometry, verify
+from curvedkepler import geometry, kepler, verify
 from curvedkepler.operators import _quasi_to_chart
 
 ROUNDTRIP_TOL = 1e-10
@@ -463,6 +466,53 @@ def test_origin_is_flagged_indeterminate():
     assert s.chi == 0.0 and s.theta == 0.0 and s.phi == 0.7
 
 
+def test_origin_with_negative_zeros_maps_to_theta_zero():
+    # on H3 t1 = t2 = -0 gives c3 = -0, where atan2(0, -0) would read pi
+    with pytest.warns(IndeterminateCoordinateWarning):
+        s = parabolic_to_spherical(H3, ParabolicPoints(-0.0, -0.0, 0.7))
+    assert s.chi == 0.0 and s.theta == 0.0
+
+
+@pytest.mark.parametrize("space", [H3, S3])
+def test_theta_round_trips_near_the_axis(space):
+    """2 sin^2(theta/2) keeps t2 where 1 - cos(theta) cancels, and atan2 reads theta back: within
+    4 ulp of pi, and within 1e-14 relative (t1 near 1 holds chi to a few ulp at chi = 2 on H3)."""
+    for chi in (1.0, 2.0):
+        for theta in (1e-8, 1e-6, math.pi - 1e-8):
+            back = parabolic_to_spherical(space, spherical_to_parabolic(space, SphericalPoint(chi, theta, 0.3)))
+            err = abs(float(back.theta) - theta)
+            assert err <= 4.0 * np.spacing(math.pi) and err <= 1e-14 * theta, (chi, theta, err)
+
+
+@pytest.mark.parametrize("space, e", [(H3, 10.0), (S3, 2.0)])
+def test_the_chart_and_the_separated_grids_share_one_product(monkeypatch, space, e):
+    """On a (chi column, theta row) grid t_i is a_i(theta) u_i(chi) bit for bit, in half-angle and
+    expm1 forms, and eval's and normalize's separated grids read a and u from the same function."""
+    chi = np.linspace(0.0, 5.0 if space is H3 else math.pi, 41)
+    theta = np.linspace(0.0, math.pi, 23)
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    a = (2.0 * c * c, 2.0 * s * s)
+    if space is H3:
+        u = (-0.5 * np.expm1(-2.0 * chi), -0.5 * np.expm1(2.0 * chi))
+    else:
+        u = (np.sin(chi) * (np.sin(chi) + 1j * np.cos(chi)), np.sin(chi) * (np.sin(chi) - 1j * np.cos(chi)))
+    t = spherical_to_parabolic(space, SphericalPoint(chi[:, None], theta[None, :], 0.0))
+    for got, ai, ui in zip((t.t1, t.t2), a, u):
+        assert got.tobytes() == np.multiply.outer(ui, ai).tobytes()
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1:])
+        return geometry._chart_factors(*args)
+
+    monkeypatch.setattr(kepler, "_chart_factors", spy)
+    state = assemble_state(space, e, QuantumNumbers(1, 0, 1))
+    kepler._psi_grid(state, chi, theta, np.zeros(1))
+    assert len(calls) == 1 and calls[0][0] is chi and calls[0][1] is theta
+    normalize(state)
+    assert len(calls) > 1
+
+
 def test_chart_axis_is_singular():
     # (iy, iy) satisfies the algebraic constraint but sits on the t1 = t2 axis
     with pytest.raises(SingularLocusError):
@@ -521,6 +571,8 @@ def test_inverse_chart_maps_give_the_bits_of_their_points_one_by_one(space, seed
         (S3, ambient_to_parabolic, (0.5, 0.5, 0.5, 0.6), DomainError),
         # t1 = 0 zeroes both constraint residuals, yet (0, 5) is no real S3 point
         (S3, parabolic_to_spherical, (0j, 5 + 0j), ConstraintError),
+        (H3, ambient_to_parabolic, (math.nan, 0.0, 0.0, 0.0), DomainError),
+        (S3, ambient_to_parabolic, (math.inf, 0.0, 0.0, 0.0), DomainError),
     ],
 )
 def test_inverse_chart_maps_raise_the_error_of_one_bad_point_in_a_batch(space, invert, bad, error):
@@ -545,6 +597,24 @@ def test_spherical_points_are_checked_but_not_broadcast():
     assert spherical_to_parabolic(S3, s).t1.shape == (5, 7)
     with pytest.raises(DomainError, match="theta must lie in"):
         SphericalPoint(chi, np.append(theta, 3.5)[None, :], 0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SphericalPoint(1.0, 1.0, math.nan),
+        lambda: SphericalPoint(1.0, 1.0, math.inf),
+        lambda: ParabolicPoints(np.array([0.25, math.nan]), -0.5, 0.0),
+        lambda: ParabolicPoints(0.25, complex(-0.5, math.inf), 0.0),
+        lambda: ParabolicPoints(0.25, -0.5, np.array([0.0, math.inf])),
+    ],
+    ids=["spherical-phi-nan", "spherical-phi-inf", "parabolic-t1-nan", "parabolic-t2-inf", "parabolic-phi-inf"],
+)
+def test_chart_points_refuse_non_finite_coordinates(make):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            make()
 
 
 @pytest.mark.parametrize(

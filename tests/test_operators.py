@@ -11,6 +11,7 @@ enough to reject wrong parameters.
 import json
 import math
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -20,6 +21,7 @@ from curvedkepler import kepler, operators, verify
 from curvedkepler.kepler import wavefunction_values
 from curvedkepler.report import build_report
 from curvedkepler import (
+    DomainError,
     H3,
     IntegrabilityError,
     Level,
@@ -177,6 +179,20 @@ def test_hamiltonian_skips_singular_points():
     report_h = hamiltonian_residual(st_h, _appended(pts_h, 0.3, 0.0, 0.1))
     assert report_h.n_points == 30
     assert "skipped 1" in report_h.note
+
+
+@pytest.mark.parametrize("space", [S3, H3])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_residuals_refuse_a_chart_point_that_is_not_finite(space, value):
+    """A nan t1 would be skipped as a singular point, and an inf t1 clears
+    every singular locus and turns the report into nan."""
+    st = _state(space, 2.0 if space is S3 else 10.0, QuantumNumbers(0, 0, 1))
+    pts = chart_points(space, make_rng(308), n=30)
+    assert hamiltonian_residual(st, pts).passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            hamiltonian_residual(st, _appended(pts, value, pts.t2[0], 0.1))
 
 
 def _appended(pts, t1, t2, phi):
