@@ -509,8 +509,8 @@ def flat_limit_coords(
     x, y, z = euclidean_point
     r = math.sqrt(x * x + y * y + z * z)
     rhos = [float(v) for v in rho_list]
-    if not all(math.isfinite(v) and v > 0.0 for v in rhos):
-        raise DomainError("rho values must be positive and finite")
+    if not rhos or not all(math.isfinite(v) and v > 0.0 for v in rhos):
+        raise DomainError("need one or more rho values, positive and finite")
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise DomainError("rho values must be strictly increasing")
     if r == 0.0:

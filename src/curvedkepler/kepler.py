@@ -176,10 +176,7 @@ def energy_split(space: SpaceTag, e: float, k: int) -> tuple[float, float]:
         raise DomainError("coupling e must be >= 0")
     if k < 1:
         raise DomainError("principal number k must be >= 1")
-    curvature = (k * k - 1) / 2.0
-    if space.model is Model.H3:
-        curvature = -curvature + 0.0  # keep k=1 at +0.0, not -0.0
-    return -e * e / (2.0 * k * k), curvature
+    return -e * e / (2.0 * k * k), -space.sigma * (k * k - 1) / 2.0  # an int numerator: k = 1 gives +0.0
 
 
 def is_admissible(space: SpaceTag, e: float, k: int) -> bool:
@@ -231,9 +228,8 @@ def assemble_state(space: SpaceTag, e: float, qn: QuantumNumbers) -> StateParams
     beta1 = complex(-n1)
     beta2 = complex(-n2)
     d = n2 - n1
-    # r is e/k on H3 and -i e/k on S3. On H3 each value stays a float until
-    # complex() wraps it, which keeps the bits (and zero signs) of real arithmetic.
-    r = e / k if space.model is Model.H3 else -1j * e / k
+    # r = kappa/k: on H3 each value stays a float until complex() wraps it, keeping the bits and zero signs of reals
+    r = space.coupling(e) / k
     b1 = complex((d + r) / 2.0)
     b2 = complex((-d - r) / 2.0)
     alpha1 = complex(n2 + am + 1 + r)
@@ -387,13 +383,11 @@ def radial_spherical(space: SpaceTag, e: float, n: int, l: int, chi: float) -> c
         base = np.sinh(chi)
         expo = (n - l - 1 - e / n) * chi
         arg = 1.0 - np.exp(-2.0 * chi)
-        coupling = e / n
     else:
         base = np.sin(chi)
         expo = (1j * (n - l - 1) - e / n) * chi
         arg = 1.0 - np.exp(-2j * chi)
-        coupling = -1j * e / n
-    params = Hyp2F1Params(coupling + l + 1, complex(l - n + 1), complex(2 * l + 2))
+    params = Hyp2F1Params(space.coupling(e) / n + l + 1, complex(l - n + 1), complex(2 * l + 2))
     (f,), s = scaled_series([params], np.full((1, 1), arg))
     return complex(base**l * np.exp(expo + s[0, 0]) * f[0, 0])
 

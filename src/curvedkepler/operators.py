@@ -10,6 +10,9 @@ the equations that define it, and every check returns a
   in parabolic coordinates, against the energy eigenvalue.
 * ``b_operator_residual`` — the second separation operator (the one
   diagonal with eigenvalue k1+k2), by the Hamiltonian's eigen-residual.
+
+All three read one 1-D operator per factor (``_separated_operator``; H and B are its Staeckel
+combinations), and the space enters by its tag alone: ``sigma`` and ``kappa = space.coupling(e)``.
 * ``coupling_identity_residual`` — B's scalar coefficient against
   cos(theta) of the ambient point, a property of the chart points alone.
 * ``runge_lenz_check`` — the operator identity B = A3 + L^2 (H3) /
@@ -144,11 +147,11 @@ def ode_residual(
 ) -> ResidualReport | list[ResidualReport]:
     """Residual of one separated factor in its defining ODE.
 
-    (1-t) d/dt[t(1-t) f'] + (c t - m^2/(4t) + k_i) f = 0, where c is the
-    energy/coupling combination of the factor's variable.  Every term shares
-    the nonzero power p = t^(a-2) (1-t)^(b-2) e^s of f^(j) = p q^(j), so this takes
-    (1-t)((1-2t) q' + t(1-t) q'') + (c t - m^2/(4t) + k_i) q, relative to 1 + |k_i q|,
-    on the jets of :func:`_factor_jet` that H and B read.  The sample keeps its dtype
+    (1-t) d/dt[t(1-t) f'] + (c t - m^2/(4t) + k_i) f = 0, where
+    c = (sigma eps -/+ kappa)/2 for i = 1/2, with kappa the space's coupling.  Every term
+    shares the nonzero power p = t^(a-2) (1-t)^(b-2) e^s of f^(j) = p q^(j), so this takes
+    :func:`_separated_operator` + (c t + k_i) q, relative to 1 + |k_i q|, on the jets of
+    :func:`_factor_jet` that H and B read.  The sample keeps its dtype
     (real H3 draws run in float64).  A :class:`~curvedkepler.kepler.Level` takes a sample per state.
     """
     if which not in (1, 2):
@@ -160,21 +163,15 @@ def ode_residual(
         raise DomainError("ODE sample points must stay away from t = 0 and t = 1")
 
     def constants(st: StateParams) -> tuple:
-        e, eps = st.e, st.epsilon
-        if st.space.model is Model.S3:
-            c = (1j * e - eps) / 2.0 if which == 1 else (-1j * e - eps) / 2.0
-        else:
-            c = (-e + eps) / 2.0 if which == 1 else (e + eps) / 2.0
+        eps, kappa = st.space.sigma * st.epsilon, st.space.coupling(st.e)
+        c = (eps - kappa) / 2.0 if which == 1 else (eps + kappa) / 2.0
         return c, st.k1 if which == 1 else st.k2, float(st.qn.m * st.qn.m)
 
     c, kconst, m2 = per_state(level, constants)
-    (q, q1, q2), _ = _factor_jet([factor(s, which) for s in level], t)
-    w = 1.0 - t  # named, as in _hamiltonian_core
-    lhs = (1.0 - t) * ((1.0 - 2.0 * t) * q1 + t * w * q2) + (
-        c * t - m2 / (4.0 * t) + kconst
-    ) * q
+    jet, _ = _factor_jet([factor(s, which) for s in level], t)
+    lhs = _separated_operator(t, jet, m2) + (c * t + kconst) * jet[0]
     sizes = [r.size for r in rows]
-    reports = _reports(tolerance, sizes, sizes, lhs, kconst * q, t.real, t.imag)
+    reports = _reports(tolerance, sizes, sizes, lhs, kconst * jet[0], t.real, t.imag)
     return reports if isinstance(state, Level) else reports[0]
 
 
@@ -200,42 +197,33 @@ def _jets(state: Level, t1, t2, phi):
 
 # numpy runs a * b as b *= a for a temporary b of 256 KiB or more, which moves the
 # last bits of a complex product; no complex product here takes a temporary on its
-# right (1 - t is named first), so a state has the same bits in a stack of any size.
+# right (1 - t and 2/(t1 - t2) are named), so a state has the same bits in a stack of any size.
+def _separated_operator(t, jet, m2) -> np.ndarray:
+    """l q = (1-t)[(1-2t) q' + t(1-t) q''] - m^2/(4t) q on a jet (q, q', q''): the one 1-D operator that each
+    factor's ODE (l_i + (c_i t + k_i) q = 0) holds and that H and B combine in Staeckel form."""
+    q, q1, q2 = jet
+    w = 1.0 - t
+    return ((1.0 - 2.0 * t) * q1 + t * w * q2) * w - m2 / (4.0 * t) * q
+
+
+def _staeckel(state: Level, space: SpaceTag, t1, t2, jets) -> tuple:
+    """(l_1, l_2, f1, f2, f1 f2, kappa, 2/(t1 - t2)): what H and B combine, over P1 P2 e^(i m phi)."""
+    m2, kappa = per_state(state, lambda s: (float(s.qn.m * s.qn.m), space.coupling(s.e)))
+    (f1, *_), (f2, *_) = jets
+    ell1, ell2 = _separated_operator(t1, jets[0], m2), _separated_operator(t2, jets[1], m2)
+    return ell1, ell2, f1, f2, f1 * f2, kappa, 2.0 / (t1 - t2)
+
+
 def _hamiltonian_core(state: Level, space: SpaceTag, t1, t2, jets) -> np.ndarray:
-    """H Psi over P1 P2 e^(i m phi), from the two polynomial jets."""
-    (f1, d1, dd1), (f2, d2, dd2) = jets
-    s3 = space.model is Model.S3
-    m2, e = per_state(state, lambda s: (float(s.qn.m * s.qn.m), 1j * s.e if s3 else s.e))
-    w1, w2 = 1.0 - t1, 1.0 - t2
-    big1 = (1.0 - 2.0 * t1) * d1 + t1 * w1 * dd1
-    big2 = (1.0 - 2.0 * t2) * d2 + t2 * w2 * dd2
-    pair = f1 * f2
-    core = (
-        2.0 * w1 / (t1 - t2) * big1 * f2
-        + 2.0 * w2 / (t2 - t1) * f1 * big2
-        + m2 / (2.0 * t1 * t2) * pair
-    )
-    if s3:
-        return core - e * (2.0 - t1 - t2) / (t1 - t2) * pair
-    return -core - e * (2.0 - t1 - t2) / (t1 - t2) * pair
+    """H Psi over P1 P2 e^(i m phi): -sigma [2/(t1-t2) (l_1 f2 - f1 l_2) + kappa (2-t1-t2)/(t1-t2) f1 f2]."""
+    ell1, ell2, f1, f2, pair, kappa, scale = _staeckel(state, space, t1, t2, jets)
+    return ((ell1 * f2 - f1 * ell2) * scale + kappa * (2.0 - t1 - t2) / (t1 - t2) * pair) * -space.sigma
 
 
 def _b_operator_core(state: Level, space: SpaceTag, t1, t2, jets) -> np.ndarray:
-    """B Psi over P1 P2 e^(i m phi), from the two polynomial jets."""
-    (f1, d1, dd1), (f2, d2, dd2) = jets
-    h3 = space.model is Model.H3
-    m2, w = per_state(state, lambda s: (float(s.qn.m * s.qn.m), s.e if h3 else -1j * s.e))
-    diff = t1 - t2
-    pair = f1 * f2
-    c = (t1 + t2 - 2.0 * t1 * t2) / diff
-    return (
-        w * c * pair
-        + 2.0 * t2 * (1.0 - t1) * (1.0 - 2.0 * t1) / diff * d1 * f2
-        - 2.0 * t1 * (1.0 - t2) * (1.0 - 2.0 * t2) / diff * f1 * d2
-        + 2.0 * t1 * t2 * (1.0 - t1) ** 2 / diff * dd1 * f2
-        - 2.0 * t1 * t2 * (1.0 - t2) ** 2 / diff * f1 * dd2
-        + m2 * (t1 + t2) / (2.0 * t1 * t2) * pair
-    )
+    """B Psi over P1 P2 e^(i m phi): 2/(t1-t2) (t2 l_1 f2 - t1 f1 l_2) + kappa (t1+t2-2 t1 t2)/(t1-t2) f1 f2."""
+    ell1, ell2, f1, f2, pair, kappa, scale = _staeckel(state, space, t1, t2, jets)
+    return (t2 * ell1 * f2 - t1 * f1 * ell2) * scale + kappa * (t1 + t2 - 2.0 * t1 * t2) / (t1 - t2) * pair
 
 
 @state_on_a_row
@@ -250,7 +238,7 @@ def apply_b_operator(state, t1, t2, phi) -> np.ndarray:
     """B Psi: the second separation operator, exact derivatives.
 
     Same differential structure in both models; only the scalar
-    coupling differs (e on H3, -ie on S3).  The state runs as a level of one.
+    coupling differs (:meth:`~curvedkepler.spaces.SpaceTag.coupling`).  The state runs as a level of one.
     """
     t, jets, p = _jets(state, t1, t2, phi)
     return _b_operator_core(state, state.space, *t, jets) * p

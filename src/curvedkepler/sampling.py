@@ -33,6 +33,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
+def _count(n) -> None:
+    """Refuse a sample count n that is not a non-negative integer."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ParameterError(f"n must be a non-negative integer, got {n!r}")
+
+
 def _first_accepted(n: int, size: int, draw) -> list[np.ndarray]:
     """The first n candidates that pass, from whole rounds of ``draw(size)``.
 
@@ -59,6 +65,7 @@ def factor_samples(
     """
     if which not in (1, 2):
         raise ParameterError(f"which must be 1 or 2, got {which}")
+    _count(n)
     if space.model is Model.H3:
         if which == 1:
             return rng.uniform(2.0 * SINGULAR_GUARD, 1.0 - 2.0 * SINGULAR_GUARD, n)
@@ -85,6 +92,7 @@ def chart_points(
     space: SpaceTag, rng: np.random.Generator, n: int = 200
 ) -> ParabolicPoints:
     """A batch of n random non-singular chart points from (chi, theta, phi), drawn one coordinate at a time."""
+    _count(n)
     low, high = _box(space)
 
     def draw(size):
@@ -101,6 +109,7 @@ def pullback_points(space: SpaceTag, rng: np.random.Generator, n: int) -> Spheri
     Each candidate takes three draws (chi, theta, phi) of the stream, one
     row of a (size, 3) block; phi does not enter the metric.
     """
+    _count(n)
     low, high = _box(space)
 
     def draw(size):
@@ -119,6 +128,7 @@ def quasi_points(
     sphere, rejected whenever the cylinder radius around the q3-axis is
     below the clearance needed by finite-difference stencils.
     """
+    _count(n)
     lo, hi = H3_SHELL if space.model is Model.H3 else S3_SHELL
 
     def draw(size):

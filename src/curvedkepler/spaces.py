@@ -8,6 +8,8 @@ small frozen tag carries those signs instead of duplicating code:
 
 * ``sigma`` is the sign in the momentum operator
   P_i = -i (delta_ij - sigma q_i q_j) d/dq_j: +1 on H3, -1 on S3.
+* ``coupling(e)`` is the coupling as the separated equations read it:
+  e on H3 and -i e on S3 (the chi -> i chi substitution).
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ class SpaceTag:
             raise ValueError("sigma must be +1 exactly for H3")
         if self.sigma not in (-1, 1):
             raise ValueError("sigma must be +1 or -1")
+
+    def coupling(self, e):
+        """kappa = e on H3 and -i e on S3, the coupling of the separated equations and the closed forms."""
+        return e if self.model is Model.H3 else -1j * e
 
     @property
     def name(self) -> str:

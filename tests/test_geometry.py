@@ -20,6 +20,7 @@ from curvedkepler import (
     H3,
     IndeterminateCoordinateWarning,
     ParabolicPoints,
+    ParameterError,
     QuantumNumbers,
     S3,
     SingularLocusError,
@@ -38,6 +39,7 @@ from curvedkepler import (
     parabolic_to_ambient,
     parabolic_to_spherical,
     pullback_accepts,
+    pullback_points,
     quasi_points,
     spherical_to_parabolic,
 )
@@ -808,6 +810,13 @@ def test_flat_limit_refuses_radii_that_are_not_positive_and_finite(point, rhos):
         flat_limit_coords(H3, rhos, point)
 
 
+@pytest.mark.parametrize("point", [(0.0, 0.0, 0.0), (0.3, 0.2, 0.4)])
+def test_flat_limit_refuses_an_empty_rho_list(point):
+    for space in (H3, S3):
+        with pytest.raises(DomainError, match="one or more rho values"):
+            flat_limit_coords(space, [], point)
+
+
 @pytest.mark.parametrize(
     "rhos, point", [([1000.0], (0.3, 0.2, 0.4)), ([100.0, 1000.0], (0.0, 0.0, 0.0))]
 )
@@ -835,3 +844,27 @@ def test_flat_limit_slope_fits_every_measurable_radius(point):
         errs = np.maximum(table.err_t1, table.err_t2)
         want = np.polyfit(np.log10(rhos), np.log10(errs), 1)[0]
         assert table.slope() == want
+
+
+@pytest.mark.parametrize("space", [H3, S3])
+@pytest.mark.parametrize(
+    "sample",
+    [
+        chart_points,
+        pullback_points,
+        quasi_points,
+        lambda space, rng, n: factor_samples(space, rng, 1, n),
+        lambda space, rng, n: factor_samples(space, rng, 2, n),
+    ],
+    ids=["chart", "pullback", "quasi", "factor1", "factor2"],
+)
+@pytest.mark.parametrize("n", [-1, -200, 2.5, 3.0, np.float64(4.0), None, "5"])
+def test_samplers_refuse_a_count_that_is_not_a_non_negative_integer(space, sample, n):
+    with pytest.raises(ParameterError, match="non-negative integer"):
+        sample(space, make_rng(1), n)
+
+
+@pytest.mark.parametrize("space", [H3, S3])
+def test_samplers_take_a_numpy_integer_count(space):
+    assert chart_points(space, make_rng(1), np.int64(3)).t1.tolist() == chart_points(space, make_rng(1), 3).t1.tolist()
+    assert factor_samples(space, make_rng(1), 2, np.int64(0)).size == 0

@@ -339,9 +339,41 @@ def _closed_form_jets(state, t1, t2, phi):
     return t1, t2, q1, q2, p
 
 
+def _closed_form_ell(t, jet, m2):
+    """The separated operator l q = (1-t)[(1-2t) q' + t(1-t) q''] - m^2/(4t) q, written out."""
+    q, q1, q2 = jet
+    w = 1.0 - t
+    return ((1.0 - 2.0 * t) * q1 + t * w * q2) * w - m2 / (4.0 * t) * q
+
+
+def _closed_form_staeckel(state, t1, t2, phi, jets):
+    """l1, l2, f1, f2, the prefactor, kappa (e on H3, -ie on S3), sigma and 2/(t1-t2), written out."""
+    t1, t2, jet1, jet2, p = jets(state, t1, t2, phi)
+    m2 = float(state.qn.m * state.qn.m)
+    h3 = state.space.model is H3.model
+    kappa, sigma = (state.e, 1) if h3 else (-1j * state.e, -1)
+    l1, l2 = _closed_form_ell(t1, jet1, m2), _closed_form_ell(t2, jet2, m2)
+    return t1, t2, l1, l2, jet1[0], jet2[0], p, kappa, sigma, 2.0 / (t1 - t2)
+
+
 def _closed_form_apply_hamiltonian(state, t1, t2, phi, jets=_closed_form_jets):
-    """The Hamiltonian as the bilinear form of the two polynomial jets times
-    the shared prefactor, written out as an oracle."""
+    """The Hamiltonian in Staeckel form, -sigma [2/(t1-t2) (l1 f2 - f1 l2) + kappa (2-t1-t2)/(t1-t2) f1 f2],
+    times the shared prefactor, written out as an oracle."""
+    t1, t2, l1, l2, f1, f2, p, kappa, sigma, scale = _closed_form_staeckel(state, t1, t2, phi, jets)
+    out = (l1 * f2 - f1 * l2) * scale + kappa * (2.0 - t1 - t2) / (t1 - t2) * (f1 * f2)
+    return out * -sigma * p
+
+
+def _closed_form_apply_b_operator(state, t1, t2, phi, jets=_closed_form_jets):
+    """B in Staeckel form, 2/(t1-t2) (t2 l1 f2 - t1 f1 l2) + kappa (t1+t2-2 t1 t2)/(t1-t2) f1 f2, times the prefactor."""
+    t1, t2, l1, l2, f1, f2, p, kappa, _, scale = _closed_form_staeckel(state, t1, t2, phi, jets)
+    out = (t2 * l1 * f2 - t1 * f1 * l2) * scale + kappa * (t1 + t2 - 2.0 * t1 * t2) / (t1 - t2) * (f1 * f2)
+    return out * p
+
+
+def _six_term_apply_hamiltonian(state, t1, t2, phi, jets=_closed_form_jets):
+    """The Hamiltonian as the expanded bilinear form of the two polynomial jets
+    times the shared prefactor: the second oracle, for the Staeckel algebra."""
     t1, t2, (f1, d1, dd1), (f2, d2, dd2), p = jets(state, t1, t2, phi)
     m2 = float(state.qn.m * state.qn.m)
     e = state.e
@@ -360,7 +392,7 @@ def _closed_form_apply_hamiltonian(state, t1, t2, phi, jets=_closed_form_jets):
     return out * p
 
 
-def _closed_form_apply_b_operator(state, t1, t2, phi, jets=_closed_form_jets):
+def _six_term_apply_b_operator(state, t1, t2, phi, jets=_closed_form_jets):
     t1, t2, (f1, d1, dd1), (f2, d2, dd2), p = jets(state, t1, t2, phi)
     m2 = float(state.qn.m * state.qn.m)
     w = state.e if state.space.model is H3.model else -1j * state.e
@@ -386,6 +418,24 @@ def test_apply_operators_keep_their_bits(space, e, qn):
     assert got.tobytes() == _closed_form_apply_hamiltonian(st, pts.t1, pts.t2, pts.phi).tobytes()
     got = apply_b_operator(st, pts.t1, pts.t2, pts.phi)
     assert got.tobytes() == _closed_form_apply_b_operator(st, pts.t1, pts.t2, pts.phi).tobytes()
+
+
+@pytest.mark.parametrize("space, e, qn", STATE_SET)
+def test_staeckel_form_matches_the_six_term_operators(space, e, qn):
+    """H and B through the separated operator agree with the expanded six-term forms on the same points,
+    within 1e-12 of the scale (1 + |eigenvalue|) |Psi| their residuals take, on both jet paths on S3."""
+    st = _state(space, e, qn)
+    pts = chart_points(space, make_rng(333), n=100)
+    psi = np.abs(wavefunction_values(st, pts.t1, pts.t2, pts.phi))
+    paths = [_closed_form_jets] + ([_complex_s3_jets] if space is S3 else [])
+    for staeckel, expanded, eig in (
+        (_closed_form_apply_hamiltonian, _six_term_apply_hamiltonian, st.epsilon),
+        (_closed_form_apply_b_operator, _six_term_apply_b_operator, st.k1 + st.k2),
+    ):
+        for jets in paths:
+            got = staeckel(st, pts.t1, pts.t2, pts.phi, jets=jets)
+            want = expanded(st, pts.t1, pts.t2, pts.phi, jets=jets)
+            assert np.max(np.abs(got - want) / ((1.0 + abs(eig)) * psi)) < 1e-12, (staeckel.__name__, jets.__name__)
 
 
 def _complex_series(params, t, order):

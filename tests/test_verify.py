@@ -179,6 +179,10 @@ def _second_derivative_off(jet):
     return run
 
 
+def _m2_term_off(separated):
+    return lambda t, jet, m2: separated(t, jet, m2 * (1.0 + 1e-3))
+
+
 def _metric_off(metric):
     return lambda space, p: metric(space, p) * (1.0 + 1e-4)
 
@@ -194,13 +198,20 @@ def _metric_off(metric):
             ["ode", "hamiltonian", "boperator", "rungelenz"],
             id="second-derivative",
         ),
+        pytest.param(
+            operators,
+            "_separated_operator",
+            _m2_term_off,
+            ["ode", "hamiltonian", "boperator", "rungelenz"],
+            id="separated-m2",
+        ),
         pytest.param(geometry, "metric_parabolic", _metric_off, ["metric"], id="metric"),
         pytest.param(operators, "parabolic_to_ambient", _ambient_flipped, ["constraint"], id="ambient"),
     ],
 )
 def test_seeded_ode_metric_and_ambient_defects_fail_one_suite_each(monkeypatch, space, e, owner, name, defect, suites):
-    """The factor jets serve the ODE suite and the exact H and B, which the
-    Runge-Lenz check applies; the parabolic metric serves only the metric
+    """The factor jets and the separated operator built on them serve the ODE
+    suite and the exact H and B, which the Runge-Lenz check applies; the parabolic metric serves only the metric
     suite, and the ambient map of the operators only the coupling identity."""
     monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
     assert _failing(space, e, SUITES) == suites
