@@ -206,10 +206,8 @@ def cmd_state(ns: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_eval(ns: argparse.Namespace) -> tuple[str, int]:
     state = assemble_state(ns.space, ns.e, QuantumNumbers(ns.n1, ns.n2, ns.m))
-    if ns.space.model is Model.S3 and np.any(ns.grid_chi > math.pi):
-        raise UsageError("S3 grid needs chi <= pi")
-    if np.any(ns.grid_chi < 0) or np.any(ns.grid_chi > 350.0):
-        raise UsageError("chi grid must lie in [0, 350]")
+    if np.any(ns.grid_chi < 0) or np.any(ns.grid_chi > ns.space.chi_max):
+        raise UsageError(f"chi grid must lie in [0, {ns.space.chi_max:g}] on {ns.space.name}")
     if np.any(ns.grid_theta < 0) or np.any(ns.grid_theta > math.pi):
         raise UsageError("theta grid must lie in [0, pi]")
     psi = _psi_grid(state, ns.grid_chi, ns.grid_theta, ns.grid_phi).ravel()

@@ -14,9 +14,15 @@ It is real on H3, with 0 <= t1 < 1 and t2 <= 0, and complex on S3:
     H3:  u1 = sinh(chi) e^{-chi} = -expm1(-2 chi)/2,   u2 = -sinh(chi) e^{chi} = -expm1(2 chi)/2,
     S3:  u1 = conj(u2) = sin(chi) e^{i(pi/2 - chi)} = sin(chi) (sin(chi) + i cos(chi)),
 
-the S3 pair tied to the real sphere by the conjugation constraint
-t1* = -t1 (1 - t2)/(1 - t1) (equivalently t2* = -t2 (1 - t1)/(1 - t2),
-and t1 t2 real).  With D = cos(chi) - i cos(th) sin(chi) the S3 pair obeys
+the S3 pair being the H3 pair at chi -> i chi, -expm1(-+2i chi)/2.  The
+metrics, the Jacobian and the range checks read each S3 formula as the H3
+one through the space tag (``unit``, ``sigma``, ``radius``, ``chi_max``),
+but the chart keeps two forms: numpy's complex expm1 at i chi is off the
+product form by up to 1 ulp of |u| at a third of the points, and every
+chart point and pinned output reads these bits.  The S3 pair is tied to
+the real sphere by the conjugation constraint t1* = -t1 (1 - t2)/(1 - t1)
+(equivalently t2* = -t2 (1 - t1)/(1 - t2), and t1 t2 real).  With
+D = cos(chi) - i cos(th) sin(chi) the S3 pair obeys
 
     t1 - t2 = 2i sin(chi) D,   (1 - t1)(1 - t2) = D^2.
 
@@ -100,11 +106,8 @@ def _raise_first(bad: np.ndarray, error: type, message: str, *values) -> None:
 
 
 def _quadric(space: SpaceTag, c):
-    """c0^2 - |c|^2 (H3) or c0^2 + |c|^2 (S3), elementwise over (c0, c1, c2, c3)."""
-    s = c[1] * c[1] + c[2] * c[2] + c[3] * c[3]
-    if space.model is Model.H3:
-        return c[0] * c[0] - s
-    return c[0] * c[0] + s
+    """c0^2 - sigma |c|^2, elementwise over (c0, c1, c2, c3)."""
+    return c[0] * c[0] - space.sigma * (c[1] * c[1] + c[2] * c[2] + c[3] * c[3])
 
 
 def _validate_ambient(space: SpaceTag, c: np.ndarray) -> None:
@@ -112,7 +115,7 @@ def _validate_ambient(space: SpaceTag, c: np.ndarray) -> None:
     scale = np.maximum(1.0, c[0] * c[0])
     off = ~((np.abs(_quadric(space, c) - 1.0) <= QUADRIC_TOL * scale) & (scale < np.inf))
     _raise_first(off, DomainError, f"point not on the {space.name} quadric: ({{}}, {{}}, {{}}, {{}})", *c)
-    if space.model is Model.H3:
+    if space.model is Model.H3:  # the hyperboloid has two sheets, the sphere one piece
         _raise_first(~(c[0] >= 1.0 - QUADRIC_TOL), DomainError, "H3 points live on the upper sheet (x0 >= 1)")
 
 
@@ -176,7 +179,7 @@ class ParabolicPoints:
     def validate_for(self, space: SpaceTag) -> None:
         """Raise the space's typed error for the first point off its parabolic chart by more than CONSTRAINT_TOL."""
         t1, t2, tol = self.t1, self.t2, CONSTRAINT_TOL
-        if space.model is Model.H3:
+        if space.model is Model.H3:  # real ranges on H3; on S3 the conjugation constraint ties complex values
             _raise_first(
                 (np.abs(t1.imag) > tol) | (np.abs(t2.imag) > tol),
                 DomainError,
@@ -203,10 +206,12 @@ class ParabolicPoints:
 
     def clearance(self) -> np.ndarray:
         """Distance of each point from the singular loci t = 0, t = 1 and t1 = t2."""
-        t1, t2 = self.t1, self.t2
-        return np.minimum.reduce(
-            [np.abs(t1), np.abs(1.0 - t1), np.abs(t2), np.abs(1.0 - t2), np.abs(t1 - t2)]
-        )
+        return _clearance(self.t1, self.t2)
+
+
+def _clearance(t1, t2) -> np.ndarray:
+    """:meth:`ParabolicPoints.clearance` of the chart values t1, t2, elementwise."""
+    return np.minimum.reduce([np.abs(t1), np.abs(1.0 - t1), np.abs(t2), np.abs(1.0 - t2), np.abs(t1 - t2)])
 
 
 def _columns(p: ParabolicPoints):
@@ -226,6 +231,7 @@ def _columns(p: ParabolicPoints):
 def _chart_factors(space: SpaceTag, chi: np.ndarray, theta: np.ndarray):
     """((a1, a2), (u1, u2)) of t_i = a_i(theta) u_i(chi) (module docstring), a shaped as theta and u as chi."""
     c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    # S3's u is H3's at chi -> i chi, but in its own form: H3's expm1 at i chi rounds apart (module docstring)
     if space.model is Model.H3:
         u = -0.5 * np.expm1(-2.0 * chi), -0.5 * np.expm1(2.0 * chi)
     else:
@@ -241,10 +247,7 @@ def spherical_to_parabolic(space: SpaceTag, p: SphericalPoint) -> ParabolicPoint
     ``p.phi``; phi passes through, and the output satisfies the space's
     parabolic invariants by construction.
     """
-    if space.model is Model.H3:
-        _raise_first(p.chi > 350.0, DomainError, "chi too large: parabolic t2 would overflow")
-    else:
-        _raise_first(p.chi > math.pi, DomainError, "S3 requires chi <= pi, got {}", p.chi)
+    _raise_first(p.chi > space.chi_max, DomainError, f"{space.name} requires chi <= {space.chi_max:g}, got {{}}", p.chi)
     (a1, a2), (u1, u2) = _chart_factors(space, p.chi, p.theta)
     return ParabolicPoints(a1 * u1, a2 * u2, p.phi)
 
@@ -264,7 +267,7 @@ def parabolic_to_spherical(space: SpaceTag, p: ParabolicPoints) -> SphericalPoin
     if origin.any():
         warnings.warn("theta is indeterminate at the chart origin", IndeterminateCoordinateWarning)
     theta = np.where(origin, 0.0, np.arctan2(np.hypot(c[1], c[2]), c[3]))
-    if space.model is Model.H3:
+    if space.model is Model.H3:  # on S3 arcsin|c| cannot tell chi from pi - chi; atan2 of the t can
         chi = np.arcsinh(np.sqrt(c[1] * c[1] + c[2] * c[2] + c[3] * c[3]))
     else:
         # Re(t1 + t2) = 2 sin^2 chi: its modulus keeps a -0 or a point off by rounding in [0, pi]
@@ -283,7 +286,7 @@ def parabolic_to_ambient(space: SpaceTag, p: ParabolicPoints) -> np.ndarray:
     p.validate_for(space)
     t1, t2, phi = _columns(p)
     cos, sin = np.cos(phi), np.sin(phi)
-    if space.model is Model.H3:
+    if space.model is Model.H3:  # real roots on H3; S3 takes complex ones and picks the root's sign
         x1, x2 = t1.real, t2.real
         _raise_first(x1 >= 1.0, SingularLocusError, "t1 = 1 is the chart boundary")
         root = np.sqrt((1.0 - x1) * (1.0 - x2))
@@ -328,7 +331,7 @@ def ambient_to_parabolic(space: SpaceTag, c) -> ParabolicPoints:
         )
     r = np.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
     phi = np.arctan2(c2, c1)
-    if space.model is Model.H3:
+    if space.model is Model.H3:  # real quotients on H3, complex products on S3: each keeps its chart's dtype
         return ParabolicPoints((c3 + r) / (c0 + r), (c3 - r) / (c0 - r), phi)
     return ParabolicPoints((r + c3) * (r + 1j * c0), (r - c3) * (r - 1j * c0), phi)
 
@@ -357,17 +360,16 @@ def metric_parabolic(space: SpaceTag, p: ParabolicPoints) -> np.ndarray:
         t1,
         t2,
     )
-    sign = 1.0 if space.model is Model.H3 else -1.0
     g = np.zeros(t1.shape + (3, 3), dtype=complex)
-    g[..., 0, 0] = sign * (t1 - t2) / (4.0 * t1 * (1.0 - t1) ** 2)
-    g[..., 1, 1] = sign * (t2 - t1) / (4.0 * t2 * (1.0 - t2) ** 2)
-    g[..., 2, 2] = -sign * t1 * t2
+    g[..., 0, 0] = space.sigma * (t1 - t2) / (4.0 * t1 * (1.0 - t1) ** 2)
+    g[..., 1, 1] = space.sigma * (t2 - t1) / (4.0 * t2 * (1.0 - t2) ** 2)
+    g[..., 2, 2] = -space.sigma * t1 * t2
     return g.reshape(p.t1.shape + (3, 3))
 
 
 def _spherical_metric(space: SpaceTag, chi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """diag(1, f^2, f^2 sin^2 th) at each (chi, theta), a stack of 3 x 3 matrices."""
-    f = np.sinh(chi) if space.model is Model.H3 else np.sin(chi)
+    f = space.radius(chi)
     g = np.zeros(chi.shape + (3, 3))
     g[..., 0, 0] = 1.0
     g[..., 1, 1] = f * f
@@ -379,14 +381,13 @@ def _chart_jacobian(space: SpaceTag, chi: np.ndarray, theta: np.ndarray) -> np.n
     """Closed-form Jacobian of (chi, theta, phi) -> (t1, t2, phi) at each (chi, theta).
 
     t_i = a_i(theta) u_i(chi) with the factors of :func:`_chart_factors`, where
-    da1/dtheta = -da2/dtheta = -sin(theta).  Returns a stack of 3 x 3 matrices
-    of shape ``chi.shape + (3, 3)``.
+    da1/dtheta = -da2/dtheta = -sin(theta) and du1/dchi, du2/dchi = e^{-2 chi}, -e^{2 chi}
+    on H3, at chi -> i chi on S3.  Returns a stack of 3 x 3 matrices of shape
+    ``chi.shape + (3, 3)``.
     """
     (a1, a2), (u1, u2) = _chart_factors(space, chi, theta)
-    if space.model is Model.H3:
-        du1, du2 = np.exp(-2.0 * chi), -np.exp(2.0 * chi)
-    else:
-        du1, du2 = 1j * np.exp(-2j * chi), -1j * np.exp(2j * chi)
+    unit = space.unit
+    du1, du2 = unit * np.exp(-2 * unit * chi), -unit * np.exp(2 * unit * chi)
     s = np.sin(theta)
     jac = np.zeros(chi.shape + (3, 3), dtype=complex)
     jac[..., 0, 0] = a1 * du1
@@ -504,7 +505,7 @@ def flat_limit_coords(
 
     A Euclidean point (x, y, z) with r = |(x,y,z)| placed at geodesic
     distance r/rho has rho*t1 -> z + r and rho*t2 -> z - r on H3, and the
-    same limits for -i*rho*t on S3; errors decay as O(1/rho).
+    same limits for rho*t/unit = -i*rho*t on S3; errors decay as O(1/rho).
     """
     x, y, z = euclidean_point
     r = math.sqrt(x * x + y * y + z * z)
@@ -522,9 +523,8 @@ def flat_limit_coords(
     phi = math.atan2(y, x)
     xi = z + r
     eta_neg = z - r
-    unit = -1j if space.model is Model.S3 else 1.0
     q = spherical_to_parabolic(space, SphericalPoint(r / np.array(rhos), theta, phi))
     # the errors in Python scalars: numpy's complex abs can differ in the last bit
-    e1 = tuple(abs(unit * rho * t - xi) for rho, t in zip(rhos, q.t1.tolist()))
-    e2 = tuple(abs(unit * rho * t - eta_neg) for rho, t in zip(rhos, q.t2.tolist()))
+    e1 = tuple(abs(rho * t / space.unit - xi) for rho, t in zip(rhos, q.t1.tolist()))
+    e2 = tuple(abs(rho * t / space.unit - eta_neg) for rho, t in zip(rhos, q.t2.tolist()))
     return FlatLimitTable(tuple(rhos), e1, e2, False, (xi, eta_neg))

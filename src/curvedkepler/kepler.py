@@ -158,10 +158,8 @@ def energy(space: SpaceTag, e: float, k: int) -> float:
     :func:`energy_split` is the formula itself, unchecked).
     """
     rydberg, curvature = energy_split(space, e, k)
-    if space.model is Model.H3 and not is_admissible(space, e, k):
-        raise BoundStateError(
-            f"H3 level k={k} is not bound for e={e} (needs k < sqrt(e))"
-        )
+    if not is_admissible(space, e, k):  # on S3 every k >= 1 is bound
+        raise BoundStateError(f"H3 level k={k} is not bound for e={e} (needs k < sqrt(e))")
     return rydberg + curvature
 
 
@@ -172,8 +170,7 @@ def energy_split(space: SpaceTag, e: float, k: int) -> tuple[float, float]:
     the flat-space limit of the spectrum is a statement about the
     closed form, not a numerical limit.
     """
-    if e < 0:
-        raise DomainError("coupling e must be >= 0")
+    _check_coupling(e)
     if k < 1:
         raise DomainError("principal number k must be >= 1")
     return -e * e / (2.0 * k * k), -space.sigma * (k * k - 1) / 2.0  # an int numerator: k = 1 gives +0.0
@@ -186,16 +183,24 @@ def is_admissible(space: SpaceTag, e: float, k: int) -> bool:
     return k >= 1
 
 
-def bound_count_h3(e: float) -> int:
-    """Number of discrete H3 levels: integers k >= 1 with k < sqrt(e)."""
+def _check_coupling(e: float) -> None:
+    """Refuse an e < 0, or one whose square is not finite: the closed forms read e^2 and (k +- e/k)^2."""
     if e < 0:
         raise DomainError("coupling e must be >= 0")
+    if not math.isfinite(e * e):
+        raise DomainError(f"coupling e={e!r} is out of range: e*e must be finite")
+
+
+def bound_count_h3(e: float) -> int:
+    """Number of discrete H3 levels: integers k >= 1 with k < sqrt(e)."""
+    _check_coupling(e)
     # k^2 < e  <=>  k^2 <= ceil(e) - 1 for integer k
     return math.isqrt(math.ceil(e) - 1) if e > 1 else 0
 
 
 def bound_interval_h3(e: float) -> tuple[float, float]:
     """The closed interval [-e^2/2, 1/2 - e] containing all H3 levels."""
+    _check_coupling(e)
     return (-e * e / 2.0, 0.5 - e)
 
 
@@ -212,14 +217,10 @@ def enumerate_states(k: int) -> list[QuantumNumbers]:
 
 
 def assemble_state(space: SpaceTag, e: float, qn: QuantumNumbers) -> StateParams:
-    """Build the full closed-form parameter bundle of a bound state."""
+    """Build the full closed-form parameter bundle of a bound state; :func:`energy` refuses (e, k) first."""
     if e <= 0:
         raise DomainError("bound states need attractive coupling e > 0")
     k = qn.k
-    if space.model is Model.H3 and not is_admissible(space, e, k):
-        raise BoundStateError(
-            f"H3 state with k={k} is not bound for e={e} (needs k < sqrt(e))"
-        )
     eps = energy(space, e, k)
     n1, n2, m = qn.n1, qn.n2, qn.m
     am = abs(m)
@@ -313,7 +314,7 @@ def psi_prefactor(state: Level, t1, t2, log_scale, phi) -> np.ndarray:
     """
     im, unit = per_state(state, lambda s: (1j * s.qn.m, 1j ** abs(s.qn.m)))
     phi = np.asarray(phi, dtype=float)
-    if state.space.model is Model.H3:
+    if state.space.model is Model.H3:  # keeps E real, in float64
         return np.exp(_psi_exponent(state, t1, t2, log_scale)) * (unit * np.exp(im * phi))
     return np.exp(_psi_exponent(state, t1, t2, log_scale + im * phi))
 
@@ -331,7 +332,7 @@ def _psi_exponent(state: Level, t1, t2, log_scale) -> np.ndarray:
     F2 and e^{-2 b1 chi} alone would over- or underflow.  A perturbed
     state's b1 + b2 != 0 adds (1-t2)^{b1+b2} on the principal branch.
     """
-    h3 = state.space.model is Model.H3
+    h3 = state.space.model is Model.H3  # float64 logs on H3; the branch-free angle chi on S3
     b1, half_m, shift = per_state(
         state, lambda s: (s.b1.real if h3 else -2j * s.b1, 0.5 * abs(s.qn.m), drop_zero_imag(s.b1 + s.b2))
     )
@@ -361,9 +362,9 @@ def radial_spherical(space: SpaceTag, e: float, n: int, l: int, chi: float) -> c
     H3:  sinh^l(chi) e^{(n-l-1-e/n) chi} F(e/n+l+1, l-n+1; 2l+2; 1-e^{-2 chi})
     S3:  sin^l(chi)  e^{(i(n-l-1)-e/n) chi} F(-ie/n+l+1, l-n+1; 2l+2; 1-e^{-2i chi})
 
-    F terminates (second parameter l-n+1 <= 0), so any chi in the
-    space's range is fine.  A complex chi is taken as given, unchecked,
-    for the chi -> i chi substitution cross-checks off the real axis.
+    that is, the H3 form at chi -> unit chi (:class:`~curvedkepler.spaces.SpaceTag`).  F terminates (second
+    parameter l-n+1 <= 0), so any chi in [0, ``space.chi_max``] is fine; e must be finite.  A complex chi is taken
+    as given, unchecked, for the chi -> i chi substitution cross-checks off the real axis.
     On H3 an n with n^2 >= e labels no bound state.  It is accepted for
     those cross-checks (acceptance criterion 11), but there the series
     cancels: at e = 5, n = 5, l = 0, chi = 3 the value reads 3.3e-6
@@ -371,25 +372,16 @@ def radial_spherical(space: SpaceTag, e: float, n: int, l: int, chi: float) -> c
     """
     if n < 1 or not 0 <= l <= n - 1:
         raise DomainError(f"need n >= 1 and 0 <= l <= n-1, got n={n}, l={l}")
-    if not isinstance(chi, complex):
-        if chi < 0:
-            raise DomainError("chi must be >= 0")
-        if space.model is Model.S3 and chi > math.pi:
-            raise DomainError("S3 requires chi <= pi")
-        if space.model is Model.H3 and chi > 350.0:
-            raise DomainError("chi too large; sinh(chi) overflows beyond 350")
-    chi = complex(chi)
-    if space.model is Model.H3:
-        base = np.sinh(chi)
-        expo = (n - l - 1 - e / n) * chi
-        arg = 1.0 - np.exp(-2.0 * chi)
-    else:
-        base = np.sin(chi)
-        expo = (1j * (n - l - 1) - e / n) * chi
-        arg = 1.0 - np.exp(-2j * chi)
+    if not isinstance(chi, complex) and not 0 <= chi <= space.chi_max:
+        raise DomainError(f"{space.name} requires 0 <= chi <= {space.chi_max:g}, got {chi}")
+    if not np.isfinite(e):  # complex in the substitution cross-checks
+        raise DomainError(f"coupling e must be finite, got {e}")
+    chi, unit = complex(chi), space.unit
+    expo = (unit * (n - l - 1) - e / n) * chi
+    arg = 1.0 - np.exp(-2 * unit * chi)
     params = Hyp2F1Params(space.coupling(e) / n + l + 1, complex(l - n + 1), complex(2 * l + 2))
     (f,), s = scaled_series([params], np.full((1, 1), arg))
-    return complex(base**l * np.exp(expo + s[0, 0]) * f[0, 0])
+    return complex(space.radius(chi) ** l * np.exp(expo + s[0, 0]) * f[0, 0])
 
 
 def perturbed(state: StateParams, **deltas: complex) -> StateParams:
@@ -437,9 +429,7 @@ def _separated(state: StateParams, chi: np.ndarray, theta: np.ndarray, power: in
     """
     am, shift = abs(state.qn.m), drop_zero_imag(state.b1 + state.b2)
     a, u = (np.stack(pair) for pair in _chart_factors(state.space, chi, theta))
-    h3 = state.space.model is Model.H3
-    expo = (-2.0 * state.b1.real if h3 else 2.0 * state.b1.imag) * chi
-    rad = np.sinh(chi) if h3 else np.sin(chi)
+    expo, rad = (-2 * state.space.unit * state.b1).real * chi, state.space.radius(chi)  # |e^{-2 b1 unit chi}|
     if power:  # no 0 log 0 at chi = 0
         with np.errstate(divide="ignore"):
             expo = power * np.log(rad) + expo
@@ -480,7 +470,7 @@ def _psi_grid(state: StateParams, chi: np.ndarray, theta: np.ndarray, phi: np.nd
     """Psi on the outer product of the chi, theta and phi axes: :func:`_separated` with its phases put back
     (i^|m| and the sign of the split-off u2^n2 on H3, e^{-2i Re(b1) chi} on S3), times e^{i m phi}."""
     (f, big), m = _separated(state, chi, theta, abs(state.qn.m)), state.qn.m
-    if state.space.model is Model.H3:
+    if state.space.model is Model.H3:  # a real sign on H3; on S3 |u| <= 1 splits nothing off
         phase = 1j ** abs(m) * np.where(big[1], (-1.0) ** state.qn.n2, 1.0)
     else:
         phase = np.exp(-2j * state.b1.real * chi)

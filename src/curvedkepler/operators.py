@@ -446,15 +446,14 @@ def runge_lenz_check(state: StateParams, sample, tolerance: float = RUNGE_LENZ_T
     q = np.sqrt((Q * Q).sum(axis=0))
     rho = np.sqrt(Q[0] ** 2 + Q[1] ** 2)
     h_eff = h * np.maximum(1.0, q)
-    keep = (q >= 0.05) & (rho >= 6.0 * h_eff + 0.01)
-    if state.space.model is Model.H3:
-        keep &= q + 4.0 * h_eff <= 0.98
+    # the stencil stays inside the chart sigma |q|^2 < 1, with a margin: a ball on H3, all of R^3 on S3
+    keep = (q >= 0.05) & (rho >= 6.0 * h_eff + 0.01) & (state.space.sigma * (q + 4.0 * h_eff) <= 0.98)
     skipped = int(np.count_nonzero(~keep))
     if not keep.any():
         raise DomainError("no usable sample points for the finite-difference stencil")
     Q, q, h_eff = Q[:, keep], q[keep], h_eff[keep]
 
-    unit = 1.0 + 0j if state.space.model is Model.H3 else 1j
+    unit = state.space.unit
     want = unit * apply_b_operator(state, *_quasi_to_chart(state.space, Q))
     stencils = _stencils(state, Q, (h_eff, h_eff / 2.0))
     fd_h, fd_h2 = (a3 + unit * l2 for a3, l2 in (_a3_and_l2(state, *st) for st in stencils))

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import SINGULAR_GUARD, ParabolicPoints, SphericalPoint, pullback_accepts, spherical_to_parabolic
+from .geometry import SINGULAR_GUARD, ParabolicPoints, SphericalPoint, _chart_factors, _clearance, pullback_accepts
 from .spaces import Model, SpaceTag
 
 # quasi-Cartesian shells stay inside the chart (H3 needs |q| < 1) and
@@ -77,8 +77,8 @@ def factor_samples(
     def physical(size):
         chi = rng.uniform(0.1, math.pi - 0.1, size)
         theta = rng.uniform(0.1, math.pi - 0.1, size)
-        pts = spherical_to_parabolic(space, SphericalPoint(chi, theta, 0.0))
-        return guarded(pts.t1 if which == 1 else pts.t2)
+        a, u = _chart_factors(space, chi, theta)
+        return guarded(a[which - 1] * u[which - 1])
 
     def disc(size):
         radius = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, size))
@@ -91,14 +91,17 @@ def factor_samples(
 def chart_points(
     space: SpaceTag, rng: np.random.Generator, n: int = 200
 ) -> ParabolicPoints:
-    """A batch of n random non-singular chart points from (chi, theta, phi), drawn one coordinate at a time."""
+    """A batch of n random non-singular chart points from (chi, theta, phi), drawn one coordinate at a time.
+
+    The box lies inside the chart: the draws take its factors unchecked, and one batch checks the points kept."""
     _count(n)
     low, high = _box(space)
 
     def draw(size):
         chi, theta, phi = (rng.uniform(lo, hi, size) for lo, hi in zip(low, high))
-        pts = spherical_to_parabolic(space, SphericalPoint(chi, theta, phi))
-        return pts.t1, pts.t2, pts.phi, pts.clearance() >= SINGULAR_GUARD
+        (a1, a2), (u1, u2) = _chart_factors(space, chi, theta)
+        t1, t2 = a1 * u1, a2 * u2
+        return t1, t2, phi, _clearance(t1, t2) >= SINGULAR_GUARD
 
     return ParabolicPoints(*_first_accepted(n, 2 * n, draw))
 

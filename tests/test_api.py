@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import curvedkepler
-from curvedkepler import cli, geometry, kepler, operators, report, sampling, specfun
+from curvedkepler import cli, geometry, kepler, operators, report, sampling, spaces, specfun
 
 SUBMODULES = [
     importlib.import_module(f"curvedkepler.{info.name}")
@@ -95,6 +95,7 @@ REMOVED_PARAMETERS = {
     report.merge_reports: ["note"],
     geometry.ParabolicPoints.validate_for: ["tol"],
     operators.runge_lenz_check: ["h"],
+    spaces.SpaceTag: ["sigma"],
 }
 
 

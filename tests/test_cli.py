@@ -183,6 +183,60 @@ TEXT_OUTPUTS = {
         "  2   -1.625         -3.125         1.5\n"
         "  3   2.61111        -1.38889       4\n" + LIMIT_NOTES
     ),
+    # the metric and Runge-Lenz suites read the chart Jacobian, the metrics and the coupling of the space tag
+    "verify metric --format csv": (
+        "suite,label,max_abs,max_rel,mean_rel,n_points,passed\n"
+        "metric,\"s3 metric pullback (25 points)\",3.6019428335616019e-15,3.2007340699694935e-15,"
+        "8.8585821454863148e-17,225,1\n"
+    ),
+    "verify metric --space h3 --e 10 --format csv": (
+        "suite,label,max_abs,max_rel,mean_rel,n_points,passed\n"
+        "metric,\"h3 metric pullback (25 points)\",1.4921397450962104e-13,7.2265939372947741e-15,"
+        "1.8942048037475998e-16,225,1\n"
+    ),
+    "verify rungelenz --format csv": (
+        "suite,label,max_abs,max_rel,mean_rel,n_points,passed\n"
+        "rungelenz,\"s3 e=2 (n1,n2,m)=(0,0,0)\",1.2307949038376459e-09,1.2307949038376459e-09,"
+        "4.6447760447977341e-10,50,1\n"
+        "rungelenz,\"s3 e=2 (n1,n2,m)=(0,0,-1)\",3.6076524643933438e-09,2.2301780763702041e-09,"
+        "7.6562496595755315e-10,50,1\n"
+        "rungelenz,\"s3 e=2 (n1,n2,m)=(0,1,0)\",6.5184752338523187e-09,4.7482961517839935e-09,"
+        "1.4331659813828024e-09,50,1\n"
+    ),
+    # a small eval grid per space
+    "eval --space s3 --e 2 --n1 1 --n2 0 --m 1"
+    " --grid-chi 0.5:2.5:3 --grid-theta 1:2:2 --grid-phi 0:1:2 --format csv": (
+        "chi,theta,phi,re_psi,im_psi,abs_psi2,skipped\n"
+        "0.5,1,0,0.18252405309154002,-0.074877867751502569,0.038921725035974825,0\n"
+        "0.5,1,1,0.16162571987893015,0.1131320101014405,0.038921725035974832,0\n"
+        "0.5,2,0,0.2449809151213887,0.062320375584366122,0.063899477986689518,0\n"
+        "0.5,2,1,0.079922965517198796,0.23981617453713619,0.063899477986689518,0\n"
+        "1.5,1,0,-0.13630076141030581,-0.16641900755255537,0.04627318363580659,0\n"
+        "1.5,1,1,0.066393150494430134,-0.20460970945492921,0.046273183635806597,0\n"
+        "1.5,2,0,-0.041173019992980169,0.13850948706862179,0.020880095583355053,0\n"
+        "1.5,2,1,-0.13879759213063197,0.040191093566781404,0.02088009558335505,0\n"
+        "2.5,1,0,-0.1054297449280988,-0.030756698250778425,0.012061405602893411,0\n"
+        "2.5,1,1,-0.031083065125219765,-0.10533398627847879,0.01206140560289341,0\n"
+        "2.5,2,0,-0.094316390139828107,0.025598605359392915,0.0095508700453542043,0\n"
+        "2.5,2,1,-0.072499846735185267,-0.065533520191798422,0.009550870045354206,0\n"
+    ),
+    # a small eval grid per space
+    "eval --space h3 --e 10 --n1 1 --n2 0 --m 1"
+    " --grid-chi 0.5:2.5:3 --grid-theta 1:2:2 --grid-phi 0:1:2 --format csv": (
+        "chi,theta,phi,re_psi,im_psi,abs_psi2,skipped\n"
+        "0.5,1,0,0,-0.040719287051463667,0.0016580603379794966,0\n"
+        "0.5,1,1,0.034264098575870559,-0.022000724687212505,0.0016580603379794966,0\n"
+        "0.5,2,0,0,0.074943706910342453,0.0056165592054633114,0\n"
+        "0.5,2,1,-0.063062954859000223,0.040492257653964067,0.0056165592054633114,0\n"
+        "1.5,1,0,0,-0.051480639433023778,0.0026502562364330027,0\n"
+        "1.5,1,1,0.043319464362246748,-0.027815108193229032,0.0026502562364330027,0\n"
+        "1.5,2,0,0,0.015218093488512769,0.00023159036942511474,0\n"
+        "1.5,2,1,-0.012805584114677476,0.0082223710027603727,0.00023159036942511474,0\n"
+        "2.5,1,0,0,-0.015502996450647757,0.00024034289894879694,0\n"
+        "2.5,1,1,0.013045321690799892,-0.0083763047301505696,0.00024034289894879694,0\n"
+        "2.5,2,0,0,0.0036533020855212543,1.3346616128073947e-05,0\n"
+        "2.5,2,1,-0.003074147703704312,0.0019738875408400179,1.3346616128073949e-05,0\n"
+    ),
 }
 
 
@@ -211,6 +265,22 @@ def test_verify_csv_and_human_rows_rebuild_from_the_json_reports(suite, space):
     assert rc == 0 and reports
     assert run_cli([*argv, "--format", "csv"]) == (0, "\n".join(csv) + "\n", "")
     assert run_cli([*argv, "--format", "human"]) == (0, "\n".join(human) + "\n", "")
+
+
+# spectrum --space h3 --e 1e300 without --max-k is left out: it asks the unfixed code for about 1e150 levels
+@pytest.mark.parametrize(
+    "command",
+    [
+        "state --space h3 --e 1e300 --n1 0 --n2 0 --m 0",
+        "eval --space s3 --e 1e300 --n1 0 --n2 0 --m 0",
+        "verify ode --space h3 --e 1e300 --max-k 1",
+        "spectrum --space h3 --e 1e300 --max-k 2",
+    ],
+)
+def test_a_coupling_whose_square_overflows_exits_2(command):
+    rc, out, err = run_cli(command.split())
+    assert (rc, out) == (2, "")
+    assert err == "error: coupling e=1e+300 is out of range: e*e must be finite\n"
 
 
 def test_spectrum_defaults_to_human():

@@ -865,6 +865,16 @@ def test_samplers_refuse_a_count_that_is_not_a_non_negative_integer(space, sampl
 
 
 @pytest.mark.parametrize("space", [H3, S3])
+def test_chart_points_checks_one_batch(space, monkeypatch):
+    """The draws take the chart factors unchecked; one ParabolicPoints checks the points kept, once."""
+    built, check = [], geometry.ParabolicPoints.__post_init__
+    monkeypatch.setattr(geometry.ParabolicPoints, "__post_init__", lambda self: (built.append(self), check(self))[1])
+    points = chart_points(space, make_rng(1), 200)
+    assert built == [points]
+    assert np.array_equal(points.clearance(), geometry._clearance(points.t1, points.t2))
+
+
+@pytest.mark.parametrize("space", [H3, S3])
 def test_samplers_take_a_numpy_integer_count(space):
     assert chart_points(space, make_rng(1), np.int64(3)).t1.tolist() == chart_points(space, make_rng(1), 3).t1.tolist()
     assert factor_samples(space, make_rng(1), 2, np.int64(0)).size == 0

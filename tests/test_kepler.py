@@ -146,6 +146,33 @@ def test_inadmissible_energy_is_refused():
     assert sum(energy_split(H3, 5.0, 3)) == -25.0 / 18.0 - 4.0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: energy_split(H3, 1e300, 1),
+        lambda: energy(S3, math.nan, 1),
+        lambda: energy(H3, math.inf, 1),
+        lambda: bound_count_h3(math.inf),
+        lambda: bound_count_h3(math.nan),
+        lambda: bound_interval_h3(1e300),
+        lambda: assemble_state(H3, 1e300, QuantumNumbers(0, 0, 0)),
+        lambda: assemble_state(S3, math.nan, QuantumNumbers(0, 0, 0)),
+    ],
+    ids=["energy_split", "energy-s3-nan", "energy-h3-inf", "bound_count-inf", "bound_count-nan", "interval", "state-h3",
+         "state-nan"],
+)
+def test_a_coupling_whose_square_is_not_finite_is_refused(call):
+    with pytest.raises(DomainError, match=r"e\*e must be finite"):
+        call()
+
+
+def test_s3_assembles_up_to_the_last_coupling_with_a_finite_square():
+    state = assemble_state(S3, 1e154, QuantumNumbers(0, 0, 0))
+    assert all(cmath.isfinite(getattr(state, name)) for name in ("k1", "k2", "alpha1", "alpha2", "b1"))
+    with pytest.raises(DomainError):
+        assemble_state(S3, 1e155, QuantumNumbers(0, 0, 0))
+
+
 def test_s3_always_admissible():
     for k in range(1, 10):
         assert is_admissible(S3, 0.1, k)
@@ -451,6 +478,13 @@ def test_radial_validation():
         radial_spherical(H3, 2.0, 2, 0, 400.0)
 
 
+@pytest.mark.parametrize("space", [H3, S3], ids=["h3", "s3"])
+@pytest.mark.parametrize("e, chi", [(2.0, math.nan), (math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5)])
+def test_radial_refuses_a_nan_chi_and_a_non_finite_e(space, e, chi):
+    with pytest.raises(DomainError):
+        radial_spherical(space, e, 2, 0, chi)
+
+
 @pytest.mark.parametrize(
     "e, n, l, chi",
     [(5.0, 2, 0, 0.7), (5.0, 2, 1, 0.7), (3.0, 3, 2, 1.3), (3.0, 4, 1, 0.4), (7.0, 1, 0, 2.0)],
@@ -478,6 +512,12 @@ def test_normalize_h3_frozen_and_stable():
     assert res.error_estimate < 1e-10
     finer = _normalize_oracle(st, 192, 96)[0]
     assert abs(finer - res.constant) < NORM_RTOL
+
+
+@pytest.mark.parametrize("space, e, bits", [(S3, 2.0, "0x1.dc11fabada775p-1"), (H3, 100.0, "0x1.11e40ead90c43p+17")])
+def test_normalize_constant_keeps_its_bits(space, e, bits):
+    """The separated form reads the space tag's unit and radius: the constant of state (0, 0, -4) keeps every bit."""
+    assert normalize(assemble_state(space, e, enumerate_states(5)[0])).constant.hex() == bits
 
 
 def test_normalize_rejects_non_normalizable():
