@@ -473,49 +473,83 @@ def runge_lenz_check(state: StateParams, sample, tolerance: float = RUNGE_LENZ_T
 # polynomial algebra for the commutation relations
 
 
-# The packed layout of QPolynomial.  _SLOT maps exponents -13..13 to slots,
-# negatives by wrapping, and every triple off the table to the pad.  Per axis a,
-# _UP gathers q_a p and _DOWN gathers d/dq_a p before the multiply by _EXPONENT.
+# The packed layout of QPolynomial: slot 0 is a zero pad, then the monomials graded,
+# by total degree and lexicographic within a degree, so slots 1.._PREFIX[d] hold those
+# of degree <= d and a row's first _PREFIX[d] + 1 slots are the same layout capped at
+# degree d.  _SLOT maps exponents -13..13 to slots, negatives by wrapping, and every
+# triple off the table to the pad.  _LAYOUT maps each such width to (d, the slots of
+# degree d, and per axis a the gathers of q_a p and of d/dq_a p, the latter before the
+# multiply by the exponent); a slot past the width reads as the pad.
 _MAX_DEGREE = 12
 _N = _MAX_DEGREE + 1
-_KEYS = tuple((i, j, k) for i in range(_N) for j in range(_N - i) for k in range(_N - i - j))
-_PAD, _WIDTH = len(_KEYS), len(_KEYS) + 1
+_KEYS = tuple(sorted(((i, j, k) for i in range(_N) for j in range(_N - i) for k in range(_N - i - j)),
+                     key=lambda key: (sum(key), key)))
+_PREFIX = tuple(math.comb(d + 3, 3) for d in range(_N))
+_WIDTH = _PREFIX[-1] + 1
 _EXPS = np.array(_KEYS)
 _DEGREE = _EXPS.sum(axis=1)
-_TOP = np.flatnonzero(_DEGREE == _MAX_DEGREE)
-_SLOT = np.full((2 * _N,) * 3, _PAD)
-_SLOT[tuple(_EXPS.T)] = np.arange(_PAD)
-_UP, _DOWN = (
-    [np.append(_SLOT[tuple((_EXPS + step * np.eye(3, dtype=int)[a]).T)], _PAD) for a in range(3)]
-    for step in (-1, 1)
-)
-_EXPONENT = [np.append(_EXPS[:, a] + 1.0, 0.0).astype(complex) for a in range(3)]
+_SLOT = np.zeros((2 * _N,) * 3, dtype=int)
+_SLOT[tuple(_EXPS.T)] = np.arange(1, _WIDTH)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_finite(c: complex) -> bool:
+    return math.isfinite(c.real) and math.isfinite(c.imag)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _layouts() -> MappingProxyType:
+    """The tables of every width; the gathers of q_a p and the exponents are views of the full width's."""
+    unit = np.eye(3, dtype=int)
+    up, down = ([_read_only(np.append(0, _SLOT[tuple((_EXPS + step * unit[a]).T)])) for a in range(3)]
+                for step in (-1, 1))
+    exponent = [_read_only(np.append(0.0, _EXPS[:, a] + 1.0).astype(complex)) for a in range(3)]
+    layouts = {}
+    for d, n in enumerate(_PREFIX):
+        w = n + 1
+        cut = [_read_only(np.where(s[:w] < w, s[:w], 0)) for s in down]
+        layouts[w] = (d, slice(w - math.comb(d + 2, 2), w), [u[:w] for u in up], cut, [x[:w] for x in exponent])
+    return MappingProxyType(layouts)
+
+
+_LAYOUT = _layouts()
 
 
 def _times(rows: np.ndarray, axis: int) -> np.ndarray:
-    """q_axis times each packed row; a non-zero degree-12 term is refused."""
-    if np.take(rows, _TOP, axis=-1).any():
-        raise ParameterError(f"polynomial degree {_N} exceeds cap {_MAX_DEGREE}")
-    return np.take(rows, _UP[axis], axis=-1)
+    """q_axis times each packed row of a prefix layout; a non-zero term of its top degree is refused."""
+    d, top, up, _, _ = _LAYOUT[rows.shape[-1]]
+    if rows[..., top].any():
+        raise ParameterError(f"polynomial degree {d + 1} exceeds cap {d}")
+    return rows.take(up[axis], axis=-1)
 
 
 def _diff(rows: np.ndarray, axis: int) -> np.ndarray:
-    out = np.take(rows, _DOWN[axis], axis=-1)
-    out *= _EXPONENT[axis]
+    _, _, _, down, exponent = _LAYOUT[rows.shape[-1]]
+    out = rows.take(down[axis], axis=-1)
+    out *= exponent[axis]
     return out
 
 
 class QPolynomial:
     """Complex polynomial in (q1, q2, q3) as a packed coefficient row.
 
-    ``_row`` holds the coefficients of the 455 monomials q1^i q2^j q3^k of
-    total degree <= 12 in lexicographic (i, j, k) order, then a zero pad
-    slot.  The commutator checks run on these rows: q_i and d/dq_i are
-    the gathers :func:`_times` and :func:`_diff`, by array functions on the
-    last axis, so a stack of rows runs as one.  Products and q_i shifts
-    refuse to pass degree 12 — the commutator checks never legitimately
-    exceed degree(p) + 2.  ``coeffs`` is a read-only view of the non-zero
-    terms.
+    ``_row`` holds a zero pad slot, then the coefficients of the 455
+    monomials q1^i q2^j q3^k of total degree <= 12, by total degree and
+    lexicographic (i, j, k) within a degree.  The commutator checks run on
+    these rows, cut to the prefix of degree(p) + 2 that they never
+    legitimately exceed: q_i and d/dq_i are the gathers :func:`_times` and
+    :func:`_diff`, by array functions on the last axis, so a stack of rows
+    runs as one.  Products and q_i shifts refuse to pass the layout's top
+    degree.  Keys are triples of non-negative integers and coefficients are
+    finite.  ``coeffs`` is a read-only view of the non-zero terms, in
+    layout order.
     """
 
     MAX_DEGREE = _MAX_DEGREE
@@ -525,10 +559,12 @@ class QPolynomial:
     def __init__(self, coeffs=None):
         self._row = np.zeros(_WIDTH, dtype=complex)
         for key, val in (coeffs or {}).items():
-            k = tuple(int(x) for x in key)
-            if len(k) != 3 or min(k) < 0:
+            k = key if isinstance(key, tuple) else (key,)
+            if len(k) != 3 or not all(_is_int(x) and x >= 0 for x in k):
                 raise ParameterError(f"bad monomial key {key!r}")
             c = complex(val)
+            if not _is_finite(c):
+                raise ParameterError(f"coefficient of {key!r} must be finite, got {val!r}")
             if c != 0:
                 self._capped(sum(k))
                 self._row[_SLOT[k]] = c
@@ -546,6 +582,9 @@ class QPolynomial:
 
     @classmethod
     def random(cls, rng: np.random.Generator, degree: int = 6, terms: int = 8) -> "QPolynomial":
+        if not (_is_int(degree) and 0 <= degree <= cls.MAX_DEGREE and _is_int(terms) and terms >= 0):
+            raise ParameterError(f"random needs integers 0 <= degree <= {cls.MAX_DEGREE} and terms >= 0, "
+                                 f"got degree={degree!r}, terms={terms!r}")
         # three scalar draws per key: the same PCG64 stream as one size-3 draw
         integers, top = rng.integers, degree + 1
         coeffs: dict[tuple[int, int, int], complex] = {}
@@ -560,27 +599,35 @@ class QPolynomial:
     @property
     def coeffs(self) -> MappingProxyType:
         row = self._row
-        return MappingProxyType({_KEYS[n]: complex(row[n]) for n in np.flatnonzero(row[:_PAD])})
+        return MappingProxyType({_KEYS[n]: complex(row[n + 1]) for n in np.flatnonzero(row[1:])})
 
     def degree(self) -> int:
-        return int(_DEGREE[self._row[:_PAD] != 0].max(initial=0))
+        return int(_DEGREE[self._row[1:] != 0].max(initial=0))
 
     def __mul__(self, other):
         if not isinstance(other, QPolynomial):
-            return self._of(complex(other) * self._row)
+            if not _is_finite(c := complex(other)):
+                raise ParameterError(f"scalar factor must be finite, got {other!r}")
+            return self._of(c * self._row)
         # with the total degree capped, no product term falls off the table
         self._capped(self.degree() + other.degree())
         out = np.zeros_like(self._row)
-        for n in np.flatnonzero(self._row[:_PAD]):
-            src = np.append(_SLOT[tuple((_EXPS - _EXPS[n]).T)], _PAD)
-            out += self._row[n] * other._row[src]
+        for n in np.flatnonzero(self._row[1:]):
+            src = np.append(0, _SLOT[tuple((_EXPS - _EXPS[n]).T)])
+            out += self._row[n + 1] * other._row[src]
         return self._of(out)
 
     __rmul__ = __mul__
 
 
 def _commutator_residuals(space: SpaceTag, rows: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """The nine identities' labels and their (n, 9) residuals on n packed rows."""
+    """The nine identities' labels and their (n, 9) residuals on n packed rows.
+
+    The rows run cut to the pad and the prefix of their top degree + 2: no
+    commutator term passes degree(p) + 2, so every slot cut off holds a zero.
+    """
+    top = int(_DEGREE[rows[:, 1:].any(axis=0)].max(initial=0))
+    rows = rows[:, : _PREFIX[min(top + 2, _MAX_DEGREE)] + 1]
     sigma = space.sigma
     pp_sign = -1j * sigma  # -i on H3, +i on S3
     rhs = "+ iL" if space.model is Model.H3 else "- iL"

@@ -765,6 +765,42 @@ def test_qpolynomial_multiplication_degree_cap():
         _ = a * a
 
 
+@pytest.mark.parametrize("key", [(1.5, 0, 0), (True, 0, 0), (0, 0, np.True_), (1, 0, 2.0), "abc", "123", 5, (1, 0)])
+def test_qpolynomial_refuses_a_key_that_is_not_three_integers(key):
+    with pytest.raises(ParameterError, match="bad monomial key"):
+        QPolynomial({key: 1.0})
+
+
+def test_qpolynomial_takes_numpy_integer_exponents():
+    key = (np.int64(2), np.int32(0), np.uint8(1))
+    assert QPolynomial({key: 1.0}).coeffs == {(2, 0, 1): 1.0}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(math.inf, 0.0)])
+def test_qpolynomial_refuses_a_non_finite_coefficient(value):
+    with pytest.raises(ParameterError, match="must be finite"):
+        QPolynomial({(1, 0, 0): value})
+    p = QPolynomial({(1, 0, 0): 1.0})
+    with pytest.raises(ParameterError, match="must be finite"):
+        _ = value * p
+    with pytest.raises(ParameterError, match="must be finite"):
+        _ = p * value
+
+
+@pytest.mark.parametrize("degree, terms", [(-1, 8), (13, 8), (6, -1), (2.5, 8), (6, 1.0), (True, 3)])
+def test_random_polynomial_refuses_bad_bounds_before_any_draw(degree, terms):
+    rng, ref = make_rng(342), make_rng(342)
+    with pytest.raises(ParameterError):
+        QPolynomial.random(rng, degree=degree, terms=terms)
+    assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
+def test_random_polynomial_takes_the_whole_degree_range():
+    rng = make_rng(343)
+    assert QPolynomial.random(rng, degree=0, terms=0).coeffs == {}
+    assert QPolynomial.random(rng, degree=12, terms=30).degree() <= 12
+
+
 def _per_evaluation_a3_and_l2(state, nodes, h, psi):
     """Oracle for the stencil: the nested differences with Psi evaluated
     afresh at the coordinates of every nested call, no table (``psi`` is
@@ -911,6 +947,56 @@ def test_shift_never_drops_the_top_slab():
         with pytest.raises(ParameterError, match="exceeds cap 12"):
             operators._times(top, axis)
     assert _coeffs(operators._times(_poly({(0, 0, 11): 1.0}), 0)) == {(1, 0, 11): 1.0}
+
+
+def test_packed_layout_is_graded():
+    """The monomials of degree <= d are the first C(d + 3, 3) slots, and coeffs iterate in that order."""
+    assert list(operators._KEYS) == sorted(operators._KEYS, key=lambda key: (sum(key), key))
+    assert len(operators._PREFIX) == 13
+    for d, width in enumerate(operators._PREFIX):
+        assert width == math.comb(d + 3, 3)
+        assert {sum(key) for key in operators._KEYS[:width]} == set(range(d + 1))
+    p = QPolynomial({(2, 0, 0): 1.0, (0, 0, 1): 2.0, (0, 1, 1): 3.0, (1, 0, 0): 4.0})
+    assert list(p.coeffs) == [(0, 0, 1), (1, 0, 0), (0, 1, 1), (2, 0, 0)]
+
+
+@pytest.mark.parametrize("degree, width", [(0, 11), (6, 166), (8, 287), (10, 456)])
+def test_commutators_run_on_the_degree_prefix(monkeypatch, degree, width):
+    """Every gather of the nine identities runs on the prefix of input degree + 2 and its pad."""
+    assert width == operators._PREFIX[min(degree + 2, 12)] + 1
+    widths = set()
+
+    def counted(fn):
+        def run(rows, axis):
+            widths.add(rows.shape[-1])
+            return fn(rows, axis)
+
+        return run
+
+    monkeypatch.setattr(operators, "_times", counted(operators._times))
+    monkeypatch.setattr(operators, "_diff", counted(operators._diff))
+    rng = make_rng(344)
+    polys = [QPolynomial.random(rng, degree=degree, terms=12) for _ in range(4)] + [QPolynomial({(0,) * 3: 1.0})]
+    polys[0] = QPolynomial({**polys[0].coeffs, (0, degree, 0): 1.0})  # the stack's top degree is `degree`
+    for space in (H3, S3):
+        widths.clear()
+        reports = momentum_commutators(space, polys)
+        assert widths == {width}
+        assert all(r.passed for r in reports)
+
+
+def test_prefix_gathers_keep_their_cap():
+    """A row cut to the prefix of degree d refuses a q_a shift of a degree-d term, and its tables are read-only."""
+    width = operators._PREFIX[3] + 1
+    with pytest.raises(ParameterError, match="exceeds cap 3"):
+        operators._times(_poly({(1, 1, 1): 1.0})[:width], 0)
+    low = _poly({(1, 1, 0): 2.0})
+    assert operators._times(low[:width], 2).tobytes() == operators._times(low, 2)[:width].tobytes()
+    assert operators._diff(low[:width], 0).tobytes() == operators._diff(low, 0)[:width].tobytes()
+    _, _, up, down, exponent = operators._LAYOUT[width]
+    for table in (*up, *down, *exponent):
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_coeffs_is_a_read_only_view():
