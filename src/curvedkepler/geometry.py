@@ -315,6 +315,16 @@ def parabolic_to_ambient(space: SpaceTag, p: ParabolicPoints) -> np.ndarray:
     return y.real.reshape((4,) + p.t1.shape)
 
 
+def _ambient_chart(space: SpaceTag, c: np.ndarray):
+    """(t1, t2, phi) of ambient points c = (c0, c1, c2, c3), unchecked: :func:`ambient_to_parabolic` less its checks."""
+    c0, c1, c2, c3 = c
+    r = np.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
+    phi = _norm_phi(np.arctan2(c2, c1))
+    if space.model is Model.H3:  # real quotients on H3, complex products on S3: each keeps its chart's dtype
+        return (c3 + r) / (c0 + r), (c3 - r) / (c0 - r), phi
+    return (r + c3) * (r + 1j * c0), (r - c3) * (r - 1j * c0), phi
+
+
 def ambient_to_parabolic(space: SpaceTag, c) -> ParabolicPoints:
     """Invert the ambient parametrization of the parabolic chart.
 
@@ -324,16 +334,9 @@ def ambient_to_parabolic(space: SpaceTag, c) -> ParabolicPoints:
     """
     c = np.asarray(c, dtype=float)
     _validate_ambient(space, c)
-    c0, c1, c2, c3 = c
-    if ((c1 == 0.0) & (c2 == 0.0)).any():
-        warnings.warn(
-            "phi is indeterminate on the c1 = c2 = 0 axis", IndeterminateCoordinateWarning
-        )
-    r = np.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
-    phi = np.arctan2(c2, c1)
-    if space.model is Model.H3:  # real quotients on H3, complex products on S3: each keeps its chart's dtype
-        return ParabolicPoints((c3 + r) / (c0 + r), (c3 - r) / (c0 - r), phi)
-    return ParabolicPoints((r + c3) * (r + 1j * c0), (r - c3) * (r - 1j * c0), phi)
+    if ((c[1] == 0.0) & (c[2] == 0.0)).any():
+        warnings.warn("phi is indeterminate on the c1 = c2 = 0 axis", IndeterminateCoordinateWarning)
+    return ParabolicPoints(*_ambient_chart(space, c))
 
 
 def antipodal(c) -> np.ndarray:
@@ -451,21 +454,19 @@ def _constraint_residuals(t1, t2):
     return np.where(near_one, np.inf, r1), np.abs((t1 * t2).imag)
 
 
-_POINT_ROW = np.dtype([("t1", complex), ("t2", complex), ("phi", float)])
-
-
 def constraint_check(p: ParabolicPoints, tolerance: float = 1e-12) -> ResidualReport:
     """Report the S3 conjugation-constraint residuals of a batch.
 
     Each point gives the two residuals of :func:`_constraint_residuals`,
     the formula the S3 chart validation uses, and the worst point is
-    recorded as ``(t1, t2, phi)``.  Pure report: H3-real points simply
-    show a nonzero residual since the constraint is an S3 statement.
+    recorded as ``(t1, t2, phi)``, t1 and t2 complex on an H3 batch too.
+    Pure report: H3-real points simply show a nonzero residual since the
+    constraint is an S3 statement.
     """
-    r1, r2 = _constraint_residuals(p.t1.ravel(), p.t2.ravel())
-    rows = np.empty(r1.size, dtype=_POINT_ROW)
-    rows["t1"], rows["t2"], rows["phi"] = p.t1.ravel(), p.t2.ravel(), p.phi.ravel()
-    return build_report(np.column_stack([r1, r2]), 0.0, tolerance, points=np.repeat(rows, 2))
+    t1, t2 = p.t1.ravel(), p.t2.ravel()
+    r1, r2 = _constraint_residuals(t1, t2)
+    columns = [np.repeat(c, 2) for c in (t1.astype(complex), t2.astype(complex), p.phi.ravel())]
+    return build_report(np.column_stack([r1, r2]), 0.0, tolerance, columns=columns)
 
 
 @dataclass(frozen=True)

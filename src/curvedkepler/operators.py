@@ -11,14 +11,16 @@ the equations that define it, and every check returns a
 * ``b_operator_residual`` — the second separation operator (the one
   diagonal with eigenvalue k1+k2), by the Hamiltonian's eigen-residual.
 
-All three read one 1-D operator per factor (``_separated_operator``; H and B are its Staeckel
-combinations), and the space enters by its tag alone: ``sigma`` and ``kappa = space.coupling(e)``.
+All three read one 1-D operator per factor (``_separated_operator``), and the space enters by its tag
+alone: ``sigma`` and ``kappa = space.coupling(e)``.  H, B and Psi combine the Staeckel parts of one
+evaluation (``_staeckel``), which an H and B pair on one state and sample shares.
 * ``coupling_identity_residual`` — B's scalar coefficient against
   cos(theta) of the ambient point, a property of the chart points alone.
 * ``runge_lenz_check`` — the operator identity B = A3 + L^2 (H3) /
   iB = A3 + iL^2 (S3), with the left side built from nested central
   finite differences in quasi-Cartesian coordinates, on node arrays
-  mapped to the chart by ``ambient_to_parabolic``.
+  mapped to the chart in one call of the unchecked inverse chart, the
+  centre once, whose columns the exact B reads too.
 * ``momentum_commutators`` — the so(3,1)/so(4) commutation relations as
   exact polynomial-coefficient identities, with the stencil's P_a and L_a.
 """
@@ -34,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .geometry import ParabolicPoints, ambient_to_parabolic, parabolic_to_ambient
+from .geometry import ParabolicPoints, _ambient_chart, parabolic_to_ambient
 from .kepler import (
     Level,
     SeparatedFactor,
@@ -129,13 +131,12 @@ def _stacked(rows: list[np.ndarray]) -> np.ndarray:
     return np.array([np.resize(r, n) if r.size < n else r for r in rows])
 
 
-def _reports(tolerance, counts, sizes, residual, scale, *points) -> list:
-    """A report per state on the first counts[s] of its sizes[s] points; ``points``: coordinate rows."""
+def _reports(tolerance, counts, sizes, residual, scale, *columns) -> list:
+    """A report per state on the first counts[s] of its sizes[s] points; ``columns``: coordinates, a row per state."""
     reports = []
-    for n, size, res, ref, *cols in zip(counts, sizes, residual, scale, *points):
+    for n, size, res, ref, *cols in zip(counts, sizes, residual, scale, *columns):
         note = f"skipped {size - n} singular point(s)" if n < size else ""
-        rows = np.array([c[:n] for c in cols]).T
-        reports.append(build_report(res[:n], ref[:n], tolerance, points=rows, note=note))
+        reports.append(build_report(res[:n], ref[:n], tolerance, columns=[c[:n] for c in cols], note=note))
     return reports
 
 
@@ -179,22 +180,6 @@ def ode_residual(
 # Hamiltonian and B-operator applications (exact derivatives)
 
 
-def _jets(state: Level, t1, t2, phi):
-    """The chart values, both polynomial jets and the prefactor P1 P2 e^(i m phi) they share.
-
-    Every term of H Psi, B Psi and Psi is bilinear in the two jets, with
-    f_i^(j) = P_i q_i^(j) and P1 P2 = (t1 t2)^(|m|/2-2) ((1-t1)(1-t2))^-2
-    ((1-t1)/(1-t2))^b1 from :func:`~curvedkepler.kepler.psi_prefactor`.
-    The chart values are taken in their own dtype, so on the real values
-    of the H3 chart the jets and the operator cores run in float64; they
-    are stacked (n_states, n_points).
-    """
-    q1, s1 = _factor_jet([factor(s, 1) for s in state], t1)
-    q2, s2 = _factor_jet([factor(s, 2) for s in state], t2)
-    p = psi_prefactor(state, t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
-    return (t1, t2), (q1, q2), p
-
-
 # numpy runs a * b as b *= a for a temporary b of 256 KiB or more, which moves the
 # last bits of a complex product; no complex product here takes a temporary on its
 # right (1 - t and 2/(t1 - t2) are named), so a state has the same bits in a stack of any size.
@@ -206,31 +191,39 @@ def _separated_operator(t, jet, m2) -> np.ndarray:
     return ((1.0 - 2.0 * t) * q1 + t * w * q2) * w - m2 / (4.0 * t) * q
 
 
-def _staeckel(state: Level, space: SpaceTag, t1, t2, jets) -> tuple:
-    """(l_1, l_2, f1, f2, f1 f2, kappa, 2/(t1 - t2)): what H and B combine, over P1 P2 e^(i m phi)."""
-    m2, kappa = per_state(state, lambda s: (float(s.qn.m * s.qn.m), space.coupling(s.e)))
-    (f1, *_), (f2, *_) = jets
-    ell1, ell2 = _separated_operator(t1, jets[0], m2), _separated_operator(t2, jets[1], m2)
-    return ell1, ell2, f1, f2, f1 * f2, kappa, 2.0 / (t1 - t2)
+def _staeckel(state: Level, t1, t2, phi) -> tuple:
+    """The Staeckel parts (l_1, l_2, f1, f2, f1 f2, kappa, 2/(t1-t2), t1, t2), and the prefactor P1 P2 e^(i m phi).
+
+    H Psi, B Psi and Psi = f1 f2 P1 P2 e^(i m phi) combine the parts, times the prefactor: f_i^(j) = P_i q_i^(j) on
+    the jets of :func:`_factor_jet`, P1 P2 = (t1 t2)^(|m|/2-2) ((1-t1)(1-t2))^-2 ((1-t1)/(1-t2))^b1 (as
+    :func:`~curvedkepler.kepler.psi_prefactor`) and kappa the space's coupling.  The chart values keep their dtype
+    (float64 on the H3 chart, for the jets and the cores too) and are stacked (n_states, n_points).
+    """
+    q1, s1 = _factor_jet([factor(s, 1) for s in state], t1)
+    q2, s2 = _factor_jet([factor(s, 2) for s in state], t2)
+    p = psi_prefactor(state, t1, t2, s1 + s2, phi) / (t1 * t2 * (1.0 - t1) * (1.0 - t2)) ** 2
+    m2, kappa = per_state(state, lambda s: (float(s.qn.m * s.qn.m), s.space.coupling(s.e)))
+    ell1, ell2, f1, f2 = _separated_operator(t1, q1, m2), _separated_operator(t2, q2, m2), q1[0], q2[0]
+    return (ell1, ell2, f1, f2, f1 * f2, kappa, 2.0 / (t1 - t2), t1, t2), p
 
 
-def _hamiltonian_core(state: Level, space: SpaceTag, t1, t2, jets) -> np.ndarray:
+def _hamiltonian_core(space: SpaceTag, parts: tuple) -> np.ndarray:
     """H Psi over P1 P2 e^(i m phi): -sigma [2/(t1-t2) (l_1 f2 - f1 l_2) + kappa (2-t1-t2)/(t1-t2) f1 f2]."""
-    ell1, ell2, f1, f2, pair, kappa, scale = _staeckel(state, space, t1, t2, jets)
+    ell1, ell2, f1, f2, pair, kappa, scale, t1, t2 = parts
     return ((ell1 * f2 - f1 * ell2) * scale + kappa * (2.0 - t1 - t2) / (t1 - t2) * pair) * -space.sigma
 
 
-def _b_operator_core(state: Level, space: SpaceTag, t1, t2, jets) -> np.ndarray:
+def _b_operator_core(space: SpaceTag, parts: tuple) -> np.ndarray:
     """B Psi over P1 P2 e^(i m phi): 2/(t1-t2) (t2 l_1 f2 - t1 f1 l_2) + kappa (t1+t2-2 t1 t2)/(t1-t2) f1 f2."""
-    ell1, ell2, f1, f2, pair, kappa, scale = _staeckel(state, space, t1, t2, jets)
+    ell1, ell2, f1, f2, pair, kappa, scale, t1, t2 = parts
     return (t2 * ell1 * f2 - t1 * f1 * ell2) * scale + kappa * (t1 + t2 - 2.0 * t1 * t2) / (t1 - t2) * pair
 
 
 @state_on_a_row
 def apply_hamiltonian(state, t1, t2, phi) -> np.ndarray:
     """H Psi with exact separated derivatives, arrays in chart coordinates, the state as a level of one."""
-    t, jets, p = _jets(state, t1, t2, phi)
-    return _hamiltonian_core(state, state.space, *t, jets) * p
+    parts, p = _staeckel(state, t1, t2, phi)
+    return _hamiltonian_core(state.space, parts) * p
 
 
 @state_on_a_row
@@ -240,8 +233,8 @@ def apply_b_operator(state, t1, t2, phi) -> np.ndarray:
     Same differential structure in both models; only the scalar
     coupling differs (:meth:`~curvedkepler.spaces.SpaceTag.coupling`).  The state runs as a level of one.
     """
-    t, jets, p = _jets(state, t1, t2, phi)
-    return _b_operator_core(state, state.space, *t, jets) * p
+    parts, p = _staeckel(state, t1, t2, phi)
+    return _b_operator_core(state.space, parts) * p
 
 
 def _batch(sample) -> ParabolicPoints:
@@ -254,14 +247,12 @@ def _batch(sample) -> ParabolicPoints:
 def _eigen_residual(caller, level: Level, samples: list, core, eigenvalue, tolerance) -> list:
     """(O Psi - eigenvalue Psi) over a batch per state, relative to 1 + (1 + |eigenvalue|) |Psi|, a report each.
 
-    O Psi is ``core`` of the level's space times the prefactor.  O Psi and
-    Psi = f1 f2 e^(i m phi) share one exact-derivative jet per factor,
-    stacked over the level.  Points within SINGULAR_SKIP of a singular
-    locus are skipped.  Until a batch is freed, the next call on the same
-    ``caller`` (the object the entry was passed, by identity: a StateParams
-    shares though its level of one is new on every call) and batches of
-    the same dtype, shape and bytes reuses the jets, prefactor and Psi.
-    ``eigenvalue`` maps a state to its eigenvalue.
+    O Psi is ``core`` of the level's space and the Staeckel parts, times the prefactor; O Psi and
+    Psi = f1 f2 e^(i m phi) share the parts, one :func:`_staeckel` evaluation stacked over the level.
+    Points within SINGULAR_SKIP of a singular locus are skipped.  Until a batch is freed, the next call
+    on the same ``caller`` (the object the entry was passed, by identity: a StateParams shares though its
+    level of one is new on every call) and batches of the same dtype, shape and bytes reuses the parts,
+    the prefactor and Psi, and only combines them.  ``eigenvalue`` maps a state to its eigenvalue.
     """
     batches = [_batch(b) for b in samples]
     key = tuple((a.dtype.str, a.shape, a.tobytes()) for b in batches for a in (b.t1, b.t2, b.phi))
@@ -272,14 +263,15 @@ def _eigen_residual(caller, level: Level, samples: list, core, eigenvalue, toler
             raise DomainError("every sample point sits on a singular chart locus")
         rows = zip(*[(b.t1[k], b.t2[k], b.phi[k]) for b, k in zip(batches, keep)])
         t1, t2, phi = (_stacked(r) for r in rows)
-        t, jets, p = _jets(level, t1, t2, phi)
+        parts, p = _staeckel(level, t1, t2, phi)
         refs = [weakref.ref(b, lambda _: _last.clear()) for b in batches]
-        _last["entry"] = entry = (refs, caller, key, (keep, counts, t, phi, jets, p, jets[0][0] * jets[1][0] * p))
-    keep, counts, (t1, t2), phi, jets, p, psi = entry[3]
+        _last["entry"] = entry = (refs, caller, key, (keep, counts, phi, parts, p, parts[4] * p))
+    keep, counts, phi, parts, p, psi = entry[3]
     eig, unit = per_state(level, lambda s: ((v := eigenvalue(s)), 1.0 + abs(v)))
-    residual = core(level, level.space, t1, t2, jets) * p - eig * psi
-    sizes, points = [k.size for k in keep], (t1.real, t1.imag, t2.real, t2.imag, phi)
-    return _reports(tolerance, counts, sizes, residual, unit * np.abs(psi), *points)
+    residual = core(level.space, parts) * p - eig * psi
+    t1, t2 = parts[-2:]
+    columns = (t1.real, t1.imag, t2.real, t2.imag, phi)
+    return _reports(tolerance, counts, [k.size for k in keep], residual, unit * np.abs(psi), *columns)
 
 
 def hamiltonian_residual(
@@ -328,9 +320,9 @@ def coupling_identity_residual(space: SpaceTag, points: ParabolicPoints) -> Resi
     t1, t2 = pts.t1, pts.t2
     c = (t1 + t2 - 2.0 * t1 * t2) / (t1 - t2)
     diffs = np.abs(c - amb[3] / np.sqrt(amb[1] * amb[1] + amb[2] * amb[2] + amb[3] * amb[3]))
-    rows = np.stack([t1.real, t1.imag, t2.real, t2.imag, pts.phi], axis=-1).reshape(-1, 5)
+    columns = [a.ravel() for a in (t1.real, t1.imag, t2.real, t2.imag, pts.phi)]
     note = "|(t1+t2-2 t1 t2)/(t1-t2) - cos(theta)|, cos(theta) via the ambient chart"
-    return build_report(diffs, 0.0, COUPLING_IDENTITY_TOL, points=rows, note=note)
+    return build_report(diffs, 0.0, COUPLING_IDENTITY_TOL, columns=columns, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +347,13 @@ def _angular(axis: int, d, times):
 
 
 def _quasi_to_chart(space: SpaceTag, Q: np.ndarray):
-    """(t1, t2, phi) arrays of stacked quasi-Cartesian coordinates (3, n), by :func:`ambient_to_parabolic`.
+    """(t1, t2, phi) arrays of stacked quasi-Cartesian coordinates (3, n), by the unchecked inverse chart.
 
-    Q lifts to the ambient point c0 (1, Q) with c0 = (1 - sigma |Q|^2)^(-1/2).
+    Q lifts to the ambient point c0 (1, Q) with c0 = (1 - sigma |Q|^2)^(-1/2), on the quadric by construction;
+    ``runge_lenz_check`` keeps its nodes off the axis and inside the chart.
     """
     c0 = 1.0 / np.sqrt(1.0 - space.sigma * (Q * Q).sum(axis=0))
-    pts = ambient_to_parabolic(space, c0 * np.concatenate([np.ones_like(Q[:1]), Q]))
-    return pts.t1, pts.t2, pts.phi
+    return _ambient_chart(space, c0 * np.concatenate([np.ones_like(Q[:1]), Q]))
 
 
 # The stencil of one step h.  Its nodes are the centre (0) and the one-shift
@@ -379,23 +371,24 @@ _COLUMN[_THEN, _FIRST] = 1 + np.arange(_FIRST.size)
 _COLUMN[_FIRST, _THEN] = 1 + np.arange(_FIRST.size)  # after the swap, so a one-axis pair keeps its order
 
 
-def _stencils(state: StateParams, Q: np.ndarray, steps) -> list[tuple]:
-    """(nodes, h, psi) per step h: the centre and its one-shift nodes (7, 3, n), and Psi (25, n).
-
-    Psi at the centre and the two-shift nodes of every step comes from a
-    single ``wavefunction_values`` call.
+def _stencils(state: StateParams, Q: np.ndarray, steps) -> tuple[list[tuple], list]:
+    """(nodes, h, psi) per step h, the centre and its one-shift nodes (7, 3, n) and Psi (25, n); and the centre's
+    chart columns (t1, t2, phi).  One chart call and one ``wavefunction_values`` call take the centre once, at
+    the head of the batch, then the two-shift nodes of every step; a step's Psi is the centre's row and its 24.
     """
-    out, reads = [], []
+    out, reads = [], [Q[None]]
     for h in steps:
         nodes = np.repeat(Q[None], 7, axis=0)
         nodes[1 + np.arange(6), _AXIS] += _SIGN[:, None] * h
         two = nodes[1 + _FIRST]
         two[np.arange(_FIRST.size), _AXIS[_THEN]] += _SIGN[_THEN, None] * h
         out.append((nodes, h))
-        reads.append(np.concatenate([Q[None], two]))
-    batch = np.concatenate(reads).transpose(1, 0, 2).reshape(3, -1)
-    psi = wavefunction_values(state, *_quasi_to_chart(state.space, batch))
-    return [(nodes, h, p) for (nodes, h), p in zip(out, psi.reshape(len(steps), 1 + _FIRST.size, -1))]
+        reads.append(two)
+    n = Q.shape[1]
+    chart = _quasi_to_chart(state.space, np.concatenate(reads).transpose(1, 0, 2).reshape(3, -1))
+    psi = wavefunction_values(state, *chart).reshape(-1, n)
+    tables = psi[1:].reshape(len(steps), _FIRST.size, n)
+    return [(nodes, h, np.concatenate([psi[:1], p])) for (nodes, h), p in zip(out, tables)], [c[:n] for c in chart]
 
 
 def _central(values: np.ndarray, h) -> np.ndarray:
@@ -454,8 +447,8 @@ def runge_lenz_check(state: StateParams, sample, tolerance: float = RUNGE_LENZ_T
     Q, q, h_eff = Q[:, keep], q[keep], h_eff[keep]
 
     unit = state.space.unit
-    want = unit * apply_b_operator(state, *_quasi_to_chart(state.space, Q))
-    stencils = _stencils(state, Q, (h_eff, h_eff / 2.0))
+    stencils, centre = _stencils(state, Q, (h_eff, h_eff / 2.0))
+    want = unit * apply_b_operator(state, *centre)
     fd_h, fd_h2 = (a3 + unit * l2 for a3, l2 in (_a3_and_l2(state, *st) for st in stencils))
     rich = (4.0 * fd_h2 - fd_h) / 3.0
 
@@ -466,7 +459,7 @@ def runge_lenz_check(state: StateParams, sample, tolerance: float = RUNGE_LENZ_T
     parts = [f"median FD convergence order {order:.2f} over (h, h/2), h={h:g}"]
     if skipped:
         parts.append(f"skipped {skipped} point(s) near chart boundaries")
-    return build_report(rich - want, want, tolerance, points=Q.T, note="; ".join(parts))
+    return build_report(rich - want, want, tolerance, columns=Q, note="; ".join(parts))
 
 
 # ---------------------------------------------------------------------------

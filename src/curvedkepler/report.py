@@ -56,15 +56,14 @@ def build_report(
     residual: np.ndarray,
     reference: np.ndarray,
     tolerance: float,
-    points: np.ndarray | Sequence[tuple] | None = None,
+    columns: Sequence[np.ndarray] | None = None,
     note: str = "",
 ) -> ResidualReport:
     """Aggregate pointwise |residual| against 1 + |reference|.
 
-    ``points`` holds one row of coordinates per residual, as an (n, k)
-    array or a sequence of tuples; the worst offender's row is recorded
-    as the report's worst point.  When omitted the worst point is left
-    unset.
+    ``columns`` holds 1-d coordinate arrays, each with one entry per
+    residual; the worst offender's entries are recorded as the report's
+    worst point.  When omitted the worst point is left unset.
     """
     res = np.abs(np.asarray(residual)).ravel()
     ref = np.abs(np.asarray(reference)).ravel()
@@ -72,7 +71,7 @@ def build_report(
         return ResidualReport(0.0, 0.0, 0.0, 0, None, tolerance, True, note)
     rel = res / (1.0 + ref)
     i = int(np.argmax(rel))
-    worst = tuple(points[i]) if points is not None else None
+    worst = tuple(c[i] for c in columns) if columns is not None else None
     max_rel = float(rel[i])
     return ResidualReport(
         max_abs=float(res.max()),
@@ -91,19 +90,20 @@ def merge_reports(reports: Sequence[ResidualReport]) -> ResidualReport:
 
     The merged tolerance is the strictest of the inputs; passed requires
     every input to pass (equivalently max_rel <= tolerance since the
-    inputs each used their own tolerance).
+    inputs each used their own tolerance).  A NaN ``max_rel`` counts as
+    the worst, and a NaN ``max_abs`` carries into the merged one.
     """
     reports = list(reports)
     if not reports:
         return ResidualReport(0.0, 0.0, 0.0, 0, None, float("inf"), True)
     n = sum(r.n_points for r in reports)
     mean = sum(r.mean_rel * r.n_points for r in reports) / max(n, 1)
-    worst = max(reports, key=lambda r: r.max_rel)
+    worst = max(reports, key=lambda r: (np.isnan(r.max_rel), r.max_rel))
     notes = sorted({r.note for r in reports if r.note})
     if len(notes) > 3:
         notes = notes[:3] + [f"... and {len(notes) - 3} more"]
     return ResidualReport(
-        max_abs=max(r.max_abs for r in reports),
+        max_abs=float(np.max([r.max_abs for r in reports])),
         max_rel=worst.max_rel,
         mean_rel=mean,
         n_points=n,

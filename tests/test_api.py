@@ -93,6 +93,7 @@ REMOVED_PARAMETERS = {
     operators.apply_hamiltonian: ["operator_space"],
     operators.hamiltonian_residual: ["operator_space"],
     report.merge_reports: ["note"],
+    report.build_report: ["points"],
     geometry.ParabolicPoints.validate_for: ["tol"],
     operators.runge_lenz_check: ["h"],
     spaces.SpaceTag: ["sigma"],

@@ -149,8 +149,8 @@ def test_hamiltonian_wrong_space_is_order_one():
     st = _state(S3, 2.0, QuantumNumbers(0, 0, 1))
     pts = chart_points(S3, make_rng(306), n=50)
 
-    def h3_core(level, space, *rest):  # the level's own space swapped for H3
-        return operators._hamiltonian_core(level, H3, *rest)
+    def h3_core(space, parts):  # the level's own space swapped for H3: its sign and its coupling
+        return operators._hamiltonian_core(H3, parts[:5] + (H3.coupling(st.e),) + parts[6:])
 
     (report,) = operators._eigen_residual(
         st, Level([st]), [pts], h3_core, lambda s: s.epsilon, operators.HAMILTONIAN_TOL
@@ -313,7 +313,7 @@ def test_residual_psi_from_the_jets_matches_wavefunction_values(
     for k in ks:
         for qn in enumerate_states(k):
             st = _state(space, e, qn)
-            _, ((f1, _, _), (f2, _, _)), p = operators._jets(Level([st]), t1, t2, phi)
+            (_, _, f1, f2, *_), p = operators._staeckel(Level([st]), t1, t2, phi)
             psi = f1 * f2 * p
             want = wavefunction_values(st, t1, t2, phi)
             assert np.all(want != 0), (k, qn)
@@ -573,7 +573,7 @@ H3_CONTROLS = [
 def test_h3_negative_controls_still_fail(deltas, jet_dtypes, grows):
     st = perturbed(_state(H3, 5.0, QuantumNumbers(0, 1, 0)), **deltas)
     pts = chart_points(H3, make_rng(335), n=50)
-    _, jets, _ = operators._jets(Level([st]), pts.t1, pts.t2, pts.phi)
+    jets = [operators._factor_jet([factor(st, which)], t)[0] for which, t in ((1, pts.t1), (2, pts.t2))]
     assert tuple(q[1].dtype for q in jets) == jet_dtypes
     for residual in (hamiltonian_residual, b_operator_residual):
         report = residual(st, pts)
@@ -856,7 +856,9 @@ def test_runge_lenz_stencil_is_one_batch_with_per_evaluation_bits(monkeypatch, s
     h = 5e-4 * np.maximum(1.0, np.sqrt((Q * Q).sum(axis=0)))
     # the sample holds coordinates where two shifts along one axis do not commute
     assert np.any((Q + h) - h != (Q - h) + h) and np.any((Q + h) - h != Q)
-    for stencil in operators._stencils(st, Q, (h, h / 2.0)):
+    stencils, centre = operators._stencils(st, Q, (h, h / 2.0))
+    assert [c.tobytes() for c in centre] == [c.tobytes() for c in operators._quasi_to_chart(space, Q)]
+    for stencil in stencils:
         table = operators._a3_and_l2(st, *stencil)
         oracle = _per_evaluation_a3_and_l2(st, *stencil)
         assert [x.tobytes() for x in table] == [x.tobytes() for x in oracle]
@@ -869,11 +871,29 @@ def test_runge_lenz_stencil_is_one_batch_with_per_evaluation_bits(monkeypatch, s
 
     monkeypatch.setattr(operators, "wavefunction_values", counted)
     got = runge_lenz_check(st, Q).to_json_dict()
-    # one call: the centre and 24 two-shift nodes per kept point, at h and h/2
-    assert sizes == [25 * 2 * got["n_points"]] and got["n_points"] > 100
+    # one call: the centre once and 24 two-shift nodes per kept point at each of h and h/2
+    assert sizes == [49 * got["n_points"]] and got["n_points"] > 100
     monkeypatch.setattr(operators, "_a3_and_l2", _per_evaluation_a3_and_l2)
     want = runge_lenz_check(st, Q).to_json_dict()
     assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize(
+    "space, e, qn", [(S3, 2.0, QuantumNumbers(1, 0, 1)), (H3, 10.0, QuantumNumbers(0, 1, -1))]
+)
+def test_runge_lenz_maps_and_reads_its_centre_once(monkeypatch, space, e, qn):
+    """One check maps its nodes through the chart in one call and reads Psi
+    in one call, both on 49 columns per kept point: the centre once and the
+    24 two-shift nodes of each step; the exact B operator reads the centre's
+    chart columns from that call."""
+    st = _state(space, e, qn)
+    Q = quasi_points(space, make_rng(331), n=40)
+    charts, reads = [], []
+    chart, values = operators._quasi_to_chart, operators.wavefunction_values
+    monkeypatch.setattr(operators, "_quasi_to_chart", lambda sp, X: charts.append(X.shape) or chart(sp, X))
+    monkeypatch.setattr(operators, "wavefunction_values", lambda s, *t: reads.append(np.size(t[0])) or values(s, *t))
+    n = runge_lenz_check(st, Q).n_points
+    assert charts == [(3, 49 * n)] and reads == [49 * n] and n > 30
 
 
 @pytest.mark.parametrize(
@@ -895,7 +915,7 @@ def test_runge_lenz_takes_each_psi_gradient_once(monkeypatch, space, e, qn):
     central = operators._central
     monkeypatch.setattr(operators, "_central", counted)
     n = Q.shape[1]
-    for stencil in operators._stencils(st, Q, (h, h / 2.0)):
+    for stencil in operators._stencils(st, Q, (h, h / 2.0))[0]:
         shapes.clear()
         got = operators._a3_and_l2(st, *stencil)
         assert shapes == [(6, 6, n)] + [(6, n)] * 7

@@ -1,6 +1,6 @@
 """The Hamiltonian and B residuals of one state on one sample share one
-evaluation of Psi: the second call reuses the jets, the prefactor and Psi
-of the first, with the reports each call makes alone, bit for bit.
+evaluation of Psi: the second call reuses the Staeckel parts, the prefactor
+and Psi of the first, with the reports each call makes alone, bit for bit.
 """
 
 import os
@@ -90,6 +90,19 @@ def test_a_pair_evaluates_each_factor_once(space, e, kind, jet_calls):
     hamiltonian_residual(state, sample)
     b_operator_residual(state, sample)
     assert len(jet_calls) == 2
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("space, e", SPACES)
+def test_a_pair_applies_the_separated_operator_once_per_factor(monkeypatch, space, e, kind):
+    """The second residual of a pair only combines the Staeckel parts of the first."""
+    calls = []
+    separated = operators._separated_operator
+    monkeypatch.setattr(operators, "_separated_operator", lambda *a: calls.append(1) or separated(*a))
+    state, sample = _case(space, e, kind)
+    hamiltonian_residual(state, sample)
+    b_operator_residual(state, sample)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("kind", KINDS)

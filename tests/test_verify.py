@@ -161,12 +161,11 @@ def test_seeded_generator_and_b_defects_fail_the_suites_that_share_them(monkeypa
 
     core = operators._b_operator_core
 
-    def d1_f2_flipped(state, space, t1, t2, jets):
-        (_, d1, _), (f2, _, _) = jets
-        term = 2.0 * t2 * (1.0 - t1) * (1.0 - 2.0 * t1) / (t1 - t2) * d1 * f2
-        return core(state, space, t1, t2, jets) - 2.0 * term
+    def l1_f2_flipped(space, parts):
+        ell1, _, _, f2, _, _, scale, _, t2 = parts
+        return core(space, parts) - 2.0 * t2 * ell1 * f2 * scale
 
-    monkeypatch.setattr(operators, "_b_operator_core", d1_f2_flipped)
+    monkeypatch.setattr(operators, "_b_operator_core", l1_f2_flipped)
     assert _failing(space, e) == ["rungelenz", "boperator"]
 
 
