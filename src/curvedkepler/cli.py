@@ -276,15 +276,7 @@ def _eval_rows(ns: argparse.Namespace, cells: np.ndarray) -> str:
 
 
 def cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
-    results = run_suites(
-        ns.suite,
-        ns.space,
-        ns.e,
-        ns.max_k,
-        ns.seed,
-        perturb_eps=ns.perturb_eps,
-        tolerance=ns.tol,
-    )
+    results = run_suites(ns.suite, ns.space, ns.e, ns.max_k, ns.seed, perturb_eps=ns.perturb_eps)
     ok = all_passed(results)
     code = 0 if ok else 1
     if ns.format == "json":
@@ -403,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("suite", choices=SUITES + ("all",))
     max_k(sp, 3)
     sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--tol", type=float, default=None, help="tolerance override")
     sp.add_argument("--perturb-eps", type=float, default=0.0, dest="perturb_eps")
 
     sp = command("limit", "flat-space limit of coordinates and spectrum", "human")
@@ -432,8 +423,6 @@ def _validate(ns: argparse.Namespace) -> argparse.Namespace:
             raise UsageError(f"--seed {ns.seed} must be >= 0")
         if ns.space.model is Model.H3 and bound_count_h3(ns.e) == 0:
             raise UsageError(f"--e {ns.e!r} gives no bound H3 level (needs e > 1)")
-        if ns.tol is not None and not (math.isfinite(ns.tol) and ns.tol > 0):
-            raise UsageError(f"--tol {ns.tol!r} must be finite and > 0")
         if not math.isfinite(ns.perturb_eps):
             raise UsageError(f"--perturb-eps {ns.perturb_eps!r} must be finite")
     elif ns.e < 0:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer test of its parameter checks.
 
 Every operation that can hit a singular locus, an invalid parameter
 range, or a non-converging iteration raises one of these instead of
@@ -7,6 +7,8 @@ returning NaNs, so callers can distinguish "outside the model" from
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class CurvedKeplerError(Exception):
@@ -48,3 +50,8 @@ class IndeterminateCoordinateWarning(UserWarning):
     and emit this warning instead of failing, since the underlying point
     is perfectly regular.
     """
+
+
+def is_integer(x) -> bool:
+    """Whether x is an int or a numpy integer; a bool is neither, though Python's bool subclasses int."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)

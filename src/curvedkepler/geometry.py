@@ -88,14 +88,23 @@ CONSTRAINT_TOL = 1e-10
 # Quadric residual allowance, scaled by max(1, c0^2) since the ambient
 # components grow like e^chi on H3 and the cancellation error with them.
 QUADRIC_TOL = 1e-12
+# Tolerances of the two checks here: the pulled-back metric entries, and the
+# conjugation-constraint residuals of a batch, which the S3 chart holds to rounding.
+METRIC_PULLBACK_TOL = 1e-6
+CONSTRAINT_CHECK_TOL = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 
 
 def _norm_phi(phi):
-    """phi reduced into [0, 2 pi), elementwise: C fmod, then one shift up."""
+    """phi reduced into [0, 2 pi), elementwise: C fmod, then one shift up.
+
+    A phi in about (-4.4e-16, 0) rounds up to 2 pi on the shift and reads 0,
+    the nearer in-range point on the circle.
+    """
     phi = np.fmod(phi, _TWO_PI)
-    return np.where(phi < 0.0, phi + _TWO_PI, phi)
+    phi = np.where(phi < 0.0, phi + _TWO_PI, phi)
+    return np.where(phi < _TWO_PI, phi, 0.0)
 
 
 def _raise_first(bad: np.ndarray, error: type, message: str, *values) -> None:
@@ -413,7 +422,7 @@ def pullback_accepts(space: SpaceTag, p: SphericalPoint) -> np.ndarray:
 
 
 def metric_pullback_check(
-    space: SpaceTag, p: SphericalPoint, tolerance: float = 1e-6
+    space: SpaceTag, p: SphericalPoint, tolerance: float = METRIC_PULLBACK_TOL
 ) -> ResidualReport:
     """Compare the closed-form parabolic metric against the spherical one.
 
@@ -454,7 +463,7 @@ def _constraint_residuals(t1, t2):
     return np.where(near_one, np.inf, r1), np.abs((t1 * t2).imag)
 
 
-def constraint_check(p: ParabolicPoints, tolerance: float = 1e-12) -> ResidualReport:
+def constraint_check(p: ParabolicPoints, tolerance: float = CONSTRAINT_CHECK_TOL) -> ResidualReport:
     """Report the S3 conjugation-constraint residuals of a batch.
 
     Each point gives the two residuals of :func:`_constraint_residuals`,

@@ -31,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError
+from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError, is_integer
 from .geometry import _chart_factors
 from .spaces import Model, SpaceTag
 from .specfun import Hyp2F1Params, drop_zero_imag, per_state, scaled_series, series_coefficients
@@ -66,7 +66,7 @@ class QuantumNumbers:
     def __post_init__(self) -> None:
         for name in ("n1", "n2", "m"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            if not is_integer(v):
                 raise ParameterError(f"{name} must be an integer, got {v!r}")
         if self.n1 < 0 or self.n2 < 0:
             raise ParameterError("n1 and n2 must be >= 0")

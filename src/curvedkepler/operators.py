@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, is_integer
 from .geometry import ParabolicPoints, _ambient_chart, parabolic_to_ambient
 from .kepler import (
     Level,
@@ -257,6 +257,8 @@ def _eigen_residual(caller, level: Level, samples: list, core, eigenvalue, toler
     batches = [_batch(b) for b in samples]
     key = tuple((a.dtype.str, a.shape, a.tobytes()) for b in batches for a in (b.t1, b.t2, b.phi))
     if (entry := _last.get("entry")) is None or entry[1] is not caller or entry[2] != key:
+        if not all(len(b) for b in batches):
+            raise ParameterError("no residuals to report: a sample batch holds no points")
         keep = [b.clearance() >= SINGULAR_SKIP for b in batches]
         counts = [int(np.count_nonzero(k)) for k in keep]
         if not all(counts):
@@ -485,10 +487,6 @@ _SLOT = np.zeros((2 * _N,) * 3, dtype=int)
 _SLOT[tuple(_EXPS.T)] = np.arange(1, _WIDTH)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _is_finite(c: complex) -> bool:
     return math.isfinite(c.real) and math.isfinite(c.imag)
 
@@ -553,7 +551,7 @@ class QPolynomial:
         self._row = np.zeros(_WIDTH, dtype=complex)
         for key, val in (coeffs or {}).items():
             k = key if isinstance(key, tuple) else (key,)
-            if len(k) != 3 or not all(_is_int(x) and x >= 0 for x in k):
+            if len(k) != 3 or not all(is_integer(x) and x >= 0 for x in k):
                 raise ParameterError(f"bad monomial key {key!r}")
             c = complex(val)
             if not _is_finite(c):
@@ -575,7 +573,7 @@ class QPolynomial:
 
     @classmethod
     def random(cls, rng: np.random.Generator, degree: int = 6, terms: int = 8) -> "QPolynomial":
-        if not (_is_int(degree) and 0 <= degree <= cls.MAX_DEGREE and _is_int(terms) and terms >= 0):
+        if not (is_integer(degree) and 0 <= degree <= cls.MAX_DEGREE and is_integer(terms) and terms >= 0):
             raise ParameterError(f"random needs integers 0 <= degree <= {cls.MAX_DEGREE} and terms >= 0, "
                                  f"got degree={degree!r}, terms={terms!r}")
         # three scalar draws per key: the same PCG64 stream as one size-3 draw

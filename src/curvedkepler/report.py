@@ -13,6 +13,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .errors import ParameterError
+
 __all__ = ["ResidualReport", "build_report", "merge_reports"]
 
 
@@ -63,12 +65,13 @@ def build_report(
 
     ``columns`` holds 1-d coordinate arrays, each with one entry per
     residual; the worst offender's entries are recorded as the report's
-    worst point.  When omitted the worst point is left unset.
+    worst point.  When omitted the worst point is left unset.  An empty
+    residual raises ParameterError: no points would pass by default.
     """
     res = np.abs(np.asarray(residual)).ravel()
     ref = np.abs(np.asarray(reference)).ravel()
     if res.size == 0:
-        return ResidualReport(0.0, 0.0, 0.0, 0, None, tolerance, True, note)
+        raise ParameterError("no residuals to report: the sample holds no points")
     rel = res / (1.0 + ref)
     i = int(np.argmax(rel))
     worst = tuple(c[i] for c in columns) if columns is not None else None

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, is_integer
 from .geometry import SINGULAR_GUARD, ParabolicPoints, SphericalPoint, _chart_factors, _clearance, pullback_accepts
 from .spaces import Model, SpaceTag
 
@@ -35,7 +35,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def _count(n) -> None:
     """Refuse a sample count n that is not a non-negative integer."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not is_integer(n) or n < 0:
         raise ParameterError(f"n must be a non-negative integer, got {n!r}")
 
 

@@ -87,13 +87,13 @@ def _probes(states: list[StateParams], perturb_eps: float) -> Level:
 
 # ode, hamiltonian and boperator draw each state's points in state order, then
 # evaluate the level in one stacked call per residual
-def _ode(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
+def _ode(space, e, max_k, rng, perturb_eps) -> list[SuiteResult]:
     states = bound_states(space, e, max_k)
     if not states:
         return []
     draws = [factor_samples(space, rng, which, ODE_POINTS) for _ in states for which in (1, 2)]
     level = _probes(states, perturb_eps)
-    reports = zip(*(ode_residual(level, which, draws[which - 1 :: 2], **kw) for which in (1, 2)))
+    reports = zip(*(ode_residual(level, which, draws[which - 1 :: 2]) for which in (1, 2)))
     return [
         SuiteResult("ode", f"{_state_label(s)} factor {which}", r)
         for s, pair in zip(states, reports)
@@ -101,52 +101,54 @@ def _ode(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
     ]
 
 
-def _eigen_suite(suite, residual, perturbs, space, e, max_k, rng, perturb_eps, kw):
+def _eigen_suite(suite, residual, perturbs, space, e, max_k, rng, perturb_eps):
     """The hamiltonian or boperator suite; the B operator's eigenvalue has no epsilon to perturb."""
     states = bound_states(space, e, max_k)
     batches = [chart_points(space, rng, CHART_POINTS) for _ in states]
-    reports = residual(_probes(states, perturb_eps if perturbs else 0.0), batches, **kw) if states else []
+    reports = residual(_probes(states, perturb_eps if perturbs else 0.0), batches) if states else []
     return [SuiteResult(suite, _state_label(s), r) for s, r in zip(states, reports)]
 
 
-def _rungelenz(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
+def _rungelenz(space, e, max_k, rng, perturb_eps) -> list[SuiteResult]:
     results = []
     for state in bound_states(space, e, max_k)[:RUNGE_LENZ_STATES]:
         pts = quasi_points(space, rng, RUNGE_LENZ_POINTS)
-        report = runge_lenz_check(state, pts, **kw)
+        report = runge_lenz_check(state, pts)
         results.append(SuiteResult("rungelenz", _state_label(state), report))
     return results
 
 
-def _metric(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
+def _metric(space, e, max_k, rng, perturb_eps) -> list[SuiteResult]:
     label = f"{space.model.value} metric pullback ({METRIC_POINTS} points)"
-    report = metric_pullback_check(space, pullback_points(space, rng, METRIC_POINTS), **kw)
+    report = metric_pullback_check(space, pullback_points(space, rng, METRIC_POINTS))
     return [SuiteResult("metric", label, report)]
 
 
-def _constraint(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
+def _constraint(space, e, max_k, rng, perturb_eps) -> list[SuiteResult]:
     results = []
     if space.model is Model.S3:
         pts = chart_points(space, rng, CHART_POINTS)
         label = f"s3 conjugation constraint ({len(pts)} points)"
-        results.append(SuiteResult("constraint", label, constraint_check(pts, **kw)))
+        results.append(SuiteResult("constraint", label, constraint_check(pts)))
     # the B coupling identity depends on the points alone: checked once, on as many points
-    # as the boperator suite takes (k^2 states per level k), at a tolerance --tol leaves alone
+    # as the boperator suite takes (k^2 states per level k), and not at all with no bound state
     n_states = sum(k * k for k in range(1, max_k + 1) if is_admissible(space, e, k))
-    pts = chart_points(space, rng, CHART_POINTS * n_states)
-    label = f"{space.model.value} coupling/cos(theta) identity ({len(pts)} points)"
-    return results + [SuiteResult("constraint", label, coupling_identity_residual(space, pts))]
+    if n_states:
+        pts = chart_points(space, rng, CHART_POINTS * n_states)
+        label = f"{space.model.value} coupling/cos(theta) identity ({len(pts)} points)"
+        results.append(SuiteResult("constraint", label, coupling_identity_residual(space, pts)))
+    return results
 
 
-def _commutators(space, e, max_k, rng, perturb_eps, kw) -> list[SuiteResult]:
+def _commutators(space, e, max_k, rng, perturb_eps) -> list[SuiteResult]:
     polys = [QPolynomial.random(rng, degree=6) for _ in range(COMMUTATOR_POLYS)]
-    reports = momentum_commutators(space, polys, **kw)
+    reports = momentum_commutators(space, polys)
     label = f"{space.model.value} algebra relations ({COMMUTATOR_POLYS} random polynomials)"
     return [SuiteResult("commutators", label, merge_reports(reports))]
 
 
-# suite name -> runner(space, e, max_k, rng, perturb_eps, tolerance kwargs); the
-# order fixes each suite's PRNG stream and the order of the reports
+# suite name -> runner(space, e, max_k, rng, perturb_eps), each check at its own
+# tolerance; the order fixes each suite's PRNG stream and the order of the reports
 _RUNNERS = {
     "ode": _ode,
     "hamiltonian": partial(_eigen_suite, "hamiltonian", hamiltonian_residual, True),
@@ -166,13 +168,11 @@ def run_suite(
     max_k: int,
     seed: int,
     perturb_eps: float = 0.0,
-    tolerance: float | None = None,
 ) -> list[SuiteResult]:
     """Run one named suite and return its labelled reports."""
     if suite not in SUITES:
         raise ParameterError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    kw = {} if tolerance is None else {"tolerance": tolerance}
-    return _RUNNERS[suite](space, e, max_k, _suite_rng(seed, suite), perturb_eps, kw)
+    return _RUNNERS[suite](space, e, max_k, _suite_rng(seed, suite), perturb_eps)
 
 
 def run_suites(
@@ -182,14 +182,13 @@ def run_suites(
     max_k: int,
     seed: int,
     perturb_eps: float = 0.0,
-    tolerance: float | None = None,
 ) -> list[SuiteResult]:
     """Run one named suite, or every suite in ``SUITES`` order for 'all'."""
     names = SUITES if suites == "all" else (suites,)
     return [
         result
         for name in names
-        for result in run_suite(name, space, e, max_k, seed, perturb_eps=perturb_eps, tolerance=tolerance)
+        for result in run_suite(name, space, e, max_k, seed, perturb_eps=perturb_eps)
     ]
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import curvedkepler
-from curvedkepler import cli, geometry, kepler, operators, report, sampling, spaces, specfun
+from curvedkepler import cli, geometry, kepler, operators, report, sampling, spaces, specfun, verify
 
 SUBMODULES = [
     importlib.import_module(f"curvedkepler.{info.name}")
@@ -64,6 +64,7 @@ REMOVED = {
         "_point_rows",
         "_coupling_identity_differences",
         "_derivatives",
+        "_is_int",
     ],
     sampling: ["GUARD"],
     specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF", "is_level", "each"],
@@ -97,6 +98,8 @@ REMOVED_PARAMETERS = {
     geometry.ParabolicPoints.validate_for: ["tol"],
     operators.runge_lenz_check: ["h"],
     spaces.SpaceTag: ["sigma"],
+    verify.run_suite: ["tolerance"],
+    verify.run_suites: ["tolerance"],
 }
 
 

@@ -24,7 +24,7 @@ from curvedkepler import (
     enumerate_states,
     space_from_name,
 )
-from curvedkepler import cli
+from curvedkepler import cli, geometry, operators
 from curvedkepler.cli import (
     EVAL_COLUMNS,
     HUMAN_FMT,
@@ -638,10 +638,9 @@ def test_non_finite_e_exits_2(argv, value):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
-@pytest.mark.parametrize("option", ["--tol", "--perturb-eps"])
+@pytest.mark.parametrize("option", ["--perturb-eps"])
 def test_non_finite_verify_option_exits_2(option, value):
-    """A tolerance of inf passed every report, and a nan or inf perturbation
-    printed nan reports, which are not valid JSON."""
+    """A nan or inf perturbation printed nan reports, which are not valid JSON."""
     rc, out, err = run_cli(["verify", "ode", "--space", "s3", "--e", "2", f"{option}={value}"])
     assert rc == 2 and out == ""
     assert option in err and "finite" in err
@@ -723,6 +722,7 @@ def test_missing_required_options_exit_2():
         ["eval", "--space", "s3", "--e", "2", "--n1", "0", "--n2", "0", "--m", "0", "--seed", "1"],
         ["limit", "--space", "h3", "--e", "5", "--seed", "1"],
         ["limit", "--space", "h3", "--e", "5", "--tol", "1e-3"],
+        ["verify", "all", "--space", "s3", "--e", "2", "--tol", "1e-3"],
     ],
     ids=lambda argv: " ".join([argv[0], argv[-2]]),
 )
@@ -734,12 +734,26 @@ def test_each_command_refuses_an_option_it_does_not_read(argv):
     assert f"unrecognized arguments: {argv[-2]}" in err.getvalue()
 
 
-def test_verify_reads_seed_tol_and_max_k():
-    rc, out, _ = run_cli(["verify", "all", "--seed", "7", "--tol", "1e-9", "--max-k", "2"])
+def test_verify_reads_seed_and_max_k():
+    """Every report is judged at its own check's named tolerance, which no option changes."""
+    rc, out, _ = run_cli(["verify", "all", "--seed", "7", "--max-k", "2"])
     d = json.loads(out)
     assert rc == (0 if d["passed"] else 1)
     assert (d["seed"], d["max_k"]) == (7, 2)
-    assert 1e-9 in {r["tolerance"] for r in d["reports"]}
+    named = {
+        "ode": operators.ODE_TOL,
+        "hamiltonian": operators.HAMILTONIAN_TOL,
+        "boperator": operators.B_OPERATOR_TOL,
+        "rungelenz": operators.RUNGE_LENZ_TOL,
+        "metric": geometry.METRIC_PULLBACK_TOL,
+        "constraint": geometry.CONSTRAINT_CHECK_TOL,
+        "commutators": operators.COMMUTATOR_TOL,
+    }
+    assert {r["suite"] for r in d["reports"]} == set(named)
+    for r in d["reports"]:
+        identity = "coupling/cos(theta) identity" in r["label"]
+        assert r["tolerance"] == (operators.COUPLING_IDENTITY_TOL if identity else named[r["suite"]]), r["label"]
+    assert sum("coupling/cos(theta) identity" in r["label"] for r in d["reports"]) == 1
 
 
 def test_unknown_command_and_suite_raise_usage():

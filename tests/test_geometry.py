@@ -748,6 +748,17 @@ def test_parabolic_points_reduce_a_scalar_phi_like_a_broadcast_one(phi):
     assert one.phi.shape == () and pts.phi[0, 0] == one.phi
 
 
+def test_a_phi_just_below_zero_reduces_to_zero_not_two_pi():
+    """phi + 2 pi rounds up to 2 pi for a phi in about (-4.4e-16, 0); 0 is the nearer point in [0, 2 pi)."""
+    assert ParabolicPoints(0.1, -0.2, -1e-300).phi == 0.0
+    assert SphericalPoint(1.0, 1.0, -1e-300).phi == 0.0
+    for space, c in [(H3, [math.sqrt(2.0), 1.0, -1e-300, 0.0]), (S3, [0.6, 0.8, -1e-300, 0.0])]:
+        assert ambient_to_parabolic(space, c).phi == 0.0
+    phi = geometry._norm_phi(np.array([-1e-300, -1e-17, -4e-16, -5e-16, -1e-15, -1.0]))
+    assert ((0.0 <= phi) & (phi < 2.0 * math.pi)).all()
+    assert phi[:3].tolist() == [0.0, 0.0, 0.0] and phi[3] == math.nextafter(2.0 * math.pi, 0.0)
+
+
 @pytest.mark.parametrize("space, dtype", [(H3, np.float64), (S3, np.complex128)])
 def test_chart_values_are_float64_on_h3_and_complex128_on_s3(space, dtype):
     pts = spherical_to_parabolic(space, SphericalPoint([0.3, 1.2], [0.4, 2.0], 0.0))
@@ -858,7 +869,7 @@ def test_flat_limit_slope_fits_every_measurable_radius(point):
     ],
     ids=["chart", "pullback", "quasi", "factor1", "factor2"],
 )
-@pytest.mark.parametrize("n", [-1, -200, 2.5, 3.0, np.float64(4.0), None, "5"])
+@pytest.mark.parametrize("n", [-1, -200, 2.5, 3.0, np.float64(4.0), None, "5", True, False, np.True_])
 def test_samplers_refuse_a_count_that_is_not_a_non_negative_integer(space, sample, n):
     with pytest.raises(ParameterError, match="non-negative integer"):
         sample(space, make_rng(1), n)

@@ -775,7 +775,8 @@ def test_import_builds_the_default_rules():
 
 _ORDERED_PROCESS = """
 from curvedkepler import H3, S3, QuantumNumbers, assemble_state, normalize
-states = {{"A": assemble_state(S3, 2.0, QuantumNumbers(1, 1, 0)), "B": assemble_state(H3, 100.0, QuantumNumbers(0, 2, -2))}}
+states = {{"A": assemble_state(S3, 2.0, QuantumNumbers(1, 1, 0)),
+           "B": assemble_state(H3, 100.0, QuantumNumbers(0, 2, -2))}}
 results = {{name: normalize(states[name]) for name in {order!r}}}
 print([(results[n].constant.hex(), results[n].error_estimate.hex()) for n in "AB"])
 """

@@ -365,7 +365,8 @@ def _closed_form_apply_hamiltonian(state, t1, t2, phi, jets=_closed_form_jets):
 
 
 def _closed_form_apply_b_operator(state, t1, t2, phi, jets=_closed_form_jets):
-    """B in Staeckel form, 2/(t1-t2) (t2 l1 f2 - t1 f1 l2) + kappa (t1+t2-2 t1 t2)/(t1-t2) f1 f2, times the prefactor."""
+    """B in Staeckel form, 2/(t1-t2) (t2 l1 f2 - t1 f1 l2) + kappa (t1+t2-2 t1 t2)/(t1-t2) f1 f2,
+    times the prefactor."""
     t1, t2, l1, l2, f1, f2, p, kappa, _, scale = _closed_form_staeckel(state, t1, t2, phi, jets)
     out = (t2 * l1 * f2 - t1 * f1 * l2) * scale + kappa * (t1 + t2 - 2.0 * t1 * t2) / (t1 - t2) * (f1 * f2)
     return out * p

@@ -1,11 +1,29 @@
-"""Residual reports: the worst point from coordinate columns, and merging."""
+"""Residual reports: the worst point from coordinate columns, merging, and no report of an empty sample."""
 
 import math
 
 import numpy as np
 import pytest
 
-from curvedkepler import H3, chart_points, constraint_check, make_rng
+from curvedkepler import (
+    H3,
+    S3,
+    Level,
+    ParameterError,
+    QuantumNumbers,
+    assemble_state,
+    b_operator_residual,
+    chart_points,
+    constraint_check,
+    coupling_identity_residual,
+    factor_samples,
+    hamiltonian_residual,
+    make_rng,
+    metric_pullback_check,
+    ode_residual,
+    pullback_points,
+    run_suite,
+)
 from curvedkepler.report import build_report, merge_reports
 
 
@@ -35,3 +53,46 @@ def test_a_nan_report_is_the_worst_in_either_order(order):
     merged = merge_reports([(finite, nan)[i] for i in order])
     assert math.isnan(merged.max_rel) and math.isnan(merged.max_abs)
     assert merged.worst_point == (2.0,) and not merged.passed
+
+
+def test_build_report_refuses_an_empty_residual():
+    with pytest.raises(ParameterError, match="no residuals to report"):
+        build_report(np.zeros(0), 0.0, 1e-12, columns=[np.zeros(0)])
+
+
+def _state(space):
+    return assemble_state(space, 2.0 if space is S3 else 10.0, QuantumNumbers(0, 1, 0))
+
+
+# each check on an empty sample from its own sampler
+EMPTY_SAMPLE_CHECKS = {
+    "ode": lambda space, rng: ode_residual(_state(space), 1, factor_samples(space, rng, 1, 0)),
+    "hamiltonian": lambda space, rng: hamiltonian_residual(_state(space), chart_points(space, rng, 0)),
+    "boperator": lambda space, rng: b_operator_residual(_state(space), chart_points(space, rng, 0)),
+    "coupling identity": lambda space, rng: coupling_identity_residual(space, chart_points(space, rng, 0)),
+    "constraint": lambda space, rng: constraint_check(chart_points(space, rng, 0)),
+    "metric pullback": lambda space, rng: metric_pullback_check(space, pullback_points(space, rng, 0)),
+}
+
+
+@pytest.mark.parametrize("space", [H3, S3], ids=["h3", "s3"])
+@pytest.mark.parametrize("check", list(EMPTY_SAMPLE_CHECKS))
+def test_an_empty_sample_is_refused_not_passed(check, space):
+    """An empty sample once passed four checks with n_points = 0, and H and B
+    blamed its points for sitting on a singular locus."""
+    with pytest.raises(ParameterError, match="no residuals to report"):
+        EMPTY_SAMPLE_CHECKS[check](space, make_rng(1))
+
+
+def test_a_level_with_one_empty_batch_is_refused():
+    states = [_state(S3), assemble_state(S3, 2.0, QuantumNumbers(1, 0, 0))]
+    rng = make_rng(1)
+    batches = [chart_points(S3, rng, 5), chart_points(S3, rng, 0)]
+    with pytest.raises(ParameterError, match="no residuals to report"):
+        hamiltonian_residual(Level(states), batches)
+
+
+@pytest.mark.parametrize("suite", ["ode", "hamiltonian", "boperator", "constraint"])
+def test_a_suite_with_no_bound_state_returns_no_report(suite):
+    """H3 at e = 1 binds no state: the constraint suite draws no identity points, as the state suites draw none."""
+    assert run_suite(suite, H3, 1.0, 3, 7) == []
