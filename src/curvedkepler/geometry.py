@@ -421,9 +421,7 @@ def pullback_accepts(space: SpaceTag, p: SphericalPoint) -> np.ndarray:
     return ~(_off_pullback_domain(p.chi, p.theta) | (center.clearance() < SINGULAR_GUARD))
 
 
-def metric_pullback_check(
-    space: SpaceTag, p: SphericalPoint, tolerance: float = METRIC_PULLBACK_TOL
-) -> ResidualReport:
+def metric_pullback_check(space: SpaceTag, p: SphericalPoint) -> ResidualReport:
     """Compare the closed-form parabolic metric against the spherical one.
 
     With the closed-form chart Jacobian J, J^T G J must reproduce the
@@ -449,7 +447,7 @@ def metric_pullback_check(
     jac = _chart_jacobian(space, chi, theta)
     pull = np.swapaxes(jac, -1, -2) @ metric_parabolic(space, center) @ jac
     ref = _spherical_metric(space, chi, theta)
-    return build_report(np.abs(pull - ref), np.abs(ref), tolerance)
+    return build_report(np.abs(pull - ref), np.abs(ref), METRIC_PULLBACK_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +461,7 @@ def _constraint_residuals(t1, t2):
     return np.where(near_one, np.inf, r1), np.abs((t1 * t2).imag)
 
 
-def constraint_check(p: ParabolicPoints, tolerance: float = CONSTRAINT_CHECK_TOL) -> ResidualReport:
+def constraint_check(p: ParabolicPoints) -> ResidualReport:
     """Report the S3 conjugation-constraint residuals of a batch.
 
     Each point gives the two residuals of :func:`_constraint_residuals`,
@@ -475,7 +473,7 @@ def constraint_check(p: ParabolicPoints, tolerance: float = CONSTRAINT_CHECK_TOL
     t1, t2 = p.t1.ravel(), p.t2.ravel()
     r1, r2 = _constraint_residuals(t1, t2)
     columns = [np.repeat(c, 2) for c in (t1.astype(complex), t2.astype(complex), p.phi.ravel())]
-    return build_report(np.column_stack([r1, r2]), 0.0, tolerance, columns=columns)
+    return build_report(np.column_stack([r1, r2]), 0.0, CONSTRAINT_CHECK_TOL, columns=columns)
 
 
 @dataclass(frozen=True)

@@ -144,7 +144,6 @@ def ode_residual(
     state: StateParams | Level,
     which: int,
     sample,
-    tolerance: float = ODE_TOL,
 ) -> ResidualReport | list[ResidualReport]:
     """Residual of one separated factor in its defining ODE.
 
@@ -172,7 +171,7 @@ def ode_residual(
     jet, _ = _factor_jet([factor(s, which) for s in level], t)
     lhs = _separated_operator(t, jet, m2) + (c * t + kconst) * jet[0]
     sizes = [r.size for r in rows]
-    reports = _reports(tolerance, sizes, sizes, lhs, kconst * jet[0], t.real, t.imag)
+    reports = _reports(ODE_TOL, sizes, sizes, lhs, kconst * jet[0], t.real, t.imag)
     return reports if isinstance(state, Level) else reports[0]
 
 
@@ -279,7 +278,6 @@ def _eigen_residual(caller, level: Level, samples: list, core, eigenvalue, toler
 def hamiltonian_residual(
     state: StateParams | Level,
     sample: ParabolicPoints | Sequence[ParabolicPoints],
-    tolerance: float = HAMILTONIAN_TOL,
 ) -> ResidualReport | list[ResidualReport]:
     """(H Psi - eps Psi) over chart points, relative to 1 + (1 + |eps|) |Psi|.
 
@@ -289,14 +287,13 @@ def hamiltonian_residual(
     absolute comparison against unnormalized Psi.  A level takes a batch per state.
     H and :func:`b_operator_residual` share Psi's evaluation on one state and sample while it lives.
     """
-    reports = _eigen_residual(state, *_as_level(state, sample), _hamiltonian_core, lambda s: s.epsilon, tolerance)
+    reports = _eigen_residual(state, *_as_level(state, sample), _hamiltonian_core, lambda s: s.epsilon, HAMILTONIAN_TOL)
     return reports if isinstance(state, Level) else reports[0]
 
 
 def b_operator_residual(
     state: StateParams | Level,
     sample: ParabolicPoints | Sequence[ParabolicPoints],
-    tolerance: float = B_OPERATOR_TOL,
 ) -> ResidualReport | list[ResidualReport]:
     """(B Psi - (k1+k2) Psi) over chart points, relative to 1 + (1 + |k1+k2|) |Psi|.
 
@@ -304,7 +301,7 @@ def b_operator_residual(
     every ground state on S3.  A level takes a batch per state.  Psi's
     evaluation is shared as in :func:`hamiltonian_residual`.
     """
-    reports = _eigen_residual(state, *_as_level(state, sample), _b_operator_core, lambda s: s.k1 + s.k2, tolerance)
+    reports = _eigen_residual(state, *_as_level(state, sample), _b_operator_core, lambda s: s.k1 + s.k2, B_OPERATOR_TOL)
     return reports if isinstance(state, Level) else reports[0]
 
 
@@ -421,7 +418,7 @@ def _a3_and_l2(state: StateParams, nodes: np.ndarray, h, psi: np.ndarray):
     return a3, sum(term(l, l) for l in (l1, l2, l3))
 
 
-def runge_lenz_check(state: StateParams, sample, tolerance: float = RUNGE_LENZ_TOL) -> ResidualReport:
+def runge_lenz_check(state: StateParams, sample) -> ResidualReport:
     """A3 + L^2 (H3) or A3 + i L^2 (S3) against the exact B operator.
 
     The left side uses nested second-order central differences in
@@ -429,12 +426,14 @@ def runge_lenz_check(state: StateParams, sample, tolerance: float = RUNGE_LENZ_T
     h = ``_DEFAULT_FD_STEP``, Richardson-extrapolated over (h, h/2); the
     right side applies the exact separated derivatives through the chart.
     The note records the observed convergence order (should sit near 2)
-    before extrapolation.  A sample coordinate that is not finite raises
-    ParameterError.
+    before extrapolation.  An empty sample or a coordinate that is not
+    finite raises ParameterError; a sample with no usable point raises DomainError.
     """
     Q = np.asarray(sample, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != 3:
         raise ParameterError(f"sample must be 3 x n quasi-Cartesian columns, got shape {Q.shape}")
+    if Q.shape[1] == 0:
+        raise ParameterError("no residuals to report: the sample holds no points")
     if not np.isfinite(Q).all():
         raise ParameterError("sample coordinates must be finite")
     h = _DEFAULT_FD_STEP
@@ -461,7 +460,7 @@ def runge_lenz_check(state: StateParams, sample, tolerance: float = RUNGE_LENZ_T
     parts = [f"median FD convergence order {order:.2f} over (h, h/2), h={h:g}"]
     if skipped:
         parts.append(f"skipped {skipped} point(s) near chart boundaries")
-    return build_report(rich - want, want, tolerance, columns=Q, note="; ".join(parts))
+    return build_report(rich - want, want, RUNGE_LENZ_TOL, columns=Q, note="; ".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +648,6 @@ def _commutator_residuals(space: SpaceTag, rows: np.ndarray) -> tuple[np.ndarray
 def momentum_commutators(
     space: SpaceTag,
     p: QPolynomial | Sequence[QPolynomial],
-    tolerance: float = COMMUTATOR_TOL,
 ) -> ResidualReport | list[ResidualReport]:
     """All nine so(3,1)/so(4) commutation identities applied to p.
 
@@ -657,9 +655,12 @@ def momentum_commutators(
     models; [P_a,P_b] = -i eps_abc L_c on H3 and +i eps_abc L_c on S3.
     Residual per identity is the max coefficient magnitude of
     (commutator - right side) applied to p.  A sequence of polynomials
-    runs as one stack and gives the reports separate calls would give.
+    runs as one stack and gives the reports separate calls would give; an
+    empty sequence raises ParameterError.
     """
     polys = [p] if isinstance(p, QPolynomial) else list(p)
+    if not polys:
+        raise ParameterError("no residuals to report: no polynomial to apply the relations to")
     degrees = [q.degree() for q in polys]
     if any(d > 10 for d in degrees):
         raise ParameterError("commutator check is limited to degree <= 10 inputs")
@@ -670,5 +671,5 @@ def momentum_commutators(
     for vals, d in zip(residuals, degrees):
         worst = labels[int(np.argmax(vals))]
         note = f"{sign_word} relations on degree-{d} input; worst identity: {worst}"
-        reports.append(build_report(vals, np.zeros_like(vals), tolerance, note=note))
+        reports.append(build_report(vals, np.zeros_like(vals), COMMUTATOR_TOL, note=note))
     return reports[0] if isinstance(p, QPolynomial) else reports

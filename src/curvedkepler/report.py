@@ -94,13 +94,14 @@ def merge_reports(reports: Sequence[ResidualReport]) -> ResidualReport:
     The merged tolerance is the strictest of the inputs; passed requires
     every input to pass (equivalently max_rel <= tolerance since the
     inputs each used their own tolerance).  A NaN ``max_rel`` counts as
-    the worst, and a NaN ``max_abs`` carries into the merged one.
+    the worst, and a NaN ``max_abs`` carries into the merged one.  No
+    reports raise ParameterError, as an empty residual does.
     """
     reports = list(reports)
     if not reports:
-        return ResidualReport(0.0, 0.0, 0.0, 0, None, float("inf"), True)
+        raise ParameterError("no reports to merge: an empty merge would pass by default")
     n = sum(r.n_points for r in reports)
-    mean = sum(r.mean_rel * r.n_points for r in reports) / max(n, 1)
+    mean = sum(r.mean_rel * r.n_points for r in reports) / n
     worst = max(reports, key=lambda r: (np.isnan(r.max_rel), r.max_rel))
     notes = sorted({r.note for r in reports if r.note})
     if len(notes) > 3:

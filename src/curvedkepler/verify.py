@@ -81,18 +81,13 @@ def _state_label(state: StateParams) -> str:
     )
 
 
-def _probes(states: list[StateParams], perturb_eps: float) -> Level:
-    return Level(perturbed(s, epsilon=perturb_eps) if perturb_eps else s for s in states)
-
-
 # ode, hamiltonian and boperator draw each state's points in state order, then
 # evaluate the level in one stacked call per residual
-def _ode(space, e, max_k, rng, perturb_eps) -> list[SuiteResult]:
-    states = bound_states(space, e, max_k)
+def _ode(space, states, rng) -> list[SuiteResult]:
     if not states:
         return []
     draws = [factor_samples(space, rng, which, ODE_POINTS) for _ in states for which in (1, 2)]
-    level = _probes(states, perturb_eps)
+    level = Level(states)
     reports = zip(*(ode_residual(level, which, draws[which - 1 :: 2]) for which in (1, 2)))
     return [
         SuiteResult("ode", f"{_state_label(s)} factor {which}", r)
@@ -101,58 +96,56 @@ def _ode(space, e, max_k, rng, perturb_eps) -> list[SuiteResult]:
     ]
 
 
-def _eigen_suite(suite, residual, perturbs, space, e, max_k, rng, perturb_eps):
-    """The hamiltonian or boperator suite; the B operator's eigenvalue has no epsilon to perturb."""
-    states = bound_states(space, e, max_k)
+def _eigen_suite(suite, residual, space, states, rng) -> list[SuiteResult]:
+    """The hamiltonian or boperator suite."""
     batches = [chart_points(space, rng, CHART_POINTS) for _ in states]
-    reports = residual(_probes(states, perturb_eps if perturbs else 0.0), batches) if states else []
+    reports = residual(Level(states), batches) if states else []
     return [SuiteResult(suite, _state_label(s), r) for s, r in zip(states, reports)]
 
 
-def _rungelenz(space, e, max_k, rng, perturb_eps) -> list[SuiteResult]:
+def _rungelenz(space, states, rng) -> list[SuiteResult]:
     results = []
-    for state in bound_states(space, e, max_k)[:RUNGE_LENZ_STATES]:
+    for state in states[:RUNGE_LENZ_STATES]:
         pts = quasi_points(space, rng, RUNGE_LENZ_POINTS)
         report = runge_lenz_check(state, pts)
         results.append(SuiteResult("rungelenz", _state_label(state), report))
     return results
 
 
-def _metric(space, e, max_k, rng, perturb_eps) -> list[SuiteResult]:
+def _metric(space, states, rng) -> list[SuiteResult]:
     label = f"{space.model.value} metric pullback ({METRIC_POINTS} points)"
     report = metric_pullback_check(space, pullback_points(space, rng, METRIC_POINTS))
     return [SuiteResult("metric", label, report)]
 
 
-def _constraint(space, e, max_k, rng, perturb_eps) -> list[SuiteResult]:
+def _constraint(space, states, rng) -> list[SuiteResult]:
     results = []
     if space.model is Model.S3:
         pts = chart_points(space, rng, CHART_POINTS)
         label = f"s3 conjugation constraint ({len(pts)} points)"
         results.append(SuiteResult("constraint", label, constraint_check(pts)))
     # the B coupling identity depends on the points alone: checked once, on as many points
-    # as the boperator suite takes (k^2 states per level k), and not at all with no bound state
-    n_states = sum(k * k for k in range(1, max_k + 1) if is_admissible(space, e, k))
-    if n_states:
-        pts = chart_points(space, rng, CHART_POINTS * n_states)
+    # as the boperator suite takes, and not at all with no bound state
+    if states:
+        pts = chart_points(space, rng, CHART_POINTS * len(states))
         label = f"{space.model.value} coupling/cos(theta) identity ({len(pts)} points)"
         results.append(SuiteResult("constraint", label, coupling_identity_residual(space, pts)))
     return results
 
 
-def _commutators(space, e, max_k, rng, perturb_eps) -> list[SuiteResult]:
+def _commutators(space, states, rng) -> list[SuiteResult]:
     polys = [QPolynomial.random(rng, degree=6) for _ in range(COMMUTATOR_POLYS)]
     reports = momentum_commutators(space, polys)
     label = f"{space.model.value} algebra relations ({COMMUTATOR_POLYS} random polynomials)"
     return [SuiteResult("commutators", label, merge_reports(reports))]
 
 
-# suite name -> runner(space, e, max_k, rng, perturb_eps), each check at its own
-# tolerance; the order fixes each suite's PRNG stream and the order of the reports
+# suite name -> runner(space, states, rng) over the run's bound states, each check at
+# its own tolerance; the order fixes each suite's PRNG stream and the order of the reports
 _RUNNERS = {
     "ode": _ode,
-    "hamiltonian": partial(_eigen_suite, "hamiltonian", hamiltonian_residual, True),
-    "boperator": partial(_eigen_suite, "boperator", b_operator_residual, False),
+    "hamiltonian": partial(_eigen_suite, "hamiltonian", hamiltonian_residual),
+    "boperator": partial(_eigen_suite, "boperator", b_operator_residual),
     "rungelenz": _rungelenz,
     "metric": _metric,
     "constraint": _constraint,
@@ -170,9 +163,7 @@ def run_suite(
     perturb_eps: float = 0.0,
 ) -> list[SuiteResult]:
     """Run one named suite and return its labelled reports."""
-    if suite not in SUITES:
-        raise ParameterError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    return _RUNNERS[suite](space, e, max_k, _suite_rng(seed, suite), perturb_eps)
+    return _run((suite,), space, e, max_k, seed, perturb_eps)
 
 
 def run_suites(
@@ -184,12 +175,19 @@ def run_suites(
     perturb_eps: float = 0.0,
 ) -> list[SuiteResult]:
     """Run one named suite, or every suite in ``SUITES`` order for 'all'."""
-    names = SUITES if suites == "all" else (suites,)
-    return [
-        result
-        for name in names
-        for result in run_suite(name, space, e, max_k, seed, perturb_eps=perturb_eps)
-    ]
+    return _run(SUITES if suites == "all" else (suites,), space, e, max_k, seed, perturb_eps)
+
+
+def _run(names, space, e, max_k, seed, perturb_eps) -> list[SuiteResult]:
+    """The named suites on one list of the bound states with k <= max_k, each state's energy
+    shifted by ``perturb_eps`` when it is nonzero (only ``ode`` and ``hamiltonian`` read it)."""
+    for name in names:
+        if name not in SUITES:
+            raise ParameterError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    states = bound_states(space, e, max_k)
+    if perturb_eps:
+        states = [perturbed(s, epsilon=perturb_eps) for s in states]
+    return [result for name in names for result in _RUNNERS[name](space, states, _suite_rng(seed, name))]
 
 
 def all_passed(results) -> bool:

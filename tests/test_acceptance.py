@@ -135,11 +135,9 @@ def test_criterion_04_ode_residuals_and_sensitivity(capsys):
             for st in _state_grid(space):
                 for which in (1, 2):
                     sample = factor_samples(space, rng, which, n=100)
-                    report = ode_residual(st, which, sample, tolerance=1e-10)
+                    report = ode_residual(st, which, sample)
                     assert report.passed and report.max_rel < 1e-10, (st.qn, which, report)
-                    bad = ode_residual(
-                        perturbed(st, epsilon=1e-3), which, sample, tolerance=1e-10
-                    )
+                    bad = ode_residual(perturbed(st, epsilon=1e-3), which, sample)
                     assert bad.max_rel > 1e-5, (st.qn, which, bad.max_rel)
 
 
@@ -148,7 +146,7 @@ def test_criterion_05_hamiltonian_residual(capsys):
         for space in (H3, S3):
             pts = _shared_points(space)
             for st in _state_grid(space):
-                report = hamiltonian_residual(st, pts, tolerance=1e-9)
+                report = hamiltonian_residual(st, pts)
                 assert report.passed and report.max_rel < 1e-9, (space, st.qn, report)
 
 

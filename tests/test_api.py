@@ -92,11 +92,16 @@ REMOVED_ATTRIBUTES = {
 REMOVED_PARAMETERS = {
     kepler.normalize: ["n_chi", "n_theta"],
     operators.apply_hamiltonian: ["operator_space"],
-    operators.hamiltonian_residual: ["operator_space"],
+    operators.hamiltonian_residual: ["operator_space", "tolerance"],
     report.merge_reports: ["note"],
     report.build_report: ["points"],
     geometry.ParabolicPoints.validate_for: ["tol"],
-    operators.runge_lenz_check: ["h"],
+    operators.runge_lenz_check: ["h", "tolerance"],
+    operators.ode_residual: ["tolerance"],
+    operators.b_operator_residual: ["tolerance"],
+    operators.momentum_commutators: ["tolerance"],
+    geometry.metric_pullback_check: ["tolerance"],
+    geometry.constraint_check: ["tolerance"],
     spaces.SpaceTag: ["sigma"],
     verify.run_suite: ["tolerance"],
     verify.run_suites: ["tolerance"],

@@ -20,9 +20,12 @@ from curvedkepler import (
     hamiltonian_residual,
     make_rng,
     metric_pullback_check,
+    momentum_commutators,
     ode_residual,
     pullback_points,
+    quasi_points,
     run_suite,
+    runge_lenz_check,
 )
 from curvedkepler.report import build_report, merge_reports
 
@@ -60,6 +63,12 @@ def test_build_report_refuses_an_empty_residual():
         build_report(np.zeros(0), 0.0, 1e-12, columns=[np.zeros(0)])
 
 
+def test_merge_reports_refuses_an_empty_list():
+    """No reports once merged to a pass with n_points = 0 and tolerance = inf."""
+    with pytest.raises(ParameterError, match="no reports to merge"):
+        merge_reports([])
+
+
 def _state(space):
     return assemble_state(space, 2.0 if space is S3 else 10.0, QuantumNumbers(0, 1, 0))
 
@@ -72,6 +81,8 @@ EMPTY_SAMPLE_CHECKS = {
     "coupling identity": lambda space, rng: coupling_identity_residual(space, chart_points(space, rng, 0)),
     "constraint": lambda space, rng: constraint_check(chart_points(space, rng, 0)),
     "metric pullback": lambda space, rng: metric_pullback_check(space, pullback_points(space, rng, 0)),
+    "rungelenz": lambda space, rng: runge_lenz_check(_state(space), quasi_points(space, rng, 0)),
+    "commutators": lambda space, rng: momentum_commutators(space, []),
 }
 
 
