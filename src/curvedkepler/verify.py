@@ -152,6 +152,8 @@ _RUNNERS = {
     "commutators": _commutators,
 }
 SUITES = tuple(_RUNNERS)
+# the suites that read no state are handed none: they run at any e and build nothing at a large max_k
+_STATELESS = ("metric", "commutators")
 
 
 def run_suite(
@@ -162,8 +164,14 @@ def run_suite(
     seed: int,
     perturb_eps: float = 0.0,
 ) -> list[SuiteResult]:
-    """Run one named suite and return its labelled reports."""
-    return _run((suite,), space, e, max_k, seed, perturb_eps)
+    """Run one named suite on the bound states with k <= max_k and return its labelled reports;
+    a nonzero ``perturb_eps`` shifts each state's energy, which only ``ode`` and ``hamiltonian`` read."""
+    if suite not in SUITES:
+        raise ParameterError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    states = [] if suite in _STATELESS else bound_states(space, e, max_k)
+    if perturb_eps:
+        states = [perturbed(s, epsilon=perturb_eps) for s in states]
+    return _RUNNERS[suite](space, states, _suite_rng(seed, suite))
 
 
 def run_suites(
@@ -175,19 +183,12 @@ def run_suites(
     perturb_eps: float = 0.0,
 ) -> list[SuiteResult]:
     """Run one named suite, or every suite in ``SUITES`` order for 'all'."""
-    return _run(SUITES if suites == "all" else (suites,), space, e, max_k, seed, perturb_eps)
-
-
-def _run(names, space, e, max_k, seed, perturb_eps) -> list[SuiteResult]:
-    """The named suites on one list of the bound states with k <= max_k, each state's energy
-    shifted by ``perturb_eps`` when it is nonzero (only ``ode`` and ``hamiltonian`` read it)."""
-    for name in names:
-        if name not in SUITES:
-            raise ParameterError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    states = bound_states(space, e, max_k)
-    if perturb_eps:
-        states = [perturbed(s, epsilon=perturb_eps) for s in states]
-    return [result for name in names for result in _RUNNERS[name](space, states, _suite_rng(seed, name))]
+    names = SUITES if suites == "all" else (suites,)
+    return [
+        result
+        for name in names
+        for result in run_suite(name, space, e, max_k, seed, perturb_eps=perturb_eps)
+    ]
 
 
 def all_passed(results) -> bool:

@@ -687,12 +687,14 @@ def test_verify_h3_without_a_bound_level_exits_2(suite, e):
     assert "--e" in err and "no bound H3 level" in err
 
 
-@pytest.mark.parametrize("suite", ["metric", "constraint", "commutators", "ode"])
-def test_verify_s3_without_an_attractive_coupling_exits_2(suite):
-    """The suites that read no state refuse e = 0 on S3 as the ones that do."""
-    rc, out, err = run_cli(["verify", suite, "--space", "s3", "--e", "0", "--max-k", "3"])
-    assert rc == 2 and out == ""
-    assert err == "error: bound states need attractive coupling e > 0\n"
+@pytest.mark.parametrize("suite, rc", [("metric", 0), ("commutators", 0), ("constraint", 2), ("ode", 2)])
+def test_verify_s3_without_an_attractive_coupling_exits_2_in_the_suites_that_read_states(suite, rc):
+    """metric and commutators read no state and pass at e = 0 on S3; constraint reads how many
+    states are bound, so it refuses as the state suites do."""
+    got, out, err = run_cli(["verify", suite, "--space", "s3", "--e", "0", "--max-k", "3"])
+    assert got == rc
+    assert err == ("" if rc == 0 else "error: bound states need attractive coupling e > 0\n")
+    assert (out == "") == bool(rc)
 
 
 def test_spectrum_h3_counts_levels_and_degeneracies_in_closed_form():

@@ -614,12 +614,10 @@ def test_runge_lenz_refuses_rows_of_points():
 
 
 @pytest.mark.parametrize("space", [S3, H3])
-def test_runge_lenz_tells_an_empty_sample_from_one_with_no_usable_point(space):
-    """No columns is a caller's error, as for every other check; points that
-    all sit too near the axis or the origin are the stencil's domain."""
+def test_runge_lenz_refuses_a_sample_with_no_usable_point_as_out_of_domain(space):
+    """Points that all sit too near the axis or the origin are the stencil's domain, not a
+    caller's error: DomainError, where an empty sample raises ParameterError."""
     st = _state(space, 2.0 if space is S3 else 10.0, QuantumNumbers(0, 0, 1))
-    with pytest.raises(ParameterError, match="no residuals to report"):
-        runge_lenz_check(st, quasi_points(space, make_rng(1), 0))
     with pytest.raises(DomainError, match="no usable sample points"):
         runge_lenz_check(st, np.array([[0.01, 0.0], [0.0, 0.0], [0.0, 0.3]]))
 
