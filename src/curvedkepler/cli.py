@@ -368,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name, text, fmt_default, *, space_default=None, e_default=None):
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--space", choices=("h3", "s3"), default=space_default)
-        sp.add_argument("--e", type=float, default=e_default, help="coupling strength e > 0")
+        sp.add_argument("--e", type=float, default=e_default, help="coupling strength e >= 0")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--format", choices=("json", "csv", "human"), default=fmt_default)
         return sp
@@ -421,11 +421,9 @@ def _validate(ns: argparse.Namespace) -> argparse.Namespace:
     if ns.command == "verify":
         if ns.seed < 0:
             raise UsageError(f"--seed {ns.seed} must be >= 0")
-        if ns.space.model is Model.H3 and bound_count_h3(ns.e) == 0:
-            raise UsageError(f"--e {ns.e!r} gives no bound H3 level (needs e > 1)")
         if not math.isfinite(ns.perturb_eps):
             raise UsageError(f"--perturb-eps {ns.perturb_eps!r} must be finite")
-    elif ns.e < 0:
+    if ns.e < 0:
         raise UsageError("--e must be >= 0")
     if ns.command == "limit":
         ns.rho = _parse_numbers("--rho", ns.rho)

@@ -12,10 +12,11 @@ and closed-form spectra
     H3:  eps = -e^2/(2 k^2) - (k^2 - 1)/2,   bound only for k < sqrt(e),
     S3:  eps = -e^2/(2 k^2) + (k^2 - 1)/2,   all k (infinite ladder),
 
-for attractive dimensionless coupling e > 0.  The exponents and
-separation constants come out of the quantization in closed form; on H3
-everything is real while on S3 the pair (b1, b2) and the separation
-constants pick up conjugate imaginary parts +-i e/(2k) style terms.
+for coupling e >= 0 (:func:`is_admissible`); S3 at e = 0 is the free
+particle.  The exponents and separation constants come out of the
+quantization in closed form; on H3 everything is real while on S3 the
+pair (b1, b2) and the separation constants pick up conjugate imaginary
+parts +-i e/(2k) style terms.
 Everything here is evaluated from those closed forms; the quantization
 equations themselves are only ever used as verification assertions in
 the test suite.  Since b2 = -b1, Psi itself is evaluated in a closed
@@ -177,10 +178,10 @@ def energy_split(space: SpaceTag, e: float, k: int) -> tuple[float, float]:
 
 
 def is_admissible(space: SpaceTag, e: float, k: int) -> bool:
-    """True when (e, k) labels a genuine bound state of the space."""
-    if space.model is Model.H3:
-        return k * k < e
-    return k >= 1
+    """True when (e, k) labels a bound level: k >= 1 on S3, and also k^2 < e on H3; e is checked as
+    :func:`energy_split` checks it.  This is the one test of whether a level is bound."""
+    _check_coupling(e)
+    return k >= 1 and (space.model is Model.S3 or k * k < e)
 
 
 def _check_coupling(e: float) -> None:
@@ -218,8 +219,6 @@ def enumerate_states(k: int) -> list[QuantumNumbers]:
 
 def assemble_state(space: SpaceTag, e: float, qn: QuantumNumbers) -> StateParams:
     """Build the full closed-form parameter bundle of a bound state; :func:`energy` refuses (e, k) first."""
-    if e <= 0:
-        raise DomainError("bound states need attractive coupling e > 0")
     k = qn.k
     eps = energy(space, e, k)
     n1, n2, m = qn.n1, qn.n2, qn.m

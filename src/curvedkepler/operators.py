@@ -662,7 +662,7 @@ def momentum_commutators(
     if not polys:
         raise ParameterError("no residuals to report: no polynomial to apply the relations to")
     degrees = [q.degree() for q in polys]
-    if any(d > 10 for d in degrees):
+    if any(d > _MAX_DEGREE - 2 for d in degrees):
         raise ParameterError("commutator check is limited to degree <= 10 inputs")
     rows = np.array([q._row for q in polys], dtype=complex).reshape(-1, _WIDTH)
     residuals, labels = _commutator_residuals(space, rows)

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import BoundStateError, ParameterError
 from .geometry import constraint_check, metric_pullback_check
 from .kepler import (
     Level,
@@ -58,11 +58,11 @@ class SuiteResult:
 
 
 def bound_states(space: SpaceTag, e: float, max_k: int) -> list[StateParams]:
-    """Every admissible state with k <= max_k, in enumeration order."""
+    """Every admissible state with k <= max_k, in enumeration order; no level above an unbound one is bound."""
     out: list[StateParams] = []
     for k in range(1, max_k + 1):
         if not is_admissible(space, e, k):
-            continue
+            break
         for qn in enumerate_states(k):
             out.append(assemble_state(space, e, qn))
     return out
@@ -84,8 +84,6 @@ def _state_label(state: StateParams) -> str:
 # ode, hamiltonian and boperator draw each state's points in state order, then
 # evaluate the level in one stacked call per residual
 def _ode(space, states, rng) -> list[SuiteResult]:
-    if not states:
-        return []
     draws = [factor_samples(space, rng, which, ODE_POINTS) for _ in states for which in (1, 2)]
     level = Level(states)
     reports = zip(*(ode_residual(level, which, draws[which - 1 :: 2]) for which in (1, 2)))
@@ -99,7 +97,7 @@ def _ode(space, states, rng) -> list[SuiteResult]:
 def _eigen_suite(suite, residual, space, states, rng) -> list[SuiteResult]:
     """The hamiltonian or boperator suite."""
     batches = [chart_points(space, rng, CHART_POINTS) for _ in states]
-    reports = residual(Level(states), batches) if states else []
+    reports = residual(Level(states), batches)
     return [SuiteResult(suite, _state_label(s), r) for s, r in zip(states, reports)]
 
 
@@ -124,12 +122,10 @@ def _constraint(space, states, rng) -> list[SuiteResult]:
         pts = chart_points(space, rng, CHART_POINTS)
         label = f"s3 conjugation constraint ({len(pts)} points)"
         results.append(SuiteResult("constraint", label, constraint_check(pts)))
-    # the B coupling identity depends on the points alone: checked once, on as many points
-    # as the boperator suite takes, and not at all with no bound state
-    if states:
-        pts = chart_points(space, rng, CHART_POINTS * len(states))
-        label = f"{space.model.value} coupling/cos(theta) identity ({len(pts)} points)"
-        results.append(SuiteResult("constraint", label, coupling_identity_residual(space, pts)))
+    # the B coupling identity depends on the points alone: checked once, on as many points as the boperator suite takes
+    pts = chart_points(space, rng, CHART_POINTS * len(states))
+    label = f"{space.model.value} coupling/cos(theta) identity ({len(pts)} points)"
+    results.append(SuiteResult("constraint", label, coupling_identity_residual(space, pts)))
     return results
 
 
@@ -152,7 +148,7 @@ _RUNNERS = {
     "commutators": _commutators,
 }
 SUITES = tuple(_RUNNERS)
-# the suites that read no state are handed none: they run at any e and build nothing at a large max_k
+# the suites that read no state are handed none: they build nothing at a large max_k
 _STATELESS = ("metric", "commutators")
 
 
@@ -164,10 +160,13 @@ def run_suite(
     seed: int,
     perturb_eps: float = 0.0,
 ) -> list[SuiteResult]:
-    """Run one named suite on the bound states with k <= max_k and return its labelled reports;
-    a nonzero ``perturb_eps`` shifts each state's energy, which only ``ode`` and ``hamiltonian`` read."""
+    """Run one named suite on the bound states with k <= max_k and return its labelled reports; every suite refuses
+    a run with no bound level (BoundStateError) before it builds a state.  A nonzero ``perturb_eps`` shifts each
+    state's energy, which only ``ode`` and ``hamiltonian`` read."""
     if suite not in SUITES:
         raise ParameterError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if not is_admissible(space, e, 1) or max_k < 1:
+        raise BoundStateError(f"no bound level with k <= {max_k} on {space.name} at e={e!r}")
     states = [] if suite in _STATELESS else bound_states(space, e, max_k)
     if perturb_eps:
         states = [perturbed(s, epsilon=perturb_eps) for s in states]

@@ -684,17 +684,17 @@ def test_unwritable_out_path_exits_2(argv, tmp_path):
 def test_verify_h3_without_a_bound_level_exits_2(suite, e):
     rc, out, err = run_cli(["verify", suite, "--space", "h3", "--e", e])
     assert rc == 2 and out == ""
-    assert "--e" in err and "no bound H3 level" in err
+    assert err == f"error: no bound level with k <= 3 on h3 at e={float(e)!r}\n"
 
 
-@pytest.mark.parametrize("suite, rc", [("metric", 0), ("commutators", 0), ("constraint", 2), ("ode", 2)])
-def test_verify_s3_without_an_attractive_coupling_exits_2_in_the_suites_that_read_states(suite, rc):
-    """metric and commutators read no state and pass at e = 0 on S3; constraint reads how many
-    states are bound, so it refuses as the state suites do."""
-    got, out, err = run_cli(["verify", suite, "--space", "s3", "--e", "0", "--max-k", "3"])
-    assert got == rc
-    assert err == ("" if rc == 0 else "error: bound states need attractive coupling e > 0\n")
-    assert (out == "") == bool(rc)
+@pytest.mark.parametrize("suite", ["metric", "commutators", "constraint", "ode"])
+def test_verify_s3_runs_every_suite_at_e_0_and_refuses_a_negative_e(suite):
+    """S3 at e = 0 is the free particle, bound at every k: each suite passes.  A negative --e exits 2
+    in each, metric and commutators too, though they read no state."""
+    rc, out, err = run_cli(["verify", suite, "--space", "s3", "--e", "0", "--max-k", "3"])
+    assert (rc, err) == (0, "") and json.loads(out)["passed"]
+    rc, out, err = run_cli(["verify", suite, "--space", "s3", "--e", "-1", "--max-k", "3"])
+    assert (rc, out, err) == (2, "", "error: --e must be >= 0\n")
 
 
 def test_spectrum_h3_counts_levels_and_degeneracies_in_closed_form():

@@ -20,7 +20,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from curvedkepler import geometry, kepler, specfun
+from curvedkepler import geometry, kepler, specfun, verify
 from curvedkepler import (
     BoundStateError,
     DomainError,
@@ -179,6 +179,32 @@ def test_s3_always_admissible():
         assert is_admissible(S3, 100.0, k)
 
 
+def test_is_admissible_needs_k_at_least_1_and_checks_e_as_energy_split_does():
+    assert not is_admissible(H3, 5.0, 0)
+    assert not is_admissible(S3, 5.0, 0)
+    assert is_admissible(H3, 5.0, 2) and not is_admissible(H3, 4.0, 2)
+    assert is_admissible(S3, 0.0, 1) and not is_admissible(H3, 0.0, 1)
+    with pytest.raises(DomainError, match="coupling e must be >= 0"):
+        is_admissible(S3, -1.0, 1)
+    with pytest.raises(DomainError, match=r"e\*e must be finite"):
+        is_admissible(H3, math.nan, 1)
+
+
+def test_s3_at_e_0_is_the_free_particle():
+    """Psi of the ground state is exactly 1 at every chart point, and c = 1/sqrt(vol S3) = 1/(sqrt(2) pi);
+    each k = 2 state has |Psi|^2 integrating to pi^2, so c = 1/pi."""
+    ground = assemble_state(S3, 0.0, QuantumNumbers(0, 0, 0))
+    assert ground.epsilon == 0.0
+    pts = chart_points(S3, make_rng(3), 500)
+    assert np.all(wavefunction_values(ground, pts.t1, pts.t2, pts.phi) == 1.0)
+    want = 1.0 / (math.sqrt(2.0) * math.pi)
+    assert normalize(ground).constant == pytest.approx(want, rel=1e-14, abs=0)
+    for qn in enumerate_states(2):
+        state = assemble_state(S3, 0.0, qn)
+        assert state.epsilon == 1.5
+        assert normalize(state).constant == pytest.approx(1.0 / math.pi, rel=1e-14, abs=0)
+
+
 def test_degeneracy_is_k_squared():
     for k in range(1, 7):
         qns = enumerate_states(k)
@@ -272,6 +298,14 @@ def test_bound_states_enumeration():
     # H3 cap: only admissible levels are returned even if max_k is larger
     assert len(bound_states(H3, 5.0, 6)) == 1 + 4
     assert len(bound_states(S3, 5.0, 2)) == 1 + 4
+
+
+def test_bound_states_stops_at_the_first_unbound_level(monkeypatch):
+    """No H3 level above an unbound one is bound, so a large max_k costs no scan past k = 3 at e = 10."""
+    asked = []
+    monkeypatch.setattr(verify, "is_admissible", lambda *args: asked.append(args[2]) or is_admissible(*args))
+    assert len(bound_states(H3, 10.0, 100)) == 1 + 4 + 9
+    assert asked == [1, 2, 3, 4]
 
 
 def test_factor_value_closed_form_powers():

@@ -719,8 +719,10 @@ def test_commutator_on_constant_is_exactly_zero():
 
 
 def test_commutator_degree_cap():
+    """Two below the layout's degree 12: a relation raises the degree of its input by two."""
+    assert momentum_commutators(H3, QPolynomial({(4, 3, 3): 1.0})).passed
     high = QPolynomial({(4, 4, 3): 1.0})
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^commutator check is limited to degree <= 10 inputs$"):
         momentum_commutators(H3, high)
 
 

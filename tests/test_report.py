@@ -8,6 +8,8 @@ import pytest
 from curvedkepler import (
     H3,
     S3,
+    SUITES,
+    BoundStateError,
     Level,
     ParameterError,
     QuantumNumbers,
@@ -103,7 +105,12 @@ def test_a_level_with_one_empty_batch_is_refused():
         hamiltonian_residual(Level(states), batches)
 
 
-@pytest.mark.parametrize("suite", ["ode", "hamiltonian", "boperator", "constraint"])
-def test_a_suite_with_no_bound_state_returns_no_report(suite):
-    """H3 at e = 1 binds no state: the constraint suite draws no identity points, as the state suites draw none."""
-    assert run_suite(suite, H3, 1.0, 3, 7) == []
+@pytest.mark.parametrize("space, e, max_k, text", [(H3, 1.0, 3, "k <= 3 on h3 at e=1.0"),
+                                                  (S3, 2.0, 0, "k <= 0 on s3 at e=2.0")], ids=["h3-e1", "s3-k0"])
+@pytest.mark.parametrize("suite", SUITES)
+def test_a_suite_with_no_bound_state_is_refused(suite, space, e, max_k, text):
+    """H3 at e = 1 binds no level, nor does any space below k = 1: every suite refuses the run, where
+    four once returned no report, which all_passed read as a pass."""
+    with pytest.raises(BoundStateError) as refusal:
+        run_suite(suite, space, e, max_k, 7)
+    assert str(refusal.value) == f"no bound level with {text}"

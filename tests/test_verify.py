@@ -44,16 +44,14 @@ def test_unknown_suite_rejected():
             run_suites(suites, S3, 2.0, 2, seed=7)
 
 
-@pytest.mark.parametrize("e", [0.0, -1.0])
-def test_only_the_suites_that_read_states_refuse_an_s3_coupling_with_no_bound_state(e):
-    """metric and commutators read no state, so they run at any e; constraint reads how many
-    states are bound, so it refuses e <= 0 on S3 as the four state suites do."""
-    for suite in SUITES:
-        if suite in ("metric", "commutators"):
-            assert all_passed(run_suite(suite, S3, e, 3, 7))
-        else:
-            with pytest.raises(DomainError, match="attractive coupling e > 0"):
-                run_suite(suite, S3, e, 3, 7)
+@pytest.mark.parametrize("suite", SUITES)
+def test_every_suite_passes_at_the_s3_free_particle_and_refuses_a_negative_coupling(suite):
+    """S3 at e = 0 binds every k (eps = (k^2 - 1)/2): each suite runs and passes.  At e = -1 each
+    refuses with DomainError, metric and commutators too, though they read no state."""
+    results = run_suite(suite, S3, 0.0, 3, 7)
+    assert results and all_passed(results)
+    with pytest.raises(DomainError, match="coupling e must be >= 0"):
+        run_suite(suite, S3, -1.0, 3, 7)
 
 
 def test_seed_reproducibility():
