@@ -16,7 +16,9 @@ for coupling e >= 0 (:func:`is_admissible`); S3 at e = 0 is the free
 particle.  The exponents and separation constants come out of the
 quantization in closed form; on H3 everything is real while on S3 the
 pair (b1, b2) and the separation constants pick up conjugate imaginary
-parts +-i e/(2k) style terms.
+parts +-i e/(2k) style terms.  :func:`assemble_state` sets that type once: an
+H3 state holds floats, so every H3 kernel and residual, the ODE's too, runs
+in float64, and an S3 state holds complex values.
 Everything here is evaluated from those closed forms; the quantization
 equations themselves are only ever used as verification assertions in
 the test suite.  Since b2 = -b1, Psi itself is evaluated in a closed
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import BoundStateError, DomainError, IntegrabilityError, ParameterError, is_integer
 from .geometry import _chart_factors
 from .spaces import Model, SpaceTag
-from .specfun import Hyp2F1Params, drop_zero_imag, per_state, scaled_series, series_coefficients
+from .specfun import Hyp2F1Params, per_state, scaled_series, series_coefficients
 
 __all__ = [
     "QuantumNumbers",
@@ -79,7 +81,8 @@ class QuantumNumbers:
 
 @dataclass(frozen=True)
 class StateParams:
-    """Complete parameter bundle of one parabolic bound state."""
+    """Complete parameter bundle of one parabolic bound state; a ``complex`` field holds a float on H3 (and beta
+    and gamma on S3 too), and ``to_json_dict`` prints it as ``[re, im]`` all the same."""
 
     space: SpaceTag
     e: float
@@ -224,18 +227,17 @@ def assemble_state(space: SpaceTag, e: float, qn: QuantumNumbers) -> StateParams
     n1, n2, m = qn.n1, qn.n2, qn.m
     am = abs(m)
     a = am / 2.0
-    gamma = complex(am + 1)
-    beta1 = complex(-n1)
-    beta2 = complex(-n2)
+    gamma = float(am + 1)
+    beta1 = float(-n1)
+    beta2 = float(-n2)
     d = n2 - n1
-    # r = kappa/k: on H3 each value stays a float until complex() wraps it, keeping the bits and zero signs of reals
-    r = space.coupling(e) / k
-    b1 = complex((d + r) / 2.0)
-    b2 = complex((-d - r) / 2.0)
-    alpha1 = complex(n2 + am + 1 + r)
-    alpha2 = complex(n1 + am + 1 - r)
-    k1 = complex(((k + r) ** 2 - (d + r) ** 2 + m * m - 1) / 4.0)
-    k2 = complex(((k - r) ** 2 - (d + r) ** 2 + m * m - 1) / 4.0)
+    r = space.coupling(e) / k  # kappa/k: a float on H3, complex on S3, and so is every value that reads it
+    b1 = (d + r) / 2.0
+    b2 = (-d - r) / 2.0
+    alpha1 = n2 + am + 1 + r
+    alpha2 = n1 + am + 1 - r
+    k1 = ((k + r) ** 2 - (d + r) ** 2 + m * m - 1) / 4.0
+    k2 = ((k - r) ** 2 - (d + r) ** 2 + m * m - 1) / 4.0
     return StateParams(
         space=space,
         e=float(e),
@@ -332,9 +334,7 @@ def _psi_exponent(state: Level, t1, t2, log_scale) -> np.ndarray:
     state's b1 + b2 != 0 adds (1-t2)^{b1+b2} on the principal branch.
     """
     h3 = state.space.model is Model.H3  # float64 logs on H3; the branch-free angle chi on S3
-    b1, half_m, shift = per_state(
-        state, lambda s: (s.b1.real if h3 else -2j * s.b1, 0.5 * abs(s.qn.m), drop_zero_imag(s.b1 + s.b2))
-    )
+    b1, half_m, shift = per_state(state, lambda s: (s.b1.real if h3 else -2j * s.b1, 0.5 * abs(s.qn.m), s.b1 + s.b2))
     with np.errstate(divide="ignore"):
         if h3:
             # by modulus: far out on theta = 0, t1 can round to just above 1
@@ -426,7 +426,7 @@ def _separated(state: StateParams, chi: np.ndarray, theta: np.ndarray, power: in
     grid row or column.  S3 (|t| <= 2) stays in complex float64.  The phases are :func:`_psi_grid`'s: i^|m| and
     (-1)^n2 where ``big[1]`` (u2 < 0) on H3, e^{-2i Re(b1) chi} on S3 (|u| = sin(chi) <= 1), and (1 - t2)^{b1+b2}'s.
     """
-    am, shift = abs(state.qn.m), drop_zero_imag(state.b1 + state.b2)
+    am, shift = abs(state.qn.m), state.b1 + state.b2
     a, u = (np.stack(pair) for pair in _chart_factors(state.space, chi, theta))
     expo, rad = (-2 * state.space.unit * state.b1).real * chi, state.space.radius(chi)  # |e^{-2 b1 unit chi}|
     if power:  # no 0 log 0 at chi = 0

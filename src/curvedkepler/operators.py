@@ -48,7 +48,7 @@ from .kepler import (
 )
 from .report import ResidualReport, build_report
 from .spaces import Model, SpaceTag
-from .specfun import drop_zero_imag, per_state, pow_arr, scaled_series
+from .specfun import per_state, pow_arr, scaled_series
 
 ODE_TOL = 1e-10
 HAMILTONIAN_TOL = 1e-9
@@ -80,11 +80,7 @@ def _factor_jet(fac: Sequence[SeparatedFactor], t: np.ndarray):
     """
     (F, F1, F2), s = scaled_series([f.params for f in fac], t, 2)
 
-    def numbers(f: SeparatedFactor) -> tuple:
-        b = drop_zero_imag(f.b)
-        return f.a, -b, f.a * (f.a - 1.0), b * (b - 1.0)
-
-    a, b, u2, v2 = per_state(fac, numbers)
+    a, b, u2, v2 = per_state(fac, lambda f: (f.a, -f.b, f.a * (f.a - 1.0), f.b * (f.b - 1.0)))
     w = 1.0 - t
     u, u1 = t * t, a * t
     v, v1 = w * w, b * w
@@ -577,14 +573,14 @@ class QPolynomial:
                                  f"got degree={degree!r}, terms={terms!r}")
         # three scalar draws per key: the same PCG64 stream as one size-3 draw
         integers, top = rng.integers, degree + 1
-        coeffs: dict[tuple[int, int, int], complex] = {}
+        row = np.zeros(_WIDTH, dtype=complex)
         for _ in range(terms):
             while True:
                 key = (int(integers(0, top)), int(integers(0, top)), int(integers(0, top)))
                 if sum(key) <= degree:
                     break
-            coeffs[key] = complex(rng.standard_normal(), rng.standard_normal())
-        return cls(coeffs)
+            row[_SLOT[key]] = complex(rng.standard_normal(), rng.standard_normal())
+        return cls._of(row)
 
     @property
     def coeffs(self) -> MappingProxyType:

@@ -32,7 +32,6 @@ from .errors import DomainError, ParameterError
 
 __all__ = [
     "Hyp2F1Params",
-    "drop_zero_imag",
     "hyp2f1",
     "scaled_series",
     "series_coefficients",
@@ -92,11 +91,6 @@ def hyp2f1(params: Hyp2F1Params, t) -> np.ndarray:
         term = term * ((a + j) * (b + j) / ((g + j) * (1 + j))) * tt
         total = total + term
     return np.full(tt.shape, total)
-
-
-def drop_zero_imag(z):
-    """z.real when the imaginary part of the number z is zero, else z."""
-    return z.real if z.imag == 0 else z
 
 
 def per_state(group, values) -> tuple:

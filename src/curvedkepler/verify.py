@@ -69,8 +69,8 @@ def bound_states(space: SpaceTag, e: float, max_k: int) -> list[StateParams]:
 
 
 def _suite_rng(seed: int, suite: str) -> np.random.Generator:
-    children = np.random.SeedSequence(int(seed)).spawn(len(SUITES))
-    return np.random.Generator(np.random.PCG64(children[SUITES.index(suite)]))
+    """The suite's stream: child SUITES.index(suite) of the run seed, as SeedSequence.spawn numbers its children."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(SUITES.index(suite),))))
 
 
 def _state_label(state: StateParams) -> str:

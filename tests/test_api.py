@@ -67,7 +67,8 @@ REMOVED = {
         "_is_int",
     ],
     sampling: ["GUARD"],
-    specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF", "is_level", "each"],
+    specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF", "is_level", "each",
+              "drop_zero_imag"],
 }
 
 

@@ -253,6 +253,38 @@ def test_assemble_frozen_h3_example():
     assert abs(st.k2 + 3.25) < VALUE_TOL
 
 
+def test_h3_states_hold_floats_and_s3_states_hold_complex_values():
+    """The arithmetic type is set once, in assemble_state: every complex-annotated field is a float on H3.  On S3
+    r = kappa/k is complex, and so is every value that reads it; beta and gamma, integers, are floats on both."""
+    typed = [f.name for f in dataclasses.fields(StateParams) if f.type in (complex, "complex")]
+    assert typed == ["b1", "b2", "alpha1", "beta1", "gamma1", "alpha2", "beta2", "gamma2", "k1", "k2"]
+    for st in _admissible_states(H3):
+        assert all(type(getattr(st, name)) is float for name in typed), st.qn
+    for st in _admissible_states(S3):
+        assert all(type(getattr(st, name)) is complex for name in ("b1", "b2", "alpha1", "alpha2", "k1", "k2"))
+        assert all(type(getattr(st, name)) is float for name in ("beta1", "gamma1", "beta2", "gamma2"))
+
+
+@pytest.mark.parametrize("space, e, qn, want", [
+    (H3, 900.0, (3, 4, -2), {
+        "space": "h3", "e": 900.0, "n1": 3, "n2": 4, "m": -2, "k": 10, "epsilon": -4099.5, "a1": 1.0, "a2": 1.0,
+        "b1": [45.5, 0.0], "b2": [-45.5, 0.0], "alpha1": [97.0, 0.0], "beta1": [-3.0, 0.0], "gamma1": [3.0, 0.0],
+        "alpha2": [-84.0, 0.0], "beta2": [-4.0, 0.0], "gamma2": [3.0, 0.0], "k1": [430.5, 0.0], "k2": [-469.5, 0.0],
+    }),
+    (S3, 2.0, (1, 0, 1), {
+        "space": "s3", "e": 2.0, "n1": 1, "n2": 0, "m": 1, "k": 3, "epsilon": 3.7777777777777777, "a1": 0.5,
+        "a2": 0.5, "b1": [-0.5, -0.3333333333333333], "b2": [0.5, 0.3333333333333333],
+        "alpha1": [2.0, -0.6666666666666666], "beta1": [-1.0, 0.0], "gamma1": [2.0, 0.0],
+        "alpha2": [3.0, 0.6666666666666666], "beta2": [0.0, 0.0], "gamma2": [2.0, 0.0],
+        "k1": [2.0, -1.3333333333333333], "k2": [2.0, 0.6666666666666667],
+    }),
+])
+def test_state_json_prints_every_complex_field_as_a_pair(space, e, qn, want):
+    """A float field annotated complex still prints as [re, im], in declaration order and with the same values."""
+    got = assemble_state(space, e, QuantumNumbers(*qn)).to_json_dict()
+    assert json.dumps(got) == json.dumps(want)  # key order and values
+
+
 @pytest.mark.parametrize("space", [H3, S3])
 def test_assembly_relations_on_grid(space):
     """Algebraic relations every admissible parameter bundle satisfies."""

@@ -91,6 +91,29 @@ def test_ode_suite_fails_every_report_of_a_small_perturbation_where_psi_is_tiny(
     assert not any(r.report.passed for r in dirty)
 
 
+@pytest.mark.parametrize("space, e, dtype", [(H3, 10.0, np.float64), (S3, 2.0, np.complex128)])
+def test_ode_residual_and_scale_run_in_the_dtype_of_the_space(monkeypatch, space, e, dtype):
+    """H3 states hold floats and the H3 samples are float64, so the ODE residual and its scale are float64 there."""
+    seen = []
+
+    def spy(tolerance, counts, sizes, residual, scale, *columns):
+        seen.append((residual.dtype, scale.dtype))
+        return reports(tolerance, counts, sizes, residual, scale, *columns)
+
+    reports = operators._reports
+    monkeypatch.setattr(operators, "_reports", spy)
+    assert all_passed(run_suite("ode", space, e, 3, 7))
+    assert seen == [(dtype, dtype)] * 2
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**70])
+def test_each_suite_draws_the_child_stream_that_spawn_numbers_by_its_index(seed):
+    for i, suite in enumerate(SUITES):
+        child = np.random.SeedSequence(seed).spawn(len(SUITES))[i]
+        want = np.random.Generator(np.random.PCG64(child)).integers(0, 2**63, size=8)
+        assert np.array_equal(verify._suite_rng(seed, suite).integers(0, 2**63, size=8), want), suite
+
+
 @pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
 def test_ode_suite_takes_no_principal_branch_power(monkeypatch, space, e):
     """The ODE suite reads the polynomial jets alone: no principal-branch power, no factor_derivatives."""
