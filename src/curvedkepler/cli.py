@@ -421,8 +421,8 @@ def _validate(ns: argparse.Namespace) -> argparse.Namespace:
     if ns.command == "verify":
         if ns.seed < 0:
             raise UsageError(f"--seed {ns.seed} must be >= 0")
-        if not math.isfinite(ns.perturb_eps):
-            raise UsageError(f"--perturb-eps {ns.perturb_eps!r} must be finite")
+        if not math.isfinite(ns.perturb_eps * ns.perturb_eps):  # the residuals read (c t + k) q, c ~ eps
+            raise UsageError(f"--perturb-eps {ns.perturb_eps!r} is out of range: its square must be finite")
     if ns.e < 0:
         raise UsageError("--e must be >= 0")
     if ns.command == "limit":

@@ -13,7 +13,8 @@ the equations that define it, and every check returns a
 
 All three read one 1-D operator per factor (``_separated_operator``), and the space enters by its tag
 alone: ``sigma`` and ``kappa = space.coupling(e)``.  H, B and Psi combine the Staeckel parts of one
-evaluation (``_staeckel``), which an H and B pair on one state and sample shares.
+evaluation (``_staeckel``), which an H and B pair on one state and sample shares; the verify suites
+take all three residuals from one evaluation (``_separated_reports``).
 * ``coupling_identity_residual`` — B's scalar coefficient against
   cos(theta) of the ambient point, a property of the chart points alone.
 * ``runge_lenz_check`` — the operator identity B = A3 + L^2 (H3) /
@@ -157,18 +158,22 @@ def ode_residual(
     t = _stacked(rows)
     if np.any(np.abs(t) < SINGULAR_SKIP) or np.any(np.abs(1.0 - t) < SINGULAR_SKIP):
         raise DomainError("ODE sample points must stay away from t = 0 and t = 1")
+    (m2,) = per_state(level, lambda s: (float(s.qn.m * s.qn.m),))
+    jet, _ = _factor_jet([factor(s, which) for s in level], t)
+    reports = _ode_reports(level, which, t, _separated_operator(t, jet, m2), jet[0], [r.size for r in rows])
+    return reports if isinstance(state, Level) else reports[0]
+
+
+def _ode_reports(level: Level, which: int, t, ell, q, counts) -> list:
+    """l_i + (c_i t + k_i) q relative to 1 + |k_i q|, a report per state on the first counts[s] points of its row:
+    factor i's ODE on its separated operator ``ell`` and jet ``q``, with c_i = (sigma eps -/+ kappa)/2."""
 
     def constants(st: StateParams) -> tuple:
         eps, kappa = st.space.sigma * st.epsilon, st.space.coupling(st.e)
-        c = (eps - kappa) / 2.0 if which == 1 else (eps + kappa) / 2.0
-        return c, st.k1 if which == 1 else st.k2, float(st.qn.m * st.qn.m)
+        return (eps - kappa) / 2.0 if which == 1 else (eps + kappa) / 2.0, st.k1 if which == 1 else st.k2
 
-    c, kconst, m2 = per_state(level, constants)
-    jet, _ = _factor_jet([factor(s, which) for s in level], t)
-    lhs = _separated_operator(t, jet, m2) + (c * t + kconst) * jet[0]
-    sizes = [r.size for r in rows]
-    reports = _reports(ODE_TOL, sizes, sizes, lhs, kconst * jet[0], t.real, t.imag)
-    return reports if isinstance(state, Level) else reports[0]
+    c, kconst = per_state(level, constants)
+    return _reports(ODE_TOL, counts, counts, ell + (c * t + kconst) * q, kconst * q, t.real, t.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -239,36 +244,60 @@ def _batch(sample) -> ParabolicPoints:
     return sample
 
 
-def _eigen_residual(caller, level: Level, samples: list, core, eigenvalue, tolerance) -> list:
-    """(O Psi - eigenvalue Psi) over a batch per state, relative to 1 + (1 + |eigenvalue|) |Psi|, a report each.
+def _evaluate(level: Level, batches: list) -> tuple:
+    """The points kept of a batch per state (masks; a point within SINGULAR_SKIP of a singular locus is skipped), their
+    counts, phi, and one :func:`_staeckel` evaluation stacked over the level: parts, prefactor and Psi = f1 f2 P1 P2."""
+    if not all(len(b) for b in batches):
+        raise ParameterError("no residuals to report: a sample batch holds no points")
+    keep = [b.clearance() >= SINGULAR_SKIP for b in batches]
+    counts = [int(np.count_nonzero(k)) for k in keep]
+    if not all(counts):
+        raise DomainError("every sample point sits on a singular chart locus")
+    rows = zip(*[(b.t1[k], b.t2[k], b.phi[k]) for b, k in zip(batches, keep)])
+    t1, t2, phi = (_stacked(r) for r in rows)
+    parts, p = _staeckel(level, t1, t2, phi)
+    return keep, counts, phi, parts, p, parts[4] * p
 
-    O Psi is ``core`` of the level's space and the Staeckel parts, times the prefactor; O Psi and
-    Psi = f1 f2 e^(i m phi) share the parts, one :func:`_staeckel` evaluation stacked over the level.
-    Points within SINGULAR_SKIP of a singular locus are skipped.  Until a batch is freed, the next call
-    on the same ``caller`` (the object the entry was passed, by identity: a StateParams shares though its
-    level of one is new on every call) and batches of the same dtype, shape and bytes reuses the parts,
-    the prefactor and Psi, and only combines them.  ``eigenvalue`` maps a state to its eigenvalue.
-    """
-    batches = [_batch(b) for b in samples]
-    key = tuple((a.dtype.str, a.shape, a.tobytes()) for b in batches for a in (b.t1, b.t2, b.phi))
-    if (entry := _last.get("entry")) is None or entry[1] is not caller or entry[2] != key:
-        if not all(len(b) for b in batches):
-            raise ParameterError("no residuals to report: a sample batch holds no points")
-        keep = [b.clearance() >= SINGULAR_SKIP for b in batches]
-        counts = [int(np.count_nonzero(k)) for k in keep]
-        if not all(counts):
-            raise DomainError("every sample point sits on a singular chart locus")
-        rows = zip(*[(b.t1[k], b.t2[k], b.phi[k]) for b, k in zip(batches, keep)])
-        t1, t2, phi = (_stacked(r) for r in rows)
-        parts, p = _staeckel(level, t1, t2, phi)
-        refs = [weakref.ref(b, lambda _: _last.clear()) for b in batches]
-        _last["entry"] = entry = (refs, caller, key, (keep, counts, phi, parts, p, parts[4] * p))
-    keep, counts, phi, parts, p, psi = entry[3]
+
+def _eigen_reports(level: Level, evaluation: tuple, core, eigenvalue, tolerance) -> list:
+    """(O Psi - eigenvalue Psi) relative to 1 + (1 + |eigenvalue|) |Psi|, a report per state of an :func:`_evaluate`:
+    O Psi is ``core`` of the space and the Staeckel parts, times the prefactor; ``eigenvalue`` maps a state to it."""
+    keep, counts, phi, parts, p, psi = evaluation
     eig, unit = per_state(level, lambda s: ((v := eigenvalue(s)), 1.0 + abs(v)))
     residual = core(level.space, parts) * p - eig * psi
     t1, t2 = parts[-2:]
     columns = (t1.real, t1.imag, t2.real, t2.imag, phi)
     return _reports(tolerance, counts, [k.size for k in keep], residual, unit * np.abs(psi), *columns)
+
+
+def _hamiltonian_reports(level: Level, evaluation: tuple) -> list:
+    return _eigen_reports(level, evaluation, _hamiltonian_core, lambda s: s.epsilon, HAMILTONIAN_TOL)
+
+
+def _b_operator_reports(level: Level, evaluation: tuple) -> list:
+    return _eigen_reports(level, evaluation, _b_operator_core, lambda s: s.k1 + s.k2, B_OPERATOR_TOL)
+
+
+def _separated_reports(level: Level, batches: list) -> tuple[list, list, list, list]:
+    """The ODE reports of factors 1 and 2, then the H and B reports, of one :func:`_evaluate` on a batch per state;
+    factor i's ODE reads l_i and q_i of the Staeckel parts on the points kept, as :func:`ode_residual` reads them."""
+    evaluation = _evaluate(level, batches)
+    counts, (ell1, ell2, q1, q2, *_, t1, t2) = evaluation[1], evaluation[3]
+    return (_ode_reports(level, 1, t1, ell1, q1, counts), _ode_reports(level, 2, t2, ell2, q2, counts),
+            _hamiltonian_reports(level, evaluation), _b_operator_reports(level, evaluation))
+
+
+def _eigen_residual(caller, level: Level, samples: list, reports) -> list:
+    """``reports`` (H's or B's) of an :func:`_evaluate` of the level on a batch per state.  Until a batch is freed, the
+    next call on the same ``caller`` (the object the entry was passed, by identity: a StateParams shares though its
+    level of one is new on every call) and batches of the same dtype, shape and bytes reuses the evaluation."""
+    batches = [_batch(b) for b in samples]
+    key = tuple((a.dtype.str, a.shape, a.tobytes()) for b in batches for a in (b.t1, b.t2, b.phi))
+    if (entry := _last.get("entry")) is None or entry[1] is not caller or entry[2] != key:
+        evaluation = _evaluate(level, batches)
+        refs = [weakref.ref(b, lambda _: _last.clear()) for b in batches]
+        _last["entry"] = entry = (refs, caller, key, evaluation)
+    return reports(level, entry[3])
 
 
 def hamiltonian_residual(
@@ -283,7 +312,7 @@ def hamiltonian_residual(
     absolute comparison against unnormalized Psi.  A level takes a batch per state.
     H and :func:`b_operator_residual` share Psi's evaluation on one state and sample while it lives.
     """
-    reports = _eigen_residual(state, *_as_level(state, sample), _hamiltonian_core, lambda s: s.epsilon, HAMILTONIAN_TOL)
+    reports = _eigen_residual(state, *_as_level(state, sample), _hamiltonian_reports)
     return reports if isinstance(state, Level) else reports[0]
 
 
@@ -297,7 +326,7 @@ def b_operator_residual(
     every ground state on S3.  A level takes a batch per state.  Psi's
     evaluation is shared as in :func:`hamiltonian_residual`.
     """
-    reports = _eigen_residual(state, *_as_level(state, sample), _b_operator_core, lambda s: s.k1 + s.k2, B_OPERATOR_TOL)
+    reports = _eigen_residual(state, *_as_level(state, sample), _b_operator_reports)
     return reports if isinstance(state, Level) else reports[0]
 
 

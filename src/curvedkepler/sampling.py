@@ -56,12 +56,15 @@ def _first_accepted(n: int, size: int, draw) -> list[np.ndarray]:
 def factor_samples(
     space: SpaceTag, rng: np.random.Generator, which: int, n: int = 100
 ) -> np.ndarray:
-    """Sample abscissas for one separated-factor ODE check.
+    """Sample abscissas for one separated-factor ODE check (:func:`~curvedkepler.operators.ode_residual`).
 
     H3 draws float64 values in the chart ranges (t1 in (0,1), t2 < 0 with
     a logarithmic magnitude spread); S3 draws complex128 values, mixing
     points taken from the physical (chi, theta) parametrization with
-    draws from the open disc |t| < 0.9.
+    draws from the open disc |t| < 0.9.  No suite calls it (the ``ode``
+    suite reads the ``hamiltonian`` stream's chart points); acceptance
+    criterion 4 draws with it and the benchmark's tracer binds it by name,
+    so it stays until the change that retraces the benchmark.
     """
     if which not in (1, 2):
         raise ParameterError(f"which must be 1 or 2, got {which}")

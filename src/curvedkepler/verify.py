@@ -4,13 +4,15 @@ A suite is a named batch of residual checks over a (space, e, max_k,
 seed) configuration; each check comes back as a labelled
 :class:`~curvedkepler.report.ResidualReport`.  Suites draw their sample
 points from per-suite PRNG streams spawned from the run seed, so the
-points used by, say, ``ode`` do not depend on which other suites run.
+points a suite uses do not depend on which other suites run.  The three
+separated suites, ``ode``, ``hamiltonian`` and ``boperator``, run as one:
+they share the hamiltonian stream's chart points and one evaluation of
+the level, whichever of them runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -26,18 +28,15 @@ from .kepler import (
 )
 from .operators import (
     QPolynomial,
-    b_operator_residual,
+    _separated_reports,
     coupling_identity_residual,
-    hamiltonian_residual,
     momentum_commutators,
-    ode_residual,
     runge_lenz_check,
 )
 from .report import ResidualReport, merge_reports
-from .sampling import chart_points, factor_samples, pullback_points, quasi_points
+from .sampling import chart_points, pullback_points, quasi_points
 from .spaces import Model, SpaceTag
 
-ODE_POINTS = 100
 CHART_POINTS = 200
 RUNGE_LENZ_POINTS = 50
 RUNGE_LENZ_STATES = 3
@@ -81,24 +80,18 @@ def _state_label(state: StateParams) -> str:
     )
 
 
-# ode, hamiltonian and boperator draw each state's points in state order, then
-# evaluate the level in one stacked call per residual
-def _ode(space, states, rng) -> list[SuiteResult]:
-    draws = [factor_samples(space, rng, which, ODE_POINTS) for _ in states for which in (1, 2)]
-    level = Level(states)
-    reports = zip(*(ode_residual(level, which, draws[which - 1 :: 2]) for which in (1, 2)))
-    return [
-        SuiteResult("ode", f"{_state_label(s)} factor {which}", r)
-        for s, pair in zip(states, reports)
-        for which, r in zip((1, 2), pair)
-    ]
-
-
-def _eigen_suite(suite, residual, space, states, rng) -> list[SuiteResult]:
-    """The hamiltonian or boperator suite."""
+def _separated(space, states, rng) -> list[SuiteResult]:
+    """The ode, hamiltonian and boperator suites, in that order, from one evaluation of the level on a chart batch
+    per state, drawn in state order: an ode report per factor, then a hamiltonian and a boperator report per state."""
     batches = [chart_points(space, rng, CHART_POINTS) for _ in states]
-    reports = residual(Level(states), batches)
-    return [SuiteResult(suite, _state_label(s), r) for s, r in zip(states, reports)]
+    ode1, ode2, h, b = _separated_reports(Level(states), batches)
+    labels = [_state_label(s) for s in states]
+    return [
+        *(SuiteResult("ode", f"{label} factor {which}", r)
+          for label, *pair in zip(labels, ode1, ode2) for which, r in enumerate(pair, 1)),
+        *(SuiteResult("hamiltonian", label, r) for label, r in zip(labels, h)),
+        *(SuiteResult("boperator", label, r) for label, r in zip(labels, b)),
+    ]
 
 
 def _rungelenz(space, states, rng) -> list[SuiteResult]:
@@ -139,9 +132,9 @@ def _commutators(space, states, rng) -> list[SuiteResult]:
 # suite name -> runner(space, states, rng) over the run's bound states, each check at
 # its own tolerance; the order fixes each suite's PRNG stream and the order of the reports
 _RUNNERS = {
-    "ode": _ode,
-    "hamiltonian": partial(_eigen_suite, "hamiltonian", hamiltonian_residual),
-    "boperator": partial(_eigen_suite, "boperator", b_operator_residual),
+    "ode": _separated,
+    "hamiltonian": _separated,
+    "boperator": _separated,
     "rungelenz": _rungelenz,
     "metric": _metric,
     "constraint": _constraint,
@@ -150,6 +143,20 @@ _RUNNERS = {
 SUITES = tuple(_RUNNERS)
 # the suites that read no state are handed none: they build nothing at a large max_k
 _STATELESS = ("metric", "commutators")
+# the suites of the one separated runner, which draws the hamiltonian stream
+_SEPARATED = ("ode", "hamiltonian", "boperator")
+
+
+def _run(suite, space, e, max_k, seed, perturb_eps) -> list[SuiteResult]:
+    """Every report of the runner of ``suite``: all three separated suites' for ode, hamiltonian or boperator."""
+    if suite not in SUITES:
+        raise ParameterError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if not is_admissible(space, e, 1) or max_k < 1:
+        raise BoundStateError(f"no bound level with k <= {max_k} on {space.name} at e={e!r}")
+    states = [] if suite in _STATELESS else bound_states(space, e, max_k)
+    if perturb_eps:
+        states = [perturbed(s, epsilon=perturb_eps) for s in states]
+    return _RUNNERS[suite](space, states, _suite_rng(seed, "hamiltonian" if suite in _SEPARATED else suite))
 
 
 def run_suite(
@@ -162,15 +169,9 @@ def run_suite(
 ) -> list[SuiteResult]:
     """Run one named suite on the bound states with k <= max_k and return its labelled reports; every suite refuses
     a run with no bound level (BoundStateError) before it builds a state.  A nonzero ``perturb_eps`` shifts each
-    state's energy, which only ``ode`` and ``hamiltonian`` read."""
-    if suite not in SUITES:
-        raise ParameterError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    if not is_admissible(space, e, 1) or max_k < 1:
-        raise BoundStateError(f"no bound level with k <= {max_k} on {space.name} at e={e!r}")
-    states = [] if suite in _STATELESS else bound_states(space, e, max_k)
-    if perturb_eps:
-        states = [perturbed(s, epsilon=perturb_eps) for s in states]
-    return _RUNNERS[suite](space, states, _suite_rng(seed, suite))
+    state's energy, which only ``ode`` and ``hamiltonian`` read.  ode, hamiltonian and boperator run as one, on
+    the hamiltonian stream's chart points, and each keeps its own reports."""
+    return [r for r in _run(suite, space, e, max_k, seed, perturb_eps) if r.suite == suite]
 
 
 def run_suites(
@@ -181,13 +182,11 @@ def run_suites(
     seed: int,
     perturb_eps: float = 0.0,
 ) -> list[SuiteResult]:
-    """Run one named suite, or every suite in ``SUITES`` order for 'all'."""
-    names = SUITES if suites == "all" else (suites,)
-    return [
-        result
-        for name in names
-        for result in run_suite(name, space, e, max_k, seed, perturb_eps=perturb_eps)
-    ]
+    """Run one named suite, or every suite in ``SUITES`` order for 'all', the three separated suites in one run."""
+    if suites != "all":
+        return run_suite(suites, space, e, max_k, seed, perturb_eps)
+    args = (space, e, max_k, seed, perturb_eps)
+    return _run("hamiltonian", *args) + [r for name in SUITES if name not in _SEPARATED for r in run_suite(name, *args)]
 
 
 def all_passed(results) -> bool:

@@ -283,6 +283,28 @@ def test_a_coupling_whose_square_overflows_exits_2(command):
     assert err == "error: coupling e=1e+300 is out of range: e*e must be finite\n"
 
 
+@pytest.mark.parametrize("space, e, max_k", [("s3", "2", "3"), ("h3", "900", "4")])
+@pytest.mark.parametrize("eps", ["1e308", "-1e308", "1.4e154"])
+def test_a_perturbation_whose_square_overflows_exits_2(space, e, max_k, eps):
+    """The ode residual reads (c t + k) q with c about the energy, which such a shift overflowed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(["verify", "ode", "--space", space, "--e", e, "--max-k", max_k, f"--perturb-eps={eps}"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: --perturb-eps {float(eps)!r} is out of range: its square must be finite\n"
+
+
+@pytest.mark.parametrize("space, e, max_k", [("s3", "2", "3"), ("h3", "900", "4")])
+def test_a_large_perturbation_whose_square_is_finite_fails_with_no_warning(space, e, max_k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(["verify", "all", "--space", space, "--e", e, "--max-k", max_k, "--perturb-eps", "1e150",
+                                "--format", "csv"])
+    assert (rc, err) == (1, "")
+    failing = {row.split(",")[0] for row in out.splitlines()[1:] if not row.endswith(",1")}
+    assert failing == {"ode", "hamiltonian"}
+
+
 def test_spectrum_defaults_to_human():
     rc, out, _ = run_cli(["spectrum", "--space", "h3", "--e", "5"])
     assert rc == 0

@@ -34,7 +34,7 @@ from curvedkepler import (
     wavefunction_values,
 )
 from curvedkepler.operators import SINGULAR_SKIP
-from curvedkepler.verify import CHART_POINTS, ODE_POINTS, _suite_rng
+from curvedkepler.verify import CHART_POINTS, _suite_rng
 
 
 def _draws(space, states, seed):
@@ -174,17 +174,14 @@ def test_a_level_computes_no_term_on_the_rows_of_states_without_it():
 
 @pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
 def test_the_suites_report_what_per_state_calls_on_their_draws_report(space, e):
+    """ode, hamiltonian and boperator read one chart batch per state from the hamiltonian stream."""
     states = bound_states(space, e, 3)
-    rng = _suite_rng(7, "ode")
-    want = [
-        ode_residual(st, which, factor_samples(space, rng, which, ODE_POINTS))
-        for st in states
-        for which in (1, 2)
-    ]
+    rng = _suite_rng(7, "hamiltonian")
+    batches = [chart_points(space, rng, CHART_POINTS) for _ in states]
+    want = [ode_residual(st, which, getattr(b, f"t{which}")) for st, b in zip(states, batches) for which in (1, 2)]
     assert [r.report for r in run_suite("ode", space, e, 3, 7)] == want
     for suite, residual in (("hamiltonian", hamiltonian_residual), ("boperator", b_operator_residual)):
-        rng = _suite_rng(7, suite)
-        want = [residual(st, chart_points(space, rng, CHART_POINTS)) for st in states]
+        want = [residual(st, b) for st, b in zip(states, batches)]
         assert [r.report for r in run_suite(suite, space, e, 3, 7)] == want
 
 

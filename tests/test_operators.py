@@ -152,8 +152,9 @@ def test_hamiltonian_wrong_space_is_order_one():
     def h3_core(space, parts):  # the level's own space swapped for H3: its sign and its coupling
         return operators._hamiltonian_core(H3, parts[:5] + (H3.coupling(st.e),) + parts[6:])
 
-    (report,) = operators._eigen_residual(
-        st, Level([st]), [pts], h3_core, lambda s: s.epsilon, operators.HAMILTONIAN_TOL
+    level = Level([st])
+    (report,) = operators._eigen_reports(
+        level, operators._evaluate(level, [pts]), h3_core, lambda s: s.epsilon, operators.HAMILTONIAN_TOL
     )
     assert not report.passed
     assert report.max_rel > 0.1

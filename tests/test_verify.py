@@ -1,20 +1,26 @@
 """Suite-runner tests: suite selection, seeded reproducibility, and the
 scope of the perturbation knob."""
 
+import json
+
 import numpy as np
 import pytest
 
 from curvedkepler import (
     H3,
     DomainError,
+    Level,
     ParameterError,
     S3,
     SUITES,
     all_passed,
+    b_operator_residual,
     bound_states,
     chart_points,
     coupling_identity_residual,
     geometry,
+    hamiltonian_residual,
+    ode_residual,
     operators,
     run_suite,
     run_suites,
@@ -23,17 +29,26 @@ from curvedkepler import (
 )
 
 
+def _text(reports) -> list[str]:
+    """Each report's JSON, as the CLI writes it, so equal texts are equal bits."""
+    return [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports]
+
+
 def test_all_suites_run_and_pass():
     results = run_suites("all", S3, 2.0, 2, seed=7)
     assert all_passed(results)
     assert {r.suite for r in results} == set(SUITES)
 
 
-def test_one_name_runs_that_suite_alone():
-    a = run_suites("ode", S3, 2.0, 2, seed=7)
-    b = run_suite("ode", S3, 2.0, 2, seed=7)
-    assert [r.label for r in a] == [r.label for r in b]
-    assert [r.report.max_abs for r in a] == [r.report.max_abs for r in b]
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
+def test_one_name_runs_that_suite_alone(space, e):
+    """run_suite(name) and run_suites(name) give that suite's rows of run_suites("all"), bit for bit: the three
+    separated suites run as one either way, and every other suite on its own stream."""
+    every = run_suites("all", space, e, 3, seed=7)
+    for suite in SUITES:
+        want = _text(r for r in every if r.suite == suite)
+        assert want and _text(run_suite(suite, space, e, 3, seed=7)) == want, suite
+        assert _text(run_suites(suite, space, e, 3, seed=7)) == want, suite
 
 
 def test_unknown_suite_rejected():
@@ -93,11 +108,13 @@ def test_ode_suite_fails_every_report_of_a_small_perturbation_where_psi_is_tiny(
 
 @pytest.mark.parametrize("space, e, dtype", [(H3, 10.0, np.float64), (S3, 2.0, np.complex128)])
 def test_ode_residual_and_scale_run_in_the_dtype_of_the_space(monkeypatch, space, e, dtype):
-    """H3 states hold floats and the H3 samples are float64, so the ODE residual and its scale are float64 there."""
+    """H3 states hold floats and the H3 chart points are float64, so the ODE residual and its scale are float64
+    there.  The joint run also reports H and B through ``_reports``; only the two ODE calls read ODE_TOL."""
     seen = []
 
     def spy(tolerance, counts, sizes, residual, scale, *columns):
-        seen.append((residual.dtype, scale.dtype))
+        if tolerance == operators.ODE_TOL:
+            seen.append((residual.dtype, scale.dtype))
         return reports(tolerance, counts, sizes, residual, scale, *columns)
 
     reports = operators._reports
@@ -107,11 +124,56 @@ def test_ode_residual_and_scale_run_in_the_dtype_of_the_space(monkeypatch, space
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**70])
-def test_each_suite_draws_the_child_stream_that_spawn_numbers_by_its_index(seed):
+def test_each_suite_stream_is_the_child_that_spawn_numbers_by_the_suite_index(seed):
     for i, suite in enumerate(SUITES):
         child = np.random.SeedSequence(seed).spawn(len(SUITES))[i]
         want = np.random.Generator(np.random.PCG64(child)).integers(0, 2**63, size=8)
         assert np.array_equal(verify._suite_rng(seed, suite).integers(0, 2**63, size=8), want), suite
+
+
+def test_the_separated_suites_draw_the_hamiltonian_stream_and_every_other_suite_its_own(monkeypatch):
+    drawn = []
+    suite_rng = verify._suite_rng
+    monkeypatch.setattr(verify, "_suite_rng", lambda seed, suite: drawn.append(suite) or suite_rng(seed, suite))
+    for suite in SUITES:
+        run_suite(suite, S3, 2.0, 1, 7)
+    run_suites("all", S3, 2.0, 1, 7)
+    others = ["rungelenz", "metric", "constraint", "commutators"]
+    assert drawn == ["hamiltonian"] * 3 + others + ["hamiltonian"] + others
+
+
+@pytest.mark.parametrize("space, e, max_k", [(S3, 2.0, 3), (H3, 10.0, 3), (H3, 900.0, 4)])
+def test_the_separated_suites_report_the_residuals_on_the_hamiltonian_streams_batches(space, e, max_k):
+    """hamiltonian and boperator report what the public residuals report on the level and its chart batches, and
+    ode what ode_residual reports on each factor's kept rows, byte for byte."""
+    states = bound_states(space, e, max_k)
+    rng = verify._suite_rng(7, "hamiltonian")
+    batches = [chart_points(space, rng, verify.CHART_POINTS) for _ in states]
+    results = run_suites("all", space, e, max_k, 7)
+    got = {suite: _text(r.report for r in results if r.suite == suite) for suite in ("ode", "hamiltonian", "boperator")}
+    assert got["hamiltonian"] == _text(hamiltonian_residual(Level(states), batches))
+    assert got["boperator"] == _text(b_operator_residual(Level(states), batches))
+    kept = [b.clearance() >= operators.SINGULAR_SKIP for b in batches]
+    factors = [ode_residual(Level(states), which, [getattr(b, f"t{which}")[k] for b, k in zip(batches, kept)])
+               for which in (1, 2)]
+    assert got["ode"] == _text(r for pair in zip(*factors) for r in pair)
+
+
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
+def test_the_separated_suites_evaluate_the_level_once(monkeypatch, space, e):
+    """One _staeckel call on the whole level serves ode, hamiltonian and boperator; in verify all the only
+    others are the exact B of each rungelenz state, a level of one."""
+    sizes = []
+    staeckel = operators._staeckel
+    monkeypatch.setattr(operators, "_staeckel", lambda level, *rest: sizes.append(len(level)) or staeckel(level, *rest))
+    n = len(bound_states(space, e, 3))
+    for suite in ("ode", "hamiltonian", "boperator"):
+        sizes.clear()
+        run_suite(suite, space, e, 3, 7)
+        assert sizes == [n], suite
+    sizes.clear()
+    run_suites("all", space, e, 3, 7)
+    assert sizes == [n] + [1] * verify.RUNGE_LENZ_STATES
 
 
 @pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
