@@ -34,7 +34,7 @@ from .geometry import flat_limit_coords
 from .kepler import (QuantumNumbers, _psi_grid, assemble_state, bound_count_h3, bound_interval_h3, energy_split,
                      is_admissible)
 from .spaces import Model, space_from_name
-from .verify import SUITES, all_passed, run_suites
+from .verify import SUITES, _check_perturbation, all_passed, run_suites
 
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "CURVEDKEPLER_OUT_DIR"
@@ -421,8 +421,7 @@ def _validate(ns: argparse.Namespace) -> argparse.Namespace:
     if ns.command == "verify":
         if ns.seed < 0:
             raise UsageError(f"--seed {ns.seed} must be >= 0")
-        if not math.isfinite(ns.perturb_eps * ns.perturb_eps):  # the residuals read (c t + k) q, c ~ eps
-            raise UsageError(f"--perturb-eps {ns.perturb_eps!r} is out of range: its square must be finite")
+        _check_perturbation(ns.perturb_eps, "--perturb-eps")
     if ns.e < 0:
         raise UsageError("--e must be >= 0")
     if ns.command == "limit":

@@ -274,9 +274,11 @@ def factor(state: StateParams, which: int) -> SeparatedFactor:
 def state_on_a_row(fn):
     """fn(level, t1, t2, phi) of one state, as a level of one on its chart arrays flattened to a (1, n) row, in their
     broadcast shape.  A lone point runs as a pair: numpy's loops round one element unlike its array loops, and so a
-    point keeps the bits it has in a batch."""
+    point keeps the bits it has in a batch.  A :class:`Level` runs as it is, on its rows (n_states, n)."""
     @functools.wraps(fn)
     def run(state, t1, t2, phi):
+        if isinstance(state, Level):
+            return fn(state, t1, t2, phi)
         t1, t2, phi = np.broadcast_arrays(t1, t2, phi)
         rows = (np.resize(a, (1, 2)) if a.size == 1 else a.reshape(1, -1) for a in (t1, t2, phi))
         return fn(Level((state,)), *rows)[0, : t1.size].reshape(t1.shape)

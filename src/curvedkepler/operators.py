@@ -21,9 +21,13 @@ take all three residuals from one evaluation (``_separated_reports``).
   iB = A3 + iL^2 (S3), with the left side built from nested central
   finite differences in quasi-Cartesian coordinates, on node arrays
   mapped to the chart in one call of the unchecked inverse chart, the
-  centre once, whose columns the exact B reads too.
+  centre once, whose columns the exact B reads too.  A level runs as one
+  stencil: one chart call, one Psi evaluation and one exact B for all its states.
 * ``momentum_commutators`` — the so(3,1)/so(4) commutation relations as
   exact polynomial-coefficient identities, with the stencil's P_a and L_a.
+
+A level's reports, and the commutators' of a stack of polynomials, are one report set of
+:func:`~curvedkepler.report.build_report`: one reduction per set, no loop per report.
 """
 
 from __future__ import annotations
@@ -128,13 +132,16 @@ def _stacked(rows: list[np.ndarray]) -> np.ndarray:
     return np.array([np.resize(r, n) if r.size < n else r for r in rows])
 
 
+def _kept(rows, counts) -> list:
+    """The first counts[s] entries of row s of a stack: the points kept of each state, without the cycled ones."""
+    return [row[:n] for row, n in zip(rows, counts)]
+
+
 def _reports(tolerance, counts, sizes, residual, scale, *columns) -> list:
-    """A report per state on the first counts[s] of its sizes[s] points; ``columns``: coordinates, a row per state."""
-    reports = []
-    for n, size, res, ref, *cols in zip(counts, sizes, residual, scale, *columns):
-        note = f"skipped {size - n} singular point(s)" if n < size else ""
-        reports.append(build_report(res[:n], ref[:n], tolerance, columns=[c[:n] for c in cols], note=note))
-    return reports
+    """A report per state on the first counts[s] of its sizes[s] points, as one report set (:func:`build_report`);
+    ``columns``: coordinates, a row per state."""
+    notes = [f"skipped {size - n} singular point(s)" if n < size else "" for n, size in zip(counts, sizes)]
+    return build_report(_kept(residual, counts), _kept(scale, counts), tolerance, columns=columns, note=notes)
 
 
 def ode_residual(
@@ -395,10 +402,11 @@ _COLUMN[_THEN, _FIRST] = 1 + np.arange(_FIRST.size)
 _COLUMN[_FIRST, _THEN] = 1 + np.arange(_FIRST.size)  # after the swap, so a one-axis pair keeps its order
 
 
-def _stencils(state: StateParams, Q: np.ndarray, steps) -> tuple[list[tuple], list]:
-    """(nodes, h, psi) per step h, the centre and its one-shift nodes (7, 3, n) and Psi (25, n); and the centre's
-    chart columns (t1, t2, phi).  One chart call and one ``wavefunction_values`` call take the centre once, at
-    the head of the batch, then the two-shift nodes of every step; a step's Psi is the centre's row and its 24.
+def _stencils(level: Level, Q: np.ndarray, steps) -> tuple[list[tuple], list]:
+    """(nodes, h, psi) per step h, the centre and its one-shift nodes (7, 3, N) and Psi (25, N); and the centre's
+    chart columns (t1, t2, phi), a row per state.  Q holds n columns per state, state after state (N = n_states n).
+    One chart call and one ``wavefunction_values`` call of the level take each state's centre once, at the head of
+    its row, then the two-shift nodes of every step; a step's Psi is the centre's row and its 24.
     """
     out, reads = [], [Q[None]]
     for h in steps:
@@ -408,11 +416,16 @@ def _stencils(state: StateParams, Q: np.ndarray, steps) -> tuple[list[tuple], li
         two[np.arange(_FIRST.size), _AXIS[_THEN]] += _SIGN[_THEN, None] * h
         out.append((nodes, h))
         reads.append(two)
-    n = Q.shape[1]
-    chart = _quasi_to_chart(state.space, np.concatenate(reads).transpose(1, 0, 2).reshape(3, -1))
-    psi = wavefunction_values(state, *chart).reshape(-1, n)
-    tables = psi[1:].reshape(len(steps), _FIRST.size, n)
-    return [(nodes, h, np.concatenate([psi[:1], p])) for (nodes, h), p in zip(out, tables)], [c[:n] for c in chart]
+    size, count = Q.shape[1], len(level)
+    n = size // count
+    # the 49 reads (49, 3, N) as (3, n_states, 49, n): a row of 49 n columns per state
+    chart = _quasi_to_chart(level.space, np.concatenate(reads).reshape(-1, 3, count, n).transpose(1, 2, 0, 3)
+                            .reshape(3, -1))
+    psi = wavefunction_values(level, *(c.reshape(count, -1) for c in chart))
+    psi = psi.reshape(count, -1, n).transpose(1, 0, 2).reshape(-1, size)
+    tables = psi[1:].reshape(len(steps), _FIRST.size, size)
+    centre = [c.reshape(count, -1, n)[:, 0] for c in chart]
+    return [(nodes, h, np.concatenate([psi[:1], p])) for (nodes, h), p in zip(out, tables)], centre
 
 
 def _central(values: np.ndarray, h) -> np.ndarray:
@@ -420,12 +433,13 @@ def _central(values: np.ndarray, h) -> np.ndarray:
     return (values[..., 0::2, :] - values[..., 1::2, :]) / (2.0 * h)
 
 
-def _a3_and_l2(state: StateParams, nodes: np.ndarray, h, psi: np.ndarray):
+def _a3_and_l2(level: Level, nodes: np.ndarray, h, psi: np.ndarray):
     """(A3 Psi, L^2 Psi) by nested central differences at the stencil centre.
 
     Psi's gradient at the six one-shift nodes is one central difference
     over the two-shift table; every composed term applies its inner
-    operator at those nodes and takes one outer difference.
+    operator at those nodes and takes one outer difference.  The columns
+    are the level's states' in turn, as many for each (:func:`_stencils`).
     """
     centre, shifted = nodes[0], nodes[1:]
     grad = _central(psi[_COLUMN], h)
@@ -434,16 +448,17 @@ def _a3_and_l2(state: StateParams, nodes: np.ndarray, h, psi: np.ndarray):
         g = _central(inner(lambda j: grad[:, j], lambda x, j: shifted[:, j] * x), h)
         return outer(lambda j: g[j], lambda x, j: centre[j] * x)
 
-    sigma = state.space.sigma
+    sigma = level.space.sigma
     p1, p2 = partial(_momentum, sigma, 0), partial(_momentum, sigma, 1)
     l1, l2, l3 = (partial(_angular, a) for a in range(3))
     q = np.sqrt((centre * centre).sum(axis=0))
     commutator = term(l1, p2) - term(l2, p1) - term(p1, l2) + term(p2, l1)
-    a3 = state.e * centre[2] / q * psi[0] + 0.5 * commutator
+    e = np.repeat([s.e for s in level], centre.shape[-1] // len(level))
+    a3 = e * centre[2] / q * psi[0] + 0.5 * commutator
     return a3, sum(term(l, l) for l in (l1, l2, l3))
 
 
-def runge_lenz_check(state: StateParams, sample) -> ResidualReport:
+def runge_lenz_check(state: StateParams | Level, sample) -> ResidualReport | list[ResidualReport]:
     """A3 + L^2 (H3) or A3 + i L^2 (S3) against the exact B operator.
 
     The left side uses nested second-order central differences in
@@ -453,12 +468,18 @@ def runge_lenz_check(state: StateParams, sample) -> ResidualReport:
     The note records the observed convergence order (should sit near 2)
     before extrapolation.  An empty sample or a coordinate that is not
     finite raises ParameterError; a sample with no usable point raises DomainError.
+    A :class:`~curvedkepler.kepler.Level` takes a (3, n) sample per state and runs as one stencil: its
+    kept points, cycled to one count per state, go through one chart call, one Psi evaluation and one
+    exact B, and each state's report has the bits it has alone.
     """
-    Q = np.asarray(sample, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != 3:
-        raise ParameterError(f"sample must be 3 x n quasi-Cartesian columns, got shape {Q.shape}")
-    if Q.shape[1] == 0:
-        raise ParameterError("no residuals to report: the sample holds no points")
+    level, samples = _as_level(state, sample)
+    samples = [np.asarray(s, dtype=float) for s in samples]
+    for Q in samples:
+        if Q.ndim != 2 or Q.shape[0] != 3:
+            raise ParameterError(f"sample must be 3 x n quasi-Cartesian columns, got shape {Q.shape}")
+        if Q.shape[1] == 0:
+            raise ParameterError("no residuals to report: the sample holds no points")
+    Q = np.concatenate(samples, axis=1)
     if not np.isfinite(Q).all():
         raise ParameterError("sample coordinates must be finite")
     h = _DEFAULT_FD_STEP
@@ -466,26 +487,38 @@ def runge_lenz_check(state: StateParams, sample) -> ResidualReport:
     rho = np.sqrt(Q[0] ** 2 + Q[1] ** 2)
     h_eff = h * np.maximum(1.0, q)
     # the stencil stays inside the chart sigma |q|^2 < 1, with a margin: a ball on H3, all of R^3 on S3
-    keep = (q >= 0.05) & (rho >= 6.0 * h_eff + 0.01) & (state.space.sigma * (q + 4.0 * h_eff) <= 0.98)
-    skipped = int(np.count_nonzero(~keep))
-    if not keep.any():
+    keep = (q >= 0.05) & (rho >= 6.0 * h_eff + 0.01) & (level.space.sigma * (q + 4.0 * h_eff) <= 0.98)
+    sizes = [s.shape[1] for s in samples]
+    kept = np.flatnonzero(keep)
+    kept = np.split(kept, np.searchsorted(kept, np.cumsum(sizes)[:-1]))  # the columns kept of each sample
+    counts = [k.size for k in kept]
+    if not all(counts):
         raise DomainError("no usable sample points for the finite-difference stencil")
-    Q, q, h_eff = Q[:, keep], q[keep], h_eff[keep]
+    # each state's kept points, cycled to one count (two or more: a lone point runs as a pair, as alone)
+    n = max(2, *counts)
+    take = np.concatenate([k[np.arange(n) % k.size] for k in kept])
+    Q, h_eff = Q[:, take], h_eff[take]
 
-    unit = state.space.unit
-    stencils, centre = _stencils(state, Q, (h_eff, h_eff / 2.0))
-    want = unit * apply_b_operator(state, *centre)
-    fd_h, fd_h2 = (a3 + unit * l2 for a3, l2 in (_a3_and_l2(state, *st) for st in stencils))
+    unit = level.space.unit
+    stencils, centre = _stencils(level, Q, (h_eff, h_eff / 2.0))
+    want = (unit * apply_b_operator(level, *centre)).ravel()
+    fd_h, fd_h2 = (a3 + unit * l2 for a3, l2 in (_a3_and_l2(level, *st) for st in stencils))
     rich = (4.0 * fd_h2 - fd_h) / 3.0
 
-    r1 = np.abs(fd_h - want)
-    r2 = np.abs(fd_h2 - want)
-    ok = r2 > 1e-13
-    order = float(np.median(np.log2(r1[ok] / r2[ok]))) if ok.any() else math.nan
-    parts = [f"median FD convergence order {order:.2f} over (h, h/2), h={h:g}"]
-    if skipped:
-        parts.append(f"skipped {skipped} point(s) near chart boundaries")
-    return build_report(rich - want, want, RUNGE_LENZ_TOL, columns=Q, note="; ".join(parts))
+    r1, r2 = (np.abs(fd - want).reshape(len(level), n) for fd in (fd_h, fd_h2))
+    ok = (r2 > 1e-13) & (np.arange(n) < np.array(counts)[:, None])
+    ratios = np.split(np.log2(r1[ok] / r2[ok]), np.cumsum(ok.sum(axis=1))[:-1])
+    notes = []
+    for ratio, size, count in zip(ratios, sizes, counts):
+        order = float(np.median(ratio)) if ratio.size else math.nan
+        skipped = f"; skipped {size - count} point(s) near chart boundaries" if size > count else ""
+        notes.append(f"median FD convergence order {order:.2f} over (h, h/2), h={h:g}{skipped}")
+
+    def rows(a: np.ndarray) -> list:
+        return _kept(a.reshape(len(level), n), counts)
+
+    reports = build_report(rows(rich - want), rows(want), RUNGE_LENZ_TOL, columns=Q.reshape(3, -1, n), note=notes)
+    return reports if isinstance(state, Level) else reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +725,7 @@ def momentum_commutators(
     rows = np.array([q._row for q in polys], dtype=complex).reshape(-1, _WIDTH)
     residuals, labels = _commutator_residuals(space, rows)
     sign_word = "so(3,1)" if space.model is Model.H3 else "so(4)"
-    reports = []
-    for vals, d in zip(residuals, degrees):
-        worst = labels[int(np.argmax(vals))]
-        note = f"{sign_word} relations on degree-{d} input; worst identity: {worst}"
-        reports.append(build_report(vals, np.zeros_like(vals), COMMUTATOR_TOL, note=note))
+    notes = [f"{sign_word} relations on degree-{d} input; worst identity: {labels[w]}"
+             for d, w in zip(degrees, residuals.argmax(axis=1).tolist())]
+    reports = build_report(list(residuals), 0.0, COMMUTATOR_TOL, note=notes)
     return reports[0] if isinstance(p, QPolynomial) else reports

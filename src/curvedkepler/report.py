@@ -55,37 +55,62 @@ def _encode_point(point: tuple | None) -> list | None:
 
 
 def build_report(
-    residual: np.ndarray,
-    reference: np.ndarray,
+    residual: np.ndarray | list,
+    reference: np.ndarray | float | list,
     tolerance: float,
-    columns: Sequence[np.ndarray] | None = None,
-    note: str = "",
-) -> ResidualReport:
+    columns: Sequence | None = None,
+    note: str | Sequence[str] = "",
+) -> ResidualReport | list[ResidualReport]:
     """Aggregate pointwise |residual| against 1 + |reference|.
 
     ``columns`` holds 1-d coordinate arrays, each with one entry per
     residual; the worst offender's entries are recorded as the report's
     worst point.  When omitted the worst point is left unset.  An empty
     residual raises ParameterError: no points would pass by default.
+
+    A report set runs as one: a list of 1-d residual rows, with
+    ``reference`` a row each (or one value for all), ``columns`` a row per
+    residual row for each coordinate (its leading entries those of the
+    residuals) and ``note`` a note each, gives the list of the reports that
+    each row gives alone.  The rows of one length are reduced as one stack:
+    one abs, divide, argmax, max and mean per length.
     """
-    res = np.abs(np.asarray(residual)).ravel()
-    ref = np.abs(np.asarray(reference)).ravel()
-    if res.size == 0:
+    if not isinstance(residual, list):
+        cols = None if columns is None else [[c] for c in columns]
+        return _reduce([np.ravel(residual)], np.ravel(reference), tolerance, cols, [note])[0]
+    refs = reference if isinstance(reference, list) else np.ravel(reference)
+    return _reduce(residual, refs, tolerance, columns, [note] * len(residual) if isinstance(note, str) else note)
+
+
+def _reduce(residual: list, reference, tolerance: float, columns, notes) -> list[ResidualReport]:
+    """The reports of :func:`build_report`'s rows, one stack per row length: ``reference`` is a list of rows or one
+    array that broadcasts to every row, and ``columns`` a row per residual row for each coordinate."""
+    lengths: dict[int, list[int]] = {}
+    for i, row in enumerate(residual):
+        lengths.setdefault(row.size, []).append(i)
+    if not lengths or 0 in lengths:
         raise ParameterError("no residuals to report: the sample holds no points")
-    rel = res / (1.0 + ref)
-    i = int(np.argmax(rel))
-    worst = tuple(c[i] for c in columns) if columns is not None else None
-    max_rel = float(rel[i])
-    return ResidualReport(
-        max_abs=float(res.max()),
-        max_rel=max_rel,
-        mean_rel=float(rel.mean()),
-        n_points=int(res.size),
-        worst_point=worst,
-        tolerance=tolerance,
-        passed=bool(max_rel <= tolerance),
-        note=note,
-    )
+    reports: list = [None] * len(residual)
+    for n, rows in lengths.items():
+        res = np.abs(np.array([residual[i] for i in rows]))
+        ref = np.array([reference[i] for i in rows]) if isinstance(reference, list) else reference
+        rel = res / (1.0 + np.abs(ref))
+        worst = rel.argmax(axis=1)
+        max_rel = rel[np.arange(len(rows)), worst].tolist()
+        means = np.add.reduce(rel, axis=1) / n  # rel.mean(axis=1), with less call overhead
+        stats = zip(rows, worst.tolist(), max_rel, res.max(axis=1).tolist(), means.tolist())
+        for i, w, top, max_abs, mean_rel in stats:
+            reports[i] = ResidualReport(
+                max_abs=max_abs,
+                max_rel=top,
+                mean_rel=mean_rel,
+                n_points=n,
+                worst_point=None if columns is None else tuple(c[i][w] for c in columns),
+                tolerance=tolerance,
+                passed=bool(top <= tolerance),
+                note=notes[i],
+            )
+    return reports
 
 
 def merge_reports(reports: Sequence[ResidualReport]) -> ResidualReport:

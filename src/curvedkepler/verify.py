@@ -12,6 +12,7 @@ the level, whichever of them runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,12 +96,10 @@ def _separated(space, states, rng) -> list[SuiteResult]:
 
 
 def _rungelenz(space, states, rng) -> list[SuiteResult]:
-    results = []
-    for state in states[:RUNGE_LENZ_STATES]:
-        pts = quasi_points(space, rng, RUNGE_LENZ_POINTS)
-        report = runge_lenz_check(state, pts)
-        results.append(SuiteResult("rungelenz", _state_label(state), report))
-    return results
+    """The first RUNGE_LENZ_STATES states as one level, on a quasi-Cartesian sample per state drawn in state order."""
+    states = states[:RUNGE_LENZ_STATES]
+    reports = runge_lenz_check(Level(states), [quasi_points(space, rng, RUNGE_LENZ_POINTS) for _ in states])
+    return [SuiteResult("rungelenz", _state_label(s), r) for s, r in zip(states, reports)]
 
 
 def _metric(space, states, rng) -> list[SuiteResult]:
@@ -147,10 +146,17 @@ _STATELESS = ("metric", "commutators")
 _SEPARATED = ("ode", "hamiltonian", "boperator")
 
 
+def _check_perturbation(eps: float, name: str = "perturb_eps") -> None:
+    """Refuse an energy shift whose square is not finite, NaN too: the ode residual reads (c t + k) q, c ~ eps."""
+    if not math.isfinite(eps * eps):
+        raise ParameterError(f"{name} {eps!r} is out of range: its square must be finite")
+
+
 def _run(suite, space, e, max_k, seed, perturb_eps) -> list[SuiteResult]:
     """Every report of the runner of ``suite``: all three separated suites' for ode, hamiltonian or boperator."""
     if suite not in SUITES:
         raise ParameterError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    _check_perturbation(perturb_eps)
     if not is_admissible(space, e, 1) or max_k < 1:
         raise BoundStateError(f"no bound level with k <= {max_k} on {space.name} at e={e!r}")
     states = [] if suite in _STATELESS else bound_states(space, e, max_k)

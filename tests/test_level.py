@@ -9,10 +9,11 @@ skipped in another state.
 import numpy as np
 import pytest
 
-from curvedkepler import kepler
+from curvedkepler import kepler, operators
 from curvedkepler import (
     H3,
     S3,
+    DomainError,
     Level,
     ParabolicPoints,
     ParameterError,
@@ -30,7 +31,9 @@ from curvedkepler import (
     make_rng,
     ode_residual,
     perturbed,
+    quasi_points,
     run_suite,
+    runge_lenz_check,
     wavefunction_values,
 )
 from curvedkepler.operators import SINGULAR_SKIP
@@ -228,3 +231,64 @@ def test_the_point_array_entries_keep_the_broadcast_shape_and_the_flat_bits(spac
             flat = factor_derivatives(fac, np.ravel(tt))
             assert all(d.shape == np.shape(tt) for d in derivs)
             assert all(d.tobytes() == f.tobytes() for d, f in zip(derivs, flat))
+
+
+def _rl_bits(report):
+    """A Runge-Lenz report as the bits it prints and a few it does not: max_rel and mean_rel in hex."""
+    return report.max_rel.hex(), report.mean_rel.hex(), report.to_json_dict()
+
+
+def _rl_level_matches_states(monkeypatch, states, samples):
+    """runge_lenz_check on the level equals each state run alone on its sample, and the level reads Psi in one
+    call; returns the bytes of that call's table."""
+    tables = []
+    values = operators.wavefunction_values
+    monkeypatch.setattr(operators, "wavefunction_values", lambda *a: tables.append(values(*a)) or tables[-1])
+    reports = runge_lenz_check(Level(states), samples)
+    assert len(tables) == 1 and tables[0].shape[0] == len(states)
+    assert [_rl_bits(r) for r in reports] == [_rl_bits(runge_lenz_check(st, q)) for st, q in zip(states, samples)]
+    return reports, tables[0].nbytes
+
+
+@pytest.mark.parametrize("space, e, max_k", [(S3, 2.0, 3), (H3, 10.0, 3), (H3, 900.0, 4)])
+def test_a_runge_lenz_level_reports_what_its_states_report_alone(monkeypatch, space, e, max_k):
+    """Every state of the level, on 50 quasi-Cartesian points each: the stacked Psi table passes 256 KiB, where
+    numpy runs a * b in place on a temporary b, so a complex product with a temporary on its right would move bits."""
+    states = bound_states(space, e, max_k)
+    rng = make_rng(71)
+    samples = [quasi_points(space, rng, 50) for _ in states]
+    reports, nbytes = _rl_level_matches_states(monkeypatch, states, samples)
+    assert nbytes > 256 * 1024
+    assert all(r.passed and "FD convergence order" in r.note for r in reports)
+
+
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
+def test_a_runge_lenz_level_whose_states_keep_different_counts(monkeypatch, space, e):
+    """The stencil's keep rule drops points near the axis of one state only; a state with one point left runs as
+    alone, as a pair.  A level holds states of any coupling: the last one's e is twice the others'."""
+    states = bound_states(space, e, 2) + bound_states(space, 2.0 * e, 1)
+    rng = make_rng(72)
+    samples = [quasi_points(space, rng, 20) for _ in states]
+    samples[1][:2, :5] = 1e-3
+    samples[2] = samples[2][:, :1]
+    reports, _ = _rl_level_matches_states(monkeypatch, states, samples)
+    assert [r.n_points for r in reports] == [20, 15, 1, 20, 20, 20]
+    assert "skipped 5 point(s) near chart boundaries" in reports[1].note
+    assert all("skipped" not in r.note for r in reports if r is not reports[1])
+
+
+def test_a_runge_lenz_level_refuses_a_sample_count_that_does_not_match():
+    states = bound_states(S3, 2.0, 2)
+    rng = make_rng(73)
+    samples = [quasi_points(S3, rng, 10) for _ in states]
+    with pytest.raises(ParameterError, match="one sample each"):
+        runge_lenz_check(Level(states), samples[:-1])
+
+
+def test_a_runge_lenz_level_with_a_state_with_no_usable_point_is_out_of_domain():
+    states = bound_states(H3, 10.0, 2)
+    rng = make_rng(74)
+    samples = [quasi_points(H3, rng, 10) for _ in states]
+    samples[2] = np.array([[0.01, 0.0], [0.0, 0.0], [0.0, 0.3]])
+    with pytest.raises(DomainError, match="no usable sample points"):
+        runge_lenz_check(Level(states), samples)

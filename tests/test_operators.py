@@ -307,7 +307,8 @@ def test_residual_psi_from_the_jets_matches_wavefunction_values(
     scales = []
 
     def recorded(residual, scale, *args, **kwargs):
-        scales.append(scale)
+        (row,) = scale  # a state runs as a level of one, a report set of one row
+        scales.append(row)
         return build_report(residual, scale, *args, **kwargs)
 
     monkeypatch.setattr(operators, "build_report", recorded)
@@ -505,7 +506,7 @@ def test_s3_keeps_the_complex_closed_form_bit_for_bit(monkeypatch, e):
     recorded = []
 
     def record(residual, scale, *args, **kwargs):
-        recorded.append((residual, scale))
+        recorded.append((*residual, *scale))  # a state runs as a level of one, a report set of one row
         return build_report(residual, scale, *args, **kwargs)
 
     monkeypatch.setattr(operators, "build_report", record)
@@ -541,7 +542,7 @@ def test_complex_h3_input_agrees_with_the_float64_path(monkeypatch, e, max_k):
     recorded = []
 
     def record(residual, scale, *args, **kwargs):
-        recorded.append((residual, scale))
+        recorded.append((*residual, *scale))  # a state runs as a level of one, a report set of one row
         return build_report(residual, scale, *args, **kwargs)
 
     monkeypatch.setattr(operators, "build_report", record)
@@ -814,10 +815,11 @@ def test_random_polynomial_takes_the_whole_degree_range():
     assert QPolynomial.random(rng, degree=12, terms=30).degree() <= 12
 
 
-def _per_evaluation_a3_and_l2(state, nodes, h, psi):
-    """Oracle for the stencil: the nested differences with Psi evaluated
-    afresh at the coordinates of every nested call, no table (``psi`` is
-    not read)."""
+def _per_evaluation_a3_and_l2(level, nodes, h, psi):
+    """Oracle for the stencil of a level of one: the nested differences with
+    Psi evaluated afresh at the coordinates of every nested call, no table
+    (``psi`` is not read)."""
+    (state,) = level
     Q, sigma = nodes[0], state.space.sigma
 
     def psi(X):
@@ -869,11 +871,11 @@ def test_runge_lenz_stencil_is_one_batch_with_per_evaluation_bits(monkeypatch, s
     h = 5e-4 * np.maximum(1.0, np.sqrt((Q * Q).sum(axis=0)))
     # the sample holds coordinates where two shifts along one axis do not commute
     assert np.any((Q + h) - h != (Q - h) + h) and np.any((Q + h) - h != Q)
-    stencils, centre = operators._stencils(st, Q, (h, h / 2.0))
+    stencils, centre = operators._stencils(Level([st]), Q, (h, h / 2.0))
     assert [c.tobytes() for c in centre] == [c.tobytes() for c in operators._quasi_to_chart(space, Q)]
     for stencil in stencils:
-        table = operators._a3_and_l2(st, *stencil)
-        oracle = _per_evaluation_a3_and_l2(st, *stencil)
+        table = operators._a3_and_l2(Level([st]), *stencil)
+        oracle = _per_evaluation_a3_and_l2(Level([st]), *stencil)
         assert [x.tobytes() for x in table] == [x.tobytes() for x in oracle]
 
     sizes = []
@@ -928,11 +930,11 @@ def test_runge_lenz_takes_each_psi_gradient_once(monkeypatch, space, e, qn):
     central = operators._central
     monkeypatch.setattr(operators, "_central", counted)
     n = Q.shape[1]
-    for stencil in operators._stencils(st, Q, (h, h / 2.0))[0]:
+    for stencil in operators._stencils(Level([st]), Q, (h, h / 2.0))[0]:
         shapes.clear()
-        got = operators._a3_and_l2(st, *stencil)
+        got = operators._a3_and_l2(Level([st]), *stencil)
         assert shapes == [(6, 6, n)] + [(6, n)] * 7
-        want = _per_evaluation_a3_and_l2(st, *stencil)
+        want = _per_evaluation_a3_and_l2(Level([st]), *stencil)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedkepler import (
     H3,
@@ -29,7 +31,7 @@ from curvedkepler import (
     run_suite,
     runge_lenz_check,
 )
-from curvedkepler.report import build_report, merge_reports
+from curvedkepler.report import ResidualReport, build_report, merge_reports
 
 
 def test_build_report_records_the_worst_point_from_columns():
@@ -114,3 +116,61 @@ def test_a_suite_with_no_bound_state_is_refused(suite, space, e, max_k, text):
     with pytest.raises(BoundStateError) as refusal:
         run_suite(suite, space, e, max_k, 7)
     assert str(refusal.value) == f"no bound level with {text}"
+
+
+def _row_by_row(residual, reference, tolerance, columns, note) -> ResidualReport:
+    """build_report's arithmetic on one row as it ran before report sets ran as stacks: the oracle of the stacks."""
+    res = np.abs(np.asarray(residual)).ravel()
+    ref = np.abs(np.asarray(reference)).ravel()
+    rel = res / (1.0 + ref)
+    i = int(np.argmax(rel))
+    return ResidualReport(max_abs=float(res.max()), max_rel=float(rel[i]), mean_rel=float(rel.mean()),
+                          n_points=int(res.size), worst_point=tuple(c[i] for c in columns), tolerance=tolerance,
+                          passed=bool(float(rel[i]) <= tolerance), note=note)
+
+
+def _bits(report: ResidualReport) -> tuple:
+    floats = (report.max_abs, report.max_rel, report.mean_rel)
+    return (*(x.hex() for x in floats), report.n_points, [np.asarray(v).tobytes() for v in report.worst_point],
+            report.tolerance, report.passed, report.note)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=7), seed=st.integers(0, 2**32 - 1),
+       complex_rows=st.booleans(), nans=st.integers(0, 3))
+def test_a_report_set_reduces_each_row_as_the_row_alone(lengths, seed, complex_rows, nans):
+    """Rows of ragged counts, some of them over tolerance and some with NaN residuals, give the bits the
+    row-by-row arithmetic gives; the first NaN of a row is its worst point and fails it."""
+    rng = np.random.default_rng(seed)
+    rows, refs, cols = [], [], []
+    for n in lengths:
+        row = rng.standard_normal(n) * 10.0 ** rng.integers(-16, 0)
+        if complex_rows:
+            row = row + 1j * rng.standard_normal(n) * 1e-12
+        row[rng.integers(0, n, nans)] = math.nan
+        rows.append(row)
+        refs.append(rng.standard_normal(n) * (1 + 1j if complex_rows else 1))
+        cols.append((rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    notes = [f"row {i}" for i in range(len(rows))]
+    columns = [[c[0] for c in cols], [c[1] for c in cols]]
+    got = build_report(rows, refs, 1e-9, columns=columns, note=notes)
+    want = [_row_by_row(r, f, 1e-9, c, note) for r, f, c, note in zip(rows, refs, cols, notes)]
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
+    for report, row, (first, _) in zip(got, rows, cols):
+        if np.isnan(row).any():
+            assert math.isnan(report.max_rel) and not report.passed
+            assert report.worst_point[0] == first[np.flatnonzero(np.isnan(row))[0]]
+
+
+def test_a_report_set_takes_one_reference_value_and_one_note_for_every_row():
+    rows = [np.array([1e-3, 4e-3]), np.array([2e-3]), np.array([5e-3, 1e-3])]
+    got = build_report(rows, 0.0, 3e-3, note="shared")
+    assert [(r.max_rel, r.n_points, r.passed, r.note, r.worst_point) for r in got] == [
+        (4e-3, 2, False, "shared", None), (2e-3, 1, True, "shared", None), (5e-3, 2, False, "shared", None)]
+    assert got == [build_report(r, 0.0, 3e-3, note="shared") for r in rows]
+
+
+@pytest.mark.parametrize("rows", [[np.ones(3), np.zeros(0)], [np.zeros(0)], []], ids=["one-empty", "empty", "none"])
+def test_a_report_set_with_an_empty_row_is_refused(rows):
+    with pytest.raises(ParameterError, match="no residuals to report"):
+        build_report(rows, 0.0, 1e-12)

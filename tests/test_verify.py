@@ -2,6 +2,8 @@
 scope of the perturbation knob."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,7 +164,7 @@ def test_the_separated_suites_report_the_residuals_on_the_hamiltonian_streams_ba
 @pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
 def test_the_separated_suites_evaluate_the_level_once(monkeypatch, space, e):
     """One _staeckel call on the whole level serves ode, hamiltonian and boperator; in verify all the only
-    others are the exact B of each rungelenz state, a level of one."""
+    other is the exact B of the rungelenz states, one level."""
     sizes = []
     staeckel = operators._staeckel
     monkeypatch.setattr(operators, "_staeckel", lambda level, *rest: sizes.append(len(level)) or staeckel(level, *rest))
@@ -173,7 +175,7 @@ def test_the_separated_suites_evaluate_the_level_once(monkeypatch, space, e):
         assert sizes == [n], suite
     sizes.clear()
     run_suites("all", space, e, 3, 7)
-    assert sizes == [n] + [1] * verify.RUNGE_LENZ_STATES
+    assert sizes == [n, verify.RUNGE_LENZ_STATES]
 
 
 @pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
@@ -311,3 +313,17 @@ def test_seeded_ode_metric_and_ambient_defects_fail_one_suite_each(monkeypatch, 
     suite, and the ambient map of the operators only the coupling identity."""
     monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
     assert _failing(space, e, SUITES) == suites
+
+
+@pytest.mark.parametrize("space, e, max_k", [(S3, 2.0, 3), (H3, 900.0, 4)])
+@pytest.mark.parametrize("eps", [1e308, -1e308, math.nan])
+def test_a_perturbation_whose_square_is_not_finite_is_refused(space, e, max_k, eps):
+    """Such a shift once overflowed the ode residual's (c t + k) q, and a NaN one ran and failed every report:
+    every suite, and the library run of all, refuses it before it builds a state, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for suite in SUITES:
+            with pytest.raises(ParameterError, match=r"^perturb_eps .* is out of range: its square must be finite$"):
+                run_suite(suite, space, e, max_k, 7, perturb_eps=eps)
+        with pytest.raises(ParameterError, match="perturb_eps"):
+            run_suites("all", space, e, max_k, 7, perturb_eps=eps)
