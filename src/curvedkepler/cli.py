@@ -22,6 +22,7 @@ fixed (17 significant digits in machine formats, 6 in human ones).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -358,6 +359,7 @@ def cmd_limit(ns: argparse.Namespace) -> tuple[str, int]:
 # parser and entry point
 
 
+@functools.cache  # built on the first call and shared by every later one: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvedkepler",

@@ -69,7 +69,7 @@ REMOVED = {
     sampling: ["GUARD"],
     specfun: ["hyp2f1_derivative", "power_product", "SERIES_MAX_TERMS", "SERIES_RELATIVE_CUTOFF", "is_level", "each",
               "drop_zero_imag"],
-    verify: ["ODE_POINTS", "_ode", "_eigen_suite"],
+    verify: ["ODE_POINTS", "_ode", "_eigen_suite", "COMMUTATOR_POLYS"],
 }
 
 

@@ -1,16 +1,21 @@
 """Command-line interface tests: exact payloads, format defaults, exit
 codes, grid handling, and byte-level determinism of the verify command.
 
-All invocations go through main(argv) in-process; files are written via
---out into pytest temporary directories.
+All invocations go through main(argv) in-process, bar one test that
+compares them with fresh processes; files are written via --out into
+pytest temporary directories.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -795,6 +800,33 @@ def test_unknown_command_and_suite_raise_usage():
     with pytest.raises(SystemExit) as ex:
         run_cli(["verify", "bogus"])
     assert ex.value.code == 2
+
+
+def test_main_prints_in_one_process_what_fresh_processes_print():
+    """main builds its parser once per process; later calls, a refused one between them, print the same bytes and
+    exit codes as each call in a fresh process."""
+    argvs = [
+        ["verify", "commutators", "--space", "h3", "--e", "10", "--format", "csv"],
+        ["verify", "bogus"],
+        ["verify", "metric", "--format", "human", "--seed", "3"],
+    ]
+
+    def in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's refusal
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    fresh = [subprocess.run([sys.executable, "-m", "curvedkepler", *argv], env=env, capture_output=True, text=True)
+             for argv in argvs]
+    assert [in_process(argv) for argv in argvs] == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+    assert fresh[1].returncode == 2 and "invalid choice: 'bogus'" in fresh[1].stderr
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_verify_all_passes_and_is_byte_deterministic(tmp_path):

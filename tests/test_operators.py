@@ -1128,3 +1128,22 @@ def test_commutator_stack_matches_the_dense_cube_oracle(monkeypatch, space, e, s
     monkeypatch.setattr(verify, "momentum_commutators", counted)
     verify.run_suite("commutators", space, e, 3, seed)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("space, e", [(H3, 10.0), (S3, 2.0)])
+def test_the_commutators_suite_row_is_dense_and_matches_the_dense_cube_oracle(space, e):
+    """The suite's one input holds the 84 monomials of degree <= 6, in slots 1..84, each with a unit coefficient of
+    its own phase, and the suite reports what the cube oracle reports on it, bit for bit."""
+    p = verify.COMMUTATOR_POLY
+    assert operators._PREFIX[6] == 84 and p.degree() == 6
+    assert np.flatnonzero(p._row).tolist() == list(range(1, 85))
+    coeffs = np.array(list(p.coeffs.values()))
+    assert len(coeffs) == 84 and np.abs(np.abs(coeffs) - 1.0).max() <= 4 * np.finfo(float).eps
+    phases = np.sort(np.angle(coeffs))
+    assert np.diff(np.append(phases, phases[0] + 2 * math.pi)).min() > 1e-3  # no two slots share a phase
+    rows, _ = operators._commutator_residuals(space, p._row[None])
+    vals, want = _cube_commutators(space, p)
+    assert rows.shape == (1, 9) and rows[0].tobytes() == vals.tobytes()
+    (result,) = verify.run_suite("commutators", space, e, 3, 7)
+    assert json.dumps(result.report.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert result.report.n_points == 9 and result.report.max_rel <= 1e-13

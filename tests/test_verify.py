@@ -244,6 +244,12 @@ def test_constraint_suite_reports_the_coupling_identity_of_its_draw(space, e):
     assert run_suite("constraint", space, e, 3, seed=7)[-1].report == coupling_identity_residual(space, pts)
 
 
+@pytest.mark.parametrize("space, e", [(S3, 2.0), (H3, 10.0)])
+def test_the_commutators_suite_draws_nothing(space, e):
+    """commutators checks one fixed polynomial, so its report is the same at every seed."""
+    assert run_suite("commutators", space, e, 3, 1) == run_suite("commutators", space, e, 3, 2)
+
+
 def _failing(space, e, suites=("rungelenz", "commutators", "hamiltonian", "boperator")):
     return [s for s in suites if not all_passed(run_suite(s, space, e, 3, 7))]
 
