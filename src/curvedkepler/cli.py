@@ -212,7 +212,7 @@ def cmd_eval(ns: argparse.Namespace) -> tuple[str, int]:
     if np.any(ns.grid_theta < 0) or np.any(ns.grid_theta > math.pi):
         raise UsageError("theta grid must lie in [0, pi]")
     psi = _psi_grid(state, ns.grid_chi, ns.grid_theta, ns.grid_phi).ravel()
-    block = _eval_rows(ns, np.column_stack([psi.real, psi.imag, psi.real**2 + psi.imag**2]))
+    rows = _eval_rows(ns, np.column_stack([psi.real, psi.imag, psi.real**2 + psi.imag**2]))
     if ns.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -225,13 +225,13 @@ def cmd_eval(ns: argparse.Namespace) -> tuple[str, int]:
             "columns": list(EVAL_COLUMNS),
             "rows": None,
         }
-        # The comma after the last row is cut.
-        return _json_text(payload).replace('"rows": null', f'"rows": [{block[:-1]}\n  ]', 1), 0
+        head, _, tail = _json_text(payload).partition('"rows": null')
+        return "".join([head, '"rows": [', *rows, "\n  ]", tail]), 0
     if ns.format == "human":
         head = "  ".join(f"{c:>12s}" for c in EVAL_COLUMNS)
     else:
         head = ",".join(EVAL_COLUMNS)
-    return head + "\n" + block, 0
+    return "".join([head, "\n", *rows]), 0
 
 
 # Per format: row start, cell separator, row end, the cell format (None: the
@@ -247,29 +247,50 @@ def _texts(spec: str | None, values: list) -> list[str]:
     """The text of each value as one cell, from a single `%` (or, for JSON,
     a single `json.dumps`) over all of them."""
     if spec is None:
-        return json.dumps(values)[1:-1].split(", ")
+        return json.dumps(values)[1:-1].split(", ") if values else []
     return ((spec + "\n") * len(values) % tuple(values)).split("\n")[:-1]
 
 
-def _eval_rows(ns: argparse.Namespace, cells: np.ndarray) -> str:
-    """The grid's rows in meshgrid `ij` order; `cells` holds one
-    `(re_psi, im_psi, abs_psi2)` row per point.
+def _eval_rows(ns: argparse.Namespace, cells: np.ndarray) -> list[str]:
+    """The grid's rows in meshgrid `ij` order, as pieces to join; `cells`
+    holds one `(re_psi, im_psi, abs_psi2)` row per point.  In JSON the
+    comma after the last row is cut.
 
     The axis text is formatted once per axis entry and written, with the
-    constant `skipped` text, into the row template as literal text (none of
-    it holds a `%`); one `%` then fills the three value cells of every point.
+    constant `skipped` text, into each row as literal text.  Where phi has
+    more than one entry and the value cells' bits are the same at every phi
+    of each (chi, theta) block (as they are for m = 0), the three value
+    cells are formatted once per block and written in as literal text too.
+    Otherwise the rows form one template and one `%` fills the value cells
+    of every point.
     """
     start, sep, end, spec, skipped = _EVAL_LAYOUT[ns.format]
     axes = (ns.grid_chi, ns.grid_theta, ns.grid_phi)
     chi, theta, phi = (_texts(spec, axis.tolist()) for axis in axes)
-    point = sep.join([spec or "%s"] * 3)
-    tails = [f"{p}{sep}{point}{sep}{skipped}{end}" for p in phi]
-    blocks = [prefix + prefix.join(tails) for c in chi for prefix in (f"{start}{c}{sep}{t}{sep}" for t in theta)]
+    prefixes = (f"{start}{c}{sep}{t}{sep}" for c in chi for t in theta)
+    # One (chi, theta) block per row, as bits, not values: -0.0 == 0.0 prints
+    # apart, and a NaN that != itself prints alike.  The first block alone
+    # turns most grids that do not repeat down.
+    bits = cells.view(np.int64).reshape(-1, len(phi) * 3)
+    repeats = len(phi) > 1 and (bits[0, 3:] == bits[0, :-3]).all() and (bits[:, 3:] == bits[:, :-3]).all()
+    if repeats:
+        heads = [f"{p}{sep}" for p in phi]
+        values = iter(_texts(spec, cells[:: len(phi)].ravel().tolist()))
+        tails = (f"{a}{sep}{b}{sep}{c}{sep}{skipped}{end}" for a, b, c in zip(values, values, values))
+        blocks = [prefix + (tail + prefix).join(heads) + tail for prefix, tail in zip(prefixes, tails)]
+    else:
+        point = sep.join([spec or "%s"] * 3)
+        tails = [f"{p}{sep}{point}{sep}{skipped}{end}" for p in phi]
+        blocks = [prefix + prefix.join(tails) for prefix in prefixes]
+    if ns.format == "json":
+        blocks[-1] = blocks[-1][:-1]
+    if repeats:
+        return blocks
     # The value lists stay unnamed temporaries: bound to names, they raised
     # the process's peak RSS.
     if spec is None:
-        return "".join(blocks) % tuple(_texts(None, cells.ravel().tolist()))
-    return "".join(blocks) % tuple(cells.ravel().tolist())
+        return ["".join(blocks) % tuple(_texts(None, cells.ravel().tolist()))]
+    return ["".join(blocks) % tuple(cells.ravel().tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ take all three residuals from one evaluation (``_separated_reports``).
 * ``momentum_commutators`` — the so(3,1)/so(4) commutation relations as
   exact polynomial-coefficient identities, with the stencil's P_a and L_a.
 
-A level's reports, and the commutators' of a stack of polynomials, are one report set of
+A level's reports are one report set of
 :func:`~curvedkepler.report.build_report`: one reduction per set, no loop per report.
 """
 
@@ -703,29 +703,18 @@ def _commutator_residuals(space: SpaceTag, rows: np.ndarray) -> tuple[np.ndarray
     return np.stack(residuals, axis=-1), labels
 
 
-def momentum_commutators(
-    space: SpaceTag,
-    p: QPolynomial | Sequence[QPolynomial],
-) -> ResidualReport | list[ResidualReport]:
+def momentum_commutators(space: SpaceTag, p: QPolynomial) -> ResidualReport:
     """All nine so(3,1)/so(4) commutation identities applied to p.
 
     [L_a,L_b] = i eps_abc L_c and [L_a,P_b] = i eps_abc P_c in both
     models; [P_a,P_b] = -i eps_abc L_c on H3 and +i eps_abc L_c on S3.
     Residual per identity is the max coefficient magnitude of
-    (commutator - right side) applied to p.  A sequence of polynomials
-    runs as one stack and gives the reports separate calls would give; an
-    empty sequence raises ParameterError.
+    (commutator - right side) applied to p.
     """
-    polys = [p] if isinstance(p, QPolynomial) else list(p)
-    if not polys:
-        raise ParameterError("no residuals to report: no polynomial to apply the relations to")
-    degrees = [q.degree() for q in polys]
-    if any(d > _MAX_DEGREE - 2 for d in degrees):
+    degree = p.degree()
+    if degree > _MAX_DEGREE - 2:
         raise ParameterError("commutator check is limited to degree <= 10 inputs")
-    rows = np.array([q._row for q in polys], dtype=complex).reshape(-1, _WIDTH)
-    residuals, labels = _commutator_residuals(space, rows)
+    (residuals,), labels = _commutator_residuals(space, p._row[None])
     sign_word = "so(3,1)" if space.model is Model.H3 else "so(4)"
-    notes = [f"{sign_word} relations on degree-{d} input; worst identity: {labels[w]}"
-             for d, w in zip(degrees, residuals.argmax(axis=1).tolist())]
-    reports = build_report(list(residuals), 0.0, COMMUTATOR_TOL, note=notes)
-    return reports[0] if isinstance(p, QPolynomial) else reports
+    note = f"{sign_word} relations on degree-{degree} input; worst identity: {labels[int(residuals.argmax())]}"
+    return build_report(residuals, 0.0, COMMUTATOR_TOL, note=note)

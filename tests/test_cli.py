@@ -551,6 +551,11 @@ EVAL_CASES = [
     ("s3", 2.0, (1, 0, 1), ("0.5:0.5:3", "0.3:2.9:7", "-1:6:4")),
     # a length-1 axis between long ones
     ("h3", 5.0, (0, 1, 0), ("0.3:2.5:11", "1.2:1.2:1", "0:6.2:13")),
+    # the benchmark's two 40x40x10 grids, with fixed bounds: Psi varies along phi (m = 1), and repeats (m = 0)
+    ("s3", 2.0, (1, 1, 1), ("0.1:2.95:40", "0.1:3:40", "0:6:10")),
+    ("h3", 5.0, (0, 1, 0), ("0.1:2.95:40", "0.1:3:40", "0:6:10")),
+    # m = 0 with one phi entry
+    ("s3", 2.0, (1, 1, 0), ("0.1:3:5", "0.2:3:4", "0.3:0.3:1")),
 ]
 
 
@@ -626,6 +631,70 @@ def test_eval_prints_non_finite_and_signed_zero_like_per_value_emitters(fmt, mon
     assert out == _legacy_eval_text(*case, fmt)
     tokens = ("NaN", "Infinity", "-Infinity", "-0.0") if fmt == "json" else ("nan", "inf", "-inf")
     assert all(t in out for t in tokens)
+
+
+def _value_texts(monkeypatch) -> list:
+    """Spy on `cli._texts`: the list it returns gets the count of values of each call after the three axes'."""
+    counts, texts = [], cli._texts
+
+    def spy(spec, values):
+        counts.append(len(values))
+        return texts(spec, values)
+
+    monkeypatch.setattr(cli, "_texts", spy)
+    return counts
+
+
+def _repeating_psi(flip):
+    """A `_psi_grid` stand-in whose values repeat along phi, NaNs included; with `flip`, the (-0.0, 0.0) value of
+    one (chi, theta) block reads (0.0, 0.0) at its last phi, so that block does not repeat."""
+
+    def psi_grid(state, chi, theta, phi):
+        psi = np.repeat(np.resize(SPECIAL_PSI, (chi.size, theta.size, 1)), phi.size, axis=2)
+        if flip:
+            assert psi[0, 2, -1].real.hex() == "-0x0.0p+0"
+            psi[0, 2, -1] = complex(0.0, 0.0)
+        return psi
+
+    return psi_grid
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "human"])
+@pytest.mark.parametrize("flip", [False, True], ids=["nan-repeats", "signed-zero-flip"])
+def test_eval_repeats_values_along_phi_by_their_bits(fmt, flip, monkeypatch):
+    """A repeated NaN repeats (NaN != NaN, but its bits and text are the same); a -0.0 that reads 0.0 at one phi
+    does not (-0.0 == 0.0, but its bits and text differ), so the grid takes the one-`%` path."""
+    monkeypatch.setattr(cli, "_psi_grid", _repeating_psi(flip))
+    counts = _value_texts(monkeypatch)
+    case = ("s3", 2.0, (0, 1, 0), ("0.3:2.9:3", "0.2:2.8:3", "0:1:4"))
+    rc, out, _ = run_cli(_eval_argv(*case, fmt))
+    assert rc == 0
+    assert out == _legacy_eval_text(*case, fmt)
+    assert counts[:3] == [3, 3, 4]
+    # once per block; or, on the one-`%` path, once per point as JSON text, and in the `%` itself in CSV and human
+    assert sum(counts[3:]) == ((3 * 3 * 4 * 3 if fmt == "json" else 0) if flip else 3 * 3 * 3)
+    assert ("NaN" if fmt == "json" else "nan") in out
+
+
+@pytest.mark.parametrize(
+    "space, e, qn, fmt, texts",
+    [*(("h3", 5.0, (0, 1, 0), fmt, 4800) for fmt in ("csv", "json", "human")),
+     ("s3", 2.0, (1, 1, 1), "json", 48000), ("s3", 2.0, (1, 1, 1), "csv", 0), ("s3", 2.0, (1, 1, 1), "human", 0)],
+)
+def test_eval_formats_a_value_once_per_block_where_psi_repeats_along_phi(space, e, qn, fmt, texts, monkeypatch):
+    """On a 40x40x10 grid an m = 0 state formats its three values once per (chi, theta) block: 4,800 texts.  An
+    m = 1 state formats them once per point: 48,000 JSON texts, or in CSV and human the one `%` over the grid,
+    which takes no `_texts` call."""
+    counts = _value_texts(monkeypatch)
+    rc, _, _ = run_cli(_eval_argv(space, e, qn, ("0.1:2.95:40", "0.1:3:40", "0:6:10"), fmt))
+    assert rc == 0
+    assert counts[:3] == [40, 40, 10] and sum(counts[3:]) == texts
+
+
+@pytest.mark.parametrize("spec", [None, MACHINE_FMT, "%12.6g"])
+def test_texts_of_no_values_is_an_empty_list(spec):
+    assert cli._texts(spec, []) == []
+    assert cli._texts(spec, [0.5]) == [json.dumps(0.5) if spec is None else spec % 0.5]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "human"])

@@ -24,7 +24,6 @@ from curvedkepler import (
     hamiltonian_residual,
     make_rng,
     metric_pullback_check,
-    momentum_commutators,
     ode_residual,
     pullback_points,
     quasi_points,
@@ -86,7 +85,6 @@ EMPTY_SAMPLE_CHECKS = {
     "constraint": lambda space, rng: constraint_check(chart_points(space, rng, 0)),
     "metric pullback": lambda space, rng: metric_pullback_check(space, pullback_points(space, rng, 0)),
     "rungelenz": lambda space, rng: runge_lenz_check(_state(space), quasi_points(space, rng, 0)),
-    "commutators": lambda space, rng: momentum_commutators(space, []),
 }
 
 
